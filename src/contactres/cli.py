@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import ContactresError
+from .errors import ContactresError, InternalInvariantError
 from .lie_core import flag_dimension, parse_parabolic, poincare_polynomial
 from .orbits import orbit_record, parse_orbit, table_version
 from .report import (
@@ -290,7 +290,7 @@ def _run_command(args, out) -> int:
         _emit(env, args.json, _render_verify, out)
         return 0 if failures == 0 else 1
 
-    raise AssertionError(f"unhandled command {cmd}")
+    raise InternalInvariantError(f"unhandled command {cmd}")
 
 
 def main(argv=None) -> int:

@@ -27,6 +27,7 @@ from .errors import (
     NoPolarization,
     SizeCapExceeded,
     UnknownClassification,
+    invariant,
 )
 from .lie_core import ParabolicType
 from .orbits import OrbitLabel
@@ -40,16 +41,11 @@ def _identity_rows(dim):
 
 
 def _nullspace_rows(rows, dim):
-    if not rows:
-        return _identity_rows(dim)
-    return nullspace([list(r) for r in rows])
+    return nullspace(rows) if rows else _identity_rows(dim)
 
 
 def _canonical_lineality(basis_rows):
-    if not basis_rows:
-        return ()
-    red, _ = rref([list(r) for r in basis_rows])
-    return tuple(primitive(r) for r in red)
+    return tuple(map(tuple, rref(basis_rows)[0]))
 
 
 def _polar_rays(constraints, dim):
@@ -166,7 +162,8 @@ def cone_from_generators(dim: int, gens) -> RationalCone:
     facets = RationalCone(dim, facet_rays, facet_lin).generators
     rays, lin = _polar_rays(facets, dim)
     cone = RationalCone(dim, rays, lin, _facets=facets)
-    assert all(dot(h, g) >= 0 for h in facets for g in cone.generators)
+    invariant(all(dot(h, g) >= 0 for h in facets for g in cone.generators),
+              "every generator must satisfy every facet")
     return cone
 
 
@@ -180,15 +177,16 @@ def ample_cone(p: ParabolicType) -> RationalCone:
     """Relative ample cone of the resolutions attached to P.
 
     In the fundamental-weight basis indexed by the marked roots this is
-    the coordinate cone: the dual of the Schubert-curve cone under the
-    identity pairing. Simplicial with exactly |I| rays, by construction.
+    the coordinate orthant: the dual of the Schubert-curve cone under the
+    identity pairing. Its rays and facet normals are the unit vectors.
     """
     if not p.marked:
         raise EmptyMarking("ample cone needs a proper parabolic")
     k = len(p.marked)
     if k > MAX_AMBIENT_DIM:
         raise SizeCapExceeded(f"lattice rank {k} exceeds {MAX_AMBIENT_DIM}")
-    return cone_from_generators(k, _identity_rows(k))
+    units = tuple(sorted(_identity_rows(k)))
+    return RationalCone(k, units, (), _facets=units)
 
 
 # --- chamber complexes --------------------------------------------------------
@@ -285,8 +283,8 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
                 swapped = list(comp)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
                 swapped = tuple(swapped)
-                assert swapped in labels, "orbit orderings must be closed " \
-                    "under adjacent transpositions"
+                invariant(swapped in labels, "orbit orderings must be closed "
+                          "under adjacent transpositions")
                 if comp < swapped:
                     walls.append(Wall(
                         chamber_a=comp,
@@ -296,7 +294,7 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
                     ))
     complex_ = ChamberComplex(orbit=orbit, chambers=tuple(chambers),
                               walls=tuple(walls))
-    assert complex_.is_connected, "wall graph must be connected"
+    invariant(complex_.is_connected, "wall graph must be connected")
     return complex_
 
 

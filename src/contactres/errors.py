@@ -2,7 +2,7 @@
 
 Every domain-level failure raises a subclass of :class:`ContactresError`,
 so callers (and the CLI) can distinguish "the mathematics rejects this
-input" from genuine bugs.
+input" from genuine bugs, which raise :class:`InternalInvariantError`.
 """
 
 
@@ -72,3 +72,13 @@ class UnknownSuite(ContactresError):
 
 class TableFormatError(ContactresError):
     """Shipped exceptional-orbit table is malformed."""
+
+
+class InternalInvariantError(AssertionError):
+    """An internal invariant failed: a bug, never an answer to report."""
+
+
+def invariant(holds: bool, message: str) -> None:
+    """An ``assert`` that ``python -O`` keeps."""
+    if not holds:
+        raise InternalInvariantError(message)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DimensionMismatch, EmptyMarking, InvalidRank
+from .errors import DimensionMismatch, EmptyMarking, InvalidRank, invariant
 from .ratlinalg import inverse
 
 RANK_BOUNDS = {
@@ -189,12 +189,11 @@ def build_root_system(t: SimpleType) -> RootSystemData:
     roots = _generate_roots(cartan)
     positive = sorted(r for r in roots if all(c >= 0 for c in r))
     expected = _POSITIVE_ROOT_COUNT[t.family](t.rank)
-    if len(positive) != expected or 2 * len(positive) != len(roots):
-        raise AssertionError(
-            f"root generation for {t} produced {len(positive)} positive "
-            f"roots, expected {expected}")
+    invariant(len(positive) == expected and 2 * len(positive) == len(roots),
+              f"root generation for {t} produced {len(positive)} positive "
+              f"roots, expected {expected}")
     weights = inverse(cartan)
-    assert weights is not None, "Cartan matrix must be invertible"
+    invariant(weights is not None, "Cartan matrix must be invertible")
     return RootSystemData(
         simple_type=t,
         cartan_matrix=tuple(tuple(row) for row in cartan),
@@ -297,24 +296,17 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_divmod(num, den):
+def _poly_div_exact(num, den):
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
     for k in range(len(q) - 1, -1, -1):
-        coeff = num[k + len(den) - 1]
-        lead = den[-1]
-        assert coeff % lead == 0
-        c = coeff // lead
+        c, rest = divmod(num[k + len(den) - 1], den[-1])
+        invariant(rest == 0, "inexact polynomial division")
         q[k] = c
         if c:
             for j, y in enumerate(den):
                 num[k + j] -= c * y
-    return q, num
-
-
-def _poly_div_exact(num, den):
-    q, rem = _poly_divmod(num, den)
-    assert all(x == 0 for x in rem), "inexact polynomial division"
+    invariant(not any(num), "inexact polynomial division")
     while len(q) > 1 and q[-1] == 0:
         q.pop()
     return q
@@ -348,7 +340,7 @@ def weyl_order(rs: RootSystemData) -> int:
     for root in rs.positive_roots:
         h = sum(root)
         prod *= Fraction(h + 1, h)
-    assert prod.denominator == 1
+    invariant(prod.denominator == 1, "|W| must be an integer")
     return prod.numerator
 
 
@@ -363,7 +355,8 @@ def poincare_polynomial(p: ParabolicType) -> tuple[int, ...]:
     full = _length_generating_function(p.root_system.positive_roots)
     levi = _length_generating_function(_levi_positive_roots(p))
     quot = _poly_div_exact(full, levi)
-    assert len(quot) - 1 == flag_dimension(p)
+    invariant(len(quot) - 1 == flag_dimension(p),
+              "Poincare polynomial degree must equal dim G/P")
     return tuple(quot)
 
 

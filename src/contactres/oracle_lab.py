@@ -4,7 +4,16 @@ Everything here works inside sl_n realized as trace-zero n x n matrices,
 with the trace form tr(xy) in place of the Killing form. The two differ
 by the positive scalar 2n, which cannot change any rank, kernel, or
 radical computed here; the scaling property test in the suite guards
-that claim.
+that claim. For the same reason ``random_conjugate`` returns
+g e adj(g) = det(g) g e g^-1 rather than g e g^-1: a nonzero multiple
+of a conjugate has the same rank, kernel and Jordan type, and stays an
+integer matrix.
+
+Models are integer matrices: the basis, the Jordan forms, the nilradical
+samples and the conjugates are built from ints, and every product stays
+integral. Fractions appear only where an entry really is rational, as in
+``scale_model`` with a rational factor. The kernel in ``ratlinalg``
+accepts both. Tuples are built from lists, for the reason given there.
 
 These oracles are deliberately independent of the combinatorial
 formulas they validate: dimensions come from ranks of ad maps, Richardson
@@ -25,49 +34,54 @@ from .errors import (
     NonGenericSample,
     SizeCapExceeded,
     ZeroElement,
+    invariant,
 )
-from .ratlinalg import independent_columns, nullspace, rank, rref, solve
+from .ratlinalg import (
+    adjugate,
+    independent_columns,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rank,
+    rref,
+    solve,
+)
 
 ADDIM_SIZE_CAP = 8   # ad_e acts on an (n^2-1)-dim space; keep desk scale
 FIBER_SIZE_CAP = 4
 GENERIC_TRIALS = 3
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
-def _zeros(n) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(n)]
+def _zeros(n) -> list[list[int]]:
+    return [[0] * n for _ in range(n)]
+
+
+def _exact(x):
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _freeze(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = _zeros(n)
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik:
-                for j in range(n):
-                    if b[k][j]:
-                        out[i][j] += aik * b[k][j]
-    return _freeze(out)
+    return tuple([tuple([_exact(x) for x in row]) for row in rows])
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
     ab, ba = mat_mul(a, b), mat_mul(b, a)
-    return _freeze([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)])
+    return tuple([tuple([x - y for x, y in zip(r1, r2)])
+                  for r1, r2 in zip(ab, ba)])
 
 
-def trace_product(a: Matrix, b: Matrix) -> Fraction:
+def trace_product(a: Matrix, b: Matrix):
     """tr(ab): the invariant form used in place of the Killing form."""
     return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a)))
 
 
-def _vec(m: Matrix) -> tuple[Fraction, ...]:
-    return tuple(x for row in m for x in row)
+def _vec(m: Matrix) -> tuple:
+    return tuple([x for row in m for x in row])
 
 
 def _is_nilpotent(e: Matrix) -> bool:
@@ -87,12 +101,12 @@ def sl_basis(n: int) -> tuple[Matrix, ...]:
         for j in range(n):
             if i != j:
                 m = _zeros(n)
-                m[i][j] = Fraction(1)
+                m[i][j] = 1
                 basis.append(_freeze(m))
     for i in range(n - 1):
         m = _zeros(n)
-        m[i][i] = Fraction(1)
-        m[i + 1][i + 1] = Fraction(-1)
+        m[i][i] = 1
+        m[i + 1][i + 1] = -1
         basis.append(_freeze(m))
     return tuple(basis)
 
@@ -124,7 +138,7 @@ def matrix_model(e, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
 
 
 def jordan_nilpotent(part, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
-    """Block Jordan nilpotent of type ``part`` with rational entries."""
+    """Block Jordan nilpotent of type ``part`` with integer entries."""
     part = tuple(int(p) for p in part)
     n = sum(part)
     if n > size_cap:
@@ -133,7 +147,7 @@ def jordan_nilpotent(part, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
     offset = 0
     for block in part:
         for i in range(block - 1):
-            rows[offset + i][offset + i + 1] = Fraction(1)
+            rows[offset + i][offset + i + 1] = 1
         offset += block
     return matrix_model(rows, size_cap=size_cap)
 
@@ -164,7 +178,7 @@ def jordan_type(e: Matrix) -> tuple[int, ...]:
     # k-th part of the dual partition; transpose it back.
     dual = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     part = tuple(sum(1 for d in dual if d >= j) for j in range(1, dual[0] + 1))
-    assert sum(part) == n
+    invariant(sum(part) == n, "Jordan type must partition n")
     return part
 
 
@@ -217,9 +231,8 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
 
     # well-definedness: the trace functional kills the centralizer
     for z in nullspace(cols):
-        zmat = _combine(m.basis_g, z)
-        assert trace_product(m.e, zmat) == 0, \
-            "trace form fails to vanish on the centralizer"
+        invariant(trace_product(m.e, _combine(m.basis_g, z)) == 0,
+                  "trace form fails to vanish on the centralizer")
 
     tangent = [images[j] for j in pivots]
     preimages = [m.basis_g[j] for j in pivots]
@@ -235,9 +248,9 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
 
     radical = nullspace(omega)
     euler = solve(list(zip(*tangent)), _vec(m.e))
-    assert euler is not None, "e must lie in the image of ad_e"
-    assert sum(t * c for t, c in zip(theta, euler)) == 0, \
-        "theta must vanish on the Euler direction"
+    invariant(euler is not None, "e must lie in the image of ad_e")
+    invariant(sum(t * c for t, c in zip(theta, euler)) == 0,
+              "theta must vanish on the Euler direction")
     euler_in_kernel = solve(list(zip(*kernel)), euler)
     radical_is_euler = (
         len(radical) == 1
@@ -264,13 +277,7 @@ def _combine(mats, coeffs) -> Matrix:
 
 
 def _parallel(u, v) -> bool:
-    if all(x == 0 for x in u) or all(x == 0 for x in v):
-        return False
-    pivot = next(i for i, x in enumerate(u) if x != 0)
-    if v[pivot] == 0:
-        return False
-    s = v[pivot] / u[pivot]
-    return all(s * x == y for x, y in zip(u, v))
+    return any(u) and any(v) and rank([u, v]) == 1
 
 
 # --- Richardson / Springer oracles -------------------------------------------
@@ -296,7 +303,7 @@ def _sample_nilradical(comp, seed_string: str) -> Matrix:
     n = sum(comp)
     rows = _zeros(n)
     for i, j in nilradical_positions(comp):
-        rows[i][j] = Fraction(rng.randint(-9, 9))
+        rows[i][j] = rng.randint(-9, 9)
     return _freeze(rows)
 
 
@@ -310,83 +317,68 @@ def _dominates(lam, mu) -> bool:
     return True
 
 
-def generic_jordan_type(comp, seed: int = 0,
-                        size_cap: int = ADDIM_SIZE_CAP) -> tuple[int, ...]:
-    """Jordan type of a generic element of the block nilradical.
+def _generic_sample(comp, seed: int) -> tuple[Matrix, tuple[int, ...]]:
+    """The first trial sample of the block nilradical whose Jordan type
+    dominates every other observed type, with that type.
 
-    Samples with the trial seeds derived from ``seed`` and returns the
-    dominance-maximal type observed; sub-generic samples are dominated by
-    the generic one, so this guards against unlucky coefficients. Raises
-    :class:`NonGenericSample` when no observed type dominates the others.
+    Sub-generic samples are dominated by the generic one, so this guards
+    against unlucky coefficients. Raises :class:`NonGenericSample` when
+    no observed type dominates the others.
     """
-    comp = tuple(int(c) for c in comp)
-    if sum(comp) > size_cap:
-        raise SizeCapExceeded(f"composition of {sum(comp)} exceeds cap "
-                              f"{size_cap}")
-    observed = []
-    for s in trial_seeds(seed):
-        e = _sample_nilradical(comp, s)
-        observed.append(jordan_type(e))
-    for cand in observed:
+    samples = [_sample_nilradical(comp, s) for s in trial_seeds(seed)]
+    observed = [jordan_type(e) for e in samples]
+    for e, cand in zip(samples, observed):
         if all(_dominates(cand, other) for other in observed):
-            return cand
+            return e, cand
     raise NonGenericSample(
         f"no dominance-maximal Jordan type among {observed}; "
         f"reseed and retry")
 
 
+def generic_jordan_type(comp, seed: int = 0,
+                        size_cap: int = ADDIM_SIZE_CAP) -> tuple[int, ...]:
+    """Jordan type of a generic element of the block nilradical: the
+    dominance-maximal type over the trial seeds derived from ``seed``."""
+    comp = tuple(int(c) for c in comp)
+    if sum(comp) > size_cap:
+        raise SizeCapExceeded(f"composition of {sum(comp)} exceeds cap "
+                              f"{size_cap}")
+    return _generic_sample(comp, seed)[1]
+
+
 # --- Springer fiber counting ---------------------------------------------------
 
-# Subspaces are canonical RREF row bases (tuples of rational tuples).
+# Subspaces are canonical RREF row bases (tuples of primitive integer
+# tuples).
 
-def _span(rows, n) -> tuple:
-    red, _ = rref([list(r) for r in rows]) if rows else ([], [])
-    return tuple(tuple(r) for r in red) if red else ()
+def _span(rows) -> tuple:
+    return tuple([tuple(r) for r in rref(rows)[0]])
 
 
 def _full(n) -> tuple:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                 for i in range(n))
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
 
-def _dim(space) -> int:
-    return len(space)
-
-
-def _sum_spaces(a, b, n):
-    return _span(list(a) + list(b), n)
-
-
-def _apply(e: Matrix, space, n):
-    rows = [tuple(sum(e[i][k] * v[k] for k in range(n)) for i in range(n))
-            for v in space]
-    return _span(rows, n)
+def _apply(e: Matrix, space):
+    return _span([mat_vec(e, v) for v in space])
 
 
 def _annihilator(space, n):
-    if not space:
-        return _full(n)
-    return _span(nullspace([list(r) for r in space]), n)
+    return _span(nullspace(space)) if space else _full(n)
 
 
 def _intersect(a, b, n):
-    constraints = list(_annihilator(a, n)) + list(_annihilator(b, n))
-    if not constraints:
-        return _full(n)
-    return _span(nullspace([list(r) for r in constraints]), n)
+    constraints = _annihilator(a, n) + _annihilator(b, n)
+    return _span(nullspace(constraints)) if constraints else _full(n)
 
 
 def _preimage(e: Matrix, space, n):
-    ann = _annihilator(space, n)
-    if not ann:
-        return _full(n)
-    rows = [tuple(sum(y[i] * e[i][j] for i in range(n)) for j in range(n))
-            for y in ann]
-    return _span(nullspace([list(r) for r in rows]), n)
+    ann = _annihilator(space, n)   # rows y; the preimage is {x : y e x = 0}
+    return _span(nullspace(mat_mul(ann, e))) if ann else _full(n)
 
 
-def _contains(big, small, n) -> bool:
-    return _dim(_sum_spaces(big, small, n)) == _dim(big)
+def _contains(big, small) -> bool:
+    return len(_span(big + small)) == len(big)
 
 
 def generic_fiber_count(comp, seed: int = 0,
@@ -398,7 +390,9 @@ def generic_fiber_count(comp, seed: int = 0,
     squeezed between a growing lower bound (images of later steps) and a
     shrinking upper bound (preimages of earlier steps) until every step
     is forced. A step left unforced at the fixpoint signals a
-    positive-dimensional solution set, i.e. a non-generic sample.
+    positive-dimensional solution set, i.e. a non-generic sample. The
+    element is the dominance-maximal trial sample, chosen exactly as in
+    :func:`generic_jordan_type`, so no formula picks it.
     """
     comp = tuple(int(c) for c in comp)
     n = sum(comp)
@@ -407,17 +401,7 @@ def generic_fiber_count(comp, seed: int = 0,
     if len(comp) == 1:
         return 1  # V_1 = C^n and the nilradical is zero
 
-    target = tuple(sorted(comp, reverse=True))
-    richardson = dual_of(target)
-    e = None
-    for s in trial_seeds(seed):
-        cand = _sample_nilradical(comp, s)
-        if jordan_type(cand) == richardson:
-            e = cand
-            break
-    if e is None:
-        raise NonGenericSample(
-            f"no sample of Richardson type {richardson} for {comp}")
+    e, _ = _generic_sample(comp, seed)
 
     k = len(comp)
     dims = [0]
@@ -432,16 +416,15 @@ def generic_fiber_count(comp, seed: int = 0,
     def propagate() -> bool:
         changed = False
         for i in range(1, k):
-            new_low = _sum_spaces(
-                _sum_spaces(lower[i], lower[i - 1], n),
-                _apply(e, lower[i + 1], n), n)
-            if _dim(new_low) != _dim(lower[i]):
+            new_low = _span(lower[i] + lower[i - 1]
+                            + _apply(e, lower[i + 1]))
+            if len(new_low) != len(lower[i]):
                 lower[i] = new_low
                 changed = True
             new_up = _intersect(
                 _intersect(upper[i], upper[i + 1], n),
                 _preimage(e, upper[i - 1], n), n)
-            if _dim(new_up) != _dim(upper[i]):
+            if len(new_up) != len(upper[i]):
                 upper[i] = new_up
                 changed = True
         return changed
@@ -453,13 +436,13 @@ def generic_fiber_count(comp, seed: int = 0,
         for i in range(1, k):
             if fixed[i]:
                 continue
-            if _dim(lower[i]) > dims[i] or _dim(upper[i]) < dims[i]:
+            if len(lower[i]) > dims[i] or len(upper[i]) < dims[i]:
                 return 0
-            if _dim(lower[i]) == dims[i]:
+            if len(lower[i]) == dims[i]:
                 upper[i] = lower[i]
                 fixed[i] = True
                 progressed = True
-            elif _dim(upper[i]) == dims[i]:
+            elif len(upper[i]) == dims[i]:
                 lower[i] = upper[i]
                 fixed[i] = True
                 progressed = True
@@ -473,37 +456,31 @@ def generic_fiber_count(comp, seed: int = 0,
 
     flag = [lower[i] for i in range(k + 1)]
     for i in range(1, k + 1):
-        assert _dim(flag[i]) == dims[i]
-        assert _contains(flag[i], flag[i - 1], n)
-        assert _contains(flag[i - 1], _apply(e, flag[i], n), n)
+        invariant(len(flag[i]) == dims[i]
+                  and _contains(flag[i], flag[i - 1])
+                  and _contains(flag[i - 1], _apply(e, flag[i])),
+                  "the forced flag must be a flag of type comp stable under e")
     return 1
-
-
-def dual_of(part) -> tuple[int, ...]:
-    part = tuple(part)
-    if not part:
-        return ()
-    return tuple(sum(1 for p in part if p >= j) for j in range(1, part[0] + 1))
 
 
 # --- seeded model transforms ---------------------------------------------------
 
 def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
-    """Conjugate e by a seeded random invertible rational matrix."""
-    from .ratlinalg import inverse
+    """Conjugate e by a seeded random invertible integer matrix g.
+
+    Returns g e adj(g) = det(g) g e g^-1, an integer matrix with the rank,
+    kernel and Jordan type of the conjugate g e g^-1.
+    """
     rng = random.Random(f"{seed}:conj")
     n = m.n
     while True:
-        g = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-             for _ in range(n)]
-        ginv = inverse(g)
-        if ginv is not None:
+        g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        adj = adjugate(g)
+        if adj is not None:
             break
-    conj = mat_mul(mat_mul(_freeze(g), m.e), _freeze(ginv))
-    return matrix_model(conj)
+    return matrix_model(mat_mul(mat_mul(g, m.e), adj))
 
 
 def scale_model(m: MatrixModel, t) -> MatrixModel:
     t = Fraction(t)
-    scaled = _freeze([[t * x for x in row] for row in m.e])
-    return matrix_model(scaled)
+    return matrix_model([[t * x for x in row] for row in m.e])

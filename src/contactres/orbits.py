@@ -21,6 +21,7 @@ from .errors import (
     TableFormatError,
     UnknownExceptionalKey,
     ZeroOrbit,
+    invariant,
 )
 from .lie_core import SimpleType, parse_simple_type
 
@@ -163,20 +164,16 @@ def orbit_dimension(o: OrbitLabel) -> int:
     n = o.simple_type.rank
     fam = o.simple_type.family
     if fam == "A":
-        dim = (n + 1) ** 2 - sq
+        dim2 = 2 * ((n + 1) ** 2 - sq)
     elif fam in ("B", "D"):
         big = 2 * n + 1 if fam == "B" else 2 * n
         odd = sum(1 for p in part if p % 2 == 1)
         dim2 = big * big - big - sq + odd
-        assert dim2 % 2 == 0
-        dim = dim2 // 2
     else:  # C
         odd = sum(1 for p in part if p % 2 == 1)
         dim2 = 2 * (2 * n * n + n) - sq - odd
-        assert dim2 % 2 == 0
-        dim = dim2 // 2
-    assert dim % 2 == 0, f"orbit dimension must be even, got {dim} for {o}"
-    return dim
+    invariant(dim2 % 4 == 0, "orbit dimension must be an even integer")
+    return dim2 // 2
 
 
 def minimal_orbit_dimension(t: SimpleType) -> int:
@@ -202,7 +199,8 @@ def minimal_orbit_label(t: SimpleType) -> OrbitLabel:
                 return OrbitLabel(simple_type=t, exceptional_key=key)
         raise UnknownExceptionalKey(f"no minimal-orbit entry for {t}")
     label = validate_orbit(t, part)
-    assert orbit_dimension(label) == minimal_orbit_dimension(t)
+    invariant(orbit_dimension(label) == minimal_orbit_dimension(t),
+              "minimal orbit must have dimension 2 h-check - 2")
     return label
 
 

@@ -1,12 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one integer kernel.
 
 Matrices are sequences of rows; vectors are tuples. Entries are ints or
 ``fractions.Fraction``. No floating point: rank decisions made here are
 the ground truth for everything else in the package.
 
-Rank uses fraction-free (Bareiss) elimination on a denominator-cleared
-integer copy; the remaining routines run ordinary Gaussian elimination
-on Fractions, which is exact as well.
+All elimination runs through ``_eliminate``: Bareiss' fraction-free
+Gauss-Jordan on rows cleared of denominators (row scaling changes
+neither row space nor kernel). Each update divides exactly by the
+previous pivot, so entries stay minors of the cleared matrix, bounded by
+Hadamard's inequality. ``rref`` and ``nullspace`` return primitive
+integer vectors; ``solve`` and ``inverse`` return Fractions.
+
+Tuples and star-arguments are built from lists: CPython parks a resized
+generator-built tuple on a free list that only a full garbage collection
+empties, which integer work seldom triggers (peak RSS grew ~1 MB).
 """
 
 from __future__ import annotations
@@ -14,13 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Vec = tuple[Fraction, ...]
-Mat = list[list[Fraction]]
 
-
-def frac_rows(rows) -> Mat:
-    """Copy ``rows`` into a mutable matrix of Fractions."""
-    return [[Fraction(x) for x in row] for row in rows]
+def _int_row(row) -> list[int]:
+    if all(type(x) is int for x in row):
+        return list(row)
+    fr = [Fraction(x) for x in row]
+    mult = lcm(*[x.denominator for x in fr])
+    return [x.numerator * (mult // x.denominator) for x in fr]
 
 
 def primitive(vec) -> tuple[int, ...]:
@@ -28,134 +35,148 @@ def primitive(vec) -> tuple[int, ...]:
 
     The zero vector maps to itself.
     """
-    fr = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    mult = lcm(*(x.denominator for x in fr))
-    ints = [int(x * mult) for x in fr]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    ints = _int_row(vec)
+    g = gcd(*ints) or 1
+    return tuple([x // g for x in ints])
 
 
-def _int_rows(rows) -> list[list[int]]:
-    # Row scaling preserves rank and nullspace.
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in fr)) if fr else 1
-        out.append([int(x * mult) for x in fr])
-    return out
-
-
-def rank(rows) -> int:
-    """Exact rank via fraction-free Bareiss elimination."""
-    m = _int_rows(rows)
+def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
+    """(matrix, pivot columns, sign of the row permutation); the pivot
+    rows come first. ``reduce`` also clears above each pivot, leaving the
+    last pivot value in every pivot column and zeros elsewhere in it."""
+    m = [_int_row(row) for row in rows]
     if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rref(rows) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = frac_rows(rows)
-    if not m:
-        return [], []
+        return m, [], 1
     nrows, ncols = len(m), len(m[0])
     pivots = []
-    r = 0
+    sign, prev, r = 1, 1, 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            row = m[i]
+            a = row[c]
+            if a:
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    return m, pivots, sign
 
 
-def nullspace(rows) -> list[Vec]:
-    """Basis of {x : A x = 0}, one vector per free column, in RREF order."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(rows, rhs) -> Vec | None:
-    """One solution of A x = b, or None when inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
-    return tuple(x)
-
-
-def inverse(rows) -> Mat | None:
-    """Inverse of a square matrix, or None when singular."""
-    n = len(rows)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
+def rank(rows) -> int:
+    """Exact rank: the number of pivots of the echelon form."""
+    return len(_eliminate(rows, reduce=False)[1])
 
 
 def independent_columns(rows) -> list[int]:
     """Pivot columns of A: indices of a maximal independent column set."""
-    _, pivots = rref(rows)
-    return pivots
+    return _eliminate(rows, reduce=False)[1]
 
 
-def mat_vec(rows, vec) -> Vec:
-    return tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, vec))
-                 for row in rows)
+def rref(rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form as (nonzero rows, pivot columns), each row
+    scaled to a primitive integer vector with a positive pivot."""
+    m, pivots, _ = _eliminate(rows, reduce=True)
+    red = []
+    for row, c in zip(m, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        red.append([x // g for x in row])
+    return red, pivots
 
 
-def mat_mul(a, b) -> Mat:
-    bt = list(zip(*b))
-    return [[sum(Fraction(x) * Fraction(y) for x, y in zip(row, col))
-             for col in bt] for row in a]
+def nullspace(rows) -> list[tuple[int, ...]]:
+    """Basis of {x : A x = 0}, one primitive integer vector per free
+    column, in RREF order, each positive in its free column."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        used = [(row, p) for row, p in zip(red, pivots) if row[f]]
+        mult = lcm(*[row[p] for row, p in used])
+        v = [0] * ncols
+        v[f] = mult
+        for row, p in used:
+            v[p] = -row[f] * (mult // row[p])
+        g = gcd(*v)
+        basis.append(tuple([x // g for x in v]))
+    return basis
 
 
-def dot(u, v) -> Fraction:
-    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+def solve(rows, rhs) -> tuple[Fraction, ...] | None:
+    """One solution of A x = b, or None when inconsistent."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = Fraction(row[ncols], row[p])
+    return tuple(x)
+
+
+def _scaled_inverse(rows) -> tuple[int, list[list[int]]] | None:
+    # Gauss-Jordan on [A | I] ends at [D I | D A^-1], with D the last
+    # pivot; the permutation sign turns D into det(A) for integral A.
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    m, pivots, sign = _eliminate(aug, reduce=True)
+    if pivots != list(range(n)):
+        return None
+    d = sign * m[n - 1][n - 1] if n else 1
+    return d, [[sign * x for x in row[n:]] for row in m]
+
+
+def inverse(rows) -> list[list[Fraction]] | None:
+    """Inverse of a square matrix, or None when singular."""
+    got = _scaled_inverse(rows)
+    if got is None:
+        return None
+    d, scaled = got
+    return [[Fraction(x, d) for x in row] for row in scaled]
+
+
+def adjugate(rows) -> list[list[int]] | None:
+    """det(A) A^-1 for a square integer matrix A, or None when singular."""
+    got = _scaled_inverse(rows)
+    return None if got is None else got[1]
+
+
+def mat_vec(rows, vec) -> tuple:
+    return tuple([sum([a * x for a, x in zip(row, vec)]) for row in rows])
+
+
+def mat_mul(a, b) -> tuple[tuple, ...]:
+    """Product of two matrices, skipping zero entries of both factors."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for aik, brow in zip(row, b):
+            if aik:
+                for j, bkj in enumerate(brow):
+                    if bkj:
+                        acc[j] += aik * bkj
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))

@@ -33,6 +33,7 @@ from .errors import (
     UnknownClassification,
     UnsupportedType,
     ZeroOrbit,
+    invariant,
 )
 from .lie_core import (
     ParabolicType,
@@ -121,10 +122,10 @@ class Polarization:
     is_birational: bool | None
 
     def __post_init__(self):
-        if self.is_birational:
-            assert orbit_dimension(self.richardson_orbit) == \
-                2 * flag_dimension(self.parabolic), \
-                "birational polarization must have dim O = 2 dim G/P"
+        invariant(not self.is_birational
+                  or orbit_dimension(self.richardson_orbit)
+                  == 2 * flag_dimension(self.parabolic),
+                  "birational polarization must have dim O = 2 dim G/P")
 
     @property
     def composition(self) -> tuple[int, ...] | None:
@@ -387,9 +388,10 @@ def contact_resolution_exists(o: OrbitLabel, seed: int = 0,
         oracle_checks=oracle_checks,
         notes=tuple(notes),
     )
-    assert report.resolution_exists == (
+    invariant(report.resolution_exists == (
         bool(report.polarizations)
-        or report.reason in (REASON_MINIMAL, REASON_G2DIM8))
-    assert (report.verdict == VERDICT_SMOOTH) == \
-        record.proj_normalization_smooth
+        or report.reason in (REASON_MINIMAL, REASON_G2DIM8)),
+        "a resolution exists iff polarizations or a smooth reason")
+    invariant((verdict == VERDICT_SMOOTH) == record.proj_normalization_smooth,
+              "SmoothAlready iff the projectivised normalization is smooth")
     return report

@@ -160,6 +160,17 @@ class TestAmpleCone:
         with pytest.raises(EmptyMarking):
             ample_cone(parabolic(SimpleType("A", 2), ()))
 
+    def test_closed_form_matches_double_description(self):
+        # double description of the unit vectors stays the reference
+        for k in range(1, 7):
+            c = ample_cone(parabolic(SimpleType("A", k), range(1, k + 1)))
+            identity = [tuple(int(i == j) for j in range(k))
+                        for i in range(k)]
+            ref = cone_from_generators(k, identity)
+            assert c == ref
+            assert c.facet_normals == ref.facet_normals
+            assert dual_cone(c) == dual_cone(ref)
+
 
 class TestChamberComplex:
     def test_two_chamber_flop(self):

@@ -78,6 +78,17 @@ class TestAdRank:
                 assert addim(random_conjugate(base, seed)) == want
 
 
+class TestRandomConjugate:
+    def test_integer_with_base_jordan_type(self):
+        for n in range(1, 6):
+            for part in partitions_of(n):
+                base = jordan_nilpotent(part)
+                for seed in (0, 1):
+                    conj = random_conjugate(base, seed)
+                    assert all(type(x) is int for row in conj.e for x in row)
+                    assert jordan_type(conj.e) == part
+
+
 class TestKks:
     def test_examples(self):
         assert kks_rank(jordan_nilpotent((2,))) == 2
@@ -109,6 +120,14 @@ class TestContactCheck:
         assert (res.dim_orbit, res.theta_kernel_dim,
                 res.omega_rank_on_kernel) == (4, 3, 2)
         assert res.radical_is_euler_line
+
+    def test_parallel_is_a_rank_one_test(self):
+        from contactres.oracle_lab import _parallel
+        assert _parallel((1, 2, 0), (-2, -4, 0))
+        assert _parallel((F(1, 2), 1), (1, 2))
+        assert not _parallel((1, 2), (2, 3))
+        assert not _parallel((0, 0), (1, 2))
+        assert not _parallel((1, 2), (0, 0))
 
     def test_zero_element_rejected(self):
         with pytest.raises(ZeroElement):

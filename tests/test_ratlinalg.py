@@ -1,11 +1,15 @@
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactres.ratlinalg import (
+    adjugate,
     dot,
     independent_columns,
     inverse,
+    mat_mul,
     mat_vec,
     nullspace,
     primitive,
@@ -17,19 +21,103 @@ from contactres.ratlinalg import (
 F = Fraction
 
 small_entries = st.integers(min_value=-6, max_value=6)
+rational_entries = st.builds(F, small_entries,
+                             st.integers(min_value=1, max_value=6))
+ENTRIES = {"int": small_entries, "rational": rational_entries}
 
 
-def matrices(max_rows=5, max_cols=5):
+def matrices(max_rows=5, max_cols=5, entries=small_entries):
     return st.integers(min_value=1, max_value=max_rows).flatmap(
         lambda r: st.integers(min_value=1, max_value=max_cols).flatmap(
             lambda c: st.lists(
-                st.lists(small_entries, min_size=c, max_size=c),
+                st.lists(entries, min_size=c, max_size=c),
                 min_size=r, max_size=r)))
 
 
-def rref_rank(rows):
-    """Independent rank path: count pivots of the Fraction RREF."""
-    return len(rref(rows)[1])
+def square_matrices(max_n=4, entries=small_entries):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+# --- reference: the Fraction Gauss-Jordan the integer kernel replaced --------
+
+def reference_rref(rows):
+    """Reduced row echelon form over Fractions: (nonzero rows, pivots)."""
+    m = [[F(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def reference_rank(rows):
+    return len(reference_rref(rows)[1])
+
+
+def reference_nullspace(rows):
+    ncols = len(rows[0])
+    red, pivots = reference_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_solve(rows, rhs):
+    ncols = len(rows[0])
+    red, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][ncols]
+    return tuple(x)
+
+
+def reference_inverse(rows):
+    n = len(rows)
+    red, pivots = reference_rref(
+        [list(row) + [F(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def reference_det(rows):
+    if len(rows) == 1:
+        return F(rows[0][0])
+    return sum((-1) ** j * rows[0][j]
+               * reference_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def is_primitive_int(vec):
+    return all(type(x) is int for x in vec) and gcd(*vec) == 1
 
 
 class TestRank:
@@ -37,7 +125,13 @@ class TestRank:
     @settings(max_examples=120, derandomize=True)
     def test_bareiss_agrees_with_rref(self, rows):
         # two genuinely different elimination strategies must agree
-        assert rank(rows) == rref_rank(rows)
+        assert rank(rows) == reference_rank(rows)
+
+    @given(matrices(entries=rational_entries))
+    @settings(max_examples=80, derandomize=True)
+    def test_rational_rank_agrees_with_reference(self, rows):
+        assert rank(rows) == reference_rank(rows)
+        assert independent_columns(rows) == reference_rref(rows)[1]
 
     @given(matrices())
     @settings(max_examples=80, derandomize=True)
@@ -56,6 +150,57 @@ class TestRank:
         assert rank([[0, 0], [0, 0]]) == 0
 
 
+@pytest.mark.parametrize("kind", ENTRIES)
+class TestAgainstReference:
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True)
+    def test_rref_rows_and_pivots(self, kind, data):
+        rows = data.draw(matrices(entries=ENTRIES[kind]))
+        red, pivots = rref(rows)
+        ref, ref_pivots = reference_rref(rows)
+        assert pivots == ref_pivots
+        assert len(red) == len(ref)
+        for row, p, ref_row in zip(red, pivots, ref):
+            assert is_primitive_int(row) and row[p] > 0
+            assert [F(x, row[p]) for x in row] == ref_row
+
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True)
+    def test_nullspace_spans_reference_kernel(self, kind, data):
+        rows = data.draw(matrices(entries=ENTRIES[kind]))
+        basis = nullspace(rows)
+        ref = reference_nullspace(rows)
+        assert len(basis) == len(ref)
+        assert all(is_primitive_int(v) for v in basis)
+        for v in basis:
+            assert all(x == 0 for x in mat_vec(rows, v))
+        if basis:
+            both = reference_rank(list(basis) + ref)
+            assert both == reference_rank(basis) == len(ref)
+
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True)
+    def test_solve_matches_reference(self, kind, data):
+        rows = data.draw(matrices(max_rows=4, max_cols=4,
+                                  entries=ENTRIES[kind]))
+        rhs = data.draw(st.lists(ENTRIES[kind], min_size=len(rows),
+                                 max_size=len(rows)))
+        got = solve(rows, rhs)
+        assert got == reference_solve(rows, rhs)
+        if got is not None:
+            assert all(type(x) is F for x in got)
+            assert mat_vec(rows, got) == tuple(rhs)
+
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True)
+    def test_inverse_matches_reference(self, kind, data):
+        rows = data.draw(square_matrices(entries=ENTRIES[kind]))
+        got = inverse(rows)
+        assert got == reference_inverse(rows)
+        if got is not None:
+            assert all(type(x) is F for row in got for x in row)
+
+
 class TestNullspace:
     @given(matrices())
     @settings(max_examples=100, derandomize=True)
@@ -68,6 +213,10 @@ class TestNullspace:
         # the basis itself is independent
         if basis:
             assert rank(basis) == len(basis)
+
+    def test_primitive_and_positive_in_free_column(self):
+        assert nullspace([[2, 3]]) == [(-3, 2)]
+        assert nullspace([[F(1, 2), F(1, 3), 0]]) == [(-2, 3, 0), (0, 0, 1)]
 
 
 class TestSolve:
@@ -106,6 +255,18 @@ class TestInverse:
             got = mat_vec(rows, tuple(inv[k][i] for k in range(n)))
             assert got == tuple(F(int(i == j)) for j in range(n))
 
+    @given(square_matrices())
+    @settings(max_examples=80, derandomize=True)
+    def test_adjugate_is_det_times_inverse(self, rows):
+        adj = adjugate(rows)
+        ref = reference_inverse(rows)
+        if ref is None:
+            assert adj is None
+            return
+        det = reference_det(rows)
+        assert all(type(x) is int for row in adj for x in row)
+        assert adj == [[det * x for x in row] for row in ref]
+
 
 class TestPrimitive:
     def test_examples(self):
@@ -132,3 +293,22 @@ class TestIndependentColumns:
     def test_dot(self):
         assert dot((1, 2), (3, 4)) == 11
         assert dot((F(1, 2),), (F(2, 3),)) == F(1, 3)
+
+
+class TestProducts:
+    def test_integer_inputs_stay_int(self):
+        assert type(dot((1, 2), (3, 4))) is int
+        assert all(type(x) is int for x in mat_vec([[1, 2], [3, 4]], (5, 6)))
+        assert all(type(x) is int for x in primitive((F(2), 4)))
+
+    @given(matrices(max_rows=4, max_cols=4, entries=rational_entries),
+           st.data())
+    @settings(max_examples=60, derandomize=True)
+    def test_mat_mul_matches_naive_product(self, a, data):
+        width = data.draw(st.integers(min_value=1, max_value=4))
+        b = data.draw(st.lists(st.lists(small_entries, min_size=width,
+                                        max_size=width),
+                               min_size=len(a[0]), max_size=len(a[0])))
+        naive = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                            for j in range(width)) for i in range(len(a)))
+        assert mat_mul(a, b) == naive
