@@ -19,12 +19,10 @@ from .cones import (
 )
 from .errors import ContactresError
 from .lie_core import (
-    CurveDivisorLattice,
     ParabolicType,
     RootSystemData,
     SimpleType,
     build_root_system,
-    curve_divisor_lattice,
     flag_dimension,
     is_projective_space,
     parabolic,
@@ -70,9 +68,8 @@ __all__ = [
     "ChamberComplex", "RationalCone", "ample_cone", "cone_from_generators",
     "dual_cone", "movable_chambers",
     "ContactresError",
-    "CurveDivisorLattice", "ParabolicType", "RootSystemData", "SimpleType",
-    "build_root_system", "curve_divisor_lattice", "flag_dimension",
-    "is_projective_space", "parabolic", "parse_parabolic",
+    "ParabolicType", "RootSystemData", "SimpleType", "build_root_system",
+    "flag_dimension", "is_projective_space", "parabolic", "parse_parabolic",
     "parse_simple_type", "poincare_polynomial",
     "ContactCheckResult", "MatrixModel", "addim", "contact_check",
     "generic_fiber_count", "generic_jordan_type", "jordan_nilpotent",

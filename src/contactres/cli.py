@@ -24,13 +24,14 @@ from .report import (
     orbit_record_dict,
     polarization_dict,
     resolution_report_dict,
+    verify_row_dict,
 )
 from .resolutions import (
     contact_resolution_exists,
     is_twistor_space,
     polarizations,
 )
-from .verify import SUITE_DEFAULTS, run_suite, suite_names
+from .verify import run_suite, suite_caps, suite_names
 
 SCHEMA_ID = "contactres-report/1"
 
@@ -271,19 +272,14 @@ def _run_command(args, out) -> int:
         return 0
 
     if cmd == "verify":
-        rows = run_suite(args.suite, max_n=args.max_n, seed=args.seed,
-                         count=args.count)
-        failures = sum(1 for r in rows if not r.agrees)
-        caps = dict(SUITE_DEFAULTS[args.suite])
-        if args.max_n is not None:
-            caps["max_n"] = args.max_n
-        if args.count is not None:
-            caps["count"] = args.count
+        checks = run_suite(args.suite, max_n=args.max_n, seed=args.seed,
+                           count=args.count)
+        failures = sum(1 for c in checks if not c.agrees)
         env = _envelope(cmd, request, {
             "suite": args.suite,
-            "caps": caps,
-            "rows": [r.as_dict() for r in rows],
-            "total": len(rows),
+            "caps": suite_caps(args.suite, args.max_n, args.count),
+            "rows": [verify_row_dict(args.suite, c) for c in checks],
+            "total": len(checks),
             "failures": failures,
             "all_pass": failures == 0,
         })

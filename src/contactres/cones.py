@@ -178,13 +178,12 @@ def ample_cone(p: ParabolicType) -> RationalCone:
 
     In the fundamental-weight basis indexed by the marked roots this is
     the coordinate orthant: the dual of the Schubert-curve cone under the
-    identity pairing. Its rays and facet normals are the unit vectors.
+    identity pairing. Its rays and facet normals are the unit vectors, so
+    no double description runs and ``MAX_AMBIENT_DIM`` does not apply.
     """
     if not p.marked:
         raise EmptyMarking("ample cone needs a proper parabolic")
     k = len(p.marked)
-    if k > MAX_AMBIENT_DIM:
-        raise SizeCapExceeded(f"lattice rank {k} exceeds {MAX_AMBIENT_DIM}")
     units = tuple(sorted(_identity_rows(k)))
     return RationalCone(k, units, (), _facets=units)
 

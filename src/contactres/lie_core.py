@@ -253,38 +253,6 @@ def flag_dimension(p: ParabolicType) -> int:
                if _supported_on(r, marked0))
 
 
-@dataclass(frozen=True)
-class CurveDivisorLattice:
-    """Curve/divisor lattices N_1 and N^1 shared by the Springer map,
-    its punctured restriction, and the projectivised contact resolution.
-
-    Schubert curves C_alpha (alpha marked) give the curve basis, the
-    matching fundamental weights give the divisor basis, and the pairing
-    is the identity in these bases.
-    """
-
-    parabolic: ParabolicType
-    curve_basis: tuple[str, ...]
-    divisor_basis: tuple[str, ...]
-    pairing: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.curve_basis)
-
-
-def curve_divisor_lattice(p: ParabolicType) -> CurveDivisorLattice:
-    if not p.marked:
-        raise EmptyMarking("curve/divisor lattice needs a proper parabolic")
-    k = len(p.marked)
-    return CurveDivisorLattice(
-        parabolic=p,
-        curve_basis=tuple(f"C_{i}" for i in p.marked),
-        divisor_basis=tuple(f"w_{i}" for i in p.marked),
-        pairing=tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
-    )
-
-
 # --- Poincare polynomials ---------------------------------------------------
 
 def _poly_mul(a, b):

@@ -8,19 +8,9 @@ serializer.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cones import ChamberComplex, RationalCone
 from .orbits import OrbitRecord
 from .resolutions import OracleCheck, Polarization, ResolutionReport
-
-
-def _num(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return {"numerator": x.numerator, "denominator": x.denominator}
-    return x
 
 
 def orbit_record_dict(rec: OrbitRecord) -> dict:
@@ -88,13 +78,26 @@ def chamber_complex_dict(cc: ChamberComplex | None) -> dict | None:
 
 
 def oracle_check_dict(check: OracleCheck) -> dict:
+    """A check in the oracle block of a ``classify`` report."""
     return {
         "oracle_name": check.oracle,
-        "inputs": check.inputs,
+        "inputs": check.case,
         "seeds": list(check.seeds),
-        "value": _num(check.value),
-        "formula_value": _num(check.formula_value),
-        "agrees_with_formula": check.agrees_with_formula,
+        "value": check.oracle_value,
+        "formula_value": check.formula_value,
+        "agrees_with_formula": check.agrees,
+    }
+
+
+def verify_row_dict(suite: str, check: OracleCheck) -> dict:
+    """A check as one row of a ``verify`` report."""
+    return {
+        "suite": suite,
+        "case": check.case,
+        "formula_value": check.formula_value,
+        "oracle_value": check.oracle_value,
+        "agrees": check.agrees,
+        "seeds": list(check.seeds),
     }
 
 

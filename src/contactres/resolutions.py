@@ -252,14 +252,47 @@ def is_twistor_space(p: ParabolicType) -> bool:
 
 @dataclass(frozen=True)
 class OracleCheck:
-    """One cross-check of a combinatorial value against a matrix oracle."""
+    """One formula value against the value of an independent oracle."""
 
     oracle: str
-    inputs: str
-    seeds: tuple[str, ...]
-    value: object
+    case: str
     formula_value: object
-    agrees_with_formula: bool
+    oracle_value: object
+    seeds: tuple[str, ...] = ()
+
+    @property
+    def agrees(self) -> bool:
+        return self.formula_value == self.oracle_value
+
+
+def ad_rank_check(o: OrbitLabel) -> OracleCheck:
+    """dim O against the rank of ad_e on the Jordan representative."""
+    model = oracle_lab.jordan_nilpotent(o.partition)
+    return OracleCheck("ad-rank", str(o), orbit_dimension(o),
+                       oracle_lab.addim(model))
+
+
+def kks_check(o: OrbitLabel) -> OracleCheck:
+    """dim O against the rank of the Kirillov-Kostant-Souriau form."""
+    model = oracle_lab.jordan_nilpotent(o.partition)
+    return OracleCheck("kks-rank", str(o), orbit_dimension(o),
+                       oracle_lab.kks_rank(model))
+
+
+def richardson_check(comp, partition, seed: int) -> OracleCheck:
+    """The Richardson partition of a composition against the Jordan type
+    of seeded generic nilradical elements."""
+    observed = oracle_lab.generic_jordan_type(comp, seed=seed)
+    return OracleCheck("richardson-jordan-type", f"composition {comp}",
+                       list(partition), list(observed),
+                       tuple(oracle_lab.trial_seeds(seed)))
+
+
+def fiber_check(comp, degree, seed: int) -> OracleCheck:
+    """A Springer degree against the exact count of the generic fiber."""
+    count = oracle_lab.generic_fiber_count(comp, seed=seed)
+    return OracleCheck("springer-fiber-count", f"composition {comp}",
+                       degree, count, tuple(oracle_lab.trial_seeds(seed)))
 
 
 @dataclass(frozen=True)
@@ -297,44 +330,21 @@ def _affine_resolution_flag(o: OrbitLabel, polar) -> bool | None:
     return bool(polar)
 
 
-def _oracle_block(o: OrbitLabel, record: OrbitRecord, polar,
-                  seed: int) -> tuple[OracleCheck, ...]:
+def _oracle_block(o: OrbitLabel, polar, seed: int) -> tuple[OracleCheck, ...]:
     if o.simple_type.family != "A":
         return ()
     n = o.simple_type.rank + 1
     checks = []
     if n <= oracle_lab.ADDIM_SIZE_CAP:
-        model = oracle_lab.jordan_nilpotent(o.partition)
-        value = oracle_lab.addim(model)
-        checks.append(OracleCheck(
-            oracle="ad-rank", inputs=str(o), seeds=(),
-            value=value, formula_value=record.dim_orbit,
-            agrees_with_formula=value == record.dim_orbit))
+        checks.append(ad_rank_check(o))
         if n <= 5:
-            value = oracle_lab.kks_rank(model)
-            checks.append(OracleCheck(
-                oracle="kks-rank", inputs=str(o), seeds=(),
-                value=value, formula_value=record.dim_orbit,
-                agrees_with_formula=value == record.dim_orbit))
-    for pol in polar or ():
-        comp = pol.composition
-        if comp is None or n > 6:
-            continue
-        observed = oracle_lab.generic_jordan_type(comp, seed=seed)
-        checks.append(OracleCheck(
-            oracle="richardson-jordan-type",
-            inputs=f"composition {comp}",
-            seeds=tuple(oracle_lab.trial_seeds(seed)),
-            value=list(observed), formula_value=list(o.partition),
-            agrees_with_formula=observed == o.partition))
-        if n <= oracle_lab.FIBER_SIZE_CAP:
-            count = oracle_lab.generic_fiber_count(comp, seed=seed)
-            checks.append(OracleCheck(
-                oracle="springer-fiber-count",
-                inputs=f"composition {comp}",
-                seeds=tuple(oracle_lab.trial_seeds(seed)),
-                value=count, formula_value=pol.springer_degree,
-                agrees_with_formula=count == pol.springer_degree))
+            checks.append(kks_check(o))
+    if n <= 6:
+        for pol in polar:
+            checks.append(richardson_check(pol.composition, o.partition, seed))
+            if n <= oracle_lab.FIBER_SIZE_CAP:
+                checks.append(fiber_check(pol.composition,
+                                          pol.springer_degree, seed))
     return tuple(checks)
 
 
@@ -375,8 +385,7 @@ def contact_resolution_exists(o: OrbitLabel, seed: int = 0,
 
     chambers = chamber_complex_for(o, polar) if polar else None
     affine = _affine_resolution_flag(o, polar)
-    oracle_checks = _oracle_block(o, record, polar, seed) \
-        if with_oracles else ()
+    oracle_checks = _oracle_block(o, polar, seed) if with_oracles else ()
 
     report = ResolutionReport(
         orbit=record,

@@ -1,16 +1,15 @@
 """Verification suites: formula vs independent oracle, row by row.
 
 Each suite replays one family of invariants at configurable caps and
-reports one row per case with the formula value, the oracle value, and
-an agreement flag. Suites are deterministic given the seed; row order is
-fixed by construction.
+reports one :class:`OracleCheck` per case with the formula value, the
+oracle value, and whether they agree. Suites are deterministic given the
+seed; row order is fixed by construction.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import oracle_lab
 from .cones import ample_cone, chamber_complex_for, cone_from_generators, dual_cone
@@ -22,37 +21,15 @@ from .orbits import (
     partitions_of,
     validate_orbit,
 )
-from .resolutions import compositions_of, polarizations
-
-SUITE_DEFAULTS = {
-    "ad-rank": {"max_n": 5},
-    "kks": {"max_n": 5},
-    "contact": {"max_n": 5},
-    "richardson": {"max_n": 6},
-    "fibers": {"max_n": 4},
-    "chambers": {"max_n": 7},
-    "cones": {"count": 100, "max_dim": 4},
-}
-
-
-@dataclass(frozen=True)
-class VerifyRow:
-    suite: str
-    case: str
-    formula_value: object
-    oracle_value: object
-    agrees: bool
-    seeds: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "case": self.case,
-            "formula_value": self.formula_value,
-            "oracle_value": self.oracle_value,
-            "agrees": self.agrees,
-            "seeds": list(self.seeds),
-        }
+from .resolutions import (
+    OracleCheck,
+    ad_rank_check,
+    compositions_of,
+    fiber_check,
+    kks_check,
+    polarizations,
+    richardson_check,
+)
 
 
 def _type_a_orbits(max_n, nonzero=False):
@@ -64,27 +41,15 @@ def _type_a_orbits(max_n, nonzero=False):
             yield validate_orbit(t, part)
 
 
-def _suite_ad_rank(max_n, seed):
-    rows = []
-    for o in _type_a_orbits(max_n):
-        formula = orbit_dimension(o)
-        oracle = oracle_lab.addim(oracle_lab.jordan_nilpotent(o.partition))
-        rows.append(VerifyRow("ad-rank", str(o), formula, oracle,
-                              formula == oracle))
-    return rows
+def _suite_ad_rank(seed, max_n):
+    return [ad_rank_check(o) for o in _type_a_orbits(max_n)]
 
 
-def _suite_kks(max_n, seed):
-    rows = []
-    for o in _type_a_orbits(max_n):
-        formula = orbit_dimension(o)
-        oracle = oracle_lab.kks_rank(oracle_lab.jordan_nilpotent(o.partition))
-        rows.append(VerifyRow("kks", str(o), formula, oracle,
-                              formula == oracle))
-    return rows
+def _suite_kks(seed, max_n):
+    return [kks_check(o) for o in _type_a_orbits(max_n)]
 
 
-def _suite_contact(max_n, seed):
+def _suite_contact(seed, max_n):
     rows = []
     for o in _type_a_orbits(max_n, nonzero=True):
         base = oracle_lab.jordan_nilpotent(o.partition)
@@ -103,35 +68,22 @@ def _suite_contact(max_n, seed):
                         "theta_kernel_dim": res.theta_kernel_dim,
                         "omega_rank_on_kernel": res.omega_rank_on_kernel,
                         "radical_is_euler_line": res.radical_is_euler_line}
-            rows.append(VerifyRow(
+            rows.append(OracleCheck(
                 "contact", f"{o} {tag}", expected, observed,
-                expected == observed,
-                seeds=(seed_string,) if seed_string else ()))
+                (seed_string,) if seed_string else ()))
     return rows
 
 
-def _suite_richardson(max_n, seed):
-    rows = []
-    for n in range(1, max_n + 1):
-        for comp in compositions_of(n):
-            formula = dual_partition(tuple(sorted(comp, reverse=True)))
-            oracle = oracle_lab.generic_jordan_type(comp, seed=seed)
-            rows.append(VerifyRow(
-                "richardson", f"composition {comp}",
-                list(formula), list(oracle), formula == oracle,
-                seeds=tuple(oracle_lab.trial_seeds(seed))))
-    return rows
+def _suite_richardson(seed, max_n):
+    return [richardson_check(
+                comp, dual_partition(tuple(sorted(comp, reverse=True))), seed)
+            for n in range(1, max_n + 1) for comp in compositions_of(n)]
 
 
-def _suite_fibers(max_n, seed):
-    rows = []
-    for n in range(1, max_n + 1):
-        for comp in compositions_of(n):
-            count = oracle_lab.generic_fiber_count(comp, seed=seed)
-            rows.append(VerifyRow(
-                "fibers", f"composition {comp}", 1, count, count == 1,
-                seeds=tuple(oracle_lab.trial_seeds(seed))))
-    return rows
+def _suite_fibers(seed, max_n):
+    # type A Springer maps are birational: every degree is 1
+    return [fiber_check(comp, 1, seed)
+            for n in range(1, max_n + 1) for comp in compositions_of(n)]
 
 
 def _expected_chamber_count(part) -> int:
@@ -145,7 +97,7 @@ def _expected_chamber_count(part) -> int:
     return count
 
 
-def _suite_chambers(max_n, seed):
+def _suite_chambers(seed, max_n):
     rows = []
     for o in _type_a_orbits(max_n, nonzero=True):
         expected = {"count": _expected_chamber_count(o.partition),
@@ -159,8 +111,7 @@ def _suite_chambers(max_n, seed):
         observed = {"count": cc.chamber_count,
                     "connected": cc.is_connected,
                     "degree_rule": degree_rule}
-        rows.append(VerifyRow("chambers", str(o), expected, observed,
-                              expected == observed))
+        rows.append(OracleCheck("chambers", str(o), expected, observed))
     return rows
 
 
@@ -171,7 +122,11 @@ _AMPLE_CONE_PARABOLICS = [
 ]
 
 
-def _suite_cones(count, max_dim, seed):
+def _cone_shape(cone) -> dict:
+    return {"simplicial": cone.is_simplicial, "rays": len(cone.extreme_rays)}
+
+
+def _suite_cones(seed, count, max_dim):
     rows = []
     rng = random.Random(f"cones:{seed}")
     for i in range(count):
@@ -183,56 +138,62 @@ def _suite_cones(count, max_dim, seed):
         # generators -> facets -> generators: the facet normals cut out
         # the dual of the cone they generate
         from_facets = dual_cone(cone_from_generators(dim, cone.facet_normals))
-        roundtrip_ok = from_facets == cone
-        involution_ok = dual_cone(dual_cone(cone)) == cone
-        rows.append(VerifyRow(
+        rows.append(OracleCheck(
             "cones", f"random cone {i} dim {dim} gens {sorted(gens)}",
             {"roundtrip": True, "dual_involution": True},
-            {"roundtrip": roundtrip_ok, "dual_involution": involution_ok},
-            roundtrip_ok and involution_ok,
-            seeds=(f"cones:{seed}",)))
+            {"roundtrip": from_facets == cone,
+             "dual_involution": dual_cone(dual_cone(cone)) == cone},
+            (f"cones:{seed}",)))
+    # the closed-form orthant against double description of the unit vectors
     for fam, rank_, marks in _AMPLE_CONE_PARABOLICS:
         p = parabolic(SimpleType(fam, rank_), marks)
-        cone = ample_cone(p)
-        ok = cone.is_simplicial and len(cone.extreme_rays) == len(marks)
-        rows.append(VerifyRow(
-            "cones", f"ample cone {p}",
-            {"simplicial": True, "rays": len(marks)},
-            {"simplicial": cone.is_simplicial,
-             "rays": len(cone.extreme_rays)},
-            ok))
+        k = len(marks)
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        rows.append(OracleCheck(
+            "cones", f"ample cone {p}", _cone_shape(ample_cone(p)),
+            _cone_shape(cone_from_generators(k, units))))
     return rows
 
 
-_RUNNERS = {
-    "ad-rank": lambda max_n, seed, count, max_dim: _suite_ad_rank(max_n, seed),
-    "kks": lambda max_n, seed, count, max_dim: _suite_kks(max_n, seed),
-    "contact": lambda max_n, seed, count, max_dim: _suite_contact(max_n, seed),
-    "richardson": lambda max_n, seed, count, max_dim:
-        _suite_richardson(max_n, seed),
-    "fibers": lambda max_n, seed, count, max_dim: _suite_fibers(max_n, seed),
-    "chambers": lambda max_n, seed, count, max_dim:
-        _suite_chambers(max_n, seed),
-    "cones": lambda max_n, seed, count, max_dim:
-        _suite_cones(count, max_dim, seed),
+# suite name -> (runner, default caps); a runner takes the seed and its caps
+_SUITES = {
+    "ad-rank": (_suite_ad_rank, {"max_n": 5}),
+    "kks": (_suite_kks, {"max_n": 5}),
+    "contact": (_suite_contact, {"max_n": 5}),
+    "richardson": (_suite_richardson, {"max_n": 6}),
+    "fibers": (_suite_fibers, {"max_n": 4}),
+    "chambers": (_suite_chambers, {"max_n": 7}),
+    "cones": (_suite_cones, {"count": 100, "max_dim": 4}),
 }
 
 
 def suite_names() -> tuple[str, ...]:
-    return tuple(SUITE_DEFAULTS)
+    return tuple(_SUITES)
+
+
+def _suite(name: str):
+    if name not in _SUITES:
+        raise UnknownSuite(
+            f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
+    return _SUITES[name]
+
+
+def suite_caps(name: str, max_n: int | None = None,
+               count: int | None = None) -> dict:
+    """The suite's default caps with the given overrides applied. An
+    override the suite does not read is still listed, so a report echoes
+    every cap it was asked for."""
+    caps = dict(_suite(name)[1])
+    if max_n is not None:
+        caps["max_n"] = max_n
+    if count is not None:
+        caps["count"] = count
+    return caps
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0,
-              count: int | None = None,
-              max_dim: int | None = None) -> list[VerifyRow]:
+              count: int | None = None) -> list[OracleCheck]:
     """Run one named suite; None caps fall back to the suite defaults."""
-    if name not in SUITE_DEFAULTS:
-        raise UnknownSuite(
-            f"unknown suite {name!r}; known: {', '.join(SUITE_DEFAULTS)}")
-    defaults = SUITE_DEFAULTS[name]
-    return _RUNNERS[name](
-        max_n if max_n is not None else defaults.get("max_n"),
-        seed,
-        count if count is not None else defaults.get("count"),
-        max_dim if max_dim is not None else defaults.get("max_dim"),
-    )
+    runner, defaults = _suite(name)
+    caps = suite_caps(name, max_n, count)
+    return runner(seed, **{key: caps[key] for key in defaults})

@@ -1,5 +1,8 @@
+import hashlib
 import json
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -189,6 +192,57 @@ class TestDeterminism:
         first = subprocess.run(argv, capture_output=True, check=True)
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
+
+
+# sha256 of the JSON output of each README tour command. A change to these
+# bytes must be deliberate (a schema bump) and update this table.
+TOUR_DIGESTS = {
+    "classify A3:2,2 --json":
+        "6084a3f096879cbbfb4f629605ff0920fe2c2472daea2ad849a5ef3d667ccffb",
+    "classify A3:2,1,1 --json":
+        "f21c5e3c62d9dc5a174db360125eafe59fe87dac6cf4a4859b6e0490bd8b8a4f",
+    "classify G2:dim8 --json":
+        "bd369d0378939ebe87d8433b0cca06780eb580419b1a8d8a57c6df3b92a933e4",
+    "classify G2:dim10 --json":
+        "45f338da883ad11e759bca1757e6ac51ccbb3476f594b729ab2834eb20e6e8fd",
+    "dim C3:2,2,1,1 --json":
+        "90b994d4edc8a9530029e4418ea343525a32f74699ab149eae72c2df9a419a1d",
+    "polarizations A5:3,2,1 --json":
+        "e2648964530228104470830c0bf9efb1d4987bb103f746893e42fc3b1fcd82aa",
+    "chambers A3:2,1,1 --json":
+        "baad02ca86af3e8056846536beb08e15b235112d606a9c9759c8486fe3182d7f",
+    "twistor 'A3:{1}' --json":
+        "35e5b6c8cf7bd49de070c42a995593625e7e9e316e5d12462d735a3434135573",
+    "verify --suite ad-rank --max-n 5 --seed 7 --json":
+        "144cb3803ad68e1f0d2034b22893867e31e946a73e6fc84e0ecc17c43a394ba7",
+    "verify --suite cones --count 100 --json":
+        "f4d5135012bbf6767f20cdd7ab993899fd8c32441357500928dfe9e75830df04",
+}
+
+
+def readme_tour():
+    """The README's CLI tour, each command with ``--json``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI tour", 1)[1].split("```sh", 1)[1]
+    tour = []
+    for line in block.split("```", 1)[0].strip().splitlines():
+        argv = shlex.split(line.split("#", 1)[0])[1:]
+        if "--json" not in argv:
+            argv.append("--json")
+        tour.append(argv)
+    return tour
+
+
+class TestReadmeTour:
+    def test_tour_is_pinned(self):
+        assert [shlex.join(a) for a in readme_tour()] == list(TOUR_DIGESTS)
+
+    @pytest.mark.parametrize("argv", readme_tour(), ids=shlex.join)
+    def test_json_bytes_pinned(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == TOUR_DIGESTS[shlex.join(argv)]
 
 
 class TestTextJsonConsistency:

@@ -160,6 +160,13 @@ class TestAmpleCone:
         with pytest.raises(EmptyMarking):
             ample_cone(parabolic(SimpleType("A", 2), ()))
 
+    def test_uncapped_above_double_description_cap(self):
+        # closed form: no double description, so MAX_AMBIENT_DIM (8) is moot
+        c = ample_cone(parabolic(SimpleType("A", 9), range(1, 10)))
+        assert c.ambient_dim == 9 and c.is_simplicial
+        assert sorted(c.extreme_rays) == sorted(
+            tuple(int(i == j) for j in range(9)) for i in range(9))
+
     def test_closed_form_matches_double_description(self):
         # double description of the unit vectors stays the reference
         for k in range(1, 7):

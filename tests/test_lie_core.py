@@ -5,7 +5,6 @@ from contactres.errors import DimensionMismatch, EmptyMarking, InvalidRank
 from contactres.lie_core import (
     SimpleType,
     build_root_system,
-    curve_divisor_lattice,
     flag_dimension,
     is_projective_space,
     parabolic,
@@ -132,39 +131,6 @@ class TestFlagDimension:
                                for i in range(len(comp))
                                for j in range(i + 1, len(comp)))
                 assert flag_dimension(p) == expected
-
-
-class TestCurveDivisorLattice:
-    def test_rank_two(self):
-        lat = curve_divisor_lattice(parse_parabolic("A3:{1,3}"))
-        assert lat.rank == 2
-        assert lat.pairing == ((1, 0), (0, 1))
-        assert lat.curve_basis == ("C_1", "C_3")
-        assert lat.divisor_basis == ("w_1", "w_3")
-
-    def test_rank_one(self):
-        lat = curve_divisor_lattice(parse_parabolic("A3:{1}"))
-        assert lat.rank == 1
-        assert lat.pairing == ((1,),)
-
-    def test_full_a5(self):
-        lat = curve_divisor_lattice(parse_parabolic("A5:{1,2,3,4,5}"))
-        assert lat.rank == 5
-        assert all(lat.pairing[i][j] == int(i == j)
-                   for i in range(5) for j in range(5))
-
-    def test_identity_pairing_everywhere(self):
-        for t in [SimpleType("A", 4), SimpleType("B", 3), SimpleType("G", 2)]:
-            for marks in all_markings(t):
-                lat = curve_divisor_lattice(parabolic(t, marks))
-                k = len(marks)
-                assert lat.rank == k
-                assert lat.pairing == tuple(
-                    tuple(int(i == j) for j in range(k)) for i in range(k))
-
-    def test_empty_marking(self):
-        with pytest.raises(EmptyMarking):
-            curve_divisor_lattice(parabolic(SimpleType("B", 2), ()))
 
 
 def enumerated_coset_poincare(t, marked):

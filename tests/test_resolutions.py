@@ -241,10 +241,19 @@ class TestTrichotomy:
     def test_oracle_block_agrees(self):
         r = contact_resolution_exists(parse_orbit("A3:2,2"), seed=5)
         assert r.oracle_checks
-        assert all(c.agrees_with_formula for c in r.oracle_checks)
+        assert all(c.agrees for c in r.oracle_checks)
         names = {c.oracle for c in r.oracle_checks}
         assert {"ad-rank", "kks-rank", "richardson-jordan-type",
                 "springer-fiber-count"} <= names
+
+    def test_regular_orbit_above_cone_cap(self):
+        r = contact_resolution_exists(parse_orbit("A9:10"),
+                                      with_oracles=False)
+        assert r.verdict == "ContactResolutionsExist"
+        assert [p.composition for p in r.polarizations] == [(1,) * 10]
+        assert r.chamber_complex.chamber_count == 1
+        rays = r.chamber_complex.chambers[0].ample.extreme_rays
+        assert len(rays) == 9 and all(sorted(v) == [0] * 8 + [1] for v in rays)
 
     def test_chamber_complex_attached(self):
         r = contact_resolution_exists(parse_orbit("A3:2,1,1"),
