@@ -13,7 +13,10 @@ computed from Macdonald's height product
 
     W(t) = prod_{alpha > 0} (1 - t^{ht(alpha)+1}) / (1 - t^{ht(alpha)})
 
-which needs only the positive roots, never an enumeration of W. Weyl
+In the quotient by the Levi's product only the nilradical roots remain,
+and their factors telescope into one net exponent e_k per (1 - t^k),
+applied as sparse in-place steps, never as dense polynomial products.
+This needs only the positive roots, never an enumeration of W. Weyl
 groups themselves are materialized (``weyl_elements``) only up to rank 6,
 for use as an independent cross-check at small rank.
 """
@@ -240,6 +243,13 @@ def _supported_on(root, indices_zero_based) -> bool:
     return any(root[i] != 0 for i in indices_zero_based)
 
 
+def _nilradical_roots(p: ParabolicType):
+    """Positive roots with a nonzero coefficient on some marked root."""
+    marked0 = [i - 1 for i in p.marked]
+    return [r for r in p.root_system.positive_roots
+            if _supported_on(r, marked0)]
+
+
 def flag_dimension(p: ParabolicType) -> int:
     """dim G/P = number of positive roots in the nilradical of P.
 
@@ -248,59 +258,10 @@ def flag_dimension(p: ParabolicType) -> int:
     """
     if not p.marked:
         raise EmptyMarking("flag dimension needs a proper parabolic")
-    marked0 = [i - 1 for i in p.marked]
-    return sum(1 for r in p.root_system.positive_roots
-               if _supported_on(r, marked0))
+    return len(_nilradical_roots(p))
 
 
 # --- Poincare polynomials ---------------------------------------------------
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact(num, den):
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c, rest = divmod(num[k + len(den) - 1], den[-1])
-        invariant(rest == 0, "inexact polynomial division")
-        q[k] = c
-        if c:
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    invariant(not any(num), "inexact polynomial division")
-    while len(q) > 1 and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def _length_generating_function(positive_roots) -> list[int]:
-    """Macdonald's product over root heights; [1] for the empty system."""
-    num = [1]
-    den = [1]
-    for root in positive_roots:
-        h = sum(root)
-        f_num = [0] * (h + 2)
-        f_num[0], f_num[h + 1] = 1, -1
-        f_den = [0] * (h + 1)
-        f_den[0], f_den[h] = 1, -1
-        num = _poly_mul(num, f_num)
-        den = _poly_mul(den, f_den)
-    return _poly_div_exact(num, den)
-
-
-def _levi_positive_roots(p: ParabolicType):
-    """Positive roots of the Levi: those supported only on unmarked roots."""
-    marked0 = [i - 1 for i in p.marked]
-    return [r for r in p.root_system.positive_roots
-            if not _supported_on(r, marked0)]
-
 
 def weyl_order(rs: RootSystemData) -> int:
     """|W|, evaluated from the height product at t = 1."""
@@ -312,33 +273,66 @@ def weyl_order(rs: RootSystemData) -> int:
     return prod.numerator
 
 
+def _times_one_minus_power(q: list[int], k: int) -> None:
+    """q <- q * (1 - t^k), in place."""
+    q.extend([0] * k)
+    for i in range(len(q) - 1, k - 1, -1):
+        q[i] -= q[i - k]
+
+
+def _divide_one_minus_power(q: list[int], k: int) -> None:
+    """q <- q / (1 - t^k), in place. The series quotient, built up to the
+    degree of q, is a polynomial exactly when its top k terms vanish."""
+    for i in range(k, len(q)):
+        q[i] += q[i - k]
+    invariant(not any(q[-k:]), "inexact polynomial division")
+    del q[-k:]
+
+
 def poincare_polynomial(p: ParabolicType) -> tuple[int, ...]:
     """Coefficients (b_0, b_2, b_4, ...) of the Poincare polynomial of G/P.
 
-    Computed as the exact quotient of the length generating functions of W
-    and of the Levi Weyl group. The degree always equals dim G/P.
+    Only the nilradical roots survive in the quotient of the height
+    products of W and of the Levi Weyl group. Their net exponents per
+    (1 - t^k) are applied as sparse steps, all products before the exact
+    divisions. The degree always equals dim G/P.
     """
     if not p.marked:
         raise EmptyMarking("Poincare polynomial needs a proper parabolic")
-    full = _length_generating_function(p.root_system.positive_roots)
-    levi = _length_generating_function(_levi_positive_roots(p))
-    quot = _poly_div_exact(full, levi)
-    invariant(len(quot) - 1 == flag_dimension(p),
+    roots = _nilradical_roots(p)
+    exponents: dict[int, int] = {}
+    for root in roots:
+        h = sum(root)
+        exponents[h + 1] = exponents.get(h + 1, 0) + 1
+        exponents[h] = exponents.get(h, 0) - 1
+    quot = [1]
+    for k, e in sorted(exponents.items()):
+        for _ in range(e):
+            _times_one_minus_power(quot, k)
+    for k, e in sorted(exponents.items()):
+        for _ in range(-e):
+            _divide_one_minus_power(quot, k)
+    invariant(quot[-1] != 0 and len(quot) - 1 == len(roots),
               "Poincare polynomial degree must equal dim G/P")
     return tuple(quot)
 
 
 def is_projective_space(p: ParabolicType) -> bool:
-    """Whether G/P is a projective space, by the all-ones Betti criterion.
+    """Whether G/P is a projective space, by Kobayashi-Ochiai.
 
-    Every coefficient of the Poincare polynomial of G/P must equal one,
-    i.e. all even Betti numbers are 1, exactly the Betti numbers of P^n.
-    The condition is necessary but famously not sufficient in general:
-    odd-dimensional quadrics (type B, first node marked) share the
-    pattern. Type A is unaffected. Swap this one function to sharpen the
-    criterion.
+    G/P is P^N exactly when P is maximal, say with marked node i, and its
+    Fano index <2 rho - 2 rho_L, alpha_i-check> equals N + 1, where
+    N = dim G/P. The index is the sum of <beta, alpha_i-check> over the
+    nilradical roots beta. An all-ones Poincare polynomial is necessary
+    but not sufficient: odd quadrics (B_n:{1}) and both G2 flag varieties
+    share it.
     """
-    return all(c == 1 for c in poincare_polynomial(p))
+    dim = flag_dimension(p)
+    if len(p.marked) != 1:
+        return False
+    cartan, i = p.root_system.cartan_matrix, p.marked[0] - 1
+    return dim + 1 == sum(_pairing_with_coroot(beta, cartan, i)
+                          for beta in _nilradical_roots(p))
 
 
 # --- Weyl group materialization (small rank only) ---------------------------

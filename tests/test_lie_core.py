@@ -1,9 +1,17 @@
 import pytest
 from fractions import Fraction
+from functools import lru_cache
 
-from contactres.errors import DimensionMismatch, EmptyMarking, InvalidRank
+from contactres.errors import (
+    DimensionMismatch,
+    EmptyMarking,
+    InternalInvariantError,
+    InvalidRank,
+)
 from contactres.lie_core import (
+    RANK_BOUNDS,
     SimpleType,
+    _divide_one_minus_power,
     build_root_system,
     flag_dimension,
     is_projective_space,
@@ -24,6 +32,12 @@ ALL_SMALL_TYPES = [
     SimpleType("C", 4), SimpleType("D", 3), SimpleType("D", 4),
     SimpleType("F", 4), SimpleType("G", 2),
 ]
+
+
+def types_up_to_rank(max_rank):
+    for family, (lo, hi) in RANK_BOUNDS.items():
+        for n in range(lo, min(max_rank, hi or max_rank) + 1):
+            yield SimpleType(family, n)
 
 
 def all_markings(t, nonempty=True):
@@ -153,6 +167,53 @@ def enumerated_coset_poincare(t, marked):
     return tuple(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_div_exact(num, den):
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(num[k + len(den) - 1], den[-1])
+        assert rest == 0, "inexact polynomial division"
+        q[k] = c
+        if c:
+            for j, y in enumerate(den):
+                num[k + j] -= c * y
+    assert not any(num), "inexact polynomial division"
+    while len(q) > 1 and q[-1] == 0:
+        q.pop()
+    return q
+
+
+@lru_cache(maxsize=None)
+def _length_generating_function(positive_roots):
+    """Macdonald's product over root heights, as dense polynomials."""
+    num = [1]
+    den = [1]
+    for root in positive_roots:
+        h = sum(root)
+        num = _poly_mul(num, [1] + [0] * h + [-1])
+        den = _poly_mul(den, [1] + [0] * (h - 1) + [-1])
+    return _poly_div_exact(num, den)
+
+
+def dense_poincare(p):
+    """Reference for poincare_polynomial: the dense quotient of the length
+    generating functions of W and of the Levi Weyl group."""
+    marked0 = [i - 1 for i in p.marked]
+    roots = p.root_system.positive_roots
+    levi = tuple(r for r in roots if all(r[i] == 0 for i in marked0))
+    return tuple(_poly_div_exact(_length_generating_function(roots),
+                                 _length_generating_function(levi)))
+
+
 class TestPoincare:
     @pytest.mark.parametrize("t", [
         SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3),
@@ -173,6 +234,25 @@ class TestPoincare:
         for marks in all_markings(t):
             assert poincare_polynomial(parabolic(t, marks)) == \
                 enumerated_coset_poincare(t, marks)
+
+    @pytest.mark.parametrize("t", list(types_up_to_rank(6)), ids=str)
+    def test_against_dense_reference(self, t):
+        for marks in all_markings(t):
+            p = parabolic(t, marks)
+            assert poincare_polynomial(p) == dense_poincare(p)
+
+    @pytest.mark.parametrize("text", ["E8:{1}", "E8:{8}"])
+    def test_e8_against_dense_reference(self, text):
+        p = parse_parabolic(text)
+        assert poincare_polynomial(p) == dense_poincare(p)
+
+    def test_inexact_division_raises(self):
+        # 1 + t^2 is not a multiple of 1 - t
+        with pytest.raises(InternalInvariantError):
+            _divide_one_minus_power([1, 0, 1], 1)
+        q = [1, 0, 0, -1]  # 1 - t^3 = (1 - t)(1 + t + t^2)
+        _divide_one_minus_power(q, 1)
+        assert q == [1, 1, 1]
 
     def test_value_at_one_is_index(self):
         # |W| / |W_Levi|, for every rank <= 4 type and marking
@@ -206,6 +286,39 @@ class TestIsProjectiveSpace:
             for marks in all_markings(t):
                 expected = marks in ((1,), (n,))
                 assert is_projective_space(parabolic(t, marks)) == expected
+
+    def test_kobayashi_ochiai_maximal_parabolics(self):
+        # P^N among all maximal parabolics of rank <= 8: the A_n end nodes,
+        # C_n:{1} = P^{2n-1}, and B2:{2}, D3:{2}, D3:{3} (B2 = C2, D3 = A3)
+        accepted = {str(parabolic(t, (i,)))
+                    for t in types_up_to_rank(8)
+                    for i in range(1, t.rank + 1)
+                    if is_projective_space(parabolic(t, (i,)))}
+        expected = {"B2:{2}", "D3:{2}", "D3:{3}"}
+        expected |= {f"A{n}:{{{i}}}" for n in range(1, 9) for i in (1, n)}
+        expected |= {f"C{n}:{{1}}" for n in range(2, 9)}
+        assert accepted == expected
+
+    @pytest.mark.parametrize("text", [
+        "B2:{1}", "B3:{1}", "B5:{1}", "B8:{1}", "C2:{2}", "G2:{1}", "G2:{2}",
+    ])
+    def test_all_ones_betti_is_not_sufficient(self, text):
+        # odd quadrics, LG(2,4) = Q^3 and the G2 flag varieties have
+        # all-ones Poincare polynomials but Fano index below N + 1
+        p = parse_parabolic(text)
+        assert set(poincare_polynomial(p)) == {1}
+        assert is_projective_space(p) is False
+
+    def test_all_ones_betti_is_necessary(self):
+        for t in types_up_to_rank(8):
+            for marks in all_markings(t):
+                p = parabolic(t, marks)
+                if is_projective_space(p):
+                    assert set(poincare_polynomial(p)) == {1}, str(p)
+
+    def test_empty_marking(self):
+        with pytest.raises(EmptyMarking):
+            is_projective_space(parabolic(SimpleType("A", 3), ()))
 
 
 class TestGrammar:
