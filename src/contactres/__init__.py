@@ -9,14 +9,7 @@ cross-check every combinatorial formula at small rank.
 
 __version__ = "0.1.0"
 
-from .cones import (
-    ChamberComplex,
-    RationalCone,
-    ample_cone,
-    cone_from_generators,
-    dual_cone,
-    movable_chambers,
-)
+from .cones import RationalCone, ample_cone, cone_from_generators, dual_cone
 from .errors import ContactresError
 from .lie_core import (
     ParabolicType,
@@ -52,12 +45,14 @@ from .orbits import (
     validate_orbit,
 )
 from .resolutions import (
+    ChamberComplex,
     Polarization,
     ResolutionReport,
     canonical_degree_on_curve,
     contact_resolution_exists,
     equivalent_parabolics,
     is_twistor_space,
+    movable_chambers,
     polarizations,
     richardson_partition,
 )
@@ -65,8 +60,7 @@ from .verify import run_suite, suite_names
 
 __all__ = [
     "__version__",
-    "ChamberComplex", "RationalCone", "ample_cone", "cone_from_generators",
-    "dual_cone", "movable_chambers",
+    "RationalCone", "ample_cone", "cone_from_generators", "dual_cone",
     "ContactresError",
     "ParabolicType", "RootSystemData", "SimpleType", "build_root_system",
     "flag_dimension", "is_projective_space", "parabolic", "parse_parabolic",
@@ -77,8 +71,9 @@ __all__ = [
     "OrbitLabel", "OrbitRecord", "dual_partition", "is_minimal_orbit",
     "minimal_orbit_label", "orbit_dimension", "orbit_record", "parse_orbit",
     "validate_orbit",
-    "Polarization", "ResolutionReport", "canonical_degree_on_curve",
-    "contact_resolution_exists", "equivalent_parabolics", "is_twistor_space",
+    "ChamberComplex", "Polarization", "ResolutionReport",
+    "canonical_degree_on_curve", "contact_resolution_exists",
+    "equivalent_parabolics", "is_twistor_space", "movable_chambers",
     "polarizations", "richardson_partition",
     "run_suite", "suite_names",
 ]

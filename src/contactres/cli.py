@@ -29,6 +29,7 @@ from .report import (
 from .resolutions import (
     contact_resolution_exists,
     is_twistor_space,
+    movable_chambers,
     polarizations,
 )
 from .verify import run_suite, suite_caps, suite_names
@@ -250,7 +251,6 @@ def _run_command(args, out) -> int:
 
     if cmd == "chambers":
         o = parse_orbit(args.orbit)
-        from .cones import movable_chambers
         cc = movable_chambers(o)
         env = _envelope(cmd, request, {
             "orbit": orbit_record_dict(orbit_record(o)),

@@ -1,4 +1,4 @@
-"""Exact rational polyhedral cones and movable-cone chamber complexes.
+"""Exact rational polyhedral cones: the cone engine.
 
 Cones are stored by canonical generators: the extreme rays of the pointed
 part (primitive integer vectors, sorted) plus a +/- pair for each vector
@@ -8,29 +8,18 @@ nullspaces of (d-1)-subsets of the constraint rows, kept when they clear
 every constraint. That is quadratic-ish and entirely adequate at desk
 scale; the ambient dimension is capped accordingly.
 
-The chamber complex of the movable cone has one chamber per equivalent
-parabolic, each carrying its ample cone in its own weight basis, and, in
-type A, one wall for each adjacent transposition of distinct entries of
-the composition. Only the combinatorial gluing is recorded; no common
-linear embedding of all chambers is attempted (none is available at this
-level of the theory).
+The ample cone of a parabolic is the coordinate orthant and is built in
+closed form. This module answers questions about cones only; which
+chambers the movable cone has is decided in ``resolutions``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import (
-    DimensionMismatch,
-    EmptyMarking,
-    NoPolarization,
-    SizeCapExceeded,
-    UnknownClassification,
-    invariant,
-)
+from .errors import DimensionMismatch, EmptyMarking, SizeCapExceeded, invariant
 from .lie_core import ParabolicType
-from .orbits import OrbitLabel
 from .ratlinalg import dot, nullspace, primitive, rank, rref
 
 MAX_AMBIENT_DIM = 8
@@ -89,7 +78,9 @@ class RationalCone:
     ambient_dim: int
     extreme_rays: tuple[tuple[int, ...], ...]
     lineality_basis: tuple[tuple[int, ...], ...]
-    _facets: tuple[tuple[int, ...], ...] | None = None
+    # facet normals, cached on first use; not part of the cone's identity
+    _facets: tuple[tuple[int, ...], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -126,16 +117,6 @@ class RationalCone:
             raise DimensionMismatch(
                 f"vector of length {len(vector)} in dim {self.ambient_dim}")
         return all(dot(h, vector) >= 0 for h in self.facet_normals)
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalCone)
-                and self.ambient_dim == other.ambient_dim
-                and self.extreme_rays == other.extreme_rays
-                and self.lineality_basis == other.lineality_basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.extreme_rays,
-                     self.lineality_basis))
 
 
 def cone_from_generators(dim: int, gens) -> RationalCone:
@@ -186,119 +167,3 @@ def ample_cone(p: ParabolicType) -> RationalCone:
     k = len(p.marked)
     units = tuple(sorted(_identity_rows(k)))
     return RationalCone(k, units, (), _facets=units)
-
-
-# --- chamber complexes --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Chamber:
-    """One chamber of the movable cone: the ample cone of one parabolic,
-    written in that parabolic's own weight basis."""
-
-    marked_roots: tuple[int, ...]
-    composition: tuple[int, ...] | None
-    ample: RationalCone
-
-    @property
-    def label(self) -> tuple[int, ...]:
-        return self.composition if self.composition is not None \
-            else self.marked_roots
-
-
-@dataclass(frozen=True)
-class Wall:
-    """Codimension-one contact between two chambers. In type A the move
-    is the adjacent transposition swapping ``entries`` at ``position``
-    (1-based) of chamber_a's composition."""
-
-    chamber_a: tuple[int, ...]
-    chamber_b: tuple[int, ...]
-    position: int
-    entries: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class ChamberComplex:
-    orbit: OrbitLabel
-    chambers: tuple[Chamber, ...]
-    walls: tuple[Wall, ...]
-
-    @property
-    def chamber_count(self) -> int:
-        return len(self.chambers)
-
-    def degree(self, label) -> int:
-        return sum(1 for w in self.walls
-                   if w.chamber_a == label or w.chamber_b == label)
-
-    @property
-    def is_connected(self) -> bool:
-        if not self.chambers:
-            return False
-        labels = [c.label for c in self.chambers]
-        adjacency = {lab: set() for lab in labels}
-        for w in self.walls:
-            adjacency[w.chamber_a].add(w.chamber_b)
-            adjacency[w.chamber_b].add(w.chamber_a)
-        seen = {labels[0]}
-        frontier = [labels[0]]
-        while frontier:
-            for nxt in adjacency[frontier.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(labels)
-
-
-def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
-    """Assemble the chamber complex from an explicit polarization list.
-
-    Type A: chambers are the distinct orderings of the dual partition and
-    walls are adjacent transpositions of distinct entries. Other types:
-    only single-chamber complexes are constructible from the shipped
-    classification data.
-    """
-    if not polarization_list:
-        raise NoPolarization(f"{orbit} has no polarization")
-    chambers = []
-    for pol in sorted(polarization_list,
-                      key=lambda q: q.composition or q.parabolic.marked):
-        chambers.append(Chamber(
-            marked_roots=pol.parabolic.marked,
-            composition=pol.composition,
-            ample=ample_cone(pol.parabolic),
-        ))
-    type_a = orbit.simple_type.family == "A"
-    if not type_a and len(chambers) > 1:
-        raise UnknownClassification(
-            "wall structure outside type A is not curated")
-    walls = []
-    if type_a:
-        labels = {c.composition for c in chambers}
-        for comp in sorted(labels):
-            for i in range(len(comp) - 1):
-                if comp[i] == comp[i + 1]:
-                    continue
-                swapped = list(comp)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                swapped = tuple(swapped)
-                invariant(swapped in labels, "orbit orderings must be closed "
-                          "under adjacent transpositions")
-                if comp < swapped:
-                    walls.append(Wall(
-                        chamber_a=comp,
-                        chamber_b=swapped,
-                        position=i + 1,
-                        entries=(comp[i], comp[i + 1]),
-                    ))
-    complex_ = ChamberComplex(orbit=orbit, chambers=tuple(chambers),
-                              walls=tuple(walls))
-    invariant(complex_.is_connected, "wall graph must be connected")
-    return complex_
-
-
-def movable_chambers(o: OrbitLabel) -> ChamberComplex:
-    """Chamber structure of the movable cone of a contact resolution:
-    one ample-cone chamber per equivalent parabolic."""
-    from .resolutions import polarizations
-    return chamber_complex_for(o, polarizations(o))

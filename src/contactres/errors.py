@@ -38,10 +38,6 @@ class UnsupportedType(ContactresError):
     """No recipe and no table entry for this simple type."""
 
 
-class NotAPolarization(ContactresError):
-    """Parabolic whose Springer map is known to be non-birational."""
-
-
 class UnknownClassification(ContactresError):
     """The curated classification table is silent on this case."""
 

@@ -16,9 +16,8 @@ computed from Macdonald's height product
 In the quotient by the Levi's product only the nilradical roots remain,
 and their factors telescope into one net exponent e_k per (1 - t^k),
 applied as sparse in-place steps, never as dense polynomial products.
-This needs only the positive roots, never an enumeration of W. Weyl
-groups themselves are materialized (``weyl_elements``) only up to rank 6,
-for use as an independent cross-check at small rank.
+This needs only the positive roots, never an enumeration of W; the test
+suite enumerates W at small rank as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -61,9 +60,6 @@ DUAL_COXETER_NUMBER = {
     "F": lambda n: 9,
     "G": lambda n: 4,
 }
-
-WEYL_ENUMERATION_MAX_RANK = 6
-
 
 @dataclass(frozen=True)
 class SimpleType:
@@ -263,16 +259,6 @@ def flag_dimension(p: ParabolicType) -> int:
 
 # --- Poincare polynomials ---------------------------------------------------
 
-def weyl_order(rs: RootSystemData) -> int:
-    """|W|, evaluated from the height product at t = 1."""
-    prod = Fraction(1)
-    for root in rs.positive_roots:
-        h = sum(root)
-        prod *= Fraction(h + 1, h)
-    invariant(prod.denominator == 1, "|W| must be an integer")
-    return prod.numerator
-
-
 def _times_one_minus_power(q: list[int], k: int) -> None:
     """q <- q * (1 - t^k), in place."""
     q.extend([0] * k)
@@ -333,56 +319,6 @@ def is_projective_space(p: ParabolicType) -> bool:
     cartan, i = p.root_system.cartan_matrix, p.marked[0] - 1
     return dim + 1 == sum(_pairing_with_coroot(beta, cartan, i)
                           for beta in _nilradical_roots(p))
-
-
-# --- Weyl group materialization (small rank only) ---------------------------
-
-def _reflection_matrix(cartan, j):
-    n = len(cartan)
-    m = [[int(i == k) for k in range(n)] for i in range(n)]
-    for i in range(n):
-        m[j][i] = int(i == j) - cartan[i][j]
-    return tuple(tuple(row) for row in m)
-
-
-def weyl_elements(rs: RootSystemData) -> list[tuple[tuple[int, ...], ...]]:
-    """All elements of W as matrices on simple-root coordinates.
-
-    Coset enumeration is only sane at desk scale; ranks above
-    ``WEYL_ENUMERATION_MAX_RANK`` must use the generating-function path.
-    """
-    if rs.rank > WEYL_ENUMERATION_MAX_RANK:
-        raise DimensionMismatch(
-            f"refusing to enumerate W for rank {rs.rank} > "
-            f"{WEYL_ENUMERATION_MAX_RANK}")
-    cartan = rs.cartan_matrix
-    n = rs.rank
-    gens = [_reflection_matrix(cartan, j) for j in range(n)]
-    identity = tuple(tuple(int(i == k) for k in range(n)) for i in range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        w = frontier.pop()
-        for g in gens:
-            prod = tuple(
-                tuple(sum(g[i][k] * w[k][j] for k in range(n))
-                      for j in range(n))
-                for i in range(n))
-            if prod not in seen:
-                seen.add(prod)
-                frontier.append(prod)
-    return sorted(seen)
-
-
-def weyl_length(rs: RootSystemData, w) -> int:
-    """Length of w = number of positive roots mapped to negative roots."""
-    n = rs.rank
-    count = 0
-    for root in rs.positive_roots:
-        image = [sum(w[i][k] * root[k] for k in range(n)) for i in range(n)]
-        if all(c <= 0 for c in image):
-            count += 1
-    return count
 
 
 # --- text grammar ------------------------------------------------------------

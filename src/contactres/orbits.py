@@ -23,7 +23,7 @@ from .errors import (
     ZeroOrbit,
     invariant,
 )
-from .lie_core import SimpleType, parse_simple_type
+from .lie_core import SimpleType, build_root_system, parse_simple_type
 
 Partition = tuple[int, ...]
 
@@ -215,7 +215,6 @@ def regular_orbit_label(t: SimpleType) -> OrbitLabel | None:
         return validate_orbit(t, (2 * n,))
     if fam == "D":
         return validate_orbit(t, (2 * n - 1, 1))
-    from .lie_core import build_root_system
     want = build_root_system(t).dim_algebra - n
     for (f, r, key), entry in exceptional_table().items():
         if (f, r) == (fam, n) and entry.dimension == want:
@@ -346,12 +345,18 @@ def _load_table() -> tuple[str, dict]:
         )
         if entry.dimension % 2 != 0:
             raise TableFormatError(f"{where}: odd orbit dimension")
-        if (entry.admits_symplectic_resolution is True
-                and entry.polarizations is None):
-            # Existence without the witness list would force reports to
-            # assert a resolution they cannot enumerate.
+        # A polarization list witnesses a symplectic resolution, so the two
+        # keys come together: existence without the list would assert a
+        # resolution no report can enumerate, and a list without existence
+        # would contradict itself.
+        resolvable = entry.admits_symplectic_resolution is True
+        if resolvable and entry.polarizations is None:
             raise TableFormatError(
                 f"{where}: admits_symplectic_resolution without polarizations")
+        if entry.polarizations is not None and not resolvable:
+            raise TableFormatError(
+                f"{where}: polarizations without "
+                "admits_symplectic_resolution: true")
         table[(t.family, t.rank, key)] = entry
         record.clear()
 

@@ -8,9 +8,14 @@ serializer.
 
 from __future__ import annotations
 
-from .cones import ChamberComplex, RationalCone
+from .cones import RationalCone
 from .orbits import OrbitRecord
-from .resolutions import OracleCheck, Polarization, ResolutionReport
+from .resolutions import (
+    ChamberComplex,
+    OracleCheck,
+    Polarization,
+    ResolutionReport,
+)
 
 
 def orbit_record_dict(rec: OrbitRecord) -> dict:

@@ -17,6 +17,15 @@ The central facts this module operationalizes:
   polarizations are the orderings of the dual partition; outside type A
   the answer comes from curated classification data and absent entries
   yield an honest Unknown.
+* The polarization set is decided here, once, by :func:`polarizations`.
+  The verdict, the affine-closure flag, the equivalence class of a type-A
+  parabolic and the chamber complex of the movable cone all derive from
+  it. The chamber complex has one chamber per polarization, each
+  carrying its ample cone in its own weight basis, and, in type A, one
+  wall for each adjacent transposition of distinct entries of the
+  composition. Only the combinatorial gluing is recorded; no common
+  linear embedding of all chambers is attempted (none is available at
+  this level of the theory).
 """
 
 from __future__ import annotations
@@ -26,10 +35,11 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import oracle_lab
-from .cones import ChamberComplex, chamber_complex_for
+from .cones import RationalCone, ample_cone
 from .errors import (
     ContactresError,
     EmptyMarking,
+    NoPolarization,
     UnknownClassification,
     UnsupportedType,
     ZeroOrbit,
@@ -47,6 +57,7 @@ from .orbits import (
     OrbitRecord,
     dual_partition,
     exceptional_entry,
+    is_minimal_orbit,
     is_zero_orbit,
     orbit_dimension,
     orbit_record,
@@ -167,12 +178,12 @@ def _type_a_polarizations(o: OrbitLabel) -> list[Polarization]:
     return out
 
 
-def _full_marking_polarization(o: OrbitLabel, degree=1) -> Polarization:
+def _full_marking_polarization(o: OrbitLabel) -> Polarization:
     t = o.simple_type
     return Polarization(
         parabolic=parabolic(t, range(1, t.rank + 1)),
         richardson_orbit=o,
-        springer_degree=degree,
+        springer_degree=1,
         is_birational=True,
     )
 
@@ -205,7 +216,7 @@ def polarizations(o: OrbitLabel) -> list[Polarization]:
         raise UnknownClassification(
             f"polarization data for {o} not in the shipped table")
     # classical non-A: only two rank-uniform facts are curated in code
-    if orbit_dimension(o) == 2 * t.dual_coxeter_number - 2:
+    if is_minimal_orbit(o):
         # minimal orbits outside type A admit no symplectic resolution
         return []
     if o == regular_orbit_label(t):
@@ -218,20 +229,135 @@ def polarizations(o: OrbitLabel) -> list[Polarization]:
 def equivalent_parabolics(p: ParabolicType) -> list[ParabolicType]:
     """The equivalence class of P: parabolics resolving the same closure.
 
-    Type A: all permutations of the block composition. Elsewhere only the
-    Borel is supported (it is alone in its class by a dimension count).
+    Type A: the polarizations of P's Richardson orbit, which are the
+    orderings of the block composition. Elsewhere only the Borel is
+    supported (it is alone in its class by a dimension count).
     """
     if not p.marked:
         raise EmptyMarking("equivalence needs a proper parabolic")
     t = p.root_system.simple_type
     if t.family == "A":
-        comp = composition_from_marking(p)
-        classes = sorted(set(permutations(comp)))
-        return [parabolic_from_composition(c) for c in classes]
+        return [q.parabolic
+                for q in polarizations(richardson_partition(t, p))]
     if p.marked == tuple(range(1, t.rank + 1)):
         return [p]
     raise UnknownClassification(
         f"equivalence classes outside type A are not curated ({p})")
+
+
+# --- chamber complexes --------------------------------------------------------
+
+@dataclass(frozen=True)
+class Chamber:
+    """One chamber of the movable cone: the ample cone of one parabolic,
+    written in that parabolic's own weight basis."""
+
+    marked_roots: tuple[int, ...]
+    composition: tuple[int, ...] | None
+    ample: RationalCone
+
+    @property
+    def label(self) -> tuple[int, ...]:
+        return self.composition if self.composition is not None \
+            else self.marked_roots
+
+
+@dataclass(frozen=True)
+class Wall:
+    """Codimension-one contact between two chambers. In type A the move
+    is the adjacent transposition swapping ``entries`` at ``position``
+    (1-based) of chamber_a's composition."""
+
+    chamber_a: tuple[int, ...]
+    chamber_b: tuple[int, ...]
+    position: int
+    entries: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class ChamberComplex:
+    orbit: OrbitLabel
+    chambers: tuple[Chamber, ...]
+    walls: tuple[Wall, ...]
+
+    @property
+    def chamber_count(self) -> int:
+        return len(self.chambers)
+
+    def degree(self, label) -> int:
+        return sum(1 for w in self.walls
+                   if w.chamber_a == label or w.chamber_b == label)
+
+    @property
+    def is_connected(self) -> bool:
+        if not self.chambers:
+            return False
+        labels = [c.label for c in self.chambers]
+        adjacency = {lab: set() for lab in labels}
+        for w in self.walls:
+            adjacency[w.chamber_a].add(w.chamber_b)
+            adjacency[w.chamber_b].add(w.chamber_a)
+        seen = {labels[0]}
+        frontier = [labels[0]]
+        while frontier:
+            for nxt in adjacency[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return len(seen) == len(labels)
+
+
+def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
+    """Assemble the chamber complex from an explicit polarization list.
+
+    Type A: chambers are the distinct orderings of the dual partition and
+    walls are adjacent transpositions of distinct entries. Other types:
+    only single-chamber complexes are constructible from the shipped
+    classification data.
+    """
+    if not polarization_list:
+        raise NoPolarization(f"{orbit} has no polarization")
+    chambers = []
+    for pol in sorted(polarization_list,
+                      key=lambda q: q.composition or q.parabolic.marked):
+        chambers.append(Chamber(
+            marked_roots=pol.parabolic.marked,
+            composition=pol.composition,
+            ample=ample_cone(pol.parabolic),
+        ))
+    type_a = orbit.simple_type.family == "A"
+    if not type_a and len(chambers) > 1:
+        raise UnknownClassification(
+            "wall structure outside type A is not curated")
+    walls = []
+    if type_a:
+        labels = {c.composition for c in chambers}
+        for comp in sorted(labels):
+            for i in range(len(comp) - 1):
+                if comp[i] == comp[i + 1]:
+                    continue
+                swapped = list(comp)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                swapped = tuple(swapped)
+                invariant(swapped in labels, "orbit orderings must be closed "
+                          "under adjacent transpositions")
+                if comp < swapped:
+                    walls.append(Wall(
+                        chamber_a=comp,
+                        chamber_b=swapped,
+                        position=i + 1,
+                        entries=(comp[i], comp[i + 1]),
+                    ))
+    complex_ = ChamberComplex(orbit=orbit, chambers=tuple(chambers),
+                              walls=tuple(walls))
+    invariant(complex_.is_connected, "wall graph must be connected")
+    return complex_
+
+
+def movable_chambers(o: OrbitLabel) -> ChamberComplex:
+    """Chamber structure of the movable cone of a contact resolution:
+    one ample-cone chamber per equivalent parabolic."""
+    return chamber_complex_for(o, polarizations(o))
 
 
 def canonical_degree_on_curve(n_contact: int, l_degree) -> Fraction:
@@ -319,17 +445,6 @@ class ResolutionReport:
         return self.verdict in (VERDICT_SMOOTH, VERDICT_EXISTS)
 
 
-def _affine_resolution_flag(o: OrbitLabel, polar) -> bool | None:
-    t = o.simple_type
-    if t.family == "A":
-        return True
-    if o.is_exceptional:
-        return exceptional_entry(o).admits_symplectic_resolution
-    if polar is None:
-        return None
-    return bool(polar)
-
-
 def _oracle_block(o: OrbitLabel, polar, seed: int) -> tuple[OracleCheck, ...]:
     if o.simple_type.family != "A":
         return ()
@@ -361,7 +476,6 @@ def contact_resolution_exists(o: OrbitLabel, seed: int = 0,
         polar = None
 
     t = o.simple_type
-    g2dim8 = (t.family, t.rank, record.dim_orbit) == ("G", 2, 8)
     notes: list[str] = []
     if o.is_exceptional:
         entry = exceptional_entry(o)
@@ -370,7 +484,7 @@ def contact_resolution_exists(o: OrbitLabel, seed: int = 0,
 
     if record.proj_normalization_smooth:
         verdict = VERDICT_SMOOTH
-        reason = REASON_G2DIM8 if g2dim8 else REASON_MINIMAL
+        reason = REASON_MINIMAL if record.is_minimal else REASON_G2DIM8
         if reason == REASON_MINIMAL and t.family != "A" and not o.is_exceptional:
             notes.append(NOTE_MINIMAL_NON_A)
     elif polar:
@@ -384,7 +498,9 @@ def contact_resolution_exists(o: OrbitLabel, seed: int = 0,
         reason = REASON_INDETERMINATE
 
     chambers = chamber_complex_for(o, polar) if polar else None
-    affine = _affine_resolution_flag(o, polar)
+    # a polarization list witnesses a symplectic resolution of the
+    # affine closure, and an empty one is a definitive "no"
+    affine = None if polar is None else bool(polar)
     oracle_checks = _oracle_block(o, polar, seed) if with_oracles else ()
 
     report = ResolutionReport(

@@ -12,7 +12,7 @@ import math
 import random
 
 from . import oracle_lab
-from .cones import ample_cone, chamber_complex_for, cone_from_generators, dual_cone
+from .cones import ample_cone, cone_from_generators, dual_cone
 from .errors import UnknownSuite
 from .lie_core import SimpleType, parabolic
 from .orbits import (
@@ -27,7 +27,7 @@ from .resolutions import (
     compositions_of,
     fiber_check,
     kks_check,
-    polarizations,
+    movable_chambers,
     richardson_check,
 )
 
@@ -102,7 +102,7 @@ def _suite_chambers(seed, max_n):
     for o in _type_a_orbits(max_n, nonzero=True):
         expected = {"count": _expected_chamber_count(o.partition),
                     "connected": True, "degree_rule": True}
-        cc = chamber_complex_for(o, polarizations(o))
+        cc = movable_chambers(o)
         degree_rule = all(
             cc.degree(ch.composition) == sum(
                 1 for i in range(len(ch.composition) - 1)

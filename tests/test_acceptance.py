@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from contactres import oracle_lab
 from contactres.cli import main
-from contactres.cones import movable_chambers
 from contactres.lie_core import SimpleType
 from contactres.orbits import (
     dual_partition,
@@ -29,6 +28,7 @@ from contactres.resolutions import (
     canonical_degree_on_curve,
     compositions_of,
     contact_resolution_exists,
+    movable_chambers,
 )
 from contactres.verify import run_suite
 

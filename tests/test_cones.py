@@ -11,13 +11,14 @@ from contactres.errors import (
     ZeroOrbit,
 )
 from contactres.cones import (
+    RationalCone,
     ample_cone,
     cone_from_generators,
     dual_cone,
-    movable_chambers,
 )
 from contactres.lie_core import SimpleType, parabolic, parse_parabolic
 from contactres.orbits import parse_orbit, partitions_of, validate_orbit
+from contactres.resolutions import movable_chambers
 
 
 class TestCanonicalForm:
@@ -41,6 +42,15 @@ class TestCanonicalForm:
         c = cone_from_generators(2, [(1, 0), (-1, 0)])
         assert c.extreme_rays == ()
         assert c.lineality_basis == ((1, 0),)
+
+    def test_cached_facets_do_not_affect_identity(self):
+        c = cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
+        assert c._facets is not None
+        bare = RationalCone(c.ambient_dim, c.extreme_rays, c.lineality_basis)
+        assert bare._facets is None
+        assert bare == c and hash(bare) == hash(c)
+        assert len({c, bare}) == 1
+        assert repr(bare) == repr(c)
 
     def test_zero_cone(self):
         c = cone_from_generators(3, [(0, 0, 0)])

@@ -1,5 +1,5 @@
 """Load-bearing invariants are explicit raises, so ``python -O`` keeps
-them."""
+them, and the package's modules import each other without a cycle."""
 
 import ast
 import os
@@ -9,10 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from contactres.cones import chamber_complex_for
 from contactres.errors import ContactresError, InternalInvariantError
 from contactres.orbits import parse_orbit
-from contactres.resolutions import polarizations
+from contactres.resolutions import chamber_complex_for, polarizations
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "contactres"
@@ -23,6 +22,50 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text())
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert lines == [], f"{path.name}: assert statements on lines {lines}"
+
+
+def package_imports() -> dict[str, set[str]]:
+    """Module -> the package modules it imports, at any depth in the file
+    (function-level imports included). ``__init__`` is left out: it
+    re-exports everything."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    graph = {}
+    for name in sorted(modules):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        deps = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if node.module:                       # from .cones import x
+                deps.add(node.module.split(".")[0])
+            else:                                 # from . import oracle_lab
+                deps.update(a.name for a in node.names if a.name in modules)
+        graph[name] = deps & modules
+    return graph
+
+
+def test_module_import_graph_is_acyclic():
+    graph = package_imports()
+    done, on_path = set(), []
+
+    def visit(name):
+        if name in on_path:
+            cycle = on_path[on_path.index(name):] + [name]
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        on_path.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        on_path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def test_cone_engine_sits_below_the_decision_layer():
+    assert package_imports()["cones"] == {"errors", "lie_core", "ratlinalg"}
 
 
 def test_non_closed_ordering_list_raises():

@@ -19,9 +19,6 @@ from contactres.lie_core import (
     parse_parabolic,
     parse_simple_type,
     poincare_polynomial,
-    weyl_elements,
-    weyl_length,
-    weyl_order,
 )
 from contactres.resolutions import compositions_of, parabolic_from_composition
 
@@ -145,6 +142,64 @@ class TestFlagDimension:
                                for i in range(len(comp))
                                for j in range(i + 1, len(comp)))
                 assert flag_dimension(p) == expected
+
+
+# --- Weyl groups, materialized: the oracle for Poincare polynomials --------
+
+WEYL_ENUMERATION_MAX_RANK = 6
+
+
+def weyl_order(rs):
+    """|W|, evaluated from the height product at t = 1."""
+    prod = Fraction(1)
+    for root in rs.positive_roots:
+        h = sum(root)
+        prod *= Fraction(h + 1, h)
+    assert prod.denominator == 1, "|W| must be an integer"
+    return prod.numerator
+
+
+def _reflection_matrix(cartan, j):
+    n = len(cartan)
+    m = [[int(i == k) for k in range(n)] for i in range(n)]
+    for i in range(n):
+        m[j][i] = int(i == j) - cartan[i][j]
+    return tuple(tuple(row) for row in m)
+
+
+def weyl_elements(rs):
+    """All elements of W as matrices on simple-root coordinates, by
+    closing the identity under the simple reflections (desk scale only)."""
+    assert rs.rank <= WEYL_ENUMERATION_MAX_RANK, \
+        f"refusing to enumerate W for rank {rs.rank}"
+    cartan = rs.cartan_matrix
+    n = rs.rank
+    gens = [_reflection_matrix(cartan, j) for j in range(n)]
+    identity = tuple(tuple(int(i == k) for k in range(n)) for i in range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        w = frontier.pop()
+        for g in gens:
+            prod = tuple(
+                tuple(sum(g[i][k] * w[k][j] for k in range(n))
+                      for j in range(n))
+                for i in range(n))
+            if prod not in seen:
+                seen.add(prod)
+                frontier.append(prod)
+    return sorted(seen)
+
+
+def weyl_length(rs, w):
+    """Length of w = number of positive roots mapped to negative roots."""
+    n = rs.rank
+    count = 0
+    for root in rs.positive_roots:
+        image = [sum(w[i][k] * root[k] for k in range(n)) for i in range(n)]
+        if all(c <= 0 for c in image):
+            count += 1
+    return count
 
 
 def enumerated_coset_poincare(t, marked):

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactres import orbits
 from contactres.errors import (
     InvalidPartition,
+    TableFormatError,
     UnknownExceptionalKey,
     ZeroOrbit,
 )
@@ -237,6 +239,63 @@ class TestExceptionalTable:
             entry = exceptional_entry(reg)
             assert entry.polarizations == (tuple(range(1, t.rank + 1)),)
             assert entry.springer_degree == 1
+
+
+# A well-formed table; each refusal test below breaks it in one place.
+VALID_TABLE = """\
+# table_version: 1
+
+orbit: G2:dim6
+dimension: 6
+is_richardson: false
+admits_symplectic_resolution: false
+
+orbit: G2:dim12
+dimension: 12
+admits_symplectic_resolution: true
+polarizations: full
+springer_degree: 1
+"""
+
+
+@pytest.fixture
+def load_table_text(monkeypatch):
+    """Load a table from the given text instead of the shipped file."""
+    def load(text):
+        monkeypatch.setattr(orbits, "_table_text", lambda: text)
+        orbits._load_table.cache_clear()
+        return orbits._load_table()
+    yield load
+    monkeypatch.undo()
+    orbits._load_table.cache_clear()
+
+
+class TestTableLoader:
+    def test_valid_text_loads(self, load_table_text):
+        version, table = load_table_text(VALID_TABLE)
+        assert version == "1"
+        assert table[("G", 2, "dim12")].polarizations == ((1, 2),)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("orbit: G2:dim12", "orbit: G2:dim6", "duplicate table key"),
+        ("dimension: 12", "dimension: 11", "odd orbit dimension"),
+        ("is_richardson: false", "is_richardson: yes", "expected true/false"),
+        ("# table_version: 1", "# version one", "table_version"),
+        ("polarizations: full\n", "",
+         "admits_symplectic_resolution without polarizations"),
+        ("admits_symplectic_resolution: true\n", "",
+         "polarizations without admits_symplectic_resolution"),
+        ("admits_symplectic_resolution: true",
+         "admits_symplectic_resolution: false",
+         "polarizations without admits_symplectic_resolution"),
+    ], ids=["duplicate-key", "odd-dimension", "bad-boolean",
+            "missing-version", "resolution-without-polarizations",
+            "polarizations-without-resolution",
+            "polarizations-with-false-resolution"])
+    def test_malformed_text_refused(self, load_table_text, old, new, message):
+        assert old in VALID_TABLE
+        with pytest.raises(TableFormatError, match=message):
+            load_table_text(VALID_TABLE.replace(old, new, 1))
 
 
 class TestGrammar:

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from contactres.errors import (
     EmptyMarking,
+    InvalidPartition,
     UnknownClassification,
     UnsupportedType,
     ZeroOrbit,
@@ -12,6 +14,9 @@ from contactres.errors import (
 from contactres.lie_core import SimpleType, flag_dimension, parabolic, parse_parabolic
 from contactres.orbits import (
     dual_partition,
+    exceptional_entry,
+    exceptional_table,
+    is_very_even,
     minimal_orbit_label,
     orbit_dimension,
     parse_orbit,
@@ -160,6 +165,18 @@ class TestEquivalence:
                 for q in cls:   # symmetric + transitive: same class
                     assert equivalent_parabolics(q) == cls
 
+    def test_against_permutation_reference(self):
+        # the enumeration equivalent_parabolics used before it derived the
+        # class from polarizations
+        for n in range(2, 8):
+            for comp in compositions_of(n):
+                if len(comp) == 1:
+                    continue
+                reference = [parabolic_from_composition(c)
+                             for c in sorted(set(permutations(comp)))]
+                assert equivalent_parabolics(
+                    parabolic_from_composition(comp)) == reference
+
     def test_borel_is_alone_outside_type_a(self):
         t = SimpleType("B", 3)
         borel = parabolic(t, (1, 2, 3))
@@ -170,6 +187,57 @@ class TestEquivalence:
             equivalent_parabolics(parabolic(SimpleType("A", 3), ()))
         with pytest.raises(UnknownClassification):
             equivalent_parabolics(parabolic(SimpleType("B", 3), (1,)))
+
+
+def reference_affine_flag(o):
+    """The affine-closure flag as stated before it derived from the
+    polarization list: type A always, the table's own key for E/F/G,
+    the polarization list elsewhere."""
+    if o.simple_type.family == "A":
+        return True
+    if o.is_exceptional:
+        return exceptional_entry(o).admits_symplectic_resolution
+    try:
+        return bool(polarizations(o))
+    except UnknownClassification:
+        return None
+
+
+def nonzero_orbits(t):
+    total = {"A": t.rank + 1, "B": 2 * t.rank + 1,
+             "C": 2 * t.rank, "D": 2 * t.rank}[t.family]
+    for part in partitions_of(total):
+        if all(p == 1 for p in part):
+            continue
+        try:
+            validate_orbit(t, part)
+        except InvalidPartition:
+            continue
+        tags = ("I", "II") if is_very_even(t, part) else (None,)
+        for tag in tags:
+            yield validate_orbit(t, part, very_even_tag=tag)
+
+
+class TestAffineFlag:
+    TYPES = ([SimpleType("A", n) for n in range(1, 7)]
+             + [SimpleType(f, n) for f in "BC" for n in range(2, 5)]
+             + [SimpleType("D", 4), SimpleType("D", 5)])
+
+    @pytest.mark.parametrize("t", TYPES, ids=str)
+    def test_classical_against_reference(self, t):
+        for o in nonzero_orbits(t):
+            rep = contact_resolution_exists(o, with_oracles=False)
+            assert rep.affine_closure_admits_symplectic_resolution \
+                == reference_affine_flag(o), o
+
+    def test_table_entries_against_reference(self):
+        for (family, rank, key), entry in sorted(exceptional_table().items()):
+            if entry.dimension == 0:
+                continue
+            o = validate_orbit(SimpleType(family, rank), key)
+            rep = contact_resolution_exists(o, with_oracles=False)
+            assert rep.affine_closure_admits_symplectic_resolution \
+                == reference_affine_flag(o), o
 
 
 class TestTrichotomy:
