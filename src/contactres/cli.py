@@ -12,6 +12,7 @@ timestamps or environment data are embedded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -161,7 +162,10 @@ def _render_error(env, out):
     out.write(f"error [{err['type']}]: {err['message']}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call in the process (``parse_args`` keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="contactres",
         description="Contact resolutions of projectivised nilpotent orbit "

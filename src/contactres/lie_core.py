@@ -254,7 +254,13 @@ def flag_dimension(p: ParabolicType) -> int:
     """
     if not p.marked:
         raise EmptyMarking("flag dimension needs a proper parabolic")
-    return len(_nilradical_roots(p))
+    return _flag_dimension(p.root_system.simple_type, p.marked)
+
+
+@lru_cache(maxsize=None)
+def _flag_dimension(t: SimpleType, marked: tuple[int, ...]) -> int:
+    # not keyed by ParabolicType, whose hash walks its whole RootSystemData
+    return len(_nilradical_roots(parabolic(t, marked)))
 
 
 # --- Poincare polynomials ---------------------------------------------------
@@ -335,13 +341,11 @@ def parse_simple_type(text: str) -> SimpleType:
 
 def parse_parabolic(text: str) -> ParabolicType:
     """Parse the parabolic grammar, e.g. ``"A3:{1,3}"``."""
-    head, sep, tail = text.partition(":")
-    tail = tail.strip()
-    if not sep or not tail.startswith("{") or not tail.endswith("}"):
+    head, _, tail = text.partition(":")
+    m = re.fullmatch(r"\{([0-9,\s]*)\}", tail.strip())
+    if not m:
         raise DimensionMismatch(
             f"cannot parse parabolic from {text!r}; expected TYPE:{{i,j,...}}")
     t = parse_simple_type(head)
-    inner = tail[1:-1].strip()
-    marked = tuple(int(tok) for tok in inner.split(",") if tok.strip()) \
-        if inner else ()
-    return parabolic(t, marked)
+    return parabolic(t, (int(tok) for tok in m.group(1).split(",")
+                         if tok.strip()))

@@ -291,17 +291,27 @@ def _parse_bool(value: str, where: str) -> bool:
     raise TableFormatError(f"{where}: expected true/false, got {value!r}")
 
 
-def _parse_polarizations(value: str, rank: int):
+def _parse_int(value: str, where: str) -> int:
+    if not re.fullmatch(r"[0-9]+", value):
+        raise TableFormatError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_polarizations(value: str, rank: int, where: str):
     marks = []
     for chunk in value.split(";"):
         chunk = chunk.strip()
         if chunk == "full":
             marks.append(tuple(range(1, rank + 1)))
-        else:
-            m = re.match(r"^\{([0-9,\s]*)\}$", chunk)
-            if not m:
-                raise TableFormatError(f"bad polarization entry {chunk!r}")
-            marks.append(tuple(sorted(int(x) for x in m.group(1).split(","))))
+            continue
+        m = re.fullmatch(r"\{\s*([0-9]+(\s*,\s*[0-9]+)*)\s*\}", chunk)
+        if not m:
+            raise TableFormatError(f"{where}: bad polarization entry {chunk!r}")
+        marked = tuple(sorted(int(x) for x in m.group(1).split(",")))
+        if marked[0] < 1 or marked[-1] > rank:
+            raise TableFormatError(
+                f"{where}: marked roots {marked} outside 1..{rank}")
+        marks.append(marked)
     return tuple(marks)
 
 
@@ -330,15 +340,16 @@ def _load_table() -> tuple[str, dict]:
             family=t.family,
             rank=t.rank,
             key=key,
-            dimension=int(record["dimension"]),
+            dimension=_parse_int(record["dimension"], where),
             is_richardson=(_parse_bool(record["is_richardson"], where)
                            if "is_richardson" in record else None),
             admits_symplectic_resolution=(
                 _parse_bool(record["admits_symplectic_resolution"], where)
                 if "admits_symplectic_resolution" in record else None),
-            polarizations=(_parse_polarizations(record["polarizations"], t.rank)
-                           if "polarizations" in record else None),
-            springer_degree=(int(record["springer_degree"])
+            polarizations=(
+                _parse_polarizations(record["polarizations"], t.rank, where)
+                if "polarizations" in record else None),
+            springer_degree=(_parse_int(record["springer_degree"], where)
                              if "springer_degree" in record else None),
             note=record.get("note"),
             provenance=record.get("provenance"),

@@ -14,7 +14,8 @@ The central facts this module operationalizes:
   smooth exactly for minimal orbits and for the 8-dimensional orbit of
   G2; otherwise a contact resolution exists iff the affine closure has a
   symplectic resolution. In type A that is always the case and the
-  polarizations are the orderings of the dual partition; outside type A
+  polarizations are the distinct orderings of the dual partition,
+  enumerated in time linear in their number; outside type A
   the answer comes from curated classification data and absent entries
   yield an honest Unknown.
 * The polarization set is decided here, once, by :func:`polarizations`.
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+# unused here, but perfbench/layertrace.py patches this name to count orderings
+from itertools import permutations  # noqa: F401
 
 from . import oracle_lab
 from .cones import RationalCone, ample_cone
@@ -164,18 +166,31 @@ def richardson_partition(t: SimpleType, p: ParabolicType) -> OrbitLabel:
     return validate_orbit(t, part)
 
 
+def _distinct_orderings(items):
+    """Distinct orderings of ``items`` in lexicographic order, by
+    next-permutation steps: the work is linear in the output."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
 def _type_a_polarizations(o: OrbitLabel) -> list[Polarization]:
-    dual = dual_partition(o.partition)
-    comps = sorted(set(permutations(dual)))
-    out = []
-    for comp in comps:
-        out.append(Polarization(
-            parabolic=parabolic_from_composition(comp),
-            richardson_orbit=o,
-            springer_degree=1,  # Springer maps are birational in type A
-            is_birational=True,
-        ))
-    return out
+    return [Polarization(
+        parabolic=parabolic_from_composition(comp),
+        richardson_orbit=o,
+        springer_degree=1,  # Springer maps are birational in type A
+        is_birational=True,
+    ) for comp in _distinct_orderings(dual_partition(o.partition))]
 
 
 def _full_marking_polarization(o: OrbitLabel) -> Polarization:

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from contactres import __version__
-from contactres.cli import main
+from contactres import __version__, cli
+from contactres.cli import _build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,11 @@ class TestOtherCommands:
         code, out = run(capsys, "twistor", "A3:{2}")
         assert code == 0 and "twistor space: no" in out
 
+    def test_twistor_bad_marking_is_domain_error(self, capsys, validator):
+        code, env = run_json(capsys, validator, "twistor", "A3:{x}", "--json")
+        assert code == 1
+        assert env["error"]["type"] == "DimensionMismatch"
+
 
 class TestVerifyCommand:
     def test_all_pass_exit_zero(self, capsys, validator):
@@ -159,6 +164,36 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["classify"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ("classify", "A4:2,2,1", "--no-oracles", "--json"),
+        ("classify", "A4:2,2,1", "--json"),
+        ("classify",),
+        ("verify", "--suite", "ad-rank", "--max-n", "4", "--json"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_calls_match_fresh_parser(self, capsys, monkeypatch):
+        shared = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+        monkeypatch.setattr(cli, "_build_parser", _build_parser.__wrapped__)
+        for argv, got in zip(self.SEQUENCE, shared):
+            assert self.outcome(capsys, argv) == got
+        assert '"oracle_checks": []' in shared[0][1]
+        assert '"oracle_checks": []' not in shared[1][1]
 
 
 class TestDeterminism:

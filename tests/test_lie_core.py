@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 from functools import lru_cache
 
+from contactres import lie_core
 from contactres.errors import (
     DimensionMismatch,
     EmptyMarking,
@@ -130,6 +131,20 @@ class TestFlagDimension:
                 for big in marks:
                     if set(small) <= set(big):
                         assert dims[small] <= dims[big]
+
+    def test_cached_value_matches_uncached_count(self):
+        for t in types_up_to_rank(4):
+            roots = build_root_system(t).positive_roots
+            for marks in all_markings(t):
+                uncached = sum(1 for r in roots
+                               if any(r[i - 1] for i in marks))
+                for _ in range(2):
+                    assert flag_dimension(parabolic(t, marks)) == uncached
+        hits = lie_core._flag_dimension.cache_info().hits
+        flag_dimension(parabolic(SimpleType("A", 3), (1,)))
+        assert lie_core._flag_dimension.cache_info().hits == hits + 1
+        with pytest.raises(EmptyMarking):
+            flag_dimension(parabolic(SimpleType("A", 3), ()))
 
     def test_type_a_block_formula(self):
         # root count must match sum_{i<j} c_i c_j for the block composition
@@ -389,6 +404,11 @@ class TestGrammar:
     def test_bad_strings(self):
         for text in ["A3", "A3:1,3", "A3:{1,3", "X2:{1}"]:
             with pytest.raises((DimensionMismatch, InvalidRank)):
+                parse_parabolic(text)
+
+    def test_non_integer_mark(self):
+        for text in ["A3:{x}", "A3:{1,x}", "A3:{1.5}"]:
+            with pytest.raises(DimensionMismatch, match="cannot parse"):
                 parse_parabolic(text)
 
     def test_out_of_range_mark(self):

@@ -288,10 +288,21 @@ class TestTableLoader:
         ("admits_symplectic_resolution: true",
          "admits_symplectic_resolution: false",
          "polarizations without admits_symplectic_resolution"),
+        ("polarizations: full", "polarizations: {}",
+         "bad polarization entry"),
+        ("polarizations: full", "polarizations: {1,,2}",
+         "bad polarization entry"),
+        ("polarizations: full", "polarizations: {1,3}", "outside 1..2"),
+        ("polarizations: full", "polarizations: {0}", "outside 1..2"),
+        ("dimension: 12", "dimension: seven", "expected an integer"),
+        ("springer_degree: 1", "springer_degree: 1.5",
+         "expected an integer"),
     ], ids=["duplicate-key", "odd-dimension", "bad-boolean",
             "missing-version", "resolution-without-polarizations",
             "polarizations-without-resolution",
-            "polarizations-with-false-resolution"])
+            "polarizations-with-false-resolution", "empty-polarization",
+            "blank-mark", "mark-above-rank", "mark-zero",
+            "non-integer-dimension", "non-integer-springer-degree"])
     def test_malformed_text_refused(self, load_table_text, old, new, message):
         assert old in VALID_TABLE
         with pytest.raises(TableFormatError, match=message):

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from contactres import resolutions
 from contactres.errors import (
     EmptyMarking,
     InvalidPartition,
@@ -118,6 +119,24 @@ class TestPolarizations:
     def test_sorted_lexicographically(self):
         comps = [q.composition for q in polarizations(parse_orbit("A5:3,2,1"))]
         assert comps == sorted(comps)
+
+    def test_distinct_orderings_match_permutation_set(self, monkeypatch):
+        # the enumeration must never walk all n! permutations
+        def refuse(*args):
+            raise AssertionError("factorial enumeration used")
+        monkeypatch.setattr(resolutions, "permutations", refuse)
+        for n in range(2, 9):
+            t = SimpleType("A", n - 1)
+            for part in partitions_of(n):
+                if part == (1,) * n:
+                    continue
+                o = validate_orbit(t, part)
+                expected = sorted(set(permutations(dual_partition(part))))
+                assert [q.composition for q in polarizations(o)] == expected
+
+    def test_regular_rank_eleven_has_one_polarization(self):
+        pols = polarizations(parse_orbit("A11:12"))
+        assert [q.composition for q in pols] == [(1,) * 12]
 
     def test_zero_orbit(self):
         with pytest.raises(ZeroOrbit):
