@@ -18,17 +18,18 @@ and their factors telescope into one net exponent e_k per (1 - t^k),
 applied as sparse in-place steps, never as dense polynomial products.
 This needs only the positive roots, never an enumeration of W; the test
 suite enumerates W at small rank as an independent cross-check.
+
+A parabolic is a (simple type, marking) value. Its nilradical roots are
+cached once per parabolic; the package's errors are the only import.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, EmptyMarking, InvalidRank, invariant
-from .ratlinalg import inverse
 
 RANK_BOUNDS = {
     "A": (1, None),
@@ -90,18 +91,16 @@ class SimpleType:
 
 @dataclass(frozen=True)
 class RootSystemData:
-    """Cartan matrix, positive roots, and fundamental weights of a type.
+    """Cartan matrix and positive roots of a type.
 
     Conventions: ``cartan_matrix[i][j] = <alpha_i, alpha_j-check>`` (zero
-    based), positive roots are integer tuples of simple-root coefficients,
-    and ``fundamental_weights`` holds the weight basis in simple-root
-    coordinates, i.e. the inverse of the Cartan matrix, one weight per row.
+    based), and positive roots are integer tuples of simple-root
+    coefficients.
     """
 
     simple_type: SimpleType
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    fundamental_weights: tuple[tuple[Fraction, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -191,30 +190,28 @@ def build_root_system(t: SimpleType) -> RootSystemData:
     invariant(len(positive) == expected and 2 * len(positive) == len(roots),
               f"root generation for {t} produced {len(positive)} positive "
               f"roots, expected {expected}")
-    weights = inverse(cartan)
-    invariant(weights is not None, "Cartan matrix must be invertible")
     return RootSystemData(
         simple_type=t,
         cartan_matrix=tuple(tuple(row) for row in cartan),
         positive_roots=tuple(positive),
-        fundamental_weights=tuple(tuple(row) for row in weights),
     )
 
 
 @dataclass(frozen=True)
 class ParabolicType:
-    """A conjugacy class of parabolics: a marked subset of simple roots.
+    """A conjugacy class of parabolics: a simple type and a marked subset
+    of its simple roots, compared and hashed as that value.
 
     ``marked`` uses 1-based Bourbaki indices. The empty marking stands for
     the whole group; operations that need a proper parabolic raise
     :class:`EmptyMarking` on it.
     """
 
-    root_system: RootSystemData
+    simple_type: SimpleType
     marked: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.root_system.rank
+        n = self.simple_type.rank
         cleaned = tuple(sorted(set(self.marked)))
         if cleaned and (cleaned[0] < 1 or cleaned[-1] > n):
             raise DimensionMismatch(
@@ -223,27 +220,23 @@ class ParabolicType:
 
     def __str__(self):
         inner = ",".join(str(i) for i in self.marked)
-        return f"{self.root_system.simple_type}:{{{inner}}}"
+        return f"{self.simple_type}:{{{inner}}}"
 
     @property
-    def unmarked(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.root_system.rank + 1)
-                     if i not in self.marked)
+    def root_system(self) -> RootSystemData:
+        return build_root_system(self.simple_type)
 
 
 def parabolic(t: SimpleType, marked) -> ParabolicType:
-    return ParabolicType(build_root_system(t), tuple(marked))
+    return ParabolicType(t, tuple(marked))
 
 
-def _supported_on(root, indices_zero_based) -> bool:
-    return any(root[i] != 0 for i in indices_zero_based)
-
-
-def _nilradical_roots(p: ParabolicType):
+@lru_cache(maxsize=None)
+def _nilradical_roots(p: ParabolicType) -> tuple[tuple[int, ...], ...]:
     """Positive roots with a nonzero coefficient on some marked root."""
     marked0 = [i - 1 for i in p.marked]
-    return [r for r in p.root_system.positive_roots
-            if _supported_on(r, marked0)]
+    return tuple([r for r in p.root_system.positive_roots
+                  if any(r[i] for i in marked0)])
 
 
 def flag_dimension(p: ParabolicType) -> int:
@@ -254,13 +247,7 @@ def flag_dimension(p: ParabolicType) -> int:
     """
     if not p.marked:
         raise EmptyMarking("flag dimension needs a proper parabolic")
-    return _flag_dimension(p.root_system.simple_type, p.marked)
-
-
-@lru_cache(maxsize=None)
-def _flag_dimension(t: SimpleType, marked: tuple[int, ...]) -> int:
-    # not keyed by ParabolicType, whose hash walks its whole RootSystemData
-    return len(_nilradical_roots(parabolic(t, marked)))
+    return len(_nilradical_roots(p))
 
 
 # --- Poincare polynomials ---------------------------------------------------
@@ -330,6 +317,7 @@ def is_projective_space(p: ParabolicType) -> bool:
 # --- text grammar ------------------------------------------------------------
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
+_MARKING_RE = re.compile(r"\{\s*([0-9]+(\s*,\s*[0-9]+)*)?\s*\}")
 
 
 def parse_simple_type(text: str) -> SimpleType:
@@ -339,13 +327,19 @@ def parse_simple_type(text: str) -> SimpleType:
     return SimpleType(m.group(1), int(m.group(2)))
 
 
+def parse_marking(text: str) -> tuple[int, ...] | None:
+    """The marks of ``{i,j,...}`` in written order, ``()`` for ``{}``, or
+    None when ``text`` is not of that form (an empty mark included)."""
+    if not _MARKING_RE.fullmatch(text.strip()):
+        return None
+    return tuple([int(tok) for tok in re.findall(r"[0-9]+", text)])
+
+
 def parse_parabolic(text: str) -> ParabolicType:
     """Parse the parabolic grammar, e.g. ``"A3:{1,3}"``."""
     head, _, tail = text.partition(":")
-    m = re.fullmatch(r"\{([0-9,\s]*)\}", tail.strip())
-    if not m:
+    marks = parse_marking(tail)
+    if marks is None:
         raise DimensionMismatch(
             f"cannot parse parabolic from {text!r}; expected TYPE:{{i,j,...}}")
-    t = parse_simple_type(head)
-    return parabolic(t, (int(tok) for tok in m.group(1).split(",")
-                         if tok.strip()))
+    return parabolic(parse_simple_type(head), marks)

@@ -23,7 +23,12 @@ from .errors import (
     ZeroOrbit,
     invariant,
 )
-from .lie_core import SimpleType, build_root_system, parse_simple_type
+from .lie_core import (
+    SimpleType,
+    build_root_system,
+    parse_marking,
+    parse_simple_type,
+)
 
 Partition = tuple[int, ...]
 
@@ -304,10 +309,10 @@ def _parse_polarizations(value: str, rank: int, where: str):
         if chunk == "full":
             marks.append(tuple(range(1, rank + 1)))
             continue
-        m = re.fullmatch(r"\{\s*([0-9]+(\s*,\s*[0-9]+)*)\s*\}", chunk)
-        if not m:
+        marked = parse_marking(chunk)
+        if not marked:
             raise TableFormatError(f"{where}: bad polarization entry {chunk!r}")
-        marked = tuple(sorted(int(x) for x in m.group(1).split(",")))
+        marked = tuple(sorted(marked))
         if marked[0] < 1 or marked[-1] > rank:
             raise TableFormatError(
                 f"{where}: marked roots {marked} outside 1..{rank}")
@@ -368,6 +373,12 @@ def _load_table() -> tuple[str, dict]:
             raise TableFormatError(
                 f"{where}: polarizations without "
                 "admits_symplectic_resolution: true")
+        # Listed polarizations are birational, so their Springer degree is
+        # 1; a degree with no polarization to carry it would be dropped.
+        if entry.springer_degree not in (None, 1) or (
+                entry.springer_degree and entry.polarizations is None):
+            raise TableFormatError(
+                f"{where}: springer_degree must be 1, next to polarizations")
         table[(t.family, t.rank, key)] = entry
         record.clear()
 

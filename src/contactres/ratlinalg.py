@@ -9,7 +9,8 @@ Gauss-Jordan on rows cleared of denominators (row scaling changes
 neither row space nor kernel). Each update divides exactly by the
 previous pivot, so entries stay minors of the cleared matrix, bounded by
 Hadamard's inequality. ``rref`` and ``nullspace`` return primitive
-integer vectors; ``solve`` and ``inverse`` return Fractions.
+integer vectors; ``adjugate`` returns integers, and only ``solve``
+returns Fractions.
 
 Tuples and star-arguments are built from lists: CPython parks a resized
 generator-built tuple on a free list that only a full garbage collection
@@ -131,7 +132,8 @@ def solve(rows, rhs) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def _scaled_inverse(rows) -> tuple[int, list[list[int]]] | None:
+def adjugate(rows) -> list[list[int]] | None:
+    """det(A) A^-1 for a square integer matrix A, or None when singular."""
     # Gauss-Jordan on [A | I] ends at [D I | D A^-1], with D the last
     # pivot; the permutation sign turns D into det(A) for integral A.
     n = len(rows)
@@ -140,23 +142,7 @@ def _scaled_inverse(rows) -> tuple[int, list[list[int]]] | None:
     m, pivots, sign = _eliminate(aug, reduce=True)
     if pivots != list(range(n)):
         return None
-    d = sign * m[n - 1][n - 1] if n else 1
-    return d, [[sign * x for x in row[n:]] for row in m]
-
-
-def inverse(rows) -> list[list[Fraction]] | None:
-    """Inverse of a square matrix, or None when singular."""
-    got = _scaled_inverse(rows)
-    if got is None:
-        return None
-    d, scaled = got
-    return [[Fraction(x, d) for x in row] for row in scaled]
-
-
-def adjugate(rows) -> list[list[int]] | None:
-    """det(A) A^-1 for a square integer matrix A, or None when singular."""
-    got = _scaled_inverse(rows)
-    return None if got is None else got[1]
+    return [[sign * x for x in row[n:]] for row in m]
 
 
 def mat_vec(rows, vec) -> tuple:

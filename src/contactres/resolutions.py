@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 # unused here, but perfbench/layertrace.py patches this name to count orderings
 from itertools import permutations  # noqa: F401
 
@@ -103,26 +104,15 @@ def parabolic_from_composition(comp) -> ParabolicType:
     n = sum(comp)
     if n < 2:
         raise ContactresError("composition must sum to at least 2")
-    marks = []
-    acc = 0
-    for c in comp[:-1]:
-        acc += c
-        marks.append(acc)
-    return parabolic(SimpleType("A", n - 1), marks)
+    return parabolic(SimpleType("A", n - 1), accumulate(comp[:-1]))
 
 
 def composition_from_marking(p: ParabolicType) -> tuple[int, ...]:
     """Marked roots of A_{n-1} -> block composition of n."""
-    if p.root_system.simple_type.family != "A":
+    if p.simple_type.family != "A":
         raise UnsupportedType("compositions describe type A parabolics only")
-    n = p.root_system.rank + 1
-    cuts = list(p.marked) + [n]
-    comp = []
-    prev = 0
-    for c in cuts:
-        comp.append(c - prev)
-        prev = c
-    return tuple(comp)
+    cuts = (0,) + p.marked + (p.simple_type.rank + 1,)
+    return tuple([b - a for a, b in zip(cuts, cuts[1:])])
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,7 @@ class Polarization:
 
     @property
     def composition(self) -> tuple[int, ...] | None:
-        if self.parabolic.root_system.simple_type.family != "A":
+        if self.parabolic.simple_type.family != "A":
             return None
         return composition_from_marking(self.parabolic)
 
@@ -151,18 +141,22 @@ class Polarization:
         return flag_dimension(self.parabolic)
 
 
+def composition_richardson_partition(comp) -> tuple[int, ...]:
+    """Type-A Richardson recipe on a composition: its sorted transpose."""
+    return dual_partition(tuple(sorted(comp, reverse=True)))
+
+
 def richardson_partition(t: SimpleType, p: ParabolicType) -> OrbitLabel:
     """Richardson orbit of a parabolic: the dense orbit in G . nilradical.
 
-    Type A: the composition's sorted transpose. The analogous recipes for
-    B/C/D involve partition collapses that no shipped data anchors, so
-    they are refused rather than guessed.
+    Type A: :func:`composition_richardson_partition` of its composition.
+    The analogous recipes for B/C/D involve partition collapses that no
+    shipped data anchors, so they are refused rather than guessed.
     """
     if t.family != "A":
         raise UnsupportedType(
             f"no Richardson recipe shipped for type {t.family}")
-    comp = composition_from_marking(p)
-    part = dual_partition(tuple(sorted(comp, reverse=True)))
+    part = composition_richardson_partition(composition_from_marking(p))
     return validate_orbit(t, part)
 
 
@@ -191,16 +185,6 @@ def _type_a_polarizations(o: OrbitLabel) -> list[Polarization]:
         springer_degree=1,  # Springer maps are birational in type A
         is_birational=True,
     ) for comp in _distinct_orderings(dual_partition(o.partition))]
-
-
-def _full_marking_polarization(o: OrbitLabel) -> Polarization:
-    t = o.simple_type
-    return Polarization(
-        parabolic=parabolic(t, range(1, t.rank + 1)),
-        richardson_orbit=o,
-        springer_degree=1,
-        is_birational=True,
-    )
 
 
 def polarizations(o: OrbitLabel) -> list[Polarization]:
@@ -236,7 +220,9 @@ def polarizations(o: OrbitLabel) -> list[Polarization]:
         return []
     if o == regular_orbit_label(t):
         # the nilpotent cone always has its Springer resolution
-        return [_full_marking_polarization(o)]
+        return [Polarization(parabolic=parabolic(t, range(1, t.rank + 1)),
+                             richardson_orbit=o, springer_degree=1,
+                             is_birational=True)]
     raise UnknownClassification(
         f"symplectic-resolution data for {o} is not curated")
 
@@ -250,7 +236,7 @@ def equivalent_parabolics(p: ParabolicType) -> list[ParabolicType]:
     """
     if not p.marked:
         raise EmptyMarking("equivalence needs a proper parabolic")
-    t = p.root_system.simple_type
+    t = p.simple_type
     if t.family == "A":
         return [q.parabolic
                 for q in polarizations(richardson_partition(t, p))]

@@ -24,6 +24,7 @@ from .orbits import (
 from .resolutions import (
     OracleCheck,
     ad_rank_check,
+    composition_richardson_partition,
     compositions_of,
     fiber_check,
     kks_check,
@@ -75,8 +76,7 @@ def _suite_contact(seed, max_n):
 
 
 def _suite_richardson(seed, max_n):
-    return [richardson_check(
-                comp, dual_partition(tuple(sorted(comp, reverse=True))), seed)
+    return [richardson_check(comp, composition_richardson_partition(comp), seed)
             for n in range(1, max_n + 1) for comp in compositions_of(n)]
 
 

@@ -132,6 +132,13 @@ class TestOtherCommands:
         assert code == 1
         assert env["error"]["type"] == "DimensionMismatch"
 
+    def test_twistor_empty_marking_versus_empty_mark(self, capsys, validator):
+        # "{}" is the empty marking, a domain answer; "{,}" is malformed
+        for text, kind in [("A3:{}", "EmptyMarking"),
+                           ("A3:{,}", "DimensionMismatch")]:
+            code, env = run_json(capsys, validator, "twistor", text, "--json")
+            assert code == 1 and env["error"]["type"] == kind
+
 
 class TestVerifyCommand:
     def test_all_pass_exit_zero(self, capsys, validator):

@@ -68,6 +68,10 @@ def test_cone_engine_sits_below_the_decision_layer():
     assert package_imports()["cones"] == {"errors", "lie_core", "ratlinalg"}
 
 
+def test_lie_layer_needs_only_errors():
+    assert package_imports()["lie_core"] == {"errors"}
+
+
 def test_non_closed_ordering_list_raises():
     orbit = parse_orbit("A3:2,1,1")   # orderings (1, 3) and (3, 1)
     pols = polarizations(orbit)

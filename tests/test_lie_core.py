@@ -1,3 +1,4 @@
+import dataclasses
 import pytest
 from fractions import Fraction
 from functools import lru_cache
@@ -11,6 +12,7 @@ from contactres.errors import (
 )
 from contactres.lie_core import (
     RANK_BOUNDS,
+    ParabolicType,
     SimpleType,
     _divide_one_minus_power,
     build_root_system,
@@ -21,6 +23,7 @@ from contactres.lie_core import (
     parse_simple_type,
     poincare_polynomial,
 )
+from contactres.ratlinalg import adjugate
 from contactres.resolutions import compositions_of, parabolic_from_composition
 
 ALL_SMALL_TYPES = [
@@ -30,6 +33,12 @@ ALL_SMALL_TYPES = [
     SimpleType("C", 4), SimpleType("D", 3), SimpleType("D", 4),
     SimpleType("F", 4), SimpleType("G", 2),
 ]
+
+INDEX_OF_CONNECTION = {
+    "A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
+    "D": lambda n: 4, "E": lambda n: 9 - n, "F": lambda n: 1,
+    "G": lambda n: 1,
+}
 
 
 def types_up_to_rank(max_rank):
@@ -72,13 +81,19 @@ class TestRootSystems:
 
     @pytest.mark.parametrize("t", ALL_SMALL_TYPES, ids=str)
     def test_fundamental_weights_dual_to_coroots(self, t):
-        rs = build_root_system(t)
-        n = rs.rank
+        # The weights are the rows of C^-1 = adj(C) / det(C), and det(C)
+        # is the index of connection, so a singular or mis-bonded Cartan
+        # matrix fails here.
+        cm = build_root_system(t).cartan_matrix
+        adj = adjugate(cm)
+        n = t.rank
+        det = sum(adj[0][i] * cm[i][0] for i in range(n))
+        assert det == INDEX_OF_CONNECTION[t.family](n)
         for b in range(n):
             for c in range(n):
-                pairing = sum(rs.fundamental_weights[b][i]
-                              * rs.cartan_matrix[i][c] for i in range(n))
-                assert pairing == Fraction(int(b == c))
+                pairing = sum(Fraction(adj[b][i], det) * cm[i][c]
+                              for i in range(n))
+                assert pairing == int(b == c)
 
     def test_cartan_sign_pattern(self):
         for t in ALL_SMALL_TYPES:
@@ -140,9 +155,9 @@ class TestFlagDimension:
                                if any(r[i - 1] for i in marks))
                 for _ in range(2):
                     assert flag_dimension(parabolic(t, marks)) == uncached
-        hits = lie_core._flag_dimension.cache_info().hits
+        hits = lie_core._nilradical_roots.cache_info().hits
         flag_dimension(parabolic(SimpleType("A", 3), (1,)))
-        assert lie_core._flag_dimension.cache_info().hits == hits + 1
+        assert lie_core._nilradical_roots.cache_info().hits == hits + 1
         with pytest.raises(EmptyMarking):
             flag_dimension(parabolic(SimpleType("A", 3), ()))
 
@@ -391,6 +406,20 @@ class TestIsProjectiveSpace:
             is_projective_space(parabolic(SimpleType("A", 3), ()))
 
 
+class TestParabolicValue:
+    def test_fields_are_type_and_marking(self):
+        assert [f.name for f in dataclasses.fields(ParabolicType)] == [
+            "simple_type", "marked"]
+
+    def test_equal_markings_are_equal_values(self):
+        t = SimpleType("A", 3)
+        p, q = parabolic(t, (3, 1, 3)), parabolic(t, (1, 3))
+        assert p == q and hash(p) == hash(q)
+        assert p.simple_type is t and p.marked == (1, 3)
+        assert p != parabolic(SimpleType("B", 3), (1, 3))
+        assert p.root_system is build_root_system(t)
+
+
 class TestGrammar:
     def test_round_trip(self):
         p = parse_parabolic("A3:{1,3}")
@@ -407,9 +436,15 @@ class TestGrammar:
                 parse_parabolic(text)
 
     def test_non_integer_mark(self):
-        for text in ["A3:{x}", "A3:{1,x}", "A3:{1.5}"]:
+        # an empty mark is no integer either, and "{1 3}" lacks a comma
+        for text in ["A3:{x}", "A3:{1,x}", "A3:{1.5}", "A3:{1,,2}",
+                     "A3:{1,}", "A3:{,}", "A3:{1 3}"]:
             with pytest.raises(DimensionMismatch, match="cannot parse"):
                 parse_parabolic(text)
+
+    def test_empty_marking_parses(self):
+        assert parse_parabolic("A3:{}").marked == ()
+        assert parse_parabolic("A3:{ 3 , 1 }").marked == (1, 3)
 
     def test_out_of_range_mark(self):
         with pytest.raises(DimensionMismatch):

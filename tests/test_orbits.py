@@ -297,12 +297,22 @@ class TestTableLoader:
         ("dimension: 12", "dimension: seven", "expected an integer"),
         ("springer_degree: 1", "springer_degree: 1.5",
          "expected an integer"),
+        ("springer_degree: 1", "springer_degree: 2",
+         "springer_degree must be 1, next to polarizations"),
+        ("admits_symplectic_resolution: false\n",
+         "admits_symplectic_resolution: false\nspringer_degree: 2\n",
+         "springer_degree must be 1, next to polarizations"),
+        ("admits_symplectic_resolution: false\n",
+         "admits_symplectic_resolution: false\nspringer_degree: 1\n",
+         "springer_degree must be 1, next to polarizations"),
     ], ids=["duplicate-key", "odd-dimension", "bad-boolean",
             "missing-version", "resolution-without-polarizations",
             "polarizations-without-resolution",
             "polarizations-with-false-resolution", "empty-polarization",
             "blank-mark", "mark-above-rank", "mark-zero",
-            "non-integer-dimension", "non-integer-springer-degree"])
+            "non-integer-dimension", "non-integer-springer-degree",
+            "springer-degree-two", "springer-degree-without-polarizations",
+            "degree-one-without-polarizations"])
     def test_malformed_text_refused(self, load_table_text, old, new, message):
         assert old in VALID_TABLE
         with pytest.raises(TableFormatError, match=message):

@@ -8,7 +8,6 @@ from contactres.ratlinalg import (
     adjugate,
     dot,
     independent_columns,
-    inverse,
     mat_mul,
     mat_vec,
     nullspace,
@@ -191,15 +190,6 @@ class TestAgainstReference:
             assert all(type(x) is F for x in got)
             assert mat_vec(rows, got) == tuple(rhs)
 
-    @given(data=st.data())
-    @settings(max_examples=100, derandomize=True)
-    def test_inverse_matches_reference(self, kind, data):
-        rows = data.draw(square_matrices(entries=ENTRIES[kind]))
-        got = inverse(rows)
-        assert got == reference_inverse(rows)
-        if got is not None:
-            assert all(type(x) is F for row in got for x in row)
-
 
 class TestNullspace:
     @given(matrices())
@@ -241,20 +231,6 @@ class TestSolve:
 
 
 class TestInverse:
-    @given(matrices(max_rows=4, max_cols=4))
-    @settings(max_examples=80, derandomize=True)
-    def test_inverse_multiplies_to_identity(self, rows):
-        n = len(rows)
-        if len(rows[0]) != n:
-            rows = [r[:n] + [0] * (n - len(r[:n])) for r in rows]
-        inv = inverse(rows)
-        if rank(rows) < n:
-            assert inv is None
-            return
-        for i in range(n):
-            got = mat_vec(rows, tuple(inv[k][i] for k in range(n)))
-            assert got == tuple(F(int(i == j)) for j in range(n))
-
     @given(square_matrices())
     @settings(max_examples=80, derandomize=True)
     def test_adjugate_is_det_times_inverse(self, rows):

@@ -3,6 +3,12 @@ import pytest
 from contactres import verify
 from contactres.cones import RationalCone, cone_from_generators
 from contactres.errors import UnknownSuite
+from contactres.lie_core import SimpleType
+from contactres.resolutions import (
+    compositions_of,
+    parabolic_from_composition,
+    richardson_partition,
+)
 from contactres.verify import run_suite, suite_caps
 
 
@@ -17,6 +23,22 @@ def test_ample_cone_rows_check_double_description(monkeypatch):
     assert len(rows) == 11 and not any(r.agrees for r in rows)
     assert rows[0].formula_value == {"simplicial": True, "rays": 1}
     assert rows[0].oracle_value == {"simplicial": True, "rays": 0}
+
+
+def test_richardson_rows_check_the_shipped_recipe(monkeypatch):
+    rows = run_suite("richardson", max_n=4)
+    comps = [comp for n in range(2, 5) for comp in compositions_of(n)]
+    assert len(rows) == 1 + len(comps)    # n = 1 has no parabolic
+    for row, comp in zip(rows[1:], comps):
+        t = SimpleType("A", sum(comp) - 1)
+        orbit = richardson_partition(t, parabolic_from_composition(comp))
+        assert row.formula_value == list(orbit.partition)
+    # a wrong recipe (the composition itself, sorted) must fail the suite
+    monkeypatch.setattr(verify, "composition_richardson_partition",
+                        lambda comp: tuple(sorted(comp, reverse=True)))
+    wrong = run_suite("richardson", max_n=4)
+    assert len(wrong) == len(rows)
+    assert not all(r.agrees for r in wrong)
 
 
 def test_caps_echo_every_override():
