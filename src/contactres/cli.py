@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Commands: classify, dim, polarizations, chambers, twistor, verify.
+Commands: classify, dim, polarizations, chambers, twistor, verify, each
+declared once by the ``_command`` decorator on its result builder.
 Exit codes: 0 success (an Unknown classification verdict is a valid
 answer, not a failure), 1 domain error or failed verification, 2 usage.
 
@@ -17,7 +18,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import ContactresError, InternalInvariantError
+from .errors import ContactresError
 from .lie_core import flag_dimension, parse_parabolic, poincare_polynomial
 from .orbits import orbit_record, parse_orbit, table_version
 from .report import (
@@ -38,33 +39,15 @@ from .verify import run_suite, suite_caps, suite_names
 SCHEMA_ID = "contactres-report/1"
 
 
-def _envelope(command: str, request: dict, result=None, error=None) -> dict:
-    env = {
-        "schema": SCHEMA_ID,
-        "artifact_version": __version__,
-        "table_version": table_version(),
-        "command": command,
-        "request": request,
-    }
-    if error is not None:
-        env["error"] = error
-    else:
-        env["result"] = result
-    return env
-
-
-def _emit(env: dict, as_json: bool, render, out) -> None:
-    if as_json:
-        out.write(json.dumps(env, indent=2, sort_keys=True) + "\n")
-    else:
-        render(env, out)
-
-
 def _yn(flag) -> str:
     return {True: "yes", False: "no", None: "unknown"}[flag]
 
 
-def _render_orbit_lines(orbit: dict, out) -> None:
+def _render_report(r: dict, out) -> None:
+    """Text of an orbit report: every section the result carries, in
+    ``classify``'s order (``dim``, ``polarizations`` and ``chambers``
+    carry the orbit and at most one more section)."""
+    orbit = r["orbit"]
     out.write(f"orbit: {orbit['orbit']}\n")
     out.write(f"dimension: {orbit['dimension']}")
     if orbit["contact_n"] is not None:
@@ -74,70 +57,113 @@ def _render_orbit_lines(orbit: dict, out) -> None:
               f"  zero: {_yn(orbit['is_zero'])}"
               f"  smooth projectivised normalization: "
               f"{_yn(orbit['proj_normalization_smooth'])}\n")
-
-
-def _render_polarization_lines(pols: list, out) -> None:
-    out.write(f"polarizations: {len(pols)}\n")
-    for p in pols:
-        comp = ("composition (" + ",".join(map(str, p["composition"])) + ")"
-                if p["composition"] is not None else "non-A parabolic")
-        marks = "{" + ",".join(map(str, p["marked_roots"])) + "}"
-        deg = p["springer_degree"] if p["springer_degree"] is not None \
-            else "unknown"
-        out.write(f"  {comp}  marked {marks}  flag dim "
-                  f"{p['flag_dimension']}  degree {deg}\n")
-
-
-def _render_chambers_lines(cc: dict | None, out) -> None:
-    if cc is None:
-        out.write("chambers: 0  walls: 0\n")
-        return
-    out.write(f"chambers: {cc['chamber_count']}  walls: {len(cc['walls'])}"
-              f"  connected: {_yn(cc['connected'])}\n")
-    for ch in cc["chambers"]:
-        rays = " ".join(str(tuple(r)) for r in
-                        ch["ample_cone"]["extreme_rays"])
-        out.write(f"  chamber {tuple(ch['label'])}: ample rays {rays}\n")
-    for w in cc["walls"]:
-        out.write(f"  wall {tuple(w['chamber_a'])} <-> "
-                  f"{tuple(w['chamber_b'])}: swap entries "
-                  f"{tuple(w['entries'])} at position {w['position']}\n")
-
-
-def _render_classify(env: dict, out) -> None:
-    r = env["result"]
-    _render_orbit_lines(r["orbit"], out)
-    out.write(f"verdict: {r['verdict']} (reason: {r['reason']})\n")
-    if r["canonical_bundle_exponent"] is not None:
-        out.write("canonical bundle exponent: "
-                  f"{r['canonical_bundle_exponent']}\n")
-    out.write("affine closure admits symplectic resolution: "
-              f"{_yn(r['affine_closure_admits_symplectic_resolution'])}\n")
-    _render_polarization_lines(r["polarizations"], out)
-    _render_chambers_lines(r["chamber_complex"], out)
-    agree = sum(1 for c in r["oracle_checks"] if c["agrees_with_formula"])
-    out.write(f"oracle checks: {len(r['oracle_checks'])} run, "
-              f"{agree} agree\n")
-    for note in r["notes"]:
+    if "verdict" in r:
+        out.write(f"verdict: {r['verdict']} (reason: {r['reason']})\n")
+        if r["canonical_bundle_exponent"] is not None:
+            out.write("canonical bundle exponent: "
+                      f"{r['canonical_bundle_exponent']}\n")
+        out.write("affine closure admits symplectic resolution: "
+                  f"{_yn(r['affine_closure_admits_symplectic_resolution'])}\n")
+    if "polarizations" in r:
+        out.write(f"polarizations: {len(r['polarizations'])}\n")
+        for p in r["polarizations"]:
+            comp = ("composition (" + ",".join(map(str, p["composition"]))
+                    + ")" if p["composition"] is not None
+                    else "non-A parabolic")
+            marks = "{" + ",".join(map(str, p["marked_roots"])) + "}"
+            deg = p["springer_degree"] if p["springer_degree"] is not None \
+                else "unknown"
+            out.write(f"  {comp}  marked {marks}  flag dim "
+                      f"{p['flag_dimension']}  degree {deg}\n")
+    if "chamber_complex" in r:
+        cc = r["chamber_complex"]
+        if cc is None:
+            out.write("chambers: 0  walls: 0\n")
+        else:
+            out.write(f"chambers: {cc['chamber_count']}  walls: "
+                      f"{len(cc['walls'])}  connected: "
+                      f"{_yn(cc['connected'])}\n")
+            for ch in cc["chambers"]:
+                rays = " ".join(str(tuple(ray)) for ray in
+                                ch["ample_cone"]["extreme_rays"])
+                out.write(f"  chamber {tuple(ch['label'])}: ample rays "
+                          f"{rays}\n")
+            for w in cc["walls"]:
+                out.write(f"  wall {tuple(w['chamber_a'])} <-> "
+                          f"{tuple(w['chamber_b'])}: swap entries "
+                          f"{tuple(w['entries'])} at position "
+                          f"{w['position']}\n")
+    if "oracle_checks" in r:
+        agree = sum(1 for c in r["oracle_checks"] if c["agrees_with_formula"])
+        out.write(f"oracle checks: {len(r['oracle_checks'])} run, "
+                  f"{agree} agree\n")
+    for note in r.get("notes", ()):
         out.write(f"note: {note}\n")
 
 
-def _render_dim(env, out):
-    _render_orbit_lines(env["result"]["orbit"], out)
+def _render_error(err: dict, out) -> None:
+    out.write(f"error [{err['type']}]: {err['message']}\n")
 
 
-def _render_polarizations(env, out):
-    _render_orbit_lines(env["result"]["orbit"], out)
-    _render_polarization_lines(env["result"]["polarizations"], out)
+# --- the commands -------------------------------------------------------------
+
+# command name -> (summary, arguments, build, render); filled by ``_command``
+# in declaration order, which is the order of the subcommand listing
+_COMMANDS: dict[str, tuple] = {}
 
 
-def _render_chambers(env, out):
-    _render_orbit_lines(env["result"]["orbit"], out)
-    _render_chambers_lines(env["result"]["chamber_complex"], out)
+def _arg(*flags, **options):
+    """One ``add_argument`` call, as data."""
+    return flags, options
 
 
-def _render_twistor(env, out):
-    r = env["result"]
+def _command(name, summary, *arguments, render=_render_report):
+    """Declare a command: ``arguments`` for its subparser, the decorated
+    function as its result builder and ``render`` as its text output."""
+    def declare(build):
+        _COMMANDS[name] = (summary, arguments, build, render)
+        return build
+    return declare
+
+
+_ORBIT = _arg("orbit", help='orbit label, e.g. "A3:2,1,1" or "G2:dim8"')
+_JSON = _arg("--json", action="store_true",
+             help="emit the JSON report instead of text")
+
+
+@_command("classify", "existence verdict and full report", _ORBIT, _JSON,
+          _arg("--seed", type=int, default=0,
+               help="seed for the oracle cross-checks (default 0)"),
+          _arg("--no-oracles", action="store_true",
+               help="skip the oracle cross-check block"))
+def _classify(args) -> dict:
+    return resolution_report_dict(contact_resolution_exists(
+        parse_orbit(args.orbit), seed=args.seed,
+        with_oracles=not args.no_oracles))
+
+
+@_command("dim", "orbit dimension and flags", _ORBIT, _JSON)
+def _dim(args) -> dict:
+    return {"orbit": orbit_record_dict(orbit_record(parse_orbit(args.orbit)))}
+
+
+@_command("polarizations", "enumerate polarizations", _ORBIT, _JSON)
+def _polarizations(args) -> dict:
+    o = parse_orbit(args.orbit)
+    pols = [polarization_dict(p) for p in polarizations(o)]
+    return {"orbit": orbit_record_dict(orbit_record(o)),
+            "polarizations": pols}
+
+
+@_command("chambers", "movable-cone chamber complex", _ORBIT, _JSON)
+def _chambers(args) -> dict:
+    o = parse_orbit(args.orbit)
+    cc = chamber_complex_dict(movable_chambers(o))
+    return {"orbit": orbit_record_dict(orbit_record(o)),
+            "chamber_complex": cc}
+
+
+def _render_twistor(r: dict, out) -> None:
     out.write(f"parabolic: {r['parabolic']}\n")
     out.write(f"flag dimension: {r['flag_dimension']}\n")
     out.write("poincare polynomial: "
@@ -146,8 +172,21 @@ def _render_twistor(env, out):
     out.write(f"twistor space: {_yn(r['is_twistor_space'])}\n")
 
 
-def _render_verify(env, out):
-    r = env["result"]
+@_command("twistor", "twistor-space predicate for a parabolic",
+          _arg("parabolic", help='parabolic label, e.g. "A3:{1,3}"'), _JSON,
+          render=_render_twistor)
+def _twistor(args) -> dict:
+    p = parse_parabolic(args.parabolic)
+    return {
+        "parabolic": str(p),
+        "marked_roots": list(p.marked),
+        "flag_dimension": flag_dimension(p),
+        "poincare_polynomial": list(poincare_polynomial(p)),
+        "is_twistor_space": is_twistor_space(p),
+    }
+
+
+def _render_verify(r: dict, out) -> None:
     for row in r["rows"]:
         status = "ok " if row["agrees"] else "FAIL"
         out.write(f"[{status}] {row['case']}: formula="
@@ -157,10 +196,30 @@ def _render_verify(env, out):
               f"{'all pass' if r['all_pass'] else 'FAILED'}\n")
 
 
-def _render_error(env, out):
-    err = env["error"]
-    out.write(f"error [{err['type']}]: {err['message']}\n")
+@_command("verify", "run a verification suite",
+          _arg("--suite", required=True, choices=suite_names()),
+          _arg("--max-n", type=int, default=None,
+               help="override the suite size cap"),
+          _arg("--count", type=int, default=None,
+               help="number of random cones (cones suite)"),
+          _arg("--seed", type=int, default=0),
+          _arg("--json", action="store_true"),
+          render=_render_verify)
+def _verify(args) -> dict:
+    checks = run_suite(args.suite, max_n=args.max_n, seed=args.seed,
+                       count=args.count)
+    failures = sum(1 for c in checks if not c.agrees)
+    return {
+        "suite": args.suite,
+        "caps": suite_caps(args.suite, args.max_n, args.count),
+        "rows": [verify_row_dict(args.suite, c) for c in checks],
+        "total": len(checks),
+        "failures": failures,
+        "all_pass": failures == 0,
+    }
 
+
+# --- parsing and dispatch -----------------------------------------------------
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,46 +233,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"contactres {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, orbit=False, parab=False):
-        if orbit:
-            p.add_argument("orbit", help='orbit label, e.g. "A3:2,1,1" or '
-                                         '"G2:dim8"')
-        if parab:
-            p.add_argument("parabolic",
-                           help='parabolic label, e.g. "A3:{1,3}"')
-        p.add_argument("--json", action="store_true",
-                       help="emit the JSON report instead of text")
-
-    p = sub.add_parser("classify", help="existence verdict and full report")
-    add_common(p, orbit=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the oracle cross-checks (default 0)")
-    p.add_argument("--no-oracles", action="store_true",
-                   help="skip the oracle cross-check block")
-
-    p = sub.add_parser("dim", help="orbit dimension and flags")
-    add_common(p, orbit=True)
-
-    p = sub.add_parser("polarizations", help="enumerate polarizations")
-    add_common(p, orbit=True)
-
-    p = sub.add_parser("chambers", help="movable-cone chamber complex")
-    add_common(p, orbit=True)
-
-    p = sub.add_parser("twistor", help="twistor-space predicate for a "
-                                       "parabolic")
-    add_common(p, parab=True)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=suite_names())
-    p.add_argument("--max-n", type=int, default=None,
-                   help="override the suite size cap")
-    p.add_argument("--count", type=int, default=None,
-                   help="number of random cones (cones suite)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-
+    for name, (summary, arguments, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -225,86 +248,37 @@ def _request_dict(args) -> dict:
     return req
 
 
-def _run_command(args, out) -> int:
-    request = _request_dict(args)
-    cmd = args.command
-
-    if cmd == "classify":
-        o = parse_orbit(args.orbit)
-        rep = contact_resolution_exists(o, seed=args.seed,
-                                        with_oracles=not args.no_oracles)
-        env = _envelope(cmd, request, resolution_report_dict(rep))
-        _emit(env, args.json, _render_classify, out)
-        return 0
-
-    if cmd == "dim":
-        rec = orbit_record(parse_orbit(args.orbit))
-        env = _envelope(cmd, request, {"orbit": orbit_record_dict(rec)})
-        _emit(env, args.json, _render_dim, out)
-        return 0
-
-    if cmd == "polarizations":
-        o = parse_orbit(args.orbit)
-        pols = polarizations(o)
-        env = _envelope(cmd, request, {
-            "orbit": orbit_record_dict(orbit_record(o)),
-            "polarizations": [polarization_dict(p) for p in pols],
-        })
-        _emit(env, args.json, _render_polarizations, out)
-        return 0
-
-    if cmd == "chambers":
-        o = parse_orbit(args.orbit)
-        cc = movable_chambers(o)
-        env = _envelope(cmd, request, {
-            "orbit": orbit_record_dict(orbit_record(o)),
-            "chamber_complex": chamber_complex_dict(cc),
-        })
-        _emit(env, args.json, _render_chambers, out)
-        return 0
-
-    if cmd == "twistor":
-        p = parse_parabolic(args.parabolic)
-        env = _envelope(cmd, request, {
-            "parabolic": str(p),
-            "marked_roots": list(p.marked),
-            "flag_dimension": flag_dimension(p),
-            "poincare_polynomial": list(poincare_polynomial(p)),
-            "is_twistor_space": is_twistor_space(p),
-        })
-        _emit(env, args.json, _render_twistor, out)
-        return 0
-
-    if cmd == "verify":
-        checks = run_suite(args.suite, max_n=args.max_n, seed=args.seed,
-                           count=args.count)
-        failures = sum(1 for c in checks if not c.agrees)
-        env = _envelope(cmd, request, {
-            "suite": args.suite,
-            "caps": suite_caps(args.suite, args.max_n, args.count),
-            "rows": [verify_row_dict(args.suite, c) for c in checks],
-            "total": len(checks),
-            "failures": failures,
-            "all_pass": failures == 0,
-        })
-        _emit(env, args.json, _render_verify, out)
-        return 0 if failures == 0 else 1
-
-    raise InternalInvariantError(f"unhandled command {cmd}")
+def _emit(args, out, key: str, payload: dict, render) -> None:
+    """Write one answer (``key`` is "result" or "error"): its JSON
+    envelope with ``--json``, else its text rendering."""
+    if not args.json:
+        render(payload, out)
+        return
+    env = {
+        "schema": SCHEMA_ID,
+        "artifact_version": __version__,
+        "table_version": table_version(),
+        "command": args.command,
+        "request": _request_dict(args),
+        key: payload,
+    }
+    out.write(json.dumps(env, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    """Build the command's result, then emit it: exit 1 on a domain error
+    or a failed verification row, else 0."""
+    args = _build_parser().parse_args(argv)
+    _, _, build, render = _COMMANDS[args.command]
     try:
-        return _run_command(args, out)
+        result = build(args)
+        _emit(args, sys.stdout, "result", result, render)
     except ContactresError as exc:
-        env = _envelope(args.command, _request_dict(args),
-                        error={"type": type(exc).__name__,
-                               "message": str(exc)})
-        _emit(env, args.json, _render_error, out)
+        _emit(args, sys.stdout, "error",
+              {"type": type(exc).__name__, "message": str(exc)},
+              _render_error)
         return 1
+    return 0 if result.get("all_pass", True) else 1
 
 
 if __name__ == "__main__":

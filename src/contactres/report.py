@@ -1,9 +1,9 @@
 """JSON-ready dictionaries for every answer object.
 
-One function per object; the CLI and the test suite both go through
-these, so text and JSON renderings can never drift apart. Everything
-returned is plain JSON types with deterministic key order left to the
-serializer.
+One function per object. The CLI builds every result from these, and
+its text output renders the same dictionaries its JSON output
+serializes, so the two can never drift apart. Everything returned is
+plain JSON types with deterministic key order left to the serializer.
 """
 
 from __future__ import annotations

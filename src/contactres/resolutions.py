@@ -15,7 +15,8 @@ The central facts this module operationalizes:
   G2; otherwise a contact resolution exists iff the affine closure has a
   symplectic resolution. In type A that is always the case and the
   polarizations are the distinct orderings of the dual partition,
-  enumerated in time linear in their number; outside type A
+  enumerated in time linear in their number, at most ``MAX_CHAMBERS``
+  of them (counted in closed form first); outside type A
   the answer comes from curated classification data and absent entries
   yield an honest Unknown.
 * The polarization set is decided here, once, by :func:`polarizations`.
@@ -31,6 +32,8 @@ The central facts this module operationalizes:
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -43,6 +46,7 @@ from .errors import (
     ContactresError,
     EmptyMarking,
     NoPolarization,
+    SizeCapExceeded,
     UnknownClassification,
     UnsupportedType,
     ZeroOrbit,
@@ -84,6 +88,11 @@ REASON_INDETERMINATE = "Indeterminate"
 NOTE_MINIMAL_NON_A = (
     "boundary case: the punctured affine closure is smooth, but the affine "
     "closure itself admits no symplectic resolution outside type A")
+
+# Most type-A polarizations (= chambers) enumerated for one orbit: 7!, the
+# count of the staircase A27:7,6,5,4,3,2,1, which still answers in seconds.
+# Time and report size grow with the count, so a larger one is refused.
+MAX_CHAMBERS = 5040
 
 
 def compositions_of(n: int):
@@ -146,13 +155,14 @@ def composition_richardson_partition(comp) -> tuple[int, ...]:
     return dual_partition(tuple(sorted(comp, reverse=True)))
 
 
-def richardson_partition(t: SimpleType, p: ParabolicType) -> OrbitLabel:
+def richardson_partition(p: ParabolicType) -> OrbitLabel:
     """Richardson orbit of a parabolic: the dense orbit in G . nilradical.
 
     Type A: :func:`composition_richardson_partition` of its composition.
     The analogous recipes for B/C/D involve partition collapses that no
     shipped data anchors, so they are refused rather than guessed.
     """
+    t = p.simple_type
     if t.family != "A":
         raise UnsupportedType(
             f"no Richardson recipe shipped for type {t.family}")
@@ -178,13 +188,28 @@ def _distinct_orderings(items):
         a[i + 1:] = reversed(a[i + 1:])
 
 
+def distinct_ordering_count(items) -> int:
+    """How many orderings :func:`_distinct_orderings` yields, in closed
+    form: m!/prod(mult!). On the dual partition of a type-A orbit this is
+    the number of its polarizations, and of its chambers."""
+    count = math.factorial(len(items))
+    for mult in Counter(items).values():
+        count //= math.factorial(mult)
+    return count
+
+
 def _type_a_polarizations(o: OrbitLabel) -> list[Polarization]:
+    dual = dual_partition(o.partition)
+    count = distinct_ordering_count(dual)
+    if count > MAX_CHAMBERS:
+        raise SizeCapExceeded(f"{o} has {count} polarizations, over the "
+                              f"cap of {MAX_CHAMBERS}")
     return [Polarization(
         parabolic=parabolic_from_composition(comp),
         richardson_orbit=o,
         springer_degree=1,  # Springer maps are birational in type A
         is_birational=True,
-    ) for comp in _distinct_orderings(dual_partition(o.partition))]
+    ) for comp in _distinct_orderings(dual)]
 
 
 def polarizations(o: OrbitLabel) -> list[Polarization]:
@@ -239,7 +264,7 @@ def equivalent_parabolics(p: ParabolicType) -> list[ParabolicType]:
     t = p.simple_type
     if t.family == "A":
         return [q.parabolic
-                for q in polarizations(richardson_partition(t, p))]
+                for q in polarizations(richardson_partition(p))]
     if p.marked == tuple(range(1, t.rank + 1)):
         return [p]
     raise UnknownClassification(

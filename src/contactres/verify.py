@@ -8,7 +8,6 @@ seed; row order is fixed by construction.
 
 from __future__ import annotations
 
-import math
 import random
 
 from . import oracle_lab
@@ -26,6 +25,7 @@ from .resolutions import (
     ad_rank_check,
     composition_richardson_partition,
     compositions_of,
+    distinct_ordering_count,
     fiber_check,
     kks_check,
     movable_chambers,
@@ -86,21 +86,11 @@ def _suite_fibers(seed, max_n):
             for n in range(1, max_n + 1) for comp in compositions_of(n)]
 
 
-def _expected_chamber_count(part) -> int:
-    dual = dual_partition(part)
-    mult: dict[int, int] = {}
-    for p in dual:
-        mult[p] = mult.get(p, 0) + 1
-    count = math.factorial(len(dual))
-    for m in mult.values():
-        count //= math.factorial(m)
-    return count
-
-
 def _suite_chambers(seed, max_n):
     rows = []
     for o in _type_a_orbits(max_n, nonzero=True):
-        expected = {"count": _expected_chamber_count(o.partition),
+        expected = {"count": distinct_ordering_count(
+                        dual_partition(o.partition)),
                     "connected": True, "degree_rule": True}
         cc = movable_chambers(o)
         degree_rule = all(

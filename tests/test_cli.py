@@ -72,6 +72,12 @@ class TestClassify:
         assert code == 1
         assert "ZeroOrbit" in out
 
+    def test_over_cap_orbit_is_domain_error(self, capsys, validator):
+        code, env = run_json(capsys, validator, "classify",
+                             "A35:8,7,6,5,4,3,2,1", "--no-oracles", "--json")
+        assert code == 1
+        assert env["error"]["type"] == "SizeCapExceeded"
+
     def test_no_oracles_flag(self, capsys, validator):
         code, env = run_json(capsys, validator, "classify", "A3:2,2",
                              "--json", "--no-oracles")
@@ -262,22 +268,51 @@ TOUR_DIGESTS = {
 }
 
 
-def readme_tour():
-    """The README's CLI tour, each command with ``--json``."""
+# sha256 of the text output of each README tour command, run without
+# ``--json``. Text bytes are not part of the schema, but a renderer change
+# that alters them must still be deliberate and update this table.
+TOUR_TEXT_DIGESTS = {
+    "classify A3:2,2":
+        "2332df8f809f5ca9519990e68aa6f91ec4d4c17492d20bb9cdd4f0b2a9b61f3a",
+    "classify A3:2,1,1":
+        "060ec7acc1f91951d31b436b2878f1d1ac8c6203706aab94021c110045afe34b",
+    "classify G2:dim8":
+        "16d97335c1e3c9fc6dbe234fe5fddf837e649e975ce52f52e8c502323bef3693",
+    "classify G2:dim10":
+        "ad0e3ec5c8e3d46ed99ae2e214b3fdf046bee9013da3ff4535f42f77b9ea5367",
+    "dim C3:2,2,1,1":
+        "5cde380844f4444edfa1a60e4a4456af27e0d5fb01d96ee687766eb95547be68",
+    "polarizations A5:3,2,1":
+        "1490cab7e66ac5d1956754b0da978f7c3ef04776e778e152d24a2ea06c38a95a",
+    "chambers A3:2,1,1":
+        "1357cd52a884ff6b6f287c1ae697ffd4fd064ed30081ae29148c1dd0c343d6fe",
+    "twistor 'A3:{1}'":
+        "8b2cf782270cc150ef8bc97150600ffad7a44ff631faa4dd21ce45774f653c6b",
+    "verify --suite ad-rank --max-n 5 --seed 7":
+        "fcb07eb945f9140ae68a50ac4727ce318c884aaf16ee5ce1d62dc336b9d76a63",
+    "verify --suite cones --count 100":
+        "ffeaa9e2278fd88b203eb8f00e0787b481cd8a1346866745c51d89beff87b0ef",
+}
+
+
+def readme_tour(as_json=True):
+    """The README's CLI tour, each command with ``--json`` (or, with
+    ``as_json=False``, each without it)."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI tour", 1)[1].split("```sh", 1)[1]
     tour = []
     for line in block.split("```", 1)[0].strip().splitlines():
-        argv = shlex.split(line.split("#", 1)[0])[1:]
-        if "--json" not in argv:
-            argv.append("--json")
-        tour.append(argv)
+        argv = [a for a in shlex.split(line.split("#", 1)[0])[1:]
+                if a != "--json"]
+        tour.append(argv + ["--json"] if as_json else argv)
     return tour
 
 
 class TestReadmeTour:
     def test_tour_is_pinned(self):
         assert [shlex.join(a) for a in readme_tour()] == list(TOUR_DIGESTS)
+        assert ([shlex.join(a) for a in readme_tour(as_json=False)]
+                == list(TOUR_TEXT_DIGESTS))
 
     @pytest.mark.parametrize("argv", readme_tour(), ids=shlex.join)
     def test_json_bytes_pinned(self, capsys, argv):
@@ -285,6 +320,14 @@ class TestReadmeTour:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == TOUR_DIGESTS[shlex.join(argv)]
+
+    @pytest.mark.parametrize("argv", readme_tour(as_json=False),
+                             ids=shlex.join)
+    def test_text_bytes_pinned(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == TOUR_TEXT_DIGESTS[shlex.join(argv)]
 
 
 class TestTextJsonConsistency:

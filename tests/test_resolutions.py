@@ -8,6 +8,7 @@ from contactres import resolutions
 from contactres.errors import (
     EmptyMarking,
     InvalidPartition,
+    SizeCapExceeded,
     UnknownClassification,
     UnsupportedType,
     ZeroOrbit,
@@ -32,6 +33,7 @@ from contactres.resolutions import (
     contact_resolution_exists,
     equivalent_parabolics,
     is_twistor_space,
+    movable_chambers,
     parabolic_from_composition,
     polarizations,
     richardson_partition,
@@ -63,21 +65,19 @@ class TestCompositions:
 
 class TestRichardson:
     def test_examples(self):
-        t = SimpleType("A", 3)
         assert richardson_partition(
-            t, parabolic_from_composition((1, 3))).partition == (2, 1, 1)
+            parabolic_from_composition((1, 3))).partition == (2, 1, 1)
         assert richardson_partition(
-            t, parabolic_from_composition((1, 1, 1, 1))).partition == (4,)
+            parabolic_from_composition((1, 1, 1, 1))).partition == (4,)
         assert richardson_partition(
-            t, parabolic_from_composition((2, 2))).partition == (2, 2)
+            parabolic_from_composition((2, 2))).partition == (2, 2)
 
     def test_round_trip_law(self):
         for n in range(2, 7):
-            t = SimpleType("A", n - 1)
             for comp in compositions_of(n):
                 if len(comp) == 1:
                     continue
-                orbit = richardson_partition(t, parabolic_from_composition(comp))
+                orbit = richardson_partition(parabolic_from_composition(comp))
                 expected = dual_partition(tuple(sorted(comp, reverse=True)))
                 assert orbit.partition == expected
                 assert comp in [q.composition for q in polarizations(orbit)]
@@ -85,7 +85,7 @@ class TestRichardson:
     def test_unsupported_types(self):
         for t in [SimpleType("B", 2), SimpleType("C", 3), SimpleType("G", 2)]:
             with pytest.raises(UnsupportedType):
-                richardson_partition(t, parabolic(t, (1,)))
+                richardson_partition(parabolic(t, (1,)))
 
 
 class TestPolarizations:
@@ -104,6 +104,8 @@ class TestPolarizations:
                     continue
                 o = validate_orbit(t, part)
                 assert len(polarizations(o)) == multinomial_of_dual(part)
+                assert resolutions.distinct_ordering_count(
+                    dual_partition(part)) == multinomial_of_dual(part)
 
     def test_dimension_match_invariant(self):
         for n in range(2, 7):
@@ -141,6 +143,33 @@ class TestPolarizations:
     def test_zero_orbit(self):
         with pytest.raises(ZeroOrbit):
             polarizations(parse_orbit("A3:1,1,1,1"))
+
+    def test_over_cap_refused_before_enumeration(self, monkeypatch):
+        def refuse(items):
+            raise AssertionError("an over-cap orbit was enumerated")
+        monkeypatch.setattr(resolutions, "_distinct_orderings", refuse)
+        o = parse_orbit("A35:8,7,6,5,4,3,2,1")     # 8! orderings
+        for answer in (polarizations, movable_chambers,
+                       contact_resolution_exists):
+            with pytest.raises(SizeCapExceeded):
+                answer(o)
+
+    def test_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(resolutions, "MAX_CHAMBERS", 6)
+        assert len(polarizations(parse_orbit("A5:3,2,1"))) == 6
+        with pytest.raises(SizeCapExceeded):
+            polarizations(parse_orbit("A9:4,3,2,1"))   # 4! orderings
+
+    def test_cap_admits_the_seven_step_staircase(self, monkeypatch):
+        staircase = (7, 6, 5, 4, 3, 2, 1)
+        assert dual_partition(staircase) == staircase
+        assert resolutions.distinct_ordering_count(staircase) \
+            == resolutions.MAX_CHAMBERS == math.factorial(7)
+        walked = []
+        monkeypatch.setattr(resolutions, "_distinct_orderings",
+                            lambda items: walked.append(items) or ())
+        assert polarizations(parse_orbit("A27:7,6,5,4,3,2,1")) == []
+        assert walked == [staircase]
 
     def test_non_a_minimal_is_definitively_empty(self):
         assert polarizations(parse_orbit("B3:2,2,1,1,1")) == []

@@ -3,7 +3,6 @@ import pytest
 from contactres import verify
 from contactres.cones import RationalCone, cone_from_generators
 from contactres.errors import UnknownSuite
-from contactres.lie_core import SimpleType
 from contactres.resolutions import (
     compositions_of,
     parabolic_from_composition,
@@ -30,8 +29,7 @@ def test_richardson_rows_check_the_shipped_recipe(monkeypatch):
     comps = [comp for n in range(2, 5) for comp in compositions_of(n)]
     assert len(rows) == 1 + len(comps)    # n = 1 has no parabolic
     for row, comp in zip(rows[1:], comps):
-        t = SimpleType("A", sum(comp) - 1)
-        orbit = richardson_partition(t, parabolic_from_composition(comp))
+        orbit = richardson_partition(parabolic_from_composition(comp))
         assert row.formula_value == list(orbit.partition)
     # a wrong recipe (the composition itself, sorted) must fail the suite
     monkeypatch.setattr(verify, "composition_richardson_partition",
