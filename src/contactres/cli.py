@@ -126,6 +126,17 @@ def _command(name, summary, *arguments, render=_render_report):
     return declare
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of a size cap: a negative cap would pass vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {value}")
+    return value
+
+
 _ORBIT = _arg("orbit", help='orbit label, e.g. "A3:2,1,1" or "G2:dim8"')
 _JSON = _arg("--json", action="store_true",
              help="emit the JSON report instead of text")
@@ -198,9 +209,9 @@ def _render_verify(r: dict, out) -> None:
 
 @_command("verify", "run a verification suite",
           _arg("--suite", required=True, choices=suite_names()),
-          _arg("--max-n", type=int, default=None,
+          _arg("--max-n", type=_non_negative_int, default=None,
                help="override the suite size cap"),
-          _arg("--count", type=int, default=None,
+          _arg("--count", type=_non_negative_int, default=None,
                help="number of random cones (cones suite)"),
           _arg("--seed", type=int, default=0),
           _arg("--json", action="store_true"),

@@ -3,10 +3,11 @@
 Cones are stored by canonical generators: the extreme rays of the pointed
 part (primitive integer vectors, sorted) plus a +/- pair for each vector
 of the reduced-echelon lineality basis. Canonicalization and duality both
-go through one naive double-description pass: candidate rays are
-nullspaces of (d-1)-subsets of the constraint rows, kept when they clear
-every constraint. That is quadratic-ish and entirely adequate at desk
-scale; the ambient dimension is capped accordingly.
+go through one polar pass, incremental double description (Motzkin's
+method; Fukuda and Prodon, 1996): the constraints are added one at a
+time, and two rays are combined only when they are adjacent, which is
+read off bitmasks of the constraints each ray makes zero. A cone at the
+ambient dimension cap takes a fraction of a second.
 
 The ample cone of a parabolic is the coordinate orthant and is built in
 closed form. This module answers questions about cones only; which
@@ -16,7 +17,6 @@ chambers the movable cone has is decided in ``resolutions``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import DimensionMismatch, EmptyMarking, SizeCapExceeded, invariant
 from .lie_core import ParabolicType
@@ -37,38 +37,53 @@ def _canonical_lineality(basis_rows):
     return tuple(map(tuple, rref(basis_rows)[0]))
 
 
+def _cancel(a, u, v):
+    """Primitive (a.u) v - (a.v) u: a vanishes on it; a.u > 0 keeps v's side."""
+    su, sv = dot(a, u), dot(a, v)
+    return primitive([su * x - sv * y for x, y in zip(v, u)])
+
+
 def _polar_rays(constraints, dim):
     """Generators of {y : <c, y> >= 0 for all c}: (extreme rays, lineality).
 
-    The pointed part is taken inside the orthogonal complement of the
-    lineality, which makes the answer canonical.
+    The pointed part is taken inside W, the row space of the constraints
+    (the orthogonal complement of the lineality), which makes the answer
+    canonical. The cone starts as all of W, with W's RREF rows as its
+    lineality, and takes the constraints one at a time.
     """
     constraints = [primitive(c) for c in constraints]
     constraints = [c for c in constraints if any(c)]
-    lineality = _canonical_lineality(_nullspace_rows(constraints, dim))
-    rows = list(dict.fromkeys(constraints))
-    for vec in lineality:
-        rows.append(vec)
-        rows.append(tuple(-x for x in vec))
-    rays = set()
-    if dim == 1:
-        candidates = [(1,)]
-    else:
-        candidates = []
-        for subset in combinations(range(len(rows)), dim - 1):
-            sub = [rows[i] for i in subset]
-            kernel = _nullspace_rows(sub, dim)
-            if len(kernel) == 1:
-                candidates.append(kernel[0])
-    for cand in candidates:
-        signs = [dot(row, cand) for row in rows]
-        if all(s == 0 for s in signs):
-            continue  # lineality direction, carried separately
-        if all(s >= 0 for s in signs):
-            rays.add(primitive(cand))
-        elif all(s <= 0 for s in signs):
-            rays.add(primitive([-x for x in cand]))
-    return tuple(sorted(rays)), lineality
+    lin = [tuple(row) for row in rref(constraints)[0]]
+    lineality = _canonical_lineality(_nullspace_rows(lin, dim))
+    rays = []  # (ray, bitmask of the constraints added so far it makes zero)
+    for k, a in enumerate(dict.fromkeys(constraints)):
+        bit = 1 << k
+        i = next((i for i, v in enumerate(lin) if dot(a, v)), None)
+        if i is not None:
+            # a cuts the lineality: w becomes a ray, and the rest moves
+            # along w onto the hyperplane a = 0
+            w = lin.pop(i)
+            if dot(a, w) < 0:
+                w = tuple(-x for x in w)
+            lin = [_cancel(a, w, v) for v in lin]
+            rays = [(_cancel(a, w, r), z | bit) for r, z in rays]
+            rays.append((w, bit - 1))
+            continue
+        signed = [(r, z, dot(a, r)) for r, z in rays]
+        rays = [(r, z | bit if s == 0 else z) for r, z, s in signed if s >= 0]
+        for p, zp, sp in signed:
+            if sp <= 0:
+                continue
+            for n, zn, sn in signed:
+                if sn >= 0:
+                    continue
+                common = zp & zn
+                if any(m & common == common and m != zp and m != zn
+                       for _, m, _ in signed):
+                    continue  # not adjacent: the edge is not a face
+                rays.append((_cancel(a, p, n), common | bit))
+    invariant(not lin, "no lineality may remain inside the row space")
+    return tuple(sorted(r for r, _ in rays)), lineality
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,17 @@ class TestVerifyCommand:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "ad-rank", "--max-n", "-3"),
+        ("--suite", "cones", "--count", "-1"),
+    ])
+    def test_negative_cap_is_usage_error(self, capsys, argv):
+        # a negative cap used to run zero cases and report "all pass"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,14 +12,52 @@ from contactres.errors import (
     ZeroOrbit,
 )
 from contactres.cones import (
+    MAX_AMBIENT_DIM,
     RationalCone,
+    _polar_rays,
     ample_cone,
     cone_from_generators,
     dual_cone,
 )
 from contactres.lie_core import SimpleType, parabolic, parse_parabolic
 from contactres.orbits import parse_orbit, partitions_of, validate_orbit
+from contactres.ratlinalg import dot, nullspace, primitive, rref
 from contactres.resolutions import movable_chambers
+
+
+def reference_polar_rays(constraints, dim):
+    """The naive polar pass, kept as the oracle for ``cones._polar_rays``.
+
+    Candidate rays are nullspaces of (d-1)-subsets of the constraint rows
+    and of the +/- lineality vectors, kept when they clear every row.
+    """
+    constraints = [primitive(c) for c in constraints]
+    constraints = [c for c in constraints if any(c)]
+    identity = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    kernel = nullspace(constraints) if constraints else identity
+    lineality = tuple(map(tuple, rref(kernel)[0]))
+    rows = list(dict.fromkeys(constraints))
+    for vec in lineality:
+        rows.append(vec)
+        rows.append(tuple(-x for x in vec))
+    if dim == 1:
+        candidates = [(1,)]
+    else:
+        candidates = []
+        for subset in combinations(rows, dim - 1):
+            kernel = nullspace(list(subset))
+            if len(kernel) == 1:
+                candidates.append(kernel[0])
+    rays = set()
+    for cand in candidates:
+        signs = [dot(row, cand) for row in rows]
+        if all(s == 0 for s in signs):
+            continue  # lineality direction, carried separately
+        if all(s >= 0 for s in signs):
+            rays.add(primitive(cand))
+        elif all(s <= 0 for s in signs):
+            rays.add(primitive([-x for x in cand]))
+    return tuple(sorted(rays)), lineality
 
 
 class TestCanonicalForm:
@@ -111,6 +150,61 @@ class TestDuality:
         assert not c.contains((0, 1)) and not c.contains((-1, 0))
 
 
+class TestReferencePolarRays:
+    """Incremental double description against the subset enumeration."""
+
+    @staticmethod
+    def seeded_inputs():
+        rng = random.Random("test-polar")
+        yield from ((dim, []) for dim in range(1, 6))
+        yield 3, [(0, 0, 0), (0, 0, 0)]
+        for _ in range(400):
+            dim = rng.randint(1, 5)
+            bound = rng.choice([1, 1, 2, 4])
+            rows = [tuple(rng.randint(-bound, bound) for _ in range(dim))
+                    for _ in range(rng.randint(1, dim + 3))]
+            if rng.random() < 0.3:
+                rows.append(tuple([0] * dim))
+            if rng.random() < 0.3:
+                rows.append(rows[0])  # duplicate
+            if rng.random() < 0.3:
+                rows.append(tuple(3 * x for x in rows[0]))  # same direction
+            if rng.random() < 0.3:
+                rows.append(tuple(-x for x in rows[-1]))  # opposite pair
+            if rng.random() < 0.3 and dim > 1:
+                # rank-deficient: every row has a zero last coordinate
+                rows = [r[:-1] + (0,) for r in rows]
+            yield dim, rows
+
+    def test_matches_reference(self):
+        for dim, rows in self.seeded_inputs():
+            assert _polar_rays(rows, dim) == reference_polar_rays(rows, dim)
+
+    def test_examples(self):
+        # the orthant, a half-plane and the whole space
+        assert _polar_rays([(1, 0), (0, 1)], 2) == (((0, 1), (1, 0)), ())
+        assert _polar_rays([(1, 0)], 2) == (((1, 0),), ((0, 1),))
+        assert _polar_rays([], 2) == ((), ((1, 0), (0, 1)))
+        assert _polar_rays([(1,), (-1,)], 1) == ((), ())
+
+
+class TestCapDimensions:
+    """Cones at and just below MAX_AMBIENT_DIM finish and round-trip."""
+
+    @pytest.mark.parametrize("dim", [7, MAX_AMBIENT_DIM])
+    def test_round_trip_at_cap(self, dim):
+        rng = random.Random(f"test-dd-cap-{dim}")
+        # one generic cone and one pointed cone (first coordinate positive)
+        for low in (-5, 1):
+            gens = [tuple(rng.randint(low if i == 0 else -5, 5)
+                          for i in range(dim)) for _ in range(dim + 3)]
+            c = cone_from_generators(dim, gens)
+            assert dual_cone(cone_from_generators(dim, c.facet_normals)) == c
+            assert dual_cone(dual_cone(c)) == c
+            assert all(c.contains(g) for g in gens)
+        assert c.is_pointed and len(c.extreme_rays) > dim
+
+
 class TestRoundTripSeeded:
     def test_seeded_random_cones(self):
         rng = random.Random("test-dd")
@@ -146,6 +240,7 @@ class TestRoundTripSeeded:
         assert cone_from_generators(dim, c.generators) == c
         for g in gens:
             assert c.contains(g)
+        assert _polar_rays(gens, dim) == reference_polar_rays(gens, dim)
 
 
 class TestAmpleCone:
