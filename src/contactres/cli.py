@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import __version__
@@ -26,6 +25,7 @@ from .report import (
     orbit_record_dict,
     polarization_dict,
     resolution_report_dict,
+    to_json,
     verify_row_dict,
 )
 from .resolutions import (
@@ -273,7 +273,7 @@ def _emit(args, out, key: str, payload: dict, render) -> None:
         "request": _request_dict(args),
         key: payload,
     }
-    out.write(json.dumps(env, indent=2, sort_keys=True) + "\n")
+    out.write(to_json(env) + "\n")
 
 
 def main(argv=None) -> int:

@@ -38,12 +38,12 @@ from .errors import (
 )
 from .ratlinalg import (
     adjugate,
-    independent_columns,
     mat_mul,
     mat_vec,
     nullspace,
     rank,
     rref,
+    rref_kernel,
     solve,
 )
 
@@ -225,16 +225,19 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     if m.is_zero:
         raise ZeroElement("contact check needs a nonzero nilpotent")
     images = _ad_images(m)
-    cols = list(zip(*images))
-    pivots = independent_columns(cols)
+    # one elimination of [ad_e | vec(e)]: its pivots index a tangent basis,
+    # its kernel is the centralizer, its last column the Euler coordinates
+    ncols = len(images)
+    red, pivots = rref([list(col) + [x]
+                        for col, x in zip(zip(*images), _vec(m.e))])
+    invariant(ncols not in pivots, "e must lie in the image of ad_e")
     d = len(pivots)
 
     # well-definedness: the trace functional kills the centralizer
-    for z in nullspace(cols):
+    for z in rref_kernel(red, pivots, ncols):
         invariant(trace_product(m.e, _combine(m.basis_g, z)) == 0,
                   "trace form fails to vanish on the centralizer")
 
-    tangent = [images[j] for j in pivots]
     preimages = [m.basis_g[j] for j in pivots]
     theta = [trace_product(m.e, x) for x in preimages]
     kernel = nullspace([theta])  # coords in the tangent basis
@@ -244,11 +247,10 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     brackets = [bracket(m.e, x) for x in reps]
     omega = [[trace_product(brackets[a], reps[b]) for b in range(k)]
              for a in range(k)]
-    omega_rank = rank(omega)
-
     radical = nullspace(omega)
-    euler = solve(list(zip(*tangent)), _vec(m.e))
-    invariant(euler is not None, "e must lie in the image of ad_e")
+    omega_rank = k - len(radical)
+
+    euler = [Fraction(row[ncols], row[p]) for row, p in zip(red, pivots)]
     invariant(sum(t * c for t, c in zip(theta, euler)) == 0,
               "theta must vanish on the Euler direction")
     euler_in_kernel = solve(list(zip(*kernel)), euler)

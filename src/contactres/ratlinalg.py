@@ -82,11 +82,6 @@ def rank(rows) -> int:
     return len(_eliminate(rows, reduce=False)[1])
 
 
-def independent_columns(rows) -> list[int]:
-    """Pivot columns of A: indices of a maximal independent column set."""
-    return _eliminate(rows, reduce=False)[1]
-
-
 def rref(rows) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form as (nonzero rows, pivot columns), each row
     scaled to a primitive integer vector with a positive pivot."""
@@ -103,8 +98,14 @@ def nullspace(rows) -> list[tuple[int, ...]]:
     column, in RREF order, each positive in its free column."""
     if not rows:
         return []
-    ncols = len(rows[0])
     red, pivots = rref(rows)
+    return rref_kernel(red, pivots, len(rows[0]))
+
+
+def rref_kernel(red, pivots, ncols) -> list[tuple[int, ...]]:
+    """``nullspace`` of the first ``ncols`` columns, read off ``rref``'s
+    output ``(red, pivots)``; columns past ``ncols``, such as an
+    augmented right-hand side, are ignored."""
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         used = [(row, p) for row, p in zip(red, pivots) if row[f]]

@@ -3,10 +3,18 @@
 One function per object. The CLI builds every result from these, and
 its text output renders the same dictionaries its JSON output
 serializes, so the two can never drift apart. Everything returned is
-plain JSON types with deterministic key order left to the serializer.
+plain JSON types: dicts with ``str`` keys, lists, tuples, ``str``,
+``int``, ``bool`` and ``None``.
+
+``to_json`` is the one serializer. Its output is, byte for byte, that of
+``json.dumps(obj, indent=2, sort_keys=True)``: keys sorted, two-space
+indent, ASCII-escaped strings. It refuses floats (a report is exact) and
+every other type with ``TypeError``.
 """
 
 from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cones import RationalCone
 from .orbits import OrbitRecord
@@ -122,3 +130,60 @@ def resolution_report_dict(r: ResolutionReport) -> dict:
         "oracle_checks": [oracle_check_dict(c) for c in r.oracle_checks],
         "notes": list(r.notes),
     }
+
+
+# --- serialization ----------------------------------------------------------
+
+
+def to_json(obj) -> str:
+    """``obj`` as indented JSON with sorted keys; see the module doc."""
+    chunks: list[str] = []
+    _encode(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _encode(obj, newline: str, out) -> None:
+    """Append ``obj`` to ``out``; ``newline`` is the line break plus the
+    indent of the line the value starts on."""
+    kind = type(obj)
+    if kind is str:
+        out(_quote(obj))
+    elif kind is int:
+        out(int.__repr__(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if all([type(x) is int for x in obj]):
+            out("[" + inner + sep.join(map(int.__repr__, obj)) + newline + "]")
+            return
+        lead = "[" + inner
+        for item in obj:
+            out(lead)
+            lead = sep
+            _encode(item, inner, out)
+        out(newline + "]")
+    elif kind is dict:
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        lead = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a str")
+            out(lead + _quote(key) + ": ")
+            lead = sep
+            _encode(obj[key], inner, out)
+        out(newline + "}")
+    else:
+        raise TypeError(f"{kind.__name__} is not a report type")

@@ -341,6 +341,28 @@ class TestReadmeTour:
         assert digest == TOUR_TEXT_DIGESTS[shlex.join(argv)]
 
 
+class TestEncoderOnRealDocuments:
+    """The envelope each command hands to ``to_json``, encoded by the
+    stdlib, gives the bytes the CLI printed; ``TOUR_DIGESTS`` pins those
+    bytes only for the tour, and only until its next deliberate update."""
+
+    @pytest.mark.parametrize("argv", readme_tour() + [
+        ["chambers", "A14:5,4,3,2,1", "--json"],
+        ["verify", "--suite", "contact", "--json"],
+    ], ids=shlex.join)
+    def test_stdlib_bytes(self, capsys, monkeypatch, argv):
+        envelopes, encode = [], cli.to_json
+
+        def spy(obj):
+            envelopes.append(obj)
+            return encode(obj)
+
+        monkeypatch.setattr(cli, "to_json", spy)
+        _, out = run(capsys, *argv)
+        [env] = envelopes
+        assert out == json.dumps(env, indent=2, sort_keys=True) + "\n"
+
+
 class TestTextJsonConsistency:
     @pytest.mark.parametrize("orbit", ["A3:2,1,1", "A3:2,2", "G2:dim8",
                                        "A5:3,2,1"])

@@ -24,6 +24,19 @@ def test_package_has_no_assert_statements():
         assert lines == [], f"{path.name}: assert statements on lines {lines}"
 
 
+def test_one_serializer():
+    """Reports go through ``report.to_json``; no second path via the stdlib."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr == "dumps"
+                 and isinstance(n.value, ast.Name) and n.value.id == "json"]
+        calls += [n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) and n.module == "json"
+                  and any(a.name == "dumps" for a in n.names)]
+        assert calls == [], f"{path.name}: json.dumps on lines {calls}"
+
+
 def package_imports() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at any depth in the file
     (function-level imports included). ``__init__`` is left out: it

@@ -144,6 +144,20 @@ class TestContactCheck:
                     assert res.dim_orbit == d
                     assert res.is_contact
 
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        # [ad_e | vec(e)], theta, omega, the Euler solve, the parallel test
+        from contactres import ratlinalg
+        model = random_conjugate(jordan_nilpotent((3, 2)), 5)
+        eliminate, calls = ratlinalg._eliminate, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(ratlinalg, "_eliminate", counting)
+        assert contact_check(model).is_contact
+        assert len(calls) <= 5
+
     def test_scaling_acts_linearly_on_theta_and_fixes_ranks(self):
         base = jordan_nilpotent((2, 1))
         for t in (F(3, 7), F(-2), F(5, 2)):
