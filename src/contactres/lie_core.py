@@ -19,8 +19,11 @@ applied as sparse in-place steps, never as dense polynomial products.
 This needs only the positive roots, never an enumeration of W; the test
 suite enumerates W at small rank as an independent cross-check.
 
-A parabolic is a (simple type, marking) value. Its nilradical roots are
-cached once per parabolic; the package's errors are the only import.
+A parabolic is a (simple type, marking) value. Its flag dimension counts
+the positive roots whose support bitmask meets the marking's; the masks
+are built once per root system, on first use. The nilradical roots that
+the Poincare polynomial and the twistor test need are cached once per
+parabolic. The package's errors are the only import.
 """
 
 from __future__ import annotations
@@ -239,15 +242,25 @@ def _nilradical_roots(p: ParabolicType) -> tuple[tuple[int, ...], ...]:
                   if any(r[i] for i in marked0)])
 
 
+@lru_cache(maxsize=None)
+def _support_masks(t: SimpleType) -> tuple[int, ...]:
+    """Each positive root's support as a bitmask: bit i - 1 is set when
+    the root has a nonzero coefficient on simple root i."""
+    return tuple([sum([1 << i for i, c in enumerate(r) if c])
+                  for r in build_root_system(t).positive_roots])
+
+
 def flag_dimension(p: ParabolicType) -> int:
     """dim G/P = number of positive roots in the nilradical of P.
 
     Those are exactly the positive roots with a nonzero coefficient on
-    some marked simple root.
+    some marked simple root: the roots whose support mask meets the
+    marking's mask. Nothing is cached per parabolic.
     """
     if not p.marked:
         raise EmptyMarking("flag dimension needs a proper parabolic")
-    return len(_nilradical_roots(p))
+    marked = sum([1 << (i - 1) for i in p.marked])
+    return sum([1 for mask in _support_masks(p.simple_type) if mask & marked])
 
 
 # --- Poincare polynomials ---------------------------------------------------

@@ -9,6 +9,17 @@ g e adj(g) = det(g) g e g^-1 rather than g e g^-1: a nonzero multiple
 of a conjugate has the same rank, kernel and Jordan type, and stays an
 integer matrix.
 
+Every basis element of sl_n (E_ij, or H_i = E_ii - E_{i+1,i+1}) has at
+most two nonzero entries, and the oracles read the trace form and ad_e
+through that support, a list of (i, j, x) entries. An entry x of b at
+(i, j) makes [e, b] one column and one row update of e: x times column i
+of e added to column j, and x times row j of e taken from row i. It
+makes tr(X b) the single term x X[j][i]. The forms restricted to a
+subspace are then sums over the supports of its spanning vectors. These
+are the same rationals the dense products gave, so every matrix handed to
+``ratlinalg`` is the same matrix, entry for entry, and no rank, kernel or
+radical can change.
+
 Models are integer matrices: the basis, the Jordan forms, the nilradical
 samples and the conjugates are built from ints, and every product stays
 integral. Fractions appear only where an entry really is rational, as in
@@ -44,7 +55,6 @@ from .ratlinalg import (
     rank,
     rref,
     rref_kernel,
-    solve,
 )
 
 ADDIM_SIZE_CAP = 8   # ad_e acts on an (n^2-1)-dim space; keep desk scale
@@ -67,17 +77,6 @@ def _exact(x):
 
 def _freeze(rows) -> Matrix:
     return tuple([tuple([_exact(x) for x in row]) for row in rows])
-
-
-def bracket(a: Matrix, b: Matrix) -> Matrix:
-    ab, ba = mat_mul(a, b), mat_mul(b, a)
-    return tuple([tuple([x - y for x, y in zip(r1, r2)])
-                  for r1, r2 in zip(ab, ba)])
-
-
-def trace_product(a: Matrix, b: Matrix):
-    """tr(ab): the invariant form used in place of the Killing form."""
-    return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a)))
 
 
 def _vec(m: Matrix) -> tuple:
@@ -152,13 +151,40 @@ def jordan_nilpotent(part, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
     return matrix_model(rows, size_cap=size_cap)
 
 
-def _ad_images(m: MatrixModel):
-    return [_vec(bracket(m.e, b)) for b in m.basis_g]
+def _supports(basis) -> list[list[tuple]]:
+    """The nonzero entries (i, j, x) of each basis matrix."""
+    return [[(i, j, x) for i, row in enumerate(b) for j, x in enumerate(row)
+             if x] for b in basis]
+
+
+def _ad_images(e: Matrix, supports) -> list[list]:
+    """vec([e, b]) for each basis support: an entry x of b at (i, j) adds
+    x * (column i of e) to column j and takes x * (row j of e) from row i."""
+    n = len(e)
+    cols = [[(r, e[r][i]) for r in range(n) if e[r][i]] for i in range(n)]
+    rows = [[(s, y) for s, y in enumerate(e[j]) if y] for j in range(n)]
+    images = []
+    for sup in supports:
+        img = [0] * (n * n)
+        for i, j, x in sup:
+            for r, y in cols[i]:
+                img[r * n + j] += x * y
+            for s, y in rows[j]:
+                img[i * n + s] -= x * y
+        images.append(img)
+    return images
+
+
+def _traces(vecs, supports, n: int) -> list[list]:
+    """tr(X b) for each vec(X) in ``vecs`` (rows) and each basis support
+    (columns): an entry x of b at (i, j) meets X at (j, i)."""
+    at = [[(j * n + i, x) for i, j, x in sup] for sup in supports]
+    return [[sum([x * v[q] for q, x in sup]) for sup in at] for v in vecs]
 
 
 def addim(m: MatrixModel) -> int:
     """dim O = rank of ad_e on the trace-zero matrices."""
-    return rank(_ad_images(m))
+    return rank(_ad_images(m.e, _supports(m.basis_g)))
 
 
 def jordan_type(e: Matrix) -> tuple[int, ...]:
@@ -188,11 +214,13 @@ def kks_rank(m: MatrixModel) -> int:
     Its radical is the centralizer of e, so the rank recomputes dim O by a
     route independent of ad-rank.
     """
-    brackets = [bracket(m.e, b) for b in m.basis_g]
-    k = len(m.basis_g)
-    form = [[trace_product(brackets[a], m.basis_g[b]) for b in range(k)]
-            for a in range(k)]
-    return rank(form)
+    return rank(_kks_form(m))
+
+
+def _kks_form(m: MatrixModel) -> list[list]:
+    """Gram matrix tr([e, b_a] b_b) = tr(e [b_a, b_b]) over the basis."""
+    supports = _supports(m.basis_g)
+    return _traces(_ad_images(m.e, supports), supports, m.n)
 
 
 @dataclass(frozen=True)
@@ -224,40 +252,53 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     """
     if m.is_zero:
         raise ZeroElement("contact check needs a nonzero nilpotent")
-    images = _ad_images(m)
+    supports = _supports(m.basis_g)
+    images = _ad_images(m.e, supports)
+    vec_e = _vec(m.e)
     # one elimination of [ad_e | vec(e)]: its pivots index a tangent basis,
     # its kernel is the centralizer, its last column the Euler coordinates
     ncols = len(images)
     red, pivots = rref([list(col) + [x]
-                        for col, x in zip(zip(*images), _vec(m.e))])
+                        for col, x in zip(zip(*images), vec_e)])
     invariant(ncols not in pivots, "e must lie in the image of ad_e")
     d = len(pivots)
 
-    # well-definedness: the trace functional kills the centralizer
+    # theta on the whole basis, tr(e b_j); well-definedness: it vanishes
+    # on the centralizer
+    theta_all = _traces([vec_e], supports, m.n)[0]
     for z in rref_kernel(red, pivots, ncols):
-        invariant(trace_product(m.e, _combine(m.basis_g, z)) == 0,
+        invariant(sum([c * t for c, t in zip(z, theta_all) if c]) == 0,
                   "trace form fails to vanish on the centralizer")
 
-    preimages = [m.basis_g[j] for j in pivots]
-    theta = [trace_product(m.e, x) for x in preimages]
-    kernel = nullspace([theta])  # coords in the tangent basis
+    theta = [theta_all[j] for j in pivots]
+    red_t, pivots_t = rref([theta])
+    kernel = rref_kernel(red_t, pivots_t, d)  # coords in the tangent basis
+    free = [f for f in range(d) if f not in pivots_t]
     k = len(kernel)
 
-    reps = [_combine(preimages, f) for f in kernel]
-    brackets = [bracket(m.e, x) for x in reps]
-    omega = [[trace_product(brackets[a], reps[b]) for b in range(k)]
-             for a in range(k)]
+    # omega(f_a, f_b) = f_a^T omega_P f_b, with omega_P the Gram matrix
+    # tr([e, P_i] P_j) of the tangent preimages; each f has <= 2 entries
+    omega_p = _traces([images[j] for j in pivots],
+                      [supports[j] for j in pivots], m.n)
+    sparse = [[(i, c) for i, c in enumerate(f) if c] for f in kernel]
+    omega = [[sum([c * x * omega_p[i][j] for i, c in fa for j, x in fb])
+              for fb in sparse] for fa in sparse]
     radical = nullspace(omega)
     omega_rank = k - len(radical)
 
     euler = [Fraction(row[ncols], row[p]) for row, p in zip(red, pivots)]
     invariant(sum(t * c for t, c in zip(theta, euler)) == 0,
               "theta must vanish on the Euler direction")
-    euler_in_kernel = solve(list(zip(*kernel)), euler)
+    # the kernel vector of free column f is the only one nonzero there
+    coords = [euler[f] / v[f] for f, v in zip(free, kernel)]
+    combo = [0] * d
+    for c, fa in zip(coords, sparse):
+        for i, x in fa:
+            combo[i] += c * x
     radical_is_euler = (
         len(radical) == 1
-        and euler_in_kernel is not None
-        and _parallel(radical[0], euler_in_kernel))
+        and combo == euler
+        and _parallel(radical[0], coords))
 
     return ContactCheckResult(
         dim_orbit=d,
@@ -265,17 +306,6 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
         omega_rank_on_kernel=omega_rank,
         radical_is_euler_line=radical_is_euler,
     )
-
-
-def _combine(mats, coeffs) -> Matrix:
-    n = len(mats[0])
-    out = _zeros(n)
-    for c, mat in zip(coeffs, mats):
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * mat[i][j]
-    return _freeze(out)
 
 
 def _parallel(u, v) -> bool:

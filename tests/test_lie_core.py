@@ -155,9 +155,12 @@ class TestFlagDimension:
                                if any(r[i - 1] for i in marks))
                 for _ in range(2):
                     assert flag_dimension(parabolic(t, marks)) == uncached
-        hits = lie_core._nilradical_roots.cache_info().hits
+        # one support-mask tuple per root system, nothing per parabolic
+        roots_before = lie_core._nilradical_roots.cache_info()
+        hits = lie_core._support_masks.cache_info().hits
         flag_dimension(parabolic(SimpleType("A", 3), (1,)))
-        assert lie_core._nilradical_roots.cache_info().hits == hits + 1
+        assert lie_core._support_masks.cache_info().hits == hits + 1
+        assert lie_core._nilradical_roots.cache_info() == roots_before
         with pytest.raises(EmptyMarking):
             flag_dimension(parabolic(SimpleType("A", 3), ()))
 

@@ -7,7 +7,15 @@ from contactres.errors import (
     SizeCapExceeded,
     ZeroElement,
 )
+from contactres.lie_core import SimpleType
 from contactres.oracle_lab import (
+    ADDIM_SIZE_CAP,
+    ContactCheckResult,
+    _ad_images,
+    _kks_form,
+    _parallel,
+    _supports,
+    _vec,
     addim,
     contact_check,
     generic_fiber_count,
@@ -20,13 +28,71 @@ from contactres.oracle_lab import (
     random_conjugate,
     scale_model,
     sl_basis,
-    trace_product,
     trial_seeds,
 )
-from contactres.orbits import dual_partition, partitions_of
+from contactres.orbits import (
+    dual_partition,
+    orbit_dimension,
+    partitions_of,
+    validate_orbit,
+)
+from contactres.ratlinalg import mat_mul, nullspace, rank, rref, solve
 from contactres.resolutions import compositions_of
 
 F = Fraction
+
+
+# --- the dense path, kept as the reference for the support-based oracles ---
+
+def bracket(a, b):
+    ab, ba = mat_mul(a, b), mat_mul(b, a)
+    return tuple([tuple([x - y for x, y in zip(r1, r2)])
+                  for r1, r2 in zip(ab, ba)])
+
+
+def trace_product(a, b):
+    """tr(ab): the invariant form used in place of the Killing form."""
+    return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a)))
+
+
+def combine(mats, coeffs):
+    n = len(mats[0])
+    out = [[0] * n for _ in range(n)]
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for i in range(n):
+                for j in range(n):
+                    out[i][j] += c * mat[i][j]
+    return tuple(map(tuple, out))
+
+
+def reference_kks_form(m):
+    brackets = [bracket(m.e, b) for b in m.basis_g]
+    return [[trace_product(x, b) for b in m.basis_g] for x in brackets]
+
+
+def reference_contact_check(m):
+    """``contact_check`` by dense products, preimage matrices and a solve."""
+    images = [_vec(bracket(m.e, b)) for b in m.basis_g]
+    ncols = len(images)
+    red, pivots = rref([list(col) + [x]
+                        for col, x in zip(zip(*images), _vec(m.e))])
+    assert ncols not in pivots
+    preimages = [m.basis_g[j] for j in pivots]
+    theta = [trace_product(m.e, x) for x in preimages]
+    kernel = nullspace([theta])
+    reps = [combine(preimages, f) for f in kernel]
+    omega = [[trace_product(bracket(m.e, x), y) for y in reps] for x in reps]
+    radical = nullspace(omega)
+    euler = [Fraction(row[ncols], row[p]) for row, p in zip(red, pivots)]
+    euler_in_kernel = solve(list(zip(*kernel)), euler)
+    return ContactCheckResult(
+        dim_orbit=len(pivots),
+        theta_kernel_dim=len(kernel),
+        omega_rank_on_kernel=len(kernel) - len(radical),
+        radical_is_euler_line=(len(radical) == 1
+                               and euler_in_kernel is not None
+                               and _parallel(radical[0], euler_in_kernel)))
 
 
 def nonzero_partitions(n):
@@ -43,7 +109,6 @@ class TestModels:
         assert [m.e[i][i + 1] for i in range(3)] == [1, 1, 1]
 
     def test_basis_spans_trace_zero(self):
-        from contactres.ratlinalg import rank
         basis = sl_basis(3)
         assert len(basis) == 8
         assert all(sum(b[i][i] for i in range(3)) == 0 for b in basis)
@@ -122,7 +187,6 @@ class TestContactCheck:
         assert res.radical_is_euler_line
 
     def test_parallel_is_a_rank_one_test(self):
-        from contactres.oracle_lab import _parallel
         assert _parallel((1, 2, 0), (-2, -4, 0))
         assert _parallel((F(1, 2), 1), (1, 2))
         assert not _parallel((1, 2), (2, 3))
@@ -145,7 +209,8 @@ class TestContactCheck:
                     assert res.is_contact
 
     def test_one_elimination_per_matrix(self, monkeypatch):
-        # [ad_e | vec(e)], theta, omega, the Euler solve, the parallel test
+        # [ad_e | vec(e)], the theta kernel, the omega radical, the parallel
+        # test; the Euler coordinates are read off the theta kernel
         from contactres import ratlinalg
         model = random_conjugate(jordan_nilpotent((3, 2)), 5)
         eliminate, calls = ratlinalg._eliminate, []
@@ -156,7 +221,7 @@ class TestContactCheck:
 
         monkeypatch.setattr(ratlinalg, "_eliminate", counting)
         assert contact_check(model).is_contact
-        assert len(calls) <= 5
+        assert len(calls) <= 4
 
     def test_scaling_acts_linearly_on_theta_and_fixes_ranks(self):
         base = jordan_nilpotent((2, 1))
@@ -168,6 +233,44 @@ class TestContactCheck:
             assert addim(scaled) == addim(base)
             assert kks_rank(scaled) == kks_rank(base)
             assert contact_check(scaled) == contact_check(base)
+
+
+def _reference_models():
+    """Every nonzero type-A orbit with n <= 5: the Jordan model, two seeded
+    conjugates, and three rational rescalings of the Jordan model."""
+    for n in range(2, 6):
+        for part in nonzero_partitions(n):
+            base = jordan_nilpotent(part)
+            yield f"{part} jordan", base
+            for seed in (21, 22):
+                yield f"{part} conjugate[{seed}]", random_conjugate(base, seed)
+            for t in (F(3, 7), F(-2), F(5, 2)):
+                yield f"{part} scaled[{t}]", scale_model(base, t)
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("model", [pytest.param(m, id=tag)
+                                       for tag, m in _reference_models()])
+    def test_forms_and_contact_check_match(self, model):
+        supports = _supports(model.basis_g)
+        assert _ad_images(model.e, supports) == \
+            [list(_vec(bracket(model.e, b))) for b in model.basis_g]
+        assert _kks_form(model) == reference_kks_form(model)
+        assert contact_check(model) == reference_contact_check(model)
+
+
+class TestOracleCap:
+    @pytest.mark.parametrize("part", [(8,), (4, 4), (2, 2, 2, 2)])
+    def test_finishes_at_addim_cap(self, part):
+        # an input the cap admits must finish; n = 8 is ADDIM_SIZE_CAP
+        assert sum(part) == ADDIM_SIZE_CAP
+        model = jordan_nilpotent(part)
+        d = orbit_dimension(validate_orbit(SimpleType("A", 7), part))
+        assert addim(model) == d
+        assert kks_rank(model) == d
+        res = contact_check(model)
+        assert res.dim_orbit == d
+        assert res.is_contact
 
 
 class TestGenericJordanType:

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from contactres import resolutions
+from contactres import lie_core, resolutions
 from contactres.errors import (
     EmptyMarking,
     InvalidPartition,
@@ -170,6 +170,14 @@ class TestPolarizations:
                             lambda items: walked.append(items) or ())
         assert polarizations(parse_orbit("A27:7,6,5,4,3,2,1")) == []
         assert walked == [staircase]
+
+    def test_cap_enumeration_caches_nothing_per_parabolic(self):
+        # 5,040 polarizations, each checking dim O = 2 dim G/P; flag
+        # dimensions come from support masks, not cached root tuples
+        before = lie_core._nilradical_roots.cache_info()
+        pols = polarizations(parse_orbit("A27:7,6,5,4,3,2,1"))
+        assert len(pols) == resolutions.MAX_CHAMBERS
+        assert lie_core._nilradical_roots.cache_info() == before
 
     def test_non_a_minimal_is_definitively_empty(self):
         assert polarizations(parse_orbit("B3:2,2,1,1,1")) == []
