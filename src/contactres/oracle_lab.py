@@ -18,7 +18,14 @@ makes tr(X b) the single term x X[j][i]. The forms restricted to a
 subspace are then sums over the supports of its spanning vectors. These
 are the same rationals the dense products gave, so every matrix handed to
 ``ratlinalg`` is the same matrix, entry for entry, and no rank, kernel or
-radical can change.
+radical can change. ``sl_basis(n)`` and its supports are constants, built
+once per n; a model holds only n and e.
+
+``contact_check`` needs the radical of omega on ker theta only to ask
+whether it is the Euler line. It takes the rank of omega, and when the
+rank is k - 1 the one-dimensional radical is that line exactly when
+omega sends the Euler coordinates to zero: one matrix-vector product
+instead of a nullspace and a rank-one test.
 
 Models are integer matrices: the basis, the Jordan forms, the nilradical
 samples and the conjugates are built from ints, and every product stays
@@ -38,6 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     ContactresError,
@@ -52,6 +60,7 @@ from .ratlinalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    primitive,
     rank,
     rref,
     rref_kernel,
@@ -92,9 +101,10 @@ def _is_nilpotent(e: Matrix) -> bool:
     return all(x == 0 for row in power for x in row)
 
 
+@lru_cache(maxsize=None)
 def sl_basis(n: int) -> tuple[Matrix, ...]:
     """Ordered basis of trace-zero matrices: E_ij (i != j), then
-    H_i = E_ii - E_{i+1,i+1}."""
+    H_i = E_ii - E_{i+1,i+1}. Built once per n."""
     basis = []
     for i in range(n):
         for j in range(n):
@@ -112,11 +122,14 @@ def sl_basis(n: int) -> tuple[Matrix, ...]:
 
 @dataclass(frozen=True)
 class MatrixModel:
-    """A nilpotent element of sl_n together with the ambient basis."""
+    """A nilpotent element of sl_n; the ambient basis is ``sl_basis(n)``."""
 
     n: int
     e: Matrix
-    basis_g: tuple[Matrix, ...]
+
+    @property
+    def basis_g(self) -> tuple[Matrix, ...]:
+        return sl_basis(self.n)
 
     @property
     def is_zero(self) -> bool:
@@ -133,7 +146,7 @@ def matrix_model(e, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
         raise SizeCapExceeded(f"size {n} exceeds cap {size_cap}")
     if not _is_nilpotent(e):
         raise ContactresError("matrix is not nilpotent")
-    return MatrixModel(n=n, e=e, basis_g=sl_basis(n))
+    return MatrixModel(n=n, e=e)
 
 
 def jordan_nilpotent(part, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
@@ -151,10 +164,13 @@ def jordan_nilpotent(part, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
     return matrix_model(rows, size_cap=size_cap)
 
 
-def _supports(basis) -> list[list[tuple]]:
-    """The nonzero entries (i, j, x) of each basis matrix."""
-    return [[(i, j, x) for i, row in enumerate(b) for j, x in enumerate(row)
-             if x] for b in basis]
+@lru_cache(maxsize=None)
+def _supports(n: int) -> tuple[tuple[tuple, ...], ...]:
+    """The nonzero entries (i, j, x) of each matrix of ``sl_basis(n)``,
+    built once per n."""
+    return tuple([tuple([(i, j, x) for i, row in enumerate(b)
+                         for j, x in enumerate(row) if x])
+                  for b in sl_basis(n)])
 
 
 def _ad_images(e: Matrix, supports) -> list[list]:
@@ -184,7 +200,7 @@ def _traces(vecs, supports, n: int) -> list[list]:
 
 def addim(m: MatrixModel) -> int:
     """dim O = rank of ad_e on the trace-zero matrices."""
-    return rank(_ad_images(m.e, _supports(m.basis_g)))
+    return rank(_ad_images(m.e, _supports(m.n)))
 
 
 def jordan_type(e: Matrix) -> tuple[int, ...]:
@@ -219,7 +235,7 @@ def kks_rank(m: MatrixModel) -> int:
 
 def _kks_form(m: MatrixModel) -> list[list]:
     """Gram matrix tr([e, b_a] b_b) = tr(e [b_a, b_b]) over the basis."""
-    supports = _supports(m.basis_g)
+    supports = _supports(m.n)
     return _traces(_ad_images(m.e, supports), supports, m.n)
 
 
@@ -252,7 +268,7 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     """
     if m.is_zero:
         raise ZeroElement("contact check needs a nonzero nilpotent")
-    supports = _supports(m.basis_g)
+    supports = _supports(m.n)
     images = _ad_images(m.e, supports)
     vec_e = _vec(m.e)
     # one elimination of [ad_e | vec(e)]: its pivots index a tangent basis,
@@ -283,8 +299,7 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     sparse = [[(i, c) for i, c in enumerate(f) if c] for f in kernel]
     omega = [[sum([c * x * omega_p[i][j] for i, c in fa for j, x in fb])
               for fb in sparse] for fa in sparse]
-    radical = nullspace(omega)
-    omega_rank = k - len(radical)
+    omega_rank = rank(omega)
 
     euler = [Fraction(row[ncols], row[p]) for row, p in zip(red, pivots)]
     invariant(sum(t * c for t, c in zip(theta, euler)) == 0,
@@ -295,10 +310,13 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     for c, fa in zip(coords, sparse):
         for i, x in fa:
             combo[i] += c * x
+    # a one-dimensional radical holds the nonzero coords exactly when
+    # omega sends them to zero
     radical_is_euler = (
-        len(radical) == 1
+        omega_rank == k - 1
         and combo == euler
-        and _parallel(radical[0], coords))
+        and any(coords)
+        and not any(mat_vec(omega, primitive(coords))))
 
     return ContactCheckResult(
         dim_orbit=d,
@@ -306,10 +324,6 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
         omega_rank_on_kernel=omega_rank,
         radical_is_euler_line=radical_is_euler,
     )
-
-
-def _parallel(u, v) -> bool:
-    return any(u) and any(v) and rank([u, v]) == 1
 
 
 # --- Richardson / Springer oracles -------------------------------------------
@@ -399,13 +413,13 @@ def _annihilator(space, n):
     return _span(nullspace(space)) if space else _full(n)
 
 
-def _intersect(a, b, n):
-    constraints = _annihilator(a, n) + _annihilator(b, n)
+def _intersect(a, b, n, annihilator):
+    constraints = annihilator(a) + annihilator(b)
     return _span(nullspace(constraints)) if constraints else _full(n)
 
 
-def _preimage(e: Matrix, space, n):
-    ann = _annihilator(space, n)   # rows y; the preimage is {x : y e x = 0}
+def _preimage(e: Matrix, space, n, annihilator):
+    ann = annihilator(space)   # rows y; the preimage is {x : y e x = 0}
     return _span(nullspace(mat_mul(ann, e))) if ann else _full(n)
 
 
@@ -444,6 +458,14 @@ def generic_fiber_count(comp, seed: int = 0,
     lower[k] = _full(n)
     upper[0] = ()
     fixed = [i in (0, k) for i in range(k + 1)]
+    # the same subspaces recur across sweeps; the memo dies with the call
+    annihilators = {}
+
+    def annihilator(space):
+        ann = annihilators.get(space)
+        if ann is None:
+            ann = annihilators[space] = _annihilator(space, n)
+        return ann
 
     def propagate() -> bool:
         changed = False
@@ -454,8 +476,8 @@ def generic_fiber_count(comp, seed: int = 0,
                 lower[i] = new_low
                 changed = True
             new_up = _intersect(
-                _intersect(upper[i], upper[i + 1], n),
-                _preimage(e, upper[i - 1], n), n)
+                _intersect(upper[i], upper[i + 1], n, annihilator),
+                _preimage(e, upper[i - 1], n, annihilator), n, annihilator)
             if len(new_up) != len(upper[i]):
                 upper[i] = new_up
                 changed = True

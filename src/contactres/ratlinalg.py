@@ -12,6 +12,16 @@ Hadamard's inequality. ``rref`` and ``nullspace`` return primitive
 integer vectors; ``adjugate`` returns integers, and only ``solve``
 returns Fractions.
 
+A row whose entry in the pivot column is zero would only be rescaled by
+p / prev, the new pivot over the old. That rescaling is deferred: the
+row keeps the pivot value it was last brought to, its level, and the
+pending factors telescope to prev / level. They are paid once, when the
+row is next combined (dividing by its level instead of by prev), when it
+becomes the pivot row, or at the end of a reduction. Each of
+these yields the integer the eager step would have held, so every
+returned entry is still the same minor, and on sparse matrices most
+rows skip most passes.
+
 Tuples and star-arguments are built from lists: CPython parks a resized
 generator-built tuple on a free list that only a full garbage collection
 empties, which integer work seldom triggers (peak RSS grew ~1 MB).
@@ -50,6 +60,7 @@ def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
         return m, [], 1
     nrows, ncols = len(m), len(m[0])
     pivots = []
+    stale = {}  # row index -> the pivot value the row was last brought to
     sign, prev, r = 1, 1, 0
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
@@ -58,6 +69,14 @@ def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
+        if stale:
+            # bring the pivot row up to date; its level is still keyed by
+            # the index it came from, and the row it displaced takes that key
+            level = stale.pop(piv, 0)
+            if r in stale:
+                stale[piv] = stale.pop(r)
+            if level:
+                m[r] = [x * prev // level for x in m[r]]
         prow = m[r]
         p = prow[c]
         for i in range(0 if reduce else r + 1, nrows):
@@ -66,14 +85,18 @@ def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
             row = m[i]
             a = row[c]
             if a:
-                m[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
-            elif p != prev:
-                m[i] = [p * x // prev for x in row]
+                level = stale.pop(i, prev) if stale else prev
+                m[i] = [(p * x - a * y) // level for x, y in zip(row, prow)]
+            elif p != prev and i not in stale:
+                stale[i] = prev
         prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    if reduce and stale:
+        for i, level in stale.items():
+            m[i] = [x * prev // level for x in m[i]]
     return m, pivots, sign
 
 

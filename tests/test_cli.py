@@ -341,6 +341,30 @@ class TestReadmeTour:
         assert digest == TOUR_TEXT_DIGESTS[shlex.join(argv)]
 
 
+# sha256 of ``verify --suite S --json`` at the default caps and seed for the
+# oracle suites the tour does not run. A kernel or oracle rewrite must leave
+# every row, seed and count as it was.
+SUITE_DIGESTS = {
+    "contact":
+        "b6e1116e5112c0b18552e3cbcf6277bcd3c4d00d172722115b0281db88d27e2f",
+    "kks":
+        "5304c834133639eb4ab79d56b3cae1f6aabdcd15baeaaf6eb3440bafc3232dba",
+    "richardson":
+        "59bdee1291cf18877e5b05b4150d1ae48cece499b07d990998245f3347c81ca9",
+    "fibers":
+        "a6016c078ab8af101a08338b8955b936b51412cc9b4bc3e757b2d90d83f93761",
+}
+
+
+class TestOracleSuiteBytes:
+    @pytest.mark.parametrize("suite", SUITE_DIGESTS)
+    def test_json_bytes_pinned(self, capsys, suite):
+        code, out = run(capsys, "verify", "--suite", suite, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            SUITE_DIGESTS[suite]
+
+
 class TestEncoderOnRealDocuments:
     """The envelope each command hands to ``to_json``, encoded by the
     stdlib, gives the bytes the CLI printed; ``TOUR_DIGESTS`` pins those

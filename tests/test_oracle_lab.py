@@ -13,7 +13,6 @@ from contactres.oracle_lab import (
     ContactCheckResult,
     _ad_images,
     _kks_form,
-    _parallel,
     _supports,
     _vec,
     addim,
@@ -66,6 +65,10 @@ def combine(mats, coeffs):
     return tuple(map(tuple, out))
 
 
+def _parallel(u, v) -> bool:
+    return any(u) and any(v) and rank([u, v]) == 1
+
+
 def reference_kks_form(m):
     brackets = [bracket(m.e, b) for b in m.basis_g]
     return [[trace_product(x, b) for b in m.basis_g] for x in brackets]
@@ -93,6 +96,19 @@ def reference_contact_check(m):
         radical_is_euler_line=(len(radical) == 1
                                and euler_in_kernel is not None
                                and _parallel(radical[0], euler_in_kernel)))
+
+
+def count_eliminations(monkeypatch):
+    """Record every ``ratlinalg._eliminate`` call; returns the record."""
+    from contactres import ratlinalg
+    eliminate, calls = ratlinalg._eliminate, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(ratlinalg, "_eliminate", counting)
+    return calls
 
 
 def nonzero_partitions(n):
@@ -209,19 +225,13 @@ class TestContactCheck:
                     assert res.is_contact
 
     def test_one_elimination_per_matrix(self, monkeypatch):
-        # [ad_e | vec(e)], the theta kernel, the omega radical, the parallel
-        # test; the Euler coordinates are read off the theta kernel
-        from contactres import ratlinalg
+        # [ad_e | vec(e)], the theta kernel, the omega rank; the Euler
+        # coordinates are read off the theta kernel, and one product with
+        # omega tests them against its radical
         model = random_conjugate(jordan_nilpotent((3, 2)), 5)
-        eliminate, calls = ratlinalg._eliminate, []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return eliminate(*args, **kwargs)
-
-        monkeypatch.setattr(ratlinalg, "_eliminate", counting)
+        calls = count_eliminations(monkeypatch)
         assert contact_check(model).is_contact
-        assert len(calls) <= 4
+        assert len(calls) <= 3
 
     def test_scaling_acts_linearly_on_theta_and_fixes_ranks(self):
         base = jordan_nilpotent((2, 1))
@@ -252,7 +262,7 @@ class TestAgainstDenseReference:
     @pytest.mark.parametrize("model", [pytest.param(m, id=tag)
                                        for tag, m in _reference_models()])
     def test_forms_and_contact_check_match(self, model):
-        supports = _supports(model.basis_g)
+        supports = _supports(model.n)
         assert _ad_images(model.e, supports) == \
             [list(_vec(bracket(model.e, b))) for b in model.basis_g]
         assert _kks_form(model) == reference_kks_form(model)
@@ -314,6 +324,17 @@ class TestFiberCount:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
             generic_fiber_count((3, 2), seed=0)
+
+    def test_annihilator_memo_lives_for_one_call(self, monkeypatch):
+        # 278 eliminations per call without the memo; a memo that outlived
+        # the call would make the second call cheaper than the first
+        calls = count_eliminations(monkeypatch)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert generic_fiber_count((1, 1, 1, 1)) == 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 278
 
     def test_cap_override_reaches_size_five(self):
         # caps are parameters; the counting still forces every flag at 5

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactres.ratlinalg import (
+    _eliminate,
+    _int_row,
     adjugate,
     dot,
     mat_mul,
@@ -37,6 +39,51 @@ def square_matrices(max_n=4, entries=small_entries):
     return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
                            min_size=n, max_size=n))
+
+
+def sparse(entries):
+    """Zero with weight 3 in 5, so most pivot steps leave rows alone."""
+    return st.one_of(st.just(0), st.just(0), st.just(0), entries, entries)
+
+
+SPARSE_ENTRIES = {kind: sparse(e) for kind, e in ENTRIES.items()}
+
+
+# --- reference: the eager Bareiss step the deferred scaling replaced ---------
+
+def reference_eliminate(rows, reduce):
+    """``_eliminate`` with every row left alone by a pivot step rescaled
+    by p / prev at once."""
+    m = [_int_row(row) for row in rows]
+    if not m or not m[0]:
+        return m, [], 1
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    sign, prev, r = 1, 1, 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            row = m[i]
+            a = row[c]
+            if a:
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots, sign
 
 
 # --- reference: the Fraction Gauss-Jordan the integer kernel replaced --------
@@ -117,6 +164,39 @@ def reference_det(rows):
 
 def is_primitive_int(vec):
     return all(type(x) is int for x in vec) and gcd(*vec) == 1
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+@pytest.mark.parametrize("kind", ENTRIES)
+class TestDeferredScaling:
+    @given(data=st.data())
+    @settings(max_examples=150, derandomize=True)
+    def test_sparse_elimination_matches_eager(self, kind, reduce, data):
+        rows = data.draw(matrices(max_rows=6, max_cols=7,
+                                  entries=SPARSE_ENTRIES[kind]))
+        assert _eliminate(rows, reduce) == reference_eliminate(rows, reduce)
+
+
+class TestDeferredScalingCases:
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_stale_row_swapped_into_pivot_slot(self, reduce):
+        # the first pivot (2) leaves row 2 alone, so it is stale at level 1;
+        # column 1 has no pivot candidate in row 1, so row 2 is swapped in
+        rows = [[2, 1, 3], [0, 0, 5], [0, 3, 7]]
+        m, pivots, sign = _eliminate(rows, reduce)
+        assert (m, pivots, sign) == reference_eliminate(rows, reduce)
+        assert pivots == [0, 1, 2] and sign == -1
+
+    @given(square_matrices(max_n=6, entries=SPARSE_ENTRIES["int"]))
+    @settings(max_examples=120, derandomize=True)
+    def test_adjugate_on_sparse_squares(self, rows):
+        ref = reference_inverse(rows)
+        adj = adjugate(rows)
+        if ref is None:
+            assert adj is None
+            return
+        det = reference_det(rows)
+        assert adj == [[det * x for x in row] for row in ref]
 
 
 class TestRank:

@@ -62,7 +62,7 @@ class TestMatchesStdlib:
 class TestRefuses:
     @pytest.mark.parametrize("obj", [
         1.5, [0.0], {"x": float("nan")}, {1, 2}, frozenset(), Fraction(1, 2),
-        b"bytes", object(), {1: "int key"}, {None: 0}, {("a",): 0},
+        b"bytes", pytest.param(object(), id="object"), {1: "int key"}, {None: 0}, {("a",): 0},
         {"a": 1, 2: "mixed keys"},
     ], ids=repr)
     def test_type_error(self, obj):
