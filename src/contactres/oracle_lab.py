@@ -9,26 +9,23 @@ g e adj(g) = det(g) g e g^-1 rather than g e g^-1: a nonzero multiple
 of a conjugate has the same rank, kernel and Jordan type, and stays an
 integer matrix.
 
-Every basis element of sl_n (E_ij, or H_i = E_ii - E_{i+1,i+1}) has at
-most two nonzero entries, and the oracles read the trace form and ad_e
-through that support, a list of (i, j, x) entries. An entry x of b at
-(i, j) makes [e, b] one column and one row update of e: x times column i
-of e added to column j, and x times row j of e taken from row i. It
-makes tr(X b) the single term x X[j][i]. The forms restricted to a
-subspace are then sums over the supports of its spanning vectors. These
-are the same rationals the dense products gave, so every matrix handed to
-``ratlinalg`` is the same matrix, entry for entry, and no rank, kernel or
-radical can change. ``sl_basis(n)`` and its supports are constants, built
-once per n; a model holds only n and e.
+The basis of sl_n is held by its supports: each element, E_ij for
+i != j and then H_i = E_ii - E_{i+1,i+1}, is the tuple of its nonzero
+entries (i, j, x), at most two of them. ``_supports(n)`` is a constant,
+built once per n; a model holds only n and e. An entry x of b at (i, j)
+makes [e, b] one column and one row update of e: x times column i of e
+added to column j, and x times row j of e taken from row i. It makes
+tr(X b) the single term x X[j][i]. The forms restricted to a subspace
+are then sums over the supports of its spanning vectors.
 
 ``contact_check`` needs the radical of omega on ker theta only to ask
-whether it is the Euler line. It takes the rank of omega, and when the
-rank is k - 1 the one-dimensional radical is that line exactly when
-omega sends the Euler coordinates to zero: one matrix-vector product
-instead of a nullspace and a rank-one test.
+whether it is the Euler line. It takes the rank of omega; when the rank
+is k - 1, the one-dimensional radical is that line exactly when the
+Euler vector is nonzero and omega pairs it to zero with all of
+ker theta.
 
-Models are integer matrices: the basis, the Jordan forms, the nilradical
-samples and the conjugates are built from ints, and every product stays
+Models are integer matrices: the Jordan forms, the nilradical samples
+and the conjugates are built from ints, and every product stays
 integral. Fractions appear only where an entry really is rational, as in
 ``scale_model`` with a rational factor. The kernel in ``ratlinalg``
 accepts both. Tuples are built from lists, for the reason given there.
@@ -49,6 +46,7 @@ from functools import lru_cache
 
 from .errors import (
     ContactresError,
+    InvalidPartition,
     NonFiniteFiber,
     NonGenericSample,
     SizeCapExceeded,
@@ -102,34 +100,27 @@ def _is_nilpotent(e: Matrix) -> bool:
 
 
 @lru_cache(maxsize=None)
-def sl_basis(n: int) -> tuple[Matrix, ...]:
-    """Ordered basis of trace-zero matrices: E_ij (i != j), then
-    H_i = E_ii - E_{i+1,i+1}. Built once per n."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = _zeros(n)
-                m[i][j] = 1
-                basis.append(_freeze(m))
-    for i in range(n - 1):
-        m = _zeros(n)
-        m[i][i] = 1
-        m[i + 1][i + 1] = -1
-        basis.append(_freeze(m))
-    return tuple(basis)
+def _supports(n: int) -> tuple[tuple[tuple, ...], ...]:
+    """The basis of sl_n by the nonzero entries (i, j, x) of each element:
+    E_ij for i != j, then H_i = E_ii - E_{i+1,i+1}. Built once per n."""
+    return tuple([((i, j, 1),) for i in range(n) for j in range(n) if i != j]
+                 + [((i, i, 1), (i + 1, i + 1, -1)) for i in range(n - 1)])
+
+
+def _positive_parts(parts) -> tuple[int, ...]:
+    """A partition or composition: one part at least, every part > 0."""
+    parts = tuple([int(p) for p in parts])
+    if not parts or min(parts) < 1:
+        raise InvalidPartition(f"need one part at least, all > 0: {parts}")
+    return parts
 
 
 @dataclass(frozen=True)
 class MatrixModel:
-    """A nilpotent element of sl_n; the ambient basis is ``sl_basis(n)``."""
+    """A nilpotent element of sl_n; the ambient basis is ``_supports(n)``."""
 
     n: int
     e: Matrix
-
-    @property
-    def basis_g(self) -> tuple[Matrix, ...]:
-        return sl_basis(self.n)
 
     @property
     def is_zero(self) -> bool:
@@ -151,7 +142,7 @@ def matrix_model(e, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
 
 def jordan_nilpotent(part, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
     """Block Jordan nilpotent of type ``part`` with integer entries."""
-    part = tuple(int(p) for p in part)
+    part = _positive_parts(part)
     n = sum(part)
     if n > size_cap:
         raise SizeCapExceeded(f"partition of {n} exceeds cap {size_cap}")
@@ -162,15 +153,6 @@ def jordan_nilpotent(part, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
             rows[offset + i][offset + i + 1] = 1
         offset += block
     return matrix_model(rows, size_cap=size_cap)
-
-
-@lru_cache(maxsize=None)
-def _supports(n: int) -> tuple[tuple[tuple, ...], ...]:
-    """The nonzero entries (i, j, x) of each matrix of ``sl_basis(n)``,
-    built once per n."""
-    return tuple([tuple([(i, j, x) for i, row in enumerate(b)
-                         for j, x in enumerate(row) if x])
-                  for b in sl_basis(n)])
 
 
 def _ad_images(e: Matrix, supports) -> list[list]:
@@ -289,7 +271,6 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     theta = [theta_all[j] for j in pivots]
     red_t, pivots_t = rref([theta])
     kernel = rref_kernel(red_t, pivots_t, d)  # coords in the tangent basis
-    free = [f for f in range(d) if f not in pivots_t]
     k = len(kernel)
 
     # omega(f_a, f_b) = f_a^T omega_P f_b, with omega_P the Gram matrix
@@ -301,22 +282,14 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
               for fb in sparse] for fa in sparse]
     omega_rank = rank(omega)
 
-    euler = [Fraction(row[ncols], row[p]) for row, p in zip(red, pivots)]
+    euler = primitive([Fraction(row[ncols], row[p])
+                       for row, p in zip(red, pivots)])
     invariant(sum(t * c for t, c in zip(theta, euler)) == 0,
               "theta must vanish on the Euler direction")
-    # the kernel vector of free column f is the only one nonzero there
-    coords = [euler[f] / v[f] for f, v in zip(free, kernel)]
-    combo = [0] * d
-    for c, fa in zip(coords, sparse):
-        for i, x in fa:
-            combo[i] += c * x
-    # a one-dimensional radical holds the nonzero coords exactly when
-    # omega sends them to zero
-    radical_is_euler = (
-        omega_rank == k - 1
-        and combo == euler
-        and any(coords)
-        and not any(mat_vec(omega, primitive(coords))))
+    # euler lies in ker theta, so a one-dimensional radical is its line
+    # exactly when euler is nonzero and omega pairs it to zero with all of it
+    radical_is_euler = (omega_rank == k - 1 and any(euler) and
+                        not any(mat_vec(kernel, mat_vec(omega_p, euler))))
 
     return ContactCheckResult(
         dim_orbit=d,
@@ -339,9 +312,9 @@ def nilradical_positions(comp) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if block[i] < block[j]]
 
 
-def trial_seeds(seed: int, trials: int = GENERIC_TRIALS) -> list[str]:
+def trial_seeds(seed: int) -> list[str]:
     """Seed strings used by the generic-sampling oracles, for reporting."""
-    return [f"{seed}:{t}" for t in range(trials)]
+    return [f"{seed}:{t}" for t in range(GENERIC_TRIALS)]
 
 
 def _sample_nilradical(comp, seed_string: str) -> Matrix:
@@ -385,10 +358,10 @@ def generic_jordan_type(comp, seed: int = 0,
                         size_cap: int = ADDIM_SIZE_CAP) -> tuple[int, ...]:
     """Jordan type of a generic element of the block nilradical: the
     dominance-maximal type over the trial seeds derived from ``seed``."""
-    comp = tuple(int(c) for c in comp)
-    if sum(comp) > size_cap:
-        raise SizeCapExceeded(f"composition of {sum(comp)} exceeds cap "
-                              f"{size_cap}")
+    comp = _positive_parts(comp)
+    n = sum(comp)
+    if n > size_cap:
+        raise SizeCapExceeded(f"composition of {n} exceeds cap {size_cap}")
     return _generic_sample(comp, seed)[1]
 
 
@@ -401,30 +374,21 @@ def _span(rows) -> tuple:
     return tuple([tuple(r) for r in rref(rows)[0]])
 
 
-def _full(n) -> tuple:
-    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
-
-
-def _apply(e: Matrix, space):
-    return _span([mat_vec(e, v) for v in space])
-
-
-def _annihilator(space, n):
-    return _span(nullspace(space)) if space else _full(n)
-
-
-def _intersect(a, b, n, annihilator):
-    constraints = annihilator(a) + annihilator(b)
-    return _span(nullspace(constraints)) if constraints else _full(n)
-
-
-def _preimage(e: Matrix, space, n, annihilator):
-    ann = annihilator(space)   # rows y; the preimage is {x : y e x = 0}
-    return _span(nullspace(mat_mul(ann, e))) if ann else _full(n)
-
-
 def _contains(big, small) -> bool:
     return len(_span(big + small)) == len(big)
+
+
+def _grow(bound: list, act) -> None:
+    """Grow lower bounds B_i on a flag stable under x to the least fixpoint
+    of B_i >= B_{i-1} + x B_{i+1}; rows are vectors, so ``act`` is x^T."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(bound) - 1):
+            new = _span(bound[i] + bound[i - 1]
+                        + mat_mul(bound[i + 1], act))
+            if len(new) != len(bound[i]):
+                bound[i], changed = new, True
 
 
 def generic_fiber_count(comp, seed: int = 0,
@@ -432,15 +396,17 @@ def generic_fiber_count(comp, seed: int = 0,
     """Cardinality of the Springer fiber over a generic Richardson element.
 
     Counts flags 0 = V_0 < V_1 < ... < V_k = C^n of type ``comp`` with
-    e V_i inside V_{i-1}, by exact constraint propagation: each V_i is
-    squeezed between a growing lower bound (images of later steps) and a
-    shrinking upper bound (preimages of earlier steps) until every step
-    is forced. A step left unforced at the fixpoint signals a
+    e V_i inside V_{i-1}, by exact constraint propagation. A lower bound
+    on each V_i grows by V_i >= V_{i-1} + e V_{i+1}. The annihilators
+    V_{k-i}^perp form a flag of type ``reversed(comp)`` for e^T, so the
+    same rule grows lower bounds on them, which intersects V_i with
+    V_{i+1} and e^-1 V_{i-1}. A step is forced once either bound reaches
+    its dimension. A step left unforced at the fixpoint signals a
     positive-dimensional solution set, i.e. a non-generic sample. The
     element is the dominance-maximal trial sample, chosen exactly as in
     :func:`generic_jordan_type`, so no formula picks it.
     """
-    comp = tuple(int(c) for c in comp)
+    comp = _positive_parts(comp)
     n = sum(comp)
     if n > size_cap:
         raise SizeCapExceeded(f"composition of {n} exceeds cap {size_cap}")
@@ -448,58 +414,32 @@ def generic_fiber_count(comp, seed: int = 0,
         return 1  # V_1 = C^n and the nilradical is zero
 
     e, _ = _generic_sample(comp, seed)
+    e_t = list(zip(*e))
 
     k = len(comp)
     dims = [0]
     for c in comp:
         dims.append(dims[-1] + c)
-    lower = [() for _ in range(k + 1)]
-    upper = [_full(n) for _ in range(k + 1)]
-    lower[k] = _full(n)
-    upper[0] = ()
+    whole = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+    lower = [()] * k + [whole]  # lower[i] <= V_i
+    ann = [()] * k + [whole]    # ann[k - i] <= V_i^perp
     fixed = [i in (0, k) for i in range(k + 1)]
-    # the same subspaces recur across sweeps; the memo dies with the call
-    annihilators = {}
-
-    def annihilator(space):
-        ann = annihilators.get(space)
-        if ann is None:
-            ann = annihilators[space] = _annihilator(space, n)
-        return ann
-
-    def propagate() -> bool:
-        changed = False
-        for i in range(1, k):
-            new_low = _span(lower[i] + lower[i - 1]
-                            + _apply(e, lower[i + 1]))
-            if len(new_low) != len(lower[i]):
-                lower[i] = new_low
-                changed = True
-            new_up = _intersect(
-                _intersect(upper[i], upper[i + 1], n, annihilator),
-                _preimage(e, upper[i - 1], n, annihilator), n, annihilator)
-            if len(new_up) != len(upper[i]):
-                upper[i] = new_up
-                changed = True
-        return changed
-
     while True:
-        while propagate():
-            pass
+        _grow(lower, e_t)
+        _grow(ann, e)
         progressed = False
         for i in range(1, k):
             if fixed[i]:
                 continue
-            if len(lower[i]) > dims[i] or len(upper[i]) < dims[i]:
+            if len(lower[i]) > dims[i] or len(ann[k - i]) > n - dims[i]:
                 return 0
             if len(lower[i]) == dims[i]:
-                upper[i] = lower[i]
-                fixed[i] = True
-                progressed = True
-            elif len(upper[i]) == dims[i]:
-                lower[i] = upper[i]
-                fixed[i] = True
-                progressed = True
+                ann[k - i] = _span(nullspace(lower[i]))
+            elif len(ann[k - i]) == n - dims[i]:
+                lower[i] = _span(nullspace(ann[k - i]))
+            else:
+                continue
+            fixed[i] = progressed = True
         if not progressed:
             break
 
@@ -508,11 +448,10 @@ def generic_fiber_count(comp, seed: int = 0,
             f"solution set for {comp} not forced to a point; "
             f"non-generic sample suspected")
 
-    flag = [lower[i] for i in range(k + 1)]
     for i in range(1, k + 1):
-        invariant(len(flag[i]) == dims[i]
-                  and _contains(flag[i], flag[i - 1])
-                  and _contains(flag[i - 1], _apply(e, flag[i])),
+        invariant(len(lower[i]) == dims[i]
+                  and _contains(lower[i], lower[i - 1])
+                  and _contains(lower[i - 1], mat_mul(lower[i], e_t)),
                   "the forced flag must be a flag of type comp stable under e")
     return 1
 

@@ -4,6 +4,8 @@ import pytest
 
 from contactres.errors import (
     ContactresError,
+    InvalidPartition,
+    NonFiniteFiber,
     SizeCapExceeded,
     ZeroElement,
 )
@@ -12,6 +14,7 @@ from contactres.oracle_lab import (
     ADDIM_SIZE_CAP,
     ContactCheckResult,
     _ad_images,
+    _generic_sample,
     _kks_form,
     _supports,
     _vec,
@@ -26,7 +29,6 @@ from contactres.oracle_lab import (
     nilradical_positions,
     random_conjugate,
     scale_model,
-    sl_basis,
     trial_seeds,
 )
 from contactres.orbits import (
@@ -35,7 +37,7 @@ from contactres.orbits import (
     partitions_of,
     validate_orbit,
 )
-from contactres.ratlinalg import mat_mul, nullspace, rank, rref, solve
+from contactres.ratlinalg import mat_mul, mat_vec, nullspace, rank, rref, solve
 from contactres.resolutions import compositions_of
 
 F = Fraction
@@ -69,19 +71,34 @@ def _parallel(u, v) -> bool:
     return any(u) and any(v) and rank([u, v]) == 1
 
 
+def unit(n, i, j):
+    return tuple([tuple([int((r, c) == (i, j)) for c in range(n)])
+                  for r in range(n)])
+
+
+def dense_basis(n):
+    """The basis of sl_n as matrices: E_ij (i != j), then
+    H_i = E_ii - E_{i+1,i+1}."""
+    return ([unit(n, i, j) for i in range(n) for j in range(n) if i != j]
+            + [combine([unit(n, i, i), unit(n, i + 1, i + 1)], [1, -1])
+               for i in range(n - 1)])
+
+
 def reference_kks_form(m):
-    brackets = [bracket(m.e, b) for b in m.basis_g]
-    return [[trace_product(x, b) for b in m.basis_g] for x in brackets]
+    basis = dense_basis(m.n)
+    brackets = [bracket(m.e, b) for b in basis]
+    return [[trace_product(x, b) for b in basis] for x in brackets]
 
 
 def reference_contact_check(m):
     """``contact_check`` by dense products, preimage matrices and a solve."""
-    images = [_vec(bracket(m.e, b)) for b in m.basis_g]
+    basis = dense_basis(m.n)
+    images = [_vec(bracket(m.e, b)) for b in basis]
     ncols = len(images)
     red, pivots = rref([list(col) + [x]
                         for col, x in zip(zip(*images), _vec(m.e))])
     assert ncols not in pivots
-    preimages = [m.basis_g[j] for j in pivots]
+    preimages = [basis[j] for j in pivots]
     theta = [trace_product(m.e, x) for x in preimages]
     kernel = nullspace([theta])
     reps = [combine(preimages, f) for f in kernel]
@@ -96,6 +113,86 @@ def reference_contact_check(m):
         radical_is_euler_line=(len(radical) == 1
                                and euler_in_kernel is not None
                                and _parallel(radical[0], euler_in_kernel)))
+
+
+# --- the span-and-annihilator fiber count, kept as the reference ---
+
+def _span(rows):
+    return tuple([tuple(r) for r in rref(rows)[0]])
+
+
+def _full(n):
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+
+
+def _annihilator(space, n):
+    return _span(nullspace(space)) if space else _full(n)
+
+
+def _intersect(a, b, n):
+    constraints = _annihilator(a, n) + _annihilator(b, n)
+    return _span(nullspace(constraints)) if constraints else _full(n)
+
+
+def _preimage(e, space, n):
+    ann = _annihilator(space, n)   # rows y; the preimage is {x : y e x = 0}
+    return _span(nullspace(mat_mul(ann, e))) if ann else _full(n)
+
+
+def _apply(e, space):
+    return _span([mat_vec(e, v) for v in space])
+
+
+def reference_fiber_count(comp, seed=0, size_cap=5):
+    """``generic_fiber_count`` with each upper bound held as a span, and
+    cut down by intersections and preimages through annihilators."""
+    comp = tuple(comp)
+    n = sum(comp)
+    if n > size_cap:
+        raise SizeCapExceeded(f"composition of {n} exceeds cap {size_cap}")
+    if len(comp) == 1:
+        return 1
+    e, _ = _generic_sample(comp, seed)
+    k = len(comp)
+    dims = [sum(comp[:i]) for i in range(k + 1)]
+    lower = [()] * k + [_full(n)]
+    upper = [()] + [_full(n)] * k
+    fixed = [i in (0, k) for i in range(k + 1)]
+
+    def propagate():
+        changed = False
+        for i in range(1, k):
+            new_low = _span(lower[i] + lower[i - 1]
+                            + _apply(e, lower[i + 1]))
+            if len(new_low) != len(lower[i]):
+                lower[i], changed = new_low, True
+            new_up = _intersect(_intersect(upper[i], upper[i + 1], n),
+                                _preimage(e, upper[i - 1], n), n)
+            if len(new_up) != len(upper[i]):
+                upper[i], changed = new_up, True
+        return changed
+
+    while True:
+        while propagate():
+            pass
+        progressed = False
+        for i in range(1, k):
+            if fixed[i]:
+                continue
+            if len(lower[i]) > dims[i] or len(upper[i]) < dims[i]:
+                return 0
+            if len(lower[i]) == dims[i]:
+                upper[i] = lower[i]
+            elif len(upper[i]) == dims[i]:
+                lower[i] = upper[i]
+            else:
+                continue
+            fixed[i] = progressed = True
+        if not progressed:
+            break
+    if not all(fixed):
+        raise NonFiniteFiber(f"solution set for {comp} not forced")
+    return 1
 
 
 def count_eliminations(monkeypatch):
@@ -125,11 +222,18 @@ class TestModels:
         assert [m.e[i][i + 1] for i in range(3)] == [1, 1, 1]
 
     def test_basis_spans_trace_zero(self):
-        basis = sl_basis(3)
+        basis = dense_basis(3)
         assert len(basis) == 8
         assert all(sum(b[i][i] for i in range(3)) == 0 for b in basis)
         flat = [[x for row in b for x in row] for b in basis]
         assert rank(flat) == 8
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_supports_hold_the_dense_entries(self, n):
+        entries = [tuple([(i, j, x) for i, row in enumerate(b)
+                          for j, x in enumerate(row) if x])
+                   for b in dense_basis(n)]
+        assert _supports(n) == tuple(entries)
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
@@ -226,8 +330,8 @@ class TestContactCheck:
 
     def test_one_elimination_per_matrix(self, monkeypatch):
         # [ad_e | vec(e)], the theta kernel, the omega rank; the Euler
-        # coordinates are read off the theta kernel, and one product with
-        # omega tests them against its radical
+        # vector is read off the first, and omega pairs it with ker theta
+        # by products alone
         model = random_conjugate(jordan_nilpotent((3, 2)), 5)
         calls = count_eliminations(monkeypatch)
         assert contact_check(model).is_contact
@@ -237,7 +341,7 @@ class TestContactCheck:
         base = jordan_nilpotent((2, 1))
         for t in (F(3, 7), F(-2), F(5, 2)):
             scaled = scale_model(base, t)
-            for b in base.basis_g:
+            for b in dense_basis(base.n):
                 assert trace_product(scaled.e, b) == \
                     t * trace_product(base.e, b)
             assert addim(scaled) == addim(base)
@@ -264,7 +368,7 @@ class TestAgainstDenseReference:
     def test_forms_and_contact_check_match(self, model):
         supports = _supports(model.n)
         assert _ad_images(model.e, supports) == \
-            [list(_vec(bracket(model.e, b))) for b in model.basis_g]
+            [list(_vec(bracket(model.e, b))) for b in dense_basis(model.n)]
         assert _kks_form(model) == reference_kks_form(model)
         assert contact_check(model) == reference_contact_check(model)
 
@@ -281,6 +385,20 @@ class TestOracleCap:
         res = contact_check(model)
         assert res.dim_orbit == d
         assert res.is_contact
+
+
+@pytest.mark.parametrize("oracle, parts", [
+    (jordan_nilpotent, (0, 2)),
+    (jordan_nilpotent, ()),
+    (generic_jordan_type, (0, 2)),
+    (generic_jordan_type, ()),
+    (generic_fiber_count, (-1, 3)),
+    (generic_fiber_count, (2, 0)),
+    (generic_fiber_count, ()),
+], ids=lambda x: getattr(x, "__name__", None) or repr(x))
+def test_malformed_parts_rejected(oracle, parts):
+    with pytest.raises(InvalidPartition):
+        oracle(parts)
 
 
 class TestGenericJordanType:
@@ -325,16 +443,39 @@ class TestFiberCount:
         with pytest.raises(SizeCapExceeded):
             generic_fiber_count((3, 2), seed=0)
 
-    def test_annihilator_memo_lives_for_one_call(self, monkeypatch):
-        # 278 eliminations per call without the memo; a memo that outlived
-        # the call would make the second call cheaper than the first
+    def test_fiber_count_keeps_no_state_between_calls(self, monkeypatch):
+        # a cache that outlived the call would make the second call cheaper
+        # than the first; the bound is half the 146 calls that the memoised
+        # span-and-annihilator propagation made
         calls = count_eliminations(monkeypatch)
         counts = []
         for _ in range(2):
             calls.clear()
             assert generic_fiber_count((1, 1, 1, 1)) == 1
             counts.append(len(calls))
-        assert counts[0] == counts[1] < 278
+        assert counts[0] == counts[1] <= 73
+
+    @staticmethod
+    def outcome(count, comp, seed):
+        try:
+            return count(comp, seed=seed, size_cap=6)
+        except ContactresError as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_reference_path(self, seed):
+        for n in range(1, 6):
+            for comp in compositions_of(n):
+                assert self.outcome(generic_fiber_count, comp, seed) == \
+                    self.outcome(reference_fiber_count, comp, seed), comp
+
+    def test_matches_reference_path_at_six(self):
+        # (1, 2, 1, 2), (1, 3, 2) and (2, 1, 3) are forced only once the
+        # annihilator of a step fixed by its lower bound propagates; no
+        # smaller composition needs that
+        for comp in compositions_of(6):
+            assert self.outcome(generic_fiber_count, comp, 0) == \
+                self.outcome(reference_fiber_count, comp, 0) == 1, comp
 
     def test_cap_override_reaches_size_five(self):
         # caps are parameters; the counting still forces every flag at 5
