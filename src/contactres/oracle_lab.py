@@ -393,17 +393,19 @@ def _grow(bound: list, act) -> None:
 
 def generic_fiber_count(comp, seed: int = 0,
                         size_cap: int = FIBER_SIZE_CAP) -> int:
-    """Cardinality of the Springer fiber over a generic Richardson element.
+    """Certify that the Springer fiber over a generic Richardson element
+    is one point, and return that cardinality, 1.
 
-    Counts flags 0 = V_0 < V_1 < ... < V_k = C^n of type ``comp`` with
-    e V_i inside V_{i-1}, by exact constraint propagation. A lower bound
-    on each V_i grows by V_i >= V_{i-1} + e V_{i+1}. The annihilators
-    V_{k-i}^perp form a flag of type ``reversed(comp)`` for e^T, so the
-    same rule grows lower bounds on them, which intersects V_i with
-    V_{i+1} and e^-1 V_{i-1}. A step is forced once either bound reaches
-    its dimension. A step left unforced at the fixpoint signals a
-    positive-dimensional solution set, i.e. a non-generic sample. The
-    element is the dominance-maximal trial sample, chosen exactly as in
+    The fiber is the set of flags 0 = V_0 < V_1 < ... < V_k = C^n of type
+    ``comp`` with e V_i inside V_{i-1}; exact constraint propagation forces
+    it to a single flag. A lower bound on each V_i grows by
+    V_i >= V_{i-1} + e V_{i+1}. The annihilators V_{k-i}^perp form a flag
+    of type ``reversed(comp)`` for e^T, so the same rule grows lower
+    bounds on them, which intersects V_i with V_{i+1} and e^-1 V_{i-1}. A
+    step is forced once either bound reaches its dimension. A step left
+    unforced at the fixpoint signals a positive-dimensional solution set,
+    i.e. a non-generic sample, and raises ``NonFiniteFiber``. The element
+    is the dominance-maximal trial sample, chosen exactly as in
     :func:`generic_jordan_type`, so no formula picks it.
     """
     comp = _positive_parts(comp)
@@ -431,8 +433,10 @@ def generic_fiber_count(comp, seed: int = 0,
         for i in range(1, k):
             if fixed[i]:
                 continue
-            if len(lower[i]) > dims[i] or len(ann[k - i]) > n - dims[i]:
-                return 0
+            invariant(len(lower[i]) <= dims[i]
+                      and len(ann[k - i]) <= n - dims[i],
+                      "no bound may overshoot: e lies in the block "
+                      "nilradical, so the standard flag is in its fiber")
             if len(lower[i]) == dims[i]:
                 ann[k - i] = _span(nullspace(lower[i]))
             elif len(ann[k - i]) == n - dims[i]:

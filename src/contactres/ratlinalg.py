@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def _int_row(row) -> list[int]:
@@ -189,4 +190,4 @@ def mat_mul(a, b) -> tuple[tuple, ...]:
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))

@@ -156,7 +156,7 @@ class TestReferencePolarRays:
     @staticmethod
     def seeded_inputs():
         rng = random.Random("test-polar")
-        yield from ((dim, []) for dim in range(1, 6))
+        yield from ((dim, []) for dim in range(1, 7))
         yield 3, [(0, 0, 0), (0, 0, 0)]
         for _ in range(400):
             dim = rng.randint(1, 5)
@@ -175,9 +175,63 @@ class TestReferencePolarRays:
                 # rank-deficient: every row has a zero last coordinate
                 rows = [r[:-1] + (0,) for r in rows]
             yield dim, rows
+        rng = random.Random("test-polar-6")
+        for _ in range(40):
+            bound = rng.choice([1, 2])
+            yield 6, [tuple(rng.randint(-bound, bound) for _ in range(6))
+                      for _ in range(rng.randint(3, 9))]
 
     def test_matches_reference(self):
         for dim, rows in self.seeded_inputs():
+            assert _polar_rays(rows, dim) == reference_polar_rays(rows, dim)
+
+    @staticmethod
+    def simple_inputs():
+        """Cones over polytopes whose adjacent rays share exactly d - 2 zero
+        constraints, the least the adjacency prefilter admits. Given by
+        its vertices, a polytope's rays are its facets, and adjacent ones
+        meet in a ridge of d - 2 vertices: a vertex of a polygon, an edge
+        of a prism, a triangle of a product of two triangles. Given by its
+        facets, a cube's rays are its vertices, each on d - 1 facets."""
+        polygons = [
+            [(0, 0), (1, 0), (0, 1)],
+            [(0, 0), (2, 0), (2, 1), (0, 1)],
+            [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)],
+            [(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)],
+        ]
+        for poly in polygons:
+            yield 3, [(1,) + v for v in poly]
+            yield 4, [(1,) + v + (t,) for t in (0, 1) for v in poly]
+        for k in (3, 4, 5):
+            units = [tuple(int(i == j) for j in range(k + 1))
+                     for i in range(k + 1)]
+            yield k + 1, units[1:] + [tuple(x - y for x, y in zip(units[0], u))
+                                      for u in units[1:]]
+        triangle = [(0, 0), (1, 0), (0, 1)]
+        yield 5, [(1,) + u + v for u in triangle for v in triangle]
+
+    def degenerate_inputs(self):
+        """The simple inputs, their polars where the reference stays
+        cheap, the same shuffled, and each embedded with a sheared
+        two-dimensional lineality."""
+        rng = random.Random("test-polar-simple")
+        for dim, rows in self.simple_inputs():
+            yield dim, rows
+            if len(rows) <= 9:
+                yield dim, list(reference_polar_rays(rows, dim)[0])
+            yield dim, rng.sample(rows, len(rows))
+            if dim <= 4:
+                # c -> c U for a unimodular U: the lineality (the kernel)
+                # is the image under U^-1 of the padded coordinates
+                big = dim + 2
+                shear = [[int(i == j) or (j > i) * rng.randint(-2, 2)
+                          for j in range(big)] for i in range(big)]
+                padded = [tuple(r) + (0, 0) for r in rows]
+                yield big, [tuple(dot(r, col) for col in zip(*shear))
+                            for r in padded]
+
+    def test_degenerate_families_match_reference(self):
+        for dim, rows in self.degenerate_inputs():
             assert _polar_rays(rows, dim) == reference_polar_rays(rows, dim)
 
     def test_examples(self):
@@ -186,6 +240,29 @@ class TestReferencePolarRays:
         assert _polar_rays([(1, 0)], 2) == (((1, 0),), ((0, 1),))
         assert _polar_rays([], 2) == ((), ((1, 0), (0, 1)))
         assert _polar_rays([(1,), (-1,)], 1) == ((), ())
+
+
+class TestEliminationCount:
+    """A polar pass eliminates the constraints once, and canonicalizes a
+    nonempty lineality basis with one elimination more."""
+
+    def test_one_elimination_at_full_rank(self, eliminations):
+        rng = random.Random("test-polar-eliminations")
+        for dim in range(1, 7):
+            units = [tuple(int(i == j) for j in range(dim))
+                     for i in range(dim)]
+            rows = units + [tuple(rng.randint(-3, 3) for _ in range(dim))
+                            for _ in range(3)]
+            eliminations.clear()
+            _polar_rays(rows, dim)
+            assert len(eliminations) == 1
+
+    def test_at_most_two_with_lineality(self, eliminations):
+        for rows, dim in [([(1, 0, 0), (1, 1, 0)], 3), ([(1, 2, 3)], 3),
+                          ([(0, 0, 0)], 3), ([], 4)]:
+            eliminations.clear()
+            assert _polar_rays(rows, dim)[1]
+            assert len(eliminations) <= 2
 
 
 class TestCapDimensions:

@@ -195,19 +195,6 @@ def reference_fiber_count(comp, seed=0, size_cap=5):
     return 1
 
 
-def count_eliminations(monkeypatch):
-    """Record every ``ratlinalg._eliminate`` call; returns the record."""
-    from contactres import ratlinalg
-    eliminate, calls = ratlinalg._eliminate, []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return eliminate(*args, **kwargs)
-
-    monkeypatch.setattr(ratlinalg, "_eliminate", counting)
-    return calls
-
-
 def nonzero_partitions(n):
     return [p for p in partitions_of(n) if p != (1,) * n]
 
@@ -328,14 +315,48 @@ class TestContactCheck:
                     assert res.dim_orbit == d
                     assert res.is_contact
 
-    def test_one_elimination_per_matrix(self, monkeypatch):
+    def test_one_elimination_per_matrix(self, eliminations):
         # [ad_e | vec(e)], the theta kernel, the omega rank; the Euler
         # vector is read off the first, and omega pairs it with ker theta
         # by products alone
         model = random_conjugate(jordan_nilpotent((3, 2)), 5)
-        calls = count_eliminations(monkeypatch)
+        eliminations.clear()
         assert contact_check(model).is_contact
-        assert len(calls) <= 3
+        assert len(eliminations) <= 3
+
+    MODELS = [jordan_nilpotent((2, 1)), jordan_nilpotent((3,)),
+              random_conjugate(jordan_nilpotent((2, 2)), 3)]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_radical_off_the_euler_line_is_refused(self, model, monkeypatch):
+        # adding the skew matrix sign(j - i) keeps omega_P nondegenerate, so
+        # omega keeps rank k - 1 on ker theta, but its radical leaves the
+        # Euler line: only the omega-pairing condition can refuse it
+        from contactres import oracle_lab
+        traces = oracle_lab._traces
+
+        def perturbed(vecs, supports, n):
+            out = traces(vecs, supports, n)
+            if len(vecs) == 1:
+                return out  # theta
+            return [[x + (i < j) - (i > j) for j, x in enumerate(row)]
+                    for i, row in enumerate(out)]
+
+        monkeypatch.setattr(oracle_lab, "_traces", perturbed)
+        res = contact_check(model)
+        assert res.omega_rank_on_kernel == res.theta_kernel_dim - 1
+        assert not res.radical_is_euler_line and not res.is_contact
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_zero_euler_vector_is_refused(self, model, monkeypatch):
+        # a zero Euler vector pairs to zero with everything, so only the
+        # nonzero condition can refuse it
+        from contactres import oracle_lab
+        monkeypatch.setattr(oracle_lab, "primitive",
+                            lambda vec: tuple([0] * len(vec)))
+        res = contact_check(model)
+        assert res.omega_rank_on_kernel == res.theta_kernel_dim - 1
+        assert not res.radical_is_euler_line and not res.is_contact
 
     def test_scaling_acts_linearly_on_theta_and_fixes_ranks(self):
         base = jordan_nilpotent((2, 1))
@@ -443,16 +464,15 @@ class TestFiberCount:
         with pytest.raises(SizeCapExceeded):
             generic_fiber_count((3, 2), seed=0)
 
-    def test_fiber_count_keeps_no_state_between_calls(self, monkeypatch):
+    def test_fiber_count_keeps_no_state_between_calls(self, eliminations):
         # a cache that outlived the call would make the second call cheaper
         # than the first; the bound is half the 146 calls that the memoised
         # span-and-annihilator propagation made
-        calls = count_eliminations(monkeypatch)
         counts = []
         for _ in range(2):
-            calls.clear()
+            eliminations.clear()
             assert generic_fiber_count((1, 1, 1, 1)) == 1
-            counts.append(len(calls))
+            counts.append(len(eliminations))
         assert counts[0] == counts[1] <= 73
 
     @staticmethod
