@@ -15,11 +15,12 @@ builds in about 35 ms (CPython 3.11, 2-core x86-64).
 The ample cone of a parabolic is the coordinate orthant and is built in
 closed form. This module answers questions about cones only; which
 chambers the movable cone has is decided in ``resolutions``.
+``RationalCone`` is a named tuple (see ``lie_core``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .errors import DimensionMismatch, EmptyMarking, SizeCapExceeded, invariant
@@ -94,16 +95,22 @@ def _polar_rays(constraints, dim):
     return tuple(sorted(r for r, _ in rays)), lineality
 
 
-@dataclass(frozen=True)
-class RationalCone:
-    """A rational polyhedral cone in canonical double-description form."""
+class RationalCone(namedtuple(
+        "RationalCone", "ambient_dim extreme_rays lineality_basis")):
+    """A rational polyhedral cone in canonical double-description form.
 
-    ambient_dim: int
-    extreme_rays: tuple[tuple[int, ...], ...]
-    lineality_basis: tuple[tuple[int, ...], ...]
-    # facet normals, cached on first use; not part of the cone's identity
-    _facets: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False)
+    The facet normals, when known, are cached in the instance dict; they
+    are not a field, so equality, hash and repr ignore them.
+    """
+
+    _facets = None
+
+    def __new__(cls, ambient_dim, extreme_rays, lineality_basis,
+                _facets=None):
+        self = tuple.__new__(cls, (ambient_dim, extreme_rays, lineality_basis))
+        if _facets is not None:
+            self._facets = _facets
+        return self
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -116,8 +123,7 @@ class RationalCone:
     def facet_normals(self) -> tuple[tuple[int, ...], ...]:
         if self._facets is not None:
             return self._facets
-        facets = dual_cone(self).generators
-        object.__setattr__(self, "_facets", facets)
+        self._facets = facets = dual_cone(self).generators
         return facets
 
     @property

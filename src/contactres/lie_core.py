@@ -24,12 +24,21 @@ the positive roots whose support bitmask meets the marking's; the masks
 are built once per root system, on first use. The nilradical roots that
 the Poincare polynomial and the twistor test need are cached once per
 parabolic. The package's errors are the only import.
+
+Value records here and in the other modules are ``collections.namedtuple``
+subclasses with ``__slots__ = ()``; those that validate their input do it
+in ``__new__``. Records are immutable, and hashed and compared in C as
+the tuple of their fields. So a record is
+also iterable and orderable, and equals a plain tuple, or a record of
+another type, with the same items. The package never puts a record and a
+plain tuple in one comparison, dict, set or cache, and never calls
+``_make`` or ``_replace``, which skip ``__new__``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DimensionMismatch, EmptyMarking, InvalidRank, invariant
@@ -65,20 +74,18 @@ DUAL_COXETER_NUMBER = {
     "G": lambda n: 4,
 }
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(namedtuple("SimpleType", "family rank")):
     """A simple complex Lie algebra type: family letter plus rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in RANK_BOUNDS:
-            raise InvalidRank(f"unknown family {self.family!r}")
-        lo, hi = RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidRank(
-                f"rank {self.rank} out of bounds for type {self.family}")
+    def __new__(cls, family: str, rank: int):
+        if family not in RANK_BOUNDS:
+            raise InvalidRank(f"unknown family {family!r}")
+        lo, hi = RANK_BOUNDS[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidRank(f"rank {rank} out of bounds for type {family}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -92,8 +99,8 @@ class SimpleType:
         return self.family in "ABCD"
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(namedtuple(
+        "RootSystemData", "simple_type cartan_matrix positive_roots")):
     """Cartan matrix and positive roots of a type.
 
     Conventions: ``cartan_matrix[i][j] = <alpha_i, alpha_j-check>`` (zero
@@ -101,9 +108,7 @@ class RootSystemData:
     coefficients.
     """
 
-    simple_type: SimpleType
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -200,26 +205,24 @@ def build_root_system(t: SimpleType) -> RootSystemData:
     )
 
 
-@dataclass(frozen=True)
-class ParabolicType:
+class ParabolicType(namedtuple("ParabolicType", "simple_type marked")):
     """A conjugacy class of parabolics: a simple type and a marked subset
     of its simple roots, compared and hashed as that value.
 
-    ``marked`` uses 1-based Bourbaki indices. The empty marking stands for
-    the whole group; operations that need a proper parabolic raise
+    ``marked`` uses 1-based Bourbaki indices, sorted and without repeats
+    whatever order it is given in. The empty marking stands for the whole
+    group; operations that need a proper parabolic raise
     :class:`EmptyMarking` on it.
     """
 
-    simple_type: SimpleType
-    marked: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.simple_type.rank
-        cleaned = tuple(sorted(set(self.marked)))
+    def __new__(cls, simple_type: SimpleType, marked):
+        n = simple_type.rank
+        cleaned = tuple(sorted(set(marked)))
         if cleaned and (cleaned[0] < 1 or cleaned[-1] > n):
-            raise DimensionMismatch(
-                f"marked roots {self.marked} outside 1..{n}")
-        object.__setattr__(self, "marked", cleaned)
+            raise DimensionMismatch(f"marked roots {marked} outside 1..{n}")
+        return super().__new__(cls, simple_type, cleaned)
 
     def __str__(self):
         inner = ",".join(str(i) for i in self.marked)

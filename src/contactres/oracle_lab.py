@@ -26,21 +26,24 @@ ker theta.
 
 Models are integer matrices: the Jordan forms, the nilradical samples
 and the conjugates are built from ints, and every product stays
-integral. Fractions appear only where an entry really is rational, as in
-``scale_model`` with a rational factor. The kernel in ``ratlinalg``
-accepts both. Tuples are built from lists, for the reason given there.
+integral. Fractions appear only where an entry really is rational: in a
+matrix given to ``matrix_model`` (the tests rescale models by rational
+factors) and in the Euler coordinates of ``contact_check`` before they
+are made primitive. The kernel in ``ratlinalg`` accepts both. Tuples
+are built from lists, for the reason given there.
 
 These oracles are deliberately independent of the combinatorial
 formulas they validate: dimensions come from ranks of ad maps, Richardson
 partitions from Jordan types of random nilradical elements, Springer
 degrees from exact flag counting. All randomness is seeded and the seed
-strings are derivable by callers for reporting.
+strings are derivable by callers for reporting. ``MatrixModel`` and
+``ContactCheckResult`` are named tuples (see ``lie_core``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -115,12 +118,10 @@ def _positive_parts(parts) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
-class MatrixModel:
+class MatrixModel(namedtuple("MatrixModel", "n e")):
     """A nilpotent element of sl_n; the ambient basis is ``_supports(n)``."""
 
-    n: int
-    e: Matrix
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -221,14 +222,12 @@ def _kks_form(m: MatrixModel) -> list[list]:
     return _traces(_ad_images(m.e, supports), supports, m.n)
 
 
-@dataclass(frozen=True)
-class ContactCheckResult:
+class ContactCheckResult(namedtuple(
+        "ContactCheckResult", "dim_orbit theta_kernel_dim "
+        "omega_rank_on_kernel radical_is_euler_line")):
     """Pointwise linearization of the contact-nondegeneracy condition."""
 
-    dim_orbit: int
-    theta_kernel_dim: int
-    omega_rank_on_kernel: int
-    radical_is_euler_line: bool
+    __slots__ = ()
 
     @property
     def is_contact(self) -> bool:
@@ -476,8 +475,3 @@ def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
         if adj is not None:
             break
     return matrix_model(mat_mul(mat_mul(g, m.e), adj))
-
-
-def scale_model(m: MatrixModel, t) -> MatrixModel:
-    t = Fraction(t)
-    return matrix_model([[t * x for x in row] for row in m.e])

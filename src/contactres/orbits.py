@@ -7,12 +7,16 @@ formulas for the classical types are the standard closed forms; the type
 A formula is additionally cross-validated against the exact ad-rank
 oracle in the test suite and verification harness, which is the ground
 truth here.
+
+The labels, records and table entries are named tuples (see
+``lie_core``); the exceptional table is keyed by plain (family, rank,
+key) tuples, never by a record.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
@@ -70,8 +74,9 @@ def _multiplicities(part: Partition) -> dict[int, int]:
 
 # --- orbit labels -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(namedtuple(
+        "OrbitLabel", "simple_type partition exceptional_key very_even_tag",
+        defaults=(None, None, None))):
     """A nilpotent orbit: partition (classical) or table key (exceptional).
 
     Very even type-D partitions label two orbits; ``very_even_tag`` keeps
@@ -79,10 +84,7 @@ class OrbitLabel:
     distinguishes the two, so the tag is carried but never branched on.
     """
 
-    simple_type: SimpleType
-    partition: Partition | None = None
-    exceptional_key: str | None = None
-    very_even_tag: str | None = None
+    __slots__ = ()
 
     @property
     def is_exceptional(self) -> bool:
@@ -236,16 +238,11 @@ def is_minimal_orbit(o: OrbitLabel) -> bool:
 
 # --- orbit records ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(namedtuple("OrbitRecord", "label dim_orbit is_minimal "
+                             "is_zero contact_n proj_normalization_smooth")):
     """Everything the resolution machinery needs to know about one orbit."""
 
-    label: OrbitLabel
-    dim_orbit: int
-    is_minimal: bool
-    is_zero: bool
-    contact_n: int | None
-    proj_normalization_smooth: bool
+    __slots__ = ()
 
     @property
     def singularity_flags(self) -> dict[str, bool]:
@@ -274,18 +271,11 @@ def orbit_record(o: OrbitLabel) -> OrbitRecord:
 
 # --- exceptional table --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExceptionalOrbitEntry:
-    family: str
-    rank: int
-    key: str
-    dimension: int
-    is_richardson: bool | None = None
-    admits_symplectic_resolution: bool | None = None
-    polarizations: tuple[tuple[int, ...], ...] | None = None
-    springer_degree: int | None = None
-    note: str | None = None
-    provenance: str | None = None
+ExceptionalOrbitEntry = namedtuple(
+    "ExceptionalOrbitEntry",
+    "family rank key dimension is_richardson admits_symplectic_resolution "
+    "polarizations springer_degree note provenance",
+    defaults=(None,) * 6)
 
 
 def _parse_bool(value: str, where: str) -> bool:

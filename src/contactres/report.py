@@ -9,7 +9,9 @@ plain JSON types: dicts with ``str`` keys, lists, tuples, ``str``,
 ``to_json`` is the one serializer. Its output is, byte for byte, that of
 ``json.dumps(obj, indent=2, sort_keys=True)``: keys sorted, two-space
 indent, ASCII-escaped strings. It refuses floats (a report is exact) and
-every other type with ``TypeError``.
+every other type with ``TypeError``. That includes the package's
+records: they are named tuples, but the exact ``type(obj) is tuple``
+test keeps them from being written as arrays.
 """
 
 from __future__ import annotations

@@ -28,20 +28,22 @@ The central facts this module operationalizes:
   composition. Only the combinatorial gluing is recorded; no common
   linear embedding of all chambers is attempted (none is available at
   this level of the theory).
+
+The records are named tuples (see ``lie_core``). Chamber labels and wall
+ends are plain composition tuples, compared only with each other.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 # unused here, but perfbench/layertrace.py patches this name to count orderings
 from itertools import permutations  # noqa: F401
 
 from . import oracle_lab
-from .cones import RationalCone, ample_cone
+from .cones import ample_cone
 from .errors import (
     ContactresError,
     EmptyMarking,
@@ -61,7 +63,6 @@ from .lie_core import (
 )
 from .orbits import (
     OrbitLabel,
-    OrbitRecord,
     dual_partition,
     exceptional_entry,
     is_minimal_orbit,
@@ -124,20 +125,20 @@ def composition_from_marking(p: ParabolicType) -> tuple[int, ...]:
     return tuple([b - a for a, b in zip(cuts, cuts[1:])])
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(namedtuple("Polarization", "parabolic richardson_orbit "
+                               "springer_degree is_birational")):
     """A parabolic whose Springer map resolves the orbit closure."""
 
-    parabolic: ParabolicType
-    richardson_orbit: OrbitLabel
-    springer_degree: int | None
-    is_birational: bool | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        invariant(not self.is_birational
-                  or orbit_dimension(self.richardson_orbit)
-                  == 2 * flag_dimension(self.parabolic),
+    def __new__(cls, parabolic: ParabolicType, richardson_orbit: OrbitLabel,
+                springer_degree: int | None, is_birational: bool | None):
+        invariant(not is_birational
+                  or orbit_dimension(richardson_orbit)
+                  == 2 * flag_dimension(parabolic),
                   "birational polarization must have dim O = 2 dim G/P")
+        return super().__new__(cls, parabolic, richardson_orbit,
+                               springer_degree, is_birational)
 
     @property
     def composition(self) -> tuple[int, ...] | None:
@@ -273,14 +274,11 @@ def equivalent_parabolics(p: ParabolicType) -> list[ParabolicType]:
 
 # --- chamber complexes --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(namedtuple("Chamber", "marked_roots composition ample")):
     """One chamber of the movable cone: the ample cone of one parabolic,
     written in that parabolic's own weight basis."""
 
-    marked_roots: tuple[int, ...]
-    composition: tuple[int, ...] | None
-    ample: RationalCone
+    __slots__ = ()
 
     @property
     def label(self) -> tuple[int, ...]:
@@ -288,23 +286,16 @@ class Chamber:
             else self.marked_roots
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(namedtuple("Wall", "chamber_a chamber_b position entries")):
     """Codimension-one contact between two chambers. In type A the move
     is the adjacent transposition swapping ``entries`` at ``position``
     (1-based) of chamber_a's composition."""
 
-    chamber_a: tuple[int, ...]
-    chamber_b: tuple[int, ...]
-    position: int
-    entries: tuple[int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChamberComplex:
-    orbit: OrbitLabel
-    chambers: tuple[Chamber, ...]
-    walls: tuple[Wall, ...]
+class ChamberComplex(namedtuple("ChamberComplex", "orbit chambers walls")):
+    __slots__ = ()
 
     @property
     def chamber_count(self) -> int:
@@ -402,15 +393,11 @@ def is_twistor_space(p: ParabolicType) -> bool:
     return is_projective_space(p)
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(namedtuple("OracleCheck", "oracle case formula_value "
+                             "oracle_value seeds", defaults=((),))):
     """One formula value against the value of an independent oracle."""
 
-    oracle: str
-    case: str
-    formula_value: object
-    oracle_value: object
-    seeds: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def agrees(self) -> bool:
@@ -447,20 +434,15 @@ def fiber_check(comp, degree, seed: int) -> OracleCheck:
                        degree, count, tuple(oracle_lab.trial_seeds(seed)))
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(namedtuple(
+        "ResolutionReport",
+        "orbit verdict reason polarizations chamber_complex "
+        "affine_closure_admits_symplectic_resolution oracle_checks notes "
+        # crepant = minimal model = contact: one predicate by construction.
+        "crepant_equals_contact_equals_minimal", defaults=(True,))):
     """The full answer for one orbit."""
 
-    orbit: OrbitRecord
-    verdict: str
-    reason: str
-    polarizations: tuple[Polarization, ...]
-    chamber_complex: ChamberComplex | None
-    affine_closure_admits_symplectic_resolution: bool | None
-    oracle_checks: tuple[OracleCheck, ...]
-    notes: tuple[str, ...]
-    # crepant = minimal model = contact: one predicate by construction.
-    crepant_equals_contact_equals_minimal: bool = True
+    __slots__ = ()
 
     @property
     def canonical_bundle_exponent(self) -> int | None:

@@ -95,6 +95,18 @@ def test_non_closed_ordering_list_raises():
     assert not issubclass(InternalInvariantError, ContactresError)
 
 
+def test_cli_start_up_skips_dataclasses():
+    """Records are named tuples, so no CLI process imports ``dataclasses``
+    or builds methods from source at start-up."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import contactres.cli; print('dataclasses' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout == "False\n"
+
+
 def test_acceptance_criteria_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -28,7 +28,6 @@ from contactres.oracle_lab import (
     matrix_model,
     nilradical_positions,
     random_conjugate,
-    scale_model,
     trial_seeds,
 )
 from contactres.orbits import (
@@ -65,6 +64,12 @@ def combine(mats, coeffs):
                 for j in range(n):
                     out[i][j] += c * mat[i][j]
     return tuple(map(tuple, out))
+
+
+def scale_model(m, t):
+    """The model of t e: a rational factor t gives Fraction entries."""
+    t = F(t)
+    return matrix_model([[t * x for x in row] for row in m.e])
 
 
 def _parallel(u, v) -> bool:

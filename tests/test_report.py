@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactres.lie_core import SimpleType
 from contactres.report import to_json
 
 
@@ -64,6 +65,9 @@ class TestRefuses:
         1.5, [0.0], {"x": float("nan")}, {1, 2}, frozenset(), Fraction(1, 2),
         b"bytes", pytest.param(object(), id="object"), {1: "int key"}, {None: 0}, {("a",): 0},
         {"a": 1, 2: "mixed keys"},
+        # a record is a named tuple: only the exact type test refuses it
+        pytest.param(SimpleType("A", 1), id="record"),
+        pytest.param([SimpleType("A", 1)], id="record-in-list"),
     ], ids=repr)
     def test_type_error(self, obj):
         with pytest.raises(TypeError):
