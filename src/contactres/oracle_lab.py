@@ -18,19 +18,28 @@ added to column j, and x times row j of e taken from row i. It makes
 tr(X b) the single term x X[j][i]. The forms restricted to a subspace
 are then sums over the supports of its spanning vectors.
 
-``contact_check`` needs the radical of omega on ker theta only to ask
-whether it is the Euler line. It takes the rank of omega; when the rank
-is k - 1, the one-dimensional radical is that line exactly when the
+``contact_check`` runs two echelon eliminations and no reduced one.
+The first, of [ad_e | vec(e)], gives a tangent basis (the pivots) and,
+by integer back-substitution, D times the Euler coordinates, with D
+the leading minor on the pivots: a matrix Y in their span with
+[e, Y] = D e. Y is also the witness that theta is well defined:
+D tr(e b) = -tr(Y [e, b]) for every basis element b puts theta in the
+row space of ad_e, so it vanishes on the centralizer. The second is the
+rank of omega on ker theta, read off the Gram matrix Omega of the
+tangent basis bordered by theta: by congruence,
+rank [[Omega, theta^T], [theta, 0]] = rank(omega on ker theta) + 2,
+theta being nonzero because e is. The radical is needed only to ask whether it is the
+Euler line: when the rank is k - 1, it is that line exactly when the
 Euler vector is nonzero and omega pairs it to zero with all of
-ker theta.
+ker theta, that is, when Omega times it is a multiple of theta.
 
 Models are integer matrices: the Jordan forms, the nilradical samples
 and the conjugates are built from ints, and every product stays
 integral. Fractions appear only where an entry really is rational: in a
 matrix given to ``matrix_model`` (the tests rescale models by rational
-factors) and in the Euler coordinates of ``contact_check`` before they
-are made primitive. The kernel in ``ratlinalg`` accepts both. Tuples
-are built from lists, for the reason given there.
+factors), and then in the forms built from it. The kernel in
+``ratlinalg`` accepts both. Tuples are built from lists, for the reason
+given there.
 
 These oracles are deliberately independent of the combinatorial
 formulas they validate: dimensions come from ranks of ad maps, Richardson
@@ -58,13 +67,14 @@ from .errors import (
 )
 from .ratlinalg import (
     adjugate,
+    dot,
     mat_mul,
     mat_vec,
     nullspace,
+    pivot_solution,
     primitive,
     rank,
     rref,
-    rref_kernel,
 )
 
 ADDIM_SIZE_CAP = 8   # ad_e acts on an (n^2-1)-dim space; keep desk scale
@@ -249,46 +259,61 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     """
     if m.is_zero:
         raise ZeroElement("contact check needs a nonzero nilpotent")
-    supports = _supports(m.n)
+    n = m.n
+    supports = _supports(n)
     images = _ad_images(m.e, supports)
     vec_e = _vec(m.e)
-    # one elimination of [ad_e | vec(e)]: its pivots index a tangent basis,
-    # its kernel is the centralizer, its last column the Euler coordinates
-    ncols = len(images)
-    red, pivots = rref([list(col) + [x]
-                        for col, x in zip(zip(*images), vec_e)])
-    invariant(ncols not in pivots, "e must lie in the image of ad_e")
+    # one echelon elimination of [ad_e | vec(e)]: its pivots index a
+    # tangent basis, and back-substitution gives y = minor times the Euler
+    # coordinates, so Y = sum y_i b_{p_i} has [e, Y] = minor * e
+    ad_rows = list(zip(*images))
+    found = pivot_solution(ad_rows, vec_e)
+    invariant(found is not None, "e must lie in the image of ad_e")
+    pivots, minor, y = found
     d = len(pivots)
+    coords = [0] * len(images)
+    y_t = [0] * (n * n)  # vec of Y^T, so that tr(Y X) = dot(y_t, vec(X))
+    for p, yp in zip(pivots, y):
+        coords[p] = yp
+        for i, j, x in supports[p]:
+            y_t[j * n + i] += yp * x
+    invariant([dot(row, coords) for row in ad_rows]
+              == [minor * x for x in vec_e],
+              "e must lie in the image of ad_e")
 
     # theta on the whole basis, tr(e b_j); well-definedness: it vanishes
-    # on the centralizer
-    theta_all = _traces([vec_e], supports, m.n)[0]
-    for z in rref_kernel(red, pivots, ncols):
-        invariant(sum([c * t for c, t in zip(z, theta_all) if c]) == 0,
+    # on the centralizer, since tr([e, Y] b) = -tr(Y [e, b]) puts it in
+    # the row space of ad_e
+    theta_all = _traces([vec_e], supports, n)[0]
+    for t, img in zip(theta_all, images):
+        invariant(minor * t == -dot(y_t, img),
                   "trace form fails to vanish on the centralizer")
 
-    theta = [theta_all[j] for j in pivots]
-    red_t, pivots_t = rref([theta])
-    kernel = rref_kernel(red_t, pivots_t, d)  # coords in the tangent basis
-    k = len(kernel)
+    # theta is in the row space of ad_e, so it is zero on the tangent
+    # basis only if tr(e b) = 0 for every b in sl_n, that is, only if e = 0
+    theta = [theta_all[p] for p in pivots]
+    lead = next((i for i, t in enumerate(theta) if t), None)
+    invariant(lead is not None, "theta must be nonzero on the tangent space")
+    k = d - 1
 
     # omega(f_a, f_b) = f_a^T omega_P f_b, with omega_P the Gram matrix
-    # tr([e, P_i] P_j) of the tangent preimages; each f has <= 2 entries
-    omega_p = _traces([images[j] for j in pivots],
-                      [supports[j] for j in pivots], m.n)
-    sparse = [[(i, c) for i, c in enumerate(f) if c] for f in kernel]
-    omega = [[sum([c * x * omega_p[i][j] for i, c in fa for j, x in fb])
-              for fb in sparse] for fa in sparse]
-    omega_rank = rank(omega)
+    # tr([e, P_i] P_j) of the tangent preimages; bordering it by theta
+    # adds 2 to the rank of omega on ker theta
+    omega_p = _traces([images[p] for p in pivots],
+                      [supports[p] for p in pivots], n)
+    omega_rank = rank([row + [t] for row, t in zip(omega_p, theta)]
+                      + [theta + [0]]) - 2
 
-    euler = primitive([Fraction(row[ncols], row[p])
-                       for row, p in zip(red, pivots)])
-    invariant(sum(t * c for t, c in zip(theta, euler)) == 0,
+    euler = primitive(y)
+    invariant(dot(theta, euler) == 0,
               "theta must vanish on the Euler direction")
     # euler lies in ker theta, so a one-dimensional radical is its line
-    # exactly when euler is nonzero and omega pairs it to zero with all of it
+    # exactly when euler is nonzero and omega pairs it to zero with all of
+    # ker theta: omega_P euler is a multiple of theta
+    pairing = mat_vec(omega_p, euler)
     radical_is_euler = (omega_rank == k - 1 and any(euler) and
-                        not any(mat_vec(kernel, mat_vec(omega_p, euler))))
+                        all([theta[lead] * w == pairing[lead] * t
+                             for w, t in zip(pairing, theta)]))
 
     return ContactCheckResult(
         dim_orbit=d,

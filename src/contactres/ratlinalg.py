@@ -9,8 +9,16 @@ Gauss-Jordan on rows cleared of denominators (row scaling changes
 neither row space nor kernel). Each update divides exactly by the
 previous pivot, so entries stay minors of the cleared matrix, bounded by
 Hadamard's inequality. ``rref`` and ``nullspace`` return primitive
-integer vectors; ``adjugate`` returns integers, and only ``solve``
-returns Fractions.
+integer vectors; ``adjugate`` and ``pivot_solution`` return integers,
+and only ``solve`` returns Fractions.
+
+``pivot_solution`` solves A x = b without clearing above the pivots. Let
+D be the last pivot of the echelon form of the cleared [A | b]: the
+leading minor on the pivot columns, in the rows that gave the pivots. By
+Cramer's rule D x is then an integer vector for the solution x that is
+zero on the free columns, so back-substitution on the pivot rows,
+y_i = (D b_i - sum_{j > i} U_{i,p_j} y_j) / U_{i,p_i}, divides exactly
+at every step.
 
 A row whose entry in the pivot column is zero would only be rescaled by
 p / prev, the new pivot over the old. That rescaling is deferred: the
@@ -32,6 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from .errors import invariant
 
 
 def _int_row(row) -> list[int]:
@@ -143,17 +153,47 @@ def rref_kernel(red, pivots, ncols) -> list[tuple[int, ...]]:
     return basis
 
 
+def pivot_solution(rows, rhs) -> tuple[list[int], int, list[int]] | None:
+    """Solve A x = b by one echelon elimination of [A | b] and integer
+    back-substitution: ``(pivots, D, y)``, or None when b is a pivot
+    column (the system is inconsistent).
+
+    ``pivots`` are A's pivot columns and D the last pivot (1 when there
+    is none); ``y[i] = D x[pivots[i]]`` for the solution x that is zero
+    on the free columns. The echelon pivot rows are final: a row whose
+    scaling was deferred is brought up to date when it becomes the pivot
+    row, and later passes never touch it again.
+    """
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    m, pivots, _ = _eliminate(aug, reduce=False)
+    if aug and len(aug[0]) - 1 in pivots:
+        return None
+    r = len(pivots)
+    d = m[r - 1][pivots[-1]] if r else 1
+    y = [0] * r
+    for i in range(r - 1, -1, -1):
+        row = m[i]
+        acc = d * row[-1]
+        for p, yj in zip(pivots[i + 1:], y[i + 1:]):
+            if row[p]:
+                acc -= row[p] * yj
+        y[i], rem = divmod(acc, row[pivots[i]])
+        invariant(rem == 0, "back-substitution must divide exactly")
+    return pivots, d, y
+
+
 def solve(rows, rhs) -> tuple[Fraction, ...] | None:
-    """One solution of A x = b, or None when inconsistent."""
+    """One solution of A x = b, zero on the free columns, or None when
+    inconsistent."""
     if not rows:
         return None
-    ncols = len(rows[0])
-    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if ncols in pivots:
+    found = pivot_solution(rows, rhs)
+    if found is None:
         return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = Fraction(row[ncols], row[p])
+    pivots, d, y = found
+    x = [Fraction(0)] * len(rows[0])
+    for p, yp in zip(pivots, y):
+        x[p] = Fraction(yp, d)
     return tuple(x)
 
 

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from contactres.errors import (
     ContactresError,
+    InternalInvariantError,
     InvalidPartition,
     NonFiniteFiber,
     SizeCapExceeded,
@@ -321,13 +323,76 @@ class TestContactCheck:
                     assert res.is_contact
 
     def test_one_elimination_per_matrix(self, eliminations):
-        # [ad_e | vec(e)], the theta kernel, the omega rank; the Euler
-        # vector is read off the first, and omega pairs it with ker theta
-        # by products alone
+        # [ad_e | vec(e)], whose back-substitution gives the Euler vector,
+        # and omega_P bordered by theta; both in echelon mode, and omega
+        # pairs the Euler vector with ker theta by products alone
         model = random_conjugate(jordan_nilpotent((3, 2)), 5)
         eliminations.clear()
         assert contact_check(model).is_contact
-        assert len(eliminations) <= 3
+        assert [call["reduce"] for call in eliminations] == [False, False]
+
+    @pytest.mark.parametrize("model", [
+        jordan_nilpotent((2, 1)), jordan_nilpotent((3,)),
+        random_conjugate(jordan_nilpotent((2, 2)), 3),
+        random_conjugate(jordan_nilpotent((3, 1)), 4)])
+    def test_theta_off_the_row_space_is_refused(self, model, monkeypatch):
+        # adding a centralizer vector z to theta leaves the row space of
+        # ad_e, since z . z > 0 while the row space is orthogonal to z
+        from contactres import oracle_lab
+        images = _ad_images(model.e, _supports(model.n))
+        z = nullspace(list(zip(*images)))[0]
+        traces = oracle_lab._traces
+
+        def perturbed(vecs, supports, n):
+            out = traces(vecs, supports, n)
+            if len(vecs) != 1:
+                return out
+            return [[x + c for x, c in zip(out[0], z)]]  # theta
+
+        monkeypatch.setattr(oracle_lab, "_traces", perturbed)
+        with pytest.raises(InternalInvariantError,
+                           match="trace form fails to vanish on the "
+                                 "centralizer"):
+            contact_check(model)
+
+    def test_wrong_euler_coordinates_are_refused(self, monkeypatch):
+        # y[0] + 1 adds the nonzero pivot image [e, b_{p_0}] to [e, Y]
+        from contactres import oracle_lab
+        solution = oracle_lab.pivot_solution
+
+        def off_by_one(rows, rhs):
+            pivots, minor, y = solution(rows, rhs)
+            return pivots, minor, [y[0] + 1] + y[1:]
+
+        monkeypatch.setattr(oracle_lab, "pivot_solution", off_by_one)
+        with pytest.raises(InternalInvariantError,
+                           match="e must lie in the image of ad_e"):
+            contact_check(random_conjugate(jordan_nilpotent((3, 1)), 4))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_bordered_rank_is_the_rank_on_ker_theta(self, dense):
+        # rank [[B, theta^T], [theta, 0]] - 2 = rank(K^T B K), with K a
+        # basis of ker theta: the identity contact_check's omega rank uses
+        rng = random.Random(f"bordered:{dense}")
+        for _ in range(60):
+            d = rng.randint(2, 7)
+            upper = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(d)]
+                     for _ in range(d)]
+            b = [[upper[i][j] - upper[j][i] for j in range(d)]
+                 for i in range(d)]
+            if dense:
+                theta = [rng.randint(-4, 4) for _ in range(d)]
+            else:
+                theta = [0] * d
+                for i in rng.sample(range(d), rng.randint(1, 2)):
+                    theta[i] = rng.choice([1, -1, 3])
+            if not any(theta):
+                theta[rng.randrange(d)] = 1
+            k = list(zip(*nullspace([theta])))
+            restricted = mat_mul(mat_mul(list(zip(*k)), b), k)
+            bordered = ([row + [t] for row, t in zip(b, theta)]
+                        + [theta + [0]])
+            assert rank(bordered) - 2 == rank(restricted)
 
     MODELS = [jordan_nilpotent((2, 1)), jordan_nilpotent((3,)),
               random_conjugate(jordan_nilpotent((2, 2)), 3)]

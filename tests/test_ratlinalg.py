@@ -12,6 +12,7 @@ from contactres.ratlinalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    pivot_solution,
     primitive,
     rank,
     rref,
@@ -141,6 +142,21 @@ def reference_solve(rows, rhs):
     x = [F(0)] * ncols
     for r, p in enumerate(pivots):
         x[p] = red[r][ncols]
+    return tuple(x)
+
+
+def rref_solve(rows, rhs):
+    """``solve`` by reading the solution off the integer RREF of [A | b],
+    the path the back-substitution replaced."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = F(row[ncols], row[p])
     return tuple(x)
 
 
@@ -316,6 +332,44 @@ class TestSolve:
         rows = [[1, 2], [2, 4]]
         assert solve(rows, [1, 3]) is None   # rank(A) < rank(A|b)
         assert solve(rows, [1, 2]) == (F(1), F(0))
+
+    @pytest.mark.parametrize("kind", ENTRIES)
+    @given(data=st.data())
+    @settings(max_examples=150, derandomize=True)
+    def test_back_substitution_matches_rref_path(self, kind, data):
+        # A = L R with a small inner dimension is often rank-deficient;
+        # b = A x is consistent, a drawn b mostly not
+        entries = SPARSE_ENTRIES[kind]
+        nrows = data.draw(st.integers(1, 6))
+        ncols = data.draw(st.integers(1, 6))
+        inner = data.draw(st.integers(1, 6))
+        left = data.draw(st.lists(st.lists(entries, min_size=inner,
+                                           max_size=inner),
+                                  min_size=nrows, max_size=nrows))
+        right = data.draw(st.lists(st.lists(entries, min_size=ncols,
+                                            max_size=ncols),
+                                   min_size=inner, max_size=inner))
+        rows = [list(row) for row in mat_mul(left, right)]
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(ENTRIES[kind], min_size=ncols,
+                                   max_size=ncols))
+            rhs = list(mat_vec(rows, x))
+        else:
+            rhs = data.draw(st.lists(entries, min_size=nrows,
+                                     max_size=nrows))
+        got = solve(rows, rhs)
+        want = rref_solve(rows, rhs)
+        assert got == want
+        if got is not None:
+            assert all(type(x) is F for x in got)
+            assert mat_vec(rows, got) == tuple(rhs)
+
+    def test_pivot_solution_scales_by_the_last_pivot(self):
+        # [[2, 1], [0, 3]] has last pivot 6, the leading minor
+        pivots, d, y = pivot_solution([[2, 1], [0, 3]], [5, 6])
+        assert (pivots, d, y) == ([0, 1], 6, [9, 12])
+        assert pivot_solution([[1, 1], [2, 2]], [1, 3]) is None
+        assert pivot_solution([[0, 0]], [0]) == ([], 1, [])
 
 
 class TestInverse:
