@@ -34,7 +34,7 @@ from .resolutions import (
     movable_chambers,
     polarizations,
 )
-from .verify import run_suite, suite_caps, suite_names
+from .verify import oracle_block, run_suite, suite_caps, suite_names
 
 SCHEMA_ID = "contactres-report/1"
 
@@ -148,9 +148,9 @@ _JSON = _arg("--json", action="store_true",
           _arg("--no-oracles", action="store_true",
                help="skip the oracle cross-check block"))
 def _classify(args) -> dict:
-    return resolution_report_dict(contact_resolution_exists(
-        parse_orbit(args.orbit), seed=args.seed,
-        with_oracles=not args.no_oracles))
+    report = contact_resolution_exists(parse_orbit(args.orbit))
+    checks = () if args.no_oracles else oracle_block(report, args.seed)
+    return resolution_report_dict(report, checks)
 
 
 @_command("dim", "orbit dimension and flags", _ORBIT, _JSON)

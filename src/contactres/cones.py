@@ -25,17 +25,13 @@ from math import gcd
 
 from .errors import DimensionMismatch, EmptyMarking, SizeCapExceeded, invariant
 from .lie_core import ParabolicType
-from .ratlinalg import dot, primitive, rank, rref, rref_kernel
+from .ratlinalg import dot, primitive, rank, row_basis, rref, rref_kernel
 
 MAX_AMBIENT_DIM = 8
 
 
 def _identity_rows(dim):
     return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-
-
-def _canonical_lineality(basis_rows):
-    return tuple(map(tuple, rref(basis_rows)[0]))
 
 
 def _cancel(a, u, v):
@@ -57,7 +53,7 @@ def _polar_rays(constraints, dim):
     constraints = [c for c in map(primitive, constraints) if any(c)]
     red, pivots = rref(constraints)
     kernel = rref_kernel(red, pivots, dim)
-    lineality = _canonical_lineality(kernel) if kernel else ()
+    lineality = row_basis(kernel) if kernel else ()
     lin = [tuple(row) for row in red]
     rays = []  # (ray, bitmask of the constraints added so far it makes zero)
     for k, a in enumerate(dict.fromkeys(constraints)):

@@ -41,7 +41,13 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DimensionMismatch, EmptyMarking, InvalidRank, invariant
+from .errors import (
+    DimensionMismatch,
+    EmptyMarking,
+    InvalidRank,
+    SizeCapExceeded,
+    invariant,
+)
 
 RANK_BOUNDS = {
     "A": (1, None),
@@ -63,6 +69,13 @@ _POSITIVE_ROOT_COUNT = {
     "F": lambda n: 24,
     "G": lambda n: 6,
 }
+
+# Largest rank whose root system is built. The reflection closure costs
+# roughly rank^4 to rank^5: the slowest of A-D builds in ~0.6 s at rank
+# 40, ~0.9 s at 45 and 1.1-1.4 s at 50, and B100 took ~20 s (CPython
+# 3.11.7, 2-core x86-64). Closed-form answers, such as orbit dimensions,
+# build no root system and meet no cap.
+MAX_ROOT_SYSTEM_RANK = 40
 
 DUAL_COXETER_NUMBER = {
     "A": lambda n: n + 1,
@@ -189,8 +202,12 @@ def build_root_system(t: SimpleType) -> RootSystemData:
 
     Roots are produced by reflection closure and validated against the
     classical positive-root count, so a bad Cartan matrix cannot slip
-    through silently.
+    through silently. A rank over ``MAX_ROOT_SYSTEM_RANK`` is refused
+    with :class:`SizeCapExceeded` before any root is generated.
     """
+    if t.rank > MAX_ROOT_SYSTEM_RANK:
+        raise SizeCapExceeded(f"{t} has rank {t.rank}, over the root-system "
+                              f"cap of {MAX_ROOT_SYSTEM_RANK}")
     cartan = _cartan_matrix(t.family, t.rank)
     roots = _generate_roots(cartan)
     positive = sorted(r for r in roots if all(c >= 0 for c in r))
@@ -238,19 +255,27 @@ def parabolic(t: SimpleType, marked) -> ParabolicType:
 
 
 @lru_cache(maxsize=None)
-def _nilradical_roots(p: ParabolicType) -> tuple[tuple[int, ...], ...]:
-    """Positive roots with a nonzero coefficient on some marked root."""
-    marked0 = [i - 1 for i in p.marked]
-    return tuple([r for r in p.root_system.positive_roots
-                  if any(r[i] for i in marked0)])
-
-
-@lru_cache(maxsize=None)
 def _support_masks(t: SimpleType) -> tuple[int, ...]:
     """Each positive root's support as a bitmask: bit i - 1 is set when
     the root has a nonzero coefficient on simple root i."""
     return tuple([sum([1 << i for i, c in enumerate(r) if c])
                   for r in build_root_system(t).positive_roots])
+
+
+def _marking_mask(p: ParabolicType) -> int:
+    """The marking as a bitmask: bit i - 1 is set when i is marked. A
+    positive root lies in the nilradical of P exactly when its support
+    mask meets this one."""
+    return sum([1 << (i - 1) for i in p.marked])
+
+
+@lru_cache(maxsize=None)
+def _nilradical_roots(p: ParabolicType) -> tuple[tuple[int, ...], ...]:
+    """The positive roots in the nilradical of P, by the support rule."""
+    marked = _marking_mask(p)
+    return tuple([r for r, mask in zip(p.root_system.positive_roots,
+                                       _support_masks(p.simple_type))
+                  if mask & marked])
 
 
 def flag_dimension(p: ParabolicType) -> int:
@@ -262,7 +287,7 @@ def flag_dimension(p: ParabolicType) -> int:
     """
     if not p.marked:
         raise EmptyMarking("flag dimension needs a proper parabolic")
-    marked = sum([1 << (i - 1) for i in p.marked])
+    marked = _marking_mask(p)
     return sum([1 for mask in _support_masks(p.simple_type) if mask & marked])
 
 

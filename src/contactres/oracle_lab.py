@@ -74,7 +74,7 @@ from .ratlinalg import (
     pivot_solution,
     primitive,
     rank,
-    rref,
+    row_basis,
 )
 
 ADDIM_SIZE_CAP = 8   # ad_e acts on an (n^2-1)-dim space; keep desk scale
@@ -394,12 +394,8 @@ def generic_jordan_type(comp, seed: int = 0,
 # Subspaces are canonical RREF row bases (tuples of primitive integer
 # tuples).
 
-def _span(rows) -> tuple:
-    return tuple([tuple(r) for r in rref(rows)[0]])
-
-
 def _contains(big, small) -> bool:
-    return len(_span(big + small)) == len(big)
+    return len(row_basis(big + small)) == len(big)
 
 
 def _grow(bound: list, act) -> None:
@@ -409,8 +405,8 @@ def _grow(bound: list, act) -> None:
     while changed:
         changed = False
         for i in range(1, len(bound) - 1):
-            new = _span(bound[i] + bound[i - 1]
-                        + mat_mul(bound[i + 1], act))
+            new = row_basis(bound[i] + bound[i - 1]
+                            + mat_mul(bound[i + 1], act))
             if len(new) != len(bound[i]):
                 bound[i], changed = new, True
 
@@ -462,9 +458,9 @@ def generic_fiber_count(comp, seed: int = 0,
                       "no bound may overshoot: e lies in the block "
                       "nilradical, so the standard flag is in its fiber")
             if len(lower[i]) == dims[i]:
-                ann[k - i] = _span(nullspace(lower[i]))
+                ann[k - i] = row_basis(nullspace(lower[i]))
             elif len(ann[k - i]) == n - dims[i]:
-                lower[i] = _span(nullspace(ann[k - i]))
+                lower[i] = row_basis(nullspace(ann[k - i]))
             else:
                 continue
             fixed[i] = progressed = True

@@ -127,6 +127,13 @@ def rref(rows) -> tuple[list[list[int]], list[int]]:
     return red, pivots
 
 
+def row_basis(rows) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``rref(rows)`` as a tuple of tuples: one canonical
+    basis per row space, so two spans are equal exactly when their
+    bases are."""
+    return tuple([tuple(row) for row in rref(rows)[0]])
+
+
 def nullspace(rows) -> list[tuple[int, ...]]:
     """Basis of {x : A x = 0}, one primitive integer vector per free
     column, in RREF order, each positive in its free column."""

@@ -12,23 +12,20 @@ indent, ASCII-escaped strings. It refuses floats (a report is exact) and
 every other type with ``TypeError``. That includes the package's
 records: they are named tuples, but the exact ``type(obj) is tuple``
 test keeps them from being written as arrays.
+
+The functions read the records by field name only, so this module
+imports nothing from the package: ``rec`` is an ``orbits.OrbitRecord``,
+``pol`` a ``resolutions.Polarization``, ``c`` a ``cones.RationalCone``,
+``cc`` a ``resolutions.ChamberComplex`` or None, ``check`` a
+``verify.OracleCheck`` and ``r`` a ``resolutions.ResolutionReport``.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
-from .cones import RationalCone
-from .orbits import OrbitRecord
-from .resolutions import (
-    ChamberComplex,
-    OracleCheck,
-    Polarization,
-    ResolutionReport,
-)
 
-
-def orbit_record_dict(rec: OrbitRecord) -> dict:
+def orbit_record_dict(rec) -> dict:
     label = rec.label
     return {
         "orbit": str(label),
@@ -45,7 +42,7 @@ def orbit_record_dict(rec: OrbitRecord) -> dict:
     }
 
 
-def polarization_dict(pol: Polarization) -> dict:
+def polarization_dict(pol) -> dict:
     comp = pol.composition
     return {
         "composition": list(comp) if comp is not None else None,
@@ -56,7 +53,7 @@ def polarization_dict(pol: Polarization) -> dict:
     }
 
 
-def cone_dict(c: RationalCone) -> dict:
+def cone_dict(c) -> dict:
     return {
         "ambient_dim": c.ambient_dim,
         "extreme_rays": [list(r) for r in c.extreme_rays],
@@ -64,7 +61,7 @@ def cone_dict(c: RationalCone) -> dict:
     }
 
 
-def chamber_complex_dict(cc: ChamberComplex | None) -> dict | None:
+def chamber_complex_dict(cc) -> dict | None:
     if cc is None:
         return None
     return {
@@ -92,7 +89,7 @@ def chamber_complex_dict(cc: ChamberComplex | None) -> dict | None:
     }
 
 
-def oracle_check_dict(check: OracleCheck) -> dict:
+def oracle_check_dict(check) -> dict:
     """A check in the oracle block of a ``classify`` report."""
     return {
         "oracle_name": check.oracle,
@@ -104,7 +101,7 @@ def oracle_check_dict(check: OracleCheck) -> dict:
     }
 
 
-def verify_row_dict(suite: str, check: OracleCheck) -> dict:
+def verify_row_dict(suite: str, check) -> dict:
     """A check as one row of a ``verify`` report."""
     return {
         "suite": suite,
@@ -116,20 +113,23 @@ def verify_row_dict(suite: str, check: OracleCheck) -> dict:
     }
 
 
-def resolution_report_dict(r: ResolutionReport) -> dict:
+def resolution_report_dict(r, oracle_checks) -> dict:
+    """A ``classify`` report: the decision ``r`` and the rows of its
+    oracle block (``verify.oracle_block``; empty with ``--no-oracles``)."""
     return {
         "orbit": orbit_record_dict(r.orbit),
         "verdict": r.verdict,
         "reason": r.reason,
         "resolution_exists": r.resolution_exists,
-        "crepant_equals_contact_equals_minimal":
-            r.crepant_equals_contact_equals_minimal,
+        # crepant = minimal model = contact: the paper makes them one
+        # notion, so a report carries one predicate, never three
+        "crepant_equals_contact_equals_minimal": True,
         "canonical_bundle_exponent": r.canonical_bundle_exponent,
         "affine_closure_admits_symplectic_resolution":
             r.affine_closure_admits_symplectic_resolution,
         "polarizations": [polarization_dict(p) for p in r.polarizations],
         "chamber_complex": chamber_complex_dict(r.chamber_complex),
-        "oracle_checks": [oracle_check_dict(c) for c in r.oracle_checks],
+        "oracle_checks": [oracle_check_dict(c) for c in oracle_checks],
         "notes": list(r.notes),
     }
 

@@ -28,6 +28,9 @@ The central facts this module operationalizes:
   composition. Only the combinatorial gluing is recorded; no common
   linear embedding of all chambers is attempted (none is available at
   this level of the theory).
+* :func:`contact_resolution_exists` takes only the orbit and returns
+  only the decision. The matrix oracles that cross-check it run in
+  ``verify``, so this module does not import them.
 
 The records are named tuples (see ``lie_core``). Chamber labels and wall
 ends are plain composition tuples, compared only with each other.
@@ -42,7 +45,6 @@ from itertools import accumulate
 # unused here, but perfbench/layertrace.py patches this name to count orderings
 from itertools import permutations  # noqa: F401
 
-from . import oracle_lab
 from .cones import ample_cone
 from .errors import (
     ContactresError,
@@ -393,53 +395,10 @@ def is_twistor_space(p: ParabolicType) -> bool:
     return is_projective_space(p)
 
 
-class OracleCheck(namedtuple("OracleCheck", "oracle case formula_value "
-                             "oracle_value seeds", defaults=((),))):
-    """One formula value against the value of an independent oracle."""
-
-    __slots__ = ()
-
-    @property
-    def agrees(self) -> bool:
-        return self.formula_value == self.oracle_value
-
-
-def ad_rank_check(o: OrbitLabel) -> OracleCheck:
-    """dim O against the rank of ad_e on the Jordan representative."""
-    model = oracle_lab.jordan_nilpotent(o.partition)
-    return OracleCheck("ad-rank", str(o), orbit_dimension(o),
-                       oracle_lab.addim(model))
-
-
-def kks_check(o: OrbitLabel) -> OracleCheck:
-    """dim O against the rank of the Kirillov-Kostant-Souriau form."""
-    model = oracle_lab.jordan_nilpotent(o.partition)
-    return OracleCheck("kks-rank", str(o), orbit_dimension(o),
-                       oracle_lab.kks_rank(model))
-
-
-def richardson_check(comp, partition, seed: int) -> OracleCheck:
-    """The Richardson partition of a composition against the Jordan type
-    of seeded generic nilradical elements."""
-    observed = oracle_lab.generic_jordan_type(comp, seed=seed)
-    return OracleCheck("richardson-jordan-type", f"composition {comp}",
-                       list(partition), list(observed),
-                       tuple(oracle_lab.trial_seeds(seed)))
-
-
-def fiber_check(comp, degree, seed: int) -> OracleCheck:
-    """A Springer degree against the exact count of the generic fiber."""
-    count = oracle_lab.generic_fiber_count(comp, seed=seed)
-    return OracleCheck("springer-fiber-count", f"composition {comp}",
-                       degree, count, tuple(oracle_lab.trial_seeds(seed)))
-
-
 class ResolutionReport(namedtuple(
         "ResolutionReport",
         "orbit verdict reason polarizations chamber_complex "
-        "affine_closure_admits_symplectic_resolution oracle_checks notes "
-        # crepant = minimal model = contact: one predicate by construction.
-        "crepant_equals_contact_equals_minimal", defaults=(True,))):
+        "affine_closure_admits_symplectic_resolution notes")):
     """The full answer for one orbit."""
 
     __slots__ = ()
@@ -453,27 +412,11 @@ class ResolutionReport(namedtuple(
         return self.verdict in (VERDICT_SMOOTH, VERDICT_EXISTS)
 
 
-def _oracle_block(o: OrbitLabel, polar, seed: int) -> tuple[OracleCheck, ...]:
-    if o.simple_type.family != "A":
-        return ()
-    n = o.simple_type.rank + 1
-    checks = []
-    if n <= oracle_lab.ADDIM_SIZE_CAP:
-        checks.append(ad_rank_check(o))
-        if n <= 5:
-            checks.append(kks_check(o))
-    if n <= 6:
-        for pol in polar:
-            checks.append(richardson_check(pol.composition, o.partition, seed))
-            if n <= oracle_lab.FIBER_SIZE_CAP:
-                checks.append(fiber_check(pol.composition,
-                                          pol.springer_degree, seed))
-    return tuple(checks)
+def contact_resolution_exists(o: OrbitLabel) -> ResolutionReport:
+    """Decide the existence trichotomy and assemble the full report.
 
-
-def contact_resolution_exists(o: OrbitLabel, seed: int = 0,
-                              with_oracles: bool = True) -> ResolutionReport:
-    """Decide the existence trichotomy and assemble the full report."""
+    The report holds no oracle rows: ``verify.oracle_block`` builds them
+    from it."""
     record = orbit_record(o)
     if record.is_zero:
         raise ZeroOrbit(f"{o} is the zero orbit")
@@ -509,7 +452,6 @@ def contact_resolution_exists(o: OrbitLabel, seed: int = 0,
     # a polarization list witnesses a symplectic resolution of the
     # affine closure, and an empty one is a definitive "no"
     affine = None if polar is None else bool(polar)
-    oracle_checks = _oracle_block(o, polar, seed) if with_oracles else ()
 
     report = ResolutionReport(
         orbit=record,
@@ -518,7 +460,6 @@ def contact_resolution_exists(o: OrbitLabel, seed: int = 0,
         polarizations=tuple(polar or ()),
         chamber_complex=chambers,
         affine_closure_admits_symplectic_resolution=affine,
-        oracle_checks=oracle_checks,
         notes=tuple(notes),
     )
     invariant(report.resolution_exists == (

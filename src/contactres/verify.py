@@ -4,33 +4,79 @@ Each suite replays one family of invariants at configurable caps and
 reports one :class:`OracleCheck` per case with the formula value, the
 oracle value, and whether they agree. Suites are deterministic given the
 seed; row order is fixed by construction.
+
+This module owns every formula-vs-oracle row. The ``*_check`` builders
+make the rows of the suites and of :func:`oracle_block`, the oracle
+block of a ``classify`` report, whose bounds are the one table
+``CLASSIFY_MAX_N``. The decision layer (``resolutions``) only decides,
+and the oracles (``oracle_lab``) know nothing of the formulas they
+check.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from . import oracle_lab
 from .cones import ample_cone, cone_from_generators, dual_cone
 from .errors import UnknownSuite
 from .lie_core import SimpleType, parabolic
 from .orbits import (
+    OrbitLabel,
     dual_partition,
     orbit_dimension,
     partitions_of,
     validate_orbit,
 )
 from .resolutions import (
-    OracleCheck,
-    ad_rank_check,
+    ResolutionReport,
     composition_richardson_partition,
     compositions_of,
     distinct_ordering_count,
-    fiber_check,
-    kks_check,
     movable_chambers,
-    richardson_check,
 )
+
+
+class OracleCheck(namedtuple("OracleCheck", "oracle case formula_value "
+                             "oracle_value seeds", defaults=((),))):
+    """One formula value against the value of an independent oracle."""
+
+    __slots__ = ()
+
+    @property
+    def agrees(self) -> bool:
+        return self.formula_value == self.oracle_value
+
+
+def ad_rank_check(o: OrbitLabel) -> OracleCheck:
+    """dim O against the rank of ad_e on the Jordan representative."""
+    model = oracle_lab.jordan_nilpotent(o.partition)
+    return OracleCheck("ad-rank", str(o), orbit_dimension(o),
+                       oracle_lab.addim(model))
+
+
+def kks_check(o: OrbitLabel) -> OracleCheck:
+    """dim O against the rank of the Kirillov-Kostant-Souriau form."""
+    model = oracle_lab.jordan_nilpotent(o.partition)
+    return OracleCheck("kks-rank", str(o), orbit_dimension(o),
+                       oracle_lab.kks_rank(model))
+
+
+def richardson_check(comp, partition, seed: int) -> OracleCheck:
+    """The Richardson partition of a composition against the Jordan type
+    of seeded generic nilradical elements."""
+    observed = oracle_lab.generic_jordan_type(comp, seed=seed)
+    return OracleCheck("richardson-jordan-type", f"composition {comp}",
+                       list(partition), list(observed),
+                       tuple(oracle_lab.trial_seeds(seed)))
+
+
+def fiber_check(comp, degree, seed: int) -> OracleCheck:
+    """A Springer degree against the exact count of the generic fiber."""
+    count = oracle_lab.generic_fiber_count(comp, seed=seed)
+    return OracleCheck("springer-fiber-count", f"composition {comp}",
+                       degree, count, tuple(oracle_lab.trial_seeds(seed)))
 
 
 def _type_a_orbits(max_n, nonzero=False):
@@ -155,6 +201,40 @@ _SUITES = {
     "chambers": (_suite_chambers, {"max_n": 7}),
     "cones": (_suite_cones, {"count": 100, "max_dim": 4}),
 }
+
+
+# suite name -> the largest n (type A_{n-1}) at which the ``classify``
+# oracle block runs that suite's check
+CLASSIFY_MAX_N = {
+    "ad-rank": oracle_lab.ADDIM_SIZE_CAP,
+    "kks": 5,
+    "richardson": 6,
+    "fibers": oracle_lab.FIBER_SIZE_CAP,
+}
+
+
+def oracle_block(report: ResolutionReport, seed: int) -> tuple[OracleCheck, ...]:
+    """The oracle rows of a ``classify`` report: for a type-A orbit of
+    sl_n, each check whose ``CLASSIFY_MAX_N`` bound admits n, on the
+    report's orbit and on each of its polarizations. Other types get no
+    rows."""
+    o = report.orbit.label
+    if o.simple_type.family != "A":
+        return ()
+    n = o.simple_type.rank + 1
+    cap = CLASSIFY_MAX_N
+    checks = []
+    if n <= cap["ad-rank"]:
+        checks.append(ad_rank_check(o))
+    if n <= cap["kks"]:
+        checks.append(kks_check(o))
+    for pol in report.polarizations:
+        if n <= cap["richardson"]:
+            checks.append(richardson_check(pol.composition, o.partition, seed))
+        if n <= cap["fibers"]:
+            checks.append(fiber_check(pol.composition, pol.springer_degree,
+                                      seed))
+    return tuple(checks)
 
 
 def suite_names() -> tuple[str, ...]:

@@ -112,21 +112,18 @@ def test_criterion_4_classification_trichotomy():
                      SimpleType("C", 2), SimpleType("C", 3),
                      SimpleType("D", 4), SimpleType("G", 2)]
     for t in minimal_types:
-        rep = contact_resolution_exists(minimal_orbit_label(t),
-                                        with_oracles=False)
+        rep = contact_resolution_exists(minimal_orbit_label(t))
         ok &= rep.verdict == "SmoothAlready" and rep.reason == "Minimal"
         if t.family != "A":
             ok &= rep.affine_closure_admits_symplectic_resolution is False
-    rep = contact_resolution_exists(parse_orbit("G2:dim8"),
-                                    with_oracles=False)
+    rep = contact_resolution_exists(parse_orbit("G2:dim8"))
     ok &= rep.verdict == "SmoothAlready" and rep.reason == "G2dim8"
     count = 0
     for n in range(2, 8):
         t = SimpleType("A", n - 1)
         minimal = minimal_orbit_label(t).partition
         for part in nonzero_partitions(n):
-            rep = contact_resolution_exists(validate_orbit(t, part),
-                                            with_oracles=False)
+            rep = contact_resolution_exists(validate_orbit(t, part))
             count += 1
             ok &= rep.verdict != "Unknown"
             if part == minimal:

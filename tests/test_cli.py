@@ -78,6 +78,17 @@ class TestClassify:
         assert code == 1
         assert env["error"]["type"] == "SizeCapExceeded"
 
+    def test_over_rank_cap_is_domain_error(self, capsys, validator):
+        # the rank cap binds where a root system is built, not on the type
+        for argv in [("twistor", "A200:{1}"),
+                     ("classify", "A41:42", "--no-oracles")]:
+            code, env = run_json(capsys, validator, *argv, "--json")
+            assert code == 1
+            assert env["error"]["type"] == "SizeCapExceeded"
+        code, env = run_json(capsys, validator, "dim", "A300:301", "--json")
+        assert code == 0
+        assert env["result"]["orbit"]["dimension"] == 301 * 300
+
     def test_no_oracles_flag(self, capsys, validator):
         code, env = run_json(capsys, validator, "classify", "A3:2,2",
                              "--json", "--no-oracles")

@@ -85,6 +85,16 @@ def test_lie_layer_needs_only_errors():
     assert package_imports()["lie_core"] == {"errors"}
 
 
+def test_decision_layer_runs_no_oracle():
+    """The decision takes an orbit and returns a decision; the oracle rows
+    that cross-check it are built in ``verify``."""
+    assert "oracle_lab" not in package_imports()["resolutions"]
+
+
+def test_report_reads_records_without_importing_them():
+    assert package_imports()["report"] == set()
+
+
 def test_non_closed_ordering_list_raises():
     orbit = parse_orbit("A3:2,1,1")   # orderings (1, 3) and (3, 1)
     pols = polarizations(orbit)

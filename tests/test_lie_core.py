@@ -8,8 +8,10 @@ from contactres.errors import (
     EmptyMarking,
     InternalInvariantError,
     InvalidRank,
+    SizeCapExceeded,
 )
 from contactres.lie_core import (
+    MAX_ROOT_SYSTEM_RANK,
     RANK_BOUNDS,
     ParabolicType,
     SimpleType,
@@ -100,6 +102,18 @@ class TestRootSystems:
             for i, row in enumerate(cm):
                 assert row[i] == 2
                 assert all(x <= 0 for j, x in enumerate(row) if j != i)
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_rank_cap(self, family):
+        cap = MAX_ROOT_SYSTEM_RANK
+        assert cap >= 27    # the chamber-cap staircase A27:7,6,5,4,3,2,1
+        rs = build_root_system(SimpleType(family, cap))
+        assert rs.num_positive_roots == {
+            "A": cap * (cap + 1) // 2, "B": cap * cap, "C": cap * cap,
+            "D": cap * (cap - 1)}[family]
+        # a valid type, refused for its size before any root is generated
+        with pytest.raises(SizeCapExceeded, match="root-system cap"):
+            build_root_system(SimpleType(family, cap + 1))
 
     def test_invalid_ranks(self):
         for family, rank in [("A", 0), ("B", 1), ("C", 1), ("D", 2),

@@ -15,6 +15,7 @@ from contactres.ratlinalg import (
     pivot_solution,
     primitive,
     rank,
+    row_basis,
     rref,
     rref_kernel,
     solve,
@@ -311,6 +312,21 @@ class TestNullspace:
                                max_size=ncols))
         aug = [list(row) + [b] for row, b in zip(rows, mat_vec(rows, x))]
         assert rref_kernel(*rref(aug), ncols) == nullspace(rows)
+
+
+class TestRowBasis:
+    @given(matrices(), st.data())
+    @settings(max_examples=80, derandomize=True)
+    def test_one_basis_per_row_space(self, rows, data):
+        basis = row_basis(rows)
+        assert basis == tuple(map(tuple, rref(rows)[0]))
+        assert all(type(row) is tuple for row in basis)
+        # a permuted, rescaled spanning set has the same basis
+        perm = data.draw(st.permutations(range(len(rows))))
+        assert row_basis([[3 * x for x in rows[i]] for i in perm]) == basis
+
+    def test_empty(self):
+        assert row_basis([]) == ()
 
 
 class TestSolve:

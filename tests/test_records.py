@@ -26,7 +26,6 @@ from contactres.orbits import (
 )
 from contactres.resolutions import (
     Chamber,
-    OracleCheck,
     Polarization,
     ResolutionReport,
     Wall,
@@ -34,6 +33,7 @@ from contactres.resolutions import (
     movable_chambers,
     polarizations,
 )
+from contactres.verify import OracleCheck
 
 A1 = "SimpleType(family='A', rank=1)"
 LABEL = (f"OrbitLabel(simple_type={A1}, partition=(2,), exceptional_key=None,"
@@ -105,16 +105,13 @@ SAMPLES = [
         "OracleCheck(oracle='ad-rank', case='A1:2', formula_value=2,"
         " oracle_value=2, seeds=())", id="OracleCheck"),
     pytest.param(
-        lambda: contact_resolution_exists(_sl2_minimal(), with_oracles=False),
+        lambda: contact_resolution_exists(_sl2_minimal()),
         ("orbit", "verdict", "reason", "polarizations", "chamber_complex",
-         "affine_closure_admits_symplectic_resolution", "oracle_checks",
-         "notes", "crepant_equals_contact_equals_minimal"),
+         "affine_closure_admits_symplectic_resolution", "notes"),
         f"ResolutionReport(orbit={RECORD}, verdict='SmoothAlready',"
         f" reason='Minimal', polarizations=({POLARIZATION},),"
         f" chamber_complex={COMPLEX},"
-        " affine_closure_admits_symplectic_resolution=True,"
-        " oracle_checks=(), notes=(),"
-        " crepant_equals_contact_equals_minimal=True)",
+        " affine_closure_admits_symplectic_resolution=True, notes=())",
         id="ResolutionReport"),
     pytest.param(
         lambda: jordan_nilpotent((2,)), ("n", "e"),
@@ -172,13 +169,11 @@ class TestKeywordConstruction:
         assert OracleCheck("x", "y", 1, 2, seeds=("s",)).seeds == ("s",)
 
     def test_resolution_report_default(self):
-        base = contact_resolution_exists(_sl2_minimal(), with_oracles=False)
+        base = contact_resolution_exists(_sl2_minimal())
         kw = {f: getattr(base, f) for f in (
             "orbit", "verdict", "reason", "polarizations", "chamber_complex",
-            "affine_closure_admits_symplectic_resolution", "oracle_checks",
-            "notes")}
+            "affine_closure_admits_symplectic_resolution", "notes")}
         r = ResolutionReport(**kw)
-        assert r.crepant_equals_contact_equals_minimal is True
         assert r == base and r.resolution_exists
 
     def test_rational_cone_facets_keyword(self):

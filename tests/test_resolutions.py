@@ -282,7 +282,7 @@ class TestAffineFlag:
     @pytest.mark.parametrize("t", TYPES, ids=str)
     def test_classical_against_reference(self, t):
         for o in nonzero_orbits(t):
-            rep = contact_resolution_exists(o, with_oracles=False)
+            rep = contact_resolution_exists(o)
             assert rep.affine_closure_admits_symplectic_resolution \
                 == reference_affine_flag(o), o
 
@@ -291,7 +291,7 @@ class TestAffineFlag:
             if entry.dimension == 0:
                 continue
             o = validate_orbit(SimpleType(family, rank), key)
-            rep = contact_resolution_exists(o, with_oracles=False)
+            rep = contact_resolution_exists(o)
             assert rep.affine_closure_admits_symplectic_resolution \
                 == reference_affine_flag(o), o
 
@@ -340,8 +340,7 @@ class TestTrichotomy:
             for part in partitions_of(n):
                 if part == (1,) * n:
                     continue
-                r = contact_resolution_exists(validate_orbit(t, part),
-                                              with_oracles=False)
+                r = contact_resolution_exists(validate_orbit(t, part))
                 assert r.verdict != "Unknown"
                 assert r.resolution_exists
                 assert r.polarizations
@@ -353,26 +352,15 @@ class TestTrichotomy:
     def test_report_coherence(self):
         for text in ["A2:2,1", "A3:2,2", "A4:3,2", "G2:dim8", "G2:dim10",
                      "B2:2,2,1", "B2:5", "C3:2,2,2", "G2:dim12"]:
-            r = contact_resolution_exists(parse_orbit(text),
-                                          with_oracles=False)
-            assert r.crepant_equals_contact_equals_minimal is True
+            r = contact_resolution_exists(parse_orbit(text))
             assert (r.verdict == "SmoothAlready") == \
                 r.orbit.proj_normalization_smooth
             assert r.resolution_exists == (
                 bool(r.polarizations) or r.reason in ("Minimal", "G2dim8"))
             assert r.canonical_bundle_exponent == r.orbit.dim_orbit // 2
 
-    def test_oracle_block_agrees(self):
-        r = contact_resolution_exists(parse_orbit("A3:2,2"), seed=5)
-        assert r.oracle_checks
-        assert all(c.agrees for c in r.oracle_checks)
-        names = {c.oracle for c in r.oracle_checks}
-        assert {"ad-rank", "kks-rank", "richardson-jordan-type",
-                "springer-fiber-count"} <= names
-
     def test_regular_orbit_above_cone_cap(self):
-        r = contact_resolution_exists(parse_orbit("A9:10"),
-                                      with_oracles=False)
+        r = contact_resolution_exists(parse_orbit("A9:10"))
         assert r.verdict == "ContactResolutionsExist"
         assert [p.composition for p in r.polarizations] == [(1,) * 10]
         assert r.chamber_complex.chamber_count == 1
@@ -380,8 +368,7 @@ class TestTrichotomy:
         assert len(rays) == 9 and all(sorted(v) == [0] * 8 + [1] for v in rays)
 
     def test_chamber_complex_attached(self):
-        r = contact_resolution_exists(parse_orbit("A3:2,1,1"),
-                                      with_oracles=False)
+        r = contact_resolution_exists(parse_orbit("A3:2,1,1"))
         assert r.chamber_complex is not None
         assert r.chamber_complex.chamber_count == 2
 

@@ -3,12 +3,19 @@ import pytest
 from contactres import verify
 from contactres.cones import RationalCone, cone_from_generators
 from contactres.errors import UnknownSuite
+from contactres.lie_core import SimpleType
+from contactres.orbits import parse_orbit, partitions_of, validate_orbit
 from contactres.resolutions import (
     compositions_of,
+    contact_resolution_exists,
     parabolic_from_composition,
     richardson_partition,
 )
-from contactres.verify import run_suite, suite_caps
+from contactres.verify import run_suite, suite_caps, suite_names
+
+ALL_ORACLES = {"ad-rank", "kks-rank", "richardson-jordan-type",
+               "springer-fiber-count"}
+PER_POLARIZATION = {"richardson-jordan-type", "springer-fiber-count"}
 
 
 def test_ample_cone_rows_check_double_description(monkeypatch):
@@ -52,3 +59,38 @@ def test_unknown_suite():
         run_suite("bogus")
     with pytest.raises(UnknownSuite):
         suite_caps("bogus")
+
+
+# the oracles the classify bounds admit for sl_n: ad-rank up to n = 8,
+# KKS up to 5, Richardson up to 6, the fiber count up to 4
+@pytest.mark.parametrize("n, names", [
+    (2, ALL_ORACLES), (3, ALL_ORACLES), (4, ALL_ORACLES),
+    (5, ALL_ORACLES - {"springer-fiber-count"}),
+    (6, {"ad-rank", "richardson-jordan-type"}),
+])
+def test_oracle_block_agrees(n, names):
+    t = SimpleType("A", n - 1)
+    for part in partitions_of(n):
+        if part == (1,) * n:
+            continue
+        report = contact_resolution_exists(validate_orbit(t, part))
+        rows = verify.oracle_block(report, 5)
+        assert rows and all(r.agrees for r in rows), part
+        assert {r.oracle for r in rows} == names, part
+        # an orbit-level oracle gives one row, the others one per
+        # polarization
+        per_pol = len(names & PER_POLARIZATION)
+        assert len(rows) == len(names) - per_pol \
+            + per_pol * len(report.polarizations), part
+
+
+def test_oracle_block_bounds():
+    assert set(verify.CLASSIFY_MAX_N) <= set(suite_names())
+    # no matrix model outside type A
+    assert verify.oracle_block(
+        contact_resolution_exists(parse_orbit("G2:dim8")), 0) == ()
+    # sl_8: the ad-rank check only; sl_9: none
+    report = contact_resolution_exists(parse_orbit("A7:2,2,2,1,1"))
+    assert [r.oracle for r in verify.oracle_block(report, 0)] == ["ad-rank"]
+    assert verify.oracle_block(
+        contact_resolution_exists(parse_orbit("A8:2,2,2,2,1")), 0) == ()
