@@ -13,7 +13,9 @@ of those. At the ambient dimension cap, a pointed cone on 11 generators
 builds in about 35 ms (CPython 3.11, 2-core x86-64).
 
 The ample cone of a parabolic is the coordinate orthant and is built in
-closed form. This module answers questions about cones only; which
+closed form, once per rank: every parabolic with k marked roots shares
+one k-dimensional orthant, so a chamber complex of thousands of chambers
+builds it once. This module answers questions about cones only; which
 chambers the movable cone has is decided in ``resolutions``.
 ``RationalCone`` is a named tuple (see ``lie_core``).
 """
@@ -21,17 +23,14 @@ chambers the movable cone has is decided in ``resolutions``.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd
 
 from .errors import DimensionMismatch, EmptyMarking, SizeCapExceeded, invariant
-from .lie_core import ParabolicType
+from .lie_core import MAX_ROOT_SYSTEM_RANK, ParabolicType
 from .ratlinalg import dot, primitive, rank, row_basis, rref, rref_kernel
 
 MAX_AMBIENT_DIM = 8
-
-
-def _identity_rows(dim):
-    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
 
 
 def _cancel(a, u, v):
@@ -178,9 +177,17 @@ def ample_cone(p: ParabolicType) -> RationalCone:
     the coordinate orthant: the dual of the Schubert-curve cone under the
     identity pairing. Its rays and facet normals are the unit vectors, so
     no double description runs and ``MAX_AMBIENT_DIM`` does not apply.
+    Parabolics with the same number of marked roots get the same object.
     """
     if not p.marked:
         raise EmptyMarking("ample cone needs a proper parabolic")
-    k = len(p.marked)
-    units = tuple(sorted(_identity_rows(k)))
+    return _orthant(len(p.marked))
+
+
+@lru_cache(maxsize=MAX_ROOT_SYSTEM_RANK)
+def _orthant(k: int) -> RationalCone:
+    """The coordinate orthant of dimension k. A decision computes flag
+    dimensions, so its k stays under the rank cap: one entry per rank."""
+    units = tuple(sorted(
+        tuple(int(i == j) for j in range(k)) for i in range(k)))
     return RationalCone(k, units, (), _facets=units)

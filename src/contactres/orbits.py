@@ -161,8 +161,14 @@ def is_zero_orbit(o: OrbitLabel) -> bool:
 
 # --- dimension formulas -------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def orbit_dimension(o: OrbitLabel) -> int:
-    """Orbit dimension from the standard closed forms (table for E/F/G)."""
+    """Orbit dimension from the standard closed forms (table for E/F/G).
+
+    A decision asks for the dimension of the orbit it decides once per
+    polarization; the one-entry cache answers those repeats and holds
+    only the last orbit asked about.
+    """
     if o.is_exceptional:
         return exceptional_entry(o).dimension
     part = o.partition
@@ -427,6 +433,10 @@ def parse_orbit(text: str) -> OrbitLabel:
     if _PARTITION_RE.match(tail.strip()):
         parts = tuple(int(x) for x in tail.split(","))
         return validate_orbit(t, parts, very_even_tag=tag)
+    if t.is_classical:
+        raise InvalidPartition(
+            f"cannot parse partition {tail!r} of type {t}; expected "
+            "comma-separated integers such as 3,2,1")
     if tag is not None:
         raise InvalidPartition("very-even tag applies only to partitions")
     return validate_orbit(t, tail.strip())

@@ -28,6 +28,11 @@ The central facts this module operationalizes:
   composition. Only the combinatorial gluing is recorded; no common
   linear embedding of all chambers is attempted (none is available at
   this level of the theory).
+* A type-A decision builds what its chambers share once per request:
+  the orbit dimension each polarization checks against (a one-entry
+  cache in ``orbits``) and one ample orthant per rank (in ``cones``).
+  Each chamber is built once, and the markings of the orderings are
+  cut from the dual partition without re-validating them.
 * :func:`contact_resolution_exists` takes only the orbit and returns
   only the decision. The matrix oracles that cross-check it run in
   ``verify``, so this module does not import them.
@@ -42,6 +47,7 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 # unused here, but perfbench/layertrace.py patches this name to count orderings
 from itertools import permutations  # noqa: F401
 
@@ -207,8 +213,11 @@ def _type_a_polarizations(o: OrbitLabel) -> list[Polarization]:
     if count > MAX_CHAMBERS:
         raise SizeCapExceeded(f"{o} has {count} polarizations, over the "
                               f"cap of {MAX_CHAMBERS}")
+    # an ordering of a valid dual partition is a valid composition of
+    # rank + 1, so its marking is cut without re-validating it
+    t = o.simple_type
     return [Polarization(
-        parabolic=parabolic_from_composition(comp),
+        parabolic=parabolic(t, accumulate(comp[:-1])),
         richardson_orbit=o,
         springer_degree=1,  # Springer maps are birational in type A
         is_birational=True,
@@ -336,14 +345,11 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
     """
     if not polarization_list:
         raise NoPolarization(f"{orbit} has no polarization")
-    chambers = []
-    for pol in sorted(polarization_list,
-                      key=lambda q: q.composition or q.parabolic.marked):
-        chambers.append(Chamber(
-            marked_roots=pol.parabolic.marked,
-            composition=pol.composition,
-            ample=ample_cone(pol.parabolic),
-        ))
+    chambers = sorted((Chamber(
+        marked_roots=pol.parabolic.marked,
+        composition=pol.composition,
+        ample=ample_cone(pol.parabolic),
+    ) for pol in polarization_list), key=attrgetter("label"))
     type_a = orbit.simple_type.family == "A"
     if not type_a and len(chambers) > 1:
         raise UnknownClassification(

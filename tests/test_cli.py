@@ -376,6 +376,25 @@ class TestOracleSuiteBytes:
             SUITE_DIGESTS[suite]
 
 
+# sha256 of two chamber-complex documents (30 and 120 chambers), whose
+# chambers share one ample orthant; the bytes must not notice the sharing.
+CHAMBER_DIGESTS = {
+    "classify A8:6,2,1 --no-oracles --json":
+        "be10e3637613be21d888bbf3255b1d59bc2e4e7101c2529c991f0f5198eedb4d",
+    "chambers A14:5,4,3,2,1 --json":
+        "ee8a27ccba4bc3d9680d097cc2f3a516129f0cc0f1e99c6fc3ab089724f1a402",
+}
+
+
+class TestChamberComplexBytes:
+    @pytest.mark.parametrize("command", CHAMBER_DIGESTS)
+    def test_json_bytes_pinned(self, capsys, command):
+        code, out = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            CHAMBER_DIGESTS[command]
+
+
 class TestEncoderOnRealDocuments:
     """The envelope each command hands to ``to_json``, encoded by the
     stdlib, gives the bytes the CLI printed; ``TOUR_DIGESTS`` pins those

@@ -11,6 +11,7 @@ from contactres.errors import (
     SizeCapExceeded,
     ZeroOrbit,
 )
+from contactres import cones
 from contactres.cones import (
     MAX_AMBIENT_DIM,
     RationalCone,
@@ -19,7 +20,12 @@ from contactres.cones import (
     cone_from_generators,
     dual_cone,
 )
-from contactres.lie_core import SimpleType, parabolic, parse_parabolic
+from contactres.lie_core import (
+    MAX_ROOT_SYSTEM_RANK,
+    SimpleType,
+    parabolic,
+    parse_parabolic,
+)
 from contactres.orbits import parse_orbit, partitions_of, validate_orbit
 from contactres.ratlinalg import dot, nullspace, primitive, rref
 from contactres.resolutions import movable_chambers
@@ -359,6 +365,27 @@ class TestAmpleCone:
             assert c == ref
             assert c.facet_normals == ref.facet_normals
             assert dual_cone(c) == dual_cone(ref)
+
+    def test_one_orthant_per_rank(self):
+        # the closed form is shared, not rebuilt, across equal ranks
+        a = ample_cone(parse_parabolic("A5:{1,4}"))
+        assert a is ample_cone(parse_parabolic("A5:{2,3}"))
+        assert a is ample_cone(parse_parabolic("D4:{1,3}"))
+        assert a is not ample_cone(parse_parabolic("A5:{1,2,4}"))
+        assert a.facet_normals is a.extreme_rays
+        # A8:6,2,1 has dual partition 3,2,1,1,1,1: 30 chambers of rank 5
+        cc = movable_chambers(parse_orbit("A8:6,2,1"))
+        assert len(cc.chambers) == 30
+        five = ample_cone(parabolic(SimpleType("A", 8), range(1, 6)))
+        assert all(c.ample is five for c in cc.chambers)
+
+    def test_orthant_cache_holds_one_entry_per_rank(self):
+        assert cones._orthant.cache_info().maxsize == MAX_ROOT_SYSTEM_RANK
+        ample_cone(parabolic(SimpleType("A", 7), (2, 4, 6)))
+        size = cones._orthant.cache_info().currsize
+        ample_cone(parabolic(SimpleType("B", 3), (1, 2, 3)))
+        ample_cone(parabolic(SimpleType("A", 3), (1, 2, 3)))
+        assert cones._orthant.cache_info().currsize == size
 
 
 class TestChamberComplex:

@@ -331,3 +331,15 @@ class TestGrammar:
             parse_orbit("A3")
         with pytest.raises(InvalidPartition):
             parse_orbit("G2:dim8/I")
+
+    @pytest.mark.parametrize("text, tail", [
+        ("A3:2,,1", "2,,1"), ("A3:2 1", "2 1"), ("A1:2,", "2,"),
+        ("D4:2,,2,2,2/I", "2,,2,2,2"), ("C3:x", "x"),
+    ])
+    def test_malformed_partition_is_named(self, text, tail):
+        # a classical tail that does not parse is a bad partition, not a key
+        with pytest.raises(InvalidPartition) as err:
+            parse_orbit(text)
+        assert repr(tail) in str(err.value)
+        assert "comma-separated" in str(err.value)
+        assert "not a key" not in str(err.value)

@@ -136,6 +136,18 @@ class TestPolarizations:
                 expected = sorted(set(permutations(dual_partition(part))))
                 assert [q.composition for q in polarizations(o)] == expected
 
+    def test_parabolics_are_cut_from_orderings(self):
+        # markings cut without re-validation equal the validated recipe's
+        for n in range(2, 9):
+            t = SimpleType("A", n - 1)
+            for part in partitions_of(n):
+                if part == (1,) * n:
+                    continue
+                orderings = sorted(set(permutations(dual_partition(part))))
+                assert [q.parabolic
+                        for q in polarizations(validate_orbit(t, part))] \
+                    == [parabolic_from_composition(c) for c in orderings]
+
     def test_regular_rank_eleven_has_one_polarization(self):
         pols = polarizations(parse_orbit("A11:12"))
         assert [q.composition for q in pols] == [(1,) * 12]
@@ -178,6 +190,16 @@ class TestPolarizations:
         pols = polarizations(parse_orbit("A27:7,6,5,4,3,2,1"))
         assert len(pols) == resolutions.MAX_CHAMBERS
         assert lie_core._nilradical_roots.cache_info() == before
+
+    def test_one_orbit_dimension_per_decision(self):
+        # every polarization checks dim O against the one decided orbit
+        before = orbit_dimension.cache_info()
+        report = contact_resolution_exists(parse_orbit("A27:7,6,5,4,3,2,1"))
+        after = orbit_dimension.cache_info()
+        assert len(report.polarizations) == resolutions.MAX_CHAMBERS
+        assert after.maxsize == 1 and after.currsize <= 1
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= resolutions.MAX_CHAMBERS
 
     def test_non_a_minimal_is_definitively_empty(self):
         assert polarizations(parse_orbit("B3:2,2,1,1,1")) == []
