@@ -161,14 +161,8 @@ def is_zero_orbit(o: OrbitLabel) -> bool:
 
 # --- dimension formulas -------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def orbit_dimension(o: OrbitLabel) -> int:
-    """Orbit dimension from the standard closed forms (table for E/F/G).
-
-    A decision asks for the dimension of the orbit it decides once per
-    polarization; the one-entry cache answers those repeats and holds
-    only the last orbit asked about.
-    """
+    """Orbit dimension from the standard closed forms (table for E/F/G)."""
     if o.is_exceptional:
         return exceptional_entry(o).dimension
     part = o.partition

@@ -16,8 +16,9 @@ test keeps them from being written as arrays.
 The functions read the records by field name only, so this module
 imports nothing from the package: ``rec`` is an ``orbits.OrbitRecord``,
 ``pol`` a ``resolutions.Polarization``, ``c`` a ``cones.RationalCone``,
-``cc`` a ``resolutions.ChamberComplex`` or None, ``check`` a
-``verify.OracleCheck`` and ``r`` a ``resolutions.ResolutionReport``.
+``cc`` a ``resolutions.ChamberComplex`` or None (its chambers ``ch`` are
+polarizations too), ``check`` a ``verify.OracleCheck`` and ``r`` a
+``resolutions.ResolutionReport``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def polarization_dict(pol) -> dict:
         "marked_roots": list(pol.parabolic.marked),
         "flag_dimension": pol.flag_dimension,
         "springer_degree": pol.springer_degree,
-        "is_birational": pol.is_birational,
+        # a polarization is one whose Springer map is birational
+        "is_birational": True,
     }
 
 
@@ -71,7 +73,7 @@ def chamber_complex_dict(cc) -> dict | None:
                 "label": list(ch.label),
                 "composition": list(ch.composition)
                                if ch.composition is not None else None,
-                "marked_roots": list(ch.marked_roots),
+                "marked_roots": list(ch.parabolic.marked),
                 "ample_cone": cone_dict(ch.ample),
             }
             for ch in cc.chambers
@@ -124,7 +126,7 @@ def resolution_report_dict(r, oracle_checks) -> dict:
         # crepant = minimal model = contact: the paper makes them one
         # notion, so a report carries one predicate, never three
         "crepant_equals_contact_equals_minimal": True,
-        "canonical_bundle_exponent": r.canonical_bundle_exponent,
+        "canonical_bundle_exponent": r.orbit.canonical_bundle_exponent,
         "affine_closure_admits_symplectic_resolution":
             r.affine_closure_admits_symplectic_resolution,
         "polarizations": [polarization_dict(p) for p in r.polarizations],

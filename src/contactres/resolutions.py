@@ -22,17 +22,19 @@ The central facts this module operationalizes:
 * The polarization set is decided here, once, by :func:`polarizations`.
   The verdict, the affine-closure flag, the equivalence class of a type-A
   parabolic and the chamber complex of the movable cone all derive from
-  it. The chamber complex has one chamber per polarization, each
-  carrying its ample cone in its own weight basis, and, in type A, one
-  wall for each adjacent transposition of distinct entries of the
-  composition. Only the combinatorial gluing is recorded; no common
-  linear embedding of all chambers is attempted (none is available at
-  this level of the theory).
-* A type-A decision builds what its chambers share once per request:
-  the orbit dimension each polarization checks against (a one-entry
-  cache in ``orbits``) and one ample orthant per rank (in ``cones``).
-  Each chamber is built once, and the markings of the orderings are
-  cut from the dual partition without re-validating them.
+  it. A chamber is the ample cone of one resolution P(T*(G/P)), so a
+  chamber *is* a polarization: the complex holds the
+  :class:`Polarization` records themselves, each with its ample cone in
+  its own weight basis, and, in type A, one wall for each adjacent
+  transposition of distinct entries of the composition. Only the
+  combinatorial gluing is recorded; no common linear embedding of all
+  chambers is attempted (none is available at this level of the theory).
+* Each fact about a resolution is computed once, when its record is
+  built: the flag dimension of each polarization, checked against the
+  one orbit dimension of the decision (dim O = 2 dim G/P), and its
+  composition, the ordering it was cut from (type-A markings are cut
+  without re-validating them). The ample orthant of each rank is shared
+  (in ``cones``).
 * :func:`contact_resolution_exists` takes only the orbit and returns
   only the decision. The matrix oracles that cross-check it run in
   ``verify``, so this module does not import them.
@@ -64,7 +66,6 @@ from .errors import (
 )
 from .lie_core import (
     ParabolicType,
-    SimpleType,
     flag_dimension,
     is_projective_space,
     parabolic,
@@ -114,17 +115,6 @@ def compositions_of(n: int):
             yield (first,) + rest
 
 
-def parabolic_from_composition(comp) -> ParabolicType:
-    """Block composition of n -> parabolic of A_{n-1} (marked partial sums)."""
-    comp = tuple(int(c) for c in comp)
-    if not comp or any(c <= 0 for c in comp):
-        raise ContactresError(f"composition parts must be positive: {comp}")
-    n = sum(comp)
-    if n < 2:
-        raise ContactresError("composition must sum to at least 2")
-    return parabolic(SimpleType("A", n - 1), accumulate(comp[:-1]))
-
-
 def composition_from_marking(p: ParabolicType) -> tuple[int, ...]:
     """Marked roots of A_{n-1} -> block composition of n."""
     if p.simple_type.family != "A":
@@ -133,30 +123,39 @@ def composition_from_marking(p: ParabolicType) -> tuple[int, ...]:
     return tuple([b - a for a, b in zip(cuts, cuts[1:])])
 
 
-class Polarization(namedtuple("Polarization", "parabolic richardson_orbit "
-                               "springer_degree is_birational")):
-    """A parabolic whose Springer map resolves the orbit closure."""
+class Polarization(namedtuple("Polarization", "parabolic composition "
+                               "flag_dimension springer_degree")):
+    """A parabolic P whose Springer map resolves the orbit closure, so
+    that P(T*(G/P)) is a contact resolution; its ample cone is one
+    chamber of the movable cone. ``composition`` is P's block
+    composition in type A and None elsewhere."""
 
     __slots__ = ()
 
-    def __new__(cls, parabolic: ParabolicType, richardson_orbit: OrbitLabel,
-                springer_degree: int | None, is_birational: bool | None):
-        invariant(not is_birational
-                  or orbit_dimension(richardson_orbit)
-                  == 2 * flag_dimension(parabolic),
+    @property
+    def label(self) -> tuple[int, ...]:
+        """The chamber's name: the composition, else the marking."""
+        return self.composition if self.composition is not None \
+            else self.parabolic.marked
+
+    @property
+    def ample(self):
+        """The ample cone, written in the parabolic's own weight basis."""
+        return ample_cone(self.parabolic)
+
+
+def _checked(o: OrbitLabel, found, springer_degree) -> list[Polarization]:
+    """The polarizations of ``o`` from (parabolic, composition) pairs.
+    Each Springer map is birational, so each flag dimension must be half
+    the orbit's: dim O = 2 dim G/P."""
+    dim = orbit_dimension(o)
+    polar = []
+    for p, comp in found:
+        flag_dim = flag_dimension(p)
+        invariant(2 * flag_dim == dim,
                   "birational polarization must have dim O = 2 dim G/P")
-        return super().__new__(cls, parabolic, richardson_orbit,
-                               springer_degree, is_birational)
-
-    @property
-    def composition(self) -> tuple[int, ...] | None:
-        if self.parabolic.simple_type.family != "A":
-            return None
-        return composition_from_marking(self.parabolic)
-
-    @property
-    def flag_dimension(self) -> int:
-        return flag_dimension(self.parabolic)
+        polar.append(Polarization(p, comp, flag_dim, springer_degree))
+    return polar
 
 
 def composition_richardson_partition(comp) -> tuple[int, ...]:
@@ -214,14 +213,11 @@ def _type_a_polarizations(o: OrbitLabel) -> list[Polarization]:
         raise SizeCapExceeded(f"{o} has {count} polarizations, over the "
                               f"cap of {MAX_CHAMBERS}")
     # an ordering of a valid dual partition is a valid composition of
-    # rank + 1, so its marking is cut without re-validating it
+    # rank + 1, so its marking is cut without re-validating it; Springer
+    # maps are birational in type A
     t = o.simple_type
-    return [Polarization(
-        parabolic=parabolic(t, accumulate(comp[:-1])),
-        richardson_orbit=o,
-        springer_degree=1,  # Springer maps are birational in type A
-        is_birational=True,
-    ) for comp in _distinct_orderings(dual)]
+    return _checked(o, ((parabolic(t, accumulate(comp[:-1])), comp)
+                        for comp in _distinct_orderings(dual)), 1)
 
 
 def polarizations(o: OrbitLabel) -> list[Polarization]:
@@ -239,14 +235,10 @@ def polarizations(o: OrbitLabel) -> list[Polarization]:
     if o.is_exceptional:
         entry = exceptional_entry(o)
         if entry.polarizations is not None:
-            return sorted(
-                (Polarization(
-                    parabolic=parabolic(t, marks),
-                    richardson_orbit=o,
-                    springer_degree=entry.springer_degree,
-                    is_birational=True,
-                ) for marks in entry.polarizations),
-                key=lambda q: q.parabolic.marked)
+            found = sorted(parabolic(t, marks)
+                           for marks in entry.polarizations)
+            return _checked(o, ((p, None) for p in found),
+                            entry.springer_degree)
         if entry.admits_symplectic_resolution is False:
             return []
         raise UnknownClassification(
@@ -257,9 +249,7 @@ def polarizations(o: OrbitLabel) -> list[Polarization]:
         return []
     if o == regular_orbit_label(t):
         # the nilpotent cone always has its Springer resolution
-        return [Polarization(parabolic=parabolic(t, range(1, t.rank + 1)),
-                             richardson_orbit=o, springer_degree=1,
-                             is_birational=True)]
+        return _checked(o, [(parabolic(t, range(1, t.rank + 1)), None)], 1)
     raise UnknownClassification(
         f"symplectic-resolution data for {o} is not curated")
 
@@ -285,18 +275,6 @@ def equivalent_parabolics(p: ParabolicType) -> list[ParabolicType]:
 
 # --- chamber complexes --------------------------------------------------------
 
-class Chamber(namedtuple("Chamber", "marked_roots composition ample")):
-    """One chamber of the movable cone: the ample cone of one parabolic,
-    written in that parabolic's own weight basis."""
-
-    __slots__ = ()
-
-    @property
-    def label(self) -> tuple[int, ...]:
-        return self.composition if self.composition is not None \
-            else self.marked_roots
-
-
 class Wall(namedtuple("Wall", "chamber_a chamber_b position entries")):
     """Codimension-one contact between two chambers. In type A the move
     is the adjacent transposition swapping ``entries`` at ``position``
@@ -305,7 +283,10 @@ class Wall(namedtuple("Wall", "chamber_a chamber_b position entries")):
     __slots__ = ()
 
 
-class ChamberComplex(namedtuple("ChamberComplex", "orbit chambers walls")):
+class ChamberComplex(namedtuple("ChamberComplex", "chambers walls")):
+    """The movable cone: its chambers, which are the polarizations sorted
+    by label, and the walls between them."""
+
     __slots__ = ()
 
     @property
@@ -345,11 +326,7 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
     """
     if not polarization_list:
         raise NoPolarization(f"{orbit} has no polarization")
-    chambers = sorted((Chamber(
-        marked_roots=pol.parabolic.marked,
-        composition=pol.composition,
-        ample=ample_cone(pol.parabolic),
-    ) for pol in polarization_list), key=attrgetter("label"))
+    chambers = tuple(sorted(polarization_list, key=attrgetter("label")))
     type_a = orbit.simple_type.family == "A"
     if not type_a and len(chambers) > 1:
         raise UnknownClassification(
@@ -373,8 +350,7 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
                         position=i + 1,
                         entries=(comp[i], comp[i + 1]),
                     ))
-    complex_ = ChamberComplex(orbit=orbit, chambers=tuple(chambers),
-                              walls=tuple(walls))
+    complex_ = ChamberComplex(chambers=chambers, walls=tuple(walls))
     invariant(complex_.is_connected, "wall graph must be connected")
     return complex_
 
@@ -408,10 +384,6 @@ class ResolutionReport(namedtuple(
     """The full answer for one orbit."""
 
     __slots__ = ()
-
-    @property
-    def canonical_bundle_exponent(self) -> int | None:
-        return self.orbit.canonical_bundle_exponent
 
     @property
     def resolution_exists(self) -> bool:

@@ -180,14 +180,18 @@ def _suite_cones(seed, count, max_dim):
             {"roundtrip": from_facets == cone,
              "dual_involution": dual_cone(dual_cone(cone)) == cone},
             (f"cones:{seed}",)))
-    # the closed-form orthant against double description of the unit vectors
+    # the closed-form orthant against double description of the unit
+    # vectors: equal cones show their shape, a different one its generators
     for fam, rank_, marks in _AMPLE_CONE_PARABOLICS:
         p = parabolic(SimpleType(fam, rank_), marks)
         k = len(marks)
         units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        closed, found = ample_cone(p), cone_from_generators(k, units)
+        shape = _cone_shape(closed)
         rows.append(OracleCheck(
-            "cones", f"ample cone {p}", _cone_shape(ample_cone(p)),
-            _cone_shape(cone_from_generators(k, units))))
+            "cones", f"ample cone {p}", shape, shape if found == closed else {
+                "extreme_rays": [list(r) for r in found.extreme_rays],
+                "lineality_basis": [list(r) for r in found.lineality_basis]}))
     return rows
 
 

@@ -430,13 +430,13 @@ class TestChamberComplex:
     def test_chambers_carry_own_basis_cones(self):
         cc = movable_chambers(parse_orbit("A4:3,1,1"))
         for ch in cc.chambers:
-            assert ch.ample.ambient_dim == len(ch.marked_roots)
+            assert ch.ample.ambient_dim == len(ch.parabolic.marked)
             assert ch.ample.is_simplicial
 
     def test_single_chamber_for_non_a_regular(self):
         cc = movable_chambers(parse_orbit("G2:dim12"))
         assert cc.chamber_count == 1
-        assert cc.chambers[0].marked_roots == (1, 2)
+        assert cc.chambers[0].parabolic.marked == (1, 2)
         assert cc.chambers[0].composition is None
         assert cc.walls == ()
 

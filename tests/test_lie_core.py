@@ -25,7 +25,7 @@ from contactres.lie_core import (
     poincare_polynomial,
 )
 from contactres.ratlinalg import adjugate
-from contactres.resolutions import compositions_of, parabolic_from_composition
+from contactres.resolutions import compositions_of
 
 ALL_SMALL_TYPES = [
     SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3),
@@ -177,7 +177,7 @@ class TestFlagDimension:
         with pytest.raises(EmptyMarking):
             flag_dimension(parabolic(SimpleType("A", 3), ()))
 
-    def test_type_a_block_formula(self):
+    def test_type_a_block_formula(self, parabolic_from_composition):
         # root count must match sum_{i<j} c_i c_j for the block composition
         for n in range(2, 8):
             for comp in compositions_of(n):

@@ -4,12 +4,14 @@ hashed as the tuple of its fields, refuses assignment, prints as
 
 import pytest
 
+from contactres import resolutions
 from contactres.cones import RationalCone
 from contactres.errors import InternalInvariantError
 from contactres.lie_core import (
     ParabolicType,
     SimpleType,
     build_root_system,
+    flag_dimension,
     parabolic,
 )
 from contactres.oracle_lab import (
@@ -25,7 +27,6 @@ from contactres.orbits import (
     parse_orbit,
 )
 from contactres.resolutions import (
-    Chamber,
     Polarization,
     ResolutionReport,
     Wall,
@@ -42,10 +43,8 @@ RECORD = (f"OrbitRecord(label={LABEL}, dim_orbit=2, is_minimal=True,"
           " is_zero=False, contact_n=0, proj_normalization_smooth=True)")
 POLARIZATION = (
     f"Polarization(parabolic=ParabolicType(simple_type={A1}, marked=(1,)),"
-    f" richardson_orbit={LABEL}, springer_degree=1, is_birational=True)")
-CHAMBER = ("Chamber(marked_roots=(1,), composition=(1, 1), ample=RationalCone("
-           "ambient_dim=1, extreme_rays=((1,),), lineality_basis=()))")
-COMPLEX = f"ChamberComplex(orbit={LABEL}, chambers=({CHAMBER},), walls=())"
+    f" composition=(1, 1), flag_dimension=1, springer_degree=1)")
+COMPLEX = f"ChamberComplex(chambers=({POLARIZATION},), walls=())"
 
 
 def _sl2_minimal():
@@ -86,11 +85,8 @@ SAMPLES = [
         " provenance=None)", id="ExceptionalOrbitEntry"),
     pytest.param(
         lambda: polarizations(_sl2_minimal())[0],
-        ("parabolic", "richardson_orbit", "springer_degree", "is_birational"),
+        ("parabolic", "composition", "flag_dimension", "springer_degree"),
         POLARIZATION, id="Polarization"),
-    pytest.param(
-        lambda: movable_chambers(_sl2_minimal()).chambers[0],
-        ("marked_roots", "composition", "ample"), CHAMBER, id="Chamber"),
     pytest.param(
         lambda: Wall((1, 2), (2, 1), 1, (1, 2)),
         ("chamber_a", "chamber_b", "position", "entries"),
@@ -98,7 +94,7 @@ SAMPLES = [
         id="Wall"),
     pytest.param(
         lambda: movable_chambers(_sl2_minimal()),
-        ("orbit", "chambers", "walls"), COMPLEX, id="ChamberComplex"),
+        ("chambers", "walls"), COMPLEX, id="ChamberComplex"),
     pytest.param(
         lambda: OracleCheck("ad-rank", "A1:2", 2, 2),
         ("oracle", "case", "formula_value", "oracle_value", "seeds"),
@@ -190,7 +186,9 @@ class TestKeywordConstruction:
          {"family": "G", "rank": 2, "key": "dim8", "dimension": 8}),
         (OracleCheck, {"oracle": "o", "case": "c", "formula_value": 1,
                        "oracle_value": 1}),
-        (Chamber, {"marked_roots": (1,), "composition": None, "ample": None}),
+        (Polarization, {"parabolic": parabolic(SimpleType("G", 2), (1, 2)),
+                        "composition": None, "flag_dimension": 6,
+                        "springer_degree": 1}),
         (Wall, {"chamber_a": (), "chamber_b": (), "position": 1,
                 "entries": (1, 2)}),
         (MatrixModel, {"n": 1, "e": ((0,),)}),
@@ -208,11 +206,11 @@ class TestKeywordConstruction:
 
 # InvalidRank and DimensionMismatch on bad input are checked in
 # tests/test_lie_core.py (test_invalid_ranks, test_out_of_range_mark)
-def test_birational_polarization_needs_matching_dimension():
-    t = SimpleType("A", 2)
-    regular = parse_orbit("A2:3")            # dim 6; G/P = P^2 has dim 2
-    with pytest.raises(InternalInvariantError, match="birational"):
-        Polarization(parabolic(t, (1,)), regular, 1, True)
-    # not claimed birational: no dimension condition
-    assert Polarization(parabolic(t, (1,)), regular, 2, False).parabolic \
-        == parabolic(t, (1,))
+def test_birational_polarization_needs_matching_dimension(monkeypatch):
+    # each polarization's flag dimension is checked against dim O as it
+    # is built: a wrong one is a bug, in every branch of the decision
+    monkeypatch.setattr(resolutions, "flag_dimension",
+                        lambda p: flag_dimension(p) + 1)
+    for text in ("A2:3", "A3:2,1,1", "B2:5", "G2:dim12"):
+        with pytest.raises(InternalInvariantError, match="birational"):
+            polarizations(parse_orbit(text))

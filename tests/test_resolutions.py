@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -25,6 +26,7 @@ from contactres.orbits import (
     partitions_of,
     validate_orbit,
 )
+from contactres.report import resolution_report_dict
 from contactres.resolutions import (
     NOTE_MINIMAL_NON_A,
     canonical_degree_on_curve,
@@ -34,7 +36,6 @@ from contactres.resolutions import (
     equivalent_parabolics,
     is_twistor_space,
     movable_chambers,
-    parabolic_from_composition,
     polarizations,
     richardson_partition,
 )
@@ -49,7 +50,7 @@ def multinomial_of_dual(part):
 
 
 class TestCompositions:
-    def test_marking_round_trip(self):
+    def test_marking_round_trip(self, parabolic_from_composition):
         for n in range(2, 7):
             for comp in compositions_of(n):
                 if len(comp) == 1:
@@ -57,14 +58,14 @@ class TestCompositions:
                 p = parabolic_from_composition(comp)
                 assert composition_from_marking(p) == comp
 
-    def test_examples(self):
+    def test_examples(self, parabolic_from_composition):
         assert parabolic_from_composition((1, 3)).marked == (1,)
         assert parabolic_from_composition((3, 1)).marked == (3,)
         assert parabolic_from_composition((1, 1, 1, 1)).marked == (1, 2, 3)
 
 
 class TestRichardson:
-    def test_examples(self):
+    def test_examples(self, parabolic_from_composition):
         assert richardson_partition(
             parabolic_from_composition((1, 3))).partition == (2, 1, 1)
         assert richardson_partition(
@@ -72,7 +73,7 @@ class TestRichardson:
         assert richardson_partition(
             parabolic_from_composition((2, 2))).partition == (2, 2)
 
-    def test_round_trip_law(self):
+    def test_round_trip_law(self, parabolic_from_composition):
         for n in range(2, 7):
             for comp in compositions_of(n):
                 if len(comp) == 1:
@@ -116,7 +117,8 @@ class TestPolarizations:
                 o = validate_orbit(t, part)
                 for q in polarizations(o):
                     assert orbit_dimension(o) == 2 * flag_dimension(q.parabolic)
-                    assert q.springer_degree == 1 and q.is_birational
+                    assert q.springer_degree == 1
+                    assert q.flag_dimension == flag_dimension(q.parabolic)
 
     def test_sorted_lexicographically(self):
         comps = [q.composition for q in polarizations(parse_orbit("A5:3,2,1"))]
@@ -136,7 +138,8 @@ class TestPolarizations:
                 expected = sorted(set(permutations(dual_partition(part))))
                 assert [q.composition for q in polarizations(o)] == expected
 
-    def test_parabolics_are_cut_from_orderings(self):
+    def test_parabolics_are_cut_from_orderings(self,
+                                               parabolic_from_composition):
         # markings cut without re-validation equal the validated recipe's
         for n in range(2, 9):
             t = SimpleType("A", n - 1)
@@ -191,15 +194,20 @@ class TestPolarizations:
         assert len(pols) == resolutions.MAX_CHAMBERS
         assert lie_core._nilradical_roots.cache_info() == before
 
-    def test_one_orbit_dimension_per_decision(self):
-        # every polarization checks dim O against the one decided orbit
-        before = orbit_dimension.cache_info()
+    def test_one_flag_dimension_per_polarization(self, monkeypatch):
+        # the decision computes each flag dimension once, against one
+        # orbit dimension, and the report reads the stored values back
+        calls = Counter()
+        for name in ("flag_dimension", "orbit_dimension"):
+            def counting(arg, name=name, real=getattr(resolutions, name)):
+                calls[name] += 1
+                return real(arg)
+            monkeypatch.setattr(resolutions, name, counting)
         report = contact_resolution_exists(parse_orbit("A27:7,6,5,4,3,2,1"))
-        after = orbit_dimension.cache_info()
+        resolution_report_dict(report, ())
         assert len(report.polarizations) == resolutions.MAX_CHAMBERS
-        assert after.maxsize == 1 and after.currsize <= 1
-        assert after.misses - before.misses <= 1
-        assert after.hits - before.hits >= resolutions.MAX_CHAMBERS
+        assert calls["flag_dimension"] == resolutions.MAX_CHAMBERS
+        assert calls["orbit_dimension"] == 1
 
     def test_non_a_minimal_is_definitively_empty(self):
         assert polarizations(parse_orbit("B3:2,2,1,1,1")) == []
@@ -221,7 +229,7 @@ class TestPolarizations:
 
 
 class TestEquivalence:
-    def test_examples(self):
+    def test_examples(self, parabolic_from_composition):
         cls = [composition_from_marking(q) for q in
                equivalent_parabolics(parabolic_from_composition((3, 1)))]
         assert cls == [(1, 3), (3, 1)]
@@ -232,7 +240,7 @@ class TestEquivalence:
                equivalent_parabolics(parabolic_from_composition((1, 2, 3)))]
         assert len(cls) == 6
 
-    def test_is_an_equivalence_relation(self):
+    def test_is_an_equivalence_relation(self, parabolic_from_composition):
         for n in range(2, 6):
             for comp in compositions_of(n):
                 if len(comp) == 1:
@@ -243,7 +251,7 @@ class TestEquivalence:
                 for q in cls:   # symmetric + transitive: same class
                     assert equivalent_parabolics(q) == cls
 
-    def test_against_permutation_reference(self):
+    def test_against_permutation_reference(self, parabolic_from_composition):
         # the enumeration equivalent_parabolics used before it derived the
         # class from polarizations
         for n in range(2, 8):
@@ -379,7 +387,7 @@ class TestTrichotomy:
                 r.orbit.proj_normalization_smooth
             assert r.resolution_exists == (
                 bool(r.polarizations) or r.reason in ("Minimal", "G2dim8"))
-            assert r.canonical_bundle_exponent == r.orbit.dim_orbit // 2
+            assert r.orbit.canonical_bundle_exponent == r.orbit.dim_orbit // 2
 
     def test_regular_orbit_above_cone_cap(self):
         r = contact_resolution_exists(parse_orbit("A9:10"))

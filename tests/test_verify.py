@@ -8,7 +8,6 @@ from contactres.orbits import parse_orbit, partitions_of, validate_orbit
 from contactres.resolutions import (
     compositions_of,
     contact_resolution_exists,
-    parabolic_from_composition,
     richardson_partition,
 )
 from contactres.verify import run_suite, suite_caps, suite_names
@@ -28,10 +27,25 @@ def test_ample_cone_rows_check_double_description(monkeypatch):
     rows = run_suite("cones", count=0)    # the 11 ample-cone rows only
     assert len(rows) == 11 and not any(r.agrees for r in rows)
     assert rows[0].formula_value == {"simplicial": True, "rays": 1}
-    assert rows[0].oracle_value == {"simplicial": True, "rays": 0}
+    assert rows[0].oracle_value == {"extreme_rays": [], "lineality_basis": []}
 
 
-def test_richardson_rows_check_the_shipped_recipe(monkeypatch):
+def test_ample_cone_rows_compare_full_cones(monkeypatch):
+    # the negative orthant has the shape of the positive one, so only a
+    # comparison of the cones themselves tells them apart
+    def negate_every_ray(dim, gens):
+        return cone_from_generators(dim, [[-x for x in g] for g in gens])
+
+    monkeypatch.setattr(verify, "cone_from_generators", negate_every_ray)
+    rows = run_suite("cones", count=0)
+    assert len(rows) == 11 and not any(r.agrees for r in rows)
+    assert rows[1].case == "ample cone A3:{1}"
+    assert rows[1].oracle_value == {"extreme_rays": [[-1]],
+                                    "lineality_basis": []}
+
+
+def test_richardson_rows_check_the_shipped_recipe(monkeypatch,
+                                                  parabolic_from_composition):
     rows = run_suite("richardson", max_n=4)
     comps = [comp for n in range(2, 5) for comp in compositions_of(n)]
     assert len(rows) == 1 + len(comps)    # n = 1 has no parabolic
