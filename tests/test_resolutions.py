@@ -1,11 +1,11 @@
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from contactres import lie_core, resolutions
+from contactres.cones import ample_cone
 from contactres.errors import (
     EmptyMarking,
     InvalidPartition,
@@ -195,19 +195,43 @@ class TestPolarizations:
         assert lie_core._nilradical_roots.cache_info() == before
 
     def test_one_flag_dimension_per_polarization(self, monkeypatch):
-        # the decision computes each flag dimension once, against one
-        # orbit dimension, and the report reads the stored values back
-        calls = Counter()
-        for name in ("flag_dimension", "orbit_dimension"):
-            def counting(arg, name=name, real=getattr(resolutions, name)):
-                calls[name] += 1
-                return real(arg)
-            monkeypatch.setattr(resolutions, name, counting)
+        # the decision computes each flag dimension once, and the report
+        # reads the stored values back
+        calls = []
+        monkeypatch.setattr(resolutions, "flag_dimension",
+                            lambda p: calls.append(p) or flag_dimension(p))
         report = contact_resolution_exists(parse_orbit("A27:7,6,5,4,3,2,1"))
         resolution_report_dict(report, ())
         assert len(report.polarizations) == resolutions.MAX_CHAMBERS
-        assert calls["flag_dimension"] == resolutions.MAX_CHAMBERS
-        assert calls["orbit_dimension"] == 1
+        assert len(calls) == resolutions.MAX_CHAMBERS
+
+    def test_one_orbit_dimension_per_decision(self, monkeypatch):
+        # every polarization checks dim O against the one decided orbit,
+        # in each branch of the decision
+        calls = []
+        monkeypatch.setattr(resolutions, "orbit_dimension",
+                            lambda o: calls.append(o) or orbit_dimension(o))
+        for text in ("A27:7,6,5,4,3,2,1", "A3:2,1,1", "B2:5", "G2:dim12"):
+            calls.clear()
+            report = contact_resolution_exists(parse_orbit(text))
+            resolution_report_dict(report, ())
+            assert report.polarizations
+            assert calls == [report.orbit.label]
+
+    def test_label_is_the_composition_else_the_marking(self):
+        a = polarizations(parse_orbit("A3:2,1,1"))
+        assert [q.label for q in a] == [q.composition for q in a]
+        assert all(q.composition is not None for q in a)
+        for text in ("B2:5", "G2:dim12"):
+            (q,) = polarizations(parse_orbit(text))
+            assert q.composition is None
+            assert q.label == q.parabolic.marked == (1, 2)
+
+    def test_ample_is_the_cone_of_the_own_parabolic(self):
+        for text in ("A3:2,1,1", "A4:3,1,1", "B2:5"):
+            for q in polarizations(parse_orbit(text)):
+                assert q.ample == ample_cone(q.parabolic)
+                assert q.ample.ambient_dim == len(q.parabolic.marked)
 
     def test_non_a_minimal_is_definitively_empty(self):
         assert polarizations(parse_orbit("B3:2,2,1,1,1")) == []
