@@ -226,7 +226,8 @@ def _verify(args) -> dict:
         "rows": [verify_row_dict(args.suite, c) for c in checks],
         "total": len(checks),
         "failures": failures,
-        "all_pass": failures == 0,
+        # a cap that admits no case checked nothing, which is no pass
+        "all_pass": failures == 0 and len(checks) > 0,
     }
 
 

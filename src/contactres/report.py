@@ -13,6 +13,12 @@ every other type with ``TypeError``. That includes the package's
 records: they are named tuples, but the exact ``type(obj) is tuple``
 test keeps them from being written as arrays.
 
+The functions hand ``to_json`` the records' own plain tuples (rays,
+compositions, markings, wall ends), not copies, and within one call
+``to_json`` writes each shared tuple once per indent and then reuses
+that text. That is safe because a tuple cannot change and the tree
+keeps every node, hence every id, alive for the whole call.
+
 The functions read the records by field name only, so this module
 imports nothing from the package: ``rec`` is an ``orbits.OrbitRecord``,
 ``pol`` a ``resolutions.Polarization``, ``c`` a ``cones.RationalCone``,
@@ -31,7 +37,7 @@ def orbit_record_dict(rec) -> dict:
     return {
         "orbit": str(label),
         "simple_type": str(label.simple_type),
-        "partition": list(label.partition) if label.partition else None,
+        "partition": label.partition or None,
         "exceptional_key": label.exceptional_key,
         "very_even_tag": label.very_even_tag,
         "dimension": rec.dim_orbit,
@@ -44,10 +50,9 @@ def orbit_record_dict(rec) -> dict:
 
 
 def polarization_dict(pol) -> dict:
-    comp = pol.composition
     return {
-        "composition": list(comp) if comp is not None else None,
-        "marked_roots": list(pol.parabolic.marked),
+        "composition": pol.composition,
+        "marked_roots": pol.parabolic.marked,
         "flag_dimension": pol.flag_dimension,
         "springer_degree": pol.springer_degree,
         # a polarization is one whose Springer map is birational
@@ -58,8 +63,8 @@ def polarization_dict(pol) -> dict:
 def cone_dict(c) -> dict:
     return {
         "ambient_dim": c.ambient_dim,
-        "extreme_rays": [list(r) for r in c.extreme_rays],
-        "lineality_basis": [list(r) for r in c.lineality_basis],
+        "extreme_rays": c.extreme_rays,
+        "lineality_basis": c.lineality_basis,
     }
 
 
@@ -70,20 +75,19 @@ def chamber_complex_dict(cc) -> dict | None:
         "chamber_count": cc.chamber_count,
         "chambers": [
             {
-                "label": list(ch.label),
-                "composition": list(ch.composition)
-                               if ch.composition is not None else None,
-                "marked_roots": list(ch.parabolic.marked),
+                "label": ch.label,
+                "composition": ch.composition,
+                "marked_roots": ch.parabolic.marked,
                 "ample_cone": cone_dict(ch.ample),
             }
             for ch in cc.chambers
         ],
         "walls": [
             {
-                "chamber_a": list(w.chamber_a),
-                "chamber_b": list(w.chamber_b),
+                "chamber_a": w.chamber_a,
+                "chamber_b": w.chamber_b,
                 "position": w.position,
-                "entries": list(w.entries),
+                "entries": w.entries,
             }
             for w in cc.walls
         ],
@@ -142,42 +146,56 @@ def resolution_report_dict(r, oracle_checks) -> dict:
 def to_json(obj) -> str:
     """``obj`` as indented JSON with sorted keys; see the module doc."""
     chunks: list[str] = []
-    _encode(obj, "\n", chunks.append)
+    _encode(obj, "\n", chunks, {})
     return "".join(chunks)
 
 
-def _encode(obj, newline: str, out) -> None:
-    """Append ``obj`` to ``out``; ``newline`` is the line break plus the
-    indent of the line the value starts on."""
+def _encode(obj, newline: str, chunks: list, memo: dict) -> None:
+    """Append ``obj`` to ``chunks``; ``newline`` is the line break plus
+    the indent of the line the value starts on. ``memo``, made anew by
+    each ``to_json`` call, maps the id of each plain tuple written so far
+    to the indent it was last written at and its text there."""
     kind = type(obj)
     if kind is str:
-        out(_quote(obj))
+        chunks.append(_quote(obj))
     elif kind is int:
-        out(int.__repr__(obj))
+        chunks.append(int.__repr__(obj))
     elif obj is None:
-        out("null")
+        chunks.append("null")
     elif obj is True:
-        out("true")
+        chunks.append("true")
     elif obj is False:
-        out("false")
+        chunks.append("false")
     elif kind is list or kind is tuple:
         if not obj:
-            out("[]")
+            chunks.append("[]")
             return
+        if kind is tuple:
+            seen = memo.get(id(obj))
+            if seen is not None and seen[0] == newline:
+                chunks.append(seen[1])
+                return
         inner = newline + "  "
         sep = "," + inner
         if all([type(x) is int for x in obj]):
-            out("[" + inner + sep.join(map(int.__repr__, obj)) + newline + "]")
+            text = ("[" + inner + sep.join(map(int.__repr__, obj))
+                    + newline + "]")
+            chunks.append(text)
+            if kind is tuple:
+                memo[id(obj)] = (newline, text)
             return
+        start = len(chunks)
         lead = "[" + inner
         for item in obj:
-            out(lead)
+            chunks.append(lead)
             lead = sep
-            _encode(item, inner, out)
-        out(newline + "]")
+            _encode(item, inner, chunks, memo)
+        chunks.append(newline + "]")
+        if kind is tuple:
+            memo[id(obj)] = (newline, "".join(chunks[start:]))
     elif kind is dict:
         if not obj:
-            out("{}")
+            chunks.append("{}")
             return
         inner = newline + "  "
         sep = "," + inner
@@ -185,9 +203,9 @@ def _encode(obj, newline: str, out) -> None:
         for key in sorted(obj):
             if type(key) is not str:
                 raise TypeError(f"report key {key!r} is not a str")
-            out(lead + _quote(key) + ": ")
+            chunks.append(lead + _quote(key) + ": ")
             lead = sep
-            _encode(obj[key], inner, out)
-        out(newline + "}")
+            _encode(obj[key], inner, chunks, memo)
+        chunks.append(newline + "}")
     else:
         raise TypeError(f"{kind.__name__} is not a report type")

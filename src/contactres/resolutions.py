@@ -333,16 +333,18 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
             "wall structure outside type A is not curated")
     walls = []
     if type_a:
-        labels = {c.composition for c in chambers}
-        for comp in sorted(labels):
+        # wall ends are the chambers' own composition tuples, and the
+        # chambers are in label (= composition) order
+        labels = {c.composition: c.composition for c in chambers}
+        for comp in labels:
             for i in range(len(comp) - 1):
                 if comp[i] == comp[i + 1]:
                     continue
                 swapped = list(comp)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                swapped = tuple(swapped)
-                invariant(swapped in labels, "orbit orderings must be closed "
-                          "under adjacent transpositions")
+                swapped = labels.get(tuple(swapped))
+                invariant(swapped is not None, "orbit orderings must be "
+                          "closed under adjacent transpositions")
                 if comp < swapped:
                     walls.append(Wall(
                         chamber_a=comp,

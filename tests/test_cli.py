@@ -188,6 +188,29 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "chambers", "--max-n", "0"),
+        ("--suite", "ad-rank", "--max-n", "1"),
+        ("--suite", "richardson", "--max-n", "0"),
+    ])
+    def test_cap_that_admits_no_case_fails(self, capsys, validator, argv):
+        # a verification that checked nothing must not claim success
+        code, env = run_json(capsys, validator, "verify", *argv, "--json")
+        assert env["result"]["total"] == 0
+        assert env["result"]["all_pass"] is False
+        assert code == 1
+        code, out = run(capsys, "verify", *argv)
+        assert code == 1
+        assert out.endswith("0 cases, 0 failures, FAILED\n")
+
+    def test_cones_without_random_cones_still_runs_its_rows(self, capsys,
+                                                            validator):
+        code, env = run_json(capsys, validator, "verify", "--suite", "cones",
+                             "--count", "0", "--json")
+        assert env["result"]["total"] == 11
+        assert env["result"]["all_pass"] is True
+        assert code == 0
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

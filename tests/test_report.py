@@ -1,5 +1,8 @@
 """``report.to_json`` writes the bytes of ``json.dumps(obj, indent=2,
-sort_keys=True)``, the oracle here, and refuses what a report never holds."""
+sort_keys=True)``, the oracle here, and refuses what a report never holds.
+It writes a tuple that comes back at the same indent from the text it
+already wrote, so the report functions must keep handing it the records'
+own tuples."""
 
 import json
 from fractions import Fraction
@@ -7,8 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactres.cones import ample_cone
 from contactres.lie_core import SimpleType
-from contactres.report import to_json
+from contactres.orbits import parse_orbit
+from contactres.report import chamber_complex_dict, to_json
+from contactres.resolutions import movable_chambers
 
 
 def oracle(obj) -> str:
@@ -36,6 +42,30 @@ trees = st.recursive(
     max_leaves=20)
 
 
+@st.composite
+def shared_trees(draw):
+    """A tree in which the same tuple objects recur: at several depths,
+    inside lists, tuples and dict values, and twice at one depth."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        # a later tuple may hold an earlier one
+        items = st.one_of(scalars, st.sampled_from(pool)) if pool else scalars
+        pool.append(draw(st.one_of(
+            st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+            st.lists(items, min_size=1, max_size=3),
+            st.lists(trees, min_size=1, max_size=2)).map(tuple)))
+    shared = st.sampled_from(pool)
+    tree = draw(st.recursive(
+        st.one_of(shared, scalars),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(texts, inner, max_size=4)),
+        max_leaves=12))
+    first = pool[0]
+    return [tree, tree, first, [first, (first,)], {"a": first, "b": [first]}]
+
+
 class TestMatchesStdlib:
     @given(trees)
     @settings(max_examples=150, derandomize=True)
@@ -58,6 +88,42 @@ class TestMatchesStdlib:
             dicts = {"k": dicts, str(depth): (depth,)}
         assert to_json(lists) == oracle(lists)
         assert to_json(dicts) == oracle(dicts)
+
+
+class TestSharedTuples:
+    @given(shared_trees())
+    @settings(max_examples=150, derandomize=True)
+    def test_shared_tuples_match_stdlib(self, obj):
+        assert to_json(obj) == oracle(obj)
+
+    @pytest.mark.parametrize("shape", [
+        lambda t: [t, [[t]]],             # depth 1, then depth 3
+        lambda t: {"a": [[t]], "b": t},   # depth 3, then depth 1
+        lambda t: [t, t, [[t, t]], t],
+    ], ids=["1-then-3", "3-then-1", "mixed"])
+    def test_text_is_reused_only_at_its_own_indent(self, shape):
+        # an identity-only memo would write the second copy at the
+        # first one's indent
+        t = (1, (2, "x"), [3])
+        obj = shape(t)
+        assert to_json(obj) == oracle(obj)
+
+    def test_reports_hand_over_the_records_tuples(self):
+        # the sharing that lets to_json write each value once survives
+        # into the report: the orthant and the chambers' compositions
+        cc = movable_chambers(parse_orbit("A8:6,2,1"))
+        d = chamber_complex_dict(cc)
+        orthant = ample_cone(cc.chambers[0].parabolic).extreme_rays
+        compositions = {id(ch.composition) for ch in cc.chambers}
+        assert len(d["chambers"]) == 30 and d["walls"]
+        for ch, row in zip(cc.chambers, d["chambers"]):
+            assert row["ample_cone"]["extreme_rays"] is orthant
+            assert row["label"] is ch.composition
+            assert row["composition"] is ch.composition
+            assert row["marked_roots"] is ch.parabolic.marked
+        for wall in d["walls"]:
+            assert id(wall["chamber_a"]) in compositions
+            assert id(wall["chamber_b"]) in compositions
 
 
 class TestRefuses:
