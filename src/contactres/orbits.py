@@ -153,12 +153,6 @@ def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> Orbi
                       very_even_tag=very_even_tag)
 
 
-def is_zero_orbit(o: OrbitLabel) -> bool:
-    if o.is_exceptional:
-        return exceptional_entry(o).dimension == 0
-    return all(p == 1 for p in o.partition)
-
-
 # --- dimension formulas -------------------------------------------------------
 
 def orbit_dimension(o: OrbitLabel) -> int:
@@ -231,9 +225,10 @@ def regular_orbit_label(t: SimpleType) -> OrbitLabel | None:
 
 def is_minimal_orbit(o: OrbitLabel) -> bool:
     """Whether o is the minimal nonzero orbit of its type."""
-    if is_zero_orbit(o):
+    rec = orbit_record(o)
+    if rec.is_zero:
         raise ZeroOrbit(f"{o} is the zero orbit")
-    return orbit_dimension(o) == minimal_orbit_dimension(o.simple_type)
+    return rec.is_minimal
 
 
 # --- orbit records ------------------------------------------------------------
@@ -256,8 +251,8 @@ class OrbitRecord(namedtuple("OrbitRecord", "label dim_orbit is_minimal "
 
 def orbit_record(o: OrbitLabel) -> OrbitRecord:
     dim = orbit_dimension(o)
-    zero = is_zero_orbit(o)
-    minimal = False if zero else is_minimal_orbit(o)
+    zero = dim == 0  # the zero orbit is the only orbit of dimension 0
+    minimal = not zero and dim == minimal_orbit_dimension(o.simple_type)
     g2dim8 = (o.simple_type.family, o.simple_type.rank, dim) == ("G", 2, 8)
     return OrbitRecord(
         label=o,
@@ -326,29 +321,28 @@ def _load_table() -> tuple[str, dict]:
             return
         if "orbit" not in record or "dimension" not in record:
             raise TableFormatError(f"record missing orbit/dimension: {record}")
-        t = parse_simple_type(record["orbit"].split(":")[0])
-        key = record["orbit"].split(":", 1)[1]
-        if (t.family, t.rank, key) in table:
-            raise TableFormatError(f"duplicate table key {record['orbit']}")
         where = record["orbit"]
-        entry = ExceptionalOrbitEntry(
-            family=t.family,
-            rank=t.rank,
-            key=key,
-            dimension=_parse_int(record["dimension"], where),
-            is_richardson=(_parse_bool(record["is_richardson"], where)
-                           if "is_richardson" in record else None),
-            admits_symplectic_resolution=(
-                _parse_bool(record["admits_symplectic_resolution"], where)
-                if "admits_symplectic_resolution" in record else None),
-            polarizations=(
-                _parse_polarizations(record["polarizations"], t.rank, where)
-                if "polarizations" in record else None),
-            springer_degree=(_parse_int(record["springer_degree"], where)
-                             if "springer_degree" in record else None),
-            note=record.get("note"),
-            provenance=record.get("provenance"),
-        )
+        head, _, key = where.partition(":")
+        if not key:
+            raise TableFormatError(f"{where}: orbit must be TYPE:KEY")
+        t = parse_simple_type(head)
+        if (t.family, t.rank, key) in table:
+            raise TableFormatError(f"duplicate table key {where}")
+        # each key is read by its own parser, and a key no field takes is
+        # refused rather than dropped
+        fields = {}
+        for k, v in record.items():
+            if k in ("dimension", "springer_degree"):
+                fields[k] = _parse_int(v, where)
+            elif k in ("is_richardson", "admits_symplectic_resolution"):
+                fields[k] = _parse_bool(v, where)
+            elif k == "polarizations":
+                fields[k] = _parse_polarizations(v, t.rank, where)
+            elif k in ("note", "provenance"):
+                fields[k] = v
+            elif k != "orbit":
+                raise TableFormatError(f"{where}: unknown key {k!r}")
+        entry = ExceptionalOrbitEntry(t.family, t.rank, key, **fields)
         if entry.dimension % 2 != 0:
             raise TableFormatError(f"{where}: odd orbit dimension")
         # A polarization list witnesses a symplectic resolution, so the two
@@ -384,8 +378,10 @@ def _load_table() -> tuple[str, dict]:
             continue
         if ":" not in stripped:
             raise TableFormatError(f"expected 'key: value', got {line!r}")
-        k, v = stripped.split(":", 1)
-        record[k.strip()] = v.strip()
+        k, v = (part.strip() for part in stripped.split(":", 1))
+        if k in record:
+            raise TableFormatError(f"{record.get('orbit')}: repeated key {k!r}")
+        record[k] = v
     flush()
     if version is None:
         raise TableFormatError("table is missing a table_version header")

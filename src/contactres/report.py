@@ -4,7 +4,8 @@ One function per object. The CLI builds every result from these, and
 its text output renders the same dictionaries its JSON output
 serializes, so the two can never drift apart. Everything returned is
 plain JSON types: dicts with ``str`` keys, lists, tuples, ``str``,
-``int``, ``bool`` and ``None``.
+``int``, ``bool`` and ``None``. What the decision guarantees is written
+as a literal: ``is_birational`` and ``connected`` are always true.
 
 ``to_json`` is the one serializer. Its output is, byte for byte, that of
 ``json.dumps(obj, indent=2, sort_keys=True)``: keys sorted, two-space
@@ -91,7 +92,7 @@ def chamber_complex_dict(cc) -> dict | None:
             }
             for w in cc.walls
         ],
-        "connected": cc.is_connected,
+        "connected": True,  # chamber_complex_for refuses any other complex
     }
 
 

@@ -29,12 +29,13 @@ The central facts this module operationalizes:
   transposition of distinct entries of the composition. Only the
   combinatorial gluing is recorded; no common linear embedding of all
   chambers is attempted (none is available at this level of the theory).
-* Each fact about a resolution is computed once, when its record is
-  built: the flag dimension of each polarization, checked against the
-  one orbit dimension of the decision (dim O = 2 dim G/P), and its
-  composition, the ordering it was cut from (type-A markings are cut
-  without re-validating them). The ample orthant of each rank is shared
-  (in ``cones``).
+  That the wall graph is connected is checked by a count, not a search.
+* Each fact is computed once. The decision reads one orbit record, whose
+  one dimension decides zero and minimal. Each polarization's record
+  holds its flag dimension, checked against that dimension (dim O = 2
+  dim G/P), and its composition, the ordering it was cut from (type-A
+  markings are cut without re-validating them). The ample orthant of
+  each rank is shared (in ``cones``).
 * :func:`contact_resolution_exists` takes only the orbit and returns
   only the decision. The matrix oracles that cross-check it run in
   ``verify``, so this module does not import them.
@@ -74,9 +75,6 @@ from .orbits import (
     OrbitLabel,
     dual_partition,
     exceptional_entry,
-    is_minimal_orbit,
-    is_zero_orbit,
-    orbit_dimension,
     orbit_record,
     regular_orbit_label,
     validate_orbit,
@@ -144,11 +142,10 @@ class Polarization(namedtuple("Polarization", "parabolic composition "
         return ample_cone(self.parabolic)
 
 
-def _checked(o: OrbitLabel, found, springer_degree) -> list[Polarization]:
-    """The polarizations of ``o`` from (parabolic, composition) pairs.
-    Each Springer map is birational, so each flag dimension must be half
-    the orbit's: dim O = 2 dim G/P."""
-    dim = orbit_dimension(o)
+def _checked(dim: int, found, springer_degree) -> list[Polarization]:
+    """The polarizations of an orbit of dimension ``dim`` from (parabolic,
+    composition) pairs. Each Springer map is birational, so each flag
+    dimension must be half the orbit's: dim O = 2 dim G/P."""
     polar = []
     for p, comp in found:
         flag_dim = flag_dimension(p)
@@ -206,7 +203,7 @@ def distinct_ordering_count(items) -> int:
     return count
 
 
-def _type_a_polarizations(o: OrbitLabel) -> list[Polarization]:
+def _type_a_polarizations(o: OrbitLabel, dim: int) -> list[Polarization]:
     dual = dual_partition(o.partition)
     count = distinct_ordering_count(dual)
     if count > MAX_CHAMBERS:
@@ -216,8 +213,8 @@ def _type_a_polarizations(o: OrbitLabel) -> list[Polarization]:
     # rank + 1, so its marking is cut without re-validating it; Springer
     # maps are birational in type A
     t = o.simple_type
-    return _checked(o, ((parabolic(t, accumulate(comp[:-1])), comp)
-                        for comp in _distinct_orderings(dual)), 1)
+    return _checked(dim, ((parabolic(t, accumulate(comp[:-1])), comp)
+                          for comp in _distinct_orderings(dual)), 1)
 
 
 def polarizations(o: OrbitLabel) -> list[Polarization]:
@@ -227,29 +224,35 @@ def polarizations(o: OrbitLabel) -> list[Polarization]:
     Raises :class:`UnknownClassification` where the curated data is
     silent; returns the empty list only when non-existence is definitive.
     """
-    if is_zero_orbit(o):
+    return _polarizations(orbit_record(o))
+
+
+def _polarizations(record) -> list[Polarization]:
+    """:func:`polarizations`, read off the orbit's record."""
+    o, dim = record.label, record.dim_orbit
+    if record.is_zero:
         raise ZeroOrbit(f"{o} is the zero orbit")
     t = o.simple_type
     if t.family == "A":
-        return _type_a_polarizations(o)
+        return _type_a_polarizations(o, dim)
     if o.is_exceptional:
         entry = exceptional_entry(o)
         if entry.polarizations is not None:
             found = sorted(parabolic(t, marks)
                            for marks in entry.polarizations)
-            return _checked(o, ((p, None) for p in found),
+            return _checked(dim, ((p, None) for p in found),
                             entry.springer_degree)
         if entry.admits_symplectic_resolution is False:
             return []
         raise UnknownClassification(
             f"polarization data for {o} not in the shipped table")
     # classical non-A: only two rank-uniform facts are curated in code
-    if is_minimal_orbit(o):
+    if record.is_minimal:
         # minimal orbits outside type A admit no symplectic resolution
         return []
     if o == regular_orbit_label(t):
         # the nilpotent cone always has its Springer resolution
-        return _checked(o, [(parabolic(t, range(1, t.rank + 1)), None)], 1)
+        return _checked(dim, [(parabolic(t, range(1, t.rank + 1)), None)], 1)
     raise UnknownClassification(
         f"symplectic-resolution data for {o} is not curated")
 
@@ -309,10 +312,9 @@ class ChamberComplex(namedtuple("ChamberComplex", "chambers walls")):
         seen = {labels[0]}
         frontier = [labels[0]]
         while frontier:
-            for nxt in adjacency[frontier.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+            fresh = adjacency[frontier.pop()] - seen
+            seen |= fresh
+            frontier.extend(fresh)
         return len(seen) == len(labels)
 
 
@@ -340,9 +342,8 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
             for i in range(len(comp) - 1):
                 if comp[i] == comp[i + 1]:
                     continue
-                swapped = list(comp)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                swapped = labels.get(tuple(swapped))
+                swapped = labels.get(
+                    comp[:i] + (comp[i + 1], comp[i]) + comp[i + 2:])
                 invariant(swapped is not None, "orbit orderings must be "
                           "closed under adjacent transpositions")
                 if comp < swapped:
@@ -352,9 +353,13 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
                         position=i + 1,
                         entries=(comp[i], comp[i + 1]),
                     ))
-    complex_ = ChamberComplex(chambers=chambers, walls=tuple(walls))
-    invariant(complex_.is_connected, "wall graph must be connected")
-    return complex_
+    # Closed under adjacent transpositions, the chambers hold every
+    # ordering of the first one's composition, which those moves connect
+    # (bubble sort): the wall graph is connected iff there are no other
+    # chambers, i.e. iff the counts agree. A non-A complex has one chamber.
+    invariant(not type_a or len(chambers) == distinct_ordering_count(
+        chambers[0].composition), "wall graph must be connected")
+    return ChamberComplex(chambers=chambers, walls=tuple(walls))
 
 
 def movable_chambers(o: OrbitLabel) -> ChamberComplex:
@@ -398,11 +403,8 @@ def contact_resolution_exists(o: OrbitLabel) -> ResolutionReport:
     The report holds no oracle rows: ``verify.oracle_block`` builds them
     from it."""
     record = orbit_record(o)
-    if record.is_zero:
-        raise ZeroOrbit(f"{o} is the zero orbit")
-
     try:
-        polar = polarizations(o)
+        polar = _polarizations(record)  # raises ZeroOrbit on the zero orbit
     except UnknownClassification:
         polar = None
 
@@ -437,7 +439,8 @@ def contact_resolution_exists(o: OrbitLabel) -> ResolutionReport:
         orbit=record,
         verdict=verdict,
         reason=reason,
-        polarizations=tuple(polar or ()),
+        # one tuple: the chambers are the polarizations, found in label order
+        polarizations=chambers.chambers if polar else (),
         chamber_complex=chambers,
         affine_closure_admits_symplectic_resolution=affine,
         notes=tuple(notes),

@@ -105,6 +105,16 @@ def test_non_closed_ordering_list_raises():
     assert not issubclass(InternalInvariantError, ContactresError)
 
 
+def test_closed_but_disconnected_chamber_list_raises():
+    # (1, 3), (3, 1) and (2, 2) are closed under adjacent transpositions,
+    # but no wall joins (2, 2) to the other two
+    pols = (polarizations(parse_orbit("A3:2,1,1"))
+            + polarizations(parse_orbit("A3:2,2")))
+    assert len(pols) == 3
+    with pytest.raises(InternalInvariantError, match="connected"):
+        chamber_complex_for(parse_orbit("A3:2,1,1"), pols)
+
+
 def test_cli_start_up_skips_dataclasses():
     """Records are named tuples, so no CLI process imports ``dataclasses``
     or builds methods from source at start-up."""

@@ -15,7 +15,6 @@ from contactres.orbits import (
     exceptional_entry,
     exceptional_table,
     is_minimal_orbit,
-    is_zero_orbit,
     minimal_orbit_dimension,
     minimal_orbit_label,
     orbit_dimension,
@@ -42,6 +41,15 @@ def orbits_of(t):
             yield validate_orbit(t, part)
         except InvalidPartition:
             continue
+
+
+def zero_by_parts(o):
+    """Reference path for ``orbit_record(o).is_zero``, the rule the
+    package used before the record decided it from the dimension: every
+    part is 1, or the table dimension is 0."""
+    if o.is_exceptional:
+        return exceptional_entry(o).dimension == 0
+    return all(p == 1 for p in o.partition)
 
 
 class TestValidation:
@@ -170,7 +178,7 @@ class TestMinimalOrbits:
     def test_exactly_one_minimal_orbit_per_type(self):
         for t in SMALL_CLASSICAL:
             minimal = [o for o in orbits_of(t)
-                       if not is_zero_orbit(o) and is_minimal_orbit(o)]
+                       if not zero_by_parts(o) and is_minimal_orbit(o)]
             assert len(minimal) == 1
             assert minimal[0] == minimal_orbit_label(t)
 
@@ -194,6 +202,22 @@ class TestOrbitRecord:
     def test_zero_orbit_record(self):
         rec = orbit_record(parse_orbit("A2:1,1,1"))
         assert rec.is_zero and rec.contact_n is None
+
+    def test_zero_is_dimension_zero_against_the_parts(self):
+        # the record's zero flag (dimension 0) against the reference path
+        types = ([SimpleType("A", n) for n in range(1, 8)]
+                 + [SimpleType(f, n) for f in "BC" for n in range(2, 5)]
+                 + [SimpleType("D", 4), SimpleType("D", 5)])
+        labels = [o for t in types for o in orbits_of(t)]
+        labels += [validate_orbit(SimpleType(f, r), key)
+                   for f, r, key in exceptional_table()]
+        zeros = 0
+        for o in labels:
+            assert orbit_record(o).is_zero == zero_by_parts(o), o
+            zeros += zero_by_parts(o)
+        # one zero orbit per type, and the table lists each type's zero orbit
+        assert zeros == len(types) + len(
+            {(f, r) for f, r, _ in exceptional_table()})
 
     def test_smooth_projectivisation_cases_are_exactly_the_two(self):
         # exhaustive over the listed families plus all G2 orbits
@@ -305,6 +329,11 @@ class TestTableLoader:
         ("admits_symplectic_resolution: false\n",
          "admits_symplectic_resolution: false\nspringer_degree: 1\n",
          "springer_degree must be 1, next to polarizations"),
+        ("dimension: 12\n", "dimension: 10\ndimension: 12\n",
+         "G2:dim12: repeated key 'dimension'"),
+        ("is_richardson: false", "is_richardon: false",
+         "G2:dim6: unknown key 'is_richardon'"),
+        ("orbit: G2:dim12", "orbit: G2", "G2: orbit must be TYPE:KEY"),
     ], ids=["duplicate-key", "odd-dimension", "bad-boolean",
             "missing-version", "resolution-without-polarizations",
             "polarizations-without-resolution",
@@ -312,7 +341,8 @@ class TestTableLoader:
             "blank-mark", "mark-above-rank", "mark-zero",
             "non-integer-dimension", "non-integer-springer-degree",
             "springer-degree-two", "springer-degree-without-polarizations",
-            "degree-one-without-polarizations"])
+            "degree-one-without-polarizations", "repeated-key", "unknown-key",
+            "orbit-without-key"])
     def test_malformed_text_refused(self, load_table_text, old, new, message):
         assert old in VALID_TABLE
         with pytest.raises(TableFormatError, match=message):

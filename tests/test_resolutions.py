@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -206,17 +207,36 @@ class TestPolarizations:
         assert len(calls) == resolutions.MAX_CHAMBERS
 
     def test_one_orbit_dimension_per_decision(self, monkeypatch):
-        # every polarization checks dim O against the one decided orbit,
-        # in each branch of the decision
+        # zero, minimal and every dim O = 2 dim G/P check read the one
+        # orbit record, in each branch of the decision; the wall graph is
+        # checked by a count, and the report holds one polarization tuple
         calls = []
-        monkeypatch.setattr(resolutions, "orbit_dimension",
-                            lambda o: calls.append(o) or orbit_dimension(o))
-        for text in ("A27:7,6,5,4,3,2,1", "A3:2,1,1", "B2:5", "G2:dim12"):
+        dimension = orbit_dimension
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "orbit_dimension", None) is dimension:
+                monkeypatch.setattr(mod, "orbit_dimension", lambda o: (
+                    calls.append(o) or dimension(o)))
+        reads = []
+        connected = resolutions.ChamberComplex.is_connected
+        monkeypatch.setattr(resolutions.ChamberComplex, "is_connected",
+                            property(lambda cc: reads.append(cc)
+                                     or connected.fget(cc)))
+        complexes = []
+        for text in ("A3:2,1,1", "A27:7,6,5,4,3,2,1", "B2:5", "B3:3,3,1",
+                     "C3:2,1,1,1,1", "G2:dim8", "G2:dim12"):
             calls.clear()
-            report = contact_resolution_exists(parse_orbit(text))
+            o = parse_orbit(text)
+            report = contact_resolution_exists(o)
             resolution_report_dict(report, ())
-            assert report.polarizations
-            assert calls == [report.orbit.label]
+            assert calls == [o]
+            cc = report.chamber_complex
+            if cc is not None:
+                assert report.polarizations is cc.chambers
+                assert movable_chambers(o) == cc
+                complexes.append(text)
+        assert complexes == ["A3:2,1,1", "A27:7,6,5,4,3,2,1", "B2:5",
+                             "G2:dim12"]
+        assert reads == []
 
     def test_label_is_the_composition_else_the_marking(self):
         a = polarizations(parse_orbit("A3:2,1,1"))
