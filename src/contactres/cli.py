@@ -29,10 +29,10 @@ from .report import (
     verify_row_dict,
 )
 from .resolutions import (
+    chamber_complex_for,
     contact_resolution_exists,
     is_twistor_space,
-    movable_chambers,
-    polarizations,
+    polarizations_of,
 )
 from .verify import oracle_block, run_suite, suite_caps, suite_names
 
@@ -71,10 +71,9 @@ def _render_report(r: dict, out) -> None:
                     + ")" if p["composition"] is not None
                     else "non-A parabolic")
             marks = "{" + ",".join(map(str, p["marked_roots"])) + "}"
-            deg = p["springer_degree"] if p["springer_degree"] is not None \
-                else "unknown"
             out.write(f"  {comp}  marked {marks}  flag dim "
-                      f"{p['flag_dimension']}  degree {deg}\n")
+                      f"{p['flag_dimension']}  degree "
+                      f"{p['springer_degree']}\n")
     if "chamber_complex" in r:
         cc = r["chamber_complex"]
         if cc is None:
@@ -160,18 +159,17 @@ def _dim(args) -> dict:
 
 @_command("polarizations", "enumerate polarizations", _ORBIT, _JSON)
 def _polarizations(args) -> dict:
-    o = parse_orbit(args.orbit)
-    pols = [polarization_dict(p) for p in polarizations(o)]
-    return {"orbit": orbit_record_dict(orbit_record(o)),
-            "polarizations": pols}
+    record = orbit_record(parse_orbit(args.orbit))
+    pols = [polarization_dict(p) for p in polarizations_of(record)]
+    return {"orbit": orbit_record_dict(record), "polarizations": pols}
 
 
 @_command("chambers", "movable-cone chamber complex", _ORBIT, _JSON)
 def _chambers(args) -> dict:
-    o = parse_orbit(args.orbit)
-    cc = chamber_complex_dict(movable_chambers(o))
-    return {"orbit": orbit_record_dict(orbit_record(o)),
-            "chamber_complex": cc}
+    record = orbit_record(parse_orbit(args.orbit))
+    cc = chamber_complex_for(record.label, polarizations_of(record))
+    return {"orbit": orbit_record_dict(record),
+            "chamber_complex": chamber_complex_dict(cc)}
 
 
 def _render_twistor(r: dict, out) -> None:

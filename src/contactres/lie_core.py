@@ -269,7 +269,6 @@ def _marking_mask(p: ParabolicType) -> int:
     return sum([1 << (i - 1) for i in p.marked])
 
 
-@lru_cache(maxsize=None)
 def _nilradical_roots(p: ParabolicType) -> tuple[tuple[int, ...], ...]:
     """The positive roots in the nilradical of P, by the support rule."""
     marked = _marking_mask(p)

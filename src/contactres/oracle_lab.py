@@ -44,9 +44,11 @@ given there.
 These oracles are deliberately independent of the combinatorial
 formulas they validate: dimensions come from ranks of ad maps, Richardson
 partitions from Jordan types of random nilradical elements, Springer
-degrees from exact flag counting. All randomness is seeded and the seed
-strings are derivable by callers for reporting. ``MatrixModel`` and
-``ContactCheckResult`` are named tuples (see ``lie_core``).
+degrees from exact flag counting. Their size caps, ``ADDIM_SIZE_CAP``
+and ``FIBER_SIZE_CAP``, are constants, not arguments. All randomness is
+seeded and the seed strings are derivable by callers for reporting.
+``MatrixModel`` and ``ContactCheckResult`` are named tuples (see
+``lie_core``).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from .ratlinalg import (
 )
 
 ADDIM_SIZE_CAP = 8   # ad_e acts on an (n^2-1)-dim space; keep desk scale
-FIBER_SIZE_CAP = 4
+FIBER_SIZE_CAP = 8   # all 255 compositions of n <= 8 count in ~1 s
 GENERIC_TRIALS = 3
 
 Matrix = tuple[tuple[int | Fraction, ...], ...]
@@ -138,32 +140,32 @@ class MatrixModel(namedtuple("MatrixModel", "n e")):
         return all(x == 0 for row in self.e for x in row)
 
 
-def matrix_model(e, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
+def matrix_model(e) -> MatrixModel:
     """Wrap an explicit rational matrix, verifying nilpotency."""
     e = _freeze(e)
     n = len(e)
     if any(len(row) != n for row in e):
         raise ContactresError("matrix model requires a square matrix")
-    if n > size_cap:
-        raise SizeCapExceeded(f"size {n} exceeds cap {size_cap}")
+    if n > ADDIM_SIZE_CAP:
+        raise SizeCapExceeded(f"size {n} exceeds cap {ADDIM_SIZE_CAP}")
     if not _is_nilpotent(e):
         raise ContactresError("matrix is not nilpotent")
     return MatrixModel(n=n, e=e)
 
 
-def jordan_nilpotent(part, size_cap: int = ADDIM_SIZE_CAP) -> MatrixModel:
+def jordan_nilpotent(part) -> MatrixModel:
     """Block Jordan nilpotent of type ``part`` with integer entries."""
     part = _positive_parts(part)
     n = sum(part)
-    if n > size_cap:
-        raise SizeCapExceeded(f"partition of {n} exceeds cap {size_cap}")
+    if n > ADDIM_SIZE_CAP:
+        raise SizeCapExceeded(f"partition of {n} exceeds cap {ADDIM_SIZE_CAP}")
     rows = _zeros(n)
     offset = 0
     for block in part:
         for i in range(block - 1):
             rows[offset + i][offset + i + 1] = 1
         offset += block
-    return matrix_model(rows, size_cap=size_cap)
+    return matrix_model(rows)
 
 
 def _ad_images(e: Matrix, supports) -> list[list]:
@@ -378,14 +380,13 @@ def _generic_sample(comp, seed: int) -> tuple[Matrix, tuple[int, ...]]:
         f"reseed and retry")
 
 
-def generic_jordan_type(comp, seed: int = 0,
-                        size_cap: int = ADDIM_SIZE_CAP) -> tuple[int, ...]:
+def generic_jordan_type(comp, seed: int = 0) -> tuple[int, ...]:
     """Jordan type of a generic element of the block nilradical: the
     dominance-maximal type over the trial seeds derived from ``seed``."""
     comp = _positive_parts(comp)
     n = sum(comp)
-    if n > size_cap:
-        raise SizeCapExceeded(f"composition of {n} exceeds cap {size_cap}")
+    if n > ADDIM_SIZE_CAP:
+        raise SizeCapExceeded(f"composition of {n} exceeds cap {ADDIM_SIZE_CAP}")
     return _generic_sample(comp, seed)[1]
 
 
@@ -411,8 +412,7 @@ def _grow(bound: list, act) -> None:
                 bound[i], changed = new, True
 
 
-def generic_fiber_count(comp, seed: int = 0,
-                        size_cap: int = FIBER_SIZE_CAP) -> int:
+def generic_fiber_count(comp, seed: int = 0) -> int:
     """Certify that the Springer fiber over a generic Richardson element
     is one point, and return that cardinality, 1.
 
@@ -430,8 +430,8 @@ def generic_fiber_count(comp, seed: int = 0,
     """
     comp = _positive_parts(comp)
     n = sum(comp)
-    if n > size_cap:
-        raise SizeCapExceeded(f"composition of {n} exceeds cap {size_cap}")
+    if n > FIBER_SIZE_CAP:
+        raise SizeCapExceeded(f"composition of {n} exceeds cap {FIBER_SIZE_CAP}")
     if len(comp) == 1:
         return 1  # V_1 = C^n and the nilradical is zero
 

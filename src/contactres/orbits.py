@@ -357,10 +357,10 @@ def _load_table() -> tuple[str, dict]:
             raise TableFormatError(
                 f"{where}: polarizations without "
                 "admits_symplectic_resolution: true")
-        # Listed polarizations are birational, so their Springer degree is
-        # 1; a degree with no polarization to carry it would be dropped.
-        if entry.springer_degree not in (None, 1) or (
-                entry.springer_degree and entry.polarizations is None):
+        # Listed polarizations are birational: the table states their
+        # Springer degree, 1, beside each list, and nowhere else.
+        if entry.springer_degree != (
+                None if entry.polarizations is None else 1):
             raise TableFormatError(
                 f"{where}: springer_degree must be 1, next to polarizations")
         table[(t.family, t.rank, key)] = entry

@@ -4,8 +4,8 @@ One function per object. The CLI builds every result from these, and
 its text output renders the same dictionaries its JSON output
 serializes, so the two can never drift apart. Everything returned is
 plain JSON types: dicts with ``str`` keys, lists, tuples, ``str``,
-``int``, ``bool`` and ``None``. What the decision guarantees is written
-as a literal: ``is_birational`` and ``connected`` are always true.
+``int``, ``bool`` and ``None``. Each value the decision guarantees is a
+literal: ``springer_degree`` 1, ``is_birational`` and ``connected`` true.
 
 ``to_json`` is the one serializer. Its output is, byte for byte, that of
 ``json.dumps(obj, indent=2, sort_keys=True)``: keys sorted, two-space
@@ -55,8 +55,8 @@ def polarization_dict(pol) -> dict:
         "composition": pol.composition,
         "marked_roots": pol.parabolic.marked,
         "flag_dimension": pol.flag_dimension,
-        "springer_degree": pol.springer_degree,
-        # a polarization is one whose Springer map is birational
+        # a polarization is one whose Springer map is birational (degree 1)
+        "springer_degree": 1,
         "is_birational": True,
     }
 

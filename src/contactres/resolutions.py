@@ -19,14 +19,14 @@ The central facts this module operationalizes:
   of them (counted in closed form first); outside type A
   the answer comes from curated classification data and absent entries
   yield an honest Unknown.
-* The polarization set is decided here, once, by :func:`polarizations`.
-  The verdict, the affine-closure flag, the equivalence class of a type-A
-  parabolic and the chamber complex of the movable cone all derive from
-  it. A chamber is the ample cone of one resolution P(T*(G/P)), so a
-  chamber *is* a polarization: the complex holds the
-  :class:`Polarization` records themselves, each with its ample cone in
-  its own weight basis, and, in type A, one wall for each adjacent
-  transposition of distinct entries of the composition. Only the
+* The polarization set is decided here, once, by :func:`polarizations_of`
+  on the orbit's record. The verdict, the affine-closure flag, the
+  equivalence class of a type-A parabolic and the chamber complex of the
+  movable cone all derive from it. A chamber is the ample cone of one
+  resolution P(T*(G/P)), so a chamber *is* a polarization: the complex
+  holds the :class:`Polarization` records themselves, each with its ample
+  cone in its own weight basis, and, in type A, one wall for each
+  adjacent transposition of distinct entries of the composition. Only the
   combinatorial gluing is recorded; no common linear embedding of all
   chambers is attempted (none is available at this level of the theory).
   That the wall graph is connected is checked by a count, not a search.
@@ -122,10 +122,11 @@ def composition_from_marking(p: ParabolicType) -> tuple[int, ...]:
 
 
 class Polarization(namedtuple("Polarization", "parabolic composition "
-                               "flag_dimension springer_degree")):
+                               "flag_dimension")):
     """A parabolic P whose Springer map resolves the orbit closure, so
     that P(T*(G/P)) is a contact resolution; its ample cone is one
-    chamber of the movable cone. ``composition`` is P's block
+    chamber of the movable cone. The map is birational by definition, so
+    its degree, 1, is not stored. ``composition`` is P's block
     composition in type A and None elsewhere."""
 
     __slots__ = ()
@@ -142,7 +143,7 @@ class Polarization(namedtuple("Polarization", "parabolic composition "
         return ample_cone(self.parabolic)
 
 
-def _checked(dim: int, found, springer_degree) -> list[Polarization]:
+def _checked(dim: int, found) -> list[Polarization]:
     """The polarizations of an orbit of dimension ``dim`` from (parabolic,
     composition) pairs. Each Springer map is birational, so each flag
     dimension must be half the orbit's: dim O = 2 dim G/P."""
@@ -151,7 +152,7 @@ def _checked(dim: int, found, springer_degree) -> list[Polarization]:
         flag_dim = flag_dimension(p)
         invariant(2 * flag_dim == dim,
                   "birational polarization must have dim O = 2 dim G/P")
-        polar.append(Polarization(p, comp, flag_dim, springer_degree))
+        polar.append(Polarization(p, comp, flag_dim))
     return polar
 
 
@@ -210,11 +211,10 @@ def _type_a_polarizations(o: OrbitLabel, dim: int) -> list[Polarization]:
         raise SizeCapExceeded(f"{o} has {count} polarizations, over the "
                               f"cap of {MAX_CHAMBERS}")
     # an ordering of a valid dual partition is a valid composition of
-    # rank + 1, so its marking is cut without re-validating it; Springer
-    # maps are birational in type A
+    # rank + 1, so its marking is cut without re-validating it
     t = o.simple_type
     return _checked(dim, ((parabolic(t, accumulate(comp[:-1])), comp)
-                          for comp in _distinct_orderings(dual)), 1)
+                          for comp in _distinct_orderings(dual)))
 
 
 def polarizations(o: OrbitLabel) -> list[Polarization]:
@@ -224,10 +224,10 @@ def polarizations(o: OrbitLabel) -> list[Polarization]:
     Raises :class:`UnknownClassification` where the curated data is
     silent; returns the empty list only when non-existence is definitive.
     """
-    return _polarizations(orbit_record(o))
+    return polarizations_of(orbit_record(o))
 
 
-def _polarizations(record) -> list[Polarization]:
+def polarizations_of(record) -> list[Polarization]:
     """:func:`polarizations`, read off the orbit's record."""
     o, dim = record.label, record.dim_orbit
     if record.is_zero:
@@ -240,8 +240,7 @@ def _polarizations(record) -> list[Polarization]:
         if entry.polarizations is not None:
             found = sorted(parabolic(t, marks)
                            for marks in entry.polarizations)
-            return _checked(dim, ((p, None) for p in found),
-                            entry.springer_degree)
+            return _checked(dim, ((p, None) for p in found))
         if entry.admits_symplectic_resolution is False:
             return []
         raise UnknownClassification(
@@ -252,7 +251,7 @@ def _polarizations(record) -> list[Polarization]:
         return []
     if o == regular_orbit_label(t):
         # the nilpotent cone always has its Springer resolution
-        return _checked(dim, [(parabolic(t, range(1, t.rank + 1)), None)], 1)
+        return _checked(dim, [(parabolic(t, range(1, t.rank + 1)), None)])
     raise UnknownClassification(
         f"symplectic-resolution data for {o} is not curated")
 
@@ -386,11 +385,16 @@ def is_twistor_space(p: ParabolicType) -> bool:
 
 class ResolutionReport(namedtuple(
         "ResolutionReport",
-        "orbit verdict reason polarizations chamber_complex "
+        "orbit verdict reason chamber_complex "
         "affine_closure_admits_symplectic_resolution notes")):
     """The full answer for one orbit."""
 
     __slots__ = ()
+
+    @property
+    def polarizations(self) -> tuple[Polarization, ...]:
+        """The complex's chambers, which are the polarizations, or ()."""
+        return self.chamber_complex.chambers if self.chamber_complex else ()
 
     @property
     def resolution_exists(self) -> bool:
@@ -404,7 +408,7 @@ def contact_resolution_exists(o: OrbitLabel) -> ResolutionReport:
     from it."""
     record = orbit_record(o)
     try:
-        polar = _polarizations(record)  # raises ZeroOrbit on the zero orbit
+        polar = polarizations_of(record)  # the zero orbit raises ZeroOrbit
     except UnknownClassification:
         polar = None
 
@@ -439,8 +443,6 @@ def contact_resolution_exists(o: OrbitLabel) -> ResolutionReport:
         orbit=record,
         verdict=verdict,
         reason=reason,
-        # one tuple: the chambers are the polarizations, found in label order
-        polarizations=chambers.chambers if polar else (),
         chamber_complex=chambers,
         affine_closure_admits_symplectic_resolution=affine,
         notes=tuple(notes),

@@ -10,7 +10,7 @@ make the rows of the suites and of :func:`oracle_block`, the oracle
 block of a ``classify`` report, whose bounds are the one table
 ``CLASSIFY_MAX_N``. The decision layer (``resolutions``) only decides,
 and the oracles (``oracle_lab``) know nothing of the formulas they
-check.
+check. An orbit's rows read its dimension off its ``OrbitRecord``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .cones import ample_cone, cone_from_generators, dual_cone
 from .errors import UnknownSuite
 from .lie_core import SimpleType, parabolic
 from .orbits import (
-    OrbitLabel,
+    OrbitRecord,
     dual_partition,
     orbit_dimension,
+    orbit_record,
     partitions_of,
     validate_orbit,
 )
@@ -49,17 +50,17 @@ class OracleCheck(namedtuple("OracleCheck", "oracle case formula_value "
         return self.formula_value == self.oracle_value
 
 
-def ad_rank_check(o: OrbitLabel) -> OracleCheck:
+def ad_rank_check(rec: OrbitRecord) -> OracleCheck:
     """dim O against the rank of ad_e on the Jordan representative."""
-    model = oracle_lab.jordan_nilpotent(o.partition)
-    return OracleCheck("ad-rank", str(o), orbit_dimension(o),
+    model = oracle_lab.jordan_nilpotent(rec.label.partition)
+    return OracleCheck("ad-rank", str(rec.label), rec.dim_orbit,
                        oracle_lab.addim(model))
 
 
-def kks_check(o: OrbitLabel) -> OracleCheck:
+def kks_check(rec: OrbitRecord) -> OracleCheck:
     """dim O against the rank of the Kirillov-Kostant-Souriau form."""
-    model = oracle_lab.jordan_nilpotent(o.partition)
-    return OracleCheck("kks-rank", str(o), orbit_dimension(o),
+    model = oracle_lab.jordan_nilpotent(rec.label.partition)
+    return OracleCheck("kks-rank", str(rec.label), rec.dim_orbit,
                        oracle_lab.kks_rank(model))
 
 
@@ -89,11 +90,11 @@ def _type_a_orbits(max_n, nonzero=False):
 
 
 def _suite_ad_rank(seed, max_n):
-    return [ad_rank_check(o) for o in _type_a_orbits(max_n)]
+    return [ad_rank_check(orbit_record(o)) for o in _type_a_orbits(max_n)]
 
 
 def _suite_kks(seed, max_n):
-    return [kks_check(o) for o in _type_a_orbits(max_n)]
+    return [kks_check(orbit_record(o)) for o in _type_a_orbits(max_n)]
 
 
 def _suite_contact(seed, max_n):
@@ -213,15 +214,15 @@ CLASSIFY_MAX_N = {
     "ad-rank": oracle_lab.ADDIM_SIZE_CAP,
     "kks": 5,
     "richardson": 6,
-    "fibers": oracle_lab.FIBER_SIZE_CAP,
+    "fibers": 4,
 }
 
 
 def oracle_block(report: ResolutionReport, seed: int) -> tuple[OracleCheck, ...]:
     """The oracle rows of a ``classify`` report: for a type-A orbit of
     sl_n, each check whose ``CLASSIFY_MAX_N`` bound admits n, on the
-    report's orbit and on each of its polarizations. Other types get no
-    rows."""
+    report's orbit record and on each of its polarizations, whose
+    Springer degree is 1 by definition. Other types get no rows."""
     o = report.orbit.label
     if o.simple_type.family != "A":
         return ()
@@ -229,15 +230,14 @@ def oracle_block(report: ResolutionReport, seed: int) -> tuple[OracleCheck, ...]
     cap = CLASSIFY_MAX_N
     checks = []
     if n <= cap["ad-rank"]:
-        checks.append(ad_rank_check(o))
+        checks.append(ad_rank_check(report.orbit))
     if n <= cap["kks"]:
-        checks.append(kks_check(o))
+        checks.append(kks_check(report.orbit))
     for pol in report.polarizations:
         if n <= cap["richardson"]:
             checks.append(richardson_check(pol.composition, o.partition, seed))
         if n <= cap["fibers"]:
-            checks.append(fiber_check(pol.composition, pol.springer_degree,
-                                      seed))
+            checks.append(fiber_check(pol.composition, 1, seed))
     return tuple(checks)
 
 

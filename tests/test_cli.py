@@ -1,13 +1,14 @@
 import hashlib
 import json
 import shlex
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from contactres import __version__, cli
+from contactres import __version__, cli, orbits
 from contactres.cli import _build_parser, main
 
 
@@ -155,6 +156,24 @@ class TestOtherCommands:
                            ("A3:{,}", "DimensionMismatch")]:
             code, env = run_json(capsys, validator, "twistor", text, "--json")
             assert code == 1 and env["error"]["type"] == kind
+
+
+@pytest.mark.parametrize("orbit", ["A5:3,2,1", "B2:5", "G2:dim12"])
+@pytest.mark.parametrize("argv", [
+    ["dim"], ["polarizations"], ["chambers"], ["classify"],
+    ["classify", "--no-oracles"]], ids=" ".join)
+def test_one_orbit_dimension_per_request(capsys, monkeypatch, argv, orbit):
+    # a request builds one orbit record and hands it to the decision, the
+    # report and the oracle rows
+    calls = []
+    dimension = orbits.orbit_dimension
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "orbit_dimension", None) is dimension:
+            monkeypatch.setattr(mod, "orbit_dimension", lambda o: (
+                calls.append(o) or dimension(o)))
+    code, _ = run(capsys, argv[0], orbit, *argv[1:], "--json")
+    assert code == 0
+    assert calls == [orbits.parse_orbit(orbit)]
 
 
 class TestVerifyCommand:

@@ -168,12 +168,10 @@ class TestFlagDimension:
                                if any(r[i - 1] for i in marks))
                 for _ in range(2):
                     assert flag_dimension(parabolic(t, marks)) == uncached
-        # one support-mask tuple per root system, nothing per parabolic
-        roots_before = lie_core._nilradical_roots.cache_info()
+        # one support-mask tuple per root system, read on every call
         hits = lie_core._support_masks.cache_info().hits
         flag_dimension(parabolic(SimpleType("A", 3), (1,)))
         assert lie_core._support_masks.cache_info().hits == hits + 1
-        assert lie_core._nilradical_roots.cache_info() == roots_before
         with pytest.raises(EmptyMarking):
             flag_dimension(parabolic(SimpleType("A", 3), ()))
 
@@ -364,6 +362,22 @@ class TestPoincare:
                 poly = poincare_polynomial(parabolic(t, marks))
                 levi_order = sum(poly) and order // sum(poly)
                 assert sum(poly) * levi_order == order
+
+    def test_no_cache_grows_per_parabolic(self):
+        # the nilradical roots are recomputed on each call rather than
+        # kept, so the caches grow with the types asked about, not with
+        # the 210 distinct parabolics
+        caches = [f for f in vars(lie_core).values()
+                  if hasattr(f, "cache_info")]
+        before = [f.cache_info().currsize for f in caches]
+        t = SimpleType("A", 20)
+        for i in range(1, 21):
+            for j in range(i, 21):
+                p = parabolic(t, (i, j))
+                assert len(poincare_polynomial(p)) == flag_dimension(p) + 1
+                is_projective_space(p)
+        grown = [f.cache_info().currsize - b for f, b in zip(caches, before)]
+        assert max(grown) <= 1, dict(zip(caches, grown))
 
     def test_known_polynomials(self):
         assert poincare_polynomial(parse_parabolic("A3:{1}")) == (1, 1, 1, 1)

@@ -14,6 +14,7 @@ from contactres.errors import (
 from contactres.lie_core import SimpleType
 from contactres.oracle_lab import (
     ADDIM_SIZE_CAP,
+    FIBER_SIZE_CAP,
     ContactCheckResult,
     _ad_images,
     _generic_sample,
@@ -150,13 +151,11 @@ def _apply(e, space):
     return _span([mat_vec(e, v) for v in space])
 
 
-def reference_fiber_count(comp, seed=0, size_cap=5):
+def reference_fiber_count(comp, seed=0):
     """``generic_fiber_count`` with each upper bound held as a span, and
     cut down by intersections and preimages through annihilators."""
     comp = tuple(comp)
     n = sum(comp)
-    if n > size_cap:
-        raise SizeCapExceeded(f"composition of {n} exceeds cap {size_cap}")
     if len(comp) == 1:
         return 1
     e, _ = _generic_sample(comp, seed)
@@ -232,7 +231,6 @@ class TestModels:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
             jordan_nilpotent((9,))
-        jordan_nilpotent((9,), size_cap=9)
 
     def test_non_nilpotent_rejected(self):
         with pytest.raises(ContactresError):
@@ -532,7 +530,17 @@ class TestFiberCount:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
-            generic_fiber_count((3, 2), seed=0)
+            generic_fiber_count((5, 4), seed=0)
+
+    @pytest.mark.parametrize("comp", [(1,) * 8, (3, 1, 1, 1, 2)])
+    def test_finishes_at_fiber_cap(self, comp):
+        # the full flag has the most steps to force, and (3, 1, 1, 1, 2)
+        # mixes block sizes; one more part of 1 is refused before any
+        # sample is drawn
+        assert sum(comp) == FIBER_SIZE_CAP == 8
+        assert generic_fiber_count(comp, seed=0) == 1
+        with pytest.raises(SizeCapExceeded):
+            generic_fiber_count(comp + (1,), seed=0)
 
     def test_fiber_count_keeps_no_state_between_calls(self, eliminations):
         # a cache that outlived the call would make the second call cheaper
@@ -548,7 +556,7 @@ class TestFiberCount:
     @staticmethod
     def outcome(count, comp, seed):
         try:
-            return count(comp, seed=seed, size_cap=6)
+            return count(comp, seed=seed)
         except ContactresError as exc:
             return type(exc)
 
@@ -566,8 +574,3 @@ class TestFiberCount:
         for comp in compositions_of(6):
             assert self.outcome(generic_fiber_count, comp, 0) == \
                 self.outcome(reference_fiber_count, comp, 0) == 1, comp
-
-    def test_cap_override_reaches_size_five(self):
-        # caps are parameters; the counting still forces every flag at 5
-        for comp in compositions_of(5):
-            assert generic_fiber_count(comp, seed=3, size_cap=5) == 1

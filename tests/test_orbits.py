@@ -329,6 +329,8 @@ class TestTableLoader:
         ("admits_symplectic_resolution: false\n",
          "admits_symplectic_resolution: false\nspringer_degree: 1\n",
          "springer_degree must be 1, next to polarizations"),
+        ("springer_degree: 1\n", "",
+         "springer_degree must be 1, next to polarizations"),
         ("dimension: 12\n", "dimension: 10\ndimension: 12\n",
          "G2:dim12: repeated key 'dimension'"),
         ("is_richardson: false", "is_richardon: false",
@@ -341,8 +343,9 @@ class TestTableLoader:
             "blank-mark", "mark-above-rank", "mark-zero",
             "non-integer-dimension", "non-integer-springer-degree",
             "springer-degree-two", "springer-degree-without-polarizations",
-            "degree-one-without-polarizations", "repeated-key", "unknown-key",
-            "orbit-without-key"])
+            "degree-one-without-polarizations",
+            "polarizations-without-springer-degree", "repeated-key",
+            "unknown-key", "orbit-without-key"])
     def test_malformed_text_refused(self, load_table_text, old, new, message):
         assert old in VALID_TABLE
         with pytest.raises(TableFormatError, match=message):

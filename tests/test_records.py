@@ -43,7 +43,7 @@ RECORD = (f"OrbitRecord(label={LABEL}, dim_orbit=2, is_minimal=True,"
           " is_zero=False, contact_n=0, proj_normalization_smooth=True)")
 POLARIZATION = (
     f"Polarization(parabolic=ParabolicType(simple_type={A1}, marked=(1,)),"
-    f" composition=(1, 1), flag_dimension=1, springer_degree=1)")
+    f" composition=(1, 1), flag_dimension=1)")
 COMPLEX = f"ChamberComplex(chambers=({POLARIZATION},), walls=())"
 
 
@@ -85,7 +85,7 @@ SAMPLES = [
         " provenance=None)", id="ExceptionalOrbitEntry"),
     pytest.param(
         lambda: polarizations(_sl2_minimal())[0],
-        ("parabolic", "composition", "flag_dimension", "springer_degree"),
+        ("parabolic", "composition", "flag_dimension"),
         POLARIZATION, id="Polarization"),
     pytest.param(
         lambda: Wall((1, 2), (2, 1), 1, (1, 2)),
@@ -102,11 +102,10 @@ SAMPLES = [
         " oracle_value=2, seeds=())", id="OracleCheck"),
     pytest.param(
         lambda: contact_resolution_exists(_sl2_minimal()),
-        ("orbit", "verdict", "reason", "polarizations", "chamber_complex",
+        ("orbit", "verdict", "reason", "chamber_complex",
          "affine_closure_admits_symplectic_resolution", "notes"),
         f"ResolutionReport(orbit={RECORD}, verdict='SmoothAlready',"
-        f" reason='Minimal', polarizations=({POLARIZATION},),"
-        f" chamber_complex={COMPLEX},"
+        f" reason='Minimal', chamber_complex={COMPLEX},"
         " affine_closure_admits_symplectic_resolution=True, notes=())",
         id="ResolutionReport"),
     pytest.param(
@@ -167,7 +166,7 @@ class TestKeywordConstruction:
     def test_resolution_report_default(self):
         base = contact_resolution_exists(_sl2_minimal())
         kw = {f: getattr(base, f) for f in (
-            "orbit", "verdict", "reason", "polarizations", "chamber_complex",
+            "orbit", "verdict", "reason", "chamber_complex",
             "affine_closure_admits_symplectic_resolution", "notes")}
         r = ResolutionReport(**kw)
         assert r == base and r.resolution_exists
@@ -187,8 +186,7 @@ class TestKeywordConstruction:
         (OracleCheck, {"oracle": "o", "case": "c", "formula_value": 1,
                        "oracle_value": 1}),
         (Polarization, {"parabolic": parabolic(SimpleType("G", 2), (1, 2)),
-                        "composition": None, "flag_dimension": 6,
-                        "springer_degree": 1}),
+                        "composition": None, "flag_dimension": 6}),
         (Wall, {"chamber_a": (), "chamber_b": (), "position": 1,
                 "entries": (1, 2)}),
         (MatrixModel, {"n": 1, "e": ((0,),)}),
