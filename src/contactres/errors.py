@@ -51,7 +51,7 @@ class NonFiniteFiber(ContactresError):
 
 
 class NonGenericSample(ContactresError):
-    """Seeded samples disagree without a dominance-maximal Jordan type."""
+    """No seeded sample was certified generic within the draw bound."""
 
 
 class DimensionMismatch(ContactresError):

@@ -21,15 +21,16 @@ suite enumerates W at small rank as an independent cross-check.
 
 A parabolic is a (simple type, marking) value. Its flag dimension counts
 the positive roots whose support bitmask meets the marking's; the masks
-are built once per root system, on first use. The nilradical roots that
-the Poincare polynomial and the twistor test need are cached once per
-parabolic. The package's errors are the only import.
+are built once per root system, on first use. Nothing is cached per
+parabolic: the Poincare polynomial and the twistor test recompute its
+nilradical roots. The package's errors are the only import.
 
 Value records here and in the other modules are ``collections.namedtuple``
-subclasses with ``__slots__ = ()``; those that validate their input do it
-in ``__new__``. Records are immutable, and hashed and compared in C as
-the tuple of their fields. So a record is
-also iterable and orderable, and equals a plain tuple, or a record of
+subclasses with ``__slots__ = ()``, except ``cones.RationalCone``, which
+keeps its facet normals in an instance dict. Those that validate their
+input do it in ``__new__``. Records are immutable, and hashed and
+compared in C as the tuple of their fields. So a record is also
+iterable and orderable, and equals a plain tuple, or a record of
 another type, with the same items. The package never puts a record and a
 plain tuple in one comparison, dict, set or cache, and never calls
 ``_make`` or ``_replace``, which skip ``__new__``.
@@ -286,8 +287,9 @@ def flag_dimension(p: ParabolicType) -> int:
     """
     if not p.marked:
         raise EmptyMarking("flag dimension needs a proper parabolic")
+    masks = _support_masks(p.simple_type)  # refuses an over-cap rank first
     marked = _marking_mask(p)
-    return sum([1 for mask in _support_masks(p.simple_type) if mask & marked])
+    return sum([1 for mask in masks if mask & marked])
 
 
 # --- Poincare polynomials ---------------------------------------------------

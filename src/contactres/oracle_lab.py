@@ -43,10 +43,10 @@ given there.
 
 These oracles are deliberately independent of the combinatorial
 formulas they validate: dimensions come from ranks of ad maps, Richardson
-partitions from Jordan types of random nilradical elements, Springer
-degrees from exact flag counting. Their size caps, ``ADDIM_SIZE_CAP``
-and ``FIBER_SIZE_CAP``, are constants, not arguments. All randomness is
-seeded and the seed strings are derivable by callers for reporting.
+partitions from Jordan types of certified generic nilradical samples,
+Springer degrees from exact flag counting. The size caps are constants,
+``ADDIM_SIZE_CAP`` and ``FIBER_SIZE_CAP``. All randomness is seeded and
+the seed strings are derivable by callers for reporting.
 ``MatrixModel`` and ``ContactCheckResult`` are named tuples (see
 ``lie_core``).
 """
@@ -81,7 +81,10 @@ from .ratlinalg import (
 
 ADDIM_SIZE_CAP = 8   # ad_e acts on an (n^2-1)-dim space; keep desk scale
 FIBER_SIZE_CAP = 8   # all 255 compositions of n <= 8 count in ~1 s
-GENERIC_TRIALS = 3
+# Draws per seed before NonGenericSample: every composition of n <= 8 at
+# seeds 0-149 was certified within 1.08 draws on average and 8 at most;
+# (1,)*8 misses ~35% of draws, so all 32 miss with probability ~1e-15.
+GENERIC_DRAWS = 32
 
 Matrix = tuple[tuple[int | Fraction, ...], ...]
 
@@ -122,11 +125,14 @@ def _supports(n: int) -> tuple[tuple[tuple, ...], ...]:
                  + [((i, i, 1), (i + 1, i + 1, -1)) for i in range(n - 1)])
 
 
-def _positive_parts(parts) -> tuple[int, ...]:
-    """A partition or composition: one part at least, every part > 0."""
+def _positive_parts(parts, kind: str, cap: int) -> tuple[int, ...]:
+    """A partition or composition (``kind``) of at most ``cap``: one part
+    at least, every part > 0."""
     parts = tuple([int(p) for p in parts])
     if not parts or min(parts) < 1:
         raise InvalidPartition(f"need one part at least, all > 0: {parts}")
+    if sum(parts) > cap:
+        raise SizeCapExceeded(f"{kind} of {sum(parts)} exceeds cap {cap}")
     return parts
 
 
@@ -155,10 +161,8 @@ def matrix_model(e) -> MatrixModel:
 
 def jordan_nilpotent(part) -> MatrixModel:
     """Block Jordan nilpotent of type ``part`` with integer entries."""
-    part = _positive_parts(part)
+    part = _positive_parts(part, "partition", ADDIM_SIZE_CAP)
     n = sum(part)
-    if n > ADDIM_SIZE_CAP:
-        raise SizeCapExceeded(f"partition of {n} exceeds cap {ADDIM_SIZE_CAP}")
     rows = _zeros(n)
     offset = 0
     for block in part:
@@ -339,8 +343,9 @@ def nilradical_positions(comp) -> list[tuple[int, int]]:
 
 
 def trial_seeds(seed: int) -> list[str]:
-    """Seed strings used by the generic-sampling oracles, for reporting."""
-    return [f"{seed}:{t}" for t in range(GENERIC_TRIALS)]
+    """The first three seed strings of ``seed``'s draw stream, for
+    reporting; a later draw, ``f"{seed}:{t}"``, is fixed by the same seed."""
+    return [f"{seed}:{t}" for t in range(3)]
 
 
 def _sample_nilradical(comp, seed_string: str) -> Matrix:
@@ -352,41 +357,32 @@ def _sample_nilradical(comp, seed_string: str) -> Matrix:
     return _freeze(rows)
 
 
-def _dominates(lam, mu) -> bool:
-    acc_l = acc_m = 0
-    for i in range(max(len(lam), len(mu))):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_m += mu[i] if i < len(mu) else 0
-        if acc_l < acc_m:
-            return False
-    return True
-
-
 def _generic_sample(comp, seed: int) -> tuple[Matrix, tuple[int, ...]]:
-    """The first trial sample of the block nilradical whose Jordan type
-    dominates every other observed type, with that type.
+    """The first sample of the block nilradical n_P in the draw stream
+    ``seed:0, seed:1, ...`` that is certified generic, with its type.
 
-    Sub-generic samples are dominated by the generic one, so this guards
-    against unlucky coefficients. Raises :class:`NonGenericSample` when
-    no observed type dominates the others.
+    e is generic exactly when dim G.e = 2 dim n_P (Richardson, 1974), and
+    e of Jordan type lambda, weakly decreasing from index 0, has a
+    centralizer of dimension sum (2i + 1) lambda_i in gl_n (Collingwood
+    and McGovern); no recipe under test is read. Raises
+    :class:`NonGenericSample` after ``GENERIC_DRAWS`` draws.
     """
-    samples = [_sample_nilradical(comp, s) for s in trial_seeds(seed)]
-    observed = [jordan_type(e) for e in samples]
-    for e, cand in zip(samples, observed):
-        if all(_dominates(cand, other) for other in observed):
-            return e, cand
+    n = sum(comp)
+    centralizer = n * n - 2 * len(nilradical_positions(comp))
+    for t in range(GENERIC_DRAWS):
+        e = _sample_nilradical(comp, f"{seed}:{t}")
+        part = jordan_type(e)
+        if sum([(2 * i + 1) * p for i, p in enumerate(part)]) == centralizer:
+            return e, part
     raise NonGenericSample(
-        f"no dominance-maximal Jordan type among {observed}; "
-        f"reseed and retry")
+        f"no generic sample for {comp} in {GENERIC_DRAWS} draws of seed "
+        f"{seed}; reseed and retry")
 
 
 def generic_jordan_type(comp, seed: int = 0) -> tuple[int, ...]:
-    """Jordan type of a generic element of the block nilradical: the
-    dominance-maximal type over the trial seeds derived from ``seed``."""
-    comp = _positive_parts(comp)
-    n = sum(comp)
-    if n > ADDIM_SIZE_CAP:
-        raise SizeCapExceeded(f"composition of {n} exceeds cap {ADDIM_SIZE_CAP}")
+    """Jordan type of a generic element of the block nilradical: that of
+    the first certified sample drawn from ``seed``."""
+    comp = _positive_parts(comp, "composition", ADDIM_SIZE_CAP)
     return _generic_sample(comp, seed)[1]
 
 
@@ -422,16 +418,14 @@ def generic_fiber_count(comp, seed: int = 0) -> int:
     V_i >= V_{i-1} + e V_{i+1}. The annihilators V_{k-i}^perp form a flag
     of type ``reversed(comp)`` for e^T, so the same rule grows lower
     bounds on them, which intersects V_i with V_{i+1} and e^-1 V_{i-1}. A
-    step is forced once either bound reaches its dimension. A step left
-    unforced at the fixpoint signals a positive-dimensional solution set,
-    i.e. a non-generic sample, and raises ``NonFiniteFiber``. The element
-    is the dominance-maximal trial sample, chosen exactly as in
-    :func:`generic_jordan_type`, so no formula picks it.
+    step is forced once either bound reaches its dimension. The element
+    is the certified sample of :func:`generic_jordan_type`, and fibers
+    over one orbit are isomorphic, so a step left unforced at the
+    fixpoint means that the linear propagation is incomplete, not that
+    the sample is special; it raises ``NonFiniteFiber``.
     """
-    comp = _positive_parts(comp)
+    comp = _positive_parts(comp, "composition", FIBER_SIZE_CAP)
     n = sum(comp)
-    if n > FIBER_SIZE_CAP:
-        raise SizeCapExceeded(f"composition of {n} exceeds cap {FIBER_SIZE_CAP}")
     if len(comp) == 1:
         return 1  # V_1 = C^n and the nilradical is zero
 
@@ -470,7 +464,7 @@ def generic_fiber_count(comp, seed: int = 0) -> int:
     if not all(fixed):
         raise NonFiniteFiber(
             f"solution set for {comp} not forced to a point; "
-            f"non-generic sample suspected")
+            f"the linear propagation is incomplete here")
 
     for i in range(1, k + 1):
         invariant(len(lower[i]) == dims[i]

@@ -66,7 +66,9 @@ from .errors import (
     invariant,
 )
 from .lie_core import (
+    MAX_ROOT_SYSTEM_RANK,
     ParabolicType,
+    build_root_system,
     flag_dimension,
     is_projective_space,
     parabolic,
@@ -205,6 +207,9 @@ def distinct_ordering_count(items) -> int:
 
 
 def _type_a_polarizations(o: OrbitLabel, dim: int) -> list[Polarization]:
+    t = o.simple_type
+    if t.rank > MAX_ROOT_SYSTEM_RANK:
+        build_root_system(t)  # refuses the rank before any count or cut
     dual = dual_partition(o.partition)
     count = distinct_ordering_count(dual)
     if count > MAX_CHAMBERS:
@@ -212,7 +217,6 @@ def _type_a_polarizations(o: OrbitLabel, dim: int) -> list[Polarization]:
                               f"cap of {MAX_CHAMBERS}")
     # an ordering of a valid dual partition is a valid composition of
     # rank + 1, so its marking is cut without re-validating it
-    t = o.simple_type
     return _checked(dim, ((parabolic(t, accumulate(comp[:-1])), comp)
                           for comp in _distinct_orderings(dual)))
 

@@ -66,7 +66,7 @@ def kks_check(rec: OrbitRecord) -> OracleCheck:
 
 def richardson_check(comp, partition, seed: int) -> OracleCheck:
     """The Richardson partition of a composition against the Jordan type
-    of seeded generic nilradical elements."""
+    of a seeded nilradical sample certified generic."""
     observed = oracle_lab.generic_jordan_type(comp, seed=seed)
     return OracleCheck("richardson-jordan-type", f"composition {comp}",
                        list(partition), list(observed),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from contactres import __version__, cli, orbits
+from contactres import __version__, cli, lie_core, orbits, resolutions
 from contactres.cli import _build_parser, main
 
 
@@ -89,6 +89,25 @@ class TestClassify:
         code, env = run_json(capsys, validator, "dim", "A300:301", "--json")
         assert code == 0
         assert env["result"]["orbit"]["dimension"] == 301 * 300
+
+    @pytest.mark.parametrize("orbit, module, name", [
+        ("A299999:300000", resolutions, "parabolic"),
+        ("B299999:599999", lie_core, "_marking_mask")],
+        ids=["type-A", "regular-B"])
+    def test_over_rank_cap_refused_before_any_marking(
+            self, capsys, validator, monkeypatch, orbit, module, name):
+        # counting the orderings, or the mask of the 299,999-mark Borel,
+        # takes seconds, so the root system refuses the rank first
+        def refuse(*args):
+            raise AssertionError(f"{name} called before the rank cap")
+        monkeypatch.setattr(module, name, refuse)
+        code, env = run_json(capsys, validator, "classify", orbit,
+                             "--no-oracles", "--json")
+        assert code == 1
+        assert env["error"] == {
+            "type": "SizeCapExceeded",
+            "message": f"{orbit[:7]} has rank 299999, over the root-system "
+                       "cap of 40"}
 
     def test_no_oracles_flag(self, capsys, validator):
         code, env = run_json(capsys, validator, "classify", "A3:2,2",

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from contactres import oracle_lab
 from contactres.errors import (
     ContactresError,
     InternalInvariantError,
     InvalidPartition,
     NonFiniteFiber,
+    NonGenericSample,
     SizeCapExceeded,
     ZeroElement,
 )
@@ -15,10 +17,12 @@ from contactres.lie_core import SimpleType
 from contactres.oracle_lab import (
     ADDIM_SIZE_CAP,
     FIBER_SIZE_CAP,
+    GENERIC_DRAWS,
     ContactCheckResult,
     _ad_images,
     _generic_sample,
     _kks_form,
+    _sample_nilradical,
     _supports,
     _vec,
     addim,
@@ -199,6 +203,34 @@ def reference_fiber_count(comp, seed=0):
     if not all(fixed):
         raise NonFiniteFiber(f"solution set for {comp} not forced")
     return 1
+
+
+# --- the dominance vote over three samples, kept as the reference ---
+
+def _dominates(lam, mu) -> bool:
+    acc_l = acc_m = 0
+    for i in range(max(len(lam), len(mu))):
+        acc_l += lam[i] if i < len(lam) else 0
+        acc_m += mu[i] if i < len(mu) else 0
+        if acc_l < acc_m:
+            return False
+    return True
+
+
+def reference_vote_sample(comp, seed):
+    """The first of the three trial samples whose Jordan type dominates
+    every observed type, with that type, or None when none does. A guess:
+    three non-generic samples outvote the Richardson orbit."""
+    samples = [_sample_nilradical(comp, s) for s in trial_seeds(seed)]
+    observed = [jordan_type(e) for e in samples]
+    for e, cand in zip(samples, observed):
+        if all(_dominates(cand, other) for other in observed):
+            return e, cand
+    return None
+
+
+def recipe(comp):
+    return dual_partition(tuple(sorted(comp, reverse=True)))
 
 
 def nonzero_partitions(n):
@@ -499,8 +531,39 @@ class TestGenericJordanType:
     def test_transpose_law_small(self):
         for n in range(1, 6):
             for comp in compositions_of(n):
-                expected = dual_partition(tuple(sorted(comp, reverse=True)))
-                assert generic_jordan_type(comp, seed=3) == expected
+                assert generic_jordan_type(comp, seed=3) == recipe(comp)
+
+    @pytest.mark.parametrize("comp, seed", [
+        ((1, 1, 1, 1, 1), 22), ((2, 1, 1, 1), 48), ((1,) * 6, 70),
+        ((2, 1, 1, 1, 1), 99)])
+    def test_certified_where_the_vote_was_outvoted(self, comp, seed):
+        # the vote answered (4, 1), (3, 2), (5, 1) and (4, 2) here
+        assert reference_vote_sample(comp, seed)[1] != recipe(comp)
+        assert generic_jordan_type(comp, seed=seed) == recipe(comp)
+
+    def test_certified_sample_is_the_votes_where_the_vote_was_right(self):
+        agreed = 0
+        for seed in range(10):
+            for n in range(1, 7):
+                for comp in compositions_of(n):
+                    vote = reference_vote_sample(comp, seed)
+                    if vote is not None and vote[1] == recipe(comp):
+                        assert _generic_sample(comp, seed) == vote, comp
+                        agreed += 1
+        assert agreed == 630  # the vote's first miss is at seed 22
+
+    def test_bound_runs_out_on_zero_samples(self, monkeypatch):
+        draws = []
+
+        def zero(comp, seed_string):
+            draws.append(seed_string)
+            return tuple([(0,) * sum(comp)] * sum(comp))
+        monkeypatch.setattr(oracle_lab, "_sample_nilradical", zero)
+        for oracle in (generic_jordan_type, generic_fiber_count):
+            draws.clear()
+            with pytest.raises(NonGenericSample):
+                oracle((2, 1), seed=5)
+            assert draws == [f"5:{t}" for t in range(GENERIC_DRAWS)]
 
     def test_seed_strings_are_stable(self):
         assert trial_seeds(7) == ["7:0", "7:1", "7:2"]
@@ -527,6 +590,12 @@ class TestFiberCount:
         for n in range(1, 5):
             for comp in compositions_of(n):
                 assert generic_fiber_count(comp, seed=2) == 1
+
+    def test_certified_where_the_vote_drew_no_generic_sample(self):
+        # all three trial samples have type (5, 2), not (6, 1)
+        comp = (1, 1, 2, 1, 1, 1)
+        assert reference_vote_sample(comp, 2)[1] == (5, 2) != recipe(comp)
+        assert generic_fiber_count(comp, seed=2) == 1
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
