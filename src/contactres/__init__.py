@@ -37,7 +37,6 @@ from .orbits import (
     OrbitLabel,
     OrbitRecord,
     dual_partition,
-    is_minimal_orbit,
     minimal_orbit_label,
     orbit_dimension,
     orbit_record,
@@ -51,7 +50,6 @@ from .resolutions import (
     canonical_degree_on_curve,
     contact_resolution_exists,
     equivalent_parabolics,
-    is_twistor_space,
     movable_chambers,
     polarizations,
     richardson_partition,
@@ -68,12 +66,11 @@ __all__ = [
     "ContactCheckResult", "MatrixModel", "addim", "contact_check",
     "generic_fiber_count", "generic_jordan_type", "jordan_nilpotent",
     "kks_rank",
-    "OrbitLabel", "OrbitRecord", "dual_partition", "is_minimal_orbit",
-    "minimal_orbit_label", "orbit_dimension", "orbit_record", "parse_orbit",
-    "validate_orbit",
+    "OrbitLabel", "OrbitRecord", "dual_partition", "minimal_orbit_label",
+    "orbit_dimension", "orbit_record", "parse_orbit", "validate_orbit",
     "ChamberComplex", "Polarization", "ResolutionReport",
     "canonical_degree_on_curve", "contact_resolution_exists",
-    "equivalent_parabolics", "is_twistor_space", "movable_chambers",
-    "polarizations", "richardson_partition",
+    "equivalent_parabolics", "movable_chambers", "polarizations",
+    "richardson_partition",
     "run_suite", "suite_names",
 ]

@@ -18,7 +18,12 @@ import sys
 
 from . import __version__
 from .errors import ContactresError
-from .lie_core import flag_dimension, parse_parabolic, poincare_polynomial
+from .lie_core import (
+    flag_dimension,
+    is_projective_space,
+    parse_parabolic,
+    poincare_polynomial,
+)
 from .orbits import orbit_record, parse_orbit, table_version
 from .report import (
     chamber_complex_dict,
@@ -31,7 +36,6 @@ from .report import (
 from .resolutions import (
     chamber_complex_for,
     contact_resolution_exists,
-    is_twistor_space,
     polarizations_of,
 )
 from .verify import oracle_block, run_suite, suite_caps, suite_names
@@ -191,7 +195,8 @@ def _twistor(args) -> dict:
         "marked_roots": list(p.marked),
         "flag_dimension": flag_dimension(p),
         "poincare_polynomial": list(poincare_polynomial(p)),
-        "is_twistor_space": is_twistor_space(p),
+        # P(T*(G/P)) is a twistor space exactly when G/P is P^n
+        "is_twistor_space": is_projective_space(p),
     }
 
 

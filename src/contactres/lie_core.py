@@ -109,6 +109,10 @@ class SimpleType(namedtuple("SimpleType", "family rank")):
         return DUAL_COXETER_NUMBER[self.family](self.rank)
 
     @property
+    def num_positive_roots(self) -> int:
+        return _POSITIVE_ROOT_COUNT[self.family](self.rank)
+
+    @property
     def is_classical(self) -> bool:
         return self.family in "ABCD"
 
@@ -127,14 +131,6 @@ class RootSystemData(namedtuple(
     @property
     def rank(self) -> int:
         return self.simple_type.rank
-
-    @property
-    def num_positive_roots(self) -> int:
-        return len(self.positive_roots)
-
-    @property
-    def dim_algebra(self) -> int:
-        return 2 * len(self.positive_roots) + self.rank
 
 
 def _cartan_matrix(family: str, n: int) -> list[list[int]]:
@@ -212,7 +208,7 @@ def build_root_system(t: SimpleType) -> RootSystemData:
     cartan = _cartan_matrix(t.family, t.rank)
     roots = _generate_roots(cartan)
     positive = sorted(r for r in roots if all(c >= 0 for c in r))
-    expected = _POSITIVE_ROOT_COUNT[t.family](t.rank)
+    expected = t.num_positive_roots
     invariant(len(positive) == expected and 2 * len(positive) == len(roots),
               f"root generation for {t} produced {len(positive)} positive "
               f"roots, expected {expected}")

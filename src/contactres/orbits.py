@@ -8,6 +8,9 @@ A formula is additionally cross-validated against the exact ad-rank
 oracle in the test suite and verification harness, which is the ground
 truth here.
 
+An orbit record's one dimension decides zero (dimension 0), minimal (2
+h-check - 2) and regular (2 |positive roots|), each alone in its dimension.
+
 The labels, records and table entries are named tuples (see
 ``lie_core``); the exceptional table is keyed by plain (family, rank,
 key) tuples, never by a record.
@@ -24,22 +27,11 @@ from .errors import (
     InvalidPartition,
     TableFormatError,
     UnknownExceptionalKey,
-    ZeroOrbit,
     invariant,
 )
-from .lie_core import (
-    SimpleType,
-    build_root_system,
-    parse_marking,
-    parse_simple_type,
-)
+from .lie_core import SimpleType, parse_marking, parse_simple_type
 
 Partition = tuple[int, ...]
-
-# Constant: these are theorems about the projectivised normalization,
-# carried on every record as metadata.
-SINGULARITY_FLAGS = {"projectively_normal": True, "rational_gorenstein": True}
-
 
 # --- partitions ---------------------------------------------------------------
 
@@ -80,8 +72,9 @@ class OrbitLabel(namedtuple(
     """A nilpotent orbit: partition (classical) or table key (exceptional).
 
     Very even type-D partitions label two orbits; ``very_even_tag`` keeps
-    the I/II disambiguation. Nothing computed in this package
-    distinguishes the two, so the tag is carried but never branched on.
+    the I/II disambiguation. The two share a dimension, so an untagged
+    label has one, but their Richardson preimages differ, so the decision
+    refuses an untagged label.
     """
 
     __slots__ = ()
@@ -131,17 +124,14 @@ def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> Orbi
     if sum(part) != total:
         raise InvalidPartition(
             f"partition {part} sums to {sum(part)}, type {t} needs {total}")
-    mult = _multiplicities(part)
-    if t.family in ("B", "D"):
-        bad = [p for p, m in mult.items() if p % 2 == 0 and m % 2 == 1]
+    if t.family != "A":
+        # even parts in B/D, odd parts in C, need even multiplicity
+        parity = int(t.family == "C")
+        bad = [p for p, m in _multiplicities(part).items()
+               if p % 2 == parity and m % 2 == 1]
         if bad:
-            raise InvalidPartition(
-                f"type {t}: even parts {bad} must have even multiplicity")
-    elif t.family == "C":
-        bad = [p for p, m in mult.items() if p % 2 == 1 and m % 2 == 1]
-        if bad:
-            raise InvalidPartition(
-                f"type {t}: odd parts {bad} must have even multiplicity")
+            raise InvalidPartition(f"type {t}: {('even', 'odd')[parity]} "
+                                   f"parts {bad} must have even multiplicity")
     if very_even_tag is not None:
         if very_even_tag not in ("I", "II"):
             raise InvalidPartition(f"very-even tag must be I or II, got "
@@ -156,23 +146,20 @@ def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> Orbi
 # --- dimension formulas -------------------------------------------------------
 
 def orbit_dimension(o: OrbitLabel) -> int:
-    """Orbit dimension from the standard closed forms (table for E/F/G)."""
+    """Orbit dimension from the standard closed forms (table for E/F/G):
+    over the parts d of the dual partition, dim g + 1 - sum d^2 in type A
+    and dim g - (sum d^2 -+ #odd parts) / 2 in B/D and C (Collingwood and
+    McGovern, ch. 6), with dim g = 2 |positive roots| + rank."""
     if o.is_exceptional:
         return exceptional_entry(o).dimension
-    part = o.partition
-    dual = dual_partition(part)
-    sq = sum(c * c for c in dual)
-    n = o.simple_type.rank
-    fam = o.simple_type.family
-    if fam == "A":
-        dim2 = 2 * ((n + 1) ** 2 - sq)
-    elif fam in ("B", "D"):
-        big = 2 * n + 1 if fam == "B" else 2 * n
-        odd = sum(1 for p in part if p % 2 == 1)
-        dim2 = big * big - big - sq + odd
-    else:  # C
-        odd = sum(1 for p in part if p % 2 == 1)
-        dim2 = 2 * (2 * n * n + n) - sq - odd
+    t = o.simple_type
+    dim_g = 2 * t.num_positive_roots + t.rank
+    sq = sum(c * c for c in dual_partition(o.partition))
+    odd = sum(1 for p in o.partition if p % 2 == 1)
+    if t.family == "A":
+        dim2 = 2 * (dim_g + 1 - sq)
+    else:
+        dim2 = 2 * dim_g - sq + (-odd if t.family == "C" else odd)
     invariant(dim2 % 4 == 0, "orbit dimension must be an even integer")
     return dim2 // 2
 
@@ -205,32 +192,6 @@ def minimal_orbit_label(t: SimpleType) -> OrbitLabel:
     return label
 
 
-def regular_orbit_label(t: SimpleType) -> OrbitLabel | None:
-    """The regular orbit (dense in the nilpotent cone), if representable."""
-    fam, n = t.family, t.rank
-    if fam == "A":
-        return validate_orbit(t, (n + 1,))
-    if fam == "B":
-        return validate_orbit(t, (2 * n + 1,))
-    if fam == "C":
-        return validate_orbit(t, (2 * n,))
-    if fam == "D":
-        return validate_orbit(t, (2 * n - 1, 1))
-    want = build_root_system(t).dim_algebra - n
-    for (f, r, key), entry in exceptional_table().items():
-        if (f, r) == (fam, n) and entry.dimension == want:
-            return OrbitLabel(simple_type=t, exceptional_key=key)
-    return None
-
-
-def is_minimal_orbit(o: OrbitLabel) -> bool:
-    """Whether o is the minimal nonzero orbit of its type."""
-    rec = orbit_record(o)
-    if rec.is_zero:
-        raise ZeroOrbit(f"{o} is the zero orbit")
-    return rec.is_minimal
-
-
 # --- orbit records ------------------------------------------------------------
 
 class OrbitRecord(namedtuple("OrbitRecord", "label dim_orbit is_minimal "
@@ -238,10 +199,6 @@ class OrbitRecord(namedtuple("OrbitRecord", "label dim_orbit is_minimal "
     """Everything the resolution machinery needs to know about one orbit."""
 
     __slots__ = ()
-
-    @property
-    def singularity_flags(self) -> dict[str, bool]:
-        return dict(SINGULARITY_FLAGS)
 
     @property
     def canonical_bundle_exponent(self) -> int | None:

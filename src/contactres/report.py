@@ -5,7 +5,8 @@ its text output renders the same dictionaries its JSON output
 serializes, so the two can never drift apart. Everything returned is
 plain JSON types: dicts with ``str`` keys, lists, tuples, ``str``,
 ``int``, ``bool`` and ``None``. Each value the decision guarantees is a
-literal: ``springer_degree`` 1, ``is_birational`` and ``connected`` true.
+literal: ``springer_degree`` 1, ``is_birational`` and ``connected`` true,
+and both ``singularity_flags`` true.
 
 ``to_json`` is the one serializer. Its output is, byte for byte, that of
 ``json.dumps(obj, indent=2, sort_keys=True)``: keys sorted, two-space
@@ -46,7 +47,10 @@ def orbit_record_dict(rec) -> dict:
         "is_zero": rec.is_zero,
         "contact_n": rec.contact_n,
         "proj_normalization_smooth": rec.proj_normalization_smooth,
-        "singularity_flags": rec.singularity_flags,
+        # theorems for every orbit: the normalized closure is normal and has
+        # rational Gorenstein singularities (Hinich; Panyushev, 1991)
+        "singularity_flags": {"projectively_normal": True,
+                              "rational_gorenstein": True},
     }
 
 

@@ -31,11 +31,14 @@ The central facts this module operationalizes:
   chambers is attempted (none is available at this level of the theory).
   That the wall graph is connected is checked by a count, not a search.
 * Each fact is computed once. The decision reads one orbit record, whose
-  one dimension decides zero and minimal. Each polarization's record
-  holds its flag dimension, checked against that dimension (dim O = 2
-  dim G/P), and its composition, the ordering it was cut from (type-A
-  markings are cut without re-validating them). The ample orthant of
-  each rank is shared (in ``cones``).
+  one dimension decides zero, minimal and regular (dim g - rank, twice
+  the closed-form count of positive roots, so no root system is built to
+  find it). An untagged very-even label names two orbits, so the
+  decision refuses it (:class:`InvalidPartition`). Each polarization's
+  record holds its flag dimension, checked against that dimension (dim
+  O = 2 dim G/P), and its composition, the ordering it was cut from
+  (type-A markings are cut without re-validating them). The ample
+  orthant of each rank is shared (in ``cones``).
 * :func:`contact_resolution_exists` takes only the orbit and returns
   only the decision. The matrix oracles that cross-check it run in
   ``verify``, so this module does not import them.
@@ -58,6 +61,7 @@ from .cones import ample_cone
 from .errors import (
     ContactresError,
     EmptyMarking,
+    InvalidPartition,
     NoPolarization,
     SizeCapExceeded,
     UnknownClassification,
@@ -70,15 +74,14 @@ from .lie_core import (
     ParabolicType,
     build_root_system,
     flag_dimension,
-    is_projective_space,
     parabolic,
 )
 from .orbits import (
     OrbitLabel,
     dual_partition,
     exceptional_entry,
+    is_very_even,
     orbit_record,
-    regular_orbit_label,
     validate_orbit,
 )
 
@@ -249,12 +252,16 @@ def polarizations_of(record) -> list[Polarization]:
             return []
         raise UnknownClassification(
             f"polarization data for {o} not in the shipped table")
+    if o.very_even_tag is None and is_very_even(t, o.partition):
+        raise InvalidPartition(f"{o} is very even and names two orbits, "
+                               f"{o}/I and {o}/II; give the tag")
     # classical non-A: only two rank-uniform facts are curated in code
     if record.is_minimal:
         # minimal orbits outside type A admit no symplectic resolution
         return []
-    if o == regular_orbit_label(t):
-        # the nilpotent cone always has its Springer resolution
+    if dim == 2 * t.num_positive_roots:
+        # the regular orbit, whose closure is the nilpotent cone, always
+        # has its Springer resolution T*(G/B)
         return _checked(dim, [(parabolic(t, range(1, t.rank + 1)), None)])
     raise UnknownClassification(
         f"symplectic-resolution data for {o} is not curated")
@@ -379,12 +386,6 @@ def canonical_degree_on_curve(n_contact: int, l_degree) -> Fraction:
     if n_contact < 0:
         raise ContactresError("contact dimension n must be nonnegative")
     return Fraction(-(n_contact + 1)) * Fraction(l_degree)
-
-
-def is_twistor_space(p: ParabolicType) -> bool:
-    """Whether the projectivised cotangent bundle of G/P is a twistor
-    space of a quaternion-Kahler manifold: exactly when G/P is P^n."""
-    return is_projective_space(p)
 
 
 class ResolutionReport(namedtuple(

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import shlex
@@ -114,6 +115,44 @@ class TestClassify:
                              "--json", "--no-oracles")
         assert code == 0
         assert env["result"]["oracle_checks"] == []
+
+    def test_over_rank_cap_non_regular_builds_no_root_system(
+            self, capsys, validator, monkeypatch):
+        # the regular orbit is found by its dimension, so a B/C/D orbit
+        # over the rank cap that is not regular is Unknown at once
+        def refuse(t):
+            raise AssertionError(f"root system of {t} built")
+        build = lie_core.build_root_system
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "build_root_system", None) is build:
+                monkeypatch.setattr(mod, "build_root_system", refuse)
+        code, env = run_json(capsys, validator, "classify", "B41:81,1,1",
+                             "--no-oracles", "--json")
+        assert code == 0
+        assert env["result"]["verdict"] == "Unknown"
+
+
+class TestVeryEvenLabels:
+    # an untagged very-even label names two orbits whose Richardson
+    # preimages differ, so a decision needs the tag; their dimension does not
+    @pytest.mark.parametrize("command", ["classify", "polarizations",
+                                         "chambers"])
+    @pytest.mark.parametrize("orbit", ["D4:4,4", "D4:2,2,2,2", "D6:4,4,2,2"])
+    def test_untagged_label_refused(self, capsys, validator, command, orbit):
+        code, env = run_json(capsys, validator, command, orbit, "--json")
+        assert code == 1
+        assert env["error"] == {
+            "type": "InvalidPartition",
+            "message": f"{orbit} is very even and names two orbits, "
+                       f"{orbit}/I and {orbit}/II; give the tag"}
+
+    def test_dim_accepts_untagged_label(self, capsys, validator):
+        dims = []
+        for label in ("D4:4,4", "D4:4,4/I", "D4:4,4/II"):
+            code, env = run_json(capsys, validator, "dim", label, "--json")
+            assert code == 0
+            dims.append(env["result"]["orbit"]["dimension"])
+        assert dims == [20, 20, 20]
 
 
 class TestOtherCommands:
@@ -411,6 +450,47 @@ class TestReadmeTour:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == TOUR_TEXT_DIGESTS[shlex.join(argv)]
+
+
+def stated_value(comment):
+    """The value a README comment states: its longest leading literal."""
+    for end in range(len(comment), 0, -1):
+        try:
+            return ast.literal_eval(comment[:end].strip())
+        except (SyntaxError, ValueError):
+            continue
+    raise AssertionError(f"comment {comment!r} states no value")
+
+
+class TestReadmeLibrarySketch:
+    def test_each_stated_value_holds(self):
+        # run the python block under "Library sketch" a statement at a
+        # time; each bare expression must equal the value its comment states
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        block = readme.split("## Library sketch", 1)[1] \
+            .split("```python", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        namespace = {}
+        checked = {}
+        for node in ast.parse(block).body:
+            code = compile(ast.Module([node], []), "README.md", "exec")
+            if not isinstance(node, ast.Expr):
+                exec(code, namespace)
+                continue
+            source = ast.get_source_segment(block, node)
+            comment = lines[node.lineno - 1].split("#", 1)[1]
+            checked[source] = eval(compile(ast.Expression(node.value),
+                                           "README.md", "eval"), namespace)
+            assert checked[source] == stated_value(comment), source
+        assert checked == {
+            "report.verdict": "ContactResolutionsExist",
+            "[p.composition for p in report.polarizations]": [(2, 2)],
+            "all(row.agrees for row in rows)": True,
+            "cc.chamber_count, len(cc.walls)": (6, 6),
+            "addim(m)": 4,
+            "contact_check(m).is_contact": True,
+        }
 
 
 # sha256 of ``verify --suite S --json`` at the default caps and seed for the

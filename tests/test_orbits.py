@@ -6,25 +6,24 @@ from contactres.errors import (
     InvalidPartition,
     TableFormatError,
     UnknownExceptionalKey,
-    ZeroOrbit,
 )
-from contactres.lie_core import SimpleType
+from contactres.lie_core import SimpleType, build_root_system
 from contactres.oracle_lab import addim, jordan_nilpotent
 from contactres.orbits import (
     dual_partition,
     exceptional_entry,
     exceptional_table,
-    is_minimal_orbit,
+    is_very_even,
     minimal_orbit_dimension,
     minimal_orbit_label,
     orbit_dimension,
     orbit_record,
     parse_orbit,
     partitions_of,
-    regular_orbit_label,
     table_version,
     validate_orbit,
 )
+from contactres.report import orbit_record_dict
 
 SMALL_CLASSICAL = [
     SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3),
@@ -41,6 +40,29 @@ def orbits_of(t):
             yield validate_orbit(t, part)
         except InvalidPartition:
             continue
+
+
+def tagged_orbits_of(t):
+    """Every orbit of a classical type, a very-even partition once per tag."""
+    for o in orbits_of(t):
+        if is_very_even(t, o.partition):
+            for tag in ("I", "II"):
+                yield validate_orbit(t, o.partition, very_even_tag=tag)
+        else:
+            yield o
+
+
+def reference_regular_label(t):
+    """Reference path for the regular orbit, the partitions the package
+    listed per family before the decision read it off the dimension: one
+    part in A, B and C, and 2n - 1, 1 in D."""
+    n = t.rank
+    return validate_orbit(t, {"A": (n + 1,), "B": (2 * n + 1,), "C": (2 * n,),
+                              "D": (2 * n - 1, 1)}[t.family])
+
+
+def is_minimal(o):
+    return orbit_record(o).is_minimal
 
 
 def zero_by_parts(o):
@@ -127,8 +149,17 @@ class TestDimension:
         expected = {"A": lambda n: n * (n + 2), "B": lambda n: n * (2 * n + 1),
                     "C": lambda n: n * (2 * n + 1), "D": lambda n: n * (2 * n - 1)}
         for t in SMALL_CLASSICAL:
-            reg = regular_orbit_label(t)
+            reg = reference_regular_label(t)
             assert orbit_dimension(reg) == expected[t.family](t.rank) - t.rank
+
+    @pytest.mark.parametrize("t", [
+        SimpleType(f, n) for f, low in [("A", 1), ("B", 2), ("C", 2), ("D", 3)]
+        for n in range(low, 9)], ids=str)
+    def test_regular_is_the_one_orbit_of_its_dimension(self, t):
+        # 2 |positive roots| = dim g - rank, the nilpotent cone's dimension
+        regular = [o for o in tagged_orbits_of(t)
+                   if orbit_dimension(o) == 2 * t.num_positive_roots]
+        assert regular == [reference_regular_label(t)]
 
     def test_exceptional_dimensions(self):
         assert orbit_dimension(parse_orbit("G2:dim10")) == 10
@@ -154,9 +185,9 @@ class TestDualPartition:
 
 class TestMinimalOrbits:
     def test_examples(self):
-        assert is_minimal_orbit(parse_orbit("A2:2,1")) is True
-        assert is_minimal_orbit(parse_orbit("A3:2,2")) is False
-        assert is_minimal_orbit(parse_orbit("G2:dim6")) is True
+        assert is_minimal(parse_orbit("A2:2,1")) is True
+        assert is_minimal(parse_orbit("A3:2,2")) is False
+        assert is_minimal(parse_orbit("G2:dim6")) is True
 
     def test_a2_minimal_dimension_from_oracle(self):
         # 2h-check - 2 = 4 for sl_3, and the oracle agrees on E_13-type e
@@ -178,13 +209,9 @@ class TestMinimalOrbits:
     def test_exactly_one_minimal_orbit_per_type(self):
         for t in SMALL_CLASSICAL:
             minimal = [o for o in orbits_of(t)
-                       if not zero_by_parts(o) and is_minimal_orbit(o)]
+                       if not zero_by_parts(o) and is_minimal(o)]
             assert len(minimal) == 1
             assert minimal[0] == minimal_orbit_label(t)
-
-    def test_zero_orbit_rejected(self):
-        with pytest.raises(ZeroOrbit):
-            is_minimal_orbit(parse_orbit("A3:1,1,1,1"))
 
 
 class TestOrbitRecord:
@@ -196,12 +223,13 @@ class TestOrbitRecord:
 
     def test_singularity_flags_constant(self):
         rec = orbit_record(parse_orbit("B2:2,2,1"))
-        assert rec.singularity_flags == {
+        assert orbit_record_dict(rec)["singularity_flags"] == {
             "projectively_normal": True, "rational_gorenstein": True}
 
     def test_zero_orbit_record(self):
         rec = orbit_record(parse_orbit("A2:1,1,1"))
         assert rec.is_zero and rec.contact_n is None
+        assert rec.is_minimal is False
 
     def test_zero_is_dimension_zero_against_the_parts(self):
         # the record's zero flag (dimension 0) against the reference path
@@ -258,11 +286,20 @@ class TestExceptionalTable:
                 assert entry.admits_symplectic_resolution is False
 
     def test_regular_entries_carry_borel_polarization(self):
+        # reference path: the regular dimension dim g - rank from the
+        # generated root system, as the package found it before
         for t in [SimpleType("G", 2), SimpleType("F", 4), SimpleType("E", 6)]:
-            reg = regular_orbit_label(t)
-            entry = exceptional_entry(reg)
+            want = 2 * len(build_root_system(t).positive_roots)
+            [entry] = [e for (f, r, _), e in exceptional_table().items()
+                       if (f, r) == (t.family, t.rank) and e.dimension == want]
             assert entry.polarizations == (tuple(range(1, t.rank + 1)),)
             assert entry.springer_degree == 1
+
+    def test_full_listed_exactly_at_the_regular_dimension(self):
+        for (family, rank, key), entry in exceptional_table().items():
+            t = SimpleType(family, rank)
+            full = tuple(range(1, rank + 1)) in (entry.polarizations or ())
+            assert full == (entry.dimension == 2 * t.num_positive_roots), key
 
 
 # A well-formed table; each refusal test below breaks it in one place.

@@ -15,7 +15,13 @@ from contactres.errors import (
     UnsupportedType,
     ZeroOrbit,
 )
-from contactres.lie_core import SimpleType, flag_dimension, parabolic, parse_parabolic
+from contactres.lie_core import (
+    SimpleType,
+    flag_dimension,
+    is_projective_space,
+    parabolic,
+    parse_parabolic,
+)
 from contactres.orbits import (
     dual_partition,
     exceptional_entry,
@@ -35,7 +41,6 @@ from contactres.resolutions import (
     compositions_of,
     contact_resolution_exists,
     equivalent_parabolics,
-    is_twistor_space,
     movable_chambers,
     polarizations,
     richardson_partition,
@@ -464,12 +469,12 @@ class TestCanonicalDegree:
 
 class TestTwistor:
     def test_examples(self):
-        assert is_twistor_space(parse_parabolic("A3:{1}")) is True
-        assert is_twistor_space(parse_parabolic("A3:{2}")) is False
-        assert is_twistor_space(parse_parabolic("A3:{1,2}")) is False
+        assert is_projective_space(parse_parabolic("A3:{1}")) is True
+        assert is_projective_space(parse_parabolic("A3:{2}")) is False
+        assert is_projective_space(parse_parabolic("A3:{1,2}")) is False
 
     def test_polarizations_of_minimal_sl_n_are_twistor(self):
         # P(T*P^{n-1}) over the minimal orbit is the twistor case
         o = parse_orbit("A3:2,1,1")
         for q in polarizations(o):
-            assert is_twistor_space(q.parabolic) is True
+            assert is_projective_space(q.parabolic) is True
