@@ -1,7 +1,15 @@
 """Command-line front end.
 
 Commands: classify, dim, polarizations, chambers, twistor, verify, each
-declared once by the ``_command`` decorator on its result builder.
+declared once by the ``_command`` decorator on its result builder, whose
+``_arg`` declarations are the one statement of its arguments.
+
+Reading argv: a well-formed request (the command, then whole declared
+option strings, their values and the positional) is read off those
+declarations in one pass. Every other argv goes to the argparse parser
+built from the same declarations, which alone answers ``-h``,
+``--version``, abbreviated options, ``--opt=value`` and usage errors.
+
 Exit codes: 0 success (an Unknown classification verdict is a valid
 answer, not a failure), 1 domain error or failed verification, 2 usage.
 
@@ -255,6 +263,71 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _declared(command: str) -> tuple:
+    """A command's ``_arg`` declarations as lookups: the namespace of
+    defaults (``command`` first, then each dest in declared order, as
+    argparse orders it), option string -> (dest, spec), the positional's
+    dest, and the dests that must be given."""
+    defaults = {"command": command}
+    options, positional, required = {}, None, set()
+    for flags, spec in _COMMANDS[command][1]:
+        if not flags[0].startswith("-"):
+            positional = flags[0]
+            defaults[positional] = None
+            required.add(positional)
+            continue
+        # argparse's dest: the first long flag, "-" read as "_"
+        long = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = spec.get("dest", long.lstrip("-").replace("-", "_"))
+        flag = spec.get("action") == "store_true"
+        defaults[dest] = spec.get("default", False if flag else None)
+        if spec.get("required"):
+            required.add(dest)
+        options.update(dict.fromkeys(flags, (dest, spec)))
+    return defaults, options, positional, required
+
+
+def _parse_declared(argv) -> argparse.Namespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read
+    off the command's declarations in one pass, when ``argv`` is well
+    formed: a command, then whole declared options (each at most once),
+    a value not starting with "-" after each value option (converted by
+    its ``type`` and among its ``choices``), and the one positional, with
+    the positional and every ``required`` option present. None for any
+    other argv, so argparse alone answers help, version, abbreviations
+    and usage errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    defaults, options, positional, required = _declared(argv[0])
+    values, given = dict(defaults), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if positional is None or positional in given:
+                return None
+            dest, value = positional, token
+        elif token in options and options[token][0] not in given:
+            dest, spec = options[token]
+            if spec.get("action") == "store_true":
+                value = True
+            else:
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+                try:
+                    value = spec.get("type", str)(text)
+                except (ValueError, argparse.ArgumentTypeError):
+                    return None
+                if "choices" in spec and value not in spec["choices"]:
+                    return None
+        else:
+            return None
+        given.add(dest)
+        values[dest] = value
+    return argparse.Namespace(**values) if required <= given else None
+
+
 def _request_dict(args) -> dict:
     req = {"output_format": "json" if args.json else "text"}
     for key in ("orbit", "parabolic", "suite", "seed", "max_n", "count"):
@@ -283,7 +356,8 @@ def _emit(args, out, key: str, payload: dict, render) -> None:
 def main(argv=None) -> int:
     """Build the command's result, then emit it: exit 1 on a domain error
     or a failed verification row, else 0."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_declared(argv) or _build_parser().parse_args(argv)
     _, _, build, render = _COMMANDS[args.command]
     try:
         result = build(args)

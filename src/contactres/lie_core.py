@@ -362,7 +362,12 @@ def parse_simple_type(text: str) -> SimpleType:
     m = _TYPE_RE.match(text.strip())
     if not m:
         raise InvalidRank(f"cannot parse simple type from {text!r}")
-    return SimpleType(m.group(1), int(m.group(2)))
+    try:
+        rank = int(m.group(2))
+    except ValueError:  # more digits than int() converts (4,300 by default)
+        raise InvalidRank(f"the rank of type {m.group(1)} has too many "
+                          "digits to read") from None
+    return SimpleType(m.group(1), rank)
 
 
 def parse_marking(text: str) -> tuple[int, ...] | None:
@@ -370,7 +375,11 @@ def parse_marking(text: str) -> tuple[int, ...] | None:
     None when ``text`` is not of that form (an empty mark included)."""
     if not _MARKING_RE.fullmatch(text.strip()):
         return None
-    return tuple([int(tok) for tok in re.findall(r"[0-9]+", text)])
+    try:
+        return tuple([int(tok) for tok in re.findall(r"[0-9]+", text)])
+    except ValueError:  # more digits than int() converts (4,300 by default)
+        raise DimensionMismatch("a marked root has too many digits to "
+                                "read") from None
 
 
 def parse_parabolic(text: str) -> ParabolicType:

@@ -154,7 +154,9 @@ def orbit_dimension(o: OrbitLabel) -> int:
         return exceptional_entry(o).dimension
     t = o.simple_type
     dim_g = 2 * t.num_positive_roots + t.rank
-    sq = sum(c * c for c in dual_partition(o.partition))
+    # sum d^2 over the dual partition is sum (2i - 1) lambda_i over the
+    # decreasing parts, i from 1: no tuple as long as the largest part
+    sq = sum((2 * i + 1) * p for i, p in enumerate(o.partition))
     odd = sum(1 for p in o.partition if p % 2 == 1)
     if t.family == "A":
         dim2 = 2 * (dim_g + 1 - sq)
@@ -378,7 +380,11 @@ def parse_orbit(text: str) -> OrbitLabel:
     if "/" in tail:
         tail, tag = tail.split("/", 1)
     if _PARTITION_RE.match(tail.strip()):
-        parts = tuple(int(x) for x in tail.split(","))
+        try:
+            parts = tuple(int(x) for x in tail.split(","))
+        except ValueError:  # more digits than int() converts (4,300 by default)
+            raise InvalidPartition(f"a part of the {t} partition has too "
+                                   "many digits to read") from None
         return validate_orbit(t, parts, very_even_tag=tag)
     if t.is_classical:
         raise InvalidPartition(

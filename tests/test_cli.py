@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import random
 import shlex
 import sys
 from importlib import resources
@@ -110,6 +111,27 @@ class TestClassify:
             "message": f"{orbit[:7]} has rank 299999, over the root-system "
                        "cap of 40"}
 
+    @pytest.mark.parametrize("command, expected", [
+        (("dim",), 10**24 - 10**12),
+        (("classify", "--no-oracles"), "SizeCapExceeded")],
+        ids=["dim", "classify"])
+    def test_huge_parts_read_in_closed_form(self, capsys, validator,
+                                            monkeypatch, command, expected):
+        # the dual partition of 10^12 has 10^12 parts, so the dimension
+        # is read off the parts themselves
+        def refuse(part):
+            raise AssertionError("dual partition built")
+        monkeypatch.setattr(orbits, "dual_partition", refuse)
+        code, env = run_json(capsys, validator, command[0],
+                             "A999999999999:1000000000000", *command[1:],
+                             "--json")
+        if command == ("dim",):
+            assert code == 0
+            assert env["result"]["orbit"]["dimension"] == expected
+        else:
+            assert code == 1
+            assert env["error"]["type"] == expected
+
     def test_no_oracles_flag(self, capsys, validator):
         code, env = run_json(capsys, validator, "classify", "A3:2,2",
                              "--json", "--no-oracles")
@@ -207,6 +229,21 @@ class TestOtherCommands:
         code, env = run_json(capsys, validator, "twistor", "A3:{x}", "--json")
         assert code == 1
         assert env["error"]["type"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize("argv, kind, message", [
+        (("dim", "A3:" + "9" * 5000), "InvalidPartition",
+         "a part of the A3 partition has too many digits to read"),
+        (("dim", "A" + "9" * 5000 + ":2"), "InvalidRank",
+         "the rank of type A has too many digits to read"),
+        (("twistor", "A3:{" + "9" * 5000 + "}"), "DimensionMismatch",
+         "a marked root has too many digits to read")],
+        ids=["part", "rank", "mark"])
+    def test_integer_over_the_digit_limit_is_domain_error(
+            self, capsys, validator, argv, kind, message):
+        # int() refuses a string of more than 4,300 digits with a ValueError
+        code, env = run_json(capsys, validator, *argv, "--json")
+        assert code == 1
+        assert env["error"] == {"type": kind, "message": message}
 
     def test_twistor_empty_marking_versus_empty_mark(self, capsys, validator):
         # "{}" is the empty marking, a domain answer; "{,}" is malformed
@@ -450,6 +487,100 @@ class TestReadmeTour:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == TOUR_TEXT_DIGESTS[shlex.join(argv)]
+
+
+# the hostile part of the alphabet of ``random_argv``: help, version,
+# abbreviations, an option with "=", negative numbers, "--", empty and
+# unknown tokens, and a second positional
+HOSTILE_TOKENS = ["-h", "--help", "--version", "--ver", "--no-o", "--js",
+                  "--se", "--max", "--su", "--seed=5", "-3", "--", "-", "",
+                  "frobnicate", "A3:2,2", "x", "0", "12", "999"]
+LABELS = ["A4:2,2,1", "G2:dim8", "A3:{1}"]
+
+
+def random_argv(rng):
+    """A seeded argv: a declared command, its arguments in a random order
+    (each kept with probability 4/5, a value option with a valid value),
+    then up to three edits, each deleting a token or inserting one drawn
+    from every declared command, option string and choice, ``LABELS``
+    and ``HOSTILE_TOKENS``."""
+    declared = [(flags, spec) for _, arguments, _, _ in cli._COMMANDS.values()
+                for flags, spec in arguments]
+    alphabet = [*cli._COMMANDS, *LABELS, *HOSTILE_TOKENS] + [
+        token for flags, spec in declared if flags[0][0] == "-"
+        for token in (*flags, *spec.get("choices", ()))]
+    command = rng.choice(list(cli._COMMANDS))
+    arguments = list(cli._COMMANDS[command][1])
+    rng.shuffle(arguments)
+    argv = [command]
+    for flags, spec in arguments:
+        if rng.random() < 0.2:
+            continue
+        if flags[0][0] != "-":
+            argv.append(rng.choice(LABELS))
+            continue
+        argv.append(rng.choice(flags))
+        if spec.get("action") != "store_true":
+            argv.append(rng.choice(spec.get("choices", ["0", "7"])))
+    for _ in range(rng.randint(0, 3)):
+        if argv and rng.random() < 0.5:
+            del argv[rng.randrange(len(argv))]
+        else:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(alphabet))
+    return argv
+
+
+class TestDeclaredParse:
+    def test_matches_argparse_on_random_argv(self, capsys):
+        # either the fallback, or exactly argparse's namespace, in order;
+        # wherever argparse exits (help, version, usage error), the fallback
+        rng = random.Random("declared-parse")
+        declared = exits = 0
+        for _ in range(4000):
+            argv = random_argv(rng)
+            got = cli._parse_declared(argv)
+            try:
+                want = _build_parser().parse_args(argv)
+            except SystemExit:
+                exits += 1
+                assert got is None, argv
+                continue
+            if got is not None:
+                declared += 1
+                assert list(vars(got).items()) == list(vars(want).items()), \
+                    argv
+        # neither path is vacuous
+        assert declared > 400 and exits > 400, (declared, exits)
+
+    # one argv of each command in the form the benchmark's request-mix
+    # sends, besides the README tour
+    REQUEST_MIX = [
+        ["classify", "A4:2,2,1", "--no-oracles", "--seed", "512", "--json"],
+        ["classify", "B3:3,3,1", "--seed", "512", "--json"],
+        ["dim", "B3:3,3,1", "--json"],
+        ["polarizations", "C3:2,2,1,1", "--json"],
+        ["chambers", "A4:3,2", "--json"],
+        ["twistor", "E6:{2}", "--json"],
+        ["dim", "H4:1", "--json"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv", readme_tour() + readme_tour(as_json=False) + REQUEST_MIX,
+        ids=shlex.join)
+    def test_well_formed_request_builds_no_parser(self, capsys, monkeypatch,
+                                                  argv):
+        def refuse():
+            raise AssertionError("argparse parser built")
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        code, out = run(capsys, *argv)
+        pinned = {**TOUR_DIGESTS, **TOUR_TEXT_DIGESTS}.get(shlex.join(argv))
+        if pinned is not None:
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == pinned
+            return
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_parse_declared", lambda argv: None)
+        assert run(capsys, *argv) == (code, out)
 
 
 def stated_value(comment):

@@ -61,6 +61,25 @@ def reference_regular_label(t):
                               "D": (2 * n - 1, 1)}[t.family])
 
 
+def dimension_by_dual_partition(o):
+    """Reference path for ``orbit_dimension`` on a classical orbit, the
+    sum the package took over the dual partition before it read the sum
+    off the parts: dim g + 1 - sum d^2 in A, and dim g - (sum d^2 -+
+    #odd parts) / 2 in B/D and C."""
+    t = o.simple_type
+    dim_g = 2 * t.num_positive_roots + t.rank
+    sq = sum(d * d for d in dual_partition(o.partition))
+    odd = sum(1 for p in o.partition if p % 2)
+    if t.family == "A":
+        return dim_g + 1 - sq
+    return dim_g - (sq + (odd if t.family == "C" else -odd)) // 2
+
+
+CLASSICAL_UP_TO_RANK_8 = [
+    SimpleType(f, n) for f, low in [("A", 1), ("B", 2), ("C", 2), ("D", 3)]
+    for n in range(low, 9)]
+
+
 def is_minimal(o):
     return orbit_record(o).is_minimal
 
@@ -152,9 +171,12 @@ class TestDimension:
             reg = reference_regular_label(t)
             assert orbit_dimension(reg) == expected[t.family](t.rank) - t.rank
 
-    @pytest.mark.parametrize("t", [
-        SimpleType(f, n) for f, low in [("A", 1), ("B", 2), ("C", 2), ("D", 3)]
-        for n in range(low, 9)], ids=str)
+    @pytest.mark.parametrize("t", CLASSICAL_UP_TO_RANK_8, ids=str)
+    def test_matches_dual_partition_formula(self, t):
+        for o in tagged_orbits_of(t):
+            assert orbit_dimension(o) == dimension_by_dual_partition(o), o
+
+    @pytest.mark.parametrize("t", CLASSICAL_UP_TO_RANK_8, ids=str)
     def test_regular_is_the_one_orbit_of_its_dimension(self, t):
         # 2 |positive roots| = dim g - rank, the nilpotent cone's dimension
         regular = [o for o in tagged_orbits_of(t)
