@@ -15,8 +15,10 @@ entries (i, j, x), at most two of them. ``_supports(n)`` is a constant,
 built once per n; a model holds only n and e. An entry x of b at (i, j)
 makes [e, b] one column and one row update of e: x times column i of e
 added to column j, and x times row j of e taken from row i. It makes
-tr(X b) the single term x X[j][i]. The forms restricted to a subspace
-are then sums over the supports of its spanning vectors.
+tr(X b) the single term x X[j][i]. Every element's first entry is 1, so
+the trace form against a basis is a gather of entries of X, and only
+the H_i add a second term. The forms restricted to a subspace are read
+off the supports of its spanning vectors the same way.
 
 ``contact_check`` runs two echelon eliminations and no reduced one.
 The first, of [ad_e | vec(e)], gives a tangent basis (the pivots) and,
@@ -70,6 +72,7 @@ from .errors import (
 from .ratlinalg import (
     adjugate,
     dot,
+    echelon_basis,
     mat_mul,
     mat_vec,
     nullspace,
@@ -192,9 +195,19 @@ def _ad_images(e: Matrix, supports) -> list[list]:
 
 def _traces(vecs, supports, n: int) -> list[list]:
     """tr(X b) for each vec(X) in ``vecs`` (rows) and each basis support
-    (columns): an entry x of b at (i, j) meets X at (j, i)."""
-    at = [[(j * n + i, x) for i, j, x in sup] for sup in supports]
-    return [[sum([x * v[q] for q, x in sup]) for sup in at] for v in vecs]
+    (columns), gathered: an entry x of b at (i, j) meets X at (j, i). A
+    support's first entry is 1, so it gathers one entry of X; only the
+    H_i add a second term."""
+    first = [j * n + i for (i, j, _), *_ in supports]
+    second = [(k, j * n + i, x) for k, (_, *rest) in enumerate(supports)
+              for i, j, x in rest]
+    out = []
+    for v in vecs:
+        row = list(map(v.__getitem__, first))
+        for k, q, x in second:
+            row[k] += x * v[q]
+        out.append(row)
+    return out
 
 
 def addim(m: MatrixModel) -> int:
@@ -203,16 +216,21 @@ def addim(m: MatrixModel) -> int:
 
 
 def jordan_type(e: Matrix) -> tuple[int, ...]:
-    """Jordan type of a nilpotent matrix from ranks of its powers."""
+    """Jordan type of a nilpotent matrix from the ranks of its powers.
+
+    The rows of e^(k+1) span the row space of e^k times e, so the echelon
+    basis of e^k times e gives rank(e^(k+1)) and the next basis: the k-th
+    elimination gets rank(e^(k-1)) rows, not n.
+    """
     n = len(e)
     ranks = [n]
-    power = e
+    rows = e
     for _ in range(n):
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
+        basis = echelon_basis(rows)
+        ranks.append(len(basis))
+        if not basis:
             break
-        power = mat_mul(power, e)
+        rows = mat_mul(basis, e)
     if ranks[-1] != 0:
         raise ContactresError("matrix is not nilpotent")
     # ranks[k-1] - ranks[k] counts Jordan blocks of size >= k, i.e. the

@@ -20,15 +20,20 @@ zero on the free columns, so back-substitution on the pivot rows,
 y_i = (D b_i - sum_{j > i} U_{i,p_j} y_j) / U_{i,p_i}, divides exactly
 at every step.
 
-A row whose entry in the pivot column is zero would only be rescaled by
-p / prev, the new pivot over the old. That rescaling is deferred: the
-row keeps the pivot value it was last brought to, its level, and the
-pending factors telescope to prev / level. They are paid once, when the
-row is next combined (dividing by its level instead of by prev), when it
-becomes the pivot row, or at the end of a reduction. Each of
-these yields the integer the eager step would have held, so every
-returned entry is still the same minor, and on sparse matrices most
-rows skip most passes.
+A Bareiss step with pivot p brings the rows it acts on (those below the
+pivot row in echelon mode, all others in reduced mode) to p: a row with
+a nonzero in the pivot column is combined with the pivot row and
+divided by prev, the pivot before p, and a row with a zero there is
+only rescaled by p / prev. That rescaling is deferred. Each row keeps a
+level, the pivot value it was last brought to, and its pending factors
+telescope to prev / level. A step visits only the rows it acts on that
+have a nonzero in the pivot column, and divides each by its level
+instead of by prev. The pivot row is brought up to prev when it is
+chosen, and stands at its own pivot once its step ends, as in the eager
+step; a reduction brings every row still behind up to the last pivot at
+the end. Each of these yields the integer the eager step would have
+held, so every returned entry is still the same minor, and a step costs
+only the rows it visits: on sparse matrices, few of them.
 
 Tuples and star-arguments are built from lists: CPython parks a resized
 generator-built tuple on a free list that only a full garbage collection
@@ -37,6 +42,7 @@ empties, which integer work seldom triggers (peak RSS grew ~1 MB).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -45,7 +51,7 @@ from .errors import invariant
 
 
 def _int_row(row) -> list[int]:
-    if all(type(x) is int for x in row):
+    if {*map(type, row)} == {int}:
         return list(row)
     fr = [Fraction(x) for x in row]
     mult = lcm(*[x.denominator for x in fr])
@@ -71,44 +77,45 @@ def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
         return m, [], 1
     nrows, ncols = len(m), len(m[0])
     pivots = []
-    stale = {}  # row index -> the pivot value the row was last brought to
+    level = [1] * nrows  # the pivot value each row was last brought to
     sign, prev, r = 1, 1, 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
+        # the rows to visit, and the pivot: the first of them from row r on
+        hit = [i for i in range(0 if reduce else r, nrows) if m[i][c]]
+        k = bisect_left(hit, r)
+        if k == len(hit):
             continue
+        piv = hit.pop(k)
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            level[r], level[piv] = level[piv], level[r]
             sign = -sign
-        if stale:
-            # bring the pivot row up to date; its level is still keyed by
-            # the index it came from, and the row it displaced takes that key
-            level = stale.pop(piv, 0)
-            if r in stale:
-                stale[piv] = stale.pop(r)
-            if level:
-                m[r] = [x * prev // level for x in m[r]]
         prow = m[r]
+        if level[r] != prev:
+            prow = m[r] = [x * prev // level[r] for x in prow]
         p = prow[c]
-        for i in range(0 if reduce else r + 1, nrows):
-            if i == r:
-                continue
-            row = m[i]
+        for i in hit:
+            row, lv = m[i], level[i]
             a = row[c]
-            if a:
-                level = stale.pop(i, prev) if stale else prev
-                m[i] = [(p * x - a * y) // level for x, y in zip(row, prow)]
-            elif p != prev and i not in stale:
-                stale[i] = prev
-        prev = p
+            m[i] = [(p * x - a * y) // lv for x, y in zip(row, prow)]
+            level[i] = p
+        level[r] = prev = p  # the pivot row stands at its own pivot
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    if reduce and stale:
-        for i, level in stale.items():
-            m[i] = [x * prev // level for x in m[i]]
+    if reduce:
+        for i in range(r):
+            if level[i] != prev:
+                m[i] = [x * prev // level[i] for x in m[i]]
     return m, pivots, sign
+
+
+def echelon_basis(rows) -> list[list[int]]:
+    """The pivot rows of the echelon form of ``rows``: an integer basis
+    of their row space, one row per unit of rank."""
+    m, pivots, _ = _eliminate(rows, reduce=False)
+    return m[:len(pivots)]
 
 
 def rank(rows) -> int:

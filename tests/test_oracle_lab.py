@@ -24,6 +24,7 @@ from contactres.oracle_lab import (
     _kks_form,
     _sample_nilradical,
     _supports,
+    _traces,
     _vec,
     addim,
     contact_check,
@@ -125,6 +126,39 @@ def reference_contact_check(m):
         radical_is_euler_line=(len(radical) == 1
                                and euler_in_kernel is not None
                                and _parallel(radical[0], euler_in_kernel)))
+
+
+# --- the sum over each support, kept as the reference for the gather ---
+
+def reference_traces(vecs, supports, n):
+    """``_traces`` by one sum over the entries of each support."""
+    at = [[(j * n + i, x) for i, j, x in sup] for sup in supports]
+    return [[sum([x * v[q] for q, x in sup]) for sup in at] for v in vecs]
+
+
+# --- ranks of full powers, kept as the reference for jordan_type ---
+
+def power_ranks(e):
+    """rank(e^k) for k = 0, 1, ... up to the first zero, or up to k = n."""
+    n = len(e)
+    ranks = [n]
+    power = e
+    for _ in range(n):
+        ranks.append(rank(power))
+        if ranks[-1] == 0:
+            break
+        power = mat_mul(power, e)
+    return ranks
+
+
+def reference_jordan_type(e):
+    """``jordan_type`` from the ranks of the full powers of e."""
+    ranks = power_ranks(e)
+    if ranks[-1] != 0:
+        raise ContactresError("matrix is not nilpotent")
+    dual = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    return tuple(sum(1 for d in dual if d >= j)
+                 for j in range(1, dual[0] + 1))
 
 
 # --- the span-and-annihilator fiber count, kept as the reference ---
@@ -271,6 +305,83 @@ class TestModels:
     def test_jordan_type_roundtrip(self):
         for part in [(2,), (2, 1), (3, 1), (2, 2), (4, 2, 1)]:
             assert jordan_type(jordan_nilpotent(part).e) == part
+
+
+class TestTraceGather:
+    @staticmethod
+    def models(n):
+        """Each Jordan model of n and a conjugate, as integers and rescaled
+        by a rational factor."""
+        for part in partitions_of(n):
+            base = jordan_nilpotent(part)
+            conj = random_conjugate(base, 0)
+            yield from (base, conj, scale_model(base, F(3, 7)),
+                        scale_model(conj, F(-5, 2)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gather_matches_the_sum_over_each_support(self, n):
+        supports = _supports(n)
+        fractions = 0
+        for m in self.models(n):
+            images = _ad_images(m.e, supports)
+            vecs = images + [list(_vec(m.e))]
+            fractions += any(type(x) is F for v in vecs for x in v)
+            assert _traces(vecs, supports, n) == \
+                reference_traces(vecs, supports, n)
+            # the tangent pivots, as contact_check restricts omega to them
+            pivots = rref(list(zip(*images)))[1] if images else []
+            sub = [supports[p] for p in pivots]
+            rows = [images[p] for p in pivots]
+            assert _traces(rows, sub, n) == reference_traces(rows, sub, n)
+        assert fractions or n == 1  # sl_1 has only the zero model
+
+
+class TestJordanType:
+    @staticmethod
+    def matrices():
+        """Every Jordan model of n <= 6 and its conjugates at seeds 0-2,
+        and the certified nilradical samples of every composition of
+        n <= 6 at seeds 0-2."""
+        for n in range(1, 7):
+            for part in partitions_of(n):
+                base = jordan_nilpotent(part)
+                yield base.e
+                for seed in range(3):
+                    yield random_conjugate(base, seed).e
+            for comp in compositions_of(n):
+                for seed in range(3):
+                    yield _generic_sample(comp, seed)[0]
+
+    def test_matches_ranks_of_full_powers(self):
+        count = 0
+        for e in self.matrices():
+            assert jordan_type(e) == reference_jordan_type(e), e
+            count += 1
+        assert count == 4 * 29 + 3 * 63
+
+    @pytest.mark.parametrize("e", [
+        [[1]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 1]],
+        [[0, 1, 2], [0, 0, 3], [F(1, 2), 0, 0]]])
+    def test_non_nilpotent_refused(self, e):
+        for oracle in (jordan_type, reference_jordan_type):
+            with pytest.raises(ContactresError, match="not nilpotent"):
+                oracle(e)
+
+    @pytest.mark.parametrize("e", [
+        jordan_nilpotent((3, 2, 1)).e,
+        random_conjugate(jordan_nilpotent((4, 2)), 1).e,
+        _generic_sample((1, 2, 1, 2), 0)[0],
+        _generic_sample((1,) * 8, 0)[0]])
+    def test_each_elimination_gets_the_previous_rank_in_rows(
+            self, e, eliminations):
+        # the k-th elimination echelons the basis of e^(k-1) times e, so
+        # it gets rank(e^(k-1)) rows where the full powers had n each
+        ranks = power_ranks(e)
+        eliminations.clear()
+        jordan_type(e)
+        sizes = [len(call["rows"]) for call in eliminations]
+        assert len(sizes) == len(ranks) - 1
+        assert all(size <= r for size, r in zip(sizes, ranks))
 
 
 class TestAdRank:

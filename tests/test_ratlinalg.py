@@ -9,6 +9,7 @@ from contactres.ratlinalg import (
     _int_row,
     adjugate,
     dot,
+    echelon_basis,
     mat_mul,
     mat_vec,
     nullspace,
@@ -49,6 +50,20 @@ def sparse(entries):
 
 
 SPARSE_ENTRIES = {kind: sparse(e) for kind, e in ENTRIES.items()}
+
+
+@st.composite
+def column_sparse(draw, entries, max_rows=12, max_cols=9):
+    """At most two nonzeros per column, the pattern of ad_e on the sl_n
+    basis: on tall shapes most rows skip most pivot steps."""
+    nrows = draw(st.integers(min_value=1, max_value=max_rows))
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    rows = [[0] * ncols for _ in range(nrows)]
+    for c in range(ncols):
+        for i in draw(st.lists(st.integers(min_value=0, max_value=nrows - 1),
+                               max_size=2, unique=True)):
+            rows[i][c] = draw(entries.filter(bool))
+    return rows
 
 
 # --- reference: the eager Bareiss step the deferred scaling replaced ---------
@@ -192,12 +207,14 @@ class TestDeferredScaling:
         rows = data.draw(matrices(max_rows=6, max_cols=7,
                                   entries=SPARSE_ENTRIES[kind]))
         assert _eliminate(rows, reduce) == reference_eliminate(rows, reduce)
+        tall = data.draw(column_sparse(ENTRIES[kind]))
+        assert _eliminate(tall, reduce) == reference_eliminate(tall, reduce)
 
 
 class TestDeferredScalingCases:
     @pytest.mark.parametrize("reduce", [False, True])
     def test_stale_row_swapped_into_pivot_slot(self, reduce):
-        # the first pivot (2) leaves row 2 alone, so it is stale at level 1;
+        # the first pivot (2) does not visit row 2, which stays at level 1;
         # column 1 has no pivot candidate in row 1, so row 2 is swapped in
         rows = [[2, 1, 3], [0, 0, 5], [0, 3, 7]]
         m, pivots, sign = _eliminate(rows, reduce)
@@ -327,6 +344,14 @@ class TestRowBasis:
 
     def test_empty(self):
         assert row_basis([]) == ()
+
+    @given(matrices(entries=rational_entries))
+    @settings(max_examples=80, derandomize=True)
+    def test_echelon_basis_spans_the_row_space(self, rows):
+        basis = echelon_basis(rows)
+        assert len(basis) == rank(rows)
+        assert all(type(x) is int for row in basis for x in row)
+        assert row_basis(basis) == row_basis(rows)
 
 
 class TestSolve:
