@@ -10,6 +10,12 @@ declarations in one pass. Every other argv goes to the argparse parser
 built from the same declarations, which alone answers ``-h``,
 ``--version``, abbreviated options, ``--opt=value`` and usage errors.
 
+Start-up pays only for what the command runs. ``argparse`` is imported
+only to build that parser (or to word a bad size cap), and the oracles
+(``verify``, hence ``oracle_lab``) only by ``verify`` and by ``classify``
+without ``--no-oracles``. ``resolutions`` and the layers under it are
+imported at the top, since every other command uses them.
+
 Exit codes: 0 success (an Unknown classification verdict is a valid
 answer, not a failure), 1 domain error or failed verification, 2 usage.
 
@@ -20,9 +26,9 @@ timestamps or environment data are embedded.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ContactresError
@@ -46,9 +52,13 @@ from .resolutions import (
     contact_resolution_exists,
     polarizations_of,
 )
-from .verify import oracle_block, run_suite, suite_caps, suite_names
 
 SCHEMA_ID = "contactres-report/1"
+
+# ``verify.suite_names()``, written out so that the command table does not
+# import the oracles
+SUITE_NAMES = ("ad-rank", "kks", "contact", "richardson", "fibers",
+               "chambers", "cones")
 
 
 def _yn(flag) -> str:
@@ -137,15 +147,27 @@ def _command(name, summary, *arguments, render=_render_report):
     return declare
 
 
+@functools.cache
+def _oracles():
+    """The ``verify`` module (and with it ``oracle_lab``), imported by the
+    first request that runs an oracle: no other command loads them, and
+    no request after it runs an import statement."""
+    from . import verify
+    return verify
+
+
 def _non_negative_int(text: str) -> int:
-    """argparse type of a size cap: a negative cap would pass vacuously."""
+    """argparse type of a size cap: a negative cap would pass vacuously.
+    ``argparse`` is imported only to word a refusal."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative: {value}")
-    return value
+        value = None
+    if value is not None and value >= 0:
+        return value
+    from argparse import ArgumentTypeError
+    raise ArgumentTypeError(f"invalid int value: {text!r}" if value is None
+                            else f"must be non-negative: {value}")
 
 
 _ORBIT = _arg("orbit", help='orbit label, e.g. "A3:2,1,1" or "G2:dim8"')
@@ -160,7 +182,8 @@ _JSON = _arg("--json", action="store_true",
                help="skip the oracle cross-check block"))
 def _classify(args) -> dict:
     report = contact_resolution_exists(parse_orbit(args.orbit))
-    checks = () if args.no_oracles else oracle_block(report, args.seed)
+    checks = (() if args.no_oracles
+              else _oracles().oracle_block(report, args.seed))
     return resolution_report_dict(report, checks)
 
 
@@ -219,7 +242,7 @@ def _render_verify(r: dict, out) -> None:
 
 
 @_command("verify", "run a verification suite",
-          _arg("--suite", required=True, choices=suite_names()),
+          _arg("--suite", required=True, choices=SUITE_NAMES),
           _arg("--max-n", type=_non_negative_int, default=None,
                help="override the suite size cap"),
           _arg("--count", type=_non_negative_int, default=None,
@@ -228,12 +251,13 @@ def _render_verify(r: dict, out) -> None:
           _arg("--json", action="store_true"),
           render=_render_verify)
 def _verify(args) -> dict:
-    checks = run_suite(args.suite, max_n=args.max_n, seed=args.seed,
-                       count=args.count)
+    verify = _oracles()
+    checks = verify.run_suite(args.suite, max_n=args.max_n, seed=args.seed,
+                              count=args.count)
     failures = sum(1 for c in checks if not c.agrees)
     return {
         "suite": args.suite,
-        "caps": suite_caps(args.suite, args.max_n, args.count),
+        "caps": verify.suite_caps(args.suite, args.max_n, args.count),
         "rows": [verify_row_dict(args.suite, c) for c in checks],
         "total": len(checks),
         "failures": failures,
@@ -245,9 +269,10 @@ def _verify(args) -> dict:
 # --- parsing and dispatch -----------------------------------------------------
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The argument parser, built on first use and shared by every later
     call in the process (``parse_args`` keeps no state between calls)."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="contactres",
         description="Contact resolutions of projectivised nilpotent orbit "
@@ -288,15 +313,16 @@ def _declared(command: str) -> tuple:
     return defaults, options, positional, required
 
 
-def _parse_declared(argv) -> argparse.Namespace | None:
-    """The namespace ``_build_parser().parse_args(argv)`` returns, read
-    off the command's declarations in one pass, when ``argv`` is well
-    formed: a command, then whole declared options (each at most once),
-    a value not starting with "-" after each value option (converted by
-    its ``type`` and among its ``choices``), and the one positional, with
-    the positional and every ``required`` option present. None for any
-    other argv, so argparse alone answers help, version, abbreviations
-    and usage errors."""
+def _parse_declared(argv) -> SimpleNamespace | None:
+    """The items of the namespace ``_build_parser().parse_args(argv)``
+    returns, in its order, read off the command's declarations in one
+    pass, when ``argv`` is well formed: a command, then whole declared
+    options (each at most once), a value not starting with "-" after each
+    value option (converted by its ``type`` and among its ``choices``),
+    and the one positional, with the positional and every ``required``
+    option present. None for any other argv, a value its converter
+    refuses included, so argparse alone answers help, version,
+    abbreviations and usage errors."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     defaults, options, positional, required = _declared(argv[0])
@@ -317,7 +343,9 @@ def _parse_declared(argv) -> argparse.Namespace | None:
                     return None
                 try:
                     value = spec.get("type", str)(text)
-                except (ValueError, argparse.ArgumentTypeError):
+                except Exception:
+                    # argparse words any refusal of a ``type``; its own
+                    # ArgumentTypeError cannot be named without importing it
                     return None
                 if "choices" in spec and value not in spec["choices"]:
                     return None
@@ -325,7 +353,7 @@ def _parse_declared(argv) -> argparse.Namespace | None:
             return None
         given.add(dest)
         values[dest] = value
-    return argparse.Namespace(**values) if required <= given else None
+    return SimpleNamespace(**values) if required <= given else None
 
 
 def _request_dict(args) -> dict:

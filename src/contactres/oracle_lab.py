@@ -366,13 +366,15 @@ def trial_seeds(seed: int) -> list[str]:
     return [f"{seed}:{t}" for t in range(3)]
 
 
-def _sample_nilradical(comp, seed_string: str) -> Matrix:
-    rng = random.Random(seed_string)
-    n = sum(comp)
+def _sample_nilradical(n: int, positions, seed_string: str) -> Matrix:
+    """The n x n integer matrix with one ``randint(-9, 9)`` of the stream
+    ``seed_string`` at each of ``positions``, in their order, and zeros
+    elsewhere."""
+    randint = random.Random(seed_string).randint
     rows = _zeros(n)
-    for i, j in nilradical_positions(comp):
-        rows[i][j] = rng.randint(-9, 9)
-    return _freeze(rows)
+    for i, j in positions:
+        rows[i][j] = randint(-9, 9)
+    return tuple([tuple(row) for row in rows])
 
 
 def _generic_sample(comp, seed: int) -> tuple[Matrix, tuple[int, ...]]:
@@ -386,9 +388,10 @@ def _generic_sample(comp, seed: int) -> tuple[Matrix, tuple[int, ...]]:
     :class:`NonGenericSample` after ``GENERIC_DRAWS`` draws.
     """
     n = sum(comp)
-    centralizer = n * n - 2 * len(nilradical_positions(comp))
+    positions = nilradical_positions(comp)
+    centralizer = n * n - 2 * len(positions)
     for t in range(GENERIC_DRAWS):
-        e = _sample_nilradical(comp, f"{seed}:{t}")
+        e = _sample_nilradical(n, positions, f"{seed}:{t}")
         part = jordan_type(e)
         if sum([(2 * i + 1) * p for i, p in enumerate(part)]) == centralizer:
             return e, part

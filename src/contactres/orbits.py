@@ -18,10 +18,10 @@ key) tuples, never by a record.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 
 from .errors import (
     InvalidPartition,
@@ -265,8 +265,12 @@ def _parse_polarizations(value: str, rank: int, where: str):
 
 
 def _table_text() -> str:
-    return resources.files("contactres").joinpath(
-        "data/exceptional_orbits.txt").read_text(encoding="utf-8")
+    # read through the package's own loader, as ``pkgutil.get_data``
+    # does, so a zipped install works too; ``importlib.resources`` would
+    # cost a clean interpreter ~25 ms to import
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "exceptional_orbits.txt")
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 @lru_cache(maxsize=1)

@@ -10,7 +10,8 @@ neither row space nor kernel). Each update divides exactly by the
 previous pivot, so entries stay minors of the cleared matrix, bounded by
 Hadamard's inequality. ``rref`` and ``nullspace`` return primitive
 integer vectors; ``adjugate`` and ``pivot_solution`` return integers,
-and only ``solve`` returns Fractions.
+and only ``solve`` returns Fractions. ``fractions`` is imported only where
+a Fraction is built, so all-integer work never loads it.
 
 ``pivot_solution`` solves A x = b without clearing above the pivots. Let
 D be the last pivot of the echelon form of the cleared [A | b]: the
@@ -43,7 +44,6 @@ empties, which integer work seldom triggers (peak RSS grew ~1 MB).
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -53,6 +53,7 @@ from .errors import invariant
 def _int_row(row) -> list[int]:
     if {*map(type, row)} == {int}:
         return list(row)
+    from fractions import Fraction
     fr = [Fraction(x) for x in row]
     mult = lcm(*[x.denominator for x in fr])
     return [x.numerator * (mult // x.denominator) for x in fr]
@@ -205,6 +206,7 @@ def solve(rows, rhs) -> tuple[Fraction, ...] | None:
     if found is None:
         return None
     pivots, d, y = found
+    from fractions import Fraction
     x = [Fraction(0)] * len(rows[0])
     for p, yp in zip(pivots, y):
         x[p] = Fraction(yp, d)

@@ -31,7 +31,10 @@ polarizations too), ``check`` a ``verify.OracleCheck`` and ``r`` a
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
+try:  # the C quoter of json.encoder, without loading the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 def orbit_record_dict(rec) -> dict:

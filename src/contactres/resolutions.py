@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
 # unused here, but perfbench/layertrace.py patches this name to count orderings
@@ -385,6 +384,7 @@ def canonical_degree_on_curve(n_contact: int, l_degree) -> Fraction:
     """
     if n_contact < 0:
         raise ContactresError("contact dimension n must be nonnegative")
+    from fractions import Fraction
     return Fraction(-(n_contact + 1)) * Fraction(l_degree)
 
 

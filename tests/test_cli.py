@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import shlex
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -12,6 +13,8 @@ from jsonschema import Draft202012Validator
 
 from contactres import __version__, cli, lie_core, orbits, resolutions
 from contactres.cli import _build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -581,6 +584,79 @@ class TestDeclaredParse:
         monkeypatch.undo()
         monkeypatch.setattr(cli, "_parse_declared", lambda argv: None)
         assert run(capsys, *argv) == (code, out)
+
+
+class TestConverterRefusal:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "kks", "--max-n", "x"],
+        ["verify", "--suite", "kks", "--count", "1" * 5000],
+        ["classify", "A3:2,2", "--seed", "x"],
+    ], ids=shlex.join)
+    def test_goes_to_argparse_with_its_message(self, capsys, argv):
+        # a value its converter refuses is argparse's to word
+        assert cli._parse_declared(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
+
+# modules a CLI process loads only when its command runs them (``json``
+# never: the report quotes strings with the C quoter of ``_json``)
+DEFERRED = ("argparse", "fractions", "importlib.resources", "json",
+            "contactres.verify", "contactres.oracle_lab")
+
+# sha256 of ``classify A3:2,2 --no-oracles --json``, the bytes from before
+# the start-up imports were deferred
+NO_ORACLES_DIGEST = \
+    "3933df39f56bd94ea92145b1f65a7b85c509c817ba69aae612a5aa92ee98a5aa"
+
+START_UP_CODE = f"""
+import io, sys
+sys.path.insert(0, sys.argv[1])
+DEFERRED = {DEFERRED!r}
+
+def loaded():
+    return [name for name in DEFERRED if name in sys.modules]
+
+def run(*argv):
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.stdout, out = stdout, sys.stdout.getvalue()
+    return code, out, loaded()
+
+import contactres.cli as cli
+cli.table_version()
+print(repr((loaded(),
+            run("classify", "A3:2,2", "--no-oracles", "--json"),
+            run("classify", "A3:2,2", "--json"))))
+"""
+
+
+class TestStartUp:
+    def test_a_command_loads_only_what_it_runs(self):
+        # a clean interpreter (no site hooks) sees every module the
+        # package itself imports
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", START_UP_CODE,
+             str(ROOT / "src")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        at_import, no_oracles, oracles = ast.literal_eval(proc.stdout)
+        assert at_import == []
+        code, out, after = no_oracles
+        assert (code, after) == (0, [])
+        assert hashlib.sha256(out.encode()).hexdigest() == NO_ORACLES_DIGEST
+        code, out, after = oracles
+        assert code == 0
+        assert "contactres.verify" in after and "contactres.oracle_lab" in after
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            TOUR_DIGESTS["classify A3:2,2 --json"]
+
+    def test_suite_names_literal_is_verifys(self):
+        from contactres.verify import suite_names
+        assert cli.SUITE_NAMES == suite_names()
 
 
 def stated_value(comment):

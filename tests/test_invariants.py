@@ -40,7 +40,7 @@ def test_one_serializer():
 def package_imports() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at any depth in the file
     (function-level imports included). ``__init__`` is left out: it
-    re-exports everything."""
+    re-exports the public names on first access."""
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     graph = {}
     for name in sorted(modules):
@@ -125,6 +125,60 @@ def test_cli_start_up_skips_dataclasses():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert proc.stdout == "False\n"
+
+
+class TestLazyPackage:
+    """``contactres`` re-exports ``__all__`` on first access (PEP 562)."""
+
+    def test_every_export_is_its_home_modules_object(self):
+        import contactres
+        for name in contactres.__all__:
+            value = getattr(contactres, name)
+            if name == "__version__":
+                assert value == "0.1.0"
+                continue
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("contactres."), name
+            assert getattr(home, name) is value, name
+
+    def test_dir_lists_every_export(self):
+        import contactres
+        assert set(contactres.__all__) <= set(dir(contactres))
+
+    def test_star_import_binds_every_export(self):
+        import contactres
+        namespace = {}
+        exec("from contactres import *", namespace)
+        for name in contactres.__all__:
+            assert namespace[name] is getattr(contactres, name), name
+
+    def test_unknown_attribute_raises(self):
+        import contactres
+        with pytest.raises(AttributeError, match="no_such_name"):
+            contactres.no_such_name
+        assert not hasattr(contactres, "__main__")
+
+    def test_import_loads_no_module_until_used(self):
+        code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("contactres."))
+import contactres
+print(loaded())
+contactres.kks_rank
+print(loaded())
+print(contactres.verify.suite_names())
+"""
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        first, second, names = proc.stdout.splitlines()
+        assert first == "[]"
+        assert "'contactres.oracle_lab'" in second
+        assert "'contactres.verify'" not in second
+        assert names.startswith("('ad-rank',")
 
 
 def test_acceptance_criteria_under_python_O():

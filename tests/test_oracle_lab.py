@@ -22,7 +22,6 @@ from contactres.oracle_lab import (
     _ad_images,
     _generic_sample,
     _kks_form,
-    _sample_nilradical,
     _supports,
     _traces,
     _vec,
@@ -251,11 +250,36 @@ def _dominates(lam, mu) -> bool:
     return True
 
 
+def reference_sample_nilradical(comp, seed_string):
+    """The sampler before it took its positions from its caller: the
+    positions built anew for every draw, and every entry of the sample
+    passed through ``_exact``."""
+    rng = random.Random(seed_string)
+    n = sum(comp)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in nilradical_positions(comp):
+        rows[i][j] = rng.randint(-9, 9)
+    return oracle_lab._freeze(rows)
+
+
+def reference_generic_sample(comp, seed):
+    """``_generic_sample`` on the reference sampler."""
+    n = sum(comp)
+    centralizer = n * n - 2 * len(nilradical_positions(comp))
+    for t in range(GENERIC_DRAWS):
+        e = reference_sample_nilradical(comp, f"{seed}:{t}")
+        part = jordan_type(e)
+        if sum([(2 * i + 1) * p for i, p in enumerate(part)]) == centralizer:
+            return e, part
+    return None
+
+
 def reference_vote_sample(comp, seed):
     """The first of the three trial samples whose Jordan type dominates
     every observed type, with that type, or None when none does. A guess:
     three non-generic samples outvote the Richardson orbit."""
-    samples = [_sample_nilradical(comp, s) for s in trial_seeds(seed)]
+    samples = [reference_sample_nilradical(comp, s)
+               for s in trial_seeds(seed)]
     observed = [jordan_type(e) for e in samples]
     for e, cand in zip(samples, observed):
         if all(_dominates(cand, other) for other in observed):
@@ -666,15 +690,27 @@ class TestGenericJordanType:
     def test_bound_runs_out_on_zero_samples(self, monkeypatch):
         draws = []
 
-        def zero(comp, seed_string):
+        def zero(n, positions, seed_string):
             draws.append(seed_string)
-            return tuple([(0,) * sum(comp)] * sum(comp))
+            return tuple([(0,) * n] * n)
         monkeypatch.setattr(oracle_lab, "_sample_nilradical", zero)
         for oracle in (generic_jordan_type, generic_fiber_count):
             draws.clear()
             with pytest.raises(NonGenericSample):
                 oracle((2, 1), seed=5)
             assert draws == [f"5:{t}" for t in range(GENERIC_DRAWS)]
+
+    def test_sample_and_type_are_the_reference_samplers(self):
+        # every composition up to the size cap at seeds 0-9: the same
+        # certified sample, an integer tuple of tuples, with the same type
+        for seed in range(10):
+            for n in range(1, ADDIM_SIZE_CAP + 1):
+                for comp in compositions_of(n):
+                    got = _generic_sample(comp, seed)
+                    assert got == reference_generic_sample(comp, seed), comp
+                    assert type(got[0]) is tuple and all(
+                        type(row) is tuple
+                        and {*map(type, row)} <= {int} for row in got[0])
 
     def test_seed_strings_are_stable(self):
         assert trial_seeds(7) == ["7:0", "7:1", "7:2"]
