@@ -37,11 +37,17 @@ ker theta, that is, when Omega times it is a multiple of theta.
 
 Models are integer matrices: the Jordan forms, the nilradical samples
 and the conjugates are built from ints, and every product stays
-integral. Fractions appear only where an entry really is rational: in a
-matrix given to ``matrix_model`` (the tests rescale models by rational
-factors), and then in the forms built from it. The kernel in
-``ratlinalg`` accepts both. Tuples are built from lists, for the reason
-given there.
+integral. They are nilpotent by construction, so the builders make
+``MatrixModel`` records directly: a Jordan form is strictly upper
+triangular, and adj(g) g = det(g) I gives
+(g e adj g)^k = det(g)^(k-1) g e^k adj g. A matrix from a caller is
+checked once, where it enters: ``matrix_model`` refuses it unless it is
+square, within ``ADDIM_SIZE_CAP`` and nilpotent, as decided by
+``jordan_type``, the only nilpotency test here. Fractions appear only
+where an entry really is rational: in such a matrix (the tests rescale
+models by rational factors), and then in the forms built from it. The
+kernel in ``ratlinalg`` accepts both. Tuples are built from lists, for
+the reason given there.
 
 These oracles are deliberately independent of the combinatorial
 formulas they validate: dimensions come from ranks of ad maps, Richardson
@@ -111,15 +117,6 @@ def _vec(m: Matrix) -> tuple:
     return tuple([x for row in m for x in row])
 
 
-def _is_nilpotent(e: Matrix) -> bool:
-    power = e
-    for _ in range(len(e)):
-        if all(x == 0 for row in power for x in row):
-            return True
-        power = mat_mul(power, e)
-    return all(x == 0 for row in power for x in row)
-
-
 @lru_cache(maxsize=None)
 def _supports(n: int) -> tuple[tuple[tuple, ...], ...]:
     """The basis of sl_n by the nonzero entries (i, j, x) of each element:
@@ -150,15 +147,15 @@ class MatrixModel(namedtuple("MatrixModel", "n e")):
 
 
 def matrix_model(e) -> MatrixModel:
-    """Wrap an explicit rational matrix, verifying nilpotency."""
+    """Wrap a rational matrix from a caller: the boundary check (square,
+    within the cap, nilpotent by its Jordan type)."""
     e = _freeze(e)
     n = len(e)
     if any(len(row) != n for row in e):
         raise ContactresError("matrix model requires a square matrix")
     if n > ADDIM_SIZE_CAP:
         raise SizeCapExceeded(f"size {n} exceeds cap {ADDIM_SIZE_CAP}")
-    if not _is_nilpotent(e):
-        raise ContactresError("matrix is not nilpotent")
+    jordan_type(e)
     return MatrixModel(n=n, e=e)
 
 
@@ -172,7 +169,7 @@ def jordan_nilpotent(part) -> MatrixModel:
         for i in range(block - 1):
             rows[offset + i][offset + i + 1] = 1
         offset += block
-    return matrix_model(rows)
+    return MatrixModel(n, tuple([tuple(row) for row in rows]))
 
 
 def _ad_images(e: Matrix, supports) -> list[list]:
@@ -236,7 +233,8 @@ def jordan_type(e: Matrix) -> tuple[int, ...]:
     # ranks[k-1] - ranks[k] counts Jordan blocks of size >= k, i.e. the
     # k-th part of the dual partition; transpose it back.
     dual = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    part = tuple(sum(1 for d in dual if d >= j) for j in range(1, dual[0] + 1))
+    part = tuple(sum(1 for d in dual if d >= j)
+                 for j in range(1, max(dual, default=0) + 1))
     invariant(sum(part) == n, "Jordan type must partition n")
     return part
 
@@ -413,7 +411,7 @@ def generic_jordan_type(comp, seed: int = 0) -> tuple[int, ...]:
 # tuples).
 
 def _contains(big, small) -> bool:
-    return len(row_basis(big + small)) == len(big)
+    return rank(big + small) == len(big)
 
 
 def _grow(bound: list, act) -> None:
@@ -510,4 +508,4 @@ def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
         adj = adjugate(g)
         if adj is not None:
             break
-    return matrix_model(mat_mul(mat_mul(g, m.e), adj))
+    return MatrixModel(n, mat_mul(mat_mul(g, m.e), adj))

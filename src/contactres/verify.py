@@ -25,7 +25,6 @@ from .lie_core import SimpleType, parabolic
 from .orbits import (
     OrbitRecord,
     dual_partition,
-    orbit_dimension,
     orbit_record,
     partitions_of,
     validate_orbit,
@@ -101,7 +100,7 @@ def _suite_contact(seed, max_n):
     rows = []
     for o in _type_a_orbits(max_n, nonzero=True):
         base = oracle_lab.jordan_nilpotent(o.partition)
-        d = orbit_dimension(o)
+        d = orbit_record(o).dim_orbit
         expected = {"kks_rank": d, "theta_kernel_dim": d - 1,
                     "omega_rank_on_kernel": d - 2,
                     "radical_is_euler_line": True}

@@ -19,6 +19,7 @@ from contactres.oracle_lab import (
     FIBER_SIZE_CAP,
     GENERIC_DRAWS,
     ContactCheckResult,
+    MatrixModel,
     _ad_images,
     _generic_sample,
     _kks_form,
@@ -322,9 +323,37 @@ class TestModels:
         with pytest.raises(SizeCapExceeded):
             jordan_nilpotent((9,))
 
-    def test_non_nilpotent_rejected(self):
-        with pytest.raises(ContactresError):
-            matrix_model([[1, 0], [0, -1]])
+    @pytest.mark.parametrize("e, error, message", [
+        ([[0, 1]], ContactresError, "matrix model requires a square matrix"),
+        ([[0] * 9] * 9, SizeCapExceeded, "size 9 exceeds cap 8"),
+        ([[1, 0], [0, -1]], ContactresError, "matrix is not nilpotent"),
+        ([[0, F(1, 2)], [F(3, 2), 0]], ContactresError,
+         "matrix is not nilpotent")])
+    def test_refusals_keep_their_messages(self, e, error, message):
+        with pytest.raises(error) as info:
+            matrix_model(e)
+        assert str(info.value) == message
+
+    def test_empty_matrix(self):
+        # sl_0: the empty partition, and a model with no entries
+        assert jordan_type(()) == ()
+        assert matrix_model([]) == MatrixModel(n=0, e=())
+
+    def test_one_nilpotency_test(self):
+        assert not hasattr(oracle_lab, "_is_nilpotent")
+
+    def test_built_models_skip_the_boundary_check(self, monkeypatch):
+        def refuse(e):
+            raise AssertionError("a built model went through matrix_model")
+
+        monkeypatch.setattr(oracle_lab, "matrix_model", refuse)
+        jordan = jordan_nilpotent((3, 2, 1))
+        conj = random_conjugate(jordan_nilpotent((4,)), 1)
+        assert conj.e == ((90, 129, -12, 51), (-114, -165, 15, -65),
+                          (3, 6, -3, 4), (135, 198, -18, 78))
+        for m, d in [(jordan, 22), (conj, 12)]:
+            assert (addim(m), kks_rank(m)) == (d, d)
+            assert contact_check(m) == (d, d - 1, d - 2, True)
 
     def test_jordan_type_roundtrip(self):
         for part in [(2,), (2, 1), (3, 1), (2, 2), (4, 2, 1)]:

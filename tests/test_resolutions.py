@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -373,6 +374,46 @@ class TestAffineFlag:
             rep = contact_resolution_exists(o)
             assert rep.affine_closure_admits_symplectic_resolution \
                 == reference_affine_flag(o), o
+
+
+class TestDecisionCensus:
+    """How many orbits the decision procedure decides: every nonzero
+    orbit of A1-A8, B2-B8, C2-C8 and D4-D8 (a very-even partition once
+    per tag) and every table orbit. A change that moves a count edits
+    this pin and lists the moved orbits in CHANGES.md."""
+
+    RANKS = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9),
+             "D": range(4, 9)}
+
+    @pytest.mark.parametrize("family, counts", [
+        ("A", {"ContactResolutionsExist": 79, "SmoothAlready": 8}),
+        ("B", {"ContactResolutionsExist": 7, "Unknown": 200,
+               "SmoothAlready": 7}),
+        ("C", {"ContactResolutionsExist": 7, "Unknown": 233,
+               "SmoothAlready": 7}),
+        ("D", {"ContactResolutionsExist": 5, "Unknown": 162,
+               "SmoothAlready": 5})])
+    def test_classical_verdict_counts(self, family, counts):
+        verdicts = Counter(
+            contact_resolution_exists(o).verdict
+            for rank in self.RANKS[family]
+            for o in nonzero_orbits(SimpleType(family, rank)))
+        assert verdicts == counts
+
+    def test_table_verdict_counts(self):
+        verdicts, unknown = Counter(), []
+        for family, rank, key in sorted(exceptional_table()):
+            o = validate_orbit(SimpleType(family, rank), key)
+            try:
+                verdict = contact_resolution_exists(o).verdict
+            except ZeroOrbit:
+                verdict = "ZeroOrbit"
+            verdicts[verdict] += 1
+            if verdict == "Unknown":
+                unknown.append(str(o))
+        assert verdicts == {"ContactResolutionsExist": 5, "SmoothAlready": 6,
+                            "Unknown": 1, "ZeroOrbit": 5}
+        assert unknown == ["G2:dim10"]
 
 
 class TestTrichotomy:
