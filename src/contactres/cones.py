@@ -137,6 +137,7 @@ class RationalCone(namedtuple(
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector of length {len(vector)} in dim {self.ambient_dim}")
+        vector = primitive(vector)  # same facet signs; refuses a float
         return all(dot(h, vector) >= 0 for h in self.facet_normals)
 
 

@@ -85,6 +85,7 @@ from .ratlinalg import (
     pivot_solution,
     primitive,
     rank,
+    rational,
     row_basis,
 )
 
@@ -105,7 +106,7 @@ def _zeros(n) -> list[list[int]]:
 def _exact(x):
     if type(x) is int:
         return x
-    x = Fraction(x)
+    x = rational(x)
     return x.numerator if x.denominator == 1 else x
 
 

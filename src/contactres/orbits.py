@@ -1,8 +1,14 @@
 """Nilpotent orbits: partition labels, validity, dimensions, minimality.
 
 Classical orbits are labeled by partitions subject to the usual
-parity-multiplicity rules; exceptional orbits by opaque keys from the
-curated table shipped in ``data/exceptional_orbits.txt``. Dimension
+parity-multiplicity rule, one predicate read by ``validate_orbit`` and
+by the walk; exceptional orbits by opaque keys from the curated table
+shipped in ``data/exceptional_orbits.txt``. ``orbits_of`` is the one walk
+over a type's orbits: each once, the zero orbit included, a very-even
+type-D partition once per tag (Collingwood and McGovern, ch. 5). The
+minimal orbit is not walked to, since the walk is exponential in the
+rank: ``minimal_orbit_label`` writes it down in closed form in A-D and
+takes the table's orbit of its dimension in E/F/G. Dimension
 formulas for the classical types are the standard closed forms; the type
 A formula is additionally cross-validated against the exact ad-rank
 oracle in the test suite and verification harness, which is the ground
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import os
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .errors import (
@@ -55,13 +61,6 @@ def partitions_of(n: int):
                 yield (first,) + rest
 
     yield from rec(n, n)
-
-
-def _multiplicities(part: Partition) -> dict[int, int]:
-    mult: dict[int, int] = {}
-    for p in part:
-        mult[p] = mult.get(p, 0) + 1
-    return mult
 
 
 # --- orbit labels -------------------------------------------------------------
@@ -100,6 +99,16 @@ def is_very_even(t: SimpleType, part: Partition) -> bool:
     return t.family == "D" and all(p % 2 == 0 for p in part)
 
 
+def _parity_violations(t: SimpleType, part: Partition) -> list[int]:
+    """The parts that break the parity-multiplicity rule: even parts in
+    B and D, odd parts in C, need even multiplicity; A has no rule."""
+    if t.family == "A":
+        return []
+    parity = int(t.family == "C")
+    return [p for p, m in Counter(part).items()
+            if p % 2 == parity and m % 2 == 1]
+
+
 def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> OrbitLabel:
     """Validate and canonicalize an orbit label.
 
@@ -124,14 +133,10 @@ def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> Orbi
     if sum(part) != total:
         raise InvalidPartition(
             f"partition {part} sums to {sum(part)}, type {t} needs {total}")
-    if t.family != "A":
-        # even parts in B/D, odd parts in C, need even multiplicity
-        parity = int(t.family == "C")
-        bad = [p for p, m in _multiplicities(part).items()
-               if p % 2 == parity and m % 2 == 1]
-        if bad:
-            raise InvalidPartition(f"type {t}: {('even', 'odd')[parity]} "
-                                   f"parts {bad} must have even multiplicity")
+    bad = _parity_violations(t, part)
+    if bad:
+        raise InvalidPartition(f"type {t}: {('even', 'odd')[t.family == 'C']} "
+                               f"parts {bad} must have even multiplicity")
     if very_even_tag is not None:
         if very_even_tag not in ("I", "II"):
             raise InvalidPartition(f"very-even tag must be I or II, got "
@@ -141,6 +146,25 @@ def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> Orbi
                 f"{t}:{part} is not very even; no I/II tag applies")
     return OrbitLabel(simple_type=t, partition=part,
                       very_even_tag=very_even_tag)
+
+
+# --- the walk -----------------------------------------------------------------
+
+def orbits_of(t: SimpleType):
+    """Every orbit of ``t`` once: the partitions that keep the parity rule
+    in ``partitions_of`` order, a very-even one as /I then /II, or the
+    table's orbits of an E/F/G type by increasing dimension."""
+    if not t.is_classical:
+        found = [OrbitLabel(simple_type=t, exceptional_key=key)
+                 for f, r, key in exceptional_table()
+                 if (f, r) == (t.family, t.rank)]
+        yield from sorted(found, key=orbit_dimension)
+        return
+    for part in partitions_of(_partition_total(t)):
+        if not _parity_violations(t, part):
+            for tag in ("I", "II") if is_very_even(t, part) else (None,):
+                yield OrbitLabel(simple_type=t, partition=part,
+                                 very_even_tag=tag)
 
 
 # --- dimension formulas -------------------------------------------------------
@@ -172,26 +196,19 @@ def minimal_orbit_dimension(t: SimpleType) -> int:
 
 
 def minimal_orbit_label(t: SimpleType) -> OrbitLabel:
-    """The minimal nonzero nilpotent orbit of a simple type."""
-    fam, n = t.family, t.rank
-    if fam == "A":
-        part = (2,) + (1,) * (n - 1)
-    elif fam == "B":
-        part = (2, 2) + (1,) * (2 * n - 3)
-    elif fam == "C":
-        part = (2,) + (1,) * (2 * n - 2)
-    elif fam == "D":
-        part = (2, 2) + (1,) * (2 * n - 4)
-    else:
-        want = minimal_orbit_dimension(t)
-        for (f, r, key), entry in exceptional_table().items():
-            if (f, r) == (fam, n) and entry.dimension == want:
-                return OrbitLabel(simple_type=t, exceptional_key=key)
-        raise UnknownExceptionalKey(f"no minimal-orbit entry for {t}")
-    label = validate_orbit(t, part)
-    invariant(orbit_dimension(label) == minimal_orbit_dimension(t),
-              "minimal orbit must have dimension 2 h-check - 2")
-    return label
+    """The minimal nonzero orbit: the first of (2, 1, ...) and (2, 2, 1,
+    ...) that keeps the parity rule, or the table's of dim 2 h-check - 2."""
+    if t.is_classical:
+        total = _partition_total(t)
+        part = (2,) + (1,) * (total - 2)
+        if _parity_violations(t, part):
+            part = (2, 2) + (1,) * (total - 4)
+        return OrbitLabel(simple_type=t, partition=part)
+    want = minimal_orbit_dimension(t)
+    for o in orbits_of(t):
+        if orbit_dimension(o) == want:
+            return o
+    raise UnknownExceptionalKey(f"no minimal-orbit entry for {t}")
 
 
 # --- orbit records ------------------------------------------------------------

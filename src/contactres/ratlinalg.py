@@ -50,11 +50,20 @@ from operator import mul
 from .errors import invariant
 
 
+def rational(x) -> Fraction:
+    """``x`` as an exact Fraction. A float is refused with ``TypeError``,
+    as ``report.to_json`` refuses one: its binary value is seldom the
+    number meant (0.1 is 3602879701896397/36028797018963968)."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not exact; give an int or a Fraction")
+    from fractions import Fraction
+    return Fraction(x)
+
+
 def _int_row(row) -> list[int]:
     if {*map(type, row)} == {int}:
         return list(row)
-    from fractions import Fraction
-    fr = [Fraction(x) for x in row]
+    fr = [rational(x) for x in row]
     mult = lcm(*[x.denominator for x in fr])
     return [x.numerator * (mult // x.denominator) for x in fr]
 

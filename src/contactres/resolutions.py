@@ -83,6 +83,7 @@ from .orbits import (
     orbit_record,
     validate_orbit,
 )
+from .ratlinalg import rational
 
 VERDICT_SMOOTH = "SmoothAlready"
 VERDICT_EXISTS = "ContactResolutionsExist"
@@ -223,6 +224,13 @@ def _type_a_polarizations(o: OrbitLabel, dim: int) -> list[Polarization]:
                           for comp in _distinct_orderings(dual)))
 
 
+def _minimal_closure_unresolvable(t) -> bool:
+    """Whether a classical minimal orbit closure admits no symplectic
+    resolution: so outside type A (Fu, Invent. Math. 151, 2003), but not
+    in D3, which is A3 (so_6 = sl_4). The table speaks for E/F/G."""
+    return t.family in "BCD" and (t.family, t.rank) != ("D", 3)
+
+
 def polarizations(o: OrbitLabel) -> list[Polarization]:
     """All polarizations of the orbit closure (its equivalence class).
 
@@ -255,8 +263,7 @@ def polarizations_of(record) -> list[Polarization]:
         raise InvalidPartition(f"{o} is very even and names two orbits, "
                                f"{o}/I and {o}/II; give the tag")
     # classical non-A: only two rank-uniform facts are curated in code
-    if record.is_minimal:
-        # minimal orbits outside type A admit no symplectic resolution
+    if record.is_minimal and _minimal_closure_unresolvable(t):
         return []
     if dim == 2 * t.num_positive_roots:
         # the regular orbit, whose closure is the nilpotent cone, always
@@ -384,8 +391,7 @@ def canonical_degree_on_curve(n_contact: int, l_degree) -> Fraction:
     """
     if n_contact < 0:
         raise ContactresError("contact dimension n must be nonnegative")
-    from fractions import Fraction
-    return Fraction(-(n_contact + 1)) * Fraction(l_degree)
+    return -(n_contact + 1) * rational(l_degree)
 
 
 class ResolutionReport(namedtuple(
@@ -427,7 +433,7 @@ def contact_resolution_exists(o: OrbitLabel) -> ResolutionReport:
     if record.proj_normalization_smooth:
         verdict = VERDICT_SMOOTH
         reason = REASON_MINIMAL if record.is_minimal else REASON_G2DIM8
-        if reason == REASON_MINIMAL and t.family != "A" and not o.is_exceptional:
+        if reason == REASON_MINIMAL and _minimal_closure_unresolvable(t):
             notes.append(NOTE_MINIMAL_NON_A)
     elif polar:
         verdict = VERDICT_EXISTS

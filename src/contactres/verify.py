@@ -22,13 +22,7 @@ from . import oracle_lab
 from .cones import ample_cone, cone_from_generators, dual_cone
 from .errors import UnknownSuite
 from .lie_core import SimpleType, parabolic
-from .orbits import (
-    OrbitRecord,
-    dual_partition,
-    orbit_record,
-    partitions_of,
-    validate_orbit,
-)
+from .orbits import OrbitRecord, dual_partition, orbit_record, orbits_of
 from .resolutions import (
     ResolutionReport,
     composition_richardson_partition,
@@ -79,28 +73,26 @@ def fiber_check(comp, degree, seed: int) -> OracleCheck:
                        degree, count, tuple(oracle_lab.trial_seeds(seed)))
 
 
-def _type_a_orbits(max_n, nonzero=False):
-    for n in range(2, max_n + 1):
-        t = SimpleType("A", n - 1)
-        for part in partitions_of(n):
-            if nonzero and all(p == 1 for p in part):
-                continue
-            yield validate_orbit(t, part)
+def _type_a_records(max_n, nonzero=False):
+    """The records of the walk's orbits of sl_2, ..., sl_max_n, in order."""
+    records = (orbit_record(o) for n in range(2, max_n + 1)
+               for o in orbits_of(SimpleType("A", n - 1)))
+    return [rec for rec in records if not (nonzero and rec.is_zero)]
 
 
 def _suite_ad_rank(seed, max_n):
-    return [ad_rank_check(orbit_record(o)) for o in _type_a_orbits(max_n)]
+    return [ad_rank_check(rec) for rec in _type_a_records(max_n)]
 
 
 def _suite_kks(seed, max_n):
-    return [kks_check(orbit_record(o)) for o in _type_a_orbits(max_n)]
+    return [kks_check(rec) for rec in _type_a_records(max_n)]
 
 
 def _suite_contact(seed, max_n):
     rows = []
-    for o in _type_a_orbits(max_n, nonzero=True):
-        base = oracle_lab.jordan_nilpotent(o.partition)
-        d = orbit_record(o).dim_orbit
+    for rec in _type_a_records(max_n, nonzero=True):
+        base = oracle_lab.jordan_nilpotent(rec.label.partition)
+        d = rec.dim_orbit
         expected = {"kks_rank": d, "theta_kernel_dim": d - 1,
                     "omega_rank_on_kernel": d - 2,
                     "radical_is_euler_line": True}
@@ -116,7 +108,7 @@ def _suite_contact(seed, max_n):
                         "omega_rank_on_kernel": res.omega_rank_on_kernel,
                         "radical_is_euler_line": res.radical_is_euler_line}
             rows.append(OracleCheck(
-                "contact", f"{o} {tag}", expected, observed,
+                "contact", f"{rec.label} {tag}", expected, observed,
                 (seed_string,) if seed_string else ()))
     return rows
 
@@ -134,7 +126,8 @@ def _suite_fibers(seed, max_n):
 
 def _suite_chambers(seed, max_n):
     rows = []
-    for o in _type_a_orbits(max_n, nonzero=True):
+    for rec in _type_a_records(max_n, nonzero=True):
+        o = rec.label
         expected = {"count": distinct_ordering_count(
                         dual_partition(o.partition)),
                     "connected": True, "degree_rule": True}

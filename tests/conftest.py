@@ -33,3 +33,17 @@ def parabolic_from_composition():
         return parabolic(SimpleType("A", sum(comp) - 1),
                          accumulate(comp[:-1]))
     return reference
+
+
+@pytest.fixture
+def type_a_orbits():
+    """max_rank -> the nonzero orbits of A1, ..., A_max_rank, read off
+    the walk ``orbits.orbits_of`` in its order."""
+    from contactres.lie_core import SimpleType
+    from contactres.orbits import orbits_of
+
+    def walk(max_rank):
+        return [o for rank in range(1, max_rank + 1)
+                for o in orbits_of(SimpleType("A", rank))
+                if o.partition[0] > 1]
+    return walk

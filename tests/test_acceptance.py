@@ -20,9 +20,8 @@ from contactres.orbits import (
     dual_partition,
     minimal_orbit_label,
     orbit_dimension,
+    orbits_of,
     parse_orbit,
-    partitions_of,
-    validate_orbit,
 )
 from contactres.resolutions import (
     canonical_degree_on_curve,
@@ -38,23 +37,18 @@ def report(number, description, ok):
     assert ok, f"acceptance criterion {number} failed"
 
 
-def nonzero_partitions(n):
-    return [p for p in partitions_of(n) if p != (1,) * n]
-
-
 def test_criterion_1_dimension_concordance():
     """orbit_dimension == ad-rank oracle for every partition, n <= 6."""
     start = time.monotonic()
     failures = []
     cases = 0
     for n in range(2, 7):
-        t = SimpleType("A", n - 1)
-        for part in partitions_of(n):
+        for o in orbits_of(SimpleType("A", n - 1)):
             cases += 1
-            formula = orbit_dimension(validate_orbit(t, part))
-            oracle = oracle_lab.addim(oracle_lab.jordan_nilpotent(part))
+            formula = orbit_dimension(o)
+            oracle = oracle_lab.addim(oracle_lab.jordan_nilpotent(o.partition))
             if formula != oracle:
-                failures.append((part, formula, oracle))
+                failures.append((o, formula, oracle))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 30.0
     report(1, f"dimension concordance on {cases} partitions "
@@ -79,31 +73,30 @@ def test_criterion_2_richardson_law():
               f"agreement ({elapsed:.1f}s)", ok)
 
 
-def test_criterion_3_contact_nondegeneracy():
+def test_criterion_3_contact_nondegeneracy(type_a_orbits):
     """Linearized contact condition for every nonzero partition of n <= 5
     and 3 random rational conjugates each."""
     failures = []
     cases = 0
-    for n in range(2, 6):
-        for part in nonzero_partitions(n):
-            base = oracle_lab.jordan_nilpotent(part)
-            d = orbit_dimension(validate_orbit(SimpleType("A", n - 1), part))
-            for seed in (101, 102, 103):
-                cases += 1
-                model = oracle_lab.random_conjugate(base, seed)
-                res = oracle_lab.contact_check(model)
-                good = (oracle_lab.kks_rank(model) == d
-                        and res.dim_orbit == d
-                        and res.theta_kernel_dim == d - 1
-                        and res.omega_rank_on_kernel == d - 2
-                        and res.radical_is_euler_line)
-                if not good:
-                    failures.append((part, seed, res))
+    for o in type_a_orbits(4):
+        base = oracle_lab.jordan_nilpotent(o.partition)
+        d = orbit_dimension(o)
+        for seed in (101, 102, 103):
+            cases += 1
+            model = oracle_lab.random_conjugate(base, seed)
+            res = oracle_lab.contact_check(model)
+            good = (oracle_lab.kks_rank(model) == d
+                    and res.dim_orbit == d
+                    and res.theta_kernel_dim == d - 1
+                    and res.omega_rank_on_kernel == d - 2
+                    and res.radical_is_euler_line)
+            if not good:
+                failures.append((o, seed, res))
     report(3, f"contact nondegeneracy on {cases} conjugated models, "
               f"zero failures required", not failures)
 
 
-def test_criterion_4_classification_trichotomy():
+def test_criterion_4_classification_trichotomy(type_a_orbits):
     """SmoothAlready exactly for minimal orbits and G2 dim 8; type A total."""
     ok = True
     minimal_types = [SimpleType("A", 1), SimpleType("A", 2),
@@ -119,41 +112,36 @@ def test_criterion_4_classification_trichotomy():
     rep = contact_resolution_exists(parse_orbit("G2:dim8"))
     ok &= rep.verdict == "SmoothAlready" and rep.reason == "G2dim8"
     count = 0
-    for n in range(2, 8):
-        t = SimpleType("A", n - 1)
-        minimal = minimal_orbit_label(t).partition
-        for part in nonzero_partitions(n):
-            rep = contact_resolution_exists(validate_orbit(t, part))
-            count += 1
-            ok &= rep.verdict != "Unknown"
-            if part == minimal:
-                ok &= rep.verdict == "SmoothAlready"
-            else:
-                ok &= (rep.verdict == "ContactResolutionsExist"
-                       and len(rep.polarizations) > 0)
+    for o in type_a_orbits(6):
+        rep = contact_resolution_exists(o)
+        count += 1
+        ok &= rep.verdict != "Unknown"
+        if o == minimal_orbit_label(o.simple_type):
+            ok &= rep.verdict == "SmoothAlready"
+        else:
+            ok &= (rep.verdict == "ContactResolutionsExist"
+                   and len(rep.polarizations) > 0)
     report(4, f"trichotomy: 10 minimal orbits + G2 dim8 smooth, "
               f"{count} sl_n orbits never Unknown", ok)
 
 
-def test_criterion_5_chamber_counts():
+def test_criterion_5_chamber_counts(type_a_orbits):
     """Chamber count = multinomial of the dual partition, n <= 7, plus
     spot values and wall-graph structure."""
     ok = True
-    for n in range(2, 8):
-        t = SimpleType("A", n - 1)
-        for part in nonzero_partitions(n):
-            cc = movable_chambers(validate_orbit(t, part))
-            dual = dual_partition(part)
-            expected = math.factorial(len(dual))
-            for v in set(dual):
-                expected //= math.factorial(dual.count(v))
-            ok &= cc.chamber_count == expected
-            ok &= cc.is_connected
-            for ch in cc.chambers:
-                comp = ch.composition
-                degree = sum(1 for i in range(len(comp) - 1)
-                             if comp[i] != comp[i + 1])
-                ok &= cc.degree(comp) == degree
+    for o in type_a_orbits(6):
+        cc = movable_chambers(o)
+        dual = dual_partition(o.partition)
+        expected = math.factorial(len(dual))
+        for v in set(dual):
+            expected //= math.factorial(dual.count(v))
+        ok &= cc.chamber_count == expected
+        ok &= cc.is_connected
+        for ch in cc.chambers:
+            comp = ch.composition
+            degree = sum(1 for i in range(len(comp) - 1)
+                         if comp[i] != comp[i + 1])
+            ok &= cc.degree(comp) == degree
     spots = {
         "A3:2,1,1": 2,
         "A3:2,2": 1,

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,7 @@ from contactres.lie_core import (
     parabolic,
     parse_parabolic,
 )
-from contactres.orbits import parse_orbit, partitions_of, validate_orbit
+from contactres.orbits import parse_orbit
 from contactres.ratlinalg import dot, nullspace, primitive, rref
 from contactres.resolutions import movable_chambers
 
@@ -154,6 +155,13 @@ class TestDuality:
         c = cone_from_generators(2, [(1, 0), (1, 2)])
         assert c.contains((1, 1)) and c.contains((0, 0))
         assert not c.contains((0, 1)) and not c.contains((-1, 0))
+        assert c.contains((F(1, 2), F(1, 3))) and not c.contains((F(-1, 9), 1))
+
+    def test_floats_refused(self):
+        with pytest.raises(TypeError, match="float 0.1 is not exact"):
+            cone_from_generators(2, [(0.1, 1), (1, 0)])
+        with pytest.raises(TypeError, match="float 0.5 is not exact"):
+            cone_from_generators(2, [(1, 0), (1, 2)]).contains((0.5, 1))
 
 
 class TestReferencePolarRays:
@@ -413,19 +421,15 @@ class TestChamberComplex:
         for ch in cc.chambers:
             assert cc.degree(ch.composition) == 2
 
-    def test_degree_rule(self):
-        for n in range(2, 7):
-            t = SimpleType("A", n - 1)
-            for part in partitions_of(n):
-                if part == (1,) * n:
-                    continue
-                cc = movable_chambers(validate_orbit(t, part))
-                assert cc.is_connected
-                for ch in cc.chambers:
-                    comp = ch.composition
-                    expected = sum(1 for i in range(len(comp) - 1)
-                                   if comp[i] != comp[i + 1])
-                    assert cc.degree(comp) == expected
+    def test_degree_rule(self, type_a_orbits):
+        for o in type_a_orbits(5):
+            cc = movable_chambers(o)
+            assert cc.is_connected
+            for ch in cc.chambers:
+                comp = ch.composition
+                expected = sum(1 for i in range(len(comp) - 1)
+                               if comp[i] != comp[i + 1])
+                assert cc.degree(comp) == expected
 
     def test_chambers_carry_own_basis_cones(self):
         cc = movable_chambers(parse_orbit("A4:3,1,1"))
@@ -450,15 +454,11 @@ class TestChamberComplex:
 
 
 class TestChamberCounts:
-    def test_counts_match_distinct_orderings(self):
+    def test_counts_match_distinct_orderings(self, type_a_orbits):
         # independent oracle: count orderings of the dual partition directly
         from itertools import permutations
         from contactres.orbits import dual_partition
-        for n in range(2, 8):
-            t = SimpleType("A", n - 1)
-            for part in partitions_of(n):
-                if part == (1,) * n:
-                    continue
-                cc = movable_chambers(validate_orbit(t, part))
-                expected = len(set(permutations(dual_partition(part))))
-                assert cc.chamber_count == expected
+        for o in type_a_orbits(6):
+            cc = movable_chambers(o)
+            expected = len(set(permutations(dual_partition(o.partition))))
+            assert cc.chamber_count == expected

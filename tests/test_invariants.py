@@ -37,6 +37,21 @@ def test_one_serializer():
         assert calls == [], f"{path.name}: json.dumps on lines {calls}"
 
 
+def test_one_orbit_walk():
+    """Orbits are walked by ``orbits.orbits_of``; no other module calls,
+    imports or names ``partitions_of``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "orbits":
+            continue
+        tree = ast.parse(path.read_text())
+        uses = [n.lineno for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and n.id == "partitions_of"
+                or isinstance(n, ast.Attribute) and n.attr == "partitions_of"
+                or isinstance(n, ast.ImportFrom)
+                and any(a.name == "partitions_of" for a in n.names)]
+        assert uses == [], f"{path.name}: partitions_of on lines {uses}"
+
+
 def package_imports() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at any depth in the file
     (function-level imports included). ``__init__`` is left out: it

@@ -328,7 +328,9 @@ class TestModels:
         ([[0] * 9] * 9, SizeCapExceeded, "size 9 exceeds cap 8"),
         ([[1, 0], [0, -1]], ContactresError, "matrix is not nilpotent"),
         ([[0, F(1, 2)], [F(3, 2), 0]], ContactresError,
-         "matrix is not nilpotent")])
+         "matrix is not nilpotent"),
+        ([[0, 0.1], [0, 0]], TypeError,
+         "float 0.1 is not exact; give an int or a Fraction")])
     def test_refusals_keep_their_messages(self, e, error, message):
         with pytest.raises(error) as info:
             matrix_model(e)

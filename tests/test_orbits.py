@@ -18,6 +18,7 @@ from contactres.orbits import (
     minimal_orbit_label,
     orbit_dimension,
     orbit_record,
+    orbits_of,
     parse_orbit,
     partitions_of,
     table_version,
@@ -32,24 +33,41 @@ SMALL_CLASSICAL = [
 ]
 
 
-def orbits_of(t):
+def reference_orbits(t):
+    """Reference path for ``orbits_of``, by brute force: each partition
+    that ``validate_orbit`` accepts, a very-even one once per tag, and the
+    table's orbits of ``t`` sorted by dimension."""
+    if not t.is_classical:
+        found = [validate_orbit(t, key) for f, r, key in exceptional_table()
+                 if (f, r) == (t.family, t.rank)]
+        return sorted(found, key=orbit_dimension)
     total = {"A": t.rank + 1, "B": 2 * t.rank + 1,
              "C": 2 * t.rank, "D": 2 * t.rank}[t.family]
+    found = []
     for part in partitions_of(total):
         try:
-            yield validate_orbit(t, part)
+            validate_orbit(t, part)
         except InvalidPartition:
             continue
+        for tag in ("I", "II") if is_very_even(t, part) else (None,):
+            found.append(validate_orbit(t, part, very_even_tag=tag))
+    return found
 
 
-def tagged_orbits_of(t):
-    """Every orbit of a classical type, a very-even partition once per tag."""
-    for o in orbits_of(t):
-        if is_very_even(t, o.partition):
-            for tag in ("I", "II"):
-                yield validate_orbit(t, o.partition, very_even_tag=tag)
-        else:
-            yield o
+def reference_minimal_label(t):
+    """Reference path for ``minimal_orbit_label``, the partitions the
+    package listed per family before it read them off the parity rule,
+    and its scan of the table for E/F/G."""
+    n = t.rank
+    if t.is_classical:
+        return validate_orbit(t, {
+            "A": (2,) + (1,) * (n - 1), "B": (2, 2) + (1,) * (2 * n - 3),
+            "C": (2,) + (1,) * (2 * n - 2),
+            "D": (2, 2) + (1,) * (2 * n - 4)}[t.family])
+    [key] = [key for (f, r, key), entry in exceptional_table().items()
+             if (f, r) == (t.family, n)
+             and entry.dimension == minimal_orbit_dimension(t)]
+    return validate_orbit(t, key)
 
 
 def reference_regular_label(t):
@@ -78,6 +96,7 @@ def dimension_by_dual_partition(o):
 CLASSICAL_UP_TO_RANK_8 = [
     SimpleType(f, n) for f, low in [("A", 1), ("B", 2), ("C", 2), ("D", 3)]
     for n in range(low, 9)]
+TABLE_TYPES = sorted({SimpleType(f, r) for f, r, _ in exceptional_table()})
 
 
 def is_minimal(o):
@@ -151,11 +170,10 @@ class TestDimension:
         assert orbit_dimension(parse_orbit("A3:2,2")) == 8
 
     def test_type_a_matches_oracle_exhaustively(self):
-        for n in range(2, 6):
-            t = SimpleType("A", n - 1)
-            for part in partitions_of(n):
-                o = validate_orbit(t, part)
-                assert orbit_dimension(o) == addim(jordan_nilpotent(part)), \
+        for rank in range(1, 5):
+            for o in orbits_of(SimpleType("A", rank)):
+                assert orbit_dimension(o) == \
+                    addim(jordan_nilpotent(o.partition)), \
                     f"dimension formula disagrees with oracle at {o}"
 
     def test_dimension_always_even(self):
@@ -173,13 +191,13 @@ class TestDimension:
 
     @pytest.mark.parametrize("t", CLASSICAL_UP_TO_RANK_8, ids=str)
     def test_matches_dual_partition_formula(self, t):
-        for o in tagged_orbits_of(t):
+        for o in orbits_of(t):
             assert orbit_dimension(o) == dimension_by_dual_partition(o), o
 
     @pytest.mark.parametrize("t", CLASSICAL_UP_TO_RANK_8, ids=str)
     def test_regular_is_the_one_orbit_of_its_dimension(self, t):
         # 2 |positive roots| = dim g - rank, the nilpotent cone's dimension
-        regular = [o for o in tagged_orbits_of(t)
+        regular = [o for o in orbits_of(t)
                    if orbit_dimension(o) == 2 * t.num_positive_roots]
         assert regular == [reference_regular_label(t)]
 
@@ -236,6 +254,35 @@ class TestMinimalOrbits:
             assert minimal[0] == minimal_orbit_label(t)
 
 
+class TestWalk:
+    @pytest.mark.parametrize("t", CLASSICAL_UP_TO_RANK_8 + TABLE_TYPES,
+                             ids=str)
+    def test_walk_is_the_brute_force_reference(self, t):
+        assert list(orbits_of(t)) == reference_orbits(t)
+
+    def test_walk_validates_no_label(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk validated a label")
+        monkeypatch.setattr(orbits, "validate_orbit", refuse)
+        assert len(list(orbits_of(SimpleType("D", 6)))) == 31
+
+    @pytest.mark.parametrize("t", CLASSICAL_UP_TO_RANK_8 + TABLE_TYPES,
+                             ids=str)
+    def test_minimal_label_is_unchanged(self, t):
+        assert minimal_orbit_label(t) == reference_minimal_label(t)
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_minimal_label_is_closed_form_at_high_rank(self, family,
+                                                       monkeypatch):
+        def refuse(n):
+            raise AssertionError("the minimal orbit was found by walking")
+        monkeypatch.setattr(orbits, "partitions_of", refuse)
+        t = SimpleType(family, 100_000)
+        o = minimal_orbit_label(t)
+        assert o.partition[:2] == ((2, 1) if family in "AC" else (2, 2))
+        assert orbit_dimension(o) == minimal_orbit_dimension(t)
+
+
 class TestOrbitRecord:
     def test_contact_n(self):
         rec = orbit_record(parse_orbit("A3:2,2"))
@@ -257,17 +304,13 @@ class TestOrbitRecord:
         # the record's zero flag (dimension 0) against the reference path
         types = ([SimpleType("A", n) for n in range(1, 8)]
                  + [SimpleType(f, n) for f in "BC" for n in range(2, 5)]
-                 + [SimpleType("D", 4), SimpleType("D", 5)])
-        labels = [o for t in types for o in orbits_of(t)]
-        labels += [validate_orbit(SimpleType(f, r), key)
-                   for f, r, key in exceptional_table()]
+                 + [SimpleType("D", 4), SimpleType("D", 5)] + TABLE_TYPES)
         zeros = 0
-        for o in labels:
+        for o in (o for t in types for o in orbits_of(t)):
             assert orbit_record(o).is_zero == zero_by_parts(o), o
             zeros += zero_by_parts(o)
         # one zero orbit per type, and the table lists each type's zero orbit
-        assert zeros == len(types) + len(
-            {(f, r) for f, r, _ in exceptional_table()})
+        assert zeros == len(types)
 
     def test_smooth_projectivisation_cases_are_exactly_the_two(self):
         # exhaustive over the listed families plus all G2 orbits
@@ -284,8 +327,8 @@ class TestOrbitRecord:
 class TestExceptionalTable:
     def test_version_and_g2_completeness(self):
         assert table_version() == "1"
-        keys = {k for (f, r, k) in exceptional_table() if (f, r) == ("G", 2)}
-        assert keys == {"dim0", "dim6", "dim8", "dim10", "dim12"}
+        keys = [o.exceptional_key for o in orbits_of(SimpleType("G", 2))]
+        assert keys == ["dim0", "dim6", "dim8", "dim10", "dim12"]
 
     def test_every_entry_has_provenance(self):
         for entry in exceptional_table().values():

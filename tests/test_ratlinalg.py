@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactres import ratlinalg
 from contactres.ratlinalg import (
     _eliminate,
     _int_row,
@@ -433,6 +434,15 @@ class TestPrimitive:
         assert primitive((F(1, 2), F(1, 3))) == (3, 2)
         assert primitive((-2, 4)) == (-1, 2)
         assert primitive((0, 0)) == (0, 0)
+
+    def test_float_refused(self, monkeypatch):
+        with pytest.raises(TypeError, match="float 0.5 is not exact"):
+            primitive((0.5, 1))
+        with pytest.raises(TypeError, match="float 0.1 is not exact"):
+            rank([[0.1, 1], [1, 0]])
+        # an all-int row takes the fast path and reads no entry
+        monkeypatch.setattr(ratlinalg, "rational", None)
+        assert _int_row((3, -1)) == [3, -1]
 
     @given(st.lists(small_entries, min_size=1, max_size=5),
            st.integers(min_value=1, max_value=7))

@@ -10,7 +10,6 @@ from contactres import lie_core, resolutions
 from contactres.cones import ample_cone
 from contactres.errors import (
     EmptyMarking,
-    InvalidPartition,
     SizeCapExceeded,
     UnknownClassification,
     UnsupportedType,
@@ -27,11 +26,10 @@ from contactres.orbits import (
     dual_partition,
     exceptional_entry,
     exceptional_table,
-    is_very_even,
     minimal_orbit_label,
     orbit_dimension,
+    orbits_of,
     parse_orbit,
-    partitions_of,
     validate_orbit,
 )
 from contactres.report import resolution_report_dict
@@ -46,6 +44,11 @@ from contactres.resolutions import (
     polarizations,
     richardson_partition,
 )
+
+
+def nonzero_orbits(t):
+    """The walk's classical orbits but the zero orbit, whose parts are 1."""
+    return (o for o in orbits_of(t) if o.partition[0] > 1)
 
 
 def multinomial_of_dual(part):
@@ -104,58 +107,40 @@ class TestPolarizations:
             == [(2, 2)]
         assert len(polarizations(parse_orbit("A5:3,2,1"))) == 6
 
-    def test_count_is_multinomial_of_dual(self):
-        for n in range(2, 8):
-            t = SimpleType("A", n - 1)
-            for part in partitions_of(n):
-                if part == (1,) * n:
-                    continue
-                o = validate_orbit(t, part)
-                assert len(polarizations(o)) == multinomial_of_dual(part)
-                assert resolutions.distinct_ordering_count(
-                    dual_partition(part)) == multinomial_of_dual(part)
+    def test_count_is_multinomial_of_dual(self, type_a_orbits):
+        for o in type_a_orbits(6):
+            part = o.partition
+            assert len(polarizations(o)) == multinomial_of_dual(part)
+            assert resolutions.distinct_ordering_count(
+                dual_partition(part)) == multinomial_of_dual(part)
 
-    def test_dimension_match_invariant(self):
-        for n in range(2, 7):
-            t = SimpleType("A", n - 1)
-            for part in partitions_of(n):
-                if part == (1,) * n:
-                    continue
-                o = validate_orbit(t, part)
-                for q in polarizations(o):
-                    assert orbit_dimension(o) == 2 * flag_dimension(q.parabolic)
-                    assert q.flag_dimension == flag_dimension(q.parabolic)
+    def test_dimension_match_invariant(self, type_a_orbits):
+        for o in type_a_orbits(5):
+            for q in polarizations(o):
+                assert orbit_dimension(o) == 2 * flag_dimension(q.parabolic)
+                assert q.flag_dimension == flag_dimension(q.parabolic)
 
     def test_sorted_lexicographically(self):
         comps = [q.composition for q in polarizations(parse_orbit("A5:3,2,1"))]
         assert comps == sorted(comps)
 
-    def test_distinct_orderings_match_permutation_set(self, monkeypatch):
+    def test_distinct_orderings_match_permutation_set(self, monkeypatch,
+                                                      type_a_orbits):
         # the enumeration must never walk all n! permutations
         def refuse(*args):
             raise AssertionError("factorial enumeration used")
         monkeypatch.setattr(resolutions, "permutations", refuse)
-        for n in range(2, 9):
-            t = SimpleType("A", n - 1)
-            for part in partitions_of(n):
-                if part == (1,) * n:
-                    continue
-                o = validate_orbit(t, part)
-                expected = sorted(set(permutations(dual_partition(part))))
-                assert [q.composition for q in polarizations(o)] == expected
+        for o in type_a_orbits(7):
+            expected = sorted(set(permutations(dual_partition(o.partition))))
+            assert [q.composition for q in polarizations(o)] == expected
 
-    def test_parabolics_are_cut_from_orderings(self,
+    def test_parabolics_are_cut_from_orderings(self, type_a_orbits,
                                                parabolic_from_composition):
         # markings cut without re-validation equal the validated recipe's
-        for n in range(2, 9):
-            t = SimpleType("A", n - 1)
-            for part in partitions_of(n):
-                if part == (1,) * n:
-                    continue
-                orderings = sorted(set(permutations(dual_partition(part))))
-                assert [q.parabolic
-                        for q in polarizations(validate_orbit(t, part))] \
-                    == [parabolic_from_composition(c) for c in orderings]
+        for o in type_a_orbits(7):
+            orderings = sorted(set(permutations(dual_partition(o.partition))))
+            assert [q.parabolic for q in polarizations(o)] \
+                == [parabolic_from_composition(c) for c in orderings]
 
     def test_regular_rank_eleven_has_one_polarization(self):
         pols = polarizations(parse_orbit("A11:12"))
@@ -339,21 +324,6 @@ def reference_affine_flag(o):
         return None
 
 
-def nonzero_orbits(t):
-    total = {"A": t.rank + 1, "B": 2 * t.rank + 1,
-             "C": 2 * t.rank, "D": 2 * t.rank}[t.family]
-    for part in partitions_of(total):
-        if all(p == 1 for p in part):
-            continue
-        try:
-            validate_orbit(t, part)
-        except InvalidPartition:
-            continue
-        tags = ("I", "II") if is_very_even(t, part) else (None,)
-        for tag in tags:
-            yield validate_orbit(t, part, very_even_tag=tag)
-
-
 class TestAffineFlag:
     TYPES = ([SimpleType("A", n) for n in range(1, 7)]
              + [SimpleType(f, n) for f in "BC" for n in range(2, 5)]
@@ -367,10 +337,10 @@ class TestAffineFlag:
                 == reference_affine_flag(o), o
 
     def test_table_entries_against_reference(self):
-        for (family, rank, key), entry in sorted(exceptional_table().items()):
-            if entry.dimension == 0:
+        types = sorted({SimpleType(f, r) for f, r, _ in exceptional_table()})
+        for o in (o for t in types for o in orbits_of(t)):
+            if orbit_dimension(o) == 0:
                 continue
-            o = validate_orbit(SimpleType(family, rank), key)
             rep = contact_resolution_exists(o)
             assert rep.affine_closure_admits_symplectic_resolution \
                 == reference_affine_flag(o), o
@@ -442,6 +412,17 @@ class TestTrichotomy:
         assert NOTE_MINIMAL_NON_A in r.notes
         assert r.polarizations == ()
 
+    def test_d3_minimal_has_no_false_no(self):
+        # so_6 = sl_4 and D3:2,2,1,1 is A3:2,1,1, whose closure has two
+        # polarizations: the non-A minimal rule leaves D3 out
+        o = parse_orbit("D3:2,2,1,1")
+        with pytest.raises(UnknownClassification):
+            polarizations(o)
+        r = contact_resolution_exists(o)
+        assert r.verdict == "SmoothAlready" and r.reason == "Minimal"
+        assert r.affine_closure_admits_symplectic_resolution is None
+        assert r.notes == ()
+
     def test_unknown_is_a_verdict_not_an_error(self):
         r = contact_resolution_exists(parse_orbit("G2:dim10"))
         assert r.verdict == "Unknown" and r.reason == "Indeterminate"
@@ -454,16 +435,12 @@ class TestTrichotomy:
         r = contact_resolution_exists(parse_orbit("B3:3,3,1"))
         assert r.verdict == "Unknown"
 
-    def test_type_a_totality(self):
-        for n in range(2, 8):
-            t = SimpleType("A", n - 1)
-            for part in partitions_of(n):
-                if part == (1,) * n:
-                    continue
-                r = contact_resolution_exists(validate_orbit(t, part))
-                assert r.verdict != "Unknown"
-                assert r.resolution_exists
-                assert r.polarizations
+    def test_type_a_totality(self, type_a_orbits):
+        for o in type_a_orbits(6):
+            r = contact_resolution_exists(o)
+            assert r.verdict != "Unknown"
+            assert r.resolution_exists
+            assert r.polarizations
 
     def test_zero_orbit(self):
         with pytest.raises(ZeroOrbit):
@@ -502,6 +479,10 @@ class TestCanonicalDegree:
     def test_exact_rationals(self):
         assert canonical_degree_on_curve(1, Fraction(1, 2)) == -1
         assert canonical_degree_on_curve(4, Fraction(-2, 5)) == Fraction(2)
+
+    def test_float_refused(self):
+        with pytest.raises(TypeError, match="float 0.1 is not exact"):
+            canonical_degree_on_curve(2, 0.1)
 
     def test_exceptional_classes_always_zero(self):
         for n in range(0, 9):

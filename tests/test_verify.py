@@ -4,7 +4,7 @@ from contactres import verify
 from contactres.cones import RationalCone, cone_from_generators
 from contactres.errors import UnknownSuite
 from contactres.lie_core import SimpleType
-from contactres.orbits import parse_orbit, partitions_of, validate_orbit
+from contactres.orbits import orbits_of, parse_orbit
 from contactres.resolutions import (
     compositions_of,
     contact_resolution_exists,
@@ -83,19 +83,18 @@ def test_unknown_suite():
     (6, {"ad-rank", "richardson-jordan-type"}),
 ])
 def test_oracle_block_agrees(n, names):
-    t = SimpleType("A", n - 1)
-    for part in partitions_of(n):
-        if part == (1,) * n:
+    for o in orbits_of(SimpleType("A", n - 1)):
+        if o.partition[0] == 1:
             continue
-        report = contact_resolution_exists(validate_orbit(t, part))
+        report = contact_resolution_exists(o)
         rows = verify.oracle_block(report, 5)
-        assert rows and all(r.agrees for r in rows), part
-        assert {r.oracle for r in rows} == names, part
+        assert rows and all(r.agrees for r in rows), o
+        assert {r.oracle for r in rows} == names, o
         # an orbit-level oracle gives one row, the others one per
         # polarization
         per_pol = len(names & PER_POLARIZATION)
         assert len(rows) == len(names) - per_pol \
-            + per_pol * len(report.polarizations), part
+            + per_pol * len(report.polarizations), o
 
 
 def test_oracle_block_bounds():
