@@ -41,6 +41,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
+from operator import index
 
 from .errors import (
     DimensionMismatch,
@@ -233,7 +234,8 @@ class ParabolicType(namedtuple("ParabolicType", "simple_type marked")):
 
     def __new__(cls, simple_type: SimpleType, marked):
         n = simple_type.rank
-        cleaned = tuple(sorted(set(marked)))
+        # a mark that is not an int, a float say, raises TypeError
+        cleaned = tuple(sorted(set(map(index, marked))))
         if cleaned and (cleaned[0] < 1 or cleaned[-1] > n):
             raise DimensionMismatch(f"marked roots {marked} outside 1..{n}")
         return super().__new__(cls, simple_type, cleaned)

@@ -20,20 +20,36 @@ the trace form against a basis is a gather of entries of X, and only
 the H_i add a second term. The forms restricted to a subspace are read
 off the supports of its spanning vectors the same way.
 
-``contact_check`` runs two echelon eliminations and no reduced one.
-The first, of [ad_e | vec(e)], gives a tangent basis (the pivots) and,
-by integer back-substitution, D times the Euler coordinates, with D
-the leading minor on the pivots: a matrix Y in their span with
-[e, Y] = D e. Y is also the witness that theta is well defined:
-D tr(e b) = -tr(Y [e, b]) for every basis element b puts theta in the
-row space of ad_e, so it vanishes on the centralizer. The second is the
-rank of omega on ker theta, read off the Gram matrix Omega of the
-tangent basis bordered by theta: by congruence,
+``contact_check`` runs three echelon eliminations and no reduced one.
+The first is small: the chain of e. With m the nilpotency index and j
+the first column that e^(m-1) does not kill, the vectors e^k e_j,
+k < m, are independent, so the (m-1) x (n-1) matrix of their
+coordinates (e^k)_(s,j), k >= 1 and s != j, has m - 1 pivots s_i;
+set s_0 = j. Two exact identities then make part of [ad_e | vec(e)]
+redundant before it is eliminated. tr(e^k [e, X]) = 0 and
+tr(e^(k+1)) = 0 are m relations among its rows, nonsingular on the
+rows (j, s_i), and [e, e^k] = 0 puts m - 1 vectors in the kernel of
+ad_e, nonsingular on the columns E_(s_i, j). The second elimination,
+of [ad_e | vec(e)] without those rows and columns, (n^2 - m) square
+plus the right-hand side (nonsingular for the regular orbit), gives a
+tangent basis (the pivots) and, by integer back-substitution, D times
+the Euler coordinates, with D the leading minor on the pivots: a
+matrix Y in their span with [e, Y] = D e. Nothing returned moves:
+dropping rows keeps the row space, so the pivots and the solution
+stay and only D changes; dropping columns keeps the column space, so
+the tangent basis may change, but the dimension, the ranks and the
+Euler line do not depend on it. Every check runs on the full system:
+[e, Y] = D e on all n^2 entries, and Y is the witness that theta is
+well defined: D tr(e b) = -tr(Y [e, b]) for every basis element b puts
+theta in the row space of ad_e, so it vanishes on the centralizer. The
+third elimination is the rank of omega on ker theta, read off the Gram
+matrix Omega of the tangent basis bordered by theta: by congruence,
 rank [[Omega, theta^T], [theta, 0]] = rank(omega on ker theta) + 2,
-theta being nonzero because e is. The radical is needed only to ask whether it is the
-Euler line: when the rank is k - 1, it is that line exactly when the
-Euler vector is nonzero and omega pairs it to zero with all of
-ker theta, that is, when Omega times it is a multiple of theta.
+theta being nonzero because e is. The radical is needed only to ask
+whether it is the Euler line: when the rank is k - 1, it is that line
+exactly when the Euler vector is nonzero and omega pairs it to zero
+with all of ker theta, that is, when Omega times it is a multiple of
+theta.
 
 Models are integer matrices: the Jordan forms, the nilradical samples
 and the conjugates are built from ints, and every product stays
@@ -65,6 +81,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .errors import (
     ContactresError,
@@ -128,8 +145,8 @@ def _supports(n: int) -> tuple[tuple[tuple, ...], ...]:
 
 def _positive_parts(parts, kind: str, cap: int) -> tuple[int, ...]:
     """A partition or composition (``kind``) of at most ``cap``: one part
-    at least, every part > 0."""
-    parts = tuple([int(p) for p in parts])
+    at least, every part an int > 0 (a float raises ``TypeError``)."""
+    parts = tuple([index(p) for p in parts])
     if not parts or min(parts) < 1:
         raise InvalidPartition(f"need one part at least, all > 0: {parts}")
     if sum(parts) > cap:
@@ -255,6 +272,38 @@ def _kks_form(m: MatrixModel) -> list[list]:
     return _traces(_ad_images(m.e, supports), supports, m.n)
 
 
+def _reduced_system(e: Matrix, images, vec_e) -> tuple[list, list, list]:
+    """[ad_e | vec(e)] less the rows (j, s_i) and the columns E_(s_i, j),
+    i >= 1, that the chain of e makes redundant (see the module
+    docstring): ``(rows, rhs, cols)``, with ``cols`` the basis indices of
+    the columns kept. The row space, the column space and the rank are
+    those of the full system."""
+    n = len(e)
+    powers = [e]  # e, ..., e^(m-1)
+    for _ in range(n):
+        nxt = mat_mul(powers[-1], e)
+        if not any(map(any, nxt)):
+            break
+        powers.append(nxt)
+    last = powers[-1]
+    j = next(c for c in range(n) if any([row[c] for row in last]))
+    others = [s for s in range(n) if s != j]
+    echelon = echelon_basis([[pk[s][j] for s in others] for pk in powers])
+    invariant(len(echelon) == len(powers), "e^k e_j, k < m, are independent")
+    # the pivots s_i: an echelon row's pivot is its first nonzero entry
+    chain = [others[next(c for c, x in enumerate(row) if x)]
+             for row in echelon]
+    drop_rows = {j * n + s for s in [j] + chain}
+    drop_cols = {s * (n - 1) + j - (j > s) for s in chain}  # E_sj
+    cols = [c for c in range(len(images)) if c not in drop_cols]
+    rows, rhs = [], []
+    for q, row in enumerate(zip(*[images[c] for c in cols])):
+        if q not in drop_rows:
+            rows.append(row)
+            rhs.append(vec_e[q])
+    return rows, rhs, cols
+
+
 class ContactCheckResult(namedtuple(
         "ContactCheckResult", "dim_orbit theta_kernel_dim "
         "omega_rank_on_kernel radical_is_euler_line")):
@@ -286,23 +335,25 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     supports = _supports(n)
     images = _ad_images(m.e, supports)
     vec_e = _vec(m.e)
-    # one echelon elimination of [ad_e | vec(e)]: its pivots index a
-    # tangent basis, and back-substitution gives y = minor times the Euler
-    # coordinates, so Y = sum y_i b_{p_i} has [e, Y] = minor * e
-    ad_rows = list(zip(*images))
-    found = pivot_solution(ad_rows, vec_e)
+    # one echelon elimination of [ad_e | vec(e)], less the rows and columns
+    # the powers of e make redundant: its pivots index a tangent basis, and
+    # back-substitution gives y = minor times the Euler coordinates, so
+    # Y = sum y_i b_{p_i} has [e, Y] = minor * e
+    rows, rhs, cols = _reduced_system(m.e, images, vec_e)
+    found = pivot_solution(rows, rhs)
     invariant(found is not None, "e must lie in the image of ad_e")
     pivots, minor, y = found
+    pivots = [cols[p] for p in pivots]
     d = len(pivots)
-    coords = [0] * len(images)
+    pivot_images = [images[p] for p in pivots]
+    # [e, Y] = minor * e on all n^2 entries, the dropped rows included
+    invariant(mat_vec(zip(*pivot_images), y)
+              == tuple([minor * x for x in vec_e]),
+              "e must lie in the image of ad_e")
     y_t = [0] * (n * n)  # vec of Y^T, so that tr(Y X) = dot(y_t, vec(X))
     for p, yp in zip(pivots, y):
-        coords[p] = yp
         for i, j, x in supports[p]:
             y_t[j * n + i] += yp * x
-    invariant([dot(row, coords) for row in ad_rows]
-              == [minor * x for x in vec_e],
-              "e must lie in the image of ad_e")
 
     # theta on the whole basis, tr(e b_j); well-definedness: it vanishes
     # on the centralizer, since tr([e, Y] b) = -tr(Y [e, b]) puts it in
@@ -322,8 +373,7 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     # omega(f_a, f_b) = f_a^T omega_P f_b, with omega_P the Gram matrix
     # tr([e, P_i] P_j) of the tangent preimages; bordering it by theta
     # adds 2 to the rank of omega on ker theta
-    omega_p = _traces([images[p] for p in pivots],
-                      [supports[p] for p in pivots], n)
+    omega_p = _traces(pivot_images, [supports[p] for p in pivots], n)
     omega_rank = rank([row + [t] for row, t in zip(omega_p, theta)]
                       + [theta + [0]]) - 2
 
@@ -351,7 +401,7 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
 def nilradical_positions(comp) -> list[tuple[int, int]]:
     """Matrix positions of the block strictly-upper nilradical for block
     sizes ``comp``."""
-    comp = tuple(int(c) for c in comp)
+    comp = tuple([index(c) for c in comp])  # TypeError on a float
     block = []
     for b, size in enumerate(comp):
         block += [b] * size

@@ -28,6 +28,7 @@ import os
 import re
 from collections import Counter, namedtuple
 from functools import lru_cache
+from operator import index
 
 from .errors import (
     InvalidPartition,
@@ -126,7 +127,8 @@ def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> Orbi
 
     if not t.is_classical:
         raise InvalidPartition(f"exceptional type {t} takes a table key")
-    part = tuple(sorted((int(p) for p in raw), reverse=True))
+    # a part that is not an int, a float say, raises TypeError
+    part = tuple(sorted(map(index, raw), reverse=True))
     if not part or any(p <= 0 for p in part):
         raise InvalidPartition(f"parts must be positive integers: {raw}")
     total = _partition_total(t)

@@ -449,6 +449,12 @@ class TestParabolicValue:
         assert p != parabolic(SimpleType("B", 3), (1, 3))
         assert p.root_system is build_root_system(t)
 
+    @pytest.mark.parametrize("marked", [(1.5,), (1, 2.0), (Fraction(1),)])
+    def test_a_mark_that_is_not_an_int_is_refused(self, marked):
+        # 1.5 used to print as A3:{1.5}, and 2.0 as a second copy of 2
+        with pytest.raises(TypeError):
+            parabolic(SimpleType("A", 3), marked)
+
 
 class TestGrammar:
     def test_round_trip(self):

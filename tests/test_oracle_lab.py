@@ -23,6 +23,7 @@ from contactres.oracle_lab import (
     _ad_images,
     _generic_sample,
     _kks_form,
+    _reduced_system,
     _supports,
     _traces,
     _vec,
@@ -296,6 +297,24 @@ def nonzero_partitions(n):
     return [p for p in partitions_of(n) if p != (1,) * n]
 
 
+def models_of(part):
+    """The Jordan model of ``part``, its conjugates at seeds 0-4, and the
+    Jordan model and seed-0 conjugate rescaled by a rational factor."""
+    base = jordan_nilpotent(part)
+    yield from (base, scale_model(base, F(3, 7)))
+    for seed in range(5):
+        conj = random_conjugate(base, seed)
+        yield conj
+        if seed == 0:
+            yield scale_model(conj, F(-5, 2))
+
+
+# every nonzero orbit of sl_n, n <= 6, by its partition
+each_orbit_to_six = pytest.mark.parametrize(
+    "part", [part for n in range(2, 7) for part in nonzero_partitions(n)],
+    ids=lambda part: ",".join(map(str, part)))
+
+
 class TestModels:
     def test_jordan_shapes(self):
         m = jordan_nilpotent((2,))
@@ -365,13 +384,8 @@ class TestModels:
 class TestTraceGather:
     @staticmethod
     def models(n):
-        """Each Jordan model of n and a conjugate, as integers and rescaled
-        by a rational factor."""
         for part in partitions_of(n):
-            base = jordan_nilpotent(part)
-            conj = random_conjugate(base, 0)
-            yield from (base, conj, scale_model(base, F(3, 7)),
-                        scale_model(conj, F(-5, 2)))
+            yield from models_of(part)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_gather_matches_the_sum_over_each_support(self, n):
@@ -519,13 +533,37 @@ class TestContactCheck:
                     assert res.is_contact
 
     def test_one_elimination_per_matrix(self, eliminations):
-        # [ad_e | vec(e)], whose back-substitution gives the Euler vector,
-        # and omega_P bordered by theta; both in echelon mode, and omega
-        # pairs the Euler vector with ker theta by products alone
+        # the chain coordinates (e^k)_(s,j), k = 1, 2 and s != j; then
+        # [ad_e | vec(e)] less the m = 3 rows and m - 1 = 2 columns they make
+        # redundant, whose back-substitution gives the Euler vector; then
+        # omega_P (dim O = 16) bordered by theta. All in echelon mode, and
+        # omega pairs the Euler vector with ker theta by products alone
         model = random_conjugate(jordan_nilpotent((3, 2)), 5)
         eliminations.clear()
         assert contact_check(model).is_contact
-        assert [call["reduce"] for call in eliminations] == [False, False]
+        assert [(len(call["rows"]), len(call["rows"][0]), call["reduce"])
+                for call in eliminations] == [
+            (2, 4, False), (25 - 3, 24 - 2 + 1, False), (17, 17, False)]
+
+    @each_orbit_to_six
+    def test_reduced_system_keeps_the_rank(self, part):
+        # m rows and m - 1 columns go, m the largest part (the nilpotency
+        # index), and [ad_e | vec(e)] keeps its rank; for the regular orbit
+        # what is left is square and nonsingular
+        n, m = sum(part), part[0]
+        for model in models_of(part):
+            images = _ad_images(model.e, _supports(n))
+            vec_e = _vec(model.e)
+            rows, rhs, cols = _reduced_system(model.e, images, vec_e)
+            assert len(rows) == len(rhs) == n * n - m == len(cols)
+            assert all(len(row) == len(cols) for row in rows)
+            full = rank([list(row) + [x]
+                         for row, x in zip(zip(*images), vec_e)])
+            assert rank([list(row) + [x] for row, x in zip(rows, rhs)]) \
+                == full == orbit_dimension(
+                    validate_orbit(SimpleType("A", n - 1), part))
+            if part == (n,):
+                assert rank(rows) == n * n - n
 
     @pytest.mark.parametrize("model", [
         jordan_nilpotent((2, 1)), jordan_nilpotent((3,)),
@@ -659,6 +697,11 @@ class TestAgainstDenseReference:
         assert _kks_form(model) == reference_kks_form(model)
         assert contact_check(model) == reference_contact_check(model)
 
+    @each_orbit_to_six
+    def test_contact_check_matches_on_every_partition_to_six(self, part):
+        for model in models_of(part):
+            assert contact_check(model) == reference_contact_check(model)
+
 
 class TestOracleCap:
     @pytest.mark.parametrize("part", [(8,), (4, 4), (2, 2, 2, 2)])
@@ -685,6 +728,18 @@ class TestOracleCap:
 ], ids=lambda x: getattr(x, "__name__", None) or repr(x))
 def test_malformed_parts_rejected(oracle, parts):
     with pytest.raises(InvalidPartition):
+        oracle(parts)
+
+
+@pytest.mark.parametrize("oracle, parts", [
+    (jordan_nilpotent, (2.5, 1)),
+    (generic_jordan_type, (2.9, 1)),
+    (generic_fiber_count, (1.5, 1)),
+    (nilradical_positions, (1.5, 1)),
+], ids=lambda x: getattr(x, "__name__", None) or repr(x))
+def test_float_parts_refused(oracle, parts):
+    # int() truncated them: (2.5, 1) was the (2, 1) model
+    with pytest.raises(TypeError):
         oracle(parts)
 
 

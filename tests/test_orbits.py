@@ -136,6 +136,11 @@ class TestValidation:
         with pytest.raises(InvalidPartition):
             validate_orbit(SimpleType("A", 3), [4, 0])
 
+    def test_float_parts_refused(self):
+        # int() truncated them: [2.7, 1.2, 1] was A3:2,1,1
+        with pytest.raises(TypeError):
+            validate_orbit(SimpleType("A", 3), [2.7, 1.2, 1])
+
     def test_exceptional_key(self):
         o = parse_orbit("G2:dim8")
         assert o.exceptional_key == "dim8"
