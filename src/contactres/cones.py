@@ -17,7 +17,10 @@ closed form, once per rank: every parabolic with k marked roots shares
 one k-dimensional orthant, so a chamber complex of thousands of chambers
 builds it once. This module answers questions about cones only; which
 chambers the movable cone has is decided in ``resolutions``.
-``RationalCone`` is a named tuple (see ``lie_core``).
+``RationalCone`` is a named tuple (see ``lie_core``) whose fourth field
+holds the facet normals, the canonical generators of the dual cone; each
+constructor already has them in hand, and a cone built by hand states
+them.
 """
 
 from __future__ import annotations
@@ -90,48 +93,30 @@ def _polar_rays(constraints, dim):
     return tuple(sorted(r for r, _ in rays)), lineality
 
 
-class RationalCone(namedtuple(
-        "RationalCone", "ambient_dim extreme_rays lineality_basis")):
-    """A rational polyhedral cone in canonical double-description form.
+def _generators(rays, lineality):
+    """A cone's canonical generators: its rays, then +/- each lineality
+    vector."""
+    gens = list(rays)
+    for vec in lineality:
+        gens += [vec, tuple(-x for x in vec)]
+    return tuple(gens)
 
-    The facet normals, when known, are cached in the instance dict; they
-    are not a field, so equality, hash and repr ignore them.
-    """
 
-    _facets = None
+class RationalCone(namedtuple("RationalCone", "ambient_dim extreme_rays "
+                              "lineality_basis facet_normals")):
+    """A rational polyhedral cone in canonical double-description form,
+    with its facet normals: the canonical generators of its dual."""
 
-    def __new__(cls, ambient_dim, extreme_rays, lineality_basis,
-                _facets=None):
-        self = tuple.__new__(cls, (ambient_dim, extreme_rays, lineality_basis))
-        if _facets is not None:
-            self._facets = _facets
-        return self
+    __slots__ = ()
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
-        gens = list(self.extreme_rays)
-        for vec in self.lineality_basis:
-            gens += [vec, tuple(-x for x in vec)]
-        return tuple(gens)
-
-    @property
-    def facet_normals(self) -> tuple[tuple[int, ...], ...]:
-        if self._facets is not None:
-            return self._facets
-        self._facets = facets = dual_cone(self).generators
-        return facets
-
-    @property
-    def is_pointed(self) -> bool:
-        return not self.lineality_basis
-
-    @property
-    def span_dim(self) -> int:
-        return rank(self.generators)
+        return _generators(self.extreme_rays, self.lineality_basis)
 
     @property
     def is_simplicial(self) -> bool:
-        return self.is_pointed and len(self.extreme_rays) == self.span_dim
+        return (not self.lineality_basis
+                and len(self.extreme_rays) == rank(self.extreme_rays))
 
     def contains(self, vector) -> bool:
         if len(vector) != self.ambient_dim:
@@ -158,8 +143,8 @@ def cone_from_generators(dim: int, gens) -> RationalCone:
         if len(g) != dim:
             raise DimensionMismatch(
                 f"generator {g} has length {len(g)}, expected {dim}")
-    facets = RationalCone(dim, *_polar_rays(gens, dim)).generators
-    cone = RationalCone(dim, *_polar_rays(facets, dim), _facets=facets)
+    facets = _generators(*_polar_rays(gens, dim))
+    cone = RationalCone(dim, *_polar_rays(facets, dim), facets)
     invariant(all(dot(h, g) >= 0 for h in facets for g in cone.generators),
               "every generator must satisfy every facet")
     return cone
@@ -167,8 +152,8 @@ def cone_from_generators(dim: int, gens) -> RationalCone:
 
 def dual_cone(c: RationalCone) -> RationalCone:
     """{y : <y, x> >= 0 for all x in c}; an involution on closed cones."""
-    rays, lin = _polar_rays(c.generators, c.ambient_dim)
-    return RationalCone(c.ambient_dim, rays, lin, _facets=c.generators)
+    gens = c.generators
+    return RationalCone(c.ambient_dim, *_polar_rays(gens, c.ambient_dim), gens)
 
 
 def ample_cone(p: ParabolicType) -> RationalCone:
@@ -191,4 +176,4 @@ def _orthant(k: int) -> RationalCone:
     dimensions, so its k stays under the rank cap: one entry per rank."""
     units = tuple(sorted(
         tuple(int(i == j) for j in range(k)) for i in range(k)))
-    return RationalCone(k, units, (), _facets=units)
+    return RationalCone(k, units, (), units)

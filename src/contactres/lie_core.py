@@ -26,9 +26,8 @@ parabolic: the Poincare polynomial and the twistor test recompute its
 nilradical roots. The package's errors are the only import.
 
 Value records here and in the other modules are ``collections.namedtuple``
-subclasses with ``__slots__ = ()``, except ``cones.RationalCone``, which
-keeps its facet normals in an instance dict. Those that validate their
-input do it in ``__new__``. Records are immutable, and hashed and
+subclasses with ``__slots__ = ()``. Those that validate their input do
+it in ``__new__``. Records are immutable, and hashed and
 compared in C as the tuple of their fields. So a record is also
 iterable and orderable, and equals a plain tuple, or a record of
 another type, with the same items. The package never puts a record and a

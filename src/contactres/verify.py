@@ -16,7 +16,7 @@ check. An orbit's rows read its dimension off its ``OrbitRecord``.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import oracle_lab
 from .cones import ample_cone, cone_from_generators, dual_cone
@@ -74,10 +74,11 @@ def fiber_check(comp, degree, seed: int) -> OracleCheck:
 
 
 def _type_a_records(max_n, nonzero=False):
-    """The records of the walk's orbits of sl_2, ..., sl_max_n, in order."""
+    """The records of the walk's orbits of sl_2, ..., sl_max_n, in order,
+    made one at a time: a suite refused at an over-cap n stops there."""
     records = (orbit_record(o) for n in range(2, max_n + 1)
                for o in orbits_of(SimpleType("A", n - 1)))
-    return [rec for rec in records if not (nonzero and rec.is_zero)]
+    return (rec for rec in records if not (nonzero and rec.is_zero))
 
 
 def _suite_ad_rank(seed, max_n):
@@ -132,8 +133,11 @@ def _suite_chambers(seed, max_n):
                         dual_partition(o.partition)),
                     "connected": True, "degree_rule": True}
         cc = movable_chambers(o)
+        # cc.degree scans every wall; one count serves every chamber
+        degree = Counter(end for w in cc.walls
+                         for end in {w.chamber_a, w.chamber_b})
         degree_rule = all(
-            cc.degree(ch.composition) == sum(
+            degree[ch.composition] == sum(
                 1 for i in range(len(ch.composition) - 1)
                 if ch.composition[i] != ch.composition[i + 1])
             for ch in cc.chambers)

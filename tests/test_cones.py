@@ -15,7 +15,6 @@ from contactres.errors import (
 from contactres import cones
 from contactres.cones import (
     MAX_AMBIENT_DIM,
-    RationalCone,
     _polar_rays,
     ample_cone,
     cone_from_generators,
@@ -89,14 +88,21 @@ class TestCanonicalForm:
         assert c.extreme_rays == ()
         assert c.lineality_basis == ((1, 0),)
 
-    def test_cached_facets_do_not_affect_identity(self):
+    def test_facets_are_the_dual_generators(self):
+        # each constructor states the facets it holds: the canonical
+        # generators of the dual, so equal cones have equal facets
         c = cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
-        assert c._facets is not None
-        bare = RationalCone(c.ambient_dim, c.extreme_rays, c.lineality_basis)
-        assert bare._facets is None
-        assert bare == c and hash(bare) == hash(c)
-        assert len({c, bare}) == 1
-        assert repr(bare) == repr(c)
+        for cone in (c, dual_cone(c), cone_from_generators(2, [(1, 0)]),
+                     ample_cone(parse_parabolic("A3:{1,3}"))):
+            assert cone.facet_normals == dual_cone(cone).generators
+
+    def test_no_attribute_beside_the_fields(self):
+        c = cone_from_generators(2, [(1, 0), (0, 1)])
+        with pytest.raises(AttributeError):
+            c._facets = ((-1, 0),)
+        with pytest.raises(AttributeError):
+            c.note = "x"
+        assert c.contains((1, 1)) and not hasattr(c, "__dict__")
 
     def test_zero_cone(self):
         c = cone_from_generators(3, [(0, 0, 0)])
@@ -293,7 +299,7 @@ class TestCapDimensions:
             assert dual_cone(cone_from_generators(dim, c.facet_normals)) == c
             assert dual_cone(dual_cone(c)) == c
             assert all(c.contains(g) for g in gens)
-        assert c.is_pointed and len(c.extreme_rays) > dim
+        assert not c.lineality_basis and len(c.extreme_rays) > dim
 
 
 class TestRoundTripSeeded:

@@ -2,6 +2,7 @@
 them, and the package's modules import each other without a cycle."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -35,6 +36,25 @@ def test_one_serializer():
                   if isinstance(n, ast.ImportFrom) and n.module == "json"
                   and any(a.name == "dumps" for a in n.names)]
         assert calls == [], f"{path.name}: json.dumps on lines {calls}"
+
+
+def test_records_are_slotted():
+    """Every tuple subclass a package module defines has ``__slots__ ==
+    ()`` and instances without a ``__dict__`` (a zero dict offset, which
+    needs every base slotted too): a record holds its fields and nothing
+    else."""
+    records = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"contactres.{path.stem}")
+        records += [cls for cls in vars(module).values()
+                    if isinstance(cls, type) and issubclass(cls, tuple)
+                    and cls.__module__ == module.__name__]
+    assert len(records) >= 13
+    for cls in records:
+        assert cls.__dict__.get("__slots__") == (), cls.__qualname__
+        assert cls.__dictoffset__ == 0, cls.__qualname__
 
 
 def test_one_orbit_walk():

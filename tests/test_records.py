@@ -119,10 +119,11 @@ SAMPLES = [
         " omega_rank_on_kernel=0, radical_is_euler_line=True)",
         id="ContactCheckResult"),
     pytest.param(
-        lambda: RationalCone(2, ((0, 1), (1, 0)), (), _facets=((0, 1), (1, 0))),
-        ("ambient_dim", "extreme_rays", "lineality_basis"),
+        lambda: RationalCone(2, ((0, 1), (1, 0)), (), ((0, 1), (1, 0))),
+        ("ambient_dim", "extreme_rays", "lineality_basis", "facet_normals"),
         "RationalCone(ambient_dim=2, extreme_rays=((0, 1), (1, 0)),"
-        " lineality_basis=())", id="RationalCone"),
+        " lineality_basis=(), facet_normals=((0, 1), (1, 0)))",
+        id="RationalCone"),
 ]
 
 
@@ -174,8 +175,9 @@ class TestKeywordConstruction:
     def test_rational_cone_facets_keyword(self):
         units = ((0, 1), (1, 0))
         c = RationalCone(ambient_dim=2, extreme_rays=units, lineality_basis=(),
-                         _facets=units)
-        assert c._facets == units and c == RationalCone(2, units, ())
+                         facet_normals=units)
+        assert c.facet_normals == units and c == RationalCone(2, units, (),
+                                                              units)
 
     @pytest.mark.parametrize("cls, kw", [
         (SimpleType, {"family": "A", "rank": 1}),
@@ -194,7 +196,7 @@ class TestKeywordConstruction:
                               "omega_rank_on_kernel": 0,
                               "radical_is_euler_line": False}),
         (RationalCone, {"ambient_dim": 1, "extreme_rays": (),
-                        "lineality_basis": ()}),
+                        "lineality_basis": (), "facet_normals": ()}),
     ], ids=lambda x: getattr(x, "__name__", ""))
     def test_unknown_keyword_is_a_type_error(self, cls, kw):
         cls(**kw)

@@ -2,10 +2,11 @@ import pytest
 
 from contactres import verify
 from contactres.cones import RationalCone, cone_from_generators
-from contactres.errors import UnknownSuite
+from contactres.errors import SizeCapExceeded, UnknownSuite
 from contactres.lie_core import SimpleType
-from contactres.orbits import orbits_of, parse_orbit
+from contactres.orbits import orbit_record, orbits_of, parse_orbit
 from contactres.resolutions import (
+    ChamberComplex,
     compositions_of,
     contact_resolution_exists,
     richardson_partition,
@@ -21,7 +22,8 @@ def test_ample_cone_rows_check_double_description(monkeypatch):
     # a double description that loses a ray must fail every row it touches
     def drop_last_ray(dim, gens):
         cone = cone_from_generators(dim, gens)
-        return RationalCone(dim, cone.extreme_rays[:-1], cone.lineality_basis)
+        return RationalCone(dim, cone.extreme_rays[:-1], cone.lineality_basis,
+                            cone.facet_normals)
 
     monkeypatch.setattr(verify, "cone_from_generators", drop_last_ray)
     rows = run_suite("cones", count=0)    # the 11 ample-cone rows only
@@ -73,6 +75,37 @@ def test_unknown_suite():
         run_suite("bogus")
     with pytest.raises(UnknownSuite):
         suite_caps("bogus")
+
+
+def test_over_cap_suite_stops_at_the_first_over_cap_orbit(monkeypatch):
+    # the records are made as the rows need them: the refusal at n = 9
+    # comes before any orbit of sl_10 and above is walked
+    calls = []
+
+    def counted(o):
+        calls.append(o)
+        return orbit_record(o)
+
+    monkeypatch.setattr(verify, "orbit_record", counted)
+    with pytest.raises(SizeCapExceeded, match="partition of 9 exceeds cap 8"):
+        run_suite("kks", max_n=30)
+    assert len(calls) <= 95    # the orbits of sl_2, ..., sl_9
+
+
+def test_chambers_suite_counts_degrees_in_one_pass(monkeypatch):
+    # the degree rule reads one count of the wall ends per complex, not
+    # a scan of every wall per chamber
+    calls = []
+    degree = ChamberComplex.degree
+
+    def counted(self, label):
+        calls.append(label)
+        return degree(self, label)
+
+    monkeypatch.setattr(ChamberComplex, "degree", counted)
+    rows = run_suite("chambers", max_n=6)
+    assert rows and all(r.agrees for r in rows)
+    assert calls == []
 
 
 # the oracles the classify bounds admit for sl_n: ad-rank up to n = 8,
