@@ -149,9 +149,15 @@ def _positive_parts(parts, kind: str, cap: int) -> tuple[int, ...]:
     parts = tuple([index(p) for p in parts])
     if not parts or min(parts) < 1:
         raise InvalidPartition(f"need one part at least, all > 0: {parts}")
-    if sum(parts) > cap:
-        raise SizeCapExceeded(f"{kind} of {sum(parts)} exceeds cap {cap}")
+    refuse_over_cap(sum(parts), kind, cap)
     return parts
+
+
+def refuse_over_cap(n: int, kind: str, cap: int) -> None:
+    """The size check of every partition or composition (``kind``) an
+    oracle takes: one of n over ``cap`` raises ``SizeCapExceeded``."""
+    if n > cap:
+        raise SizeCapExceeded(f"{kind} of {n} exceeds cap {cap}")
 
 
 class MatrixModel(namedtuple("MatrixModel", "n e")):

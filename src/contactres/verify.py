@@ -204,6 +204,19 @@ _SUITES = {
 }
 
 
+# suite name -> what its rows of size n hand an oracle, and that oracle's
+# cap; every n >= 2 has a nonzero orbit and a composition, so a max_n over
+# the cap is refused before the first row, with the error of the first
+# over-cap row
+_ORACLE_CAPS = {
+    "ad-rank": ("partition", oracle_lab.ADDIM_SIZE_CAP),
+    "kks": ("partition", oracle_lab.ADDIM_SIZE_CAP),
+    "contact": ("partition", oracle_lab.ADDIM_SIZE_CAP),
+    "richardson": ("composition", oracle_lab.ADDIM_SIZE_CAP),
+    "fibers": ("composition", oracle_lab.FIBER_SIZE_CAP),
+}
+
+
 # suite name -> the largest n (type A_{n-1}) at which the ``classify``
 # oracle block runs that suite's check
 CLASSIFY_MAX_N = {
@@ -266,4 +279,8 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0,
     """Run one named suite; None caps fall back to the suite defaults."""
     runner, defaults = _suite(name)
     caps = suite_caps(name, max_n, count)
+    if name in _ORACLE_CAPS:
+        kind, cap = _ORACLE_CAPS[name]
+        if caps["max_n"] > cap:  # the error of the first over-cap row
+            oracle_lab.refuse_over_cap(cap + 1, kind, cap)
     return runner(seed, **{key: caps[key] for key in defaults})

@@ -320,6 +320,51 @@ class TestVerifyCommand:
         assert code == 1
         assert out.endswith("0 cases, 0 failures, FAILED\n")
 
+    @pytest.mark.parametrize("suite, kind", [
+        ("ad-rank", "partition"), ("kks", "partition"),
+        ("contact", "partition"), ("richardson", "composition"),
+        ("fibers", "composition")])
+    def test_over_cap_suite_refused_before_its_first_row(
+            self, capsys, monkeypatch, suite, kind):
+        # an over-cap suite used to build every row under the cap first
+        # (232 contact rows, ~11 s) and then raise at n = 9; it now runs
+        # no oracle and keeps the error bytes, which name n = 9
+        from contactres import oracle_lab
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("an oracle ran before the cap")
+        for name in ("jordan_nilpotent", "generic_jordan_type",
+                     "generic_fiber_count"):
+            monkeypatch.setattr(oracle_lab, name, refuse)
+        message = f"{kind} of 9 exceeds cap 8"
+        for max_n in ("9", "40"):
+            code, out = run(capsys, "verify", "--suite", suite, "--max-n",
+                            max_n, "--json")
+            assert (code, out) == (1, "\n".join([
+                '{',
+                '  "artifact_version": "0.1.0",',
+                '  "command": "verify",',
+                '  "error": {',
+                f'    "message": "{message}",',
+                '    "type": "SizeCapExceeded"',
+                '  },',
+                '  "request": {',
+                f'    "max_n": {max_n},',
+                '    "output_format": "json",',
+                '    "seed": 0,',
+                f'    "suite": "{suite}"',
+                '  },',
+                '  "schema": "contactres-report/1",',
+                '  "table_version": "1"',
+                '}\n']))
+            code, out = run(capsys, "verify", "--suite", suite, "--max-n",
+                            max_n)
+            assert (code, out) == (
+                1, f"error [SizeCapExceeded]: {message}\n")
+        assert calls == []
+
     def test_cones_without_random_cones_still_runs_its_rows(self, capsys,
                                                             validator):
         code, env = run_json(capsys, validator, "verify", "--suite", "cones",
