@@ -2,12 +2,15 @@
 
 Cones are stored by canonical generators: the extreme rays of the pointed
 part (primitive integer vectors, sorted) plus a +/- pair for each vector
-of the reduced-echelon lineality basis. Canonicalization and duality both
-go through one polar pass, incremental double description (Motzkin's
-method; Fukuda and Prodon, 1996). The pass starts from all of R^dim,
-with the unit vectors as its lineality, and the constraints enter one
-at a time. One that is nonzero on the lineality cuts it; otherwise two
-rays combine only when adjacent: they share at least d - 2 zero
+of the reduced-echelon lineality basis. ``cone_from_generators`` is the
+one door for outside vectors: it scales each to a primitive integer
+vector (refusing a float) and drops zeros and repeats. Canonicalization
+and duality both go through one polar pass, incremental double
+description (Motzkin's method; Fukuda and Prodon, 1996), which takes
+canonical integer generators as they are. The pass starts from all of
+R^dim, with the unit vectors as its lineality, and the constraints enter
+one at a time. One that is nonzero on the lineality cuts it; otherwise
+two rays combine only when adjacent: they share at least d - 2 zero
 constraints (d is the dimension of the pointed part so far), and no
 third ray is zero on all of those. Constraints that span R^dim cut the
 whole lineality, and the rays come out canonical with no elimination.
@@ -15,7 +18,7 @@ Otherwise what is left spans the lineality, the kernel of the
 constraints, and the pass reruns from the reduced echelon rows of their
 row space W, so that the pointed part lies in W: at most two
 eliminations. At the ambient dimension cap, a pointed cone on 11
-generators builds in about 25 ms (CPython 3.11, 2-core x86-64).
+generators builds in about 20 ms (CPython 3.11, 2-core x86-64).
 
 The ample cone of a parabolic is the coordinate orthant and is built in
 closed form, once per rank: every parabolic with k marked roots shares
@@ -24,8 +27,8 @@ builds it once. This module answers questions about cones only; which
 chambers the movable cone has is decided in ``resolutions``.
 ``RationalCone`` is a named tuple (see ``lie_core``) whose fourth field
 holds the facet normals, the canonical generators of the dual cone; each
-constructor already has them in hand, and a cone built by hand states
-them.
+constructor already has them in hand. A cone built by hand states all
+four fields in canonical form, its facets among them.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from math import gcd
 
 from .errors import DimensionMismatch, EmptyMarking, SizeCapExceeded, invariant
 from .lie_core import MAX_ROOT_SYSTEM_RANK, ParabolicType
-from .ratlinalg import dot, primitive, rank, row_basis, rref
+from .ratlinalg import dot, primitive, rank, row_basis
 
 MAX_AMBIENT_DIM = 8
 
@@ -99,22 +102,20 @@ def _double_description(constraints, lin):
 def _polar_rays(constraints, dim):
     """Generators of {y : <c, y> >= 0 for all c}: (extreme rays, lineality).
 
-    The pass starts from all of R^dim, with the unit vectors as its
-    lineality. When the constraints span R^dim they cut the whole
-    lineality, and the rays are already canonical. Otherwise what is left
-    spans the lineality, the kernel of the constraints; its RREF is the
-    canonical basis, and the pass reruns from the RREF rows of W, the row
-    space of the constraints, so that the pointed part lies inside W.
+    The constraints are integer vectors, taken as they are: the package
+    passes canonical generators. The pass starts from all of R^dim, with
+    the unit vectors as its lineality; when the constraints do not span
+    R^dim, what is left spans the lineality, and the pass reruns from the
+    RREF rows of W, the row space of the constraints, so that the pointed
+    part lies inside W.
     """
-    constraints = list(dict.fromkeys(
-        [c for c in map(primitive, constraints) if any(c)]))
     units = [tuple([int(i == j) for j in range(dim)]) for i in range(dim)]
     rays, left = _double_description(constraints, units)
     if not left:
         return rays, ()
     if rays:  # with no ray the cone is its lineality: nothing to rerun
-        w = [tuple(row) for row in rref(constraints)[0]]
-        rays, rest = _double_description(constraints, w)
+        rays, rest = _double_description(constraints,
+                                         list(row_basis(constraints)))
         invariant(not rest, "no lineality may remain inside the row space")
     return rays, row_basis(left)
 
@@ -169,6 +170,7 @@ def cone_from_generators(dim: int, gens) -> RationalCone:
         if len(g) != dim:
             raise DimensionMismatch(
                 f"generator {g} has length {len(g)}, expected {dim}")
+    gens = list(dict.fromkeys([g for g in map(primitive, gens) if any(g)]))
     facets = _generators(*_polar_rays(gens, dim))
     cone = RationalCone(dim, *_polar_rays(facets, dim), facets)
     invariant(all(dot(h, g) >= 0 for h in facets for g in cone.generators),
@@ -177,7 +179,8 @@ def cone_from_generators(dim: int, gens) -> RationalCone:
 
 
 def dual_cone(c: RationalCone) -> RationalCone:
-    """{y : <y, x> >= 0 for all x in c}; an involution on closed cones."""
+    """{y : <y, x> >= 0 for all x in c}, cut out by c's canonical
+    generators as they are; an involution on closed cones."""
     gens = c.generators
     return RationalCone(c.ambient_dim, *_polar_rays(gens, c.ambient_dim), gens)
 

@@ -157,13 +157,7 @@ def nullspace(rows) -> list[tuple[int, ...]]:
     if not rows:
         return []
     red, pivots = rref(rows)
-    return rref_kernel(red, pivots, len(rows[0]))
-
-
-def rref_kernel(red, pivots, ncols) -> list[tuple[int, ...]]:
-    """``nullspace`` of the first ``ncols`` columns, read off ``rref``'s
-    output ``(red, pivots)``; columns past ``ncols``, such as an
-    augmented right-hand side, are ignored."""
+    ncols = len(rows[0])
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         used = [(row, p) for row, p in zip(red, pivots) if row[f]]

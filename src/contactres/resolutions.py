@@ -37,8 +37,9 @@ The central facts this module operationalizes:
   decision refuses it (:class:`InvalidPartition`). Each polarization's
   record holds its flag dimension, checked against that dimension (dim
   O = 2 dim G/P), and its composition, the ordering it was cut from
-  (type-A markings are cut without re-validating them). The ample
-  orthant of each rank is shared (in ``cones``).
+  (no separate check of the composition runs; the parabolic constructor
+  still checks each cut marking). The ample orthant of each rank is
+  shared (in ``cones``).
 * :func:`contact_resolution_exists` takes only the orbit and returns
   only the decision. The matrix oracles that cross-check it run in
   ``verify``, so this module does not import them.
@@ -219,7 +220,8 @@ def _type_a_polarizations(o: OrbitLabel, dim: int) -> list[Polarization]:
         raise SizeCapExceeded(f"{o} has {count} polarizations, over the "
                               f"cap of {MAX_CHAMBERS}")
     # an ordering of a valid dual partition is a valid composition of
-    # rank + 1, so its marking is cut without re-validating it
+    # rank + 1, so it is not checked again; parabolic() still indexes,
+    # dedupes, sorts and bounds each cut marking
     return _checked(dim, ((parabolic(t, accumulate(comp[:-1])), comp)
                           for comp in _distinct_orderings(dual)))
 

@@ -170,6 +170,53 @@ class TestDuality:
             cone_from_generators(2, [(1, 0), (1, 2)]).contains((0.5, 1))
 
 
+class TestOneDoor:
+    """``cone_from_generators`` normalizes each outside vector once; the
+    polar pass takes canonical generators as they are."""
+
+    def test_one_primitive_call_per_outside_vector(self, monkeypatch):
+        calls = []
+
+        def counting(vec):
+            calls.append(vec)
+            return primitive(vec)
+
+        monkeypatch.setattr(cones, "primitive", counting)
+        c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                     (1, 1, 1), (0, 0, 0), (2, 0, 0)])
+        assert len(calls) == 6
+        calls.clear()
+        dual_cone(c)
+        assert calls == []
+        assert c.contains((1, 2, 3)) and len(calls) == 1
+
+    @given(st.integers(min_value=1, max_value=5), st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_same_cone_for_any_presentation(self, dim, data):
+        # shuffled, scaled by positive ints and Fractions, with repeats
+        # and zero vectors: the same cone; a float anywhere is refused
+        gens = data.draw(st.lists(
+            st.tuples(*([st.integers(min_value=-3, max_value=3)] * dim)),
+            min_size=1, max_size=dim + 2))
+        c = cone_from_generators(dim, gens)
+        scales = st.one_of(st.integers(min_value=1, max_value=6), st.builds(
+            F, st.integers(min_value=1, max_value=6),
+            st.integers(min_value=1, max_value=6)))
+        moved = [tuple(k * x for x in g)
+                 for g, k in zip(gens, data.draw(st.lists(
+                     scales, min_size=len(gens), max_size=len(gens))))]
+        moved += data.draw(st.lists(st.sampled_from(gens), max_size=3))
+        moved += [(0,) * dim] * data.draw(st.integers(0, 2))
+        shuffled = data.draw(st.permutations(moved))
+        assert cone_from_generators(dim, shuffled) == c
+        i = data.draw(st.integers(0, len(moved) - 1))
+        j = data.draw(st.integers(0, dim - 1))
+        floated = [list(g) for g in moved]
+        floated[i][j] = float(floated[i][j])
+        with pytest.raises(TypeError, match="is not exact"):
+            cone_from_generators(dim, floated)
+
+
 class TestReferencePolarRays:
     """Incremental double description against the subset enumeration."""
 

@@ -19,7 +19,6 @@ from contactres.ratlinalg import (
     rank,
     row_basis,
     rref,
-    rref_kernel,
     solve,
 )
 
@@ -321,15 +320,6 @@ class TestNullspace:
     def test_primitive_and_positive_in_free_column(self):
         assert nullspace([[2, 3]]) == [(-3, 2)]
         assert nullspace([[F(1, 2), F(1, 3), 0]]) == [(-2, 3, 0), (0, 0, 1)]
-
-    @given(matrices(), st.data())
-    @settings(max_examples=80, derandomize=True)
-    def test_rref_kernel_ignores_an_augmented_column(self, rows, data):
-        ncols = len(rows[0])
-        x = data.draw(st.lists(small_entries, min_size=ncols,
-                               max_size=ncols))
-        aug = [list(row) + [b] for row, b in zip(rows, mat_vec(rows, x))]
-        assert rref_kernel(*rref(aug), ncols) == nullspace(rows)
 
 
 class TestRowBasis:
