@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports, in the order of ``__all__``
 _EXPORTS = {
-    "cones": ("RationalCone", "ample_cone", "cone_from_generators",
-              "dual_cone"),
+    "cones": ("cone_from_generators", "dual_cone"),
     "errors": ("ContactresError",),
     "lie_core": ("ParabolicType", "RootSystemData", "SimpleType",
                  "build_root_system", "flag_dimension", "is_projective_space",
@@ -29,7 +28,8 @@ _EXPORTS = {
     "orbits": ("OrbitLabel", "OrbitRecord", "dual_partition",
                "minimal_orbit_label", "orbit_dimension", "orbit_record",
                "parse_orbit", "validate_orbit"),
-    "resolutions": ("ChamberComplex", "Polarization", "ResolutionReport",
+    "resolutions": ("ChamberComplex", "Polarization", "RationalCone",
+                    "ResolutionReport", "ample_cone",
                     "canonical_degree_on_curve", "contact_resolution_exists",
                     "equivalent_parabolics", "movable_chambers",
                     "polarizations", "richardson_partition"),

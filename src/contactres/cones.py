@@ -20,26 +20,18 @@ row space W, so that the pointed part lies in W: at most two
 eliminations. At the ambient dimension cap, a pointed cone on 11
 generators builds in about 20 ms (CPython 3.11, 2-core x86-64).
 
-The ample cone of a parabolic is the coordinate orthant and is built in
-closed form, once per rank: every parabolic with k marked roots shares
-one k-dimensional orthant, so a chamber complex of thousands of chambers
-builds it once. This module answers questions about cones only; which
-chambers the movable cone has is decided in ``resolutions``.
-``RationalCone`` is a named tuple (see ``lie_core``) whose fourth field
-holds the facet normals, the canonical generators of the dual cone; each
-constructor already has them in hand. A cone built by hand states all
-four fields in canonical form, its facets among them.
+This module is the double-description checker. Its one package caller
+is ``verify._suite_cones``; no decision loads it. ``RationalCone``, the
+record it builds, and the closed-form ample cone live in ``resolutions``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import lru_cache
 from math import gcd
 
-from .errors import DimensionMismatch, EmptyMarking, SizeCapExceeded, invariant
-from .lie_core import MAX_ROOT_SYSTEM_RANK, ParabolicType
-from .ratlinalg import dot, primitive, rank, row_basis
+from .errors import DimensionMismatch, SizeCapExceeded, invariant
+from .ratlinalg import dot, primitive, row_basis
+from .resolutions import RationalCone, _generators
 
 MAX_AMBIENT_DIM = 8
 
@@ -120,39 +112,6 @@ def _polar_rays(constraints, dim):
     return rays, row_basis(left)
 
 
-def _generators(rays, lineality):
-    """A cone's canonical generators: its rays, then +/- each lineality
-    vector."""
-    gens = list(rays)
-    for vec in lineality:
-        gens += [vec, tuple(-x for x in vec)]
-    return tuple(gens)
-
-
-class RationalCone(namedtuple("RationalCone", "ambient_dim extreme_rays "
-                              "lineality_basis facet_normals")):
-    """A rational polyhedral cone in canonical double-description form,
-    with its facet normals: the canonical generators of its dual."""
-
-    __slots__ = ()
-
-    @property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        return _generators(self.extreme_rays, self.lineality_basis)
-
-    @property
-    def is_simplicial(self) -> bool:
-        return (not self.lineality_basis
-                and len(self.extreme_rays) == rank(self.extreme_rays))
-
-    def contains(self, vector) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector of length {len(vector)} in dim {self.ambient_dim}")
-        vector = primitive(vector)  # same facet signs; refuses a float
-        return all(dot(h, vector) >= 0 for h in self.facet_normals)
-
-
 def cone_from_generators(dim: int, gens) -> RationalCone:
     """Build the cone spanned by ``gens`` in canonical form.
 
@@ -183,26 +142,3 @@ def dual_cone(c: RationalCone) -> RationalCone:
     generators as they are; an involution on closed cones."""
     gens = c.generators
     return RationalCone(c.ambient_dim, *_polar_rays(gens, c.ambient_dim), gens)
-
-
-def ample_cone(p: ParabolicType) -> RationalCone:
-    """Relative ample cone of the resolutions attached to P.
-
-    In the fundamental-weight basis indexed by the marked roots this is
-    the coordinate orthant: the dual of the Schubert-curve cone under the
-    identity pairing. Its rays and facet normals are the unit vectors, so
-    no double description runs and ``MAX_AMBIENT_DIM`` does not apply.
-    Parabolics with the same number of marked roots get the same object.
-    """
-    if not p.marked:
-        raise EmptyMarking("ample cone needs a proper parabolic")
-    return _orthant(len(p.marked))
-
-
-@lru_cache(maxsize=MAX_ROOT_SYSTEM_RANK)
-def _orthant(k: int) -> RationalCone:
-    """The coordinate orthant of dimension k. A decision computes flag
-    dimensions, so its k stays under the rank cap: one entry per rank."""
-    units = tuple(sorted(
-        tuple(int(i == j) for j in range(k)) for i in range(k)))
-    return RationalCone(k, units, (), units)

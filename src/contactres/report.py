@@ -23,7 +23,7 @@ keeps every node, hence every id, alive for the whole call.
 
 The functions read the records by field name only, so this module
 imports nothing from the package: ``rec`` is an ``orbits.OrbitRecord``,
-``pol`` a ``resolutions.Polarization``, ``c`` a ``cones.RationalCone``,
+``pol`` a ``resolutions.Polarization``, ``c`` a ``resolutions.RationalCone``,
 ``cc`` a ``resolutions.ChamberComplex`` or None (its chambers ``ch`` are
 polarizations too), ``check`` a ``verify.OracleCheck`` and ``r`` a
 ``resolutions.ResolutionReport``.

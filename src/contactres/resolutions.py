@@ -38,28 +38,33 @@ The central facts this module operationalizes:
   record holds its flag dimension, checked against that dimension (dim
   O = 2 dim G/P), and its composition, the ordering it was cut from
   (no separate check of the composition runs; the parabolic constructor
-  still checks each cut marking). The ample orthant of each rank is
-  shared (in ``cones``).
+  still checks each cut marking).
+* The decision owns each chamber's ample cone: the coordinate orthant in
+  closed form, built once per rank and shared by every chamber of that
+  rank (:func:`ample_cone`). ``verify --suite cones`` checks it.
 * :func:`contact_resolution_exists` takes only the orbit and returns
   only the decision. The matrix oracles that cross-check it run in
   ``verify``, so this module does not import them.
 
-The records are named tuples (see ``lie_core``). Chamber labels and wall
-ends are plain composition tuples, compared only with each other.
+The records are named tuples (see ``lie_core``); a hand-built
+:class:`RationalCone` states all four fields, facets included, in
+canonical form. Chamber labels and wall ends are plain composition
+tuples, compared only with each other.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
 # unused here, but perfbench/layertrace.py patches this name to count orderings
 from itertools import permutations  # noqa: F401
 
-from .cones import ample_cone
 from .errors import (
     ContactresError,
+    DimensionMismatch,
     EmptyMarking,
     InvalidPartition,
     NoPolarization,
@@ -84,7 +89,7 @@ from .orbits import (
     orbit_record,
     validate_orbit,
 )
-from .ratlinalg import rational
+from .ratlinalg import dot, primitive, rank, rational
 
 VERDICT_SMOOTH = "SmoothAlready"
 VERDICT_EXISTS = "ContactResolutionsExist"
@@ -125,6 +130,62 @@ def composition_from_marking(p: ParabolicType) -> tuple[int, ...]:
         raise UnsupportedType("compositions describe type A parabolics only")
     cuts = (0,) + p.marked + (p.simple_type.rank + 1,)
     return tuple([b - a for a, b in zip(cuts, cuts[1:])])
+
+
+def _generators(rays, lineality):
+    """A cone's canonical generators: its rays, then +/- each lineality
+    vector."""
+    gens = list(rays)
+    for vec in lineality:
+        gens += [vec, tuple(-x for x in vec)]
+    return tuple(gens)
+
+
+class RationalCone(namedtuple("RationalCone", "ambient_dim extreme_rays "
+                              "lineality_basis facet_normals")):
+    """A rational polyhedral cone in canonical double-description form,
+    with its facet normals: the canonical generators of its dual."""
+
+    __slots__ = ()
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return _generators(self.extreme_rays, self.lineality_basis)
+
+    @property
+    def is_simplicial(self) -> bool:
+        return (not self.lineality_basis
+                and len(self.extreme_rays) == rank(self.extreme_rays))
+
+    def contains(self, vector) -> bool:
+        if len(vector) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"vector of length {len(vector)} in dim {self.ambient_dim}")
+        vector = primitive(vector)  # same facet signs; refuses a float
+        return all(dot(h, vector) >= 0 for h in self.facet_normals)
+
+
+def ample_cone(p: ParabolicType) -> RationalCone:
+    """Relative ample cone of the resolutions attached to P.
+
+    In the fundamental-weight basis indexed by the marked roots this is
+    the coordinate orthant: the dual of the Schubert-curve cone under the
+    identity pairing. Its rays and facet normals are the unit vectors, so
+    no double description runs and no ambient dimension cap applies.
+    Parabolics with the same number of marked roots get the same object.
+    """
+    if not p.marked:
+        raise EmptyMarking("ample cone needs a proper parabolic")
+    return _orthant(len(p.marked))
+
+
+@lru_cache(maxsize=MAX_ROOT_SYSTEM_RANK)
+def _orthant(k: int) -> RationalCone:
+    """The coordinate orthant of dimension k. A decision computes flag
+    dimensions, so its k stays under the rank cap: one entry per rank."""
+    units = tuple(sorted(
+        tuple(int(i == j) for j in range(k)) for i in range(k)))
+    return RationalCone(k, units, (), units)
 
 
 class Polarization(namedtuple("Polarization", "parabolic composition "

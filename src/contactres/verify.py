@@ -19,12 +19,12 @@ import random
 from collections import Counter, namedtuple
 
 from . import oracle_lab
-from .cones import ample_cone, cone_from_generators, dual_cone
 from .errors import UnknownSuite
 from .lie_core import SimpleType, parabolic
 from .orbits import OrbitRecord, dual_partition, orbit_record, orbits_of
 from .resolutions import (
     ResolutionReport,
+    ample_cone,
     composition_richardson_partition,
     compositions_of,
     distinct_ordering_count,
@@ -160,6 +160,8 @@ def _cone_shape(cone) -> dict:
 
 
 def _suite_cones(seed, count, max_dim):
+    # the one package caller of the engine: no other process loads it
+    from .cones import cone_from_generators, dual_cone
     rows = []
     rng = random.Random(f"cones:{seed}")
     for i in range(count):

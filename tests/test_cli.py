@@ -647,9 +647,10 @@ class TestConverterRefusal:
 
 
 # modules a CLI process loads only when its command runs them (``json``
-# never: the report quotes strings with the C quoter of ``_json``)
+# never: the report quotes strings with the C quoter of ``_json``; the
+# cone engine only for ``verify --suite cones``)
 DEFERRED = ("argparse", "fractions", "importlib.resources", "json",
-            "contactres.verify", "contactres.oracle_lab")
+            "contactres.verify", "contactres.oracle_lab", "contactres.cones")
 
 # sha256 of ``classify A3:2,2 --no-oracles --json``, the bytes from before
 # the start-up imports were deferred
@@ -676,7 +677,8 @@ import contactres.cli as cli
 cli.table_version()
 print(repr((loaded(),
             run("classify", "A3:2,2", "--no-oracles", "--json"),
-            run("classify", "A3:2,2", "--json"))))
+            run("classify", "A3:2,2", "--json"),
+            run("verify", "--suite", "cones", "--count", "1", "--json"))))
 """
 
 
@@ -688,7 +690,7 @@ class TestStartUp:
             [sys.executable, "-I", "-S", "-c", START_UP_CODE,
              str(ROOT / "src")], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-3000:]
-        at_import, no_oracles, oracles = ast.literal_eval(proc.stdout)
+        at_import, no_oracles, oracles, cones = ast.literal_eval(proc.stdout)
         assert at_import == []
         code, out, after = no_oracles
         assert (code, after) == (0, [])
@@ -696,8 +698,11 @@ class TestStartUp:
         code, out, after = oracles
         assert code == 0
         assert "contactres.verify" in after and "contactres.oracle_lab" in after
+        assert "contactres.cones" not in after
         assert hashlib.sha256(out.encode()).hexdigest() == \
             TOUR_DIGESTS["classify A3:2,2 --json"]
+        code, out, after = cones
+        assert code == 0 and "contactres.cones" in after
 
     def test_suite_names_literal_is_verifys(self):
         from contactres.verify import suite_names

@@ -12,11 +12,10 @@ from contactres.errors import (
     SizeCapExceeded,
     ZeroOrbit,
 )
-from contactres import cones
+from contactres import cones, resolutions
 from contactres.cones import (
     MAX_AMBIENT_DIM,
     _polar_rays,
-    ample_cone,
     cone_from_generators,
     dual_cone,
 )
@@ -28,7 +27,7 @@ from contactres.lie_core import (
 )
 from contactres.orbits import parse_orbit
 from contactres.ratlinalg import dot, nullspace, primitive, rref
-from contactres.resolutions import movable_chambers
+from contactres.resolutions import _orthant, ample_cone, movable_chambers
 
 
 def reference_polar_rays(constraints, dim):
@@ -181,7 +180,9 @@ class TestOneDoor:
             calls.append(vec)
             return primitive(vec)
 
+        # the door lives in cones, ``contains`` beside the record
         monkeypatch.setattr(cones, "primitive", counting)
+        monkeypatch.setattr(resolutions, "primitive", counting)
         c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
                                      (1, 1, 1), (0, 0, 0), (2, 0, 0)])
         assert len(calls) == 6
@@ -477,12 +478,12 @@ class TestAmpleCone:
         assert all(c.ample is five for c in cc.chambers)
 
     def test_orthant_cache_holds_one_entry_per_rank(self):
-        assert cones._orthant.cache_info().maxsize == MAX_ROOT_SYSTEM_RANK
+        assert _orthant.cache_info().maxsize == MAX_ROOT_SYSTEM_RANK
         ample_cone(parabolic(SimpleType("A", 7), (2, 4, 6)))
-        size = cones._orthant.cache_info().currsize
+        size = _orthant.cache_info().currsize
         ample_cone(parabolic(SimpleType("B", 3), (1, 2, 3)))
         ample_cone(parabolic(SimpleType("A", 3), (1, 2, 3)))
-        assert cones._orthant.cache_info().currsize == size
+        assert _orthant.cache_info().currsize == size
 
 
 class TestChamberComplex:

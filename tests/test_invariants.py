@@ -112,8 +112,21 @@ def test_module_import_graph_is_acyclic():
         visit(name)
 
 
-def test_cone_engine_sits_below_the_decision_layer():
-    assert package_imports()["cones"] == {"errors", "lie_core", "ratlinalg"}
+def test_no_decision_process_loads_the_cone_engine():
+    """The engine checks the closed-form ample cone that ``resolutions``
+    owns; only the ``cones`` suite of ``verify`` loads it."""
+    graph = package_imports()
+    for name in ("lie_core", "orbits", "resolutions", "report", "cli"):
+        assert "cones" not in graph[name], name
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    homes = [node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             for imp in ast.walk(node) if isinstance(imp, ast.ImportFrom)
+             and imp.module == "cones"]
+    top = [imp for imp in tree.body if isinstance(imp, ast.ImportFrom)
+           and imp.module == "cones"]
+    assert (homes, top) == (["_suite_cones"], [])
+    assert graph["cones"] == {"errors", "ratlinalg", "resolutions"}
 
 
 def test_lie_layer_needs_only_errors():

@@ -10,11 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactres.cones import ample_cone
 from contactres.lie_core import SimpleType
 from contactres.orbits import parse_orbit
 from contactres.report import chamber_complex_dict, to_json
-from contactres.resolutions import movable_chambers
+from contactres.resolutions import ample_cone, movable_chambers
 
 
 def oracle(obj) -> str:

@@ -7,7 +7,6 @@ from itertools import permutations
 import pytest
 
 from contactres import lie_core, resolutions
-from contactres.cones import ample_cone
 from contactres.errors import (
     EmptyMarking,
     SizeCapExceeded,
@@ -35,6 +34,7 @@ from contactres.orbits import (
 from contactres.report import resolution_report_dict
 from contactres.resolutions import (
     NOTE_MINIMAL_NON_A,
+    ample_cone,
     canonical_degree_on_curve,
     composition_from_marking,
     compositions_of,

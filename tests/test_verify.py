@@ -1,6 +1,6 @@
 import pytest
 
-from contactres import verify
+from contactres import cones, verify
 from contactres.cones import RationalCone, cone_from_generators
 from contactres.errors import SizeCapExceeded, UnknownSuite
 from contactres.lie_core import SimpleType
@@ -25,7 +25,7 @@ def test_ample_cone_rows_check_double_description(monkeypatch):
         return RationalCone(dim, cone.extreme_rays[:-1], cone.lineality_basis,
                             cone.facet_normals)
 
-    monkeypatch.setattr(verify, "cone_from_generators", drop_last_ray)
+    monkeypatch.setattr(cones, "cone_from_generators", drop_last_ray)
     rows = run_suite("cones", count=0)    # the 11 ample-cone rows only
     assert len(rows) == 11 and not any(r.agrees for r in rows)
     assert rows[0].formula_value == {"simplicial": True, "rays": 1}
@@ -38,7 +38,7 @@ def test_ample_cone_rows_compare_full_cones(monkeypatch):
     def negate_every_ray(dim, gens):
         return cone_from_generators(dim, [[-x for x in g] for g in gens])
 
-    monkeypatch.setattr(verify, "cone_from_generators", negate_every_ray)
+    monkeypatch.setattr(cones, "cone_from_generators", negate_every_ray)
     rows = run_suite("cones", count=0)
     assert len(rows) == 11 and not any(r.agrees for r in rows)
     assert rows[1].case == "ample cone A3:{1}"
