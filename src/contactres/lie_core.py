@@ -19,8 +19,9 @@ applied as sparse in-place steps, never as dense polynomial products.
 This needs only the positive roots, never an enumeration of W; the test
 suite enumerates W at small rank as an independent cross-check.
 
-A parabolic is a (simple type, marking) value. Its flag dimension counts
-the positive roots whose support bitmask meets the marking's; the masks
+A parabolic is a (simple type, marking) value. Its nilradical is a
+bitset over the positive roots, the OR of one bitset per marked node,
+and its flag dimension is the bitset's bit count; the per-node bitsets
 are built once per root system, on first use. Nothing is cached per
 parabolic: the Poincare polynomial and the twistor test recompute its
 nilradical roots. The package's errors are the only import.
@@ -253,40 +254,49 @@ def parabolic(t: SimpleType, marked) -> ParabolicType:
 
 
 @lru_cache(maxsize=None)
-def _support_masks(t: SimpleType) -> tuple[int, ...]:
-    """Each positive root's support as a bitmask: bit i - 1 is set when
-    the root has a nonzero coefficient on simple root i."""
-    return tuple([sum([1 << i for i, c in enumerate(r) if c])
-                  for r in build_root_system(t).positive_roots])
+def _node_roots(t: SimpleType) -> tuple[int, ...]:
+    """For each simple root i, the positive roots with a nonzero alpha_i
+    coefficient as a bitset: entry i - 1 has bit k set when
+    ``positive_roots[k]`` is such a root."""
+    bits = [0] * t.rank
+    for k, r in enumerate(build_root_system(t).positive_roots):
+        for i, c in enumerate(r):
+            if c:
+                bits[i] |= 1 << k
+    return tuple(bits)
 
 
-def _marking_mask(p: ParabolicType) -> int:
-    """The marking as a bitmask: bit i - 1 is set when i is marked. A
-    positive root lies in the nilradical of P exactly when its support
-    mask meets this one."""
-    return sum([1 << (i - 1) for i in p.marked])
+def _nilradical(node_roots: tuple[int, ...], marked) -> int:
+    """The nilradical of the parabolic with these marked nodes, as a
+    bitset of positive roots: a positive root lies in it exactly when it
+    has a nonzero coefficient on some marked node."""
+    nil = 0
+    for i in marked:
+        nil |= node_roots[i - 1]
+    return nil
 
 
 def _nilradical_roots(p: ParabolicType) -> tuple[tuple[int, ...], ...]:
-    """The positive roots in the nilradical of P, by the support rule."""
-    marked = _marking_mask(p)
-    return tuple([r for r, mask in zip(p.root_system.positive_roots,
-                                       _support_masks(p.simple_type))
-                  if mask & marked])
+    """The positive roots in the nilradical of P, in ``positive_roots``
+    order: those at the set bits of its bitset."""
+    nil = _nilradical(_node_roots(p.simple_type), p.marked)
+    # bin() reversed lists bit k at position k, up to the highest set bit
+    return tuple([r for r, bit in zip(p.root_system.positive_roots,
+                                      bin(nil)[:1:-1]) if bit == "1"])
 
 
 def flag_dimension(p: ParabolicType) -> int:
     """dim G/P = number of positive roots in the nilradical of P.
 
     Those are exactly the positive roots with a nonzero coefficient on
-    some marked simple root: the roots whose support mask meets the
-    marking's mask. Nothing is cached per parabolic.
+    some marked simple root: the set bits of the OR of the marked nodes'
+    root bitsets. The bitsets are built once per simple type; nothing is
+    cached per parabolic.
     """
     if not p.marked:
         raise EmptyMarking("flag dimension needs a proper parabolic")
-    masks = _support_masks(p.simple_type)  # refuses an over-cap rank first
-    marked = _marking_mask(p)
-    return sum([1 for mask in masks if mask & marked])
+    node_roots = _node_roots(p.simple_type)  # refuses an over-cap rank first
+    return _nilradical(node_roots, p.marked).bit_count()
 
 
 # --- Poincare polynomials ---------------------------------------------------

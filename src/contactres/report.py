@@ -17,9 +17,11 @@ test keeps them from being written as arrays.
 
 The functions hand ``to_json`` the records' own plain tuples (rays,
 compositions, markings, wall ends), not copies, and within one call
-``to_json`` writes each shared tuple once per indent and then reuses
-that text. That is safe because a tuple cannot change and the tree
-keeps every node, hence every id, alive for the whole call.
+``to_json`` writes each shared tuple once per indent depth and then
+reuses that text while the depth stays the same. That is safe because
+a tuple cannot change and the tree keeps every node, hence every id,
+alive for the whole call. The indent, separator and bracket strings of
+each depth are built once per process, not once per container.
 
 The functions read the records by field name only, so this module
 imports nothing from the package: ``rec`` is an ``orbits.OrbitRecord``,
@@ -154,15 +156,32 @@ def resolution_report_dict(r, oracle_checks) -> dict:
 def to_json(obj) -> str:
     """``obj`` as indented JSON with sorted keys; see the module doc."""
     chunks: list[str] = []
-    _encode(obj, "\n", chunks, {})
+    _encode(obj, 0, chunks, {})
     return "".join(chunks)
 
 
-def _encode(obj, newline: str, chunks: list, memo: dict) -> None:
-    """Append ``obj`` to ``chunks``; ``newline`` is the line break plus
-    the indent of the line the value starts on. ``memo``, made anew by
-    each ``to_json`` call, maps the id of each plain tuple written so far
-    to the indent it was last written at and its text there."""
+# Per depth d, the strings a container that starts on a line of depth d
+# writes: the separator, the list and dict openers (each ends with the
+# line break and indent of depth d + 1) and the list and dict closers
+# (the line break and indent of depth d, then the bracket). Filled on
+# demand and shared by every call; each entry depends on d alone, so a
+# concurrent fill stores the same strings.
+_LEVELS: dict[int, tuple[str, str, str, str, str]] = {}
+
+
+def _level(depth: int) -> tuple[str, str, str, str, str]:
+    newline = "\n" + "  " * depth
+    inner = newline + "  "
+    level = _LEVELS[depth] = ("," + inner, "[" + inner, "{" + inner,
+                              newline + "]", newline + "}")
+    return level
+
+
+def _encode(obj, depth: int, chunks: list, memo: dict) -> None:
+    """Append ``obj`` to ``chunks``; ``depth`` is the indent depth of the
+    line the value starts on. ``memo``, made anew by each ``to_json``
+    call, maps the id of each plain tuple written so far to the depth it
+    was last written at and its text there."""
     kind = type(obj)
     if kind is str:
         chunks.append(_quote(obj))
@@ -180,40 +199,37 @@ def _encode(obj, newline: str, chunks: list, memo: dict) -> None:
             return
         if kind is tuple:
             seen = memo.get(id(obj))
-            if seen is not None and seen[0] == newline:
+            if seen is not None and seen[0] == depth:
                 chunks.append(seen[1])
                 return
-        inner = newline + "  "
-        sep = "," + inner
+        sep, lead, _, close, _ = _LEVELS.get(depth) or _level(depth)
         if all([type(x) is int for x in obj]):
-            text = ("[" + inner + sep.join(map(int.__repr__, obj))
-                    + newline + "]")
+            text = lead + sep.join(map(int.__repr__, obj)) + close
             chunks.append(text)
             if kind is tuple:
-                memo[id(obj)] = (newline, text)
+                memo[id(obj)] = (depth, text)
             return
         start = len(chunks)
-        lead = "[" + inner
+        inner = depth + 1
         for item in obj:
             chunks.append(lead)
             lead = sep
             _encode(item, inner, chunks, memo)
-        chunks.append(newline + "]")
+        chunks.append(close)
         if kind is tuple:
-            memo[id(obj)] = (newline, "".join(chunks[start:]))
+            memo[id(obj)] = (depth, "".join(chunks[start:]))
     elif kind is dict:
         if not obj:
             chunks.append("{}")
             return
-        inner = newline + "  "
-        sep = "," + inner
-        lead = "{" + inner
+        sep, _, lead, _, close = _LEVELS.get(depth) or _level(depth)
+        inner = depth + 1
         for key in sorted(obj):
             if type(key) is not str:
                 raise TypeError(f"report key {key!r} is not a str")
             chunks.append(lead + _quote(key) + ": ")
             lead = sep
             _encode(obj[key], inner, chunks, memo)
-        chunks.append(newline + "}")
+        chunks.append(close)
     else:
         raise TypeError(f"{kind.__name__} is not a report type")

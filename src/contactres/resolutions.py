@@ -55,7 +55,7 @@ tuples, compared only with each other.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
@@ -265,9 +265,14 @@ def distinct_ordering_count(items) -> int:
     """How many orderings :func:`_distinct_orderings` yields, in closed
     form: m!/prod(mult!). On the dual partition of a type-A orbit this is
     the number of its polarizations, and of its chambers."""
-    count = math.factorial(len(items))
-    for mult in Counter(items).values():
-        count //= math.factorial(mult)
+    a = sorted(items)
+    count = math.factorial(len(a))
+    run = 1
+    for prev, x in zip(a, a[1:]):
+        # the k-th equal item in a row divides by k, so a run of m
+        # divides by m!, and every quotient on the way is whole
+        run = run + 1 if x == prev else 1
+        count //= run
     return count
 
 
@@ -375,10 +380,6 @@ class ChamberComplex(namedtuple("ChamberComplex", "chambers walls")):
     def chamber_count(self) -> int:
         return len(self.chambers)
 
-    def degree(self, label) -> int:
-        return sum(1 for w in self.walls
-                   if w.chamber_a == label or w.chamber_b == label)
-
     @property
     def is_connected(self) -> bool:
         if not self.chambers:
@@ -418,20 +419,15 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
         # chambers are in label (= composition) order
         labels = {c.composition: c.composition for c in chambers}
         for comp in labels:
-            for i in range(len(comp) - 1):
-                if comp[i] == comp[i + 1]:
+            for i, (a, b) in enumerate(zip(comp, comp[1:])):
+                if a == b:
                     continue
-                swapped = labels.get(
-                    comp[:i] + (comp[i + 1], comp[i]) + comp[i + 2:])
+                swapped = labels.get(comp[:i] + (b, a) + comp[i + 2:])
                 invariant(swapped is not None, "orbit orderings must be "
                           "closed under adjacent transpositions")
-                if comp < swapped:
-                    walls.append(Wall(
-                        chamber_a=comp,
-                        chamber_b=swapped,
-                        position=i + 1,
-                        entries=(comp[i], comp[i + 1]),
-                    ))
+                if a < b:  # comp < swapped: they first differ at i
+                    # chamber_a, chamber_b, position (1-based), entries
+                    walls.append(Wall(comp, swapped, i + 1, (a, b)))
     # Closed under adjacent transpositions, the chambers hold every
     # ordering of the first one's composition, which those moves connect
     # (bubble sort): the wall graph is connected iff there are no other

@@ -133,7 +133,7 @@ def _suite_chambers(seed, max_n):
                         dual_partition(o.partition)),
                     "connected": True, "degree_rule": True}
         cc = movable_chambers(o)
-        # cc.degree scans every wall; one count serves every chamber
+        # one count of the wall ends serves every chamber
         degree = Counter(end for w in cc.walls
                          for end in {w.chamber_a, w.chamber_b})
         degree_rule = all(

@@ -97,12 +97,13 @@ class TestClassify:
 
     @pytest.mark.parametrize("orbit, module, name", [
         ("A299999:300000", resolutions, "parabolic"),
-        ("B299999:599999", lie_core, "_marking_mask")],
+        ("B299999:599999", lie_core, "_nilradical")],
         ids=["type-A", "regular-B"])
     def test_over_rank_cap_refused_before_any_marking(
             self, capsys, validator, monkeypatch, orbit, module, name):
-        # counting the orderings, or the mask of the 299,999-mark Borel,
-        # takes seconds, so the root system refuses the rank first
+        # counting the orderings, or OR-ing the 299,999 marked nodes'
+        # root bitsets of the Borel, takes seconds, so the root system
+        # refuses the rank before the per-type table is built
         def refuse(*args):
             raise AssertionError(f"{name} called before the rank cap")
         monkeypatch.setattr(module, name, refuse)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -508,18 +509,22 @@ class TestChamberComplex:
         assert len(cc.walls) == 6
         assert cc.is_connected
         # Cayley graph of S3 with adjacent transpositions: 2-regular hexagon
+        degree = Counter(end for w in cc.walls
+                         for end in {w.chamber_a, w.chamber_b})
         for ch in cc.chambers:
-            assert cc.degree(ch.composition) == 2
+            assert degree[ch.composition] == 2
 
     def test_degree_rule(self, type_a_orbits):
         for o in type_a_orbits(5):
             cc = movable_chambers(o)
             assert cc.is_connected
+            degree = Counter(end for w in cc.walls
+                             for end in {w.chamber_a, w.chamber_b})
             for ch in cc.chambers:
                 comp = ch.composition
                 expected = sum(1 for i in range(len(comp) - 1)
                                if comp[i] != comp[i + 1])
-                assert cc.degree(comp) == expected
+                assert degree[comp] == expected
 
     def test_chambers_carry_own_basis_cones(self):
         cc = movable_chambers(parse_orbit("A4:3,1,1"))

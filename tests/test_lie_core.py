@@ -162,17 +162,22 @@ class TestFlagDimension:
                         assert dims[small] <= dims[big]
 
     def test_cached_value_matches_uncached_count(self):
-        for t in types_up_to_rank(4):
+        # every marking of A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4 and G2:
+        # the bitsets give the literal support rule, a positive root with
+        # a nonzero coefficient on a marked node, in positive_roots order
+        for t in types_up_to_rank(8):
             roots = build_root_system(t).positive_roots
             for marks in all_markings(t):
-                uncached = sum(1 for r in roots
-                               if any(r[i - 1] for i in marks))
+                p = parabolic(t, marks)
+                literal = tuple([r for r in roots
+                                 if any([r[i - 1] for i in marks])])
+                assert lie_core._nilradical_roots(p) == literal
                 for _ in range(2):
-                    assert flag_dimension(parabolic(t, marks)) == uncached
-        # one support-mask tuple per root system, read on every call
-        hits = lie_core._support_masks.cache_info().hits
+                    assert flag_dimension(p) == len(literal)
+        # one per-type table of node bitsets, read once on every call
+        hits = lie_core._node_roots.cache_info().hits
         flag_dimension(parabolic(SimpleType("A", 3), (1,)))
-        assert lie_core._support_masks.cache_info().hits == hits + 1
+        assert lie_core._node_roots.cache_info().hits == hits + 1
         with pytest.raises(EmptyMarking):
             flag_dimension(parabolic(SimpleType("A", 3), ()))
 

@@ -178,8 +178,9 @@ class TestPolarizations:
         assert walked == [staircase]
 
     def test_cap_enumeration_caches_nothing_per_parabolic(self, monkeypatch):
-        # 5,040 polarizations, each checking dim O = 2 dim G/P; flag
-        # dimensions come from support masks, not root tuples
+        # 5,040 polarizations, each checking dim O = 2 dim G/P; a flag
+        # dimension is the bit count of the marked nodes' root bitsets,
+        # so no root tuple is listed
         listed = []
         monkeypatch.setattr(lie_core, "_nilradical_roots",
                             lambda p: listed.append(p) or ())

@@ -94,18 +94,19 @@ def test_over_cap_suite_stops_at_the_first_over_cap_orbit(monkeypatch):
 
 def test_chambers_suite_counts_degrees_in_one_pass(monkeypatch):
     # the degree rule reads one count of the wall ends per complex, not
-    # a scan of every wall per chamber
-    calls = []
-    degree = ChamberComplex.degree
+    # a scan of every wall per chamber: each complex's walls are read
+    # twice (that count and the connectivity check), whatever its size
+    reads = []
+    walls = ChamberComplex.walls
 
-    def counted(self, label):
-        calls.append(label)
-        return degree(self, label)
+    def counted(self):
+        reads.append(self)
+        return walls.__get__(self, ChamberComplex)
 
-    monkeypatch.setattr(ChamberComplex, "degree", counted)
+    monkeypatch.setattr(ChamberComplex, "walls", property(counted))
     rows = run_suite("chambers", max_n=6)
     assert rows and all(r.agrees for r in rows)
-    assert calls == []
+    assert len(reads) == 2 * len(rows)
 
 
 # the oracles the classify bounds admit for sl_n: ad-rank up to n = 8,
