@@ -20,12 +20,12 @@ the trace form against a basis is a gather of entries of X, and only
 the H_i add a second term. The forms restricted to a subspace are read
 off the supports of its spanning vectors the same way.
 
-``contact_check`` runs three echelon eliminations and no reduced one.
-The first is small: the chain of e. With m the nilpotency index and j
-the first column that e^(m-1) does not kill, the vectors e^k e_j,
-k < m, are independent, so the (m-1) x (n-1) matrix of their
-coordinates (e^k)_(s,j), k >= 1 and s != j, has m - 1 pivots s_i;
-set s_0 = j. Two exact identities then make part of [ad_e | vec(e)]
+``contact_check`` runs two echelon eliminations, no reduced one, and
+one skew elimination (``ratlinalg.skew_rank``). The first is small: the
+chain of e. With m the nilpotency index and j the first column that
+e^(m-1) does not kill, the vectors e^k e_j, k < m, are independent, so
+the (m-1) x (n-1) matrix of their coordinates (e^k)_(s,j), k >= 1 and
+s != j, has m - 1 pivots s_i; set s_0 = j. Two exact identities then make part of [ad_e | vec(e)]
 redundant before it is eliminated. tr(e^k [e, X]) = 0 and
 tr(e^(k+1)) = 0 are m relations among its rows, nonsingular on the
 rows (j, s_i), and [e, e^k] = 0 puts m - 1 vectors in the kernel of
@@ -42,10 +42,12 @@ Euler line do not depend on it. Every check runs on the full system:
 [e, Y] = D e on all n^2 entries, and Y is the witness that theta is
 well defined: D tr(e b) = -tr(Y [e, b]) for every basis element b puts
 theta in the row space of ad_e, so it vanishes on the centralizer. The
-third elimination is the rank of omega on ker theta, read off the Gram
+skew elimination is the rank of omega on ker theta, read off the Gram
 matrix Omega of the tangent basis bordered by theta: by congruence,
-rank [[Omega, theta^T], [theta, 0]] = rank(omega on ker theta) + 2,
-theta being nonzero because e is. The radical is needed only to ask
+rank [[Omega, theta^T], [-theta, 0]] = rank(omega on ker theta) + 2,
+theta being nonzero because e is. Omega is skew, and negating the
+border's last row (which keeps the rank) keeps the whole matrix skew,
+so it is eliminated by 2 x 2 pivots. The radical is needed only to ask
 whether it is the Euler line: when the rank is k - 1, it is that line
 exactly when the Euler vector is nonzero and omega pairs it to zero
 with all of ker theta, that is, when Omega times it is a multiple of
@@ -104,6 +106,7 @@ from .ratlinalg import (
     rank,
     rational,
     row_basis,
+    skew_rank,
 )
 
 ADDIM_SIZE_CAP = 8   # ad_e acts on an (n^2-1)-dim space; keep desk scale
@@ -267,9 +270,10 @@ def kks_rank(m: MatrixModel) -> int:
     """Rank of the skew form (x, y) -> tr(e [x, y]) on trace-zero matrices.
 
     Its radical is the centralizer of e, so the rank recomputes dim O by a
-    route independent of ad-rank.
+    route independent of ad-rank: its Gram matrix is skew, and
+    ``skew_rank`` eliminates it by 2 x 2 (Pfaffian) pivots.
     """
-    return rank(_kks_form(m))
+    return skew_rank(_kks_form(m))
 
 
 def _kks_form(m: MatrixModel) -> list[list]:
@@ -376,12 +380,13 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     invariant(lead is not None, "theta must be nonzero on the tangent space")
     k = d - 1
 
-    # omega(f_a, f_b) = f_a^T omega_P f_b, with omega_P the Gram matrix
-    # tr([e, P_i] P_j) of the tangent preimages; bordering it by theta
-    # adds 2 to the rank of omega on ker theta
+    # omega(f_a, f_b) = f_a^T omega_P f_b, with omega_P the skew Gram
+    # matrix tr([e, P_i] P_j) of the tangent preimages; bordering it by
+    # theta and -theta keeps it skew and adds 2 to the rank of omega on
+    # ker theta
     omega_p = _traces(pivot_images, [supports[p] for p in pivots], n)
-    omega_rank = rank([row + [t] for row, t in zip(omega_p, theta)]
-                      + [theta + [0]]) - 2
+    omega_rank = skew_rank([row + [t] for row, t in zip(omega_p, theta)]
+                           + [[-t for t in theta] + [0]]) - 2
 
     euler = primitive(y)
     invariant(dot(theta, euler) == 0,

@@ -4,14 +4,16 @@ Matrices are sequences of rows; vectors are tuples. Entries are ints or
 ``fractions.Fraction``. No floating point: rank decisions made here are
 the ground truth for everything else in the package.
 
-All elimination runs through ``_eliminate``: Bareiss' fraction-free
-Gauss-Jordan on rows cleared of denominators (row scaling changes
-neither row space nor kernel). Each update divides exactly by the
-previous pivot, so entries stay minors of the cleared matrix, bounded by
-Hadamard's inequality. ``rref`` and ``nullspace`` return primitive
-integer vectors; ``adjugate`` and ``pivot_solution`` return integers,
-and only ``solve`` returns Fractions. ``fractions`` is imported only where
-a Fraction is built, so all-integer work never loads it.
+All elimination of general matrices runs through ``_eliminate``:
+Bareiss' fraction-free Gauss-Jordan on rows cleared of denominators (row
+scaling changes neither row space nor kernel). Each update divides
+exactly by the previous pivot, so entries stay minors of the cleared
+matrix, bounded by Hadamard's inequality. ``rref`` and ``nullspace``
+return primitive integer vectors; ``adjugate`` and ``pivot_solution``
+return integers, and only ``solve`` returns Fractions. ``fractions`` is
+imported only where a Fraction is built, so all-integer work never loads
+it. A skew-symmetric matrix has its own elimination, ``skew_rank``, by
+2 x 2 pivots; ``rank`` is its reference in the tests.
 
 ``pivot_solution`` solves A x = b without clearing above the pivots. Let
 D be the last pivot of the echelon form of the cleared [A | b]: the
@@ -36,6 +38,37 @@ the end. Each of these yields the integer the eager step would have
 held, so every returned entry is still the same minor, and a step costs
 only the rows it visits: on sparse matrices, few of them.
 
+``skew_rank`` eliminates a skew-symmetric matrix A two indices at a
+time. A step pivots on p = A_ij != 0, i the first live index and j its
+first live partner; an index with no partner is a zero row, dropped.
+With P = {i, j}, the rows C = A_(P, rest), a_k = A_ik and b_k = A_jk,
+T = [[1, -A_PP^-1 C], [0, 1]] makes T^T A T block diagonal: A_PP and
+the Schur complement S, skew, with S_kl = A_kl + (b_k a_l - a_k b_l) / p.
+So rank A = 2 + rank S, and since det T = 1 and
+Pf(T^T M T) = det(T) Pf(M), Pf(A_(P, K)) = p Pf(S_K) on every set K of
+the other indices, listed after i, j. Complements compose (the
+complement of a block of S is that of the larger block of A), so after
+the pivot pairs I the complement S of A_I has Pf(A_(I, k, l)) =
+Pf(A_I) S_kl. The elimination keeps B = Pf(A_I) S, whose entries are
+Pfaffians of integer matrices: with prev = Pf(A_I), a and b the rows i
+and j of B and p = B_ij = Pf(A_(I, i, j)), the next B is
+(p B_kl + b_k a_l - a_k b_l) / prev, and the division is exact (the
+Pfaffian condensation identity; Knuth, "Overlapping Pfaffians", 1996).
+A Pfaffian is a square root of a principal minor, so entries carry about
+half the digits of ``_eliminate``'s, and each step retires two indices
+and updates half a matrix. A Fraction matrix is cleared by one common
+denominator, which keeps it skew. Only the entries above the diagonal
+are stored (A_ki = -A_ik), each row from the last column down, so that
+a row and the pivot rows a and b, padded to all n columns, line up at
+their first entries and pair off with no slicing. Rows never shrink:
+the update writes p (-b_k) + b_k p = 0 in column j, so a retired index
+is a zero column of every live row. A row with a_k = b_k = 0 only
+changes by p / prev, and, as above, that rescaling is deferred: each
+row keeps a level, the pivot rows are brought to prev when read, and a
+row with a_k or b_k nonzero at level lv is rewritten at p as
+(p prev x + lv (b_k a_l - a_k b_l)) / (lv prev), the integer the eager
+step makes. A step costs the rows it hits.
+
 Tuples and star-arguments are built from lists: CPython parks a resized
 generator-built tuple on a free list that only a full garbage collection
 empties, which integer work seldom triggers (peak RSS grew ~1 MB).
@@ -44,10 +77,11 @@ empties, which integer work seldom triggers (peak RSS grew ~1 MB).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain, compress, count
 from math import gcd, lcm
-from operator import mul
+from operator import add, getitem, mul
 
-from .errors import invariant
+from .errors import DimensionMismatch, invariant
 
 
 def rational(x) -> Fraction:
@@ -82,7 +116,11 @@ def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
     """(matrix, pivot columns, sign of the row permutation); the pivot
     rows come first. ``reduce`` also clears above each pivot, leaving the
     last pivot value in every pivot column and zeros elsewhere in it."""
-    m = [_int_row(row) for row in rows]
+    m = [list(row) for row in rows]
+    if not {*map(type, chain.from_iterable(m))} <= {int}:
+        m = [_int_row(row) for row in m]
+    if len({*map(len, m)}) > 1:
+        raise DimensionMismatch("rows of unequal length")
     if not m or not m[0]:
         return m, [], 1
     nrows, ncols = len(m), len(m[0])
@@ -131,6 +169,87 @@ def echelon_basis(rows) -> list[list[int]]:
 def rank(rows) -> int:
     """Exact rank: the number of pivots of the echelon form."""
     return len(_eliminate(rows, reduce=False)[1])
+
+
+def _skew_upper(rows) -> list[list[int]]:
+    """Row k of a square, skew matrix above the diagonal, from the last
+    column down to column k + 1, as ints: Fractions there are cleared by
+    one common denominator (clearing each row apart would break the skew
+    symmetry), and a float there is refused with ``TypeError``."""
+    n = len(rows)
+    if {*map(len, rows)} - {n}:
+        raise DimensionMismatch("skew_rank needs a square matrix")
+    upper = [row[:k:-1] for k, row in enumerate(rows)]
+    lower = [col[:k:-1] for k, col in enumerate(zip(*rows))]
+    if (any(map(add, chain.from_iterable(upper), chain.from_iterable(lower)))
+            or any(map(getitem, rows, range(n)))):
+        raise ValueError("skew_rank needs a skew-symmetric matrix")
+    if type(sum(chain.from_iterable(upper))) is not int:  # a Fraction or float
+        fr = [[rational(x) for x in row] for row in upper]
+        mult = lcm(*[x.denominator for row in fr for x in row])
+        upper = [[x.numerator * (mult // x.denominator) for x in row]
+                 for row in fr]
+    return upper
+
+
+def skew_rank(rows) -> int:
+    """Exact rank of a skew-symmetric matrix of ints or Fractions: two
+    per pivot of the Pfaffian elimination. A non-square matrix raises
+    ``DimensionMismatch`` and a non-skew one ``ValueError``, before any
+    elimination."""
+    return 2 * len(_skew_pivots(rows))
+
+
+def _skew_pivots(rows) -> list[int]:
+    """The pivots of the Pfaffian elimination of ``rows`` (see the module
+    docstring), in order: the t-th is the Pfaffian of the cleared matrix
+    on the first t pivot pairs, each listed i before j."""
+    upper = _skew_upper(rows)
+    n = len(upper)
+    level = [1] * n
+    live = list(range(n))
+    pivots, prev = [], 1
+    while live:
+        i = live.pop(0)
+        row = upper[i]
+        c = next(compress(count(), reversed(row)), None)
+        if c is None:
+            continue
+        j = i + 1 + c
+        live.remove(j)
+        # rows i and j of B, brought to prev and padded to all n columns,
+        # last column first: a[n - 1 - l] = a_l
+        if level[i] != prev:
+            row = [x and x * prev // level[i] for x in row]
+        a = [*row] + [0] * (i + 1)
+        p = a[n - 1 - j]
+        row = upper[j]
+        if level[j] != prev:
+            row = [x and x * prev // level[j] for x in row]
+        b = [*row] + [0] * (j + 1)
+        for k in live:  # b_k = -B_kj for the live k before j
+            if k > j:
+                break
+            x = upper[k][n - 1 - j]
+            if x:
+                b[n - 1 - k] = (-x if level[k] == prev
+                                else -x * prev // level[k])
+        for k in live:
+            ak, bk = a[n - 1 - k], b[n - 1 - k]
+            if not (ak or bk):
+                continue
+            lv = level[k]
+            if lv == prev:
+                upper[k] = [(p * x + bk * al - ak * bl) // prev
+                            for x, al, bl in zip(upper[k], a, b)]
+            else:
+                s, u, v, d = p * prev, lv * bk, lv * ak, lv * prev
+                upper[k] = [(s * x + u * al - v * bl) // d
+                            for x, al, bl in zip(upper[k], a, b)]
+            level[k] = p
+        pivots.append(p)
+        prev = p
+    return pivots
 
 
 def rref(rows) -> tuple[list[list[int]], list[int]]:

@@ -45,7 +45,15 @@ from contactres.orbits import (
     partitions_of,
     validate_orbit,
 )
-from contactres.ratlinalg import mat_mul, mat_vec, nullspace, rank, rref, solve
+from contactres.ratlinalg import (
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rank,
+    rref,
+    skew_rank,
+    solve,
+)
 from contactres.resolutions import compositions_of
 
 F = Fraction
@@ -532,18 +540,27 @@ class TestContactCheck:
                     assert res.dim_orbit == d
                     assert res.is_contact
 
-    def test_one_elimination_per_matrix(self, eliminations):
+    def test_one_elimination_per_matrix(self, eliminations, monkeypatch):
         # the chain coordinates (e^k)_(s,j), k = 1, 2 and s != j; then
         # [ad_e | vec(e)] less the m = 3 rows and m - 1 = 2 columns they make
-        # redundant, whose back-substitution gives the Euler vector; then
-        # omega_P (dim O = 16) bordered by theta. All in echelon mode, and
-        # omega pairs the Euler vector with ker theta by products alone
+        # redundant, whose back-substitution gives the Euler vector, both in
+        # echelon mode; then one skew elimination, omega_P (dim O = 16)
+        # bordered by theta and -theta. Omega pairs the Euler vector with
+        # ker theta by products alone
+        skew, skew_calls = oracle_lab.skew_rank, []
+
+        def counting(rows):
+            skew_calls.append(rows)
+            return skew(rows)
+
+        monkeypatch.setattr(oracle_lab, "skew_rank", counting)
         model = random_conjugate(jordan_nilpotent((3, 2)), 5)
         eliminations.clear()
         assert contact_check(model).is_contact
         assert [(len(call["rows"]), len(call["rows"][0]), call["reduce"])
                 for call in eliminations] == [
-            (2, 4, False), (25 - 3, 24 - 2 + 1, False), (17, 17, False)]
+            (2, 4, False), (25 - 3, 24 - 2 + 1, False)]
+        assert [(len(rows), len(rows[0])) for rows in skew_calls] == [(17, 17)]
 
     @each_orbit_to_six
     def test_reduced_system_keeps_the_rank(self, part):
@@ -626,7 +643,10 @@ class TestContactCheck:
             restricted = mat_mul(mat_mul(list(zip(*k)), b), k)
             bordered = ([row + [t] for row, t in zip(b, theta)]
                         + [theta + [0]])
-            assert rank(bordered) - 2 == rank(restricted)
+            # contact_check's form: the last row negated, so still skew
+            skew = bordered[:-1] + [[-t for t in theta] + [0]]
+            assert (rank(bordered) - 2 == skew_rank(skew) - 2
+                    == rank(restricted))
 
     MODELS = [jordan_nilpotent((2, 1)), jordan_nilpotent((3,)),
               random_conjugate(jordan_nilpotent((2, 2)), 3)]

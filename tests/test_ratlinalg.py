@@ -1,13 +1,16 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactres import ratlinalg
+from contactres.errors import DimensionMismatch
 from contactres.ratlinalg import (
     _eliminate,
     _int_row,
+    _skew_pivots,
+    _skew_upper,
     adjugate,
     dot,
     echelon_basis,
@@ -19,6 +22,7 @@ from contactres.ratlinalg import (
     rank,
     row_basis,
     rref,
+    skew_rank,
     solve,
 )
 
@@ -101,6 +105,73 @@ def reference_eliminate(rows, reduce):
         if r == nrows:
             break
     return m, pivots, sign
+
+
+@st.composite
+def skew_matrices(draw, entries, max_n=10):
+    """A skew-symmetric n x n matrix, n <= ``max_n``, with the rows and
+    columns of some indices zeroed: of low rank (a sum of u v^T - v u^T,
+    u and v dense or sparse), sparse, or with at most 2n nonzeros above
+    the diagonal, as sparse as the KKS form of a Jordan model. Sparse
+    rows sit out some pivot steps and not others, and a low rank turns a
+    wrong entry into a wrong rank."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    a = [[0] * n for _ in range(n)]
+    shape = draw(st.sampled_from(["low rank", "sparse", "sparser"]))
+    if shape == "low rank":
+        vectors = st.lists(draw(st.sampled_from([entries, sparse(entries)])),
+                           min_size=n, max_size=n)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            u, v = draw(vectors), draw(vectors)
+            for k in range(n):
+                for l in range(n):
+                    a[k][l] += u[k] * v[l] - v[k] * u[l]
+    else:
+        pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+        cells = sparse(entries)
+        if shape == "sparser" and pairs:
+            pairs = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+            cells = entries
+        for k, l in pairs:
+            a[k][l] = draw(cells)
+            a[l][k] = -a[k][l]
+    for k in draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                          max_size=n)):
+        a[k] = [0] * n
+        for row in a:
+            row[k] = 0
+    return a
+
+
+# --- reference: the eager Pfaffian step, every division checked -------------
+
+def exact_div(num, den):
+    q, rem = divmod(num, den)
+    assert rem == 0, (num, den)
+    return q
+
+
+def reference_skew_pivots(rows):
+    """``_skew_pivots`` on the full matrix, cleared by one common
+    denominator, with every live row updated at every step, no rescaling
+    deferred, and every division checked."""
+    mult = lcm(*[F(x).denominator for row in rows for x in row])
+    a = [[int(x * mult) for x in row] for row in rows]
+    live, pivots, prev = list(range(len(a))), [], 1
+    while live:
+        i = live.pop(0)
+        j = next((l for l in live if a[i][l]), None)
+        if j is None:
+            continue
+        live.remove(j)
+        p, ai, aj = a[i][j], a[i][:], a[j][:]
+        for k in live:
+            for l in live:
+                a[k][l] = exact_div(p * a[k][l] + aj[k] * ai[l]
+                                    - ai[k] * aj[l], prev)
+        pivots.append(p)
+        prev = p
+    return pivots
 
 
 # --- reference: the Fraction Gauss-Jordan the integer kernel replaced --------
@@ -260,6 +331,73 @@ class TestRank:
         assert rank([]) == 0
         assert rank([[]]) == 0
         assert rank([[0, 0], [0, 0]]) == 0
+
+    def test_ragged_rows_refused(self):
+        # read by the first row's length, these once answered 0 and
+        # "inconsistent"
+        with pytest.raises(DimensionMismatch):
+            rank([[0], [0, 3]])
+        with pytest.raises(DimensionMismatch):
+            pivot_solution([[1], [0, 1]], [1, 1])
+
+
+class TestSkewRank:
+    @pytest.mark.parametrize("kind", ENTRIES)
+    @given(data=st.data())
+    @settings(max_examples=150, derandomize=True)
+    def test_matches_rank_and_the_eager_step(self, kind, data):
+        # the general elimination is the reference for the rank; the eager
+        # step, whose divisions are all exact, for every pivot
+        rows = data.draw(skew_matrices(ENTRIES[kind]))
+        pivots = _skew_pivots(rows)
+        assert pivots == reference_skew_pivots(rows)
+        assert skew_rank(rows) == 2 * len(pivots) == rank(rows)
+        if kind == "int" and rows and 2 * len(pivots) == len(rows):
+            # the last pivot is a Pfaffian of the whole matrix: Pf^2 = det
+            m, _, sign = _eliminate(rows, reduce=False)
+            assert pivots[-1] ** 2 == sign * m[-1][-1]
+
+    def test_row_hit_again_after_sitting_out(self):
+        # pivot pairs (0, 3), (1, 4), (2, 5), (6, 7): row 6 is hit by the
+        # first, sits out the second and is hit by the third from level
+        # -2, while the previous pivot is 4
+        upper = {(0, 3): -2, (0, 5): 2, (0, 6): 2, (1, 4): -2, (2, 3): 2,
+                 (5, 7): 2}
+        rows = [[0] * 8 for _ in range(8)]
+        for (k, l), x in upper.items():
+            rows[k][l], rows[l][k] = x, -x
+        assert _skew_pivots(rows) == reference_skew_pivots(rows) \
+            == [-2, 4, 8, -16]
+
+    def test_rational_entries_share_one_denominator(self):
+        # clearing each row apart would scale row 0 by 6, rows 1 and 2 by
+        # 2 and 3: [0, 3, 2] against [-1, 0, 0] twice, not skew. Each row
+        # is stored from the last column down
+        rows = [[0, F(1, 2), F(1, 3)], [F(-1, 2), 0, 0], [F(-1, 3), 0, 0]]
+        assert _skew_upper(rows) == [[2, 3], [0], []]
+        assert skew_rank(rows) == 2
+
+    def test_degenerate_shapes(self):
+        assert skew_rank([]) == 0
+        assert skew_rank([[0]]) == 0
+        assert skew_rank([(0, 0), (0, 0)]) == 0
+        assert skew_rank(((0, 2, 0), (-2, 0, 1), (0, -1, 0))) == 2
+
+    @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1], [-1]], [[]]])
+    def test_non_square_refused(self, rows):
+        with pytest.raises(DimensionMismatch):
+            skew_rank(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]], [[1]], [[0, 2, 0], [-2, 0, 1], [0, 1, 0]],
+        [[0, F(1, 2)], [F(1, 2), 0]]])
+    def test_non_skew_refused(self, rows):
+        with pytest.raises(ValueError):
+            skew_rank(rows)
+
+    def test_float_refused(self):
+        with pytest.raises(TypeError):
+            skew_rank([[0, 0.5], [-0.5, 0]])
 
 
 @pytest.mark.parametrize("kind", ENTRIES)
