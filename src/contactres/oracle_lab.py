@@ -61,7 +61,12 @@ triangular, and adj(g) g = det(g) I gives
 (g e adj g)^k = det(g)^(k-1) g e^k adj g. A matrix from a caller is
 checked once, where it enters: ``matrix_model`` refuses it unless it is
 square, within ``ADDIM_SIZE_CAP`` and nilpotent, as decided by
-``jordan_type``, the only nilpotency test here. Fractions appear only
+``jordan_type``, the only nilpotency test here. That test walks the
+ranks of the powers of e to the first zero power, which is not
+eliminated; a strictly upper triangular e is nilpotent already, and by
+the Frobenius rank inequality (the drops rank(e^(k-1)) - rank(e^k)
+never increase, and stay >= 1 up to rank 0) its walk stops at its first
+drop of 1. Fractions appear only
 where an entry really is rational: in such a matrix (the tests rescale
 models by rational factors), and then in the forms built from it. The
 kernel in ``ratlinalg`` accepts both. Tuples are built from lists, for
@@ -69,7 +74,8 @@ the reason given there.
 
 These oracles are deliberately independent of the combinatorial
 formulas they validate: dimensions come from ranks of ad maps, Richardson
-partitions from Jordan types of certified generic nilradical samples,
+partitions from Jordan types of certified generic nilradical samples
+(each entry drawn from the stream that ``randint(-9, 9)`` draws),
 Springer degrees from exact flag counting. The size caps are constants,
 ``ADDIM_SIZE_CAP`` and ``FIBER_SIZE_CAP``. All randomness is seeded and
 the seed strings are derivable by callers for reporting.
@@ -87,6 +93,7 @@ from operator import index
 
 from .errors import (
     ContactresError,
+    DimensionMismatch,
     InvalidPartition,
     NonFiniteFiber,
     NonGenericSample,
@@ -244,15 +251,29 @@ def jordan_type(e: Matrix) -> tuple[int, ...]:
 
     The rows of e^(k+1) span the row space of e^k times e, so the echelon
     basis of e^k times e gives rank(e^(k+1)) and the next basis: the k-th
-    elimination gets rank(e^(k-1)) rows, not n.
+    elimination gets rank(e^(k-1)) rows, not n. A zero product has rank
+    0 and is not eliminated. By the Frobenius rank inequality the drops
+    rank(e^(k-1)) - rank(e^k) never increase, and for a nilpotent e they
+    stay >= 1 until the rank is 0; so when e is strictly upper triangular
+    (every Jordan model and nilradical sample), a drop of 1 from rank r
+    decides the rest, r - 1, ..., 0, and the walk stops there. Any other
+    matrix is walked in full, which is the nilpotency test. A non-square
+    matrix raises ``DimensionMismatch``.
     """
     n = len(e)
+    if any(len(row) != n for row in e):
+        raise DimensionMismatch("jordan_type needs a square matrix")
+    upper = not any([any(row[:i + 1]) for i, row in enumerate(e)])
     ranks = [n]
     rows = e
     for _ in range(n):
+        if not any(map(any, rows)):
+            ranks.append(0)
+            break
         basis = echelon_basis(rows)
         ranks.append(len(basis))
-        if not basis:
+        if upper and ranks[-2] - ranks[-1] == 1:
+            ranks += range(ranks[-1] - 1, -1, -1)
             break
         rows = mat_mul(basis, e)
     if ranks[-1] != 0:
@@ -411,13 +432,16 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
 
 def nilradical_positions(comp) -> list[tuple[int, int]]:
     """Matrix positions of the block strictly-upper nilradical for block
-    sizes ``comp``."""
+    sizes ``comp``, row by row: each row of a block meets every column
+    after the block."""
     comp = tuple([index(c) for c in comp])  # TypeError on a float
-    block = []
-    for b, size in enumerate(comp):
-        block += [b] * size
-    n = len(block)
-    return [(i, j) for i in range(n) for j in range(n) if block[i] < block[j]]
+    n = sum(comp)
+    positions, start = [], 0
+    for size in comp:
+        end = start + size
+        positions += [(i, j) for i in range(start, end) for j in range(end, n)]
+        start = end
+    return positions
 
 
 def trial_seeds(seed: int) -> list[str]:
@@ -427,13 +451,18 @@ def trial_seeds(seed: int) -> list[str]:
 
 
 def _sample_nilradical(n: int, positions, seed_string: str) -> Matrix:
-    """The n x n integer matrix with one ``randint(-9, 9)`` of the stream
+    """The n x n integer matrix with one entry of the stream
     ``seed_string`` at each of ``positions``, in their order, and zeros
-    elsewhere."""
-    randint = random.Random(seed_string).randint
+    elsewhere. An entry is ``getrandbits(5)``, redrawn until it is below
+    19, minus 9: the stream is ``randint(-9, 9)``'s, which draws the same
+    way (``_randbelow(19)``), without its three Python calls per entry."""
+    bits = random.Random(seed_string).getrandbits
     rows = _zeros(n)
     for i, j in positions:
-        rows[i][j] = randint(-9, 9)
+        x = bits(5)
+        while x >= 19:
+            x = bits(5)
+        rows[i][j] = x - 9
     return tuple([tuple(row) for row in rows])
 
 

@@ -144,8 +144,9 @@ def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> Orbi
             raise InvalidPartition(f"very-even tag must be I or II, got "
                                    f"{very_even_tag!r}")
         if not is_very_even(t, part):
+            untagged = OrbitLabel(simple_type=t, partition=part)
             raise InvalidPartition(
-                f"{t}:{part} is not very even; no I/II tag applies")
+                f"{untagged} is not very even; no I/II tag applies")
     return OrbitLabel(simple_type=t, partition=part,
                       very_even_tag=very_even_tag)
 

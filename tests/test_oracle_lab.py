@@ -6,6 +6,7 @@ import pytest
 from contactres import oracle_lab
 from contactres.errors import (
     ContactresError,
+    DimensionMismatch,
     InternalInvariantError,
     InvalidPartition,
     NonFiniteFiber,
@@ -24,6 +25,7 @@ from contactres.oracle_lab import (
     _generic_sample,
     _kks_form,
     _reduced_system,
+    _sample_nilradical,
     _supports,
     _traces,
     _vec,
@@ -260,25 +262,35 @@ def _dominates(lam, mu) -> bool:
     return True
 
 
+def reference_nilradical_positions(comp):
+    """``nilradical_positions`` by the block of each index: (i, j) is in
+    the nilradical when i's block comes before j's."""
+    block = [b for b, size in enumerate(comp) for _ in range(size)]
+    n = len(block)
+    return [(i, j) for i in range(n) for j in range(n) if block[i] < block[j]]
+
+
 def reference_sample_nilradical(comp, seed_string):
     """The sampler before it took its positions from its caller: the
-    positions built anew for every draw, and every entry of the sample
-    passed through ``_exact``."""
+    positions built anew for every draw, each entry one
+    ``randint(-9, 9)``, and every entry of the sample passed through
+    ``_exact``."""
     rng = random.Random(seed_string)
     n = sum(comp)
     rows = [[0] * n for _ in range(n)]
-    for i, j in nilradical_positions(comp):
+    for i, j in reference_nilradical_positions(comp):
         rows[i][j] = rng.randint(-9, 9)
     return oracle_lab._freeze(rows)
 
 
 def reference_generic_sample(comp, seed):
-    """``_generic_sample`` on the reference sampler."""
+    """``_generic_sample`` on the reference sampler, typed by the ranks of
+    the full powers."""
     n = sum(comp)
-    centralizer = n * n - 2 * len(nilradical_positions(comp))
+    centralizer = n * n - 2 * len(reference_nilradical_positions(comp))
     for t in range(GENERIC_DRAWS):
         e = reference_sample_nilradical(comp, f"{seed}:{t}")
-        part = jordan_type(e)
+        part = reference_jordan_type(e)
         if sum([(2 * i + 1) * p for i, p in enumerate(part)]) == centralizer:
             return e, part
     return None
@@ -416,10 +428,10 @@ class TestTraceGather:
 class TestJordanType:
     @staticmethod
     def matrices():
-        """Every Jordan model of n <= 6 and its conjugates at seeds 0-2,
+        """Every Jordan model of n <= 8 and its conjugates at seeds 0-2,
         and the certified nilradical samples of every composition of
-        n <= 6 at seeds 0-2."""
-        for n in range(1, 7):
+        n <= 8 at seeds 0-2."""
+        for n in range(1, ADDIM_SIZE_CAP + 1):
             for part in partitions_of(n):
                 base = jordan_nilpotent(part)
                 yield base.e
@@ -434,31 +446,46 @@ class TestJordanType:
         for e in self.matrices():
             assert jordan_type(e) == reference_jordan_type(e), e
             count += 1
-        assert count == 4 * 29 + 3 * 63
+        # the partitions of n <= 8 number 1, 2, 3, 5, 7, 11, 15, 22 and
+        # the compositions 2^(n-1)
+        assert count == 4 * 66 + 3 * 255
 
     @pytest.mark.parametrize("e", [
         [[1]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 1]],
         [[0, 1, 2], [0, 0, 3], [F(1, 2), 0, 0]]])
     def test_non_nilpotent_refused(self, e):
+        # rank 2 of 3 is a first drop of 1 for [[0,1,0],[0,0,1],[0,0,1]]:
+        # only a strictly upper triangular matrix may stop there
         for oracle in (jordan_type, reference_jordan_type):
             with pytest.raises(ContactresError, match="not nilpotent"):
                 oracle(e)
 
     @pytest.mark.parametrize("e", [
-        jordan_nilpotent((3, 2, 1)).e,
-        random_conjugate(jordan_nilpotent((4, 2)), 1).e,
-        _generic_sample((1, 2, 1, 2), 0)[0],
-        _generic_sample((1,) * 8, 0)[0]])
+        ((0, 1), (0, 0), (0, 0)), ((0, 0, 1), (0, 0)), ((),)])
+    def test_non_square_refused(self, e):
+        # ((0, 1), (0, 0), (0, 0)) had the type (2, 1)
+        with pytest.raises(DimensionMismatch,
+                           match="jordan_type needs a square matrix"):
+            jordan_type(e)
+
+    @pytest.mark.parametrize("e, count", [
+        (jordan_nilpotent((3, 2, 1)).e, 2),
+        (random_conjugate(jordan_nilpotent((4, 2)), 1).e, 3),
+        (_generic_sample((1, 2, 1, 2), 0)[0], 3),
+        (_generic_sample((1,) * 8, 0)[0], 1)])
     def test_each_elimination_gets_the_previous_rank_in_rows(
-            self, e, eliminations):
+            self, e, count, eliminations):
         # the k-th elimination echelons the basis of e^(k-1) times e, so
-        # it gets rank(e^(k-1)) rows where the full powers had n each
+        # it gets rank(e^(k-1)) rows where the full powers had n each.
+        # The zero power is not eliminated, and a strictly upper
+        # triangular e stops at its first drop of 1: (3, 2, 1) has ranks
+        # 6, 3, 1, 0 and the sample of (1, 2, 1, 2), type (4, 2), has
+        # 6, 4, 2, 1, 0; the conjugate of (4, 2) is walked to its zero
+        # power, and the (1,)*8 sample, type (8,), drops 1 at once
         ranks = power_ranks(e)
         eliminations.clear()
         jordan_type(e)
-        sizes = [len(call["rows"]) for call in eliminations]
-        assert len(sizes) == len(ranks) - 1
-        assert all(size <= r for size, r in zip(sizes, ranks))
+        assert [len(call["rows"]) for call in eliminations] == ranks[:count]
 
 
 class TestAdRank:
@@ -827,6 +854,32 @@ class TestGenericJordanType:
         assert nilradical_positions((1, 3)) == [(0, 1), (0, 2), (0, 3)]
         assert nilradical_positions((2, 2)) == \
             [(0, 2), (0, 3), (1, 2), (1, 3)]
+        for n in range(1, ADDIM_SIZE_CAP + 1):
+            for comp in compositions_of(n):
+                assert nilradical_positions(comp) == \
+                    reference_nilradical_positions(comp), comp
+
+    def test_sampler_draws_the_randint_stream(self):
+        # the reference draws each entry by randint(-9, 9); the sampler
+        # must draw the same stream on every interpreter the tests run on
+        for n in range(1, ADDIM_SIZE_CAP + 1):
+            for comp in compositions_of(n):
+                positions = nilradical_positions(comp)
+                for s in range(3):
+                    for t in range(3):
+                        seed_string = f"{s}:{t}"
+                        assert _sample_nilradical(n, positions, seed_string) \
+                            == reference_sample_nilradical(comp, seed_string)
+
+    def test_generic_answers_up_to_the_cap(self):
+        # every composition of n <= 8: the Richardson type at seeds 0-2,
+        # and a one-point fiber at seed 0
+        for n in range(1, ADDIM_SIZE_CAP + 1):
+            for comp in compositions_of(n):
+                for seed in range(3):
+                    assert generic_jordan_type(comp, seed=seed) == \
+                        recipe(comp), (comp, seed)
+                assert generic_fiber_count(comp) == 1, comp
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):

@@ -165,6 +165,16 @@ class TestValidation:
         with pytest.raises(InvalidPartition):
             parse_orbit("D4:3,3,1,1/I")
 
+    @pytest.mark.parametrize("label, shown", [
+        ("A3:4/I", "A3:4"), ("D4:3,1,1,1,1,1/I", "D4:3,1,1,1,1,1"),
+        ("D4:1,3,1,1,1,1/II", "D4:3,1,1,1,1,1")])
+    def test_tag_refusal_names_the_label(self, label, shown):
+        # the refusal printed the partition as a Python tuple, "A3:(4,)"
+        with pytest.raises(InvalidPartition) as info:
+            parse_orbit(label)
+        assert str(info.value) == \
+            f"{shown} is not very even; no I/II tag applies"
+
 
 class TestDimension:
     def test_a3_oracle_derived_examples(self):
