@@ -38,20 +38,21 @@ matrix Y in their span with [e, Y] = D e. Nothing returned moves:
 dropping rows keeps the row space, so the pivots and the solution
 stay and only D changes; dropping columns keeps the column space, so
 the tangent basis may change, but the dimension, the ranks and the
-Euler line do not depend on it. Every check runs on the full system:
-[e, Y] = D e on all n^2 entries, and Y is the witness that theta is
-well defined: D tr(e b) = -tr(Y [e, b]) for every basis element b puts
-theta in the row space of ad_e, so it vanishes on the centralizer. The
-skew elimination is the rank of omega on ker theta, read off the Gram
-matrix Omega of the tangent basis bordered by theta: by congruence,
-rank [[Omega, theta^T], [-theta, 0]] = rank(omega on ker theta) + 2,
-theta being nonzero because e is. Omega is skew, and negating the
-border's last row (which keeps the rank) keeps the whole matrix skew,
-so it is eliminated by 2 x 2 pivots. The radical is needed only to ask
-whether it is the Euler line: when the rank is k - 1, it is that line
-exactly when the Euler vector is nonzero and omega pairs it to zero
-with all of ker theta, that is, when Omega times it is a multiple of
-theta.
+Euler line do not depend on it. Every check runs on the full system,
+through two n x n products: W = Y e - e Y = -[e, Y] is -D e on all n^2
+entries, and Y is the witness that theta is well defined: by trace
+cyclicity tr(Y [e, b]) = tr(W b) = -D tr(e b) for every basis element
+b, which puts theta in the row space of ad_e, so it vanishes on the
+centralizer. The skew elimination is the rank of omega on ker theta,
+read off the Gram matrix Omega of the tangent basis bordered by theta:
+by congruence, rank [[Omega, theta^T], [-theta, 0]] is
+rank(omega on ker theta) + 2, theta being nonzero because e is. Omega
+is skew, and negating the border's last row (which keeps the rank)
+keeps the whole matrix skew, so it is eliminated by 2 x 2 pivots. The
+radical is needed only to ask whether it is the Euler line: when the
+rank is k - 1, it is that line exactly when the Euler vector is nonzero
+and omega pairs it to zero with all of ker theta, that is, when Omega
+times it is a multiple of theta.
 
 Models are integer matrices: the Jordan forms, the nilradical samples
 and the conjugates are built from ints, and every product stays
@@ -66,11 +67,10 @@ ranks of the powers of e to the first zero power, which is not
 eliminated; a strictly upper triangular e is nilpotent already, and by
 the Frobenius rank inequality (the drops rank(e^(k-1)) - rank(e^k)
 never increase, and stay >= 1 up to rank 0) its walk stops at its first
-drop of 1. Fractions appear only
-where an entry really is rational: in such a matrix (the tests rescale
-models by rational factors), and then in the forms built from it. The
-kernel in ``ratlinalg`` accepts both. Tuples are built from lists, for
-the reason given there.
+drop of 1. Fractions appear only where an entry really is rational: in
+such a matrix (the tests rescale models by rational factors), and then
+in the forms built from it. The kernel in ``ratlinalg`` accepts both.
+Tuples are built from lists, for the reason given there.
 
 These oracles are deliberately independent of the combinatorial
 formulas they validate: dimensions come from ranks of ad maps, Richardson
@@ -377,22 +377,23 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     pivots = [cols[p] for p in pivots]
     d = len(pivots)
     pivot_images = [images[p] for p in pivots]
-    # [e, Y] = minor * e on all n^2 entries, the dropped rows included
-    invariant(mat_vec(zip(*pivot_images), y)
-              == tuple([minor * x for x in vec_e]),
-              "e must lie in the image of ad_e")
-    y_t = [0] * (n * n)  # vec of Y^T, so that tr(Y X) = dot(y_t, vec(X))
+    # the witness: Y = sum y_i b_{p_i} and W = Y e - e Y = -[e, Y], with
+    # W = -minor * e on all n^2 entries, the dropped rows included
+    y_mat = _zeros(n)
     for p, yp in zip(pivots, y):
         for i, j, x in supports[p]:
-            y_t[j * n + i] += yp * x
+            y_mat[i][j] += yp * x
+    w = [a - b for ye, ey in zip(mat_mul(y_mat, m.e), mat_mul(m.e, y_mat))
+         for a, b in zip(ye, ey)]
+    invariant(w == [-minor * x for x in vec_e],
+              "e must lie in the image of ad_e")
 
-    # theta on the whole basis, tr(e b_j); well-definedness: it vanishes
-    # on the centralizer, since tr([e, Y] b) = -tr(Y [e, b]) puts it in
-    # the row space of ad_e
+    # theta on the whole basis, tr(e b) as gathered; well-definedness: it
+    # vanishes on the centralizer, since tr(W b) = tr(Y [e, b]) equals
+    # -minor tr(e b), which puts it in the row space of ad_e
     theta_all = _traces([vec_e], supports, n)[0]
-    for t, img in zip(theta_all, images):
-        invariant(minor * t == -dot(y_t, img),
-                  "trace form fails to vanish on the centralizer")
+    invariant(_traces([w], supports, n)[0] == [-minor * t for t in theta_all],
+              "trace form fails to vanish on the centralizer")
 
     # theta is in the row space of ad_e, so it is zero on the tangent
     # basis only if tr(e b) = 0 for every b in sl_n, that is, only if e = 0
@@ -430,57 +431,46 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
 
 # --- Richardson / Springer oracles -------------------------------------------
 
-def nilradical_positions(comp) -> list[tuple[int, int]]:
-    """Matrix positions of the block strictly-upper nilradical for block
-    sizes ``comp``, row by row: each row of a block meets every column
-    after the block."""
-    comp = tuple([index(c) for c in comp])  # TypeError on a float
-    n = sum(comp)
-    positions, start = [], 0
-    for size in comp:
-        end = start + size
-        positions += [(i, j) for i in range(start, end) for j in range(end, n)]
-        start = end
-    return positions
-
-
 def trial_seeds(seed: int) -> list[str]:
     """The first three seed strings of ``seed``'s draw stream, for
     reporting; a later draw, ``f"{seed}:{t}"``, is fixed by the same seed."""
     return [f"{seed}:{t}" for t in range(3)]
 
 
-def _sample_nilradical(n: int, positions, seed_string: str) -> Matrix:
-    """The n x n integer matrix with one entry of the stream
-    ``seed_string`` at each of ``positions``, in their order, and zeros
-    elsewhere. An entry is ``getrandbits(5)``, redrawn until it is below
-    19, minus 9: the stream is ``randint(-9, 9)``'s, which draws the same
-    way (``_randbelow(19)``), without its three Python calls per entry."""
+def _sample_nilradical(comp, seed_string: str) -> Matrix:
+    """The block nilradical of ``comp`` with entries drawn from the stream
+    ``seed_string``, row by row: each row of a block gets one entry per
+    column after the block. An entry is ``getrandbits(5)``, redrawn until
+    it is below 19, minus 9: ``randint(-9, 9)``'s stream, drawn the same
+    way (``_randbelow(19)``) without its three Python calls per entry."""
     bits = random.Random(seed_string).getrandbits
-    rows = _zeros(n)
-    for i, j in positions:
-        x = bits(5)
-        while x >= 19:
-            x = bits(5)
-        rows[i][j] = x - 9
-    return tuple([tuple(row) for row in rows])
+    n, end, rows = sum(comp), 0, []
+    for size in comp:
+        end += size
+        for _ in range(size):
+            row = [0] * end
+            while len(row) < n:
+                x = bits(5)
+                if x < 19:
+                    row.append(x - 9)
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _generic_sample(comp, seed: int) -> tuple[Matrix, tuple[int, ...]]:
     """The first sample of the block nilradical n_P in the draw stream
     ``seed:0, seed:1, ...`` that is certified generic, with its type.
 
-    e is generic exactly when dim G.e = 2 dim n_P (Richardson, 1974), and
-    e of Jordan type lambda, weakly decreasing from index 0, has a
-    centralizer of dimension sum (2i + 1) lambda_i in gl_n (Collingwood
-    and McGovern); no recipe under test is read. Raises
+    e is generic exactly when dim G.e = 2 dim n_P (Richardson, 1974): when
+    its centralizer in gl_n has the Levi's dimension, sum c^2 over the
+    blocks c. e of Jordan type lambda, weakly decreasing from index 0,
+    has a centralizer of dimension sum (2i + 1) lambda_i (Collingwood and
+    McGovern); no recipe under test is read. Raises
     :class:`NonGenericSample` after ``GENERIC_DRAWS`` draws.
     """
-    n = sum(comp)
-    positions = nilradical_positions(comp)
-    centralizer = n * n - 2 * len(positions)
+    centralizer = sum([c * c for c in comp])
     for t in range(GENERIC_DRAWS):
-        e = _sample_nilradical(n, positions, f"{seed}:{t}")
+        e = _sample_nilradical(comp, f"{seed}:{t}")
         part = jordan_type(e)
         if sum([(2 * i + 1) * p for i, p in enumerate(part)]) == centralizer:
             return e, part
@@ -507,15 +497,17 @@ def _contains(big, small) -> bool:
 
 def _grow(bound: list, act) -> None:
     """Grow lower bounds B_i on a flag stable under x to the least fixpoint
-    of B_i >= B_{i-1} + x B_{i+1}; rows are vectors, so ``act`` is x^T."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(bound) - 1):
-            new = row_basis(bound[i] + bound[i - 1]
-                            + mat_mul(bound[i + 1], act))
-            if len(new) != len(bound[i]):
-                bound[i], changed = new, True
+    of B_i >= B_{i-1} + x B_{i+1}; rows are vectors, so ``act`` is x^T.
+    B_i is recomputed only after B_{i-1} or B_{i+1} changed: the least
+    fixpoint above the start is unique and each bound a canonical RREF, so
+    the order of the updates changes no bound."""
+    todo = set(range(1, len(bound) - 1))
+    while todo:
+        i = todo.pop()
+        new = row_basis(bound[i] + bound[i - 1] + mat_mul(bound[i + 1], act))
+        if len(new) != len(bound[i]):
+            bound[i] = new
+            todo.update({i - 1, i + 1} - {0, len(bound) - 1})
 
 
 def generic_fiber_count(comp, seed: int = 0) -> int:
@@ -590,13 +582,21 @@ def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
     """Conjugate e by a seeded random invertible integer matrix g.
 
     Returns g e adj(g) = det(g) g e g^-1, an integer matrix with the rank,
-    kernel and Jordan type of the conjugate g e g^-1.
+    kernel and Jordan type of the conjugate g e g^-1, as the transpose of
+    adj(g^T) (g e)^T: one Gauss-Jordan elimination of [g^T | (g e)^T]. An
+    entry of g is ``getrandbits(3)``, redrawn until it is below 7, minus
+    3: ``randint(-3, 3)``'s stream; g is redrawn while singular.
     """
-    rng = random.Random(f"{seed}:conj")
+    bits = random.Random(f"{seed}:conj").getrandbits
     n = m.n
+    e_t = [*zip(*m.e)]
     while True:
-        g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        adj = adjugate(g)
-        if adj is not None:
-            break
-    return MatrixModel(n, mat_mul(mat_mul(g, m.e), adj))
+        g = []  # row by row
+        while len(g) < n * n:
+            x = bits(3)
+            if x < 7:
+                g.append(x - 3)
+        g_t = [g[i::n] for i in range(n)]
+        conj_t = adjugate(g_t, mat_mul(e_t, g_t))
+        if conj_t is not None:
+            return MatrixModel(n, tuple([*zip(*conj_t)]))

@@ -335,13 +335,16 @@ def solve(rows, rhs) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def adjugate(rows) -> list[list[int]] | None:
-    """det(A) A^-1 for a square integer matrix A, or None when singular."""
-    # Gauss-Jordan on [A | I] ends at [D I | D A^-1], with D the last
+def adjugate(rows, b) -> list[list[int]] | None:
+    """adj(A) B = det(A) A^-1 B for a square integer matrix A and an
+    integer matrix B with as many rows, or None when A is singular; B = I
+    gives adj(A)."""
+    # Gauss-Jordan on [A | B] ends at [D I | D A^-1 B], with D the last
     # pivot; the permutation sign turns D into det(A) for integral A.
     n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(rows)]
+    if {*map(len, rows)} - {n} or len(b) != n:
+        raise DimensionMismatch("adjugate needs a square A and B of its rows")
+    aug = [list(row) + list(rhs) for row, rhs in zip(rows, b)]
     m, pivots, sign = _eliminate(aug, reduce=True)
     if pivots != list(range(n)):
         return None

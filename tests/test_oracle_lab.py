@@ -37,7 +37,6 @@ from contactres.oracle_lab import (
     jordan_type,
     kks_rank,
     matrix_model,
-    nilradical_positions,
     random_conjugate,
     trial_seeds,
 )
@@ -48,15 +47,20 @@ from contactres.orbits import (
     validate_orbit,
 )
 from contactres.ratlinalg import (
+    adjugate,
+    dot,
     mat_mul,
     mat_vec,
     nullspace,
+    pivot_solution,
     rank,
+    row_basis,
     rref,
     skew_rank,
     solve,
 )
 from contactres.resolutions import compositions_of
+from contactres.verify import run_suite
 
 F = Fraction
 
@@ -263,8 +267,8 @@ def _dominates(lam, mu) -> bool:
 
 
 def reference_nilradical_positions(comp):
-    """``nilradical_positions`` by the block of each index: (i, j) is in
-    the nilradical when i's block comes before j's."""
+    """The positions of the block nilradical, row by row, by the block of
+    each index: (i, j) is in it when i's block comes before j's."""
     block = [b for b, size in enumerate(comp) for _ in range(size)]
     n = len(block)
     return [(i, j) for i in range(n) for j in range(n) if block[i] < block[j]]
@@ -307,6 +311,54 @@ def reference_vote_sample(comp, seed):
         if all(_dominates(cand, other) for other in observed):
             return e, cand
     return None
+
+
+def reference_conjugate(m, seed):
+    """``random_conjugate`` by its definition: g drawn by
+    ``randint(-3, 3)``, redrawn while singular, and g e adj(g) by two
+    products."""
+    rng = random.Random(f"{seed}:conj")
+    identity = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
+    while True:
+        g = [[rng.randint(-3, 3) for _ in range(m.n)] for _ in range(m.n)]
+        adj = adjugate(g, identity)
+        if adj is not None:
+            return mat_mul(mat_mul(g, m.e), adj)
+
+
+def centralizer_loop_holds(m):
+    """The witness checks of ``contact_check`` before the product W: with
+    y its back-substituted Euler coordinates, D vec(e) is the combination
+    of the pivot images, and D tr(e b) = -tr(Y [e, b]) for every basis
+    element b, one dot product of length n^2 each."""
+    n, supports = m.n, _supports(m.n)
+    images = _ad_images(m.e, supports)
+    vec_e = _vec(m.e)
+    rows, rhs, cols = _reduced_system(m.e, images, vec_e)
+    pivots, minor, y = pivot_solution(rows, rhs)
+    pivots = [cols[p] for p in pivots]
+    y_t = [0] * (n * n)  # vec of Y^T, so that tr(Y X) = dot(y_t, vec(X))
+    for p, yp in zip(pivots, y):
+        for i, j, x in supports[p]:
+            y_t[j * n + i] += yp * x
+    theta = _traces([vec_e], supports, n)[0]
+    return (mat_vec(zip(*[images[p] for p in pivots]), y)
+            == tuple([minor * x for x in vec_e])
+            and all(minor * t == -dot(y_t, img)
+                    for t, img in zip(theta, images)))
+
+
+def reference_grow(bound, act):
+    """``_grow`` by sweeps: every B_i recomputed until a whole sweep
+    changes none."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(bound) - 1):
+            new = row_basis(bound[i] + bound[i - 1]
+                            + mat_mul(bound[i + 1], act))
+            if len(new) != len(bound[i]):
+                bound[i], changed = new, True
 
 
 def recipe(comp):
@@ -503,6 +555,19 @@ class TestAdRank:
 
 
 class TestRandomConjugate:
+    def test_matches_the_randint_definition(self):
+        # every Jordan model of n <= 8 at seeds 0-24: the same g, drawn
+        # from randint(-3, 3)'s stream, and the same g e adj(g)
+        count = 0
+        for n in range(1, ADDIM_SIZE_CAP + 1):
+            for part in partitions_of(n):
+                base = jordan_nilpotent(part)
+                for seed in range(25):
+                    assert random_conjugate(base, seed).e == \
+                        reference_conjugate(base, seed), (part, seed)
+                    count += 1
+        assert count == 66 * 25
+
     def test_integer_with_base_jordan_type(self):
         for n in range(1, 6):
             for part in partitions_of(n):
@@ -632,6 +697,24 @@ class TestContactCheck:
                            match="trace form fails to vanish on the "
                                  "centralizer"):
             contact_check(model)
+
+    def test_witness_holds_the_per_basis_identity(self, monkeypatch):
+        # every model the contact suite builds for n <= 5: tr(W b) =
+        # -D tr(e b) is the per-basis identity by trace cyclicity, and the
+        # reference checks it by n^2 dot products
+        checked = []
+
+        def both(model):
+            assert centralizer_loop_holds(model), model
+            checked.append(model)
+            return contact_check(model)
+
+        monkeypatch.setattr(oracle_lab, "contact_check", both)
+        assert all(row.agrees for row in run_suite("contact", max_n=5,
+                                                   seed=0))
+        # four models (the Jordan form, three conjugates) per nonzero orbit
+        assert len(checked) == 4 * sum(len(nonzero_partitions(n))
+                                       for n in range(2, 6))
 
     def test_wrong_euler_coordinates_are_refused(self, monkeypatch):
         # y[0] + 1 adds the nonzero pivot image [e, b_{p_0}] to [e, Y]
@@ -782,7 +865,6 @@ def test_malformed_parts_rejected(oracle, parts):
     (jordan_nilpotent, (2.5, 1)),
     (generic_jordan_type, (2.9, 1)),
     (generic_fiber_count, (1.5, 1)),
-    (nilradical_positions, (1.5, 1)),
 ], ids=lambda x: getattr(x, "__name__", None) or repr(x))
 def test_float_parts_refused(oracle, parts):
     # int() truncated them: (2.5, 1) was the (2, 1) model
@@ -823,9 +905,9 @@ class TestGenericJordanType:
     def test_bound_runs_out_on_zero_samples(self, monkeypatch):
         draws = []
 
-        def zero(n, positions, seed_string):
+        def zero(comp, seed_string):
             draws.append(seed_string)
-            return tuple([(0,) * n] * n)
+            return tuple([(0,) * sum(comp)] * sum(comp))
         monkeypatch.setattr(oracle_lab, "_sample_nilradical", zero)
         for oracle in (generic_jordan_type, generic_fiber_count):
             draws.clear()
@@ -850,25 +932,15 @@ class TestGenericJordanType:
         assert generic_jordan_type((2, 3), seed=7) == \
             generic_jordan_type((2, 3), seed=7)
 
-    def test_nilradical_positions(self):
-        assert nilradical_positions((1, 3)) == [(0, 1), (0, 2), (0, 3)]
-        assert nilradical_positions((2, 2)) == \
-            [(0, 2), (0, 3), (1, 2), (1, 3)]
-        for n in range(1, ADDIM_SIZE_CAP + 1):
-            for comp in compositions_of(n):
-                assert nilradical_positions(comp) == \
-                    reference_nilradical_positions(comp), comp
-
     def test_sampler_draws_the_randint_stream(self):
         # the reference draws each entry by randint(-9, 9); the sampler
         # must draw the same stream on every interpreter the tests run on
         for n in range(1, ADDIM_SIZE_CAP + 1):
             for comp in compositions_of(n):
-                positions = nilradical_positions(comp)
                 for s in range(3):
                     for t in range(3):
                         seed_string = f"{s}:{t}"
-                        assert _sample_nilradical(n, positions, seed_string) \
+                        assert _sample_nilradical(comp, seed_string) \
                             == reference_sample_nilradical(comp, seed_string)
 
     def test_generic_answers_up_to_the_cap(self):
@@ -916,6 +988,24 @@ class TestFiberCount:
         assert generic_fiber_count(comp, seed=0) == 1
         with pytest.raises(SizeCapExceeded):
             generic_fiber_count(comp + (1,), seed=0)
+
+    def test_worklist_reaches_the_sweeps_fixpoint(self, monkeypatch):
+        # every composition up to the cap at seed 0: each call of _grow
+        # ends at the bounds the sweeps reach from the same start
+        grow, calls = oracle_lab._grow, []
+
+        def both(bound, act):
+            want = list(bound)
+            reference_grow(want, act)
+            grow(bound, act)
+            assert bound == want
+            calls.append(len(bound))
+
+        monkeypatch.setattr(oracle_lab, "_grow", both)
+        for n in range(1, FIBER_SIZE_CAP + 1):
+            for comp in compositions_of(n):
+                assert generic_fiber_count(comp, seed=0) == 1, comp
+        assert calls and max(calls) == FIBER_SIZE_CAP + 1
 
     def test_fiber_count_keeps_no_state_between_calls(self, eliminations):
         # a cache that outlived the call would make the second call cheaper

@@ -265,6 +265,24 @@ def reference_det(rows):
                for j in range(len(rows)))
 
 
+def assert_adjugate(rows):
+    """adj(A) B = det(A) A^-1 B, in integers, for B = I (adj(A) itself)
+    and for a fixed n x (n + 1) integer B; None for a singular A."""
+    n = len(rows)
+    ref = reference_inverse(rows)
+    for b in ([[int(i == j) for j in range(n)] for i in range(n)],
+              [[(3 * i + j) % 5 - 2 for j in range(n + 1)]
+               for i in range(n)]):
+        adj = adjugate(rows, b)
+        if ref is None:
+            assert adj is None
+            continue
+        det = reference_det(rows)
+        assert all(type(x) is int for row in adj for x in row)
+        assert adj == [[det * sum([x * y for x, y in zip(row, col)])
+                        for col in zip(*b)] for row in ref]
+
+
 def is_primitive_int(vec):
     return all(type(x) is int for x in vec) and gcd(*vec) == 1
 
@@ -295,13 +313,7 @@ class TestDeferredScalingCases:
     @given(square_matrices(max_n=6, entries=SPARSE_ENTRIES["int"]))
     @settings(max_examples=120, derandomize=True)
     def test_adjugate_on_sparse_squares(self, rows):
-        ref = reference_inverse(rows)
-        adj = adjugate(rows)
-        if ref is None:
-            assert adj is None
-            return
-        det = reference_det(rows)
-        assert adj == [[det * x for x in row] for row in ref]
+        assert_adjugate(rows)
 
 
 class TestRank:
@@ -546,14 +558,17 @@ class TestInverse:
     @given(square_matrices())
     @settings(max_examples=80, derandomize=True)
     def test_adjugate_is_det_times_inverse(self, rows):
-        adj = adjugate(rows)
-        ref = reference_inverse(rows)
-        if ref is None:
-            assert adj is None
-            return
-        det = reference_det(rows)
-        assert all(type(x) is int for row in adj for x in row)
-        assert adj == [[det * x for x in row] for row in ref]
+        assert_adjugate(rows)
+
+    @pytest.mark.parametrize("rows, b", [
+        ([[1, 2], [3, 4]], [[1, 0]]),
+        ([[1, 2], [3, 4]], [[1], [0], [2]]),
+        ([[1, 2, 0], [3, 4, 1]], [[1], [0]])])
+    def test_adjugate_refuses_mismatched_shapes(self, rows, b):
+        # zip would drop B's extra rows, or A's extra columns would be
+        # read as part of B
+        with pytest.raises(DimensionMismatch):
+            adjugate(rows, b)
 
 
 class TestPrimitive:
