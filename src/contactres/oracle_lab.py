@@ -89,6 +89,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import index
 
 from .errors import (
@@ -495,19 +496,45 @@ def _contains(big, small) -> bool:
     return rank(big + small) == len(big)
 
 
-def _grow(bound: list, act) -> None:
-    """Grow lower bounds B_i on a flag stable under x to the least fixpoint
-    of B_i >= B_{i-1} + x B_{i+1}; rows are vectors, so ``act`` is x^T.
-    B_i is recomputed only after B_{i-1} or B_{i+1} changed: the least
-    fixpoint above the start is unique and each bound a canonical RREF, so
-    the order of the updates changes no bound."""
-    todo = set(range(1, len(bound) - 1))
+def _fiber_bounds(e: Matrix, comp) -> tuple[list, list]:
+    """The two families of lower bounds of :func:`generic_fiber_count` at
+    their least fixpoint: ``lower[i] <= V_i``, ``ann[k - i] <= V_i^perp``.
+
+    Rows are vectors, so ``lower`` grows under e^T and ``ann`` under e. A
+    (step, family) pair is recomputed only after a neighbour in its family
+    changed, and a bound that reaches its step's dimension writes its
+    annihilator into the other family at once. Every update is monotone
+    and every bound a canonical RREF, so the fixpoint is unique and the
+    order of the updates changes no bound.
+    """
+    n, k = sum(comp), len(comp)
+    dims = [0, *accumulate(comp)]
+    size = (dims, [n - d for d in reversed(dims)])
+    acts = (list(zip(*e)), e)
+    whole = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+    bounds = ([()] * k + [whole], [()] * k + [whole])
+    todo = {(i, f) for f in (0, 1) for i in range(1, k)}
     while todo:
-        i = todo.pop()
-        new = row_basis(bound[i] + bound[i - 1] + mat_mul(bound[i + 1], act))
-        if len(new) != len(bound[i]):
-            bound[i] = new
-            todo.update({i - 1, i + 1} - {0, len(bound) - 1})
+        # highest step first: both families grow down from V_k, and the
+        # order (so the work) hangs on no set hashing
+        i, f = pair = max(todo)
+        todo.remove(pair)
+        bound = bounds[f]
+        new = row_basis(bound[i] + bound[i - 1]
+                        + mat_mul(bound[i + 1], acts[f]))
+        if len(new) == len(bound[i]):
+            continue
+        invariant(len(new) <= size[f][i],
+                  "no bound may overshoot: e lies in the block "
+                  "nilradical, so the standard flag is in its fiber")
+        bound[i], changed = new, [(i, f)]
+        other = bounds[1 - f]
+        if len(new) == size[f][i] and len(other[k - i]) < n - len(new):
+            other[k - i] = row_basis(nullspace(new))
+            changed.append((k - i, 1 - f))
+        todo.update([(j + d, g) for j, g in changed for d in (-1, 1)
+                     if 0 < j + d < k])
+    return bounds
 
 
 def generic_fiber_count(comp, seed: int = 0) -> int:
@@ -520,57 +547,28 @@ def generic_fiber_count(comp, seed: int = 0) -> int:
     V_i >= V_{i-1} + e V_{i+1}. The annihilators V_{k-i}^perp form a flag
     of type ``reversed(comp)`` for e^T, so the same rule grows lower
     bounds on them, which intersects V_i with V_{i+1} and e^-1 V_{i-1}. A
-    step is forced once either bound reaches its dimension. The element
-    is the certified sample of :func:`generic_jordan_type`, and fibers
-    over one orbit are isomorphic, so a step left unforced at the
-    fixpoint means that the linear propagation is incomplete, not that
-    the sample is special; it raises ``NonFiniteFiber``.
+    step is forced once either bound reaches its dimension, and the other
+    is then its annihilator; one worklist (:func:`_fiber_bounds`) grows
+    both families and forces the steps. The element is the certified
+    sample of :func:`generic_jordan_type`, and fibers over one orbit are
+    isomorphic, so a step left unforced at the fixpoint means that the
+    linear propagation is incomplete, not that the sample is special; it
+    raises ``NonFiniteFiber``.
     """
     comp = _positive_parts(comp, "composition", FIBER_SIZE_CAP)
-    n = sum(comp)
     if len(comp) == 1:
         return 1  # V_1 = C^n and the nilradical is zero
 
     e, _ = _generic_sample(comp, seed)
-    e_t = list(zip(*e))
-
-    k = len(comp)
-    dims = [0]
-    for c in comp:
-        dims.append(dims[-1] + c)
-    whole = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
-    lower = [()] * k + [whole]  # lower[i] <= V_i
-    ann = [()] * k + [whole]    # ann[k - i] <= V_i^perp
-    fixed = [i in (0, k) for i in range(k + 1)]
-    while True:
-        _grow(lower, e_t)
-        _grow(ann, e)
-        progressed = False
-        for i in range(1, k):
-            if fixed[i]:
-                continue
-            invariant(len(lower[i]) <= dims[i]
-                      and len(ann[k - i]) <= n - dims[i],
-                      "no bound may overshoot: e lies in the block "
-                      "nilradical, so the standard flag is in its fiber")
-            if len(lower[i]) == dims[i]:
-                ann[k - i] = row_basis(nullspace(lower[i]))
-            elif len(ann[k - i]) == n - dims[i]:
-                lower[i] = row_basis(nullspace(ann[k - i]))
-            else:
-                continue
-            fixed[i] = progressed = True
-        if not progressed:
-            break
-
-    if not all(fixed):
+    lower, _ = _fiber_bounds(e, comp)
+    if [len(b) for b in lower] != [0, *accumulate(comp)]:
         raise NonFiniteFiber(
             f"solution set for {comp} not forced to a point; "
             f"the linear propagation is incomplete here")
 
-    for i in range(1, k + 1):
-        invariant(len(lower[i]) == dims[i]
-                  and _contains(lower[i], lower[i - 1])
+    e_t = list(zip(*e))
+    for i in range(1, len(lower)):
+        invariant(_contains(lower[i], lower[i - 1])
                   and _contains(lower[i - 1], mat_mul(lower[i], e_t)),
                   "the forced flag must be a flag of type comp stable under e")
     return 1

@@ -194,28 +194,24 @@ def _suite_cones(seed, count, max_dim):
     return rows
 
 
-# suite name -> (runner, default caps); a runner takes the seed and its caps
+# suite name -> (runner, default caps, oracle cap); a runner takes the seed
+# and its caps. The oracle cap is what a row of size n hands an oracle and
+# that oracle's cap, or None; every n >= 2 has a nonzero orbit and a
+# composition, so a max_n over the cap is refused before the first row,
+# with the error of the first over-cap row
 _SUITES = {
-    "ad-rank": (_suite_ad_rank, {"max_n": 5}),
-    "kks": (_suite_kks, {"max_n": 5}),
-    "contact": (_suite_contact, {"max_n": 5}),
-    "richardson": (_suite_richardson, {"max_n": 6}),
-    "fibers": (_suite_fibers, {"max_n": 4}),
-    "chambers": (_suite_chambers, {"max_n": 7}),
-    "cones": (_suite_cones, {"count": 100, "max_dim": 4}),
-}
-
-
-# suite name -> what its rows of size n hand an oracle, and that oracle's
-# cap; every n >= 2 has a nonzero orbit and a composition, so a max_n over
-# the cap is refused before the first row, with the error of the first
-# over-cap row
-_ORACLE_CAPS = {
-    "ad-rank": ("partition", oracle_lab.ADDIM_SIZE_CAP),
-    "kks": ("partition", oracle_lab.ADDIM_SIZE_CAP),
-    "contact": ("partition", oracle_lab.ADDIM_SIZE_CAP),
-    "richardson": ("composition", oracle_lab.ADDIM_SIZE_CAP),
-    "fibers": ("composition", oracle_lab.FIBER_SIZE_CAP),
+    "ad-rank": (_suite_ad_rank, {"max_n": 5},
+                ("partition", oracle_lab.ADDIM_SIZE_CAP)),
+    "kks": (_suite_kks, {"max_n": 5},
+            ("partition", oracle_lab.ADDIM_SIZE_CAP)),
+    "contact": (_suite_contact, {"max_n": 5},
+                ("partition", oracle_lab.ADDIM_SIZE_CAP)),
+    "richardson": (_suite_richardson, {"max_n": 6},
+                   ("composition", oracle_lab.ADDIM_SIZE_CAP)),
+    "fibers": (_suite_fibers, {"max_n": 4},
+               ("composition", oracle_lab.FIBER_SIZE_CAP)),
+    "chambers": (_suite_chambers, {"max_n": 7}, None),
+    "cones": (_suite_cones, {"count": 100, "max_dim": 4}, None),
 }
 
 
@@ -279,10 +275,10 @@ def suite_caps(name: str, max_n: int | None = None,
 def run_suite(name: str, max_n: int | None = None, seed: int = 0,
               count: int | None = None) -> list[OracleCheck]:
     """Run one named suite; None caps fall back to the suite defaults."""
-    runner, defaults = _suite(name)
+    runner, defaults, oracle_cap = _suite(name)
     caps = suite_caps(name, max_n, count)
-    if name in _ORACLE_CAPS:
-        kind, cap = _ORACLE_CAPS[name]
+    if oracle_cap is not None:
+        kind, cap = oracle_cap
         if caps["max_n"] > cap:  # the error of the first over-cap row
             oracle_lab.refuse_over_cap(cap + 1, kind, cap)
     return runner(seed, **{key: caps[key] for key in defaults})

@@ -22,6 +22,7 @@ from contactres.oracle_lab import (
     ContactCheckResult,
     MatrixModel,
     _ad_images,
+    _fiber_bounds,
     _generic_sample,
     _kks_form,
     _reduced_system,
@@ -349,8 +350,8 @@ def centralizer_loop_holds(m):
 
 
 def reference_grow(bound, act):
-    """``_grow`` by sweeps: every B_i recomputed until a whole sweep
-    changes none."""
+    """Grow lower bounds B_i >= B_{i-1} + B_{i+1} act by sweeps: every B_i
+    recomputed until a whole sweep changes none."""
     changed = True
     while changed:
         changed = False
@@ -359,6 +360,33 @@ def reference_grow(bound, act):
                             + mat_mul(bound[i + 1], act))
             if len(new) != len(bound[i]):
                 bound[i], changed = new, True
+
+
+def reference_fiber_bounds(e, comp):
+    """``_fiber_bounds`` by rounds: sweep both families to their fixpoints,
+    then force every step whose bound reached its dimension, until a round
+    forces no new step."""
+    n, k = sum(comp), len(comp)
+    dims = [sum(comp[:i]) for i in range(k + 1)]
+    whole = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+    lower, ann = [()] * k + [whole], [()] * k + [whole]
+    fixed = [i in (0, k) for i in range(k + 1)]
+    progressed = True
+    while progressed:
+        reference_grow(lower, list(zip(*e)))
+        reference_grow(ann, e)
+        progressed = False
+        for i in range(1, k):
+            if fixed[i]:
+                continue
+            if len(lower[i]) == dims[i]:
+                ann[k - i] = row_basis(nullspace(lower[i]))
+            elif len(ann[k - i]) == n - dims[i]:
+                lower[i] = row_basis(nullspace(ann[k - i]))
+            else:
+                continue
+            fixed[i] = progressed = True
+    return lower, ann
 
 
 def recipe(comp):
@@ -989,23 +1017,46 @@ class TestFiberCount:
         with pytest.raises(SizeCapExceeded):
             generic_fiber_count(comp + (1,), seed=0)
 
-    def test_worklist_reaches_the_sweeps_fixpoint(self, monkeypatch):
-        # every composition up to the cap at seed 0: each call of _grow
-        # ends at the bounds the sweeps reach from the same start
-        grow, calls = oracle_lab._grow, []
+    def test_worklist_reaches_the_rounds_fixpoint(self):
+        # every composition up to the cap at seed 0: one worklist over both
+        # families ends at the bounds that the rounds of sweeps reach
+        for n in range(1, FIBER_SIZE_CAP + 1):
+            for comp in compositions_of(n):
+                e = _generic_sample(comp, 0)[0]
+                assert _fiber_bounds(e, comp) == \
+                    reference_fiber_bounds(e, comp), comp
 
-        def both(bound, act):
-            want = list(bound)
-            reference_grow(want, act)
-            grow(bound, act)
-            assert bound == want
-            calls.append(len(bound))
+    def test_unforced_step_is_refused(self, monkeypatch):
+        # at n = 9, (2, 1, 3, 1, 2) is certified generic but the linear
+        # propagation leaves its steps unforced, on both paths
+        comp = (2, 1, 3, 1, 2)
+        monkeypatch.setattr(oracle_lab, "FIBER_SIZE_CAP", 9)
+        with pytest.raises(NonFiniteFiber, match=(
+                r"solution set for \(2, 1, 3, 1, 2\) not forced to a point; "
+                r"the linear propagation is incomplete here")):
+            generic_fiber_count(comp, seed=0)
+        with pytest.raises(NonFiniteFiber):
+            reference_fiber_count(comp, seed=0)
+        e = _generic_sample(comp, 0)[0]
+        lower, ann = bounds = _fiber_bounds(e, comp)
+        assert bounds == reference_fiber_bounds(e, comp)
+        assert [len(b) for b in lower] == [0, 1, 2, 4, 6, 9]
+        assert [len(b) for b in ann] == [0, 1, 2, 4, 6, 9]
 
-        monkeypatch.setattr(oracle_lab, "_grow", both)
+    def test_eliminations_pinned(self, monkeypatch):
+        # row_basis calls over every composition up to the cap at seed 0;
+        # the rounds of sweeps made 6,871
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return row_basis(rows)
+
+        monkeypatch.setattr(oracle_lab, "row_basis", counting)
         for n in range(1, FIBER_SIZE_CAP + 1):
             for comp in compositions_of(n):
                 assert generic_fiber_count(comp, seed=0) == 1, comp
-        assert calls and max(calls) == FIBER_SIZE_CAP + 1
+        assert len(calls) == 3724
 
     def test_fiber_count_keeps_no_state_between_calls(self, eliminations):
         # a cache that outlived the call would make the second call cheaper
