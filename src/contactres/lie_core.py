@@ -3,10 +3,11 @@
 Simple types A-G with Bourbaki numbering of simple roots throughout; all
 I/O (the ``"A3:{1,3}"`` grammar, JSON reports) uses that numbering.
 
-Roots live in simple-root coordinates as integer tuples. Root systems are
-generated by closing the simple roots under simple reflections and then
-validated against the classical cardinalities, so there is a single code
-path for all types and it is self-checking.
+Roots live in simple-root coordinates as integer tuples. Only the
+positive roots are generated: one pass raises the simple roots by simple
+reflections, each root carrying its pairings with the simple coroots, and
+the result is validated against the classical cardinalities, so there is
+a single code path for all types and it is self-checking.
 
 Poincare polynomials of Weyl groups and their parabolic quotients are
 computed from Macdonald's height product
@@ -22,9 +23,10 @@ suite enumerates W at small rank as an independent cross-check.
 A parabolic is a (simple type, marking) value. Its nilradical is a
 bitset over the positive roots, the OR of one bitset per marked node,
 and its flag dimension is the bitset's bit count; the per-node bitsets
-are built once per root system, on first use. Nothing is cached per
-parabolic: the Poincare polynomial and the twistor test recompute its
-nilradical roots. The package's errors are the only import.
+are built in the same pass as the root system and kept in its one
+cached record. Nothing is cached per parabolic: the Poincare polynomial
+and the twistor test recompute its nilradical roots. The package's
+errors are the only import.
 
 Value records here and in the other modules are ``collections.namedtuple``
 subclasses with ``__slots__ = ()``. Those that validate their input do
@@ -72,11 +74,13 @@ _POSITIVE_ROOT_COUNT = {
     "G": lambda n: 6,
 }
 
-# Largest rank whose root system is built. The reflection closure costs
-# roughly rank^4 to rank^5: the slowest of A-D builds in ~0.6 s at rank
-# 40, ~0.9 s at 45 and 1.1-1.4 s at 50, and B100 took ~20 s (CPython
-# 3.11.7, 2-core x86-64). Closed-form answers, such as orbit dimensions,
-# build no root system and meet no cap.
+# Largest rank whose root system is built. Generation costs about
+# rank^3: the slowest of A-D builds in ~15 ms at rank 40, ~0.1 s at 80
+# and ~0.2 s at 100 (CPython 3.11.7, 2-core x86-64). What the cap still
+# bounds is the work after it: a type-A orbit over it is refused before
+# its orderings are counted, and a report's orthant has at most this
+# many rays. Raising it changes which requests are answered. Closed-form
+# answers, such as orbit dimensions, build no root system and meet no cap.
 MAX_ROOT_SYSTEM_RANK = 40
 
 DUAL_COXETER_NUMBER = {
@@ -119,19 +123,18 @@ class SimpleType(namedtuple("SimpleType", "family rank")):
 
 
 class RootSystemData(namedtuple(
-        "RootSystemData", "simple_type cartan_matrix positive_roots")):
-    """Cartan matrix and positive roots of a type.
+        "RootSystemData",
+        "simple_type cartan_matrix positive_roots node_roots")):
+    """Cartan matrix, positive roots and node bitsets of a type.
 
     Conventions: ``cartan_matrix[i][j] = <alpha_i, alpha_j-check>`` (zero
     based), and positive roots are integer tuples of simple-root
-    coefficients.
+    coefficients, sorted. ``node_roots[i]`` is the bitset of the positive
+    roots with a nonzero alpha_{i+1} coefficient: bit k is set when
+    ``positive_roots[k]`` is such a root.
     """
 
     __slots__ = ()
-
-    @property
-    def rank(self) -> int:
-        return self.simple_type.rank
 
 
 def _cartan_matrix(family: str, n: int) -> list[list[int]]:
@@ -169,54 +172,59 @@ def _cartan_matrix(family: str, n: int) -> list[list[int]]:
     return c
 
 
-def _pairing_with_coroot(coeffs, cartan, j) -> int:
-    """<beta, alpha_j-check> for beta given by simple-root coefficients."""
-    return sum(ci * cartan[i][j] for i, ci in enumerate(coeffs))
-
-
-def _generate_roots(cartan) -> set[tuple[int, ...]]:
+def _positive_roots(cartan) -> set[tuple[int, ...]]:
+    """The positive roots, raised from the simple roots by simple
+    reflections. Each root carries its pairings <beta, alpha_j-check>:
+    s_j takes k = <beta, alpha_j-check> times alpha_j from beta, and k
+    times row j of the Cartan matrix from the pairings. Every non-simple
+    positive root is s_j(beta) for a positive root beta of lower height
+    with k < 0, so the raising steps reach exactly the positive roots.
+    """
     n = len(cartan)
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
+    frontier = [(tuple(int(i == j) for j in range(n)), row) for i, row in
+                enumerate(cartan)]
+    roots = {beta for beta, _ in frontier}
     while frontier:
-        beta = frontier.pop()
-        for j in range(n):
-            k = _pairing_with_coroot(beta, cartan, j)
-            if k == 0:
-                continue
-            image = list(beta)
-            image[j] -= k
-            image = tuple(image)
-            if image not in roots:
-                roots.add(image)
-                frontier.append(image)
+        beta, pairings = frontier.pop()
+        for j, k in enumerate(pairings):
+            if k < 0:
+                image = beta[:j] + (beta[j] - k,) + beta[j + 1:]
+                if image not in roots:
+                    roots.add(image)
+                    frontier.append((image, tuple(
+                        [p - k * c for p, c in zip(pairings, cartan[j])])))
     return roots
 
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystemData:
-    """Generate the full root-system data for a simple type.
+    """Generate the root-system data for a simple type.
 
-    Roots are produced by reflection closure and validated against the
-    classical positive-root count, so a bad Cartan matrix cannot slip
-    through silently. A rank over ``MAX_ROOT_SYSTEM_RANK`` is refused
-    with :class:`SizeCapExceeded` before any root is generated.
+    The positive roots are validated against the classical count, so a
+    bad Cartan matrix cannot slip through silently, and each is ORed into
+    the bitsets of the nodes it involves. A rank over
+    ``MAX_ROOT_SYSTEM_RANK`` is refused with :class:`SizeCapExceeded`
+    before any root is generated.
     """
     if t.rank > MAX_ROOT_SYSTEM_RANK:
         raise SizeCapExceeded(f"{t} has rank {t.rank}, over the root-system "
                               f"cap of {MAX_ROOT_SYSTEM_RANK}")
-    cartan = _cartan_matrix(t.family, t.rank)
-    roots = _generate_roots(cartan)
-    positive = sorted(r for r in roots if all(c >= 0 for c in r))
+    cartan = tuple(tuple(row) for row in _cartan_matrix(t.family, t.rank))
+    positive = sorted(_positive_roots(cartan))
     expected = t.num_positive_roots
-    invariant(len(positive) == expected and 2 * len(positive) == len(roots),
+    invariant(len(positive) == expected,
               f"root generation for {t} produced {len(positive)} positive "
               f"roots, expected {expected}")
+    node_roots = [0] * t.rank
+    for k, r in enumerate(positive):
+        for i, c in enumerate(r):
+            if c:
+                node_roots[i] |= 1 << k
     return RootSystemData(
         simple_type=t,
-        cartan_matrix=tuple(tuple(row) for row in cartan),
+        cartan_matrix=cartan,
         positive_roots=tuple(positive),
+        node_roots=tuple(node_roots),
     )
 
 
@@ -253,19 +261,6 @@ def parabolic(t: SimpleType, marked) -> ParabolicType:
     return ParabolicType(t, tuple(marked))
 
 
-@lru_cache(maxsize=None)
-def _node_roots(t: SimpleType) -> tuple[int, ...]:
-    """For each simple root i, the positive roots with a nonzero alpha_i
-    coefficient as a bitset: entry i - 1 has bit k set when
-    ``positive_roots[k]`` is such a root."""
-    bits = [0] * t.rank
-    for k, r in enumerate(build_root_system(t).positive_roots):
-        for i, c in enumerate(r):
-            if c:
-                bits[i] |= 1 << k
-    return tuple(bits)
-
-
 def _nilradical(node_roots: tuple[int, ...], marked) -> int:
     """The nilradical of the parabolic with these marked nodes, as a
     bitset of positive roots: a positive root lies in it exactly when it
@@ -279,9 +274,10 @@ def _nilradical(node_roots: tuple[int, ...], marked) -> int:
 def _nilradical_roots(p: ParabolicType) -> tuple[tuple[int, ...], ...]:
     """The positive roots in the nilradical of P, in ``positive_roots``
     order: those at the set bits of its bitset."""
-    nil = _nilradical(_node_roots(p.simple_type), p.marked)
+    rs = p.root_system
+    nil = _nilradical(rs.node_roots, p.marked)
     # bin() reversed lists bit k at position k, up to the highest set bit
-    return tuple([r for r, bit in zip(p.root_system.positive_roots,
+    return tuple([r for r, bit in zip(rs.positive_roots,
                                       bin(nil)[:1:-1]) if bit == "1"])
 
 
@@ -290,12 +286,12 @@ def flag_dimension(p: ParabolicType) -> int:
 
     Those are exactly the positive roots with a nonzero coefficient on
     some marked simple root: the set bits of the OR of the marked nodes'
-    root bitsets. The bitsets are built once per simple type; nothing is
+    root bitsets. The bitsets are built with the root system; nothing is
     cached per parabolic.
     """
     if not p.marked:
         raise EmptyMarking("flag dimension needs a proper parabolic")
-    node_roots = _node_roots(p.simple_type)  # refuses an over-cap rank first
+    node_roots = p.root_system.node_roots  # refuses an over-cap rank first
     return _nilradical(node_roots, p.marked).bit_count()
 
 
@@ -359,8 +355,8 @@ def is_projective_space(p: ParabolicType) -> bool:
     if len(p.marked) != 1:
         return False
     cartan, i = p.root_system.cartan_matrix, p.marked[0] - 1
-    return dim + 1 == sum(_pairing_with_coroot(beta, cartan, i)
-                          for beta in _nilradical_roots(p))
+    return dim + 1 == sum(c * row[i] for beta in _nilradical_roots(p)
+                          for c, row in zip(beta, cartan))
 
 
 # --- text grammar ------------------------------------------------------------

@@ -272,20 +272,21 @@ def row_basis(rows) -> tuple[tuple[int, ...], ...]:
 
 def nullspace(rows) -> list[tuple[int, ...]]:
     """Basis of {x : A x = 0}, one primitive integer vector per free
-    column, in RREF order, each positive in its free column."""
+    column f, in RREF order, each positive in f. The reduced form holds
+    its last pivot D in every pivot column, so that vector is D at f and
+    -row[f] at each pivot, divided by its gcd."""
     if not rows:
         return []
-    red, pivots = rref(rows)
+    m, pivots, _ = _eliminate(rows, reduce=True)
     ncols = len(rows[0])
+    d = m[0][pivots[0]] if pivots else 1
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
-        used = [(row, p) for row, p in zip(red, pivots) if row[f]]
-        mult = lcm(*[row[p] for row, p in used])
         v = [0] * ncols
-        v[f] = mult
-        for row, p in used:
-            v[p] = -row[f] * (mult // row[p])
-        g = gcd(*v)
+        v[f] = d
+        for row, p in zip(m, pivots):
+            v[p] = -row[f]
+        g = gcd(*v) if d > 0 else -gcd(*v)
         basis.append(tuple([x // g for x in v]))
     return basis
 

@@ -116,6 +116,8 @@ class TestCanonicalForm:
     def test_errors(self):
         with pytest.raises(DimensionMismatch):
             cone_from_generators(2, [(1, 0, 0)])
+        with pytest.raises(DimensionMismatch, match="must be positive"):
+            cone_from_generators(0, [])
         with pytest.raises(SizeCapExceeded):
             cone_from_generators(9, [tuple([1] + [0] * 8)])
 
@@ -162,6 +164,9 @@ class TestDuality:
         assert c.contains((1, 1)) and c.contains((0, 0))
         assert not c.contains((0, 1)) and not c.contains((-1, 0))
         assert c.contains((F(1, 2), F(1, 3))) and not c.contains((F(-1, 9), 1))
+        with pytest.raises(DimensionMismatch,
+                           match="vector of length 3 in dim 2"):
+            c.contains((1, 1, 1))
 
     def test_floats_refused(self):
         with pytest.raises(TypeError, match="float 0.1 is not exact"):

@@ -54,6 +54,29 @@ def all_markings(t, nonempty=True):
         yield tuple(i + 1 for i in range(n) if mask >> i & 1)
 
 
+def reference_roots(cartan):
+    """Reference for the package's generator: the whole root system, by
+    closing the simple roots under every simple reflection with each
+    pairing recomputed, checked to be symmetric under negation; returns
+    its positive half, sorted."""
+    n = len(cartan)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        beta = frontier.pop()
+        for j in range(n):
+            k = sum(ci * cartan[i][j] for i, ci in enumerate(beta))
+            image = tuple(c - k * (i == j) for i, c in enumerate(beta))
+            if image not in roots:
+                roots.add(image)
+                frontier.append(image)
+    assert roots == {tuple(-c for c in r) for r in roots}
+    positive = sorted(r for r in roots if all(c >= 0 for c in r))
+    assert 2 * len(positive) == len(roots)
+    return tuple(positive)
+
+
 class TestRootSystems:
     def test_a1(self):
         rs = build_root_system(SimpleType("A", 1))
@@ -96,6 +119,18 @@ class TestRootSystems:
                 pairing = sum(Fraction(adj[b][i], det) * cm[i][c]
                               for i in range(n))
                 assert pairing == int(b == c)
+
+    @pytest.mark.parametrize("t", [
+        *types_up_to_rank(8),
+        *(SimpleType(f, n) for f in "ABCD" for n in range(9, 17))], ids=str)
+    def test_against_reference_closure(self, t):
+        rs = build_root_system(t)
+        assert rs.positive_roots == reference_roots(rs.cartan_matrix)
+        # node i's bitset: the positive roots with a nonzero alpha_{i+1}
+        # coefficient, bit k for positive_roots[k]
+        assert rs.node_roots == tuple(
+            sum(1 << k for k, r in enumerate(rs.positive_roots) if r[i])
+            for i in range(t.rank))
 
     def test_cartan_sign_pattern(self):
         for t in ALL_SMALL_TYPES:
@@ -174,10 +209,12 @@ class TestFlagDimension:
                 assert lie_core._nilradical_roots(p) == literal
                 for _ in range(2):
                     assert flag_dimension(p) == len(literal)
-        # one per-type table of node bitsets, read once on every call
-        hits = lie_core._node_roots.cache_info().hits
+        # the node bitsets live in the one cached root system, read once
+        # on every call: one hit and no miss on a type already built
+        before = build_root_system.cache_info()
         flag_dimension(parabolic(SimpleType("A", 3), (1,)))
-        assert lie_core._node_roots.cache_info().hits == hits + 1
+        after = build_root_system.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         with pytest.raises(EmptyMarking):
             flag_dimension(parabolic(SimpleType("A", 3), ()))
 
@@ -220,10 +257,10 @@ def _reflection_matrix(cartan, j):
 def weyl_elements(rs):
     """All elements of W as matrices on simple-root coordinates, by
     closing the identity under the simple reflections (desk scale only)."""
-    assert rs.rank <= WEYL_ENUMERATION_MAX_RANK, \
-        f"refusing to enumerate W for rank {rs.rank}"
+    n = rs.simple_type.rank
+    assert n <= WEYL_ENUMERATION_MAX_RANK, \
+        f"refusing to enumerate W for rank {n}"
     cartan = rs.cartan_matrix
-    n = rs.rank
     gens = [_reflection_matrix(cartan, j) for j in range(n)]
     identity = tuple(tuple(int(i == k) for k in range(n)) for i in range(n))
     seen = {identity}
@@ -243,7 +280,7 @@ def weyl_elements(rs):
 
 def weyl_length(rs, w):
     """Length of w = number of positive roots mapped to negative roots."""
-    n = rs.rank
+    n = rs.simple_type.rank
     count = 0
     for root in rs.positive_roots:
         image = [sum(w[i][k] * root[k] for k in range(n)) for i in range(n)]
@@ -256,7 +293,7 @@ def enumerated_coset_poincare(t, marked):
     """Independent oracle: sum q^len(w) over minimal coset representatives,
     materializing W and counting inversions."""
     rs = build_root_system(t)
-    n = rs.rank
+    n = rs.simple_type.rank
     unmarked0 = [i for i in range(n) if (i + 1) not in marked]
     coeffs = {}
     for w in weyl_elements(rs):
@@ -384,6 +421,10 @@ class TestPoincare:
                 is_projective_space(p)
         grown = [f.cache_info().currsize - b for f, b in zip(caches, before)]
         assert max(grown) <= 1, dict(zip(caches, grown))
+
+    def test_empty_marking(self):
+        with pytest.raises(EmptyMarking):
+            poincare_polynomial(parabolic(SimpleType("A", 3), ()))
 
     def test_known_polynomials(self):
         assert poincare_polynomial(parse_parabolic("A3:{1}")) == (1, 1, 1, 1)

@@ -153,6 +153,10 @@ class TestValidation:
     def test_partition_for_exceptional_rejected(self):
         with pytest.raises(InvalidPartition):
             validate_orbit(SimpleType("G", 2), [2, 1, 1])
+        # and a table key for a classical type
+        with pytest.raises(InvalidPartition,
+                           match="classical type B3 takes a partition"):
+            validate_orbit(SimpleType("B", 3), "dim8")
 
     def test_very_even_tags(self):
         one = parse_orbit("D4:2,2,2,2/I")
@@ -164,6 +168,10 @@ class TestValidation:
     def test_tag_rejected_when_not_very_even(self):
         with pytest.raises(InvalidPartition):
             parse_orbit("D4:3,3,1,1/I")
+        # a very-even partition takes only I or II
+        with pytest.raises(InvalidPartition,
+                           match="very-even tag must be I or II, got 'III'"):
+            parse_orbit("D4:2,2,2,2/III")
 
     @pytest.mark.parametrize("label, shown", [
         ("A3:4/I", "A3:4"), ("D4:3,1,1,1,1,1/I", "D4:3,1,1,1,1,1"),
@@ -416,6 +424,10 @@ class TestTableLoader:
         version, table = load_table_text(VALID_TABLE)
         assert version == "1"
         assert table[("G", 2, "dim12")].polarizations == ((1, 2),)
+        # a marking is read sorted: {2,1} is the marking "full" names
+        _, table = load_table_text(VALID_TABLE.replace(
+            "polarizations: full", "polarizations: {2,1}"))
+        assert table[("G", 2, "dim12")].polarizations == ((1, 2),)
 
     @pytest.mark.parametrize("old, new, message", [
         ("orbit: G2:dim12", "orbit: G2:dim6", "duplicate table key"),
@@ -453,6 +465,9 @@ class TestTableLoader:
         ("is_richardson: false", "is_richardon: false",
          "G2:dim6: unknown key 'is_richardon'"),
         ("orbit: G2:dim12", "orbit: G2", "G2: orbit must be TYPE:KEY"),
+        ("dimension: 12\n", "", "record missing orbit/dimension"),
+        ("springer_degree: 1", "springer_degree 1",
+         "expected 'key: value', got 'springer_degree 1'"),
     ], ids=["duplicate-key", "odd-dimension", "bad-boolean",
             "missing-version", "resolution-without-polarizations",
             "polarizations-without-resolution",
@@ -462,7 +477,8 @@ class TestTableLoader:
             "springer-degree-two", "springer-degree-without-polarizations",
             "degree-one-without-polarizations",
             "polarizations-without-springer-degree", "repeated-key",
-            "unknown-key", "orbit-without-key"])
+            "unknown-key", "orbit-without-key", "record-without-dimension",
+            "line-without-colon"])
     def test_malformed_text_refused(self, load_table_text, old, new, message):
         assert old in VALID_TABLE
         with pytest.raises(TableFormatError, match=message):

@@ -470,6 +470,12 @@ class TestNullspace:
     def test_primitive_and_positive_in_free_column(self):
         assert nullspace([[2, 3]]) == [(-3, 2)]
         assert nullspace([[F(1, 2), F(1, 3), 0]]) == [(-2, 3, 0), (0, 0, 1)]
+        # a negative last pivot: the vector is flipped to stay positive
+        assert nullspace([[-1, 1]]) == [(1, 1)]
+        assert nullspace([[0, 1, 2], [1, 0, 3]]) == [(-3, -2, 1)]
+
+    def test_empty(self):
+        assert nullspace([]) == []
 
 
 class TestRowBasis:
@@ -509,6 +515,9 @@ class TestSolve:
 
     def test_inconsistent_system(self):
         assert solve([[1, 0], [1, 0]], [1, 2]) is None
+
+    def test_empty(self):
+        assert solve([], []) is None
 
     def test_rank_criterion(self):
         rows = [[1, 2], [2, 4]]

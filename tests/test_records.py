@@ -58,9 +58,9 @@ SAMPLES = [
         "SimpleType(family='A', rank=2)", id="SimpleType"),
     pytest.param(
         lambda: build_root_system(SimpleType("A", 1)),
-        ("simple_type", "cartan_matrix", "positive_roots"),
+        ("simple_type", "cartan_matrix", "positive_roots", "node_roots"),
         f"RootSystemData(simple_type={A1}, cartan_matrix=((2,),),"
-        " positive_roots=((1,),))", id="RootSystemData"),
+        " positive_roots=((1,),), node_roots=(1,))", id="RootSystemData"),
     pytest.param(
         lambda: parabolic(SimpleType("A", 3), (3, 1)), ("simple_type", "marked"),
         "ParabolicType(simple_type=SimpleType(family='A', rank=3),"

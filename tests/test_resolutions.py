@@ -8,6 +8,7 @@ import pytest
 
 from contactres import lie_core, resolutions
 from contactres.errors import (
+    ContactresError,
     EmptyMarking,
     SizeCapExceeded,
     UnknownClassification,
@@ -257,6 +258,20 @@ class TestPolarizations:
         pols = polarizations(parse_orbit("G2:dim12"))
         assert pols[0].parabolic.marked == (1, 2)
 
+    def test_non_a_complex_of_two_chambers_is_refused(self):
+        # the walls between chambers are curated in type A only; both
+        # maximal parabolics of B2 have flag dimension 3, half of
+        # dim B2:3,1,1
+        t = SimpleType("B", 2)
+        pair = [resolutions.Polarization(parabolic(t, (i,)), None, 3)
+                for i in (1, 2)]
+        with pytest.raises(UnknownClassification,
+                           match="wall structure outside type A"):
+            resolutions.chamber_complex_for(parse_orbit("B2:3,1,1"), pair)
+        one = resolutions.chamber_complex_for(parse_orbit("B2:3,1,1"),
+                                              pair[:1])
+        assert one.chambers == (pair[0],) and one.walls == ()
+
     def test_unknown_cases_raise(self):
         with pytest.raises(UnknownClassification):
             polarizations(parse_orbit("G2:dim10"))
@@ -484,6 +499,10 @@ class TestCanonicalDegree:
     def test_float_refused(self):
         with pytest.raises(TypeError, match="float 0.1 is not exact"):
             canonical_degree_on_curve(2, 0.1)
+
+    def test_negative_contact_dimension_refused(self):
+        with pytest.raises(ContactresError, match="must be nonnegative"):
+            canonical_degree_on_curve(-1, 1)
 
     def test_exceptional_classes_always_zero(self):
         for n in range(0, 9):
