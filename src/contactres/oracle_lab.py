@@ -17,42 +17,30 @@ makes [e, b] one column and one row update of e: x times column i of e
 added to column j, and x times row j of e taken from row i. It makes
 tr(X b) the single term x X[j][i]. Every element's first entry is 1, so
 the trace form against a basis is a gather of entries of X, and only
-the H_i add a second term. The forms restricted to a subspace are read
-off the supports of its spanning vectors the same way.
+the H_i add a second term.
 
-``contact_check`` runs two echelon eliminations, no reduced one, and
-one skew elimination (``ratlinalg.skew_rank``). The first is small: the
-chain of e. With m the nilpotency index and j the first column that
-e^(m-1) does not kill, the vectors e^k e_j, k < m, are independent, so
-the (m-1) x (n-1) matrix of their coordinates (e^k)_(s,j), k >= 1 and
-s != j, has m - 1 pivots s_i; set s_0 = j. Two exact identities then make part of [ad_e | vec(e)]
-redundant before it is eliminated. tr(e^k [e, X]) = 0 and
-tr(e^(k+1)) = 0 are m relations among its rows, nonsingular on the
-rows (j, s_i), and [e, e^k] = 0 puts m - 1 vectors in the kernel of
-ad_e, nonsingular on the columns E_(s_i, j). The second elimination,
-of [ad_e | vec(e)] without those rows and columns, (n^2 - m) square
-plus the right-hand side (nonsingular for the regular orbit), gives a
-tangent basis (the pivots) and, by integer back-substitution, D times
-the Euler coordinates, with D the leading minor on the pivots: a
-matrix Y in their span with [e, Y] = D e. Nothing returned moves:
-dropping rows keeps the row space, so the pivots and the solution
-stay and only D changes; dropping columns keeps the column space, so
-the tangent basis may change, but the dimension, the ranks and the
-Euler line do not depend on it. Every check runs on the full system,
-through two n x n products: W = Y e - e Y = -[e, Y] is -D e on all n^2
-entries, and Y is the witness that theta is well defined: by trace
-cyclicity tr(Y [e, b]) = tr(W b) = -D tr(e b) for every basis element
-b, which puts theta in the row space of ad_e, so it vanishes on the
-centralizer. The skew elimination is the rank of omega on ker theta,
-read off the Gram matrix Omega of the tangent basis bordered by theta:
-by congruence, rank [[Omega, theta^T], [-theta, 0]] is
-rank(omega on ker theta) + 2, theta being nonzero because e is. Omega
-is skew, and negating the border's last row (which keeps the rank)
-keeps the whole matrix skew, so it is eliminated by 2 x 2 pivots. The
-radical is needed only to ask whether it is the Euler line: when the
-rank is k - 1, it is that line exactly when the Euler vector is nonzero
-and omega pairs it to zero with all of ker theta, that is, when Omega
-times it is a multiple of theta.
+``contact_check`` runs one skew elimination and no general one: the
+Pfaffian elimination of the KKS Gram matrix K_ab = tr([e, b_a] b_b),
+bordered by theta_a = tr(e b_a) and -theta, border last
+(``ratlinalg.skew_null_vector``). The radical of K is the centralizer z
+of e, so rank K = dim O, and theta vanishes on z exactly when it lies
+in the row space of K; then the bordered rank is rank K and the border
+is never paired, and otherwise it is paired (theta is off the row
+space, which is e not in im ad_e, since im ad_e = z^perp). The omega
+ranks follow: ker theta has dimension dim O - 1 in g / z, and omega,
+nondegenerate there, has rank dim O - 2 on it (by congruence, the
+bordered rank less 2, once theta vanishes on z). Back-substitution
+through the elimination's 2 x 2 steps gives x = (v, t) in its kernel,
+t the last pivot: K v = -t theta and theta . v = 0. By trace
+cyclicity K v = -t theta says tr([e, Y] b) = t tr(e b) for every basis
+element b, Y = sum v_k b_k; the tangent vector [e, Y] spans the
+radical of omega on ker theta. The witness W = e Y - Y e, two n x n
+products that share nothing with the gathered form, equal to t e on
+all n^2 entries (t != 0), puts that radical on the Euler line. So the
+checks that can fail are the border (theta off the row space) and the
+witness (the radical off the Euler line); the rank of omega on the
+image of ad_e, apart from dim O, is checked by the ``ad-rank`` and
+``kks`` suites.
 
 Models are integer matrices: the Jordan forms, the nilradical samples
 and the conjugates are built from ints, and every product stays
@@ -107,13 +95,11 @@ from .ratlinalg import (
     dot,
     echelon_basis,
     mat_mul,
-    mat_vec,
     nullspace,
-    pivot_solution,
-    primitive,
     rank,
     rational,
     row_basis,
+    skew_null_vector,
     skew_rank,
 )
 
@@ -304,38 +290,6 @@ def _kks_form(m: MatrixModel) -> list[list]:
     return _traces(_ad_images(m.e, supports), supports, m.n)
 
 
-def _reduced_system(e: Matrix, images, vec_e) -> tuple[list, list, list]:
-    """[ad_e | vec(e)] less the rows (j, s_i) and the columns E_(s_i, j),
-    i >= 1, that the chain of e makes redundant (see the module
-    docstring): ``(rows, rhs, cols)``, with ``cols`` the basis indices of
-    the columns kept. The row space, the column space and the rank are
-    those of the full system."""
-    n = len(e)
-    powers = [e]  # e, ..., e^(m-1)
-    for _ in range(n):
-        nxt = mat_mul(powers[-1], e)
-        if not any(map(any, nxt)):
-            break
-        powers.append(nxt)
-    last = powers[-1]
-    j = next(c for c in range(n) if any([row[c] for row in last]))
-    others = [s for s in range(n) if s != j]
-    echelon = echelon_basis([[pk[s][j] for s in others] for pk in powers])
-    invariant(len(echelon) == len(powers), "e^k e_j, k < m, are independent")
-    # the pivots s_i: an echelon row's pivot is its first nonzero entry
-    chain = [others[next(c for c, x in enumerate(row) if x)]
-             for row in echelon]
-    drop_rows = {j * n + s for s in [j] + chain}
-    drop_cols = {s * (n - 1) + j - (j > s) for s in chain}  # E_sj
-    cols = [c for c in range(len(images)) if c not in drop_cols]
-    rows, rhs = [], []
-    for q, row in enumerate(zip(*[images[c] for c in cols])):
-        if q not in drop_rows:
-            rows.append(row)
-            rhs.append(vec_e[q])
-    return rows, rhs, cols
-
-
 class ContactCheckResult(namedtuple(
         "ContactCheckResult", "dim_orbit theta_kernel_dim "
         "omega_rank_on_kernel radical_is_euler_line")):
@@ -359,74 +313,39 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     KKS form ([e,x],[e,y]) -> tr(e [x,y]) must have rank dim O - 2 with
     radical exactly the line through e, the direction collapsed by
     projectivisation; e itself is tangent since e = [h/2, e] for any
-    sl_2-triple through e.
+    sl_2-triple through e. One Pfaffian elimination of the KKS form
+    bordered by theta answers the ranks and gives the radical, and one
+    n x n witness puts it on the Euler line (see the module docstring).
     """
     if m.is_zero:
         raise ZeroElement("contact check needs a nonzero nilpotent")
     n = m.n
     supports = _supports(n)
-    images = _ad_images(m.e, supports)
     vec_e = _vec(m.e)
-    # one echelon elimination of [ad_e | vec(e)], less the rows and columns
-    # the powers of e make redundant: its pivots index a tangent basis, and
-    # back-substitution gives y = minor times the Euler coordinates, so
-    # Y = sum y_i b_{p_i} has [e, Y] = minor * e
-    rows, rhs, cols = _reduced_system(m.e, images, vec_e)
-    found = pivot_solution(rows, rhs)
-    invariant(found is not None, "e must lie in the image of ad_e")
-    pivots, minor, y = found
-    pivots = [cols[p] for p in pivots]
-    d = len(pivots)
-    pivot_images = [images[p] for p in pivots]
-    # the witness: Y = sum y_i b_{p_i} and W = Y e - e Y = -[e, Y], with
-    # W = -minor * e on all n^2 entries, the dropped rows included
+    theta = _traces([vec_e], supports, n)[0]
+    form = _kks_form(m)
+    # the border stays unpaired exactly when theta is in the row space of
+    # the form, that is, when it vanishes on the centralizer
+    d, x = skew_null_vector([row + [t] for row, t in zip(form, theta)]
+                            + [[-t for t in theta] + [0]])
+    invariant(x is not None, "trace form fails to vanish on the centralizer")
+    *v, t = x
+    invariant(dot(theta, v) == 0, "theta must vanish on the Euler direction")
+    # the witness: the form says tr([e, Y] b) = t tr(e b) for every b, with
+    # Y = sum v_k b_k; W = e Y - Y e, recomputed by products, must be t e
+    # on all n^2 entries for the radical to be the Euler line
     y_mat = _zeros(n)
-    for p, yp in zip(pivots, y):
-        for i, j, x in supports[p]:
-            y_mat[i][j] += yp * x
-    w = [a - b for ye, ey in zip(mat_mul(y_mat, m.e), mat_mul(m.e, y_mat))
-         for a, b in zip(ye, ey)]
-    invariant(w == [-minor * x for x in vec_e],
-              "e must lie in the image of ad_e")
-
-    # theta on the whole basis, tr(e b) as gathered; well-definedness: it
-    # vanishes on the centralizer, since tr(W b) = tr(Y [e, b]) equals
-    # -minor tr(e b), which puts it in the row space of ad_e
-    theta_all = _traces([vec_e], supports, n)[0]
-    invariant(_traces([w], supports, n)[0] == [-minor * t for t in theta_all],
-              "trace form fails to vanish on the centralizer")
-
-    # theta is in the row space of ad_e, so it is zero on the tangent
-    # basis only if tr(e b) = 0 for every b in sl_n, that is, only if e = 0
-    theta = [theta_all[p] for p in pivots]
-    lead = next((i for i, t in enumerate(theta) if t), None)
-    invariant(lead is not None, "theta must be nonzero on the tangent space")
-    k = d - 1
-
-    # omega(f_a, f_b) = f_a^T omega_P f_b, with omega_P the skew Gram
-    # matrix tr([e, P_i] P_j) of the tangent preimages; bordering it by
-    # theta and -theta keeps it skew and adds 2 to the rank of omega on
-    # ker theta
-    omega_p = _traces(pivot_images, [supports[p] for p in pivots], n)
-    omega_rank = skew_rank([row + [t] for row, t in zip(omega_p, theta)]
-                           + [[-t for t in theta] + [0]]) - 2
-
-    euler = primitive(y)
-    invariant(dot(theta, euler) == 0,
-              "theta must vanish on the Euler direction")
-    # euler lies in ker theta, so a one-dimensional radical is its line
-    # exactly when euler is nonzero and omega pairs it to zero with all of
-    # ker theta: omega_P euler is a multiple of theta
-    pairing = mat_vec(omega_p, euler)
-    radical_is_euler = (omega_rank == k - 1 and any(euler) and
-                        all([theta[lead] * w == pairing[lead] * t
-                             for w, t in zip(pairing, theta)]))
-
+    for vk, sup in zip(v, supports):
+        if vk:
+            for i, j, c in sup:
+                y_mat[i][j] += vk * c
+    w = [a - b for ey, ye in zip(mat_mul(m.e, y_mat), mat_mul(y_mat, m.e))
+         for a, b in zip(ey, ye)]
     return ContactCheckResult(
         dim_orbit=d,
-        theta_kernel_dim=k,
-        omega_rank_on_kernel=omega_rank,
-        radical_is_euler_line=radical_is_euler,
+        theta_kernel_dim=d - 1,
+        omega_rank_on_kernel=d - 2,
+        radical_is_euler_line=w == [t * c for c in vec_e],
     )
 
 

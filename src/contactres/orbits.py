@@ -280,7 +280,13 @@ def _parse_polarizations(value: str, rank: int, where: str):
         if marked[0] < 1 or marked[-1] > rank:
             raise TableFormatError(
                 f"{where}: marked roots {marked} outside 1..{rank}")
+        if len(set(marked)) < len(marked):
+            raise TableFormatError(
+                f"{where}: polarization {chunk!r} marks a node twice")
         marks.append(marked)
+    if len(set(marks)) < len(marks):
+        raise TableFormatError(
+            f"{where}: polarizations {value!r} name one marking twice")
     return tuple(marks)
 
 

@@ -12,8 +12,9 @@ matrix, bounded by Hadamard's inequality. ``rref`` and ``nullspace``
 return primitive integer vectors; ``adjugate`` and ``pivot_solution``
 return integers, and only ``solve`` returns Fractions. ``fractions`` is
 imported only where a Fraction is built, so all-integer work never loads
-it. A skew-symmetric matrix has its own elimination, ``skew_rank``, by
-2 x 2 pivots; ``rank`` is its reference in the tests.
+it. A skew-symmetric matrix has its own elimination by 2 x 2 pivots,
+behind ``skew_rank`` and ``skew_null_vector``; ``rank`` is its
+reference in the tests.
 
 ``pivot_solution`` solves A x = b without clearing above the pivots. Let
 D be the last pivot of the echelon form of the cleared [A | b]: the
@@ -67,7 +68,9 @@ changes by p / prev, and, as above, that rescaling is deferred: each
 row keeps a level, the pivot rows are brought to prev when read, and a
 row with a_k or b_k nonzero at level lv is rewritten at p as
 (p prev x + lv (b_k a_l - a_k b_l)) / (lv prev), the integer the eager
-step makes. A step costs the rows it hits.
+step makes. A step costs the rows it hits. Each step is kept as
+(i, j, p, a, b): ``skew_rank`` counts the steps, and
+``skew_null_vector`` back-substitutes through them.
 
 Tuples and star-arguments are built from lists: CPython parks a resized
 generator-built tuple on a free list that only a full garbage collection
@@ -197,18 +200,50 @@ def skew_rank(rows) -> int:
     per pivot of the Pfaffian elimination. A non-square matrix raises
     ``DimensionMismatch`` and a non-skew one ``ValueError``, before any
     elimination."""
-    return 2 * len(_skew_pivots(rows))
+    return 2 * len(_skew_steps(rows))
 
 
-def _skew_pivots(rows) -> list[int]:
-    """The pivots of the Pfaffian elimination of ``rows`` (see the module
-    docstring), in order: the t-th is the Pfaffian of the cleared matrix
-    on the first t pivot pairs, each listed i before j."""
+def skew_null_vector(rows) -> tuple[int, list[int] | None]:
+    """``(rank, x)`` for a skew-symmetric matrix A, refused as
+    ``skew_rank`` refuses it. When the last index stays unpaired, x is
+    the integer vector with A x = 0 that is the last pivot (1 when
+    nothing pairs) at the last index and 0 at every other unpaired one;
+    otherwise, or when A is empty, x is None.
+
+    Back-substitution runs the steps last first: a step's pivot block
+    [[0, p], [-p, 0]] on the pair (i, j) and its rows a and b give
+    x_i = sum_l b_l x_l / p and x_j = -sum_l a_l x_l / p, summed over the
+    indices still live after it (a and b are zero on the others, but for
+    a_j = p, met while x_j is still 0). With the last entry the Pfaffian
+    of the paired block, the solution is unique at that scale and its
+    entries are Pfaffians of principal minors, up to sign, so every
+    division is exact.
+    """
+    steps = _skew_steps(rows)
+    n = len(rows)
+    if not n or any([j == n - 1 for _, j, _, _, _ in steps]):
+        return 2 * len(steps), None
+    xr = [0] * n  # x from the last index down, as the pivot rows are stored
+    xr[0] = steps[-1][2] if steps else 1
+    for i, j, p, a, b in reversed(steps):
+        (xi, ri), (xj, rj) = divmod(dot(b, xr), p), divmod(-dot(a, xr), p)
+        invariant(ri == rj == 0, "back-substitution must divide exactly")
+        xr[n - 1 - i], xr[n - 1 - j] = xi, xj
+    return 2 * len(steps), xr[::-1]
+
+
+def _skew_steps(rows) -> list[tuple[int, int, int, list[int], list[int]]]:
+    """The steps of the Pfaffian elimination of ``rows`` (see the module
+    docstring), in order, as ``(i, j, p, a, b)``: the pivot pair, the
+    pivot p (the Pfaffian of the cleared matrix on the pairs so far, each
+    listed i before j) and the rows i and j of B that the step reads,
+    brought to the previous pivot and padded to all n columns, last
+    column first (a[n - 1 - l] = a_l)."""
     upper = _skew_upper(rows)
     n = len(upper)
     level = [1] * n
     live = list(range(n))
-    pivots, prev = [], 1
+    steps, prev = [], 1
     while live:
         i = live.pop(0)
         row = upper[i]
@@ -217,8 +252,6 @@ def _skew_pivots(rows) -> list[int]:
             continue
         j = i + 1 + c
         live.remove(j)
-        # rows i and j of B, brought to prev and padded to all n columns,
-        # last column first: a[n - 1 - l] = a_l
         if level[i] != prev:
             row = [x and x * prev // level[i] for x in row]
         a = [*row] + [0] * (i + 1)
@@ -247,9 +280,9 @@ def _skew_pivots(rows) -> list[int]:
                 upper[k] = [(s * x + u * al - v * bl) // d
                             for x, al, bl in zip(upper[k], a, b)]
             level[k] = p
-        pivots.append(p)
+        steps.append((i, j, p, a, b))
         prev = p
-    return pivots
+    return steps
 
 
 def rref(rows) -> tuple[list[list[int]], list[int]]:

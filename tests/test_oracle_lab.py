@@ -25,7 +25,6 @@ from contactres.oracle_lab import (
     _fiber_bounds,
     _generic_sample,
     _kks_form,
-    _reduced_system,
     _sample_nilradical,
     _supports,
     _traces,
@@ -48,12 +47,15 @@ from contactres.orbits import (
     validate_orbit,
 )
 from contactres.ratlinalg import (
+    _skew_steps,
     adjugate,
     dot,
+    echelon_basis,
     mat_mul,
     mat_vec,
     nullspace,
     pivot_solution,
+    primitive,
     rank,
     row_basis,
     rref,
@@ -327,17 +329,107 @@ def reference_conjugate(m, seed):
             return mat_mul(mat_mul(g, m.e), adj)
 
 
+# --- the ad-rank path, kept as the second reference for contact_check ---
+
+def _reduced_system(e, images, vec_e):
+    """[ad_e | vec(e)] less the rows and columns that the chain of e
+    makes redundant: ``(rows, rhs, cols)``, with ``cols`` the basis
+    indices of the columns kept. With m the nilpotency index and j the
+    first column that e^(m-1) does not kill, the coordinates
+    (e^k)_(s,j), k >= 1 and s != j, have m - 1 pivots s_i; set s_0 = j.
+    tr(e^k [e, X]) = 0 and tr(e^(k+1)) = 0 are m relations among the
+    rows, nonsingular on the rows (j, s_i), and [e, e^k] = 0 puts m - 1
+    vectors in the kernel of ad_e, nonsingular on the columns E_(s_i, j).
+    The row space, the column space and the rank are those of the full
+    system."""
+    n = len(e)
+    powers = [e]  # e, ..., e^(m-1)
+    for _ in range(n):
+        nxt = mat_mul(powers[-1], e)
+        if not any(map(any, nxt)):
+            break
+        powers.append(nxt)
+    last = powers[-1]
+    j = next(c for c in range(n) if any([row[c] for row in last]))
+    others = [s for s in range(n) if s != j]
+    echelon = echelon_basis([[pk[s][j] for s in others] for pk in powers])
+    assert len(echelon) == len(powers), "e^k e_j, k < m, are independent"
+    # the pivots s_i: an echelon row's pivot is its first nonzero entry
+    chain = [others[next(c for c, x in enumerate(row) if x)]
+             for row in echelon]
+    drop_rows = {j * n + s for s in [j] + chain}
+    drop_cols = {s * (n - 1) + j - (j > s) for s in chain}  # E_sj
+    cols = [c for c in range(len(images)) if c not in drop_cols]
+    rows, rhs = [], []
+    for q, row in enumerate(zip(*[images[c] for c in cols])):
+        if q not in drop_rows:
+            rows.append(row)
+            rhs.append(vec_e[q])
+    return rows, rhs, cols
+
+
+def _euler_solution(m):
+    """The tangent basis (pivot indices into the basis), D and y = D
+    times the Euler coordinates, from one echelon elimination of the
+    reduced [ad_e | vec(e)]."""
+    images = _ad_images(m.e, _supports(m.n))
+    rows, rhs, cols = _reduced_system(m.e, images, _vec(m.e))
+    found = pivot_solution(rows, rhs)
+    assert found is not None, "e must lie in the image of ad_e"
+    pivots, minor, y = found
+    return [cols[p] for p in pivots], minor, y
+
+
+def reference_ad_rank_contact_check(m):
+    """``contact_check`` on a tangent basis of ad_e: dim O is the rank of
+    [ad_e | vec(e)], back-substitution gives Y with [e, Y] = D e (checked
+    by two products), omega's rank on ker theta is that of the Gram
+    matrix Omega_P of the tangent basis bordered by theta, less 2, and
+    the radical is the Euler line when Omega_P pairs the Euler vector to
+    a multiple of theta. Unlike ``contact_check``, it tests the rank of
+    omega on the image of ad_e apart from dim O."""
+    n, supports = m.n, _supports(m.n)
+    images = _ad_images(m.e, supports)
+    vec_e = _vec(m.e)
+    pivots, minor, y = _euler_solution(m)
+    y_mat = [[0] * n for _ in range(n)]
+    for p, yp in zip(pivots, y):
+        for i, j, x in supports[p]:
+            y_mat[i][j] += yp * x
+    w = [a - b for ey, ye in zip(mat_mul(m.e, y_mat), mat_mul(y_mat, m.e))
+         for a, b in zip(ey, ye)]
+    assert w == [minor * x for x in vec_e], "e must lie in the image of ad_e"
+    theta_all = _traces([vec_e], supports, n)[0]
+    assert _traces([w], supports, n)[0] == [minor * t for t in theta_all]
+    theta = [theta_all[p] for p in pivots]
+    assert any(theta)
+    lead = next(i for i, t in enumerate(theta) if t)
+    omega_p = _traces([images[p] for p in pivots],
+                      [supports[p] for p in pivots], n)
+    omega_rank = skew_rank([row + [t] for row, t in zip(omega_p, theta)]
+                           + [[-t for t in theta] + [0]]) - 2
+    euler = primitive(y)
+    assert dot(theta, euler) == 0
+    pairing = mat_vec(omega_p, euler)
+    d = len(pivots)
+    return ContactCheckResult(
+        dim_orbit=d,
+        theta_kernel_dim=d - 1,
+        omega_rank_on_kernel=omega_rank,
+        radical_is_euler_line=(omega_rank == d - 2 and any(euler) and
+                               all([theta[lead] * w == pairing[lead] * t
+                                    for w, t in zip(pairing, theta)])))
+
+
 def centralizer_loop_holds(m):
-    """The witness checks of ``contact_check`` before the product W: with
+    """The witness checks of the ad-rank path before the product W: with
     y its back-substituted Euler coordinates, D vec(e) is the combination
     of the pivot images, and D tr(e b) = -tr(Y [e, b]) for every basis
     element b, one dot product of length n^2 each."""
     n, supports = m.n, _supports(m.n)
     images = _ad_images(m.e, supports)
     vec_e = _vec(m.e)
-    rows, rhs, cols = _reduced_system(m.e, images, vec_e)
-    pivots, minor, y = pivot_solution(rows, rhs)
-    pivots = [cols[p] for p in pivots]
+    pivots, minor, y = _euler_solution(m)
     y_t = [0] * (n * n)  # vec of Y^T, so that tr(Y X) = dot(y_t, vec(X))
     for p, yp in zip(pivots, y):
         for i, j, x in supports[p]:
@@ -661,26 +753,22 @@ class TestContactCheck:
                     assert res.is_contact
 
     def test_one_elimination_per_matrix(self, eliminations, monkeypatch):
-        # the chain coordinates (e^k)_(s,j), k = 1, 2 and s != j; then
-        # [ad_e | vec(e)] less the m = 3 rows and m - 1 = 2 columns they make
-        # redundant, whose back-substitution gives the Euler vector, both in
-        # echelon mode; then one skew elimination, omega_P (dim O = 16)
-        # bordered by theta and -theta. Omega pairs the Euler vector with
-        # ker theta by products alone
-        skew, skew_calls = oracle_lab.skew_rank, []
+        # no general elimination: one skew elimination of the KKS form
+        # (dim sl_5 = 24) bordered by theta and -theta, whose
+        # back-substitution gives the radical; the witness is two products
+        skew, skew_calls = oracle_lab.skew_null_vector, []
 
         def counting(rows):
             skew_calls.append(rows)
             return skew(rows)
 
-        monkeypatch.setattr(oracle_lab, "skew_rank", counting)
+        monkeypatch.setattr(oracle_lab, "skew_null_vector", counting)
+        monkeypatch.setattr(oracle_lab, "skew_rank", None)
         model = random_conjugate(jordan_nilpotent((3, 2)), 5)
         eliminations.clear()
         assert contact_check(model).is_contact
-        assert [(len(call["rows"]), len(call["rows"][0]), call["reduce"])
-                for call in eliminations] == [
-            (2, 4, False), (25 - 3, 24 - 2 + 1, False)]
-        assert [(len(rows), len(rows[0])) for rows in skew_calls] == [(17, 17)]
+        assert eliminations == []
+        assert [(len(rows), len(rows[0])) for rows in skew_calls] == [(25, 25)]
 
     @each_orbit_to_six
     def test_reduced_system_keeps_the_rank(self, part):
@@ -744,19 +832,40 @@ class TestContactCheck:
         assert len(checked) == 4 * sum(len(nonzero_partitions(n))
                                        for n in range(2, 6))
 
+    @staticmethod
+    def patch_radical(monkeypatch, perturb):
+        """Have ``contact_check``'s kernel vector (v, t) come back with v
+        replaced by ``perturb(v, theta, paired)``, t kept; ``paired`` are
+        the indices the elimination paired, the border never among them."""
+        found = oracle_lab.skew_null_vector
+
+        def patched(rows):
+            d, x = found(rows)
+            theta = [-c for c in rows[-1][:-1]]
+            paired = sorted({k for i, j, *_ in _skew_steps(rows)
+                             for k in (i, j)})
+            return d, [*perturb(x[:-1], theta, paired), x[-1]]
+
+        monkeypatch.setattr(oracle_lab, "skew_null_vector", patched)
+
+    @staticmethod
+    def off_the_line(v, theta, paired):
+        # theta_j at one paired index i and -theta_i at another, j, keeps
+        # theta . v = 0. The form is nondegenerate on the paired indices,
+        # so no nonzero combination of their basis elements is central,
+        # and the change moves [e, Y] off t e
+        i = next(k for k in paired if theta[k])
+        j = next(k for k in paired if k != i)
+        v = list(v)
+        v[i] += theta[j]
+        v[j] -= theta[i]
+        return v
+
     def test_wrong_euler_coordinates_are_refused(self, monkeypatch):
-        # y[0] + 1 adds the nonzero pivot image [e, b_{p_0}] to [e, Y]
-        from contactres import oracle_lab
-        solution = oracle_lab.pivot_solution
-
-        def off_by_one(rows, rhs):
-            pivots, minor, y = solution(rows, rhs)
-            return pivots, minor, [y[0] + 1] + y[1:]
-
-        monkeypatch.setattr(oracle_lab, "pivot_solution", off_by_one)
-        with pytest.raises(InternalInvariantError,
-                           match="e must lie in the image of ad_e"):
-            contact_check(random_conjugate(jordan_nilpotent((3, 1)), 4))
+        # the dot invariant passes, and the witness W = t e decides
+        self.patch_radical(monkeypatch, self.off_the_line)
+        res = contact_check(random_conjugate(jordan_nilpotent((3, 1)), 4))
+        assert not res.radical_is_euler_line and not res.is_contact
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_bordered_rank_is_the_rank_on_ker_theta(self, dense):
@@ -789,33 +898,40 @@ class TestContactCheck:
     MODELS = [jordan_nilpotent((2, 1)), jordan_nilpotent((3,)),
               random_conjugate(jordan_nilpotent((2, 2)), 3)]
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_radical_off_the_euler_line_is_refused(self, model, monkeypatch):
-        # adding the skew matrix sign(j - i) keeps omega_P nondegenerate, so
-        # omega keeps rank k - 1 on ker theta, but its radical leaves the
-        # Euler line: only the omega-pairing condition can refuse it
+    @pytest.mark.parametrize("model, how", [
+        pytest.param(MODELS[0], "form", id="model0"),
+        pytest.param(MODELS[1], "form", id="model1"),
+        pytest.param(MODELS[2], "vector", id="model2")])
+    def test_radical_off_the_euler_line_is_refused(self, model, how,
+                                                   monkeypatch):
+        # on the Jordan models, adding the skew matrix sign(j - i) to the
+        # form keeps theta in its row space but moves its radical off the
+        # Euler line; on the conjugate that perturbation pairs the border,
+        # so the returned radical is moved instead. Only the witness can
+        # refuse either
         from contactres import oracle_lab
-        traces = oracle_lab._traces
+        if how == "vector":
+            self.patch_radical(monkeypatch, self.off_the_line)
+        else:
+            traces = oracle_lab._traces
 
-        def perturbed(vecs, supports, n):
-            out = traces(vecs, supports, n)
-            if len(vecs) == 1:
-                return out  # theta
-            return [[x + (i < j) - (i > j) for j, x in enumerate(row)]
-                    for i, row in enumerate(out)]
+            def perturbed(vecs, supports, n):
+                out = traces(vecs, supports, n)
+                if len(vecs) == 1:
+                    return out  # theta
+                return [[x + (i < j) - (i > j) for j, x in enumerate(row)]
+                        for i, row in enumerate(out)]
 
-        monkeypatch.setattr(oracle_lab, "_traces", perturbed)
+            monkeypatch.setattr(oracle_lab, "_traces", perturbed)
         res = contact_check(model)
         assert res.omega_rank_on_kernel == res.theta_kernel_dim - 1
         assert not res.radical_is_euler_line and not res.is_contact
 
     @pytest.mark.parametrize("model", MODELS)
     def test_zero_euler_vector_is_refused(self, model, monkeypatch):
-        # a zero Euler vector pairs to zero with everything, so only the
-        # nonzero condition can refuse it
-        from contactres import oracle_lab
-        monkeypatch.setattr(oracle_lab, "primitive",
-                            lambda vec: tuple([0] * len(vec)))
+        # v = 0 passes the dot invariant, and W = 0 is not t e for the
+        # nonzero border entry t
+        self.patch_radical(monkeypatch, lambda v, theta, paired: [0] * len(v))
         res = contact_check(model)
         assert res.omega_rank_on_kernel == res.theta_kernel_dim - 1
         assert not res.radical_is_euler_line and not res.is_contact
@@ -858,7 +974,8 @@ class TestAgainstDenseReference:
     @each_orbit_to_six
     def test_contact_check_matches_on_every_partition_to_six(self, part):
         for model in models_of(part):
-            assert contact_check(model) == reference_contact_check(model)
+            assert (contact_check(model) == reference_contact_check(model)
+                    == reference_ad_rank_contact_check(model))
 
 
 class TestOracleCap:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -428,6 +430,23 @@ class TestTableLoader:
         _, table = load_table_text(VALID_TABLE.replace(
             "polarizations: full", "polarizations: {2,1}"))
         assert table[("G", 2, "dim12")].polarizations == ((1, 2),)
+
+    @pytest.mark.parametrize("new, message", [
+        ("{2,1};full", "G2:dim12: polarizations '{2,1};full' name one "
+                       "marking twice"),
+        ("{2,2}", "G2:dim12: polarization '{2,2}' marks a node twice"),
+    ], ids=["repeated-marking", "repeated-node"])
+    def test_repeated_marking_or_node_refused(self, load_table_text, new,
+                                              message):
+        # {2,1};full loaded as ((1, 2), (1, 2)), two equal polarizations
+        # that sent classify G2:dim12 to UnknownClassification, and {2,2}
+        # as (2, 2); the shipped record is patched
+        text = orbits._table_text()
+        old = ("orbit: G2:dim12\ndimension: 12\nis_richardson: true\n"
+               "admits_symplectic_resolution: true\npolarizations: full\n")
+        assert text.count(old) == 1
+        with pytest.raises(TableFormatError, match=re.escape(message)):
+            load_table_text(text.replace(old, old.replace("full", new)))
 
     @pytest.mark.parametrize("old, new, message", [
         ("orbit: G2:dim12", "orbit: G2:dim6", "duplicate table key"),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -9,7 +10,7 @@ from contactres.errors import DimensionMismatch
 from contactres.ratlinalg import (
     _eliminate,
     _int_row,
-    _skew_pivots,
+    _skew_steps,
     _skew_upper,
     adjugate,
     dot,
@@ -22,6 +23,7 @@ from contactres.ratlinalg import (
     rank,
     row_basis,
     rref,
+    skew_null_vector,
     skew_rank,
     solve,
 )
@@ -151,8 +153,13 @@ def exact_div(num, den):
     return q
 
 
+def skew_pivots(rows):
+    """The pivots of the Pfaffian elimination, read off its steps."""
+    return [p for _, _, p, _, _ in _skew_steps(rows)]
+
+
 def reference_skew_pivots(rows):
-    """``_skew_pivots`` on the full matrix, cleared by one common
+    """``skew_pivots`` on the full matrix, cleared by one common
     denominator, with every live row updated at every step, no rescaling
     deferred, and every division checked."""
     mult = lcm(*[F(x).denominator for row in rows for x in row])
@@ -361,7 +368,7 @@ class TestSkewRank:
         # the general elimination is the reference for the rank; the eager
         # step, whose divisions are all exact, for every pivot
         rows = data.draw(skew_matrices(ENTRIES[kind]))
-        pivots = _skew_pivots(rows)
+        pivots = skew_pivots(rows)
         assert pivots == reference_skew_pivots(rows)
         assert skew_rank(rows) == 2 * len(pivots) == rank(rows)
         if kind == "int" and rows and 2 * len(pivots) == len(rows):
@@ -378,7 +385,7 @@ class TestSkewRank:
         rows = [[0] * 8 for _ in range(8)]
         for (k, l), x in upper.items():
             rows[k][l], rows[l][k] = x, -x
-        assert _skew_pivots(rows) == reference_skew_pivots(rows) \
+        assert skew_pivots(rows) == reference_skew_pivots(rows) \
             == [-2, 4, 8, -16]
 
     def test_rational_entries_share_one_denominator(self):
@@ -410,6 +417,94 @@ class TestSkewRank:
     def test_float_refused(self):
         with pytest.raises(TypeError):
             skew_rank([[0, 0.5], [-0.5, 0]])
+
+
+def bordered_skew(seed, fraction):
+    """A seeded skew matrix B, n - 1 < 10 square, sparse or of low rank,
+    with some zero rows, bordered by theta and -theta: theta = B w (in
+    the row space, so the border stays unpaired), drawn at random (it
+    pairs unless B is nonsingular) or zero. Entries are Fractions when
+    ``fraction``."""
+    rng = random.Random(f"bordered-skew:{seed}:{fraction}")
+    m = rng.randint(0, 9)
+    b = [[0] * m for _ in range(m)]
+
+    def entry():
+        x = rng.randint(-5, 5)
+        return F(x, rng.randint(1, 6)) if fraction else x
+
+    if rng.random() < 0.5:
+        for k in range(m):
+            for l in range(k + 1, m):
+                if rng.random() < 0.4:
+                    b[k][l] = entry()
+                    b[l][k] = -b[k][l]
+    else:
+        for _ in range(rng.randint(1, 3)):
+            u = [entry() for _ in range(m)]
+            v = [entry() for _ in range(m)]
+            for k in range(m):
+                for l in range(m):
+                    b[k][l] += u[k] * v[l] - v[k] * u[l]
+    for k in rng.sample(range(m), rng.randint(0, m // 2)):
+        b[k] = [0] * m
+        for row in b:
+            row[k] = 0
+    border = rng.choice(["row space", "random", "zero"])
+    if border == "row space":
+        theta = list(mat_vec(b, [rng.randint(-3, 3) for _ in range(m)]))
+    elif border == "random":
+        theta = [entry() for _ in range(m)]
+    else:
+        theta = [0] * m
+    return ([row + [t] for row, t in zip(b, theta)]
+            + [[-t for t in theta] + [0]])
+
+
+class TestSkewNullVector:
+    @pytest.mark.parametrize("fraction", [False, True])
+    def test_kernel_vector_at_the_last_pivot(self, fraction):
+        unpaired_last = paired_last = 0
+        for seed in range(150):
+            rows = bordered_skew(seed, fraction)
+            n = len(rows)
+            r, x = skew_null_vector(rows)
+            steps = _skew_steps(rows)
+            paired = {k for i, j, *_ in steps for k in (i, j)}
+            assert r == rank(rows) == 2 * len(steps)
+            if n - 1 in paired:
+                paired_last += 1
+                assert x is None
+                continue
+            unpaired_last += 1
+            assert len(x) == n and all(type(c) is int for c in x)
+            assert not any(mat_vec(rows, x))
+            assert x[-1] == (skew_pivots(rows) or [1])[-1]
+            assert all(x[k] == 0 for k in range(n - 1) if k not in paired)
+        assert unpaired_last > 50 and paired_last > 20
+
+    def test_small_cases(self):
+        assert skew_null_vector([]) == (0, None)
+        assert skew_null_vector([[0]]) == (0, [1])
+        assert skew_null_vector([[0, 2], [-2, 0]]) == (2, None)
+        # index 2 pairs with nothing, and the last pivot is 2
+        assert skew_null_vector([[0, 2, 1], [-2, 0, 0], [-1, 0, 0]]) \
+            == (2, [0, -1, 2])
+
+    @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1], [-1]], [[]]])
+    def test_non_square_refused(self, rows):
+        with pytest.raises(DimensionMismatch):
+            skew_null_vector(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]], [[1]], [[0, F(1, 2)], [F(1, 2), 0]]])
+    def test_non_skew_refused(self, rows):
+        with pytest.raises(ValueError):
+            skew_null_vector(rows)
+
+    def test_float_refused(self):
+        with pytest.raises(TypeError):
+            skew_null_vector([[0, 0.5], [-0.5, 0]])
 
 
 @pytest.mark.parametrize("kind", ENTRIES)
