@@ -9,20 +9,11 @@ Bareiss' fraction-free Gauss-Jordan on rows cleared of denominators (row
 scaling changes neither row space nor kernel). Each update divides
 exactly by the previous pivot, so entries stay minors of the cleared
 matrix, bounded by Hadamard's inequality. ``rref`` and ``nullspace``
-return primitive integer vectors; ``adjugate`` and ``pivot_solution``
-return integers, and only ``solve`` returns Fractions. ``fractions`` is
-imported only where a Fraction is built, so all-integer work never loads
-it. A skew-symmetric matrix has its own elimination by 2 x 2 pivots,
+return primitive integer vectors and ``adjugate`` integers. ``fractions``
+is imported only where a Fraction is built, so all-integer work never
+loads it. A skew-symmetric matrix has its own elimination by 2 x 2 pivots,
 behind ``skew_rank`` and ``skew_null_vector``; ``rank`` is its
 reference in the tests.
-
-``pivot_solution`` solves A x = b without clearing above the pivots. Let
-D be the last pivot of the echelon form of the cleared [A | b]: the
-leading minor on the pivot columns, in the rows that gave the pivots. By
-Cramer's rule D x is then an integer vector for the solution x that is
-zero on the free columns, so back-substitution on the pivot rows,
-y_i = (D b_i - sum_{j > i} U_{i,p_j} y_j) / U_{i,p_i}, divides exactly
-at every step.
 
 A Bareiss step with pivot p brings the rows it acts on (those below the
 pivot row in echelon mode, all others in reduced mode) to p: a row with
@@ -324,51 +315,6 @@ def nullspace(rows) -> list[tuple[int, ...]]:
     return basis
 
 
-def pivot_solution(rows, rhs) -> tuple[list[int], int, list[int]] | None:
-    """Solve A x = b by one echelon elimination of [A | b] and integer
-    back-substitution: ``(pivots, D, y)``, or None when b is a pivot
-    column (the system is inconsistent).
-
-    ``pivots`` are A's pivot columns and D the last pivot (1 when there
-    is none); ``y[i] = D x[pivots[i]]`` for the solution x that is zero
-    on the free columns. The echelon pivot rows are final: a row whose
-    scaling was deferred is brought up to date when it becomes the pivot
-    row, and later passes never touch it again.
-    """
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots, _ = _eliminate(aug, reduce=False)
-    if aug and len(aug[0]) - 1 in pivots:
-        return None
-    r = len(pivots)
-    d = m[r - 1][pivots[-1]] if r else 1
-    y = [0] * r
-    for i in range(r - 1, -1, -1):
-        row = m[i]
-        acc = d * row[-1]
-        for p, yj in zip(pivots[i + 1:], y[i + 1:]):
-            if row[p]:
-                acc -= row[p] * yj
-        y[i], rem = divmod(acc, row[pivots[i]])
-        invariant(rem == 0, "back-substitution must divide exactly")
-    return pivots, d, y
-
-
-def solve(rows, rhs) -> tuple[Fraction, ...] | None:
-    """One solution of A x = b, zero on the free columns, or None when
-    inconsistent."""
-    if not rows:
-        return None
-    found = pivot_solution(rows, rhs)
-    if found is None:
-        return None
-    pivots, d, y = found
-    from fractions import Fraction
-    x = [Fraction(0)] * len(rows[0])
-    for p, yp in zip(pivots, y):
-        x[p] = Fraction(yp, d)
-    return tuple(x)
-
-
 def adjugate(rows, b) -> list[list[int]] | None:
     """adj(A) B = det(A) A^-1 B for a square integer matrix A and an
     integer matrix B with as many rows, or None when A is singular; B = I
@@ -383,10 +329,6 @@ def adjugate(rows, b) -> list[list[int]] | None:
     if pivots != list(range(n)):
         return None
     return [[sign * x for x in row[n:]] for row in m]
-
-
-def mat_vec(rows, vec) -> tuple:
-    return tuple([sum([a * x for a, x in zip(row, vec)]) for row in rows])
 
 
 def mat_mul(a, b) -> tuple[tuple, ...]:

@@ -16,12 +16,20 @@ records: they are named tuples, but the exact ``type(obj) is tuple``
 test keeps them from being written as arrays.
 
 The functions hand ``to_json`` the records' own plain tuples (rays,
-compositions, markings, wall ends), not copies, and within one call
-``to_json`` writes each shared tuple once per indent depth and then
-reuses that text while the depth stays the same. That is safe because
-a tuple cannot change and the tree keeps every node, hence every id,
-alive for the whole call. The indent, separator and bracket strings of
-each depth are built once per process, not once per container.
+compositions, markings, wall ends and entries), not copies, and within
+one call ``to_json`` writes each shared tuple once and reuses that text
+wherever the tuple comes back. That is safe because a tuple cannot
+change and the tree keeps every node, hence every id, alive for the
+whole call. At another depth the text is shifted by one ``str.replace``
+of its line breaks: ``_quote`` escapes every line break inside a
+string, and every later line of a value written at depth d starts with
+at least 2 d spaces, so each line break gains or loses the same indent.
+The indent, separator and bracket strings of each depth are built once
+per process, not once per container, and so is each key's prefix (the
+dict opener or the separator, then the quoted key and ": ") in the key
+table of each depth; a report's keys are a fixed set of literals. Every
+key still passes the exact ``type(key) is str`` test before the table
+is read, so a ``str`` subclass equal to a known key is refused.
 
 The functions read the records by field name only, so this module
 imports nothing from the package: ``rec`` is an ``orbits.OrbitRecord``,
@@ -161,27 +169,35 @@ def to_json(obj) -> str:
 
 
 # Per depth d, the strings a container that starts on a line of depth d
-# writes: the separator, the list and dict openers (each ends with the
-# line break and indent of depth d + 1) and the list and dict closers
-# (the line break and indent of depth d, then the bracket). Filled on
-# demand and shared by every call; each entry depends on d alone, so a
-# concurrent fill stores the same strings.
-_LEVELS: dict[int, tuple[str, str, str, str, str]] = {}
+# writes: the separator, the list opener (it ends with the line break and
+# indent of depth d + 1), the list and dict closers (the line break and
+# indent of depth d, then the bracket) and the key table. The table maps
+# each key a dict of depth d has met to its two prefixes: the dict opener
+# and then the separator, each followed by the quoted key and ": ".
+# Filled on demand and shared by every call; each entry depends on d and
+# the key alone, so a concurrent fill stores the same strings.
+_LEVELS: dict[int, tuple[str, str, str, str, dict]] = {}
 
 
-def _level(depth: int) -> tuple[str, str, str, str, str]:
+def _level(depth: int) -> tuple[str, str, str, str, dict]:
     newline = "\n" + "  " * depth
     inner = newline + "  "
-    level = _LEVELS[depth] = ("," + inner, "[" + inner, "{" + inner,
-                              newline + "]", newline + "}")
+    level = _LEVELS[depth] = ("," + inner, "[" + inner, newline + "]",
+                              newline + "}", {})
     return level
+
+
+def _prefixes(keys: dict, sep: str, key: str) -> tuple[str, str]:
+    quoted = _quote(key) + ": "
+    texts = keys[key] = ("{" + sep[1:] + quoted, sep + quoted)
+    return texts
 
 
 def _encode(obj, depth: int, chunks: list, memo: dict) -> None:
     """Append ``obj`` to ``chunks``; ``depth`` is the indent depth of the
     line the value starts on. ``memo``, made anew by each ``to_json``
     call, maps the id of each plain tuple written so far to the depth it
-    was last written at and its text there."""
+    was first written at and its text there."""
     kind = type(obj)
     if kind is str:
         chunks.append(_quote(obj))
@@ -199,10 +215,15 @@ def _encode(obj, depth: int, chunks: list, memo: dict) -> None:
             return
         if kind is tuple:
             seen = memo.get(id(obj))
-            if seen is not None and seen[0] == depth:
-                chunks.append(seen[1])
+            if seen is not None:
+                first, text = seen
+                if depth > first:
+                    text = text.replace("\n", "\n" + "  " * (depth - first))
+                elif depth < first:
+                    text = text.replace("\n" + "  " * (first - depth), "\n")
+                chunks.append(text)
                 return
-        sep, lead, _, close, _ = _LEVELS.get(depth) or _level(depth)
+        sep, lead, close, _, _ = _LEVELS.get(depth) or _level(depth)
         if all([type(x) is int for x in obj]):
             text = lead + sep.join(map(int.__repr__, obj)) + close
             chunks.append(text)
@@ -222,13 +243,14 @@ def _encode(obj, depth: int, chunks: list, memo: dict) -> None:
         if not obj:
             chunks.append("{}")
             return
-        sep, _, lead, _, close = _LEVELS.get(depth) or _level(depth)
+        sep, _, _, close, keys = _LEVELS.get(depth) or _level(depth)
         inner = depth + 1
+        later = False
         for key in sorted(obj):
             if type(key) is not str:
                 raise TypeError(f"report key {key!r} is not a str")
-            chunks.append(lead + _quote(key) + ": ")
-            lead = sep
+            chunks.append((keys.get(key) or _prefixes(keys, sep, key))[later])
+            later = True
             _encode(obj[key], inner, chunks, memo)
         chunks.append(close)
     else:

@@ -418,6 +418,7 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
         # wall ends are the chambers' own composition tuples, and the
         # chambers are in label (= composition) order
         labels = {c.composition: c.composition for c in chambers}
+        pairs = {}  # one entries tuple per (a, b), shared by its walls
         for comp in labels:
             for i, (a, b) in enumerate(zip(comp, comp[1:])):
                 if a == b:
@@ -427,7 +428,8 @@ def chamber_complex_for(orbit: OrbitLabel, polarization_list) -> ChamberComplex:
                           "closed under adjacent transpositions")
                 if a < b:  # comp < swapped: they first differ at i
                     # chamber_a, chamber_b, position (1-based), entries
-                    walls.append(Wall(comp, swapped, i + 1, (a, b)))
+                    entries = pairs.setdefault((a, b), (a, b))
+                    walls.append(Wall(comp, swapped, i + 1, entries))
     # Closed under adjacent transpositions, the chambers hold every
     # ordering of the first one's composition, which those moves connect
     # (bubble sort): the wall graph is connected iff there are no other

@@ -103,8 +103,11 @@ def _suite_contact(seed, max_n):
             models.append((f"conjugate[{conj_seed}]", f"{conj_seed}:conj",
                            oracle_lab.random_conjugate(base, conj_seed)))
         for tag, seed_string, model in models:
+            # dim_orbit is the rank of the KKS form bordered by theta,
+            # which is kks_rank once the border stays unpaired (else
+            # contact_check raises): one elimination per model
             res = oracle_lab.contact_check(model)
-            observed = {"kks_rank": oracle_lab.kks_rank(model),
+            observed = {"kks_rank": res.dim_orbit,
                         "theta_kernel_dim": res.theta_kernel_dim,
                         "omega_rank_on_kernel": res.omega_rank_on_kernel,
                         "radical_is_euler_line": res.radical_is_euler_line}

@@ -52,18 +52,17 @@ from contactres.ratlinalg import (
     dot,
     echelon_basis,
     mat_mul,
-    mat_vec,
     nullspace,
-    pivot_solution,
     primitive,
     rank,
     row_basis,
     rref,
     skew_rank,
-    solve,
 )
 from contactres.resolutions import compositions_of
 from contactres.verify import run_suite
+
+from linalg_reference import mat_vec, pivot_solution, solve
 
 F = Fraction
 

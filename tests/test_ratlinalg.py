@@ -16,17 +16,16 @@ from contactres.ratlinalg import (
     dot,
     echelon_basis,
     mat_mul,
-    mat_vec,
     nullspace,
-    pivot_solution,
     primitive,
     rank,
     row_basis,
     rref,
     skew_null_vector,
     skew_rank,
-    solve,
 )
+
+from linalg_reference import mat_vec, pivot_solution, solve
 
 F = Fraction
 

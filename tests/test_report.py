@@ -1,6 +1,6 @@
 """``report.to_json`` writes the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True)``, the oracle here, and refuses what a report never holds.
-It writes a tuple that comes back at the same indent from the text it
+It writes a tuple that comes back, at any indent, from the text it
 already wrote, so the report functions must keep handing it the records'
 own tuples."""
 
@@ -12,12 +12,26 @@ from hypothesis import given, settings, strategies as st
 
 from contactres.lie_core import SimpleType
 from contactres.orbits import parse_orbit
-from contactres.report import chamber_complex_dict, to_json
-from contactres.resolutions import ample_cone, movable_chambers
+from contactres.report import (
+    chamber_complex_dict,
+    resolution_report_dict,
+    to_json,
+)
+from contactres.resolutions import (
+    ample_cone,
+    contact_resolution_exists,
+    movable_chambers,
+)
 
 
 def oracle(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _nest(obj, depth):
+    for _ in range(depth):
+        obj = [obj]
+    return obj
 
 
 # every code point class the escaping must get right: ASCII, quotes and
@@ -99,11 +113,19 @@ class TestSharedTuples:
         lambda t: [t, [[t]]],             # depth 1, then depth 3
         lambda t: {"a": [[t]], "b": t},   # depth 3, then depth 1
         lambda t: [t, t, [[t, t]], t],
-    ], ids=["1-then-3", "3-then-1", "mixed"])
-    def test_text_is_reused_only_at_its_own_indent(self, shape):
+        lambda t: [[[t]], t, [[t]]],      # deep, shallow, deep again
+        lambda t: [t, (t, [t]), [[(t, [t])]], [(t, [t])]],  # nested shares
+        lambda t: [_nest(t, 60), t],      # depth 61, then depth 1
+        lambda t: [t, _nest(t, 60)],      # depth 1, then depth 61
+        lambda t: {"a": _nest(t, 60), "b": [t], "c": _nest([t], 30)},
+    ], ids=["1-then-3", "3-then-1", "mixed", "3-1-3", "nested",
+            "61-then-1", "1-then-61", "61-2-32"])
+    def test_text_is_reindented_at_any_depth(self, shape):
         # an identity-only memo would write the second copy at the
-        # first one's indent
-        t = (1, (2, "x"), [3])
+        # first one's indent; a replace in the wrong direction would
+        # indent the lines of a shallower copy deeper, or fail to
+        # match at a deeper one
+        t = (1, (2, "x\n  y"), [3], {"k": ("z",)})
         obj = shape(t)
         assert to_json(obj) == oracle(obj)
 
@@ -120,9 +142,31 @@ class TestSharedTuples:
             assert row["label"] is ch.composition
             assert row["composition"] is ch.composition
             assert row["marked_roots"] is ch.parabolic.marked
+        entries = {}
         for wall in d["walls"]:
             assert id(wall["chamber_a"]) in compositions
             assert id(wall["chamber_b"]) in compositions
+            # walls with equal (a, b) hand over one entries tuple
+            pair = entries.setdefault(wall["entries"], wall["entries"])
+            assert pair is wall["entries"]
+        assert len(entries) < len(d["walls"])
+
+    def test_chamber_rows_share_the_polarization_rows_tuples(self):
+        # in a classify report the chamber rows (depth 5) come before the
+        # polarization rows (depth 4): the second copy is shallower
+        r = resolution_report_dict(
+            contact_resolution_exists(parse_orbit("A8:6,2,1")), [])
+        rows = {row["composition"]: row for row in r["polarizations"]}
+        assert len(rows) == len(r["chamber_complex"]["chambers"]) == 30
+        for ch in r["chamber_complex"]["chambers"]:
+            row = rows[ch["composition"]]
+            assert row["composition"] is ch["composition"]
+            assert row["marked_roots"] is ch["marked_roots"]
+        assert to_json(r) == oracle(r)
+
+
+class Key(str):
+    """Equal to, and hashed as, the plain ``str`` it wraps."""
 
 
 class TestRefuses:
@@ -133,7 +177,22 @@ class TestRefuses:
         # a record is a named tuple: only the exact type test refuses it
         pytest.param(SimpleType("A", 1), id="record"),
         pytest.param([SimpleType("A", 1)], id="record-in-list"),
+        pytest.param({Key("a"): 0}, id="str-subclass-key"),
     ], ids=repr)
     def test_type_error(self, obj):
         with pytest.raises(TypeError):
             to_json(obj)
+
+    def test_str_subclass_equal_to_a_written_key(self):
+        # the key prefixes of each depth are kept across calls, so an
+        # equal str subclass must fail the type test before any lookup
+        first = {"k": {"earlier-call": 1, "second": 2}}
+        assert to_json(first) == oracle(first)
+        for obj in [
+            {"k": {Key("earlier-call"): 1}},               # a first key
+            {"k": {"earlier-call": 1, Key("second"): 2}},  # a later key
+            # written at the same depth earlier in the same call
+            {"j": {"same-call": 1}, "k": {Key("same-call"): 2}},
+        ]:
+            with pytest.raises(TypeError):
+                to_json(obj)

@@ -1,6 +1,6 @@
 import pytest
 
-from contactres import cones, verify
+from contactres import cones, ratlinalg, verify
 from contactres.cones import RationalCone, cone_from_generators
 from contactres.errors import SizeCapExceeded, UnknownSuite
 from contactres.lie_core import SimpleType
@@ -60,6 +60,23 @@ def test_richardson_rows_check_the_shipped_recipe(monkeypatch,
     wrong = run_suite("richardson", max_n=4)
     assert len(wrong) == len(rows)
     assert not all(r.agrees for r in wrong)
+
+
+def test_contact_rows_run_one_skew_elimination_per_model(monkeypatch):
+    # kks_rank is read off the bordered form contact_check eliminates;
+    # the kks and ad-rank suites keep their own eliminations
+    steps, sizes = ratlinalg._skew_steps, []
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return steps(rows)
+
+    monkeypatch.setattr(ratlinalg, "_skew_steps", counting)
+    rows = run_suite("contact", max_n=5)
+    assert len(rows) == 4 * 13 and all(r.agrees for r in rows)
+    # one per row, each the n^2 - 1 basis bordered by theta
+    assert sizes == [sum(parse_orbit(r.case.split()[0]).partition) ** 2
+                     for r in rows]
 
 
 def test_caps_echo_every_override():
