@@ -14,33 +14,34 @@ i != j and then H_i = E_ii - E_{i+1,i+1}, is the tuple of its nonzero
 entries (i, j, x), at most two of them. ``_supports(n)`` is a constant,
 built once per n; a model holds only n and e. An entry x of b at (i, j)
 makes [e, b] one column and one row update of e: x times column i of e
-added to column j, and x times row j of e taken from row i. It makes
-tr(X b) the single term x X[j][i]. Every element's first entry is 1, so
-the trace form against a basis is a gather of entries of X, and only
-the H_i add a second term.
+added to column j, and x times row j of e taken from row i (``addim``).
 
-``contact_check`` runs one skew elimination and no general one: the
-Pfaffian elimination of the KKS Gram matrix K_ab = tr([e, b_a] b_b),
-bordered by theta_a = tr(e b_a) and -theta, border last
-(``ratlinalg.skew_null_vector``). The radical of K is the centralizer z
-of e, so rank K = dim O, and theta vanishes on z exactly when it lies
-in the row space of K; then the bordered rank is rank K and the border
-is never paired, and otherwise it is paired (theta is off the row
-space, which is e not in im ad_e, since im ad_e = z^perp). The omega
-ranks follow: ker theta has dimension dim O - 1 in g / z, and omega,
-nondegenerate there, has rank dim O - 2 on it (by congruence, the
-bordered rank less 2, once theta vanishes on z). Back-substitution
-through the elimination's 2 x 2 steps gives x = (v, t) in its kernel,
-t the last pivot: K v = -t theta and theta . v = 0. By trace
-cyclicity K v = -t theta says tr([e, Y] b) = t tr(e b) for every basis
-element b, Y = sum v_k b_k; the tangent vector [e, Y] spans the
-radical of omega on ker theta. The witness W = e Y - Y e, two n x n
-products that share nothing with the gathered form, equal to t e on
-all n^2 entries (t != 0), puts that radical on the Euler line. So the
-checks that can fail are the border (theta off the row space) and the
-witness (the radical off the Euler line); the rank of omega on the
-image of ad_e, apart from dim O, is checked by the ``ad-rank`` and
-``kks`` suites.
+The KKS form K_ab = tr([e, b_a] b_b) = tr(e [b_a, b_b]) and the
+contact form theta_a = tr(e b_a) are read off e's entries, as
+tr(e [E_ij, E_kl]) = d_jk e_li - d_li e_jk: the row of E_ij holds e_li
+at E_jl (less e_jj at E_ji), -e_jk at E_ki, and at H_h e_ji times a
+difference of two diagonal terms; theta(E_ij) = e_ji. Past the diagonal
+the row of H_h is zero (diagonal matrices commute) but for its border,
+theta(H_h) = e_hh - e_{h+1,h+1}. ``_kks_plan(n)`` applies the formula
+to each entry of each row, once per n in O(n^3) terms, and places each
+entry of e in K bordered by theta, border last, as the rows above the
+diagonal, last column first, that ``ratlinalg``'s skew elimination
+reads. ``kks_rank`` and ``contact_check`` fill it from e, its Fractions
+cleared first (nothing below moves under a nonzero scalar).
+
+``contact_check`` runs one Pfaffian elimination of the bordered form
+(``ratlinalg.skew_null_vector``) and no general one. The radical of K
+is the centralizer z of e, so rank K = dim O, and theta vanishes on z
+exactly when it lies in the row space of K (im ad_e = z^perp): then the
+border stays unpaired, the bordered rank is rank K, and on ker theta,
+of dimension dim O - 1 in g / z, omega has rank dim O - 2 (by
+congruence, the bordered rank less 2). Back-substitution gives
+x = (v, t) in the kernel, t the last pivot: K v = -t theta and
+theta . v = 0, which by trace cyclicity says tr([e, Y] b) = t tr(e b)
+for every b, Y = sum v_k b_k, so [e, Y] spans the radical of omega on
+ker theta. The witness W = e Y - Y e, two n x n products apart from
+the plan, equal to t e entry by entry (t != 0), puts it on the Euler
+line; the ``ad-rank`` and ``kks`` suites check dim O apart from it.
 
 Models are integer matrices: the Jordan forms, the nilradical samples
 and the conjugates are built from ints, and every product stays
@@ -50,31 +51,23 @@ triangular, and adj(g) g = det(g) I gives
 (g e adj g)^k = det(g)^(k-1) g e^k adj g. A matrix from a caller is
 checked once, where it enters: ``matrix_model`` refuses it unless it is
 square, within ``ADDIM_SIZE_CAP`` and nilpotent, as decided by
-``jordan_type``, the only nilpotency test here. That test walks the
-ranks of the powers of e to the first zero power, which is not
-eliminated; a strictly upper triangular e is nilpotent already, and by
-the Frobenius rank inequality (the drops rank(e^(k-1)) - rank(e^k)
-never increase, and stay >= 1 up to rank 0) its walk stops at its first
-drop of 1. Fractions appear only where an entry really is rational: in
-such a matrix (the tests rescale models by rational factors), and then
-in the forms built from it. The kernel in ``ratlinalg`` accepts both.
-Tuples are built from lists, for the reason given there.
+``jordan_type``, the only nilpotency test here. Fractions appear only
+in such a matrix (the tests rescale models by rational factors). Tuples
+are built from lists, for the reason given in ``ratlinalg``.
 
-These oracles are deliberately independent of the combinatorial
-formulas they validate: dimensions come from ranks of ad maps, Richardson
-partitions from Jordan types of certified generic nilradical samples
-(each entry drawn from the stream that ``randint(-9, 9)`` draws),
-Springer degrees from exact flag counting. The size caps are constants,
-``ADDIM_SIZE_CAP`` and ``FIBER_SIZE_CAP``. All randomness is seeded and
-the seed strings are derivable by callers for reporting.
-``MatrixModel`` and ``ContactCheckResult`` are named tuples (see
-``lie_core``).
+These oracles are deliberately independent of the formulas they
+validate: dimensions come from ranks of ad maps, Richardson partitions
+from Jordan types of certified generic nilradical samples (each entry
+from ``randint(-9, 9)``'s stream), Springer degrees from exact flag
+counting. The size caps are constants, ``ADDIM_SIZE_CAP`` and
+``FIBER_SIZE_CAP``. All randomness is seeded, and callers can derive
+the seed strings for reporting. The records are named tuples.
 """
 
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -91,6 +84,7 @@ from .errors import (
     invariant,
 )
 from .ratlinalg import (
+    _int_row,
     adjugate,
     dot,
     echelon_basis,
@@ -211,23 +205,6 @@ def _ad_images(e: Matrix, supports) -> list[list]:
     return images
 
 
-def _traces(vecs, supports, n: int) -> list[list]:
-    """tr(X b) for each vec(X) in ``vecs`` (rows) and each basis support
-    (columns), gathered: an entry x of b at (i, j) meets X at (j, i). A
-    support's first entry is 1, so it gathers one entry of X; only the
-    H_i add a second term."""
-    first = [j * n + i for (i, j, _), *_ in supports]
-    second = [(k, j * n + i, x) for k, (_, *rest) in enumerate(supports)
-              for i, j, x in rest]
-    out = []
-    for v in vecs:
-        row = list(map(v.__getitem__, first))
-        for k, q, x in second:
-            row[k] += x * v[q]
-        out.append(row)
-    return out
-
-
 def addim(m: MatrixModel) -> int:
     """dim O = rank of ad_e on the trace-zero matrices."""
     return rank(_ad_images(m.e, _supports(m.n)))
@@ -236,16 +213,14 @@ def addim(m: MatrixModel) -> int:
 def jordan_type(e: Matrix) -> tuple[int, ...]:
     """Jordan type of a nilpotent matrix from the ranks of its powers.
 
-    The rows of e^(k+1) span the row space of e^k times e, so the echelon
-    basis of e^k times e gives rank(e^(k+1)) and the next basis: the k-th
-    elimination gets rank(e^(k-1)) rows, not n. A zero product has rank
-    0 and is not eliminated. By the Frobenius rank inequality the drops
-    rank(e^(k-1)) - rank(e^k) never increase, and for a nilpotent e they
-    stay >= 1 until the rank is 0; so when e is strictly upper triangular
-    (every Jordan model and nilradical sample), a drop of 1 from rank r
-    decides the rest, r - 1, ..., 0, and the walk stops there. Any other
-    matrix is walked in full, which is the nilpotency test. A non-square
-    matrix raises ``DimensionMismatch``.
+    The echelon basis of e^k times e gives rank(e^(k+1)) and the next
+    basis, so the k-th elimination gets rank(e^(k-1)) rows, not n; a zero
+    product is not eliminated. By the Frobenius rank inequality the drops
+    rank(e^(k-1)) - rank(e^k) never increase, and stay >= 1 until the
+    rank is 0, so on a strictly upper triangular e (every Jordan model and
+    nilradical sample) a drop of 1 from rank r decides the rest and the
+    walk stops. Any other matrix is walked in full: the nilpotency test.
+    A non-square matrix raises ``DimensionMismatch``.
     """
     n = len(e)
     if any(len(row) != n for row in e):
@@ -274,20 +249,57 @@ def jordan_type(e: Matrix) -> tuple[int, ...]:
     return part
 
 
+@lru_cache(maxsize=None)
+def _kks_plan(n: int) -> tuple[tuple, list[int]]:
+    """``(sources, starts)``: the bordered KKS form's layout, flat, row k
+    from starts[k] to starts[k + 1], theta_k first, the border's row empty.
+    Entry q of vec(e) is added at sources[q][0] and taken at sources[q][1]."""
+    supports = _supports(n)
+    size = len(supports)  # the border's index
+    in_row, in_col = [[] for _ in range(n)], [[] for _ in range(n)]
+    for b, sup in enumerate(supports):
+        for r, c, y in sup:
+            in_row[r].append((b, c, y))
+            in_col[c].append((b, r, y))
+    plus, minus = [[] for _ in range(n * n)], [[] for _ in range(n * n)]
+    starts = [0]
+    for k, sup in enumerate(supports):
+        terms = Counter()  # (column, entry of e) -> coefficient
+        for i, j, x in sup:  # tr(e [E_ij, E_kl]) = d_jk e_li - d_li e_jk
+            terms[size, j * n + i] += x
+            for b, l, y in in_row[j]:
+                terms[b, l * n + i] += x * y
+            for b, l, y in in_col[i]:
+                terms[b, j * n + l] -= x * y
+        for (col, q), c in terms.items():
+            if col > k:
+                pos = starts[k] + size - col
+                (plus if c > 0 else minus)[q] += [pos] * abs(c)
+        starts.append(starts[k] + size - k)
+    starts.append(starts[-1])  # the end of the border's row
+    return tuple([(tuple(p), tuple(q)) for p, q in zip(plus, minus)]), starts
+
+
+def _kks_layout(m: MatrixModel) -> tuple[list, list[int], list[int]]:
+    """``(vec, flat, starts)``: ``_kks_plan`` filled from vec(e) in ints."""
+    sources, starts = _kks_plan(m.n)
+    vec = _int_row(_vec(m.e))
+    flat = [0] * starts[-1]
+    for x, (plus, minus) in zip(vec, sources):
+        if x:
+            for f in plus:
+                flat[f] += x
+            for f in minus:
+                flat[f] -= x
+    return vec, flat, starts
+
+
 def kks_rank(m: MatrixModel) -> int:
-    """Rank of the skew form (x, y) -> tr(e [x, y]) on trace-zero matrices.
-
-    Its radical is the centralizer of e, so the rank recomputes dim O by a
-    route independent of ad-rank: its Gram matrix is skew, and
-    ``skew_rank`` eliminates it by 2 x 2 (Pfaffian) pivots.
-    """
-    return skew_rank(_kks_form(m))
-
-
-def _kks_form(m: MatrixModel) -> list[list]:
-    """Gram matrix tr([e, b_a] b_b) = tr(e [b_a, b_b]) over the basis."""
-    supports = _supports(m.n)
-    return _traces(_ad_images(m.e, supports), supports, m.n)
+    """Rank of the skew form (x, y) -> tr(e [x, y]) on trace-zero matrices:
+    dim O (the radical is the centralizer), by a route apart from ad-rank."""
+    _, flat, starts = _kks_layout(m)
+    # each row but the border's, less its first entry, theta
+    return skew_rank([flat[a + 1:b] for a, b in zip(starts, starts[1:-1])])
 
 
 class ContactCheckResult(namedtuple(
@@ -307,39 +319,30 @@ class ContactCheckResult(namedtuple(
 def contact_check(m: MatrixModel) -> ContactCheckResult:
     """Check the linear-algebra shadow of contact nondegeneracy at e.
 
-    The tangent space T_e O is the image of ad_e. The one-form sends
-    [e, x] to tr(e x); this is well defined because tr(e z) vanishes on
-    the centralizer z of e (verified, not assumed). On its kernel F the
-    KKS form ([e,x],[e,y]) -> tr(e [x,y]) must have rank dim O - 2 with
-    radical exactly the line through e, the direction collapsed by
-    projectivisation; e itself is tangent since e = [h/2, e] for any
-    sl_2-triple through e. One Pfaffian elimination of the KKS form
-    bordered by theta answers the ranks and gives the radical, and one
-    n x n witness puts it on the Euler line (see the module docstring).
+    T_e O is the image of ad_e, and the one-form [e, x] -> tr(e x) is well
+    defined as tr(e z) vanishes on the centralizer z (verified, not
+    assumed). On its kernel the KKS form must have rank dim O - 2 with
+    radical the line through e (tangent: e = [h/2, e]), the direction
+    projectivisation collapses: one elimination, one witness (module doc).
     """
     if m.is_zero:
         raise ZeroElement("contact check needs a nonzero nilpotent")
     n = m.n
-    supports = _supports(n)
-    vec_e = _vec(m.e)
-    theta = _traces([vec_e], supports, n)[0]
-    form = _kks_form(m)
-    # the border stays unpaired exactly when theta is in the row space of
-    # the form, that is, when it vanishes on the centralizer
-    d, x = skew_null_vector([row + [t] for row, t in zip(form, theta)]
-                            + [[-t for t in theta] + [0]])
+    vec_e, flat, starts = _kks_layout(m)
+    theta = [flat[a] for a in starts[:-2]]
+    # theta off the row space of the form (not zero on z) pairs the border
+    d, x = skew_null_vector([flat[a:b] for a, b in zip(starts, starts[1:])])
     invariant(x is not None, "trace form fails to vanish on the centralizer")
     *v, t = x
     invariant(dot(theta, v) == 0, "theta must vanish on the Euler direction")
-    # the witness: the form says tr([e, Y] b) = t tr(e b) for every b, with
-    # Y = sum v_k b_k; W = e Y - Y e, recomputed by products, must be t e
-    # on all n^2 entries for the radical to be the Euler line
+    # the witness: W = e Y - Y e, Y = sum v_k b_k, must be t e entry by entry
+    e = [vec_e[i:i + n] for i in range(0, n * n, n)]
     y_mat = _zeros(n)
-    for vk, sup in zip(v, supports):
+    for vk, sup in zip(v, _supports(n)):
         if vk:
             for i, j, c in sup:
                 y_mat[i][j] += vk * c
-    w = [a - b for ey, ye in zip(mat_mul(m.e, y_mat), mat_mul(y_mat, m.e))
+    w = [a - b for ey, ye in zip(mat_mul(e, y_mat), mat_mul(y_mat, e))
          for a, b in zip(ey, ye)]
     return ContactCheckResult(
         dim_orbit=d,
@@ -362,8 +365,9 @@ def _sample_nilradical(comp, seed_string: str) -> Matrix:
     ``seed_string``, row by row: each row of a block gets one entry per
     column after the block. An entry is ``getrandbits(5)``, redrawn until
     it is below 19, minus 9: ``randint(-9, 9)``'s stream, drawn the same
-    way (``_randbelow(19)``) without its three Python calls per entry."""
-    bits = random.Random(seed_string).getrandbits
+    way (``_randbelow(19)``) without its three Python calls per entry.
+    One block draws nothing, so it seeds no stream."""
+    bits = random.Random(seed_string).getrandbits if len(comp) > 1 else None
     n, end, rows = sum(comp), 0, []
     for size in comp:
         end += size
@@ -461,18 +465,14 @@ def generic_fiber_count(comp, seed: int = 0) -> int:
     is one point, and return that cardinality, 1.
 
     The fiber is the set of flags 0 = V_0 < V_1 < ... < V_k = C^n of type
-    ``comp`` with e V_i inside V_{i-1}; exact constraint propagation forces
-    it to a single flag. A lower bound on each V_i grows by
-    V_i >= V_{i-1} + e V_{i+1}. The annihilators V_{k-i}^perp form a flag
-    of type ``reversed(comp)`` for e^T, so the same rule grows lower
-    bounds on them, which intersects V_i with V_{i+1} and e^-1 V_{i-1}. A
-    step is forced once either bound reaches its dimension, and the other
-    is then its annihilator; one worklist (:func:`_fiber_bounds`) grows
-    both families and forces the steps. The element is the certified
-    sample of :func:`generic_jordan_type`, and fibers over one orbit are
-    isomorphic, so a step left unforced at the fixpoint means that the
-    linear propagation is incomplete, not that the sample is special; it
-    raises ``NonFiniteFiber``.
+    ``comp`` with e V_i inside V_{i-1}. Lower bounds on each V_i grow by
+    V_i >= V_{i-1} + e V_{i+1}, and on the annihilators V_{k-i}^perp, a
+    flag of type ``reversed(comp)`` for e^T, by the same rule; a step is
+    forced once either bound reaches its dimension (one worklist,
+    :func:`_fiber_bounds`). e is the certified sample of
+    :func:`generic_jordan_type`, and fibers over one orbit are
+    isomorphic, so a step left unforced means that the linear propagation
+    is incomplete, not that the sample is special: ``NonFiniteFiber``.
     """
     comp = _positive_parts(comp, "composition", FIBER_SIZE_CAP)
     if len(comp) == 1:

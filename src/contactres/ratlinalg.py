@@ -11,9 +11,10 @@ exactly by the previous pivot, so entries stay minors of the cleared
 matrix, bounded by Hadamard's inequality. ``rref`` and ``nullspace``
 return primitive integer vectors and ``adjugate`` integers. ``fractions``
 is imported only where a Fraction is built, so all-integer work never
-loads it. A skew-symmetric matrix has its own elimination by 2 x 2 pivots,
-behind ``skew_rank`` and ``skew_null_vector``; ``rank`` is its
-reference in the tests.
+loads it. A skew-symmetric integer matrix has its own elimination by
+2 x 2 pivots, behind ``skew_rank`` and ``skew_null_vector``, which take
+only its entries above the diagonal (below); ``rank`` is its reference
+in the tests.
 
 A Bareiss step with pivot p brings the rows it acts on (those below the
 pivot row in echelon mode, all others in reduced mode) to p: a row with
@@ -48,11 +49,12 @@ and j of B and p = B_ij = Pf(A_(I, i, j)), the next B is
 Pfaffian condensation identity; Knuth, "Overlapping Pfaffians", 1996).
 A Pfaffian is a square root of a principal minor, so entries carry about
 half the digits of ``_eliminate``'s, and each step retires two indices
-and updates half a matrix. A Fraction matrix is cleared by one common
-denominator, which keeps it skew. Only the entries above the diagonal
-are stored (A_ki = -A_ik), each row from the last column down, so that
-a row and the pivot rows a and b, padded to all n columns, line up at
-their first entries and pair off with no slicing. Rows never shrink:
+and updates half a matrix. The input is that half, in ints: row k holds
+A_kl for l > k from the last column down (A_lk = -A_kl is not given),
+so that a row and the pivot rows a and b, padded to all n columns, line
+up at their first entries and pair off with no slicing; a caller clears
+Fractions by one common denominator, which keeps the matrix skew, and
+builds the rows in place of the full matrix. Rows never shrink:
 the update writes p (-b_k) + b_k p = 0 in column j, so a retired index
 is a zero column of every live row. A row with a_k = b_k = 0 only
 changes by p / prev, and, as above, that rescaling is deferred: each
@@ -73,7 +75,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain, compress, count
 from math import gcd, lcm
-from operator import add, getitem, mul
+from operator import mul
 
 from .errors import DimensionMismatch, invariant
 
@@ -165,41 +167,21 @@ def rank(rows) -> int:
     return len(_eliminate(rows, reduce=False)[1])
 
 
-def _skew_upper(rows) -> list[list[int]]:
-    """Row k of a square, skew matrix above the diagonal, from the last
-    column down to column k + 1, as ints: Fractions there are cleared by
-    one common denominator (clearing each row apart would break the skew
-    symmetry), and a float there is refused with ``TypeError``."""
-    n = len(rows)
-    if {*map(len, rows)} - {n}:
-        raise DimensionMismatch("skew_rank needs a square matrix")
-    upper = [row[:k:-1] for k, row in enumerate(rows)]
-    lower = [col[:k:-1] for k, col in enumerate(zip(*rows))]
-    if (any(map(add, chain.from_iterable(upper), chain.from_iterable(lower)))
-            or any(map(getitem, rows, range(n)))):
-        raise ValueError("skew_rank needs a skew-symmetric matrix")
-    if type(sum(chain.from_iterable(upper))) is not int:  # a Fraction or float
-        fr = [[rational(x) for x in row] for row in upper]
-        mult = lcm(*[x.denominator for row in fr for x in row])
-        upper = [[x.numerator * (mult // x.denominator) for x in row]
-                 for row in fr]
-    return upper
-
-
 def skew_rank(rows) -> int:
-    """Exact rank of a skew-symmetric matrix of ints or Fractions: two
-    per pivot of the Pfaffian elimination. A non-square matrix raises
-    ``DimensionMismatch`` and a non-skew one ``ValueError``, before any
-    elimination."""
+    """Exact rank of a skew-symmetric integer matrix, given by its rows
+    above the diagonal (see the module docstring): two per pivot of the
+    Pfaffian elimination. Rows of the wrong lengths raise
+    ``DimensionMismatch`` and an entry that is not an int ``TypeError``,
+    before any elimination."""
     return 2 * len(_skew_steps(rows))
 
 
 def skew_null_vector(rows) -> tuple[int, list[int] | None]:
-    """``(rank, x)`` for a skew-symmetric matrix A, refused as
-    ``skew_rank`` refuses it. When the last index stays unpaired, x is
-    the integer vector with A x = 0 that is the last pivot (1 when
-    nothing pairs) at the last index and 0 at every other unpaired one;
-    otherwise, or when A is empty, x is None.
+    """``(rank, x)`` for a skew-symmetric integer matrix A, given and
+    refused as ``skew_rank`` takes and refuses it. When the last index
+    stays unpaired, x is the integer vector with A x = 0 that is the last
+    pivot (1 when nothing pairs) at the last index and 0 at every other
+    unpaired one; otherwise, or when A is empty, x is None.
 
     Back-substitution runs the steps last first: a step's pivot block
     [[0, p], [-p, 0]] on the pair (i, j) and its rows a and b give
@@ -224,14 +206,20 @@ def skew_null_vector(rows) -> tuple[int, list[int] | None]:
 
 
 def _skew_steps(rows) -> list[tuple[int, int, int, list[int], list[int]]]:
-    """The steps of the Pfaffian elimination of ``rows`` (see the module
-    docstring), in order, as ``(i, j, p, a, b)``: the pivot pair, the
-    pivot p (the Pfaffian of the cleared matrix on the pairs so far, each
-    listed i before j) and the rows i and j of B that the step reads,
-    brought to the previous pivot and padded to all n columns, last
-    column first (a[n - 1 - l] = a_l)."""
-    upper = _skew_upper(rows)
+    """The steps of the Pfaffian elimination of the skew matrix whose rows
+    above the diagonal are ``rows`` (see the module docstring), in order,
+    as ``(i, j, p, a, b)``: the pivot pair, the pivot p (the Pfaffian of
+    the matrix on the pairs so far, each listed i before j) and the rows
+    i and j of B that the step reads, brought to the previous pivot and
+    padded to all n columns, last column first (a[n - 1 - l] = a_l).
+    ``rows`` is not changed."""
+    upper = list(rows)
     n = len(upper)
+    if [*map(len, upper)] != [*range(n - 1, -1, -1)]:
+        raise DimensionMismatch("skew elimination needs n - 1 - k entries "
+                                "in row k")
+    if type(sum(chain.from_iterable(upper))) is not int:
+        raise TypeError("skew elimination needs int entries")
     level = [1] * n
     live = list(range(n))
     steps, prev = [], 1

@@ -1,6 +1,7 @@
 """Reference linear algebra the tests check the package against: a
-matrix-vector product and a solver of A x = b, neither of which any
-package code calls.
+matrix-vector product, a solver of A x = b, and the conversion of a
+skew matrix to the rows above its diagonal that ``ratlinalg``'s skew
+elimination takes; no package code calls any of them.
 
 ``pivot_solution`` solves A x = b on the package's echelon elimination
 without clearing above the pivots. Let D be the last pivot of the
@@ -13,9 +14,12 @@ at every step.
 """
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import add, getitem
 
-from contactres.errors import invariant
-from contactres.ratlinalg import _eliminate
+from contactres.errors import DimensionMismatch, invariant
+from contactres.ratlinalg import _eliminate, rational
 
 
 def mat_vec(rows, vec) -> tuple:
@@ -64,3 +68,24 @@ def solve(rows, rhs) -> tuple[Fraction, ...] | None:
     for p, yp in zip(pivots, y):
         x[p] = Fraction(yp, d)
     return tuple(x)
+
+
+def _skew_upper(rows) -> list[list[int]]:
+    """Row k of a square, skew matrix above the diagonal, from the last
+    column down to column k + 1, as ints: Fractions there are cleared by
+    one common denominator (clearing each row apart would break the skew
+    symmetry), and a float there is refused with ``TypeError``."""
+    n = len(rows)
+    if {*map(len, rows)} - {n}:
+        raise DimensionMismatch("skew_rank needs a square matrix")
+    upper = [row[:k:-1] for k, row in enumerate(rows)]
+    lower = [col[:k:-1] for k, col in enumerate(zip(*rows))]
+    if (any(map(add, chain.from_iterable(upper), chain.from_iterable(lower)))
+            or any(map(getitem, rows, range(n)))):
+        raise ValueError("skew_rank needs a skew-symmetric matrix")
+    if type(sum(chain.from_iterable(upper))) is not int:  # a Fraction or float
+        fr = [[rational(x) for x in row] for row in upper]
+        mult = lcm(*[x.denominator for row in fr for x in row])
+        upper = [[x.numerator * (mult // x.denominator) for x in row]
+                 for row in fr]
+    return upper

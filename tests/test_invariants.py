@@ -6,6 +6,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,41 @@ def test_one_orbit_walk():
                 or isinstance(n, ast.ImportFrom)
                 and any(a.name == "partitions_of" for a in n.names)]
         assert uses == [], f"{path.name}: partitions_of on lines {uses}"
+
+
+def _names_used(tree) -> list[str]:
+    """Every name ``tree`` reads, as a bare name or an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_every_package_definition_has_a_package_caller():
+    """Each module-level function or class of the package is read by name
+    somewhere in ``src/`` outside its own body. Exempt: the public exports
+    (``__all__``), the commands ``cli._command`` registers, the package's
+    ``__getattr__`` and ``__dir__``, and ``oracle_lab.matrix_model``, the
+    boundary for a caller's matrix. Code that only a test reads belongs
+    in the tests."""
+    import contactres
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_names_used(tree))
+    exempt = {*contactres.__all__, "__getattr__", "__dir__"}
+    orphans = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name in exempt
+                    or (stem, node.name) == ("oracle_lab", "matrix_model")
+                    or any(isinstance(d, ast.Call)
+                           and getattr(d.func, "id", None) == "_command"
+                           for d in node.decorator_list)):
+                continue
+            if used[node.name] == _names_used(node).count(node.name):
+                orphans.append(f"{stem}.{node.name}")
+    assert orphans == []
 
 
 def package_imports() -> dict[str, set[str]]:

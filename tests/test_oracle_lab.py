@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,10 +25,10 @@ from contactres.oracle_lab import (
     _ad_images,
     _fiber_bounds,
     _generic_sample,
-    _kks_form,
+    _kks_layout,
+    _kks_plan,
     _sample_nilradical,
     _supports,
-    _traces,
     _vec,
     addim,
     contact_check,
@@ -62,7 +63,7 @@ from contactres.ratlinalg import (
 from contactres.resolutions import compositions_of
 from contactres.verify import run_suite
 
-from linalg_reference import mat_vec, pivot_solution, solve
+from linalg_reference import _skew_upper, mat_vec, pivot_solution, solve
 
 F = Fraction
 
@@ -145,12 +146,40 @@ def reference_contact_check(m):
                                and _parallel(radical[0], euler_in_kernel)))
 
 
-# --- the sum over each support, kept as the reference for the gather ---
+# --- the sum over each support, kept as the reference trace form ---
 
 def reference_traces(vecs, supports, n):
-    """``_traces`` by one sum over the entries of each support."""
+    """tr(X b) for each vec(X) in ``vecs`` (rows) and each basis support
+    (columns), by one sum over the entries of each support."""
     at = [[(j * n + i, x) for i, j, x in sup] for sup in supports]
     return [[sum([x * v[q] for q, x in sup]) for sup in at] for v in vecs]
+
+
+# --- the layout contact_check and kks_rank eliminate, and its reference ---
+
+def layout_rows(m):
+    """The rows ``contact_check`` eliminates (the KKS form bordered by
+    theta) and those ``kks_rank`` eliminates (the form alone)."""
+    _, flat, starts = _kks_layout(m)
+    return ([flat[a:b] for a, b in zip(starts, starts[1:])],
+            [flat[a + 1:b] for a, b in zip(starts, starts[1:-1])])
+
+
+def reference_layout(m):
+    """``layout_rows`` from the dense form K and the dense trace theta: the
+    rows above the diagonal of [[K, theta], [-theta, 0]] and of K, each
+    cleared by one common denominator. K alone can need a smaller one than
+    its border (at n = 2 its entries are e_00 - e_11, 2 e_10 and 2 e_01),
+    so it is read off m scaled by the lcm of its entries' denominators,
+    as the oracles read it."""
+    form = reference_kks_form(m)
+    theta = [trace_product(m.e, b) for b in dense_basis(m.n)]
+    bordered = _skew_upper([row + [t] for row, t in zip(form, theta)]
+                           + [[-t for t in theta] + [0]])
+    mult = lcm(*[F(x).denominator for row in m.e for x in row])
+    if mult != 1:
+        form = reference_kks_form(scale_model(m, mult))
+    return bordered, _skew_upper(form)
 
 
 # --- ranks of full powers, kept as the reference for jordan_type ---
@@ -398,15 +427,17 @@ def reference_ad_rank_contact_check(m):
     w = [a - b for ey, ye in zip(mat_mul(m.e, y_mat), mat_mul(y_mat, m.e))
          for a, b in zip(ey, ye)]
     assert w == [minor * x for x in vec_e], "e must lie in the image of ad_e"
-    theta_all = _traces([vec_e], supports, n)[0]
-    assert _traces([w], supports, n)[0] == [minor * t for t in theta_all]
+    theta_all = reference_traces([vec_e], supports, n)[0]
+    assert reference_traces([w], supports, n)[0] == \
+        [minor * t for t in theta_all]
     theta = [theta_all[p] for p in pivots]
     assert any(theta)
     lead = next(i for i, t in enumerate(theta) if t)
-    omega_p = _traces([images[p] for p in pivots],
-                      [supports[p] for p in pivots], n)
-    omega_rank = skew_rank([row + [t] for row, t in zip(omega_p, theta)]
-                           + [[-t for t in theta] + [0]]) - 2
+    omega_p = reference_traces([images[p] for p in pivots],
+                               [supports[p] for p in pivots], n)
+    omega_rank = skew_rank(_skew_upper(
+        [row + [t] for row, t in zip(omega_p, theta)]
+        + [[-t for t in theta] + [0]])) - 2
     euler = primitive(y)
     assert dot(theta, euler) == 0
     pairing = mat_vec(omega_p, euler)
@@ -433,7 +464,7 @@ def centralizer_loop_holds(m):
     for p, yp in zip(pivots, y):
         for i, j, x in supports[p]:
             y_t[j * n + i] += yp * x
-    theta = _traces([vec_e], supports, n)[0]
+    theta = reference_traces([vec_e], supports, n)[0]
     return (mat_vec(zip(*[images[p] for p in pivots]), y)
             == tuple([minor * x for x in vec_e])
             and all(minor * t == -dot(y_t, img)
@@ -572,28 +603,33 @@ class TestModels:
             assert jordan_type(jordan_nilpotent(part).e) == part
 
 
-class TestTraceGather:
-    @staticmethod
-    def models(n):
+class TestKksLayout:
+    @pytest.mark.parametrize("n", range(1, ADDIM_SIZE_CAP + 1))
+    def test_every_jordan_model_matches_the_dense_form(self, n):
         for part in partitions_of(n):
-            yield from models_of(part)
+            m = jordan_nilpotent(part)
+            assert layout_rows(m) == reference_layout(m), part
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_gather_matches_the_sum_over_each_support(self, n):
-        supports = _supports(n)
-        fractions = 0
-        for m in self.models(n):
-            images = _ad_images(m.e, supports)
-            vecs = images + [list(_vec(m.e))]
-            fractions += any(type(x) is F for v in vecs for x in v)
-            assert _traces(vecs, supports, n) == \
-                reference_traces(vecs, supports, n)
-            # the tangent pivots, as contact_check restricts omega to them
-            pivots = rref(list(zip(*images)))[1] if images else []
-            sub = [supports[p] for p in pivots]
-            rows = [images[p] for p in pivots]
-            assert _traces(rows, sub, n) == reference_traces(rows, sub, n)
-        assert fractions or n == 1  # sl_1 has only the zero model
+    @each_orbit_to_six
+    def test_seeded_conjugates_match_the_dense_form(self, part):
+        for seed in range(3):
+            m = random_conjugate(jordan_nilpotent(part), seed)
+            assert layout_rows(m) == reference_layout(m), seed
+
+    @pytest.mark.parametrize("oracle", [contact_check, kks_rank])
+    def test_float_model_is_refused(self, oracle):
+        m = MatrixModel(2, ((0, 0.5), (0, 0)))
+        with pytest.raises(TypeError, match="float 0.5 is not exact"):
+            oracle(m)
+
+    def test_one_plan_per_n(self):
+        _kks_plan.cache_clear()
+        m = random_conjugate(jordan_nilpotent((3, 2)), 1)
+        for _ in range(3):
+            kks_rank(m)
+            contact_check(m)
+            contact_check(jordan_nilpotent((2, 2, 1)))
+        assert _kks_plan.cache_info()[1:] == (1, None, 1)  # misses, max, size
 
 
 class TestJordanType:
@@ -753,8 +789,9 @@ class TestContactCheck:
 
     def test_one_elimination_per_matrix(self, eliminations, monkeypatch):
         # no general elimination: one skew elimination of the KKS form
-        # (dim sl_5 = 24) bordered by theta and -theta, whose
-        # back-substitution gives the radical; the witness is two products
+        # (dim sl_5 = 24) bordered by theta, 25 rows above the diagonal,
+        # whose back-substitution gives the radical; the witness is two
+        # products
         skew, skew_calls = oracle_lab.skew_null_vector, []
 
         def counting(rows):
@@ -767,7 +804,8 @@ class TestContactCheck:
         eliminations.clear()
         assert contact_check(model).is_contact
         assert eliminations == []
-        assert [(len(rows), len(rows[0])) for rows in skew_calls] == [(25, 25)]
+        assert [[*map(len, rows)] for rows in skew_calls] == \
+            [[*range(24, -1, -1)]]
 
     @each_orbit_to_six
     def test_reduced_system_keeps_the_rank(self, part):
@@ -796,18 +834,10 @@ class TestContactCheck:
     def test_theta_off_the_row_space_is_refused(self, model, monkeypatch):
         # adding a centralizer vector z to theta leaves the row space of
         # ad_e, since z . z > 0 while the row space is orthogonal to z
-        from contactres import oracle_lab
         images = _ad_images(model.e, _supports(model.n))
         z = nullspace(list(zip(*images)))[0]
-        traces = oracle_lab._traces
-
-        def perturbed(vecs, supports, n):
-            out = traces(vecs, supports, n)
-            if len(vecs) != 1:
-                return out
-            return [[x + c for x, c in zip(out[0], z)]]  # theta
-
-        monkeypatch.setattr(oracle_lab, "_traces", perturbed)
+        self.perturb_rows(monkeypatch, lambda rows: [
+            [row[0] + c, *row[1:]] for row, c in zip(rows, z)] + rows[-1:])
         with pytest.raises(InternalInvariantError,
                            match="trace form fails to vanish on the "
                                  "centralizer"):
@@ -832,6 +862,16 @@ class TestContactCheck:
                                        for n in range(2, 6))
 
     @staticmethod
+    def perturb_rows(monkeypatch, perturb):
+        """Have ``contact_check`` eliminate ``perturb(rows)`` in place of its
+        rows: the bordered KKS form above the diagonal, last column first,
+        theta at position 0 of each row but the border's, which is empty.
+        ``contact_check`` reads its own theta off the rows before."""
+        found = oracle_lab.skew_null_vector
+        monkeypatch.setattr(oracle_lab, "skew_null_vector",
+                            lambda rows: found(perturb(rows)))
+
+    @staticmethod
     def patch_radical(monkeypatch, perturb):
         """Have ``contact_check``'s kernel vector (v, t) come back with v
         replaced by ``perturb(v, theta, paired)``, t kept; ``paired`` are
@@ -840,7 +880,7 @@ class TestContactCheck:
 
         def patched(rows):
             d, x = found(rows)
-            theta = [-c for c in rows[-1][:-1]]
+            theta = [row[0] for row in rows[:-1]]
             paired = sorted({k for i, j, *_ in _skew_steps(rows)
                              for k in (i, j)})
             return d, [*perturb(x[:-1], theta, paired), x[-1]]
@@ -891,7 +931,7 @@ class TestContactCheck:
                         + [theta + [0]])
             # contact_check's form: the last row negated, so still skew
             skew = bordered[:-1] + [[-t for t in theta] + [0]]
-            assert (rank(bordered) - 2 == skew_rank(skew) - 2
+            assert (rank(bordered) - 2 == skew_rank(_skew_upper(skew)) - 2
                     == rank(restricted))
 
     MODELS = [jordan_nilpotent((2, 1)), jordan_nilpotent((3,)),
@@ -904,24 +944,16 @@ class TestContactCheck:
     def test_radical_off_the_euler_line_is_refused(self, model, how,
                                                    monkeypatch):
         # on the Jordan models, adding the skew matrix sign(j - i) to the
-        # form keeps theta in its row space but moves its radical off the
-        # Euler line; on the conjugate that perturbation pairs the border,
-        # so the returned radical is moved instead. Only the witness can
-        # refuse either
-        from contactres import oracle_lab
+        # form (1 at every entry above the diagonal but theta's) keeps
+        # theta in its row space but moves its radical off the Euler line;
+        # on the conjugate that perturbation pairs the border, so the
+        # returned radical is moved instead. Only the witness can refuse
+        # either
         if how == "vector":
             self.patch_radical(monkeypatch, self.off_the_line)
         else:
-            traces = oracle_lab._traces
-
-            def perturbed(vecs, supports, n):
-                out = traces(vecs, supports, n)
-                if len(vecs) == 1:
-                    return out  # theta
-                return [[x + (i < j) - (i > j) for j, x in enumerate(row)]
-                        for i, row in enumerate(out)]
-
-            monkeypatch.setattr(oracle_lab, "_traces", perturbed)
+            self.perturb_rows(monkeypatch, lambda rows: [
+                row[:1] + [x + 1 for x in row[1:]] for row in rows])
         res = contact_check(model)
         assert res.omega_rank_on_kernel == res.theta_kernel_dim - 1
         assert not res.radical_is_euler_line and not res.is_contact
@@ -967,7 +999,7 @@ class TestAgainstDenseReference:
         supports = _supports(model.n)
         assert _ad_images(model.e, supports) == \
             [list(_vec(bracket(model.e, b))) for b in dense_basis(model.n)]
-        assert _kks_form(model) == reference_kks_form(model)
+        assert layout_rows(model) == reference_layout(model)
         assert contact_check(model) == reference_contact_check(model)
 
     @each_orbit_to_six
@@ -1086,6 +1118,18 @@ class TestGenericJordanType:
                         seed_string = f"{s}:{t}"
                         assert _sample_nilradical(comp, seed_string) \
                             == reference_sample_nilradical(comp, seed_string)
+
+    def test_one_block_seeds_no_stream(self, monkeypatch):
+        # its nilradical is zero, so nothing is drawn; a second block draws
+        def refuse(seed_string):
+            raise AssertionError(f"seeded {seed_string!r}")
+
+        monkeypatch.setattr(oracle_lab.random, "Random", refuse)
+        for n in range(1, ADDIM_SIZE_CAP + 1):
+            assert _sample_nilradical((n,), "0:0") == ((0,) * n,) * n
+            assert generic_jordan_type((n,)) == (1,) * n
+        with pytest.raises(AssertionError, match="seeded '0:0'"):
+            _sample_nilradical((1, 1), "0:0")
 
     def test_generic_answers_up_to_the_cap(self):
         # every composition of n <= 8: the Richardson type at seeds 0-2,

@@ -11,7 +11,6 @@ from contactres.ratlinalg import (
     _eliminate,
     _int_row,
     _skew_steps,
-    _skew_upper,
     adjugate,
     dot,
     echelon_basis,
@@ -25,7 +24,7 @@ from contactres.ratlinalg import (
     skew_rank,
 )
 
-from linalg_reference import mat_vec, pivot_solution, solve
+from linalg_reference import _skew_upper, mat_vec, pivot_solution, solve
 
 F = Fraction
 
@@ -153,8 +152,9 @@ def exact_div(num, den):
 
 
 def skew_pivots(rows):
-    """The pivots of the Pfaffian elimination, read off its steps."""
-    return [p for _, _, p, _, _ in _skew_steps(rows)]
+    """The pivots of the Pfaffian elimination of the square skew matrix
+    ``rows``, read off its steps."""
+    return [p for _, _, p, _, _ in _skew_steps(_skew_upper(rows))]
 
 
 def reference_skew_pivots(rows):
@@ -369,7 +369,7 @@ class TestSkewRank:
         rows = data.draw(skew_matrices(ENTRIES[kind]))
         pivots = skew_pivots(rows)
         assert pivots == reference_skew_pivots(rows)
-        assert skew_rank(rows) == 2 * len(pivots) == rank(rows)
+        assert skew_rank(_skew_upper(rows)) == 2 * len(pivots) == rank(rows)
         if kind == "int" and rows and 2 * len(pivots) == len(rows):
             # the last pivot is a Pfaffian of the whole matrix: Pf^2 = det
             m, _, sign = _eliminate(rows, reduce=False)
@@ -393,29 +393,39 @@ class TestSkewRank:
         # is stored from the last column down
         rows = [[0, F(1, 2), F(1, 3)], [F(-1, 2), 0, 0], [F(-1, 3), 0, 0]]
         assert _skew_upper(rows) == [[2, 3], [0], []]
-        assert skew_rank(rows) == 2
+        assert skew_rank(_skew_upper(rows)) == 2
 
     def test_degenerate_shapes(self):
+        # the rows above the diagonal, last column first: [[]] is the
+        # 1 x 1 zero matrix, and [[0, 2], [1], []] is
+        # ((0, 2, 0), (-2, 0, 1), (0, -1, 0))
         assert skew_rank([]) == 0
-        assert skew_rank([[0]]) == 0
-        assert skew_rank([(0, 0), (0, 0)]) == 0
-        assert skew_rank(((0, 2, 0), (-2, 0, 1), (0, -1, 0))) == 2
+        assert skew_rank([[]]) == 0
+        assert skew_rank([(0,), ()]) == 0
+        assert skew_rank([[0, 2], [1], []]) == 2
 
-    @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1], [-1]], [[]]])
-    def test_non_square_refused(self, rows):
+    def test_rows_are_not_changed(self):
+        rows = [[0, 2, -1], [3, 1], [4], []]
+        copy = [list(row) for row in rows]
+        assert skew_rank(rows) == 4 and rows == copy
+
+    @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1], [-1]], [[], []],
+                                      [[1], [], []]])
+    def test_wrong_row_lengths_refused(self, rows):
         with pytest.raises(DimensionMismatch):
             skew_rank(rows)
 
     @pytest.mark.parametrize("rows", [
         [[0, 1], [1, 0]], [[1]], [[0, 2, 0], [-2, 0, 1], [0, 1, 0]],
         [[0, F(1, 2)], [F(1, 2), 0]]])
-    def test_non_skew_refused(self, rows):
+    def test_reference_refuses_a_non_skew_matrix(self, rows):
         with pytest.raises(ValueError):
-            skew_rank(rows)
+            _skew_upper(rows)
 
-    def test_float_refused(self):
+    @pytest.mark.parametrize("entry", [0.5, F(1, 2), F(2)])
+    def test_entry_not_an_int_refused(self, entry):
         with pytest.raises(TypeError):
-            skew_rank([[0, 0.5], [-0.5, 0]])
+            skew_rank([[entry], []])
 
 
 def bordered_skew(seed, fraction):
@@ -467,8 +477,8 @@ class TestSkewNullVector:
         for seed in range(150):
             rows = bordered_skew(seed, fraction)
             n = len(rows)
-            r, x = skew_null_vector(rows)
-            steps = _skew_steps(rows)
+            r, x = skew_null_vector(_skew_upper(rows))
+            steps = _skew_steps(_skew_upper(rows))
             paired = {k for i, j, *_ in steps for k in (i, j)}
             assert r == rank(rows) == 2 * len(steps)
             if n - 1 in paired:
@@ -484,26 +494,23 @@ class TestSkewNullVector:
 
     def test_small_cases(self):
         assert skew_null_vector([]) == (0, None)
-        assert skew_null_vector([[0]]) == (0, [1])
-        assert skew_null_vector([[0, 2], [-2, 0]]) == (2, None)
-        # index 2 pairs with nothing, and the last pivot is 2
-        assert skew_null_vector([[0, 2, 1], [-2, 0, 0], [-1, 0, 0]]) \
+        assert skew_null_vector([[]]) == (0, [1])
+        assert skew_null_vector([[2], []]) == (2, None)
+        # ((0, 2, 1), (-2, 0, 0), (-1, 0, 0)): index 2 pairs with nothing,
+        # and the last pivot is 2
+        assert skew_null_vector([[1, 2], [0], []]) \
             == (2, [0, -1, 2])
 
-    @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1], [-1]], [[]]])
-    def test_non_square_refused(self, rows):
+    @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1], [-1]], [[], []],
+                                      [[1], [], []]])
+    def test_wrong_row_lengths_refused(self, rows):
         with pytest.raises(DimensionMismatch):
             skew_null_vector(rows)
 
-    @pytest.mark.parametrize("rows", [
-        [[0, 1], [1, 0]], [[1]], [[0, F(1, 2)], [F(1, 2), 0]]])
-    def test_non_skew_refused(self, rows):
-        with pytest.raises(ValueError):
-            skew_null_vector(rows)
-
-    def test_float_refused(self):
+    @pytest.mark.parametrize("entry", [0.5, F(1, 2), F(2)])
+    def test_entry_not_an_int_refused(self, entry):
         with pytest.raises(TypeError):
-            skew_null_vector([[0, 0.5], [-0.5, 0]])
+            skew_null_vector([[entry], []])
 
 
 @pytest.mark.parametrize("kind", ENTRIES)
