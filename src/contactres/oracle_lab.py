@@ -26,8 +26,7 @@ theta(H_h) = e_hh - e_{h+1,h+1}. ``_kks_plan(n)`` applies the formula
 to each entry of each row, once per n in O(n^3) terms, and places each
 entry of e in K bordered by theta, border last, as the rows above the
 diagonal, last column first, that ``ratlinalg``'s skew elimination
-reads. ``kks_rank`` and ``contact_check`` fill it from e, its Fractions
-cleared first (nothing below moves under a nonzero scalar).
+reads. ``kks_rank`` and ``contact_check`` fill it from e's ints.
 
 ``contact_check`` runs one Pfaffian elimination of the bordered form
 (``ratlinalg.skew_null_vector``) and no general one. The radical of K
@@ -49,11 +48,12 @@ integral. They are nilpotent by construction, so the builders make
 ``MatrixModel`` records directly: a Jordan form is strictly upper
 triangular, and adj(g) g = det(g) I gives
 (g e adj g)^k = det(g)^(k-1) g e^k adj g. A matrix from a caller is
-checked once, where it enters: ``matrix_model`` refuses it unless it is
-square, within ``ADDIM_SIZE_CAP`` and nilpotent, as decided by
-``jordan_type``, the only nilpotency test here. Fractions appear only
-in such a matrix (the tests rescale models by rational factors). Tuples
-are built from lists, for the reason given in ``ratlinalg``.
+checked once, where it enters: ``matrix_model`` scales it to ints by
+the lcm of its entries' denominators, which moves no rank, Jordan type,
+kernel line or witness, and refuses it unless it is square, within
+``ADDIM_SIZE_CAP`` and nilpotent, as decided by ``jordan_type``, the
+only nilpotency test here. Tuples are built from lists, for the reason
+given in ``ratlinalg``.
 
 These oracles are deliberately independent of the formulas they
 validate: dimensions come from ranks of ad maps, Richardson partitions
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import index
@@ -91,7 +90,6 @@ from .ratlinalg import (
     mat_mul,
     nullspace,
     rank,
-    rational,
     row_basis,
     skew_null_vector,
     skew_rank,
@@ -104,22 +102,11 @@ FIBER_SIZE_CAP = 8   # all 255 compositions of n <= 8 count in ~1 s
 # (1,)*8 misses ~35% of draws, so all 32 miss with probability ~1e-15.
 GENERIC_DRAWS = 32
 
-Matrix = tuple[tuple[int | Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _zeros(n) -> list[list[int]]:
     return [[0] * n for _ in range(n)]
-
-
-def _exact(x):
-    if type(x) is int:
-        return x
-    x = rational(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _freeze(rows) -> Matrix:
-    return tuple([tuple([_exact(x) for x in row]) for row in rows])
 
 
 def _vec(m: Matrix) -> tuple:
@@ -162,14 +149,18 @@ class MatrixModel(namedtuple("MatrixModel", "n e")):
 
 
 def matrix_model(e) -> MatrixModel:
-    """Wrap a rational matrix from a caller: the boundary check (square,
-    within the cap, nilpotent by its Jordan type)."""
-    e = _freeze(e)
-    n = len(e)
-    if any(len(row) != n for row in e):
+    """Wrap a rational matrix from a caller as the integer matrix L e, L
+    the lcm of its entries' denominators (an int matrix is kept as it is),
+    then check it once (square, within the cap, nilpotent by its Jordan
+    type). No oracle value moves under the positive scalar L."""
+    rows = [*map(list, e)]
+    vec = _int_row([x for row in rows for x in row])
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ContactresError("matrix model requires a square matrix")
     if n > ADDIM_SIZE_CAP:
         raise SizeCapExceeded(f"size {n} exceeds cap {ADDIM_SIZE_CAP}")
+    e = tuple([tuple(vec[i * n:i * n + n]) for i in range(n)])
     jordan_type(e)
     return MatrixModel(n=n, e=e)
 
@@ -280,10 +271,10 @@ def _kks_plan(n: int) -> tuple[tuple, list[int]]:
     return tuple([(tuple(p), tuple(q)) for p, q in zip(plus, minus)]), starts
 
 
-def _kks_layout(m: MatrixModel) -> tuple[list, list[int], list[int]]:
-    """``(vec, flat, starts)``: ``_kks_plan`` filled from vec(e) in ints."""
+def _kks_layout(m: MatrixModel) -> tuple[tuple, list[int], list[int]]:
+    """``(vec, flat, starts)``: ``_kks_plan`` filled from vec(e)."""
     sources, starts = _kks_plan(m.n)
-    vec = _int_row(_vec(m.e))
+    vec = _vec(m.e)
     flat = [0] * starts[-1]
     for x, (plus, minus) in zip(vec, sources):
         if x:
@@ -327,7 +318,7 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     """
     if m.is_zero:
         raise ZeroElement("contact check needs a nonzero nilpotent")
-    n = m.n
+    n, e = m.n, m.e
     vec_e, flat, starts = _kks_layout(m)
     theta = [flat[a] for a in starts[:-2]]
     # theta off the row space of the form (not zero on z) pairs the border
@@ -336,7 +327,6 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     *v, t = x
     invariant(dot(theta, v) == 0, "theta must vanish on the Euler direction")
     # the witness: W = e Y - Y e, Y = sum v_k b_k, must be t e entry by entry
-    e = [vec_e[i:i + n] for i in range(0, n * n, n)]
     y_mat = _zeros(n)
     for vk, sup in zip(v, _supports(n)):
         if vk:
@@ -495,6 +485,11 @@ def generic_fiber_count(comp, seed: int = 0) -> int:
 
 # --- seeded model transforms ---------------------------------------------------
 
+def conjugate_seed(seed: int) -> str:
+    """``random_conjugate(m, seed)``'s seed string, for reporting."""
+    return f"{seed}:conj"
+
+
 def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
     """Conjugate e by a seeded random invertible integer matrix g.
 
@@ -504,7 +499,7 @@ def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
     entry of g is ``getrandbits(3)``, redrawn until it is below 7, minus
     3: ``randint(-3, 3)``'s stream; g is redrawn while singular.
     """
-    bits = random.Random(f"{seed}:conj").getrandbits
+    bits = random.Random(conjugate_seed(seed)).getrandbits
     n = m.n
     e_t = [*zip(*m.e)]
     while True:

@@ -100,7 +100,8 @@ def _suite_contact(seed, max_n):
         models = [("jordan form", None, base)]
         for trial in range(3):
             conj_seed = seed * 1000 + trial
-            models.append((f"conjugate[{conj_seed}]", f"{conj_seed}:conj",
+            models.append((f"conjugate[{conj_seed}]",
+                           oracle_lab.conjugate_seed(conj_seed),
                            oracle_lab.random_conjugate(base, conj_seed)))
         for tag, seed_string, model in models:
             # dim_orbit is the rank of the KKS form bordered by theta,
@@ -219,9 +220,10 @@ _SUITES = {
 
 
 # suite name -> the largest n (type A_{n-1}) at which the ``classify``
-# oracle block runs that suite's check
+# oracle block runs that suite's check; literals, so that a rise of an
+# oracle's cap adds no rows to a ``classify`` report
 CLASSIFY_MAX_N = {
-    "ad-rank": oracle_lab.ADDIM_SIZE_CAP,
+    "ad-rank": 8,
     "kks": 5,
     "richardson": 6,
     "fibers": 4,

@@ -690,7 +690,8 @@ class TestConverterRefusal:
 
 # modules a CLI process loads only when its command runs them (``json``
 # never: the report quotes strings with the C quoter of ``_json``; the
-# cone engine only for ``verify --suite cones``)
+# cone engine only for ``verify --suite cones``; ``fractions`` by none of
+# the commands below, as the oracles take integer models)
 DEFERRED = ("argparse", "fractions", "importlib.resources", "json",
             "contactres.verify", "contactres.oracle_lab", "contactres.cones")
 
@@ -740,11 +741,12 @@ class TestStartUp:
         code, out, after = oracles
         assert code == 0
         assert "contactres.verify" in after and "contactres.oracle_lab" in after
-        assert "contactres.cones" not in after
+        assert "contactres.cones" not in after and "fractions" not in after
         assert hashlib.sha256(out.encode()).hexdigest() == \
             TOUR_DIGESTS["classify A3:2,2 --json"]
         code, out, after = cones
         assert code == 0 and "contactres.cones" in after
+        assert "fractions" not in after
 
     def test_suite_names_literal_is_verifys(self):
         from contactres.verify import suite_names

@@ -93,7 +93,8 @@ def combine(mats, coeffs):
 
 
 def scale_model(m, t):
-    """The model of t e: a rational factor t gives Fraction entries."""
+    """``matrix_model`` of t e, a rational matrix for a rational factor t:
+    L t e, L the lcm of the denominators of t e's entries."""
     t = F(t)
     return matrix_model([[t * x for x in row] for row in m.e])
 
@@ -308,14 +309,13 @@ def reference_nilradical_positions(comp):
 def reference_sample_nilradical(comp, seed_string):
     """The sampler before it took its positions from its caller: the
     positions built anew for every draw, each entry one
-    ``randint(-9, 9)``, and every entry of the sample passed through
-    ``_exact``."""
+    ``randint(-9, 9)``, and the rows frozen to tuples of ints."""
     rng = random.Random(seed_string)
     n = sum(comp)
     rows = [[0] * n for _ in range(n)]
     for i, j in reference_nilradical_positions(comp):
         rows[i][j] = rng.randint(-9, 9)
-    return oracle_lab._freeze(rows)
+    return tuple([tuple(row) for row in rows])
 
 
 def reference_generic_sample(comp, seed):
@@ -582,6 +582,19 @@ class TestModels:
         assert jordan_type(()) == ()
         assert matrix_model([]) == MatrixModel(n=0, e=())
 
+    def test_the_door_leaves_only_ints(self):
+        # the rational rescalings come back as integer multiples, and an
+        # int matrix, as tuples or lists, as it was
+        for tag, m in _reference_models():
+            assert {type(x) for row in m.e for x in row} == {int}, tag
+            if "scaled" not in tag:
+                rows = [list(row) for row in m.e]
+                assert matrix_model(m.e) == matrix_model(rows) == m, tag
+                assert rows == [list(row) for row in m.e]
+        m = matrix_model([[0, F(4, 2), F(1, 3)], [0, 0, F(-1, 6)], [0, 0, 0]])
+        assert m.e == ((0, 12, 2), (0, 0, -1), (0, 0, 0))
+        assert {type(x) for row in m.e for x in row} == {int}
+
     def test_one_nilpotency_test(self):
         assert not hasattr(oracle_lab, "_is_nilpotent")
 
@@ -618,8 +631,11 @@ class TestKksLayout:
 
     @pytest.mark.parametrize("oracle", [contact_check, kks_rank])
     def test_float_model_is_refused(self, oracle):
+        # a model built by hand skips matrix_model, the one door that
+        # clears or refuses what is not an int
         m = MatrixModel(2, ((0, 0.5), (0, 0)))
-        with pytest.raises(TypeError, match="float 0.5 is not exact"):
+        with pytest.raises(TypeError,
+                           match="skew elimination needs int entries"):
             oracle(m)
 
     def test_one_plan_per_n(self):
@@ -969,11 +985,13 @@ class TestContactCheck:
 
     def test_scaling_acts_linearly_on_theta_and_fixes_ranks(self):
         base = jordan_nilpotent((2, 1))
-        for t in (F(3, 7), F(-2), F(5, 2)):
+        for t, mult in [(F(3, 7), 3), (F(-2), -2), (F(5, 2), 5)]:
             scaled = scale_model(base, t)
+            assert scaled.e == tuple([tuple([mult * x for x in row])
+                                      for row in base.e])
             for b in dense_basis(base.n):
                 assert trace_product(scaled.e, b) == \
-                    t * trace_product(base.e, b)
+                    mult * trace_product(base.e, b)
             assert addim(scaled) == addim(base)
             assert kks_rank(scaled) == kks_rank(base)
             assert contact_check(scaled) == contact_check(base)

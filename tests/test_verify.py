@@ -1,6 +1,11 @@
+import ast
+import random
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
-from contactres import cones, ratlinalg, verify
+from contactres import cones, oracle_lab, ratlinalg, verify
 from contactres.cones import RationalCone, cone_from_generators
 from contactres.errors import SizeCapExceeded, UnknownSuite
 from contactres.lie_core import SimpleType
@@ -79,6 +84,21 @@ def test_contact_rows_run_one_skew_elimination_per_model(monkeypatch):
                      for r in rows]
 
 
+def test_contact_rows_report_the_conjugates_seed_strings(monkeypatch):
+    # each conjugate row names the one stream random_conjugate drew from
+    drawn = []
+
+    def recording(seed_string):
+        drawn.append(seed_string)
+        return random.Random(seed_string)
+
+    monkeypatch.setattr(oracle_lab, "random", SimpleNamespace(Random=recording))
+    rows = run_suite("contact", max_n=4)
+    assert all(r.agrees for r in rows)
+    assert drawn == [s for r in rows for s in r.seeds]
+    assert drawn[:3] == ["0:conj", "1:conj", "2:conj"]
+
+
 def test_caps_echo_every_override():
     assert suite_caps("cones") == {"count": 100, "max_dim": 4}
     # cones ignores max_n, but the report still lists it
@@ -146,6 +166,17 @@ def test_oracle_block_agrees(n, names):
         per_pol = len(names & PER_POLARIZATION)
         assert len(rows) == len(names) - per_pol \
             + per_pol * len(report.polarizations), o
+
+
+def test_classify_bounds_are_literals():
+    # a rise of an oracle's size cap must not add rows to classify reports
+    tree = ast.parse(Path(verify.__file__).read_text())
+    [table] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["CLASSIFY_MAX_N"]]
+    assert [key.value for key in table.keys] == [*verify.CLASSIFY_MAX_N]
+    assert all([isinstance(v, ast.Constant) and type(v.value) is int
+                for v in table.values])
 
 
 def test_oracle_block_bounds():
