@@ -52,8 +52,9 @@ checked once, where it enters: ``matrix_model`` scales it to ints by
 the lcm of its entries' denominators, which moves no rank, Jordan type,
 kernel line or witness, and refuses it unless it is square, within
 ``ADDIM_SIZE_CAP`` and nilpotent, as decided by ``jordan_type``, the
-only nilpotency test here. Tuples are built from lists, for the reason
-given in ``ratlinalg``.
+only nilpotency test here; a model built by hand skips the door, and
+every oracle then refuses a non-int entry before any work. Tuples are
+built from lists, for the reason given in ``ratlinalg``.
 
 These oracles are deliberately independent of the formulas they
 validate: dimensions come from ranks of ad maps, Richardson partitions
@@ -61,7 +62,9 @@ from Jordan types of certified generic nilradical samples (each entry
 from ``randint(-9, 9)``'s stream), Springer degrees from exact flag
 counting. The size caps are constants, ``ADDIM_SIZE_CAP`` and
 ``FIBER_SIZE_CAP``. All randomness is seeded, and callers can derive
-the seed strings for reporting. The records are named tuples.
+the seed strings for reporting. A draw hangs only on (seed, n), and is
+made once per process (``_conjugator``, ``_entries``); no cache is keyed
+by a model or a composition. The records are named tuples.
 """
 
 from __future__ import annotations
@@ -110,7 +113,11 @@ def _zeros(n) -> list[list[int]]:
 
 
 def _vec(m: Matrix) -> tuple:
-    return tuple([x for row in m for x in row])
+    """vec(m), refused unless its entries are ints (see ``matrix_model``)."""
+    vec = tuple([x for row in m for x in row])
+    if {*map(type, vec)} - {int}:
+        raise TypeError("oracle models need int entries: see matrix_model")
+    return vec
 
 
 @lru_cache(maxsize=None)
@@ -142,10 +149,6 @@ class MatrixModel(namedtuple("MatrixModel", "n e")):
     """A nilpotent element of sl_n; the ambient basis is ``_supports(n)``."""
 
     __slots__ = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.e for x in row)
 
 
 def matrix_model(e) -> MatrixModel:
@@ -198,6 +201,7 @@ def _ad_images(e: Matrix, supports) -> list[list]:
 
 def addim(m: MatrixModel) -> int:
     """dim O = rank of ad_e on the trace-zero matrices."""
+    _vec(m.e)  # refuses a non-int entry
     return rank(_ad_images(m.e, _supports(m.n)))
 
 
@@ -273,8 +277,8 @@ def _kks_plan(n: int) -> tuple[tuple, list[int]]:
 
 def _kks_layout(m: MatrixModel) -> tuple[tuple, list[int], list[int]]:
     """``(vec, flat, starts)``: ``_kks_plan`` filled from vec(e)."""
-    sources, starts = _kks_plan(m.n)
     vec = _vec(m.e)
+    sources, starts = _kks_plan(m.n)
     flat = [0] * starts[-1]
     for x, (plus, minus) in zip(vec, sources):
         if x:
@@ -316,10 +320,10 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
     radical the line through e (tangent: e = [h/2, e]), the direction
     projectivisation collapses: one elimination, one witness (module doc).
     """
-    if m.is_zero:
+    vec_e, flat, starts = _kks_layout(m)
+    if not any(vec_e):
         raise ZeroElement("contact check needs a nonzero nilpotent")
     n, e = m.n, m.e
-    vec_e, flat, starts = _kks_layout(m)
     theta = [flat[a] for a in starts[:-2]]
     # theta off the row space of the form (not zero on z) pairs the border
     d, x = skew_null_vector([flat[a:b] for a, b in zip(starts, starts[1:])])
@@ -350,24 +354,31 @@ def trial_seeds(seed: int) -> list[str]:
     return [f"{seed}:{t}" for t in range(3)]
 
 
+@lru_cache
+def _entries(seed_string: str, n: int) -> tuple[int, ...]:
+    """The first n(n - 1)/2 entries of the stream ``seed_string``, the most
+    a block nilradical of sl_n reads. An entry is ``getrandbits(5)``,
+    redrawn until it is below 19, minus 9: ``randint(-9, 9)``'s stream,
+    drawn the same way (``_randbelow(19)``) without its three Python calls."""
+    bits, out = random.Random(seed_string).getrandbits, []
+    while len(out) < n * (n - 1) // 2:
+        x = bits(5)
+        if x < 19:
+            out.append(x - 9)
+    return tuple(out)
+
+
 def _sample_nilradical(comp, seed_string: str) -> Matrix:
-    """The block nilradical of ``comp`` with entries drawn from the stream
-    ``seed_string``, row by row: each row of a block gets one entry per
-    column after the block. An entry is ``getrandbits(5)``, redrawn until
-    it is below 19, minus 9: ``randint(-9, 9)``'s stream, drawn the same
-    way (``_randbelow(19)``) without its three Python calls per entry.
-    One block draws nothing, so it seeds no stream."""
-    bits = random.Random(seed_string).getrandbits if len(comp) > 1 else None
-    n, end, rows = sum(comp), 0, []
+    """The block nilradical of ``comp``, row by row: each row of a block
+    takes the next entries of ``_entries(seed_string, n)``, one per column
+    after the block. One block reads nothing, so it seeds no stream."""
+    n, end, at, rows = sum(comp), 0, 0, []
+    entries = _entries(seed_string, n) if len(comp) > 1 else ()
     for size in comp:
         end += size
         for _ in range(size):
-            row = [0] * end
-            while len(row) < n:
-                x = bits(5)
-                if x < 19:
-                    row.append(x - 9)
-            rows.append(tuple(row))
+            rows.append((0,) * end + entries[at:at + n - end])
+            at += n - end
     return tuple(rows)
 
 
@@ -490,25 +501,31 @@ def conjugate_seed(seed: int) -> str:
     return f"{seed}:conj"
 
 
-def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
-    """Conjugate e by a seeded random invertible integer matrix g.
-
-    Returns g e adj(g) = det(g) g e g^-1, an integer matrix with the rank,
-    kernel and Jordan type of the conjugate g e g^-1, as the transpose of
-    adj(g^T) (g e)^T: one Gauss-Jordan elimination of [g^T | (g e)^T]. An
-    entry of g is ``getrandbits(3)``, redrawn until it is below 7, minus
-    3: ``randint(-3, 3)``'s stream; g is redrawn while singular.
-    """
+@lru_cache
+def _conjugator(seed: int, n: int) -> tuple[Matrix, Matrix]:
+    """``random_conjugate``'s n x n g and adj(g), by one elimination of
+    [g | I]. An entry of g is ``getrandbits(3)``, redrawn until it is below
+    7, minus 3: ``randint(-3, 3)``'s stream; g is redrawn while singular."""
     bits = random.Random(conjugate_seed(seed)).getrandbits
-    n = m.n
-    e_t = [*zip(*m.e)]
     while True:
         g = []  # row by row
         while len(g) < n * n:
             x = bits(3)
             if x < 7:
                 g.append(x - 3)
-        g_t = [g[i::n] for i in range(n)]
-        conj_t = adjugate(g_t, mat_mul(e_t, g_t))
-        if conj_t is not None:
-            return MatrixModel(n, tuple([*zip(*conj_t)]))
+        g = [g[i * n:i * n + n] for i in range(n)]
+        adj = adjugate(g, [[int(i == j) for j in range(n)] for i in range(n)])
+        if adj is not None:
+            return tuple(map(tuple, g)), tuple(map(tuple, adj))
+
+
+def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
+    """Conjugate e by a seeded random invertible integer matrix g.
+
+    Returns g e adj(g) = det(g) g e g^-1, an integer matrix with the rank,
+    kernel and Jordan type of the conjugate g e g^-1: two products, e adj(g)
+    first (e is the sparse factor), once ``_conjugator`` has drawn g.
+    """
+    _vec(m.e)  # refuses a non-int entry
+    g, adj = _conjugator(seed, m.n)
+    return MatrixModel(m.n, mat_mul(g, mat_mul(m.e, adj)))

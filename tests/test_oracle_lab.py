@@ -629,13 +629,19 @@ class TestKksLayout:
             m = random_conjugate(jordan_nilpotent(part), seed)
             assert layout_rows(m) == reference_layout(m), seed
 
-    @pytest.mark.parametrize("oracle", [contact_check, kks_rank])
-    def test_float_model_is_refused(self, oracle):
+    @pytest.mark.parametrize("entry", [0.5, F(1, 2), F(2)])
+    @pytest.mark.parametrize("oracle", [
+        addim, kks_rank, contact_check,
+        lambda m: random_conjugate(m, 0)])
+    def test_float_model_is_refused(self, oracle, entry, monkeypatch):
         # a model built by hand skips matrix_model, the one door that
-        # clears or refuses what is not an int
-        m = MatrixModel(2, ((0, 0.5), (0, 0)))
+        # clears or refuses what is not an int; every oracle refuses it
+        # with one TypeError before any work (the work is unplugged here)
+        for name in ["_ad_images", "_kks_plan", "_conjugator", "mat_mul"]:
+            monkeypatch.setattr(oracle_lab, name, None)
+        m = MatrixModel(2, ((0, entry), (0, 0)))
         with pytest.raises(TypeError,
-                           match="skew elimination needs int entries"):
+                           match="oracle models need int entries"):
             oracle(m)
 
     def test_one_plan_per_n(self):
@@ -747,6 +753,91 @@ class TestRandomConjugate:
                     conj = random_conjugate(base, seed)
                     assert all(type(x) is int for row in conj.e for x in row)
                     assert jordan_type(conj.e) == part
+
+
+class TestSeededStreams:
+    """``_conjugator`` and ``_entries`` hold each seeded draw once per
+    process, keyed by (seed, n): never by a model or a composition."""
+
+    SUITES = [("contact", 6), ("richardson", 6), ("fibers", 4)]
+
+    def test_cold_and_warm_caches_agree(self, monkeypatch):
+        def int_rows(rows):
+            return type(rows) is tuple and all(
+                type(row) is tuple and {*map(type, row)} <= {int}
+                for row in rows)
+
+        # a value of _conjugator is the pair (g, adj(g)) of int rows,
+        # one of _entries a row of ints
+        checks = {"_conjugator": lambda v: len(v) == 2
+                  and all(map(int_rows, v)),
+                  "_entries": lambda v: int_rows((v,))}
+        keys = {}
+        for name in checks:
+            cached = getattr(oracle_lab, name)
+            cached.cache_clear()
+            keys[name] = cached, set()
+
+            def recording(*key, cached=cached, seen=keys[name][1]):
+                seen.add(key)
+                return cached(*key)
+
+            monkeypatch.setattr(oracle_lab, name, recording)
+        cold = [run_suite(s, max_n=n) for s, n in self.SUITES]
+        warm = [run_suite(s, max_n=n) for s, n in reversed(self.SUITES)]
+        assert warm[::-1] == cold
+        for name, (cached, seen) in keys.items():
+            info = cached.cache_info()
+            assert info.misses == info.currsize == len(seen) > 0, name
+            values = [cached(*key) for key in seen]  # every cached value
+            assert cached.cache_info().hits == info.hits + len(seen)
+            assert all([type(v) is tuple and checks[name](v)
+                        for v in values]), name
+
+    def test_contact_suite_draws_each_conjugator_once(self, monkeypatch):
+        oracle_lab._conjugator.cache_clear()
+        run_suite("contact", max_n=5)
+        # three seeds at each n = 2..5, however many orbits share them
+        assert oracle_lab._conjugator.cache_info().misses == 12
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return adjugate(*args)
+
+        monkeypatch.setattr(oracle_lab, "adjugate", counting)
+        base = jordan_nilpotent((3, 2))
+        assert random_conjugate(base, 1).e == reference_conjugate(base, 1)
+        assert calls == []  # a hit
+        assert random_conjugate(base, 3).e == reference_conjugate(base, 3)
+        assert calls  # a miss eliminates
+
+    def test_streams_grow_with_seeds_and_sizes_not_compositions(
+            self, monkeypatch):
+        caches = [f for f in vars(oracle_lab).values()
+                  if hasattr(f, "cache_info")]
+        oracle_lab._entries.cache_clear()
+        before = {f: f.cache_info().currsize for f in caches}
+        sample, drawn, comps = oracle_lab._sample_nilradical, set(), []
+
+        def recording(comp, seed_string):
+            if len(comp) > 1:
+                drawn.add((seed_string, sum(comp)))
+            return sample(comp, seed_string)
+
+        monkeypatch.setattr(oracle_lab, "_sample_nilradical", recording)
+        for n in range(1, ADDIM_SIZE_CAP + 1):
+            for comp in compositions_of(n):
+                comps.append(comp)
+                assert generic_jordan_type(comp) == recipe(comp), comp
+        assert len(comps) == 255
+        grown = {f: f.cache_info().currsize - b for f, b in before.items()}
+        # one key per (seed string, n) drawn: "0:0" for n = 2..8, and "0:1"
+        # once for the n = 7 compositions whose first sample was not generic
+        assert sorted(drawn) == [*[("0:0", n) for n in range(2, 9)],
+                                 ("0:1", 7)]
+        assert grown.pop(oracle_lab._entries) == len(drawn)
+        assert max(grown.values(), default=0) <= ADDIM_SIZE_CAP, grown
 
 
 class TestKks:
@@ -1139,9 +1230,11 @@ class TestGenericJordanType:
 
     def test_one_block_seeds_no_stream(self, monkeypatch):
         # its nilradical is zero, so nothing is drawn; a second block draws
+        # (the stream cache is cleared, so that draw is a cold one)
         def refuse(seed_string):
             raise AssertionError(f"seeded {seed_string!r}")
 
+        oracle_lab._entries.cache_clear()
         monkeypatch.setattr(oracle_lab.random, "Random", refuse)
         for n in range(1, ADDIM_SIZE_CAP + 1):
             assert _sample_nilradical((n,), "0:0") == ((0,) * n,) * n

@@ -85,14 +85,21 @@ def test_contact_rows_run_one_skew_elimination_per_model(monkeypatch):
 
 
 def test_contact_rows_report_the_conjugates_seed_strings(monkeypatch):
-    # each conjugate row names the one stream random_conjugate drew from
+    # each conjugate row names the one stream random_conjugate drew from;
+    # g is drawn once per (seed, n), so each conjugate here starts cold
     drawn = []
+    conjugate = oracle_lab.random_conjugate
 
     def recording(seed_string):
         drawn.append(seed_string)
         return random.Random(seed_string)
 
+    def cold(m, seed):
+        oracle_lab._conjugator.cache_clear()
+        return conjugate(m, seed)
+
     monkeypatch.setattr(oracle_lab, "random", SimpleNamespace(Random=recording))
+    monkeypatch.setattr(oracle_lab, "random_conjugate", cold)
     rows = run_suite("contact", max_n=4)
     assert all(r.agrees for r in rows)
     assert drawn == [s for r in rows for s in r.seeds]
