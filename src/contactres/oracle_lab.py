@@ -1,4 +1,4 @@
-"""Independent matrix oracles over exact rationals (type A models).
+"""Independent matrix oracles on integer matrices (type A models).
 
 Everything here works inside sl_n realized as trace-zero n x n matrices,
 with the trace form tr(xy) in place of the Killing form. The two differ
@@ -42,19 +42,18 @@ ker theta. The witness W = e Y - Y e, two n x n products apart from
 the plan, equal to t e entry by entry (t != 0), puts it on the Euler
 line; the ``ad-rank`` and ``kks`` suites check dim O apart from it.
 
-Models are integer matrices: the Jordan forms, the nilradical samples
-and the conjugates are built from ints, and every product stays
-integral. They are nilpotent by construction, so the builders make
-``MatrixModel`` records directly: a Jordan form is strictly upper
-triangular, and adj(g) g = det(g) I gives
-(g e adj g)^k = det(g)^(k-1) g e^k adj g. A matrix from a caller is
-checked once, where it enters: ``matrix_model`` scales it to ints by
-the lcm of its entries' denominators, which moves no rank, Jordan type,
-kernel line or witness, and refuses it unless it is square, within
-``ADDIM_SIZE_CAP`` and nilpotent, as decided by ``jordan_type``, the
-only nilpotency test here; a model built by hand skips the door, and
-every oracle then refuses a non-int entry before any work. Tuples are
-built from lists, for the reason given in ``ratlinalg``.
+Models are integer matrices, as ``ratlinalg`` takes them, and nilpotent
+by construction, so the builders make ``MatrixModel`` records directly:
+a Jordan form is strictly upper triangular, the samples are ints, and
+adj(g) g = det(g) I gives (g e adj g)^k = det(g)^(k-1) g e^k adj g. A
+matrix from a caller enters by ``matrix_model``, the one door here for
+a Fraction: it scales the matrix to ints by the lcm of its entries'
+denominators, which moves no rank, Jordan type, kernel line or witness,
+and refuses it unless square, within ``ADDIM_SIZE_CAP`` and nilpotent
+(by ``jordan_type``, the only nilpotency test here). A model built by
+hand skips the door, and every oracle refuses a non-int entry before
+any work. Tuples are built from lists, for the reason given in
+``ratlinalg``.
 
 These oracles are deliberately independent of the formulas they
 validate: dimensions come from ranks of ad maps, Richardson partitions
@@ -72,7 +71,7 @@ from __future__ import annotations
 import random
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import index
 
 from .errors import (
@@ -348,24 +347,31 @@ def contact_check(m: MatrixModel) -> ContactCheckResult:
 
 # --- Richardson / Springer oracles -------------------------------------------
 
+def _trial_seed(seed: int, t: int) -> str:
+    return f"{seed}:{t}"
+
+
 def trial_seeds(seed: int) -> list[str]:
-    """The first three seed strings of ``seed``'s draw stream, for
-    reporting; a later draw, ``f"{seed}:{t}"``, is fixed by the same seed."""
-    return [f"{seed}:{t}" for t in range(3)]
+    """``seed``'s first three trial seed strings, for reporting."""
+    return [_trial_seed(seed, t) for t in range(3)]
+
+
+def _randints(seed_string: str, k: int):
+    """``randint(-k, k)``'s stream seeded by ``seed_string``, as ``_randbelow``
+    draws it: (2k + 1).bit_length() bits, redrawn while >= 2k + 1, less k."""
+    bits, size = random.Random(seed_string).getrandbits, 2 * k + 1
+    width = size.bit_length()
+    while True:
+        x = bits(width)
+        if x < size:
+            yield x - k
 
 
 @lru_cache
 def _entries(seed_string: str, n: int) -> tuple[int, ...]:
     """The first n(n - 1)/2 entries of the stream ``seed_string``, the most
-    a block nilradical of sl_n reads. An entry is ``getrandbits(5)``,
-    redrawn until it is below 19, minus 9: ``randint(-9, 9)``'s stream,
-    drawn the same way (``_randbelow(19)``) without its three Python calls."""
-    bits, out = random.Random(seed_string).getrandbits, []
-    while len(out) < n * (n - 1) // 2:
-        x = bits(5)
-        if x < 19:
-            out.append(x - 9)
-    return tuple(out)
+    a block nilradical of sl_n reads, each one ``randint(-9, 9)``'s."""
+    return tuple(islice(_randints(seed_string, 9), n * (n - 1) // 2))
 
 
 def _sample_nilradical(comp, seed_string: str) -> Matrix:
@@ -395,7 +401,7 @@ def _generic_sample(comp, seed: int) -> tuple[Matrix, tuple[int, ...]]:
     """
     centralizer = sum([c * c for c in comp])
     for t in range(GENERIC_DRAWS):
-        e = _sample_nilradical(comp, f"{seed}:{t}")
+        e = _sample_nilradical(comp, _trial_seed(seed, t))
         part = jordan_type(e)
         if sum([(2 * i + 1) * p for i, p in enumerate(part)]) == centralizer:
             return e, part
@@ -504,18 +510,12 @@ def conjugate_seed(seed: int) -> str:
 @lru_cache
 def _conjugator(seed: int, n: int) -> tuple[Matrix, Matrix]:
     """``random_conjugate``'s n x n g and adj(g), by one elimination of
-    [g | I]. An entry of g is ``getrandbits(3)``, redrawn until it is below
-    7, minus 3: ``randint(-3, 3)``'s stream; g is redrawn while singular."""
-    bits = random.Random(conjugate_seed(seed)).getrandbits
+    [g | I]. g is drawn row by row, each entry ``randint(-3, 3)``'s, and
+    redrawn from the same stream while singular."""
+    draws = _randints(conjugate_seed(seed), 3)
     while True:
-        g = []  # row by row
-        while len(g) < n * n:
-            x = bits(3)
-            if x < 7:
-                g.append(x - 3)
-        g = [g[i * n:i * n + n] for i in range(n)]
-        adj = adjugate(g, [[int(i == j) for j in range(n)] for i in range(n)])
-        if adj is not None:
+        g = [[*islice(draws, n)] for _ in range(n)]
+        if (adj := adjugate(g)) is not None:
             return tuple(map(tuple, g)), tuple(map(tuple, adj))
 
 

@@ -1,20 +1,21 @@
 """Exact linear algebra over the rationals, on one integer kernel.
 
-Matrices are sequences of rows; vectors are tuples. Entries are ints or
-``fractions.Fraction``. No floating point: rank decisions made here are
-the ground truth for everything else in the package.
+Matrices are sequences of rows; vectors are tuples. No floating point:
+rank decisions made here are the ground truth for everything else in the
+package. Both eliminations take int entries and refuse any other with
+one ``TypeError``. A Fraction is cleared only where it enters the
+package, and ``fractions`` is imported only there: by ``primitive``
+(cone generators, ``RationalCone.contains``), ``oracle_lab.matrix_model``
+(one lcm per matrix) and ``rational`` (``canonical_degree_on_curve``).
 
-All elimination of general matrices runs through ``_eliminate``:
-Bareiss' fraction-free Gauss-Jordan on rows cleared of denominators (row
-scaling changes neither row space nor kernel). Each update divides
-exactly by the previous pivot, so entries stay minors of the cleared
-matrix, bounded by Hadamard's inequality. ``rref`` and ``nullspace``
-return primitive integer vectors and ``adjugate`` integers. ``fractions``
-is imported only where a Fraction is built, so all-integer work never
-loads it. A skew-symmetric integer matrix has its own elimination by
-2 x 2 pivots, behind ``skew_rank`` and ``skew_null_vector``, which take
-only its entries above the diagonal (below); ``rank`` is its reference
-in the tests.
+All elimination of general matrices runs through ``_eliminate``,
+Bareiss' fraction-free Gauss-Jordan. Each update divides exactly by the
+previous pivot, so entries stay minors of the matrix, bounded by
+Hadamard's inequality. ``rref`` and ``nullspace`` return primitive
+integer vectors and ``adjugate`` integers. A skew-symmetric matrix has
+its own elimination by 2 x 2 pivots, behind ``skew_rank`` and
+``skew_null_vector``, which take only its entries above the diagonal
+(below); ``rank`` is its reference in the tests.
 
 A Bareiss step with pivot p brings the rows it acts on (those below the
 pivot row in echelon mode, all others in reduced mode) to p: a row with
@@ -52,8 +53,7 @@ half the digits of ``_eliminate``'s, and each step retires two indices
 and updates half a matrix. The input is that half, in ints: row k holds
 A_kl for l > k from the last column down (A_lk = -A_kl is not given),
 so that a row and the pivot rows a and b, padded to all n columns, line
-up at their first entries and pair off with no slicing; a caller clears
-Fractions by one common denominator, which keeps the matrix skew, and
+up at their first entries and pair off with no slicing; a caller
 builds the rows in place of the full matrix. Rows never shrink:
 the update writes p (-b_k) + b_k p = 0 in column j, so a retired index
 is a zero column of every live row. A row with a_k = b_k = 0 only
@@ -81,9 +81,8 @@ from .errors import DimensionMismatch, invariant
 
 
 def rational(x) -> Fraction:
-    """``x`` as an exact Fraction. A float is refused with ``TypeError``,
-    as ``report.to_json`` refuses one: its binary value is seldom the
-    number meant (0.1 is 3602879701896397/36028797018963968)."""
+    """``x`` as an exact Fraction; a float, seldom the number meant (0.1 is
+    3602879701896397/36028797018963968), raises ``TypeError``."""
     if isinstance(x, float):
         raise TypeError(f"float {x!r} is not exact; give an int or a Fraction")
     from fractions import Fraction
@@ -99,13 +98,17 @@ def _int_row(row) -> list[int]:
 
 
 def primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector, keeping direction.
-
-    The zero vector maps to itself.
-    """
+    """A rational vector scaled to a primitive integer vector, keeping its
+    direction (the zero vector maps to itself): a door for Fractions."""
     ints = _int_row(vec)
     g = gcd(*ints) or 1
     return tuple([x // g for x in ints])
+
+
+def _refuse_non_ints(rows) -> None:
+    """Both eliminations' input check: a sum is an int iff its terms are."""
+    if type(sum(chain.from_iterable(rows))) is not int:
+        raise TypeError("exact elimination needs int entries")
 
 
 def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
@@ -113,8 +116,7 @@ def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
     rows come first. ``reduce`` also clears above each pivot, leaving the
     last pivot value in every pivot column and zeros elsewhere in it."""
     m = [list(row) for row in rows]
-    if not {*map(type, chain.from_iterable(m))} <= {int}:
-        m = [_int_row(row) for row in m]
+    _refuse_non_ints(m)
     if len({*map(len, m)}) > 1:
         raise DimensionMismatch("rows of unequal length")
     if not m or not m[0]:
@@ -171,8 +173,7 @@ def skew_rank(rows) -> int:
     """Exact rank of a skew-symmetric integer matrix, given by its rows
     above the diagonal (see the module docstring): two per pivot of the
     Pfaffian elimination. Rows of the wrong lengths raise
-    ``DimensionMismatch`` and an entry that is not an int ``TypeError``,
-    before any elimination."""
+    ``DimensionMismatch``, and a non-int entry ``TypeError``."""
     return 2 * len(_skew_steps(rows))
 
 
@@ -218,8 +219,7 @@ def _skew_steps(rows) -> list[tuple[int, int, int, list[int], list[int]]]:
     if [*map(len, upper)] != [*range(n - 1, -1, -1)]:
         raise DimensionMismatch("skew elimination needs n - 1 - k entries "
                                 "in row k")
-    if type(sum(chain.from_iterable(upper))) is not int:
-        raise TypeError("skew elimination needs int entries")
+    _refuse_non_ints(upper)
     level = [1] * n
     live = list(range(n))
     steps, prev = [], 1
@@ -303,16 +303,15 @@ def nullspace(rows) -> list[tuple[int, ...]]:
     return basis
 
 
-def adjugate(rows, b) -> list[list[int]] | None:
-    """adj(A) B = det(A) A^-1 B for a square integer matrix A and an
-    integer matrix B with as many rows, or None when A is singular; B = I
-    gives adj(A)."""
-    # Gauss-Jordan on [A | B] ends at [D I | D A^-1 B], with D the last
-    # pivot; the permutation sign turns D into det(A) for integral A.
+def adjugate(rows) -> list[list[int]] | None:
+    """adj(A) = det(A) A^-1 for a square integer matrix A, or None when A
+    is singular: Gauss-Jordan on [A | I] ends at [D I | D A^-1], D the
+    last pivot, which the sign of the row permutation turns into det(A)."""
     n = len(rows)
-    if {*map(len, rows)} - {n} or len(b) != n:
-        raise DimensionMismatch("adjugate needs a square A and B of its rows")
-    aug = [list(row) + list(rhs) for row, rhs in zip(rows, b)]
+    if {*map(len, rows)} - {n}:
+        raise DimensionMismatch("adjugate needs a square matrix")
+    aug = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)]
+           for i, row in enumerate(rows)]
     m, pivots, sign = _eliminate(aug, reduce=True)
     if pivots != list(range(n)):
         return None

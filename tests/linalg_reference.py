@@ -4,11 +4,13 @@ skew matrix to the rows above its diagonal that ``ratlinalg``'s skew
 elimination takes; no package code calls any of them.
 
 ``pivot_solution`` solves A x = b on the package's echelon elimination
-without clearing above the pivots. Let D be the last pivot of the
-echelon form of the cleared [A | b]: the leading minor on the pivot
-columns, in the rows that gave the pivots. By Cramer's rule D x is then
-an integer vector for the solution x that is zero on the free columns,
-so back-substitution on the pivot rows,
+without clearing above the pivots. The elimination takes ints, so each
+row of [A | b] is first cleared of its denominators (``_int_row``),
+which moves no solution. Let D be the last pivot of the echelon form of
+the cleared [A | b]: the leading minor on the pivot columns, in the rows
+that gave the pivots. By Cramer's rule D x is then an integer vector
+for the solution x that is zero on the free columns, so
+back-substitution on the pivot rows,
 y_i = (D b_i - sum_{j > i} U_{i,p_j} y_j) / U_{i,p_i}, divides exactly
 at every step.
 """
@@ -19,7 +21,7 @@ from math import lcm
 from operator import add, getitem
 
 from contactres.errors import DimensionMismatch, invariant
-from contactres.ratlinalg import _eliminate, rational
+from contactres.ratlinalg import _eliminate, _int_row, rational
 
 
 def mat_vec(rows, vec) -> tuple:
@@ -37,7 +39,7 @@ def pivot_solution(rows, rhs) -> tuple[list[int], int, list[int]] | None:
     scaling was deferred is brought up to date when it becomes the pivot
     row, and later passes never touch it again.
     """
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    aug = [_int_row([*row, b]) for row, b in zip(rows, rhs)]
     m, pivots, _ = _eliminate(aug, reduce=False)
     if aug and len(aug[0]) - 1 in pivots:
         return None

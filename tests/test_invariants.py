@@ -108,6 +108,35 @@ def test_every_package_definition_has_a_package_caller():
     assert orphans == []
 
 
+def test_fractions_are_cleared_only_at_the_doors():
+    """``ratlinalg``'s eliminations take ints only, so a Fraction is
+    cleared where it enters the package: ``_int_row`` and ``rational``
+    are read in the bodies of the doors and nowhere else (an import line
+    is no read). Each door reads one."""
+    doors = {("ratlinalg", "primitive"), ("ratlinalg", "_int_row"),
+             ("oracle_lab", "matrix_model"),
+             ("resolutions", "canonical_degree_on_curve")}
+    reads = []
+
+    def visit(node, stem, body):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, stem, child.name)
+                continue
+            if (isinstance(child, ast.Name)
+                    and child.id in ("_int_row", "rational")
+                    or isinstance(child, ast.Attribute)
+                    and child.attr in ("_int_row", "rational")):
+                reads.append((stem, body, child.lineno))
+            visit(child, stem, body)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    stray = [read for read in reads if read[:2] not in doors]
+    assert stray == []
+    assert {read[:2] for read in reads} == doors
+
+
 def package_imports() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at any depth in the file
     (function-level imports included). ``__init__`` is left out: it

@@ -48,6 +48,7 @@ from contactres.orbits import (
     validate_orbit,
 )
 from contactres.ratlinalg import (
+    _int_row,
     _skew_steps,
     adjugate,
     dot,
@@ -100,7 +101,7 @@ def scale_model(m, t):
 
 
 def _parallel(u, v) -> bool:
-    return any(u) and any(v) and rank([u, v]) == 1
+    return any(u) and any(v) and rank([_int_row(u), _int_row(v)]) == 1
 
 
 def unit(n, i, j):
@@ -349,10 +350,9 @@ def reference_conjugate(m, seed):
     ``randint(-3, 3)``, redrawn while singular, and g e adj(g) by two
     products."""
     rng = random.Random(f"{seed}:conj")
-    identity = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
     while True:
         g = [[rng.randint(-3, 3) for _ in range(m.n)] for _ in range(m.n)]
-        adj = adjugate(g, identity)
+        adj = adjugate(g)
         if adj is not None:
             return mat_mul(mat_mul(g, m.e), adj)
 
@@ -681,13 +681,17 @@ class TestJordanType:
 
     @pytest.mark.parametrize("e", [
         [[1]], [[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 1]],
-        [[0, 1, 2], [0, 0, 3], [F(1, 2), 0, 0]]])
+        [[0, 2, 4], [0, 0, 6], [1, 0, 0]]])
     def test_non_nilpotent_refused(self, e):
         # rank 2 of 3 is a first drop of 1 for [[0,1,0],[0,0,1],[0,0,1]]:
-        # only a strictly upper triangular matrix may stop there
-        for oracle in (jordan_type, reference_jordan_type):
+        # only a strictly upper triangular matrix may stop there. The
+        # elimination takes ints: a Fraction matrix, e / 2 (the last is
+        # [[0, 1, 2], [0, 0, 3], [1/2, 0, 0]]), is cleared by the door
+        half = [[F(x, 2) for x in row] for row in e]
+        for oracle, m in [(jordan_type, e), (reference_jordan_type, e),
+                          (matrix_model, e), (matrix_model, half)]:
             with pytest.raises(ContactresError, match="not nilpotent"):
-                oracle(e)
+                oracle(m)
 
     @pytest.mark.parametrize("e", [
         ((0, 1), (0, 0), (0, 0)), ((0, 0, 1), (0, 0)), ((),)])

@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 import pytest
@@ -56,6 +58,13 @@ def sparse(entries):
 SPARSE_ENTRIES = {kind: sparse(e) for kind, e in ENTRIES.items()}
 
 
+def cleared(rows):
+    """Each row scaled to ints by the lcm of its denominators, as a
+    Fraction row must be before the kernel takes it (the eliminations
+    take ints only); row scaling moves no row space, kernel or rank."""
+    return [_int_row(row) for row in rows]
+
+
 @st.composite
 def column_sparse(draw, entries, max_rows=12, max_cols=9):
     """At most two nonzeros per column, the pattern of ad_e on the sl_n
@@ -75,7 +84,7 @@ def column_sparse(draw, entries, max_rows=12, max_cols=9):
 def reference_eliminate(rows, reduce):
     """``_eliminate`` with every row left alone by a pivot step rescaled
     by p / prev at once."""
-    m = [_int_row(row) for row in rows]
+    m = [list(row) for row in rows]
     if not m or not m[0]:
         return m, [], 1
     nrows, ncols = len(m), len(m[0])
@@ -244,7 +253,7 @@ def rref_solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    red, pivots = rref([_int_row([*row, b]) for row, b in zip(rows, rhs)])
     if ncols in pivots:
         return None
     x = [F(0)] * ncols
@@ -272,21 +281,15 @@ def reference_det(rows):
 
 
 def assert_adjugate(rows):
-    """adj(A) B = det(A) A^-1 B, in integers, for B = I (adj(A) itself)
-    and for a fixed n x (n + 1) integer B; None for a singular A."""
-    n = len(rows)
+    """adj(A) = det(A) A^-1, in integers; None for a singular A."""
     ref = reference_inverse(rows)
-    for b in ([[int(i == j) for j in range(n)] for i in range(n)],
-              [[(3 * i + j) % 5 - 2 for j in range(n + 1)]
-               for i in range(n)]):
-        adj = adjugate(rows, b)
-        if ref is None:
-            assert adj is None
-            continue
-        det = reference_det(rows)
-        assert all(type(x) is int for row in adj for x in row)
-        assert adj == [[det * sum([x * y for x, y in zip(row, col)])
-                        for col in zip(*b)] for row in ref]
+    adj = adjugate(rows)
+    if ref is None:
+        assert adj is None
+        return
+    det = reference_det(rows)
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == [[det * x for x in row] for row in ref]
 
 
 def is_primitive_int(vec):
@@ -299,10 +302,10 @@ class TestDeferredScaling:
     @given(data=st.data())
     @settings(max_examples=150, derandomize=True)
     def test_sparse_elimination_matches_eager(self, kind, reduce, data):
-        rows = data.draw(matrices(max_rows=6, max_cols=7,
-                                  entries=SPARSE_ENTRIES[kind]))
+        rows = cleared(data.draw(matrices(max_rows=6, max_cols=7,
+                                          entries=SPARSE_ENTRIES[kind])))
         assert _eliminate(rows, reduce) == reference_eliminate(rows, reduce)
-        tall = data.draw(column_sparse(ENTRIES[kind]))
+        tall = cleared(data.draw(column_sparse(ENTRIES[kind])))
         assert _eliminate(tall, reduce) == reference_eliminate(tall, reduce)
 
 
@@ -332,7 +335,7 @@ class TestRank:
     @given(matrices(entries=rational_entries))
     @settings(max_examples=80, derandomize=True)
     def test_rational_rank_agrees_with_reference(self, rows):
-        assert rank(rows) == reference_rank(rows)
+        assert rank(cleared(rows)) == reference_rank(rows)
 
     @given(matrices())
     @settings(max_examples=80, derandomize=True)
@@ -341,9 +344,9 @@ class TestRank:
 
     def test_rational_entries(self):
         # det = 1/14 - 1/15 != 0
-        assert rank([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]) == 2
+        assert rank(cleared([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]])) == 2
         # second row is 3 times the first
-        assert rank([[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]) == 1
+        assert rank(cleared([[F(1, 2), F(1, 3)], [F(3, 2), F(1)]])) == 1
 
     def test_degenerate_shapes(self):
         assert rank([]) == 0
@@ -369,7 +372,8 @@ class TestSkewRank:
         rows = data.draw(skew_matrices(ENTRIES[kind]))
         pivots = skew_pivots(rows)
         assert pivots == reference_skew_pivots(rows)
-        assert skew_rank(_skew_upper(rows)) == 2 * len(pivots) == rank(rows)
+        assert skew_rank(_skew_upper(rows)) == 2 * len(pivots) \
+            == rank(cleared(rows))
         if kind == "int" and rows and 2 * len(pivots) == len(rows):
             # the last pivot is a Pfaffian of the whole matrix: Pf^2 = det
             m, _, sign = _eliminate(rows, reduce=False)
@@ -480,7 +484,7 @@ class TestSkewNullVector:
             r, x = skew_null_vector(_skew_upper(rows))
             steps = _skew_steps(_skew_upper(rows))
             paired = {k for i, j, *_ in steps for k in (i, j)}
-            assert r == rank(rows) == 2 * len(steps)
+            assert r == rank(cleared(rows)) == 2 * len(steps)
             if n - 1 in paired:
                 paired_last += 1
                 assert x is None
@@ -519,7 +523,7 @@ class TestAgainstReference:
     @settings(max_examples=100, derandomize=True)
     def test_rref_rows_and_pivots(self, kind, data):
         rows = data.draw(matrices(entries=ENTRIES[kind]))
-        red, pivots = rref(rows)
+        red, pivots = rref(cleared(rows))
         ref, ref_pivots = reference_rref(rows)
         assert pivots == ref_pivots
         assert len(red) == len(ref)
@@ -531,7 +535,7 @@ class TestAgainstReference:
     @settings(max_examples=100, derandomize=True)
     def test_nullspace_spans_reference_kernel(self, kind, data):
         rows = data.draw(matrices(entries=ENTRIES[kind]))
-        basis = nullspace(rows)
+        basis = nullspace(cleared(rows))
         ref = reference_nullspace(rows)
         assert len(basis) == len(ref)
         assert all(is_primitive_int(v) for v in basis)
@@ -570,7 +574,8 @@ class TestNullspace:
 
     def test_primitive_and_positive_in_free_column(self):
         assert nullspace([[2, 3]]) == [(-3, 2)]
-        assert nullspace([[F(1, 2), F(1, 3), 0]]) == [(-2, 3, 0), (0, 0, 1)]
+        assert nullspace(cleared([[F(1, 2), F(1, 3), 0]])) \
+            == [(-2, 3, 0), (0, 0, 1)]
         # a negative last pivot: the vector is flipped to stay positive
         assert nullspace([[-1, 1]]) == [(1, 1)]
         assert nullspace([[0, 1, 2], [1, 0, 3]]) == [(-3, -2, 1)]
@@ -596,6 +601,7 @@ class TestRowBasis:
     @given(matrices(entries=rational_entries))
     @settings(max_examples=80, derandomize=True)
     def test_echelon_basis_spans_the_row_space(self, rows):
+        rows = cleared(rows)
         basis = echelon_basis(rows)
         assert len(basis) == rank(rows)
         assert all(type(x) is int for row in basis for x in row)
@@ -670,15 +676,46 @@ class TestInverse:
     def test_adjugate_is_det_times_inverse(self, rows):
         assert_adjugate(rows)
 
-    @pytest.mark.parametrize("rows, b", [
-        ([[1, 2], [3, 4]], [[1, 0]]),
-        ([[1, 2], [3, 4]], [[1], [0], [2]]),
-        ([[1, 2, 0], [3, 4, 1]], [[1], [0]])])
-    def test_adjugate_refuses_mismatched_shapes(self, rows, b):
-        # zip would drop B's extra rows, or A's extra columns would be
-        # read as part of B
+    def test_small_case(self):
+        assert adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 0], [3, 4, 1]], [[1], [0]], [[1, 2], [3]]])
+    def test_adjugate_refuses_mismatched_shapes(self, rows):
+        # A's extra columns would be read as part of the identity
         with pytest.raises(DimensionMismatch):
-            adjugate(rows, b)
+            adjugate(rows)
+
+
+class TestIntContract:
+    """Both eliminations take int entries only, and refuse any other with
+    one ``TypeError`` from one shared check, before any step: a Fraction,
+    an integral one too, or a float. A Fraction is cleared where it
+    enters the package (``primitive``, ``oracle_lab.matrix_model``)."""
+
+    @pytest.mark.parametrize("entry", [F(1, 2), F(2), 0.5])
+    @pytest.mark.parametrize("call", [
+        rank, echelon_basis, rref, row_basis, nullspace, adjugate,
+        skew_rank, skew_null_vector], ids=lambda f: f.__name__)
+    def test_non_int_refused_before_any_step(self, call, entry,
+                                             monkeypatch):
+        # each pivot step of _eliminate calls bisect_left and each of
+        # _skew_steps calls compress: record them
+        steps = []
+
+        def recording(real):
+            def step(*args):
+                steps.append(args)
+                return real(*args)
+            return step
+
+        monkeypatch.setattr(ratlinalg, "bisect_left", recording(bisect_left))
+        monkeypatch.setattr(ratlinalg, "compress", recording(compress))
+        skew = call in (skew_rank, skew_null_vector)
+        with pytest.raises(TypeError,
+                           match="^exact elimination needs int entries$"):
+            call([[entry], []] if skew else [[entry, 1], [1, 0]])
+        assert steps == []
 
 
 class TestPrimitive:
@@ -691,7 +728,9 @@ class TestPrimitive:
     def test_float_refused(self, monkeypatch):
         with pytest.raises(TypeError, match="float 0.5 is not exact"):
             primitive((0.5, 1))
-        with pytest.raises(TypeError, match="float 0.1 is not exact"):
+        # the kernel takes ints only, and refuses a float as it refuses
+        # a Fraction
+        with pytest.raises(TypeError, match="needs int entries"):
             rank([[0.1, 1], [1, 0]])
         # an all-int row takes the fast path and reads no entry
         monkeypatch.setattr(ratlinalg, "rational", None)
