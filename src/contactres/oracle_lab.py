@@ -112,9 +112,11 @@ def _zeros(n) -> list[list[int]]:
 
 
 def _vec(m: Matrix) -> tuple:
-    """vec(m), refused unless its entries are ints (see ``matrix_model``)."""
+    """vec(m), refused unless its entries are ints (see ``matrix_model``).
+    A bool is an int, as in ``ratlinalg``: a sum is an int iff its terms
+    are."""
     vec = tuple([x for row in m for x in row])
-    if {*map(type, vec)} - {int}:
+    if type(sum(vec)) is not int:
         raise TypeError("oracle models need int entries: see matrix_model")
     return vec
 

@@ -2,8 +2,11 @@
 
 Classical orbits are labeled by partitions subject to the usual
 parity-multiplicity rule, one predicate read by ``validate_orbit`` and
-by the walk; exceptional orbits by opaque keys from the curated table
-shipped in ``data/exceptional_orbits.txt``. ``orbits_of`` is the one walk
+by the walk; exceptional orbits by opaque keys from the table shipped in
+``data/exceptional_orbits.txt``. The table states only what no rule
+derives: each orbit's key and dimension, a note for its reports and its
+provenance; whether the orbit is resolved, and by which parabolics, is
+decided by the rules of ``resolutions``. ``orbits_of`` is the one walk
 over a type's orbits: each once, the zero orbit included, a very-even
 type-D partition once per tag (Collingwood and McGovern, ch. 5). The
 minimal orbit is not walked to, since the walk is exponential in the
@@ -36,7 +39,7 @@ from .errors import (
     UnknownExceptionalKey,
     invariant,
 )
-from .lie_core import SimpleType, parse_marking, parse_simple_type
+from .lie_core import SimpleType, parse_simple_type
 
 Partition = tuple[int, ...]
 
@@ -246,48 +249,18 @@ def orbit_record(o: OrbitLabel) -> OrbitRecord:
 # --- exceptional table --------------------------------------------------------
 
 ExceptionalOrbitEntry = namedtuple(
-    "ExceptionalOrbitEntry",
-    "family rank key dimension is_richardson admits_symplectic_resolution "
-    "polarizations springer_degree note provenance",
-    defaults=(None,) * 6)
-
-
-def _parse_bool(value: str, where: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise TableFormatError(f"{where}: expected true/false, got {value!r}")
+    "ExceptionalOrbitEntry", "family rank key dimension note provenance",
+    defaults=(None, None))
 
 
 def _parse_int(value: str, where: str) -> int:
     if not re.fullmatch(r"[0-9]+", value):
         raise TableFormatError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _parse_polarizations(value: str, rank: int, where: str):
-    marks = []
-    for chunk in value.split(";"):
-        chunk = chunk.strip()
-        if chunk == "full":
-            marks.append(tuple(range(1, rank + 1)))
-            continue
-        marked = parse_marking(chunk)
-        if not marked:
-            raise TableFormatError(f"{where}: bad polarization entry {chunk!r}")
-        marked = tuple(sorted(marked))
-        if marked[0] < 1 or marked[-1] > rank:
-            raise TableFormatError(
-                f"{where}: marked roots {marked} outside 1..{rank}")
-        if len(set(marked)) < len(marked):
-            raise TableFormatError(
-                f"{where}: polarization {chunk!r} marks a node twice")
-        marks.append(marked)
-    if len(set(marks)) < len(marks):
+    try:
+        return int(value)
+    except ValueError:  # more digits than int() converts (4,300 by default)
         raise TableFormatError(
-            f"{where}: polarizations {value!r} name one marking twice")
-    return tuple(marks)
+            f"{where}: an integer has too many digits to read") from None
 
 
 def _table_text() -> str:
@@ -317,41 +290,15 @@ def _load_table() -> tuple[str, dict]:
         t = parse_simple_type(head)
         if (t.family, t.rank, key) in table:
             raise TableFormatError(f"duplicate table key {where}")
-        # each key is read by its own parser, and a key no field takes is
-        # refused rather than dropped
-        fields = {}
-        for k, v in record.items():
-            if k in ("dimension", "springer_degree"):
-                fields[k] = _parse_int(v, where)
-            elif k in ("is_richardson", "admits_symplectic_resolution"):
-                fields[k] = _parse_bool(v, where)
-            elif k == "polarizations":
-                fields[k] = _parse_polarizations(v, t.rank, where)
-            elif k in ("note", "provenance"):
-                fields[k] = v
-            elif k != "orbit":
+        # a key no field takes is refused rather than dropped
+        for k in record:
+            if k not in ("orbit", "dimension", "note", "provenance"):
                 raise TableFormatError(f"{where}: unknown key {k!r}")
-        entry = ExceptionalOrbitEntry(t.family, t.rank, key, **fields)
+        entry = ExceptionalOrbitEntry(
+            t.family, t.rank, key, _parse_int(record["dimension"], where),
+            record.get("note"), record.get("provenance"))
         if entry.dimension % 2 != 0:
             raise TableFormatError(f"{where}: odd orbit dimension")
-        # A polarization list witnesses a symplectic resolution, so the two
-        # keys come together: existence without the list would assert a
-        # resolution no report can enumerate, and a list without existence
-        # would contradict itself.
-        resolvable = entry.admits_symplectic_resolution is True
-        if resolvable and entry.polarizations is None:
-            raise TableFormatError(
-                f"{where}: admits_symplectic_resolution without polarizations")
-        if entry.polarizations is not None and not resolvable:
-            raise TableFormatError(
-                f"{where}: polarizations without "
-                "admits_symplectic_resolution: true")
-        # Listed polarizations are birational: the table states their
-        # Springer degree, 1, beside each list, and nowhere else.
-        if entry.springer_degree != (
-                None if entry.polarizations is None else 1):
-            raise TableFormatError(
-                f"{where}: springer_degree must be 1, next to polarizations")
         table[(t.family, t.rank, key)] = entry
         record.clear()
 

@@ -16,9 +16,12 @@ The central facts this module operationalizes:
   symplectic resolution. In type A that is always the case and the
   polarizations are the distinct orderings of the dual partition,
   enumerated in time linear in their number, at most ``MAX_CHAMBERS``
-  of them (counted in closed form first); outside type A
-  the answer comes from curated classification data and absent entries
-  yield an honest Unknown.
+  of them (counted in closed form first). Outside type A one rule set
+  decides every type, B-D and E/F/G alike, from two rank-uniform facts:
+  a closure whose projectivised normalization is smooth has no
+  symplectic resolution (but D3 is A3), and the regular orbit is
+  resolved by T*(G/B). Every other orbit is an honest Unknown; the
+  exceptional table supplies only dimensions and notes.
 * The polarization set is decided here, once, by :func:`polarizations_of`
   on the orbit's record. The verdict, the affine-closure flag, the
   equivalence class of a type-A parabolic and the chamber complex of the
@@ -93,13 +96,11 @@ from .ratlinalg import dot, primitive, rank, rational
 
 VERDICT_SMOOTH = "SmoothAlready"
 VERDICT_EXISTS = "ContactResolutionsExist"
-VERDICT_NONE = "NoContactResolution"
 VERDICT_UNKNOWN = "Unknown"
 
 REASON_MINIMAL = "Minimal"
 REASON_G2DIM8 = "G2dim8"
 REASON_SYMPLECTIC = "SymplecticResolution"
-REASON_TABLE = "ClassificationTable"
 REASON_INDETERMINATE = "Indeterminate"
 
 # Text for the two pinned boundary examples where resolutions of the
@@ -292,19 +293,20 @@ def _type_a_polarizations(o: OrbitLabel, dim: int) -> list[Polarization]:
                           for comp in _distinct_orderings(dual)))
 
 
-def _minimal_closure_unresolvable(t) -> bool:
-    """Whether a classical minimal orbit closure admits no symplectic
-    resolution: so outside type A (Fu, Invent. Math. 151, 2003), but not
-    in D3, which is A3 (so_6 = sl_4). The table speaks for E/F/G."""
-    return t.family in "BCD" and (t.family, t.rank) != ("D", 3)
+def _smooth_closure_unresolvable(t) -> bool:
+    """Whether an orbit closure whose projectivised normalization is
+    smooth (a minimal orbit, or G2's 8-dimensional orbit) admits no
+    symplectic resolution: so outside type A (Fu, Invent. Math. 151,
+    2003; Prop. 3.21 for G2), but not in D3, which is A3 (so_6 = sl_4)."""
+    return t.family != "A" and (t.family, t.rank) != ("D", 3)
 
 
 def polarizations(o: OrbitLabel) -> list[Polarization]:
     """All polarizations of the orbit closure (its equivalence class).
 
     Sorted lexicographically by composition (type A) or marking.
-    Raises :class:`UnknownClassification` where the curated data is
-    silent; returns the empty list only when non-existence is definitive.
+    Raises :class:`UnknownClassification` where no rule decides; returns
+    the empty list only when non-existence is definitive.
     """
     return polarizations_of(orbit_record(o))
 
@@ -317,21 +319,11 @@ def polarizations_of(record) -> list[Polarization]:
     t = o.simple_type
     if t.family == "A":
         return _type_a_polarizations(o, dim)
-    if o.is_exceptional:
-        entry = exceptional_entry(o)
-        if entry.polarizations is not None:
-            found = sorted(parabolic(t, marks)
-                           for marks in entry.polarizations)
-            return _checked(dim, ((p, None) for p in found))
-        if entry.admits_symplectic_resolution is False:
-            return []
-        raise UnknownClassification(
-            f"polarization data for {o} not in the shipped table")
+    # outside type A, B-G alike, only two rank-uniform facts decide
     if o.very_even_tag is None and is_very_even(t, o.partition):
         raise InvalidPartition(f"{o} is very even and names two orbits, "
                                f"{o}/I and {o}/II; give the tag")
-    # classical non-A: only two rank-uniform facts are curated in code
-    if record.is_minimal and _minimal_closure_unresolvable(t):
+    if record.proj_normalization_smooth and _smooth_closure_unresolvable(t):
         return []
     if dim == 2 * t.num_positive_roots:
         # the regular orbit, whose closure is the nilpotent cone, always
@@ -484,25 +476,23 @@ def contact_resolution_exists(o: OrbitLabel) -> ResolutionReport:
     except UnknownClassification:
         polar = None
 
-    t = o.simple_type
-    notes: list[str] = []
+    # an exceptional orbit's note is its table's; a classical one notes
+    # the boundary case, an empty list
     if o.is_exceptional:
-        entry = exceptional_entry(o)
-        if entry.note:
-            notes.append(entry.note)
+        note = exceptional_entry(o).note
+    else:
+        note = NOTE_MINIMAL_NON_A if polar == [] else None
 
     if record.proj_normalization_smooth:
         verdict = VERDICT_SMOOTH
         reason = REASON_MINIMAL if record.is_minimal else REASON_G2DIM8
-        if reason == REASON_MINIMAL and _minimal_closure_unresolvable(t):
-            notes.append(NOTE_MINIMAL_NON_A)
     elif polar:
         verdict = VERDICT_EXISTS
         reason = REASON_SYMPLECTIC
-    elif polar is not None:
-        verdict = VERDICT_NONE
-        reason = REASON_TABLE
     else:
+        # only a smooth projectivised normalization has an empty list
+        invariant(polar is None, "Unknown must come with no polarization "
+                  "list")
         verdict = VERDICT_UNKNOWN
         reason = REASON_INDETERMINATE
 
@@ -517,7 +507,7 @@ def contact_resolution_exists(o: OrbitLabel) -> ResolutionReport:
         reason=reason,
         chamber_complex=chambers,
         affine_closure_admits_symplectic_resolution=affine,
-        notes=tuple(notes),
+        notes=(note,) if note else (),
     )
     invariant(report.resolution_exists == (
         bool(report.polarizations)

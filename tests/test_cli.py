@@ -62,47 +62,6 @@ class TestClassify:
         assert code == 0
         assert env["result"]["verdict"] == "Unknown"
 
-    def test_table_no_is_no_contact_resolution(self, capsys, validator,
-                                               monkeypatch):
-        # no shipped record says that a non-minimal orbit has no
-        # symplectic resolution, so a table saying it of G2:dim10 stands in
-        text = orbits._table_text()
-        old = "is_richardson: true\nprovenance: both maximal"
-        assert text.count(old) == 1
-        monkeypatch.setattr(orbits, "_table_text", lambda: text.replace(
-            old, "is_richardson: true\nadmits_symplectic_resolution: false"
-            "\nprovenance: both maximal"))
-        orbits._load_table.cache_clear()
-        try:
-            r = resolutions.contact_resolution_exists(
-                orbits.parse_orbit("G2:dim10"))
-            assert (r.verdict, r.reason) == ("NoContactResolution",
-                                             "ClassificationTable")
-            assert r.affine_closure_admits_symplectic_resolution is False
-            assert r.chamber_complex is None and r.polarizations == ()
-            assert r.resolution_exists is False
-            code, env = run_json(capsys, validator, "classify", "G2:dim10",
-                                 "--json")
-            assert code == 0
-            result = env["result"]
-            assert (result["verdict"], result["reason"]) == (
-                "NoContactResolution", "ClassificationTable")
-            assert result["affine_closure_admits_symplectic_resolution"] \
-                is False
-            assert result["chamber_complex"] is None
-            assert (result["polarizations"], result["resolution_exists"]) \
-                == ([], False)
-            code, out = run(capsys, "classify", "G2:dim10")
-            assert code == 0
-            lines = out.splitlines()
-            assert "verdict: NoContactResolution (reason: " \
-                "ClassificationTable)" in lines
-            assert "affine closure admits symplectic resolution: no" in lines
-            assert "polarizations: 0" in lines
-            assert "chambers: 0  walls: 0" in lines
-        finally:
-            orbits._load_table.cache_clear()
-
     def test_g2dim8(self, capsys):
         code, out = run(capsys, "classify", "G2:dim8")
         assert code == 0

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from contactres import resolutions
 from contactres.errors import ContactresError, InternalInvariantError
-from contactres.orbits import parse_orbit
+from contactres.orbits import ExceptionalOrbitEntry, parse_orbit
 from contactres.resolutions import chamber_complex_for, polarizations
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,6 +207,28 @@ def test_decision_layer_runs_no_oracle():
 
 def test_report_reads_records_without_importing_them():
     assert package_imports()["report"] == set()
+
+
+def test_one_rule_set_decides_every_type():
+    """``resolutions.polarizations_of`` reads no table entry: the rules
+    that decide B-D decide E/F/G too."""
+    tree = ast.parse((PACKAGE / "resolutions.py").read_text())
+    [decide] = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                and n.name == "polarizations_of"]
+    assert "exceptional_entry" not in _names_used(decide)
+
+
+def test_table_states_only_what_no_rule_derives():
+    assert ExceptionalOrbitEntry._fields == (
+        "family", "rank", "key", "dimension", "note", "provenance")
+
+
+def test_empty_list_without_a_smooth_normalization_raises(monkeypatch):
+    # only a smooth projectivised normalization has no polarization; any
+    # other empty list would be a "no" that no rule gives
+    monkeypatch.setattr(resolutions, "polarizations_of", lambda record: [])
+    with pytest.raises(InternalInvariantError, match="Unknown"):
+        resolutions.contact_resolution_exists(parse_orbit("G2:dim10"))
 
 
 def test_non_closed_ordering_list_raises():

@@ -644,6 +644,18 @@ class TestKksLayout:
                            match="oracle models need int entries"):
             oracle(m)
 
+    @pytest.mark.parametrize("oracle", [
+        addim, kks_rank, contact_check,
+        lambda m: random_conjugate(m, 0)])
+    @pytest.mark.parametrize("part", [(2,), (3,), (2, 1), (2, 2)])
+    def test_bool_model_is_its_int_twin(self, oracle, part):
+        # a bool is an int, as in the kernel and every label reader, so a
+        # model of bools gives what the same model of ints gives
+        twin = jordan_nilpotent(part)
+        m = MatrixModel(twin.n, tuple([tuple(map(bool, row))
+                                       for row in twin.e]))
+        assert oracle(m) == oracle(twin)
+
     def test_one_plan_per_n(self):
         _kks_plan.cache_clear()
         m = random_conjugate(jordan_nilpotent((3, 2)), 1)

@@ -7,6 +7,7 @@ from contactres import orbits
 from contactres.errors import (
     InvalidPartition,
     TableFormatError,
+    UnknownClassification,
     UnknownExceptionalKey,
 )
 from contactres.lie_core import SimpleType, build_root_system
@@ -27,6 +28,7 @@ from contactres.orbits import (
     validate_orbit,
 )
 from contactres.report import orbit_record_dict
+from contactres.resolutions import polarizations
 
 SMALL_CLASSICAL = [
     SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3),
@@ -362,33 +364,43 @@ class TestExceptionalTable:
     def test_g2_dim8_note_mentions_so7(self):
         entry = exceptional_entry(parse_orbit("G2:dim8"))
         assert "so_7" in entry.note
-        assert entry.admits_symplectic_resolution is False
 
     def test_g2_dim10_is_honestly_unknown(self):
-        entry = exceptional_entry(parse_orbit("G2:dim10"))
-        assert entry.is_richardson is True
-        assert entry.admits_symplectic_resolution is None
+        o = parse_orbit("G2:dim10")
+        entry = exceptional_entry(o)
+        assert entry.note is None and "left unknown" in entry.provenance
+        with pytest.raises(UnknownClassification):
+            polarizations(o)
 
     def test_minimal_entries_match_dual_coxeter_dimension(self):
-        for (family, rank, _key), entry in exceptional_table().items():
-            t = SimpleType(family, rank)
-            if entry.dimension == minimal_orbit_dimension(t):
-                assert entry.admits_symplectic_resolution is False
+        # one entry per type at 2 h-check - 2, noted as the minimal orbit,
+        # and the decision's smooth-closure rule leaves it unresolved
+        for t in {SimpleType(f, r) for f, r, _ in exceptional_table()}:
+            [o] = [o for o in orbits_of(t)
+                   if orbit_dimension(o) == minimal_orbit_dimension(t)]
+            assert exceptional_entry(o).note.startswith("minimal orbit")
+            assert polarizations(o) == [], o
 
     def test_regular_entries_carry_borel_polarization(self):
         # reference path: the regular dimension dim g - rank from the
         # generated root system, as the package found it before
         for t in [SimpleType("G", 2), SimpleType("F", 4), SimpleType("E", 6)]:
             want = 2 * len(build_root_system(t).positive_roots)
-            [entry] = [e for (f, r, _), e in exceptional_table().items()
-                       if (f, r) == (t.family, t.rank) and e.dimension == want]
-            assert entry.polarizations == (tuple(range(1, t.rank + 1)),)
-            assert entry.springer_degree == 1
+            [o] = [o for o in orbits_of(t) if orbit_dimension(o) == want]
+            [pol] = polarizations(o)
+            assert pol.parabolic.marked == tuple(range(1, t.rank + 1))
 
     def test_full_listed_exactly_at_the_regular_dimension(self):
         for (family, rank, key), entry in exceptional_table().items():
             t = SimpleType(family, rank)
-            full = tuple(range(1, rank + 1)) in (entry.polarizations or ())
+            if entry.dimension == 0:
+                continue
+            try:
+                found = polarizations(validate_orbit(t, key))
+            except UnknownClassification:
+                found = []
+            full = tuple(range(1, rank + 1)) in [p.parabolic.marked
+                                                 for p in found]
             assert full == (entry.dimension == 2 * t.num_positive_roots), key
 
 
@@ -398,14 +410,11 @@ VALID_TABLE = """\
 
 orbit: G2:dim6
 dimension: 6
-is_richardson: false
-admits_symplectic_resolution: false
+note: minimal orbit
 
 orbit: G2:dim12
 dimension: 12
-admits_symplectic_resolution: true
-polarizations: full
-springer_degree: 1
+provenance: regular orbit
 """
 
 
@@ -425,78 +434,48 @@ class TestTableLoader:
     def test_valid_text_loads(self, load_table_text):
         version, table = load_table_text(VALID_TABLE)
         assert version == "1"
-        assert table[("G", 2, "dim12")].polarizations == ((1, 2),)
-        # a marking is read sorted: {2,1} is the marking "full" names
-        _, table = load_table_text(VALID_TABLE.replace(
-            "polarizations: full", "polarizations: {2,1}"))
-        assert table[("G", 2, "dim12")].polarizations == ((1, 2),)
+        assert table == {
+            ("G", 2, "dim6"): orbits.ExceptionalOrbitEntry(
+                "G", 2, "dim6", 6, note="minimal orbit"),
+            ("G", 2, "dim12"): orbits.ExceptionalOrbitEntry(
+                "G", 2, "dim12", 12, provenance="regular orbit")}
 
-    @pytest.mark.parametrize("new, message", [
-        ("{2,1};full", "G2:dim12: polarizations '{2,1};full' name one "
-                       "marking twice"),
-        ("{2,2}", "G2:dim12: polarization '{2,2}' marks a node twice"),
-    ], ids=["repeated-marking", "repeated-node"])
-    def test_repeated_marking_or_node_refused(self, load_table_text, new,
-                                              message):
-        # {2,1};full loaded as ((1, 2), (1, 2)), two equal polarizations
-        # that sent classify G2:dim12 to UnknownClassification, and {2,2}
-        # as (2, 2); the shipped record is patched
-        text = orbits._table_text()
-        old = ("orbit: G2:dim12\ndimension: 12\nis_richardson: true\n"
-               "admits_symplectic_resolution: true\npolarizations: full\n")
-        assert text.count(old) == 1
-        with pytest.raises(TableFormatError, match=re.escape(message)):
-            load_table_text(text.replace(old, old.replace("full", new)))
+    @pytest.mark.parametrize("line", [
+        "is_richardson: true", "admits_symplectic_resolution: true",
+        "polarizations: full", "springer_degree: 1"])
+    def test_a_derived_fact_is_an_unknown_key(self, load_table_text, line):
+        # the decision derives these, so the table may not state them
+        key = line.partition(":")[0]
+        with pytest.raises(TableFormatError,
+                           match=f"G2:dim12: unknown key '{key}'"):
+            load_table_text(VALID_TABLE.replace(
+                "dimension: 12\n", f"dimension: 12\n{line}\n"))
+
+    def test_integer_over_the_digit_limit_refused(self, load_table_text):
+        # int() refuses a string of more than 4,300 digits with a ValueError
+        message = "x: an integer has too many digits to read"
+        with pytest.raises(TableFormatError, match=message):
+            orbits._parse_int("9" * 5000, "x")
+        with pytest.raises(TableFormatError, match="G2:dim12: an integer"):
+            load_table_text(VALID_TABLE.replace(
+                "dimension: 12", "dimension: " + "8" * 5000))
 
     @pytest.mark.parametrize("old, new, message", [
         ("orbit: G2:dim12", "orbit: G2:dim6", "duplicate table key"),
         ("dimension: 12", "dimension: 11", "odd orbit dimension"),
-        ("is_richardson: false", "is_richardson: yes", "expected true/false"),
         ("# table_version: 1", "# version one", "table_version"),
-        ("polarizations: full\n", "",
-         "admits_symplectic_resolution without polarizations"),
-        ("admits_symplectic_resolution: true\n", "",
-         "polarizations without admits_symplectic_resolution"),
-        ("admits_symplectic_resolution: true",
-         "admits_symplectic_resolution: false",
-         "polarizations without admits_symplectic_resolution"),
-        ("polarizations: full", "polarizations: {}",
-         "bad polarization entry"),
-        ("polarizations: full", "polarizations: {1,,2}",
-         "bad polarization entry"),
-        ("polarizations: full", "polarizations: {1,3}", "outside 1..2"),
-        ("polarizations: full", "polarizations: {0}", "outside 1..2"),
         ("dimension: 12", "dimension: seven", "expected an integer"),
-        ("springer_degree: 1", "springer_degree: 1.5",
-         "expected an integer"),
-        ("springer_degree: 1", "springer_degree: 2",
-         "springer_degree must be 1, next to polarizations"),
-        ("admits_symplectic_resolution: false\n",
-         "admits_symplectic_resolution: false\nspringer_degree: 2\n",
-         "springer_degree must be 1, next to polarizations"),
-        ("admits_symplectic_resolution: false\n",
-         "admits_symplectic_resolution: false\nspringer_degree: 1\n",
-         "springer_degree must be 1, next to polarizations"),
-        ("springer_degree: 1\n", "",
-         "springer_degree must be 1, next to polarizations"),
         ("dimension: 12\n", "dimension: 10\ndimension: 12\n",
          "G2:dim12: repeated key 'dimension'"),
-        ("is_richardson: false", "is_richardon: false",
-         "G2:dim6: unknown key 'is_richardon'"),
+        ("note: minimal orbit", "notes: minimal orbit",
+         "G2:dim6: unknown key 'notes'"),
         ("orbit: G2:dim12", "orbit: G2", "G2: orbit must be TYPE:KEY"),
         ("dimension: 12\n", "", "record missing orbit/dimension"),
-        ("springer_degree: 1", "springer_degree 1",
-         "expected 'key: value', got 'springer_degree 1'"),
-    ], ids=["duplicate-key", "odd-dimension", "bad-boolean",
-            "missing-version", "resolution-without-polarizations",
-            "polarizations-without-resolution",
-            "polarizations-with-false-resolution", "empty-polarization",
-            "blank-mark", "mark-above-rank", "mark-zero",
-            "non-integer-dimension", "non-integer-springer-degree",
-            "springer-degree-two", "springer-degree-without-polarizations",
-            "degree-one-without-polarizations",
-            "polarizations-without-springer-degree", "repeated-key",
-            "unknown-key", "orbit-without-key", "record-without-dimension",
+        ("provenance: regular orbit", "provenance regular orbit",
+         "expected 'key: value', got 'provenance regular orbit'"),
+    ], ids=["duplicate-key", "odd-dimension", "missing-version",
+            "non-integer-dimension", "repeated-key", "unknown-key",
+            "orbit-without-key", "record-without-dimension",
             "line-without-colon"])
     def test_malformed_text_refused(self, load_table_text, old, new, message):
         assert old in VALID_TABLE

@@ -76,13 +76,9 @@ SAMPLES = [
         RECORD, id="OrbitRecord"),
     pytest.param(
         lambda: ExceptionalOrbitEntry("G", 2, "dim8", 8),
-        ("family", "rank", "key", "dimension", "is_richardson",
-         "admits_symplectic_resolution", "polarizations", "springer_degree",
-         "note", "provenance"),
+        ("family", "rank", "key", "dimension", "note", "provenance"),
         "ExceptionalOrbitEntry(family='G', rank=2, key='dim8', dimension=8,"
-        " is_richardson=None, admits_symplectic_resolution=None,"
-        " polarizations=None, springer_degree=None, note=None,"
-        " provenance=None)", id="ExceptionalOrbitEntry"),
+        " note=None, provenance=None)", id="ExceptionalOrbitEntry"),
     pytest.param(
         lambda: polarizations(_sl2_minimal())[0],
         ("parabolic", "composition", "flag_dimension"),
@@ -156,7 +152,6 @@ class TestKeywordConstruction:
         e = ExceptionalOrbitEntry(family="G", rank=2, key="dim8", dimension=8,
                                   note="n")
         assert e.note == "n" and e.provenance is None
-        assert e.polarizations is None and e.springer_degree is None
 
     def test_oracle_check_seeds_default(self):
         c = OracleCheck(oracle="kks-rank", case="A2:3", formula_value=6,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from collections import Counter
@@ -7,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from contactres import lie_core, resolutions
+from contactres.cli import main
 from contactres.errors import (
     ContactresError,
     EmptyMarking,
@@ -24,7 +26,6 @@ from contactres.lie_core import (
 )
 from contactres.orbits import (
     dual_partition,
-    exceptional_entry,
     exceptional_table,
     minimal_orbit_label,
     orbit_dimension,
@@ -326,14 +327,181 @@ class TestEquivalence:
             equivalent_parabolics(parabolic(SimpleType("B", 3), (1,)))
 
 
+# Each table orbit's answer as it stood while the table still stated the
+# resolution facts that the decision now derives: (verdict, reason,
+# affine-closure flag, polarization markings, notes); None for a zero
+# orbit, which has no report.
+MINIMAL = ("minimal orbit",)
+REGULAR = ("regular orbit; closure is the nilpotent cone",)
+G2_DIM6_NOTE = ("minimal orbit; the punctured closure is smooth but the "
+                "affine closure has no symplectic resolution")
+G2_DIM8_NOTE = ("punctured closure W0 is singular; its normalization is the "
+                "minimal nilpotent orbit closure of so_7, which is smooth and "
+                "symplectic, and that resolution of W0 does not extend over "
+                "the origin")
+EXISTS = ("ContactResolutionsExist", "SymplecticResolution", True)
+TABLE_ANSWERS = {
+    "G2:dim0": None,
+    "G2:dim6": ("SmoothAlready", "Minimal", False, (), (G2_DIM6_NOTE,)),
+    "G2:dim8": ("SmoothAlready", "G2dim8", False, (), (G2_DIM8_NOTE,)),
+    "G2:dim10": ("Unknown", "Indeterminate", None, (), ()),
+    "G2:dim12": (*EXISTS, ((1, 2),), REGULAR),
+    "F4:dim0": None,
+    "F4:dim16": ("SmoothAlready", "Minimal", False, (), MINIMAL),
+    "F4:dim48": (*EXISTS, ((1, 2, 3, 4),), REGULAR),
+    "E6:dim0": None,
+    "E6:dim22": ("SmoothAlready", "Minimal", False, (), MINIMAL),
+    "E6:dim72": (*EXISTS, ((1, 2, 3, 4, 5, 6),), REGULAR),
+    "E7:dim0": None,
+    "E7:dim34": ("SmoothAlready", "Minimal", False, (), MINIMAL),
+    "E7:dim126": (*EXISTS, ((1, 2, 3, 4, 5, 6, 7),), REGULAR),
+    "E8:dim0": None,
+    "E8:dim58": ("SmoothAlready", "Minimal", False, (), MINIMAL),
+    "E8:dim240": (*EXISTS, ((1, 2, 3, 4, 5, 6, 7, 8),), REGULAR),
+}
+
+# sha256 of ``COMMAND ORBIT --json`` for every table orbit, from the same
+# tree. ``polarizations`` and ``chambers`` of G2:dim10 are left out: their
+# error message now has the classical wording.
+TABLE_DIGESTS = {
+    "classify G2:dim0":
+        "c000eb69e727ac457de7716d83b417b63bcaa0edc6b602f379bddc3c3888f8a4",
+    "polarizations G2:dim0":
+        "c82bb2a61d2617864a06abe01fcf20ba376b8672b564210ae4b6a5f508b4ea54",
+    "chambers G2:dim0":
+        "ea05f32abf060de378f4daca0e89c8e28fcb40f2bc16cec7687dd78c7ac54cec",
+    "classify G2:dim6":
+        "738da6b18aa81a259412bdf2b4de3752c3d273bde66ab98bb56f10dfa171f432",
+    "polarizations G2:dim6":
+        "d86b592cdb4e293717f36d7d80dbf28ed1b6348869f03a24539af537f8f0b505",
+    "chambers G2:dim6":
+        "8b7f50dd4f43a619ecd964f76d11946390f8d3732855842775ba8e28d932b26d",
+    "classify G2:dim8":
+        "bd369d0378939ebe87d8433b0cca06780eb580419b1a8d8a57c6df3b92a933e4",
+    "polarizations G2:dim8":
+        "332ab711e096662231dda7f9e8b4d2f07b524365408df8f63cafbef7519709b8",
+    "chambers G2:dim8":
+        "12e57970d7982ebdae425bbdf0611c33614ba77fd2cb03d092dffd9acdec18e8",
+    "classify G2:dim10":
+        "45f338da883ad11e759bca1757e6ac51ccbb3476f594b729ab2834eb20e6e8fd",
+    "classify G2:dim12":
+        "7718b6946acb357bd817e31101fee88a261b97af3a3ea33b7d60dda24d51309a",
+    "polarizations G2:dim12":
+        "8be67c4ed7f10260242bb8536bca15927e527a8e6168f4c96c33ef5006b7e274",
+    "chambers G2:dim12":
+        "ed84224e66e782d45f6466f9237f0a0977adcb9250e6dee6a78b7fbdcb6eeebe",
+    "classify F4:dim0":
+        "69eec20cd02dd9dc757fab667bd9300c389a68f7ce94a77bd500a36640ef300c",
+    "polarizations F4:dim0":
+        "179eebaf677f9d6402fd218ea90a363142f0c95be6c5efce7d280ff379af3926",
+    "chambers F4:dim0":
+        "2324a0dc4878b11176bf2f6bc58cb23d3cc018f6cdd1cee11cde9ac56e49bcd5",
+    "classify F4:dim16":
+        "7c02966dcc3df1876036cffe3e5800dbede087edea01cb9c3cf4be259d469330",
+    "polarizations F4:dim16":
+        "8d9efc934c5cf2ce8c6c86c6c1acf3713524f2c780d10de2466bc4d3318a3d2c",
+    "chambers F4:dim16":
+        "ec80cc6d3c437e7a0117a5ca0214d55bc7874ee91733e015e335f3ae83693ba9",
+    "classify F4:dim48":
+        "62de58c45316767cf96cefa52af6c50d7c5a1ff78905478ea5e7f025a878e05b",
+    "polarizations F4:dim48":
+        "4c07d457a3db448710103fe15983dcb77fdb4845e705ae7a5b85de93228b156e",
+    "chambers F4:dim48":
+        "1513c76448f3e07f63d61681eb25918722a75b55ca932c2c526d644c28da3979",
+    "classify E6:dim0":
+        "ab979eb487dc00cfb70f2f47568d8c4820079b371b1b602dd8081dd02d5d0a19",
+    "polarizations E6:dim0":
+        "fd60b987cac2d40e89094095fea6cb107e4f3de38fe4295a3b01ebb514bdc385",
+    "chambers E6:dim0":
+        "3319f287d40ed5b5df47364e77abc7aad71b3ca5a5c371ad907cb53a0609ea2b",
+    "classify E6:dim22":
+        "70b8172ccb8b5a9f4bcb5905da086e8c5078cc1d3873d10a236c0359bd825ed4",
+    "polarizations E6:dim22":
+        "cc9417cc6c7b053df5db70d0ba663dea2105c883c39ad181bc0fe7f05b942100",
+    "chambers E6:dim22":
+        "b51a8f706cac2baa9a73935be8795f5e8396c05bd859e98d02ae31dd8dde18bf",
+    "classify E6:dim72":
+        "7e94bf801a4e5b2a3005d891735b7ecb3df467bea9f611c951c93bf394a90ffe",
+    "polarizations E6:dim72":
+        "2d5aed2f837cd447758f71132aaaa6f5980b744e3da817c74a9e9a3a51a121e4",
+    "chambers E6:dim72":
+        "c138ac242566b857d26fad47ab8188e04749d623ba4852e49dd42fadd50e6680",
+    "classify E7:dim0":
+        "4e40eefee8d28a92e994849e4ff7440cb118103d5813889f1bd8a5ec7b20826c",
+    "polarizations E7:dim0":
+        "b40f6ed78e697a7ab9e26771fea379167afbc46a9004dc21e18b88d30f35a477",
+    "chambers E7:dim0":
+        "aa05be576c8f51e251086b44dd03704488ee5ac9fdeb06ba43aa3151025bed99",
+    "classify E7:dim34":
+        "e3ef94317cfcbd38e4bc5347c150ebc9ae4bfc7ca9b712e423611555c3c4d71b",
+    "polarizations E7:dim34":
+        "6568cf1ae2513e88671970b6806a91007d77c9ff7457750ee5da2fff51f5ea2a",
+    "chambers E7:dim34":
+        "f5e3ff37780901fddd4dffa9372a9fa1b9703814ac82bcf10d8de950c1c4f069",
+    "classify E7:dim126":
+        "0876d62d1afe050d21555f362252de0526de246abd9905acab336308c6468fb1",
+    "polarizations E7:dim126":
+        "c005302b426ab7d45baac965c621b391ec329d88b83d76486fe5f18d27e32095",
+    "chambers E7:dim126":
+        "f3085cb96a3865436c922493a83f5f336bd16bb40671052e1c3c0733c376e64e",
+    "classify E8:dim0":
+        "81a1ba04221fd416902a3000583b93a9338d61b2f56f0addf006a38c60c493dd",
+    "polarizations E8:dim0":
+        "14e9c85d3e0de9765f9afe93a3d1e43912be5b9be2eee44c9860c8d9305c68c5",
+    "chambers E8:dim0":
+        "5780db503e14e12c2676f1b35b15461932a6c6405d19a62194cf7f56d7fb5669",
+    "classify E8:dim58":
+        "e68cb34fc80d5e4f78a1b0256f4d402d908b9df89f44892a7b50de6689039f11",
+    "polarizations E8:dim58":
+        "d832e4b40f6495c6e66bb564669cf96081553732f813c5278402dfd9818411d6",
+    "chambers E8:dim58":
+        "452ea5911fb7bb6237eca3fa3988cb9f728459834d853152298ece53326898d2",
+    "classify E8:dim240":
+        "2583a760c959bcc875fc1d3d30803fb82934b8f8befaea350bc1c4acff1a26dc",
+    "polarizations E8:dim240":
+        "1cd94c3245a23bcdf4a434bf0a37f004c6e6b3ae6ab27effd8048bd48df42d1b",
+    "chambers E8:dim240":
+        "f055a4443f22e518d14dc1e56eb4967514fddf1f12e5d7d590967bbfaf1059fb",
+}
+
+
+class TestTableOrbits:
+    """Every table orbit is decided by the rules that decide B-D: its
+    report and its documents are the ones pinned above."""
+
+    @pytest.mark.parametrize("label", TABLE_ANSWERS)
+    def test_answer_pinned(self, label):
+        o = parse_orbit(label)
+        if TABLE_ANSWERS[label] is None:
+            with pytest.raises(ZeroOrbit):
+                contact_resolution_exists(o)
+            return
+        r = contact_resolution_exists(o)
+        assert (r.verdict, r.reason,
+                r.affine_closure_admits_symplectic_resolution,
+                tuple(p.parabolic.marked for p in r.polarizations),
+                r.notes) == TABLE_ANSWERS[label]
+
+    def test_every_table_orbit_is_pinned(self):
+        assert sorted(TABLE_ANSWERS) == sorted(
+            f"{f}{r}:{key}" for f, r, key in exceptional_table())
+
+    @pytest.mark.parametrize("command", TABLE_DIGESTS)
+    def test_json_bytes_pinned(self, capsys, command):
+        main([*command.split(), "--json"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            TABLE_DIGESTS[command]
+
+
 def reference_affine_flag(o):
     """The affine-closure flag as stated before it derived from the
-    polarization list: type A always, the table's own key for E/F/G,
-    the polarization list elsewhere."""
+    polarization list: type A always, the pinned answer for E/F/G, the
+    polarization list elsewhere."""
     if o.simple_type.family == "A":
         return True
     if o.is_exceptional:
-        return exceptional_entry(o).admits_symplectic_resolution
+        return TABLE_ANSWERS[str(o)][2]
     try:
         return bool(polarizations(o))
     except UnknownClassification:
@@ -445,9 +613,8 @@ class TestTrichotomy:
         assert r.affine_closure_admits_symplectic_resolution is None
 
     def test_definitive_no_requires_table_say_so(self):
-        # non-minimal, non-smooth cases with admits=false do not exist in
-        # the shipped classical rules; classify cannot say NoContactResolution
-        # without data, so unknown classical cases stay Unknown
+        # no rule says "no" of an orbit whose projectivised normalization
+        # is not smooth, so the cases no rule decides stay Unknown
         r = contact_resolution_exists(parse_orbit("B3:3,3,1"))
         assert r.verdict == "Unknown"
 
