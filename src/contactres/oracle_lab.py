@@ -4,10 +4,9 @@ Everything here works inside sl_n realized as trace-zero n x n matrices,
 with the trace form tr(xy) in place of the Killing form. The two differ
 by the positive scalar 2n, which cannot change any rank, kernel, or
 radical computed here; the scaling property test in the suite guards
-that claim. For the same reason ``random_conjugate`` returns
-g e adj(g) = det(g) g e g^-1 rather than g e g^-1: a nonzero multiple
-of a conjugate has the same rank, kernel and Jordan type, and stays an
-integer matrix.
+that claim. ``random_conjugate`` returns g e g^-1 itself, an integer
+matrix with small entries: g is a product of unit triangular matrices
+with off-diagonal entries +-1, so det(g) = 1 and g^-1 = adj(g).
 
 The basis of sl_n is held by its supports: each element, E_ij for
 i != j and then H_i = E_ii - E_{i+1,i+1}, is the tuple of its nonzero
@@ -45,8 +44,8 @@ line; the ``ad-rank`` and ``kks`` suites check dim O apart from it.
 Models are integer matrices, as ``ratlinalg`` takes them, and nilpotent
 by construction, so the builders make ``MatrixModel`` records directly:
 a Jordan form is strictly upper triangular, the samples are ints, and
-adj(g) g = det(g) I gives (g e adj g)^k = det(g)^(k-1) g e^k adj g. A
-matrix from a caller enters by ``matrix_model``, the one door here for
+(g e g^-1)^k = g e^k g^-1. A matrix from a caller enters by
+``matrix_model``, the one door here for
 a Fraction: it scales the matrix to ints by the lcm of its entries'
 denominators, which moves no rank, Jordan type, kernel line or witness,
 and refuses it unless square, within ``ADDIM_SIZE_CAP`` and nilpotent
@@ -511,23 +510,30 @@ def conjugate_seed(seed: int) -> str:
 
 @lru_cache
 def _conjugator(seed: int, n: int) -> tuple[Matrix, Matrix]:
-    """``random_conjugate``'s n x n g and adj(g), by one elimination of
-    [g | I]. g is drawn row by row, each entry ``randint(-3, 3)``'s, and
-    redrawn from the same stream while singular."""
-    draws = _randints(conjugate_seed(seed), 3)
-    while True:
-        g = [[*islice(draws, n)] for _ in range(n)]
-        if (adj := adjugate(g)) is not None:
-            return tuple(map(tuple, g)), tuple(map(tuple, adj))
+    """``random_conjugate``'s n x n g and g^-1 = adj(g), by one elimination
+    of [g | I]. g = L U, L unit lower and U unit upper triangular, each
+    entry off their diagonals a nonzero draw of ``randint(-1, 1)``'s
+    stream, so +-1: L's row by row below the diagonal, then U's row by
+    row above it. So det(g) = 1, checked as g adj(g) = I."""
+    draws = filter(None, _randints(conjugate_seed(seed), 1))
+    low = [[*islice(draws, i), 1, *[0] * (n - 1 - i)] for i in range(n)]
+    up = [[*[0] * i, 1, *islice(draws, n - 1 - i)] for i in range(n)]
+    g = mat_mul(low, up)
+    inv = adjugate(g)
+    invariant(mat_mul(g, inv) == tuple([tuple([int(i == j) for j in range(n)])
+                                        for i in range(n)]),
+              "a product of unit triangular matrices is unimodular")
+    return g, tuple(map(tuple, inv))
 
 
 def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
-    """Conjugate e by a seeded random invertible integer matrix g.
+    """Conjugate e by a seeded random unimodular integer matrix g.
 
-    Returns g e adj(g) = det(g) g e g^-1, an integer matrix with the rank,
-    kernel and Jordan type of the conjugate g e g^-1: two products, e adj(g)
-    first (e is the sparse factor), once ``_conjugator`` has drawn g.
+    Returns g e g^-1, an integer matrix whose entries stay small (g and
+    g^-1 = adj(g) have det 1, so no det(g) factor rides along): two
+    products, e g^-1 first (e is the sparse factor), once ``_conjugator``
+    has drawn g.
     """
     _vec(m.e)  # refuses a non-int entry
-    g, adj = _conjugator(seed, m.n)
-    return MatrixModel(m.n, mat_mul(g, mat_mul(m.e, adj)))
+    g, inv = _conjugator(seed, m.n)
+    return MatrixModel(m.n, mat_mul(g, mat_mul(m.e, inv)))

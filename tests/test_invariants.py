@@ -138,6 +138,23 @@ def test_fractions_are_cleared_only_at_the_doors():
     assert {read[:2] for read in reads} == doors
 
 
+def test_oracles_draw_by_one_path():
+    """``oracle_lab`` names ``random.Random`` once, in ``_randints``, so
+    every seeded draw (conjugators, nilradical samples) reads the one
+    stream its docstring defines."""
+    tree = ast.parse((PACKAGE / "oracle_lab.py").read_text())
+
+    def names(node):
+        return [n for n in ast.walk(node)
+                if "Random" in (getattr(n, "attr", None),
+                                getattr(n, "id", None),
+                                getattr(n, "name", None))]
+
+    home, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "_randints"]
+    assert len(names(home)) == len(names(tree)) == 1
+
+
 def package_imports() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at any depth in the file
     (function-level imports included). ``__init__`` is left out: it

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from contactres import oracle_lab
+from contactres import oracle_lab, ratlinalg
 from contactres.errors import (
     ContactresError,
     DimensionMismatch,
@@ -346,15 +346,24 @@ def reference_vote_sample(comp, seed):
 
 
 def reference_conjugate(m, seed):
-    """``random_conjugate`` by its definition: g drawn by
-    ``randint(-3, 3)``, redrawn while singular, and g e adj(g) by two
-    products."""
+    """``random_conjugate`` by its definition: g = L U, the entries of L
+    below its unit diagonal, row by row, then those of U above it, each
+    the next nonzero ``randint(-1, 1)``, and g e g^-1 by two products,
+    g^-1 = adj(g) as det(g) = 1."""
     rng = random.Random(f"{seed}:conj")
-    while True:
-        g = [[rng.randint(-3, 3) for _ in range(m.n)] for _ in range(m.n)]
-        adj = adjugate(g)
-        if adj is not None:
-            return mat_mul(mat_mul(g, m.e), adj)
+
+    def draw():
+        while not (x := rng.randint(-1, 1)):
+            pass
+        return x
+
+    n = m.n
+    low = [[draw() if j < i else int(j == i) for j in range(n)]
+           for i in range(n)]
+    up = [[draw() if j > i else int(j == i) for j in range(n)]
+          for i in range(n)]
+    g = mat_mul(low, up)
+    return mat_mul(mat_mul(g, m.e), adjugate(g))
 
 
 # --- the ad-rank path, kept as the second reference for contact_check ---
@@ -605,8 +614,8 @@ class TestModels:
         monkeypatch.setattr(oracle_lab, "matrix_model", refuse)
         jordan = jordan_nilpotent((3, 2, 1))
         conj = random_conjugate(jordan_nilpotent((4,)), 1)
-        assert conj.e == ((90, 129, -12, 51), (-114, -165, 15, -65),
-                          (3, 6, -3, 4), (135, 198, -18, 78))
+        assert conj.e == ((1, 1, 0, 0), (-3, -2, 1, 0), (-3, -2, 2, 1),
+                          (-1, 0, 0, -1))
         for m, d in [(jordan, 22), (conj, 12)]:
             assert (addim(m), kks_rank(m)) == (d, d)
             assert contact_check(m) == (d, d - 1, d - 2, True)
@@ -750,7 +759,7 @@ class TestAdRank:
 class TestRandomConjugate:
     def test_matches_the_randint_definition(self):
         # every Jordan model of n <= 8 at seeds 0-24: the same g, drawn
-        # from randint(-3, 3)'s stream, and the same g e adj(g)
+        # from randint(-1, 1)'s nonzero draws, and the same g e g^-1
         count = 0
         for n in range(1, ADDIM_SIZE_CAP + 1):
             for part in partitions_of(n):
@@ -760,6 +769,47 @@ class TestRandomConjugate:
                         reference_conjugate(base, seed), (part, seed)
                     count += 1
         assert count == 66 * 25
+
+    def test_conjugators_are_unimodular(self):
+        # g adj(g) = I, so adj(g) is g^-1 and no det(g) factor rides along
+        for n in range(1, ADDIM_SIZE_CAP + 1):
+            eye = tuple([tuple([int(i == j) for j in range(n)])
+                         for i in range(n)])
+            for seed in range(25):
+                g, inv = oracle_lab._conjugator(seed, n)
+                assert mat_mul(g, inv) == eye, (n, seed)
+
+    def test_no_conjugate_is_upper_triangular(self):
+        # every nonzero orbit of n = 2..8 at seeds 0-24: a conjugate is
+        # dense enough to leave the upper triangle, so none is its own
+        # Jordan model
+        count = 0
+        for n in range(2, ADDIM_SIZE_CAP + 1):
+            for part in nonzero_partitions(n):
+                base = jordan_nilpotent(part)
+                for seed in range(25):
+                    e = random_conjugate(base, seed).e
+                    assert any([any(row[:i + 1]) for i, row in enumerate(e)]
+                               ), (part, seed)
+                    count += 1
+        assert count == 58 * 25
+
+    def test_contact_elimination_stays_in_one_digit(self, monkeypatch):
+        # every pivot and step row the Pfaffian elimination holds for the
+        # contact suite at its defaults is below 2^30, one CPython digit
+        # (a count, not a time: det(g) = 1 rides through no pivot)
+        eliminations = []
+
+        def recording(rows):
+            eliminations.append(_skew_steps(rows))
+            return eliminations[-1]
+
+        monkeypatch.setattr(ratlinalg, "_skew_steps", recording)
+        rows = run_suite("contact")
+        entries = [x for steps in eliminations
+                   for _, _, p, a, b in steps for x in [p, *a, *b]]
+        assert len(eliminations) == len(rows) > 0  # one per model
+        assert max(map(abs, entries)) < 2 ** 30
 
     def test_integer_with_base_jordan_type(self):
         for n in range(1, 6):
