@@ -39,7 +39,7 @@ class UnsupportedType(ContactresError):
 
 
 class UnknownClassification(ContactresError):
-    """The curated classification table is silent on this case."""
+    """No rule of the decision settles this case."""
 
 
 class SizeCapExceeded(ContactresError):
@@ -64,10 +64,6 @@ class NoPolarization(ContactresError):
 
 class UnknownSuite(ContactresError):
     """Verification suite id is not one of the known suites."""
-
-
-class TableFormatError(ContactresError):
-    """Shipped exceptional-orbit table is malformed."""
 
 
 class InternalInvariantError(AssertionError):

@@ -2,11 +2,11 @@
 
 Classical orbits are labeled by partitions subject to the usual
 parity-multiplicity rule, one predicate read by ``validate_orbit`` and
-by the walk; exceptional orbits by opaque keys from the table shipped in
-``data/exceptional_orbits.txt``. The table states only what no rule
-derives: each orbit's key and dimension, a note for its reports and its
-provenance; whether the orbit is resolved, and by which parabolics, is
-decided by the rules of ``resolutions``. ``orbits_of`` is the one walk
+by the walk; exceptional orbits by opaque keys from the table written
+below as ``ExceptionalOrbitEntry`` rows. The table states only what no
+rule derives: each orbit's key and dimension, a note for its reports and
+its provenance; whether the orbit is resolved, and by which parabolics,
+is decided by the rules of ``resolutions``. ``orbits_of`` is the one walk
 over a type's orbits: each once, the zero orbit included, a very-even
 type-D partition once per tag (Collingwood and McGovern, ch. 5). The
 minimal orbit is not walked to, since the walk is exponential in the
@@ -27,15 +27,14 @@ key) tuples, never by a record.
 
 from __future__ import annotations
 
-import os
 import re
+import sys
 from collections import Counter, namedtuple
-from functools import lru_cache
 from operator import index
 
 from .errors import (
     InvalidPartition,
-    TableFormatError,
+    SizeCapExceeded,
     UnknownExceptionalKey,
     invariant,
 )
@@ -159,12 +158,11 @@ def validate_orbit(t: SimpleType, raw, very_even_tag: str | None = None) -> Orbi
 def orbits_of(t: SimpleType):
     """Every orbit of ``t`` once: the partitions that keep the parity rule
     in ``partitions_of`` order, a very-even one as /I then /II, or the
-    table's orbits of an E/F/G type by increasing dimension."""
+    table's orbits of an E/F/G type in row order, by increasing dimension."""
     if not t.is_classical:
-        found = [OrbitLabel(simple_type=t, exceptional_key=key)
-                 for f, r, key in exceptional_table()
-                 if (f, r) == (t.family, t.rank)]
-        yield from sorted(found, key=orbit_dimension)
+        yield from (OrbitLabel(simple_type=t, exceptional_key=key)
+                    for f, r, key in exceptional_table()
+                    if (f, r) == (t.family, t.rank))
         return
     for part in partitions_of(_partition_total(t)):
         if not _parity_violations(t, part):
@@ -232,7 +230,15 @@ class OrbitRecord(namedtuple("OrbitRecord", "label dim_orbit is_minimal "
 
 
 def orbit_record(o: OrbitLabel) -> OrbitRecord:
+    """The orbit's record; a dimension with more digits than ``str``
+    writes (``sys.get_int_max_str_digits``, 0 for no limit) is refused."""
     dim = orbit_dimension(o)
+    # judged by its bits first, since str(dim) is what would raise; a
+    # Python without the limit (before 3.10.7) has no getter
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and dim.bit_length() > 3 * limit and dim >= 10 ** limit:
+        raise SizeCapExceeded(f"the orbit dimension has more than {limit} "
+                              "digits, too many to write")
     zero = dim == 0  # the zero orbit is the only orbit of dimension 0
     minimal = not zero and dim == minimal_orbit_dimension(o.simple_type)
     g2dim8 = (o.simple_type.family, o.simple_type.rank, dim) == ("G", 2, 8)
@@ -252,84 +258,70 @@ ExceptionalOrbitEntry = namedtuple(
     "ExceptionalOrbitEntry", "family rank key dimension note provenance",
     defaults=(None, None))
 
-
-def _parse_int(value: str, where: str) -> int:
-    if not re.fullmatch(r"[0-9]+", value):
-        raise TableFormatError(f"{where}: expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:  # more digits than int() converts (4,300 by default)
-        raise TableFormatError(
-            f"{where}: an integer has too many digits to read") from None
+_FU_2003 = ("'Symplectic resolutions for nilpotent orbits', "
+            "Invent. math. 151 (2003)")
+_REGULAR = "regular orbit; closure is the nilpotent cone"
+_SPRINGER = "Springer resolution via the Borel subgroup, birational"
 
 
-def _table_text() -> str:
-    # read through the package's own loader, as ``pkgutil.get_data``
-    # does, so a zipped install works too; ``importlib.resources`` would
-    # cost a clean interpreter ~25 ms to import
-    path = os.path.join(os.path.dirname(__file__), "data",
-                        "exceptional_orbits.txt")
-    return __spec__.loader.get_data(path).decode("utf-8")
+def _minimal(dimension: int) -> str:
+    return (f"minimal orbit, dimension 2h-check - 2 = {dimension}; "
+            f"non-resolvability outside type A: {_FU_2003}, 167-186")
 
 
-@lru_cache(maxsize=1)
-def _load_table() -> tuple[str, dict]:
-    version = None
-    table: dict[tuple[str, int, str], ExceptionalOrbitEntry] = {}
-    record: dict[str, str] = {}
-
-    def flush():
-        if not record:
-            return
-        if "orbit" not in record or "dimension" not in record:
-            raise TableFormatError(f"record missing orbit/dimension: {record}")
-        where = record["orbit"]
-        head, _, key = where.partition(":")
-        if not key:
-            raise TableFormatError(f"{where}: orbit must be TYPE:KEY")
-        t = parse_simple_type(head)
-        if (t.family, t.rank, key) in table:
-            raise TableFormatError(f"duplicate table key {where}")
-        # a key no field takes is refused rather than dropped
-        for k in record:
-            if k not in ("orbit", "dimension", "note", "provenance"):
-                raise TableFormatError(f"{where}: unknown key {k!r}")
-        entry = ExceptionalOrbitEntry(
-            t.family, t.rank, key, _parse_int(record["dimension"], where),
-            record.get("note"), record.get("provenance"))
-        if entry.dimension % 2 != 0:
-            raise TableFormatError(f"{where}: odd orbit dimension")
-        table[(t.family, t.rank, key)] = entry
-        record.clear()
-
-    for line in _table_text().splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            m = re.match(r"#\s*table_version:\s*(\S+)", stripped)
-            if m:
-                version = m.group(1)
-            continue
-        if not stripped:
-            flush()
-            continue
-        if ":" not in stripped:
-            raise TableFormatError(f"expected 'key: value', got {line!r}")
-        k, v = (part.strip() for part in stripped.split(":", 1))
-        if k in record:
-            raise TableFormatError(f"{record.get('orbit')}: repeated key {k!r}")
-        record[k] = v
-    flush()
-    if version is None:
-        raise TableFormatError("table is missing a table_version header")
-    return version, table
+# Each type's orbits by increasing dimension. A key is "dim" and the
+# dimension, unambiguous while a type's rows have distinct dimensions.
+# Changing a row changes ``table_version`` (the tests pin the rows' sha256).
+_EXCEPTIONAL_ORBITS = (
+    ExceptionalOrbitEntry("G", 2, "dim0", 0, provenance="zero orbit"),
+    ExceptionalOrbitEntry(
+        "G", 2, "dim6", 6,
+        "minimal orbit; the punctured closure is smooth but the affine "
+        "closure has no symplectic resolution",
+        "minimal orbit, dimension 2h-check - 2 = 6; no parabolic of G2 has "
+        "flag dimension 3, so not Richardson; non-resolvability of minimal "
+        f"orbit closures outside type A: {_FU_2003}, 167-186"),
+    ExceptionalOrbitEntry(
+        "G", 2, "dim8", 8,
+        "punctured closure W0 is singular; its normalization is the minimal "
+        "nilpotent orbit closure of so_7, which is smooth and symplectic, and "
+        "that resolution of W0 does not extend over the origin",
+        f"not Richardson and no symplectic resolution: {_FU_2003}, Prop. "
+        "3.21; identification of the normalization of W0 with the so_7 "
+        "minimal orbit: Kraft, and Levasseur-Smith"),
+    ExceptionalOrbitEntry(
+        "G", 2, "dim10", 10, provenance=(
+            "both maximal parabolics of G2 have flag dimension 5 and their "
+            "Richardson orbit is the unique 10-dimensional orbit; "
+            "Springer-map degrees not curated here, so resolution existence "
+            "is left unknown")),
+    ExceptionalOrbitEntry(
+        "G", 2, "dim12", 12, _REGULAR,
+        "Springer resolution via the Borel subgroup; birational because a "
+        "regular nilpotent element lies in a unique Borel subalgebra"),
+    ExceptionalOrbitEntry("F", 4, "dim0", 0, provenance="zero orbit"),
+    ExceptionalOrbitEntry("F", 4, "dim16", 16, "minimal orbit", _minimal(16)),
+    ExceptionalOrbitEntry("F", 4, "dim48", 48, _REGULAR, _SPRINGER),
+    ExceptionalOrbitEntry("E", 6, "dim0", 0, provenance="zero orbit"),
+    ExceptionalOrbitEntry("E", 6, "dim22", 22, "minimal orbit", _minimal(22)),
+    ExceptionalOrbitEntry("E", 6, "dim72", 72, _REGULAR, _SPRINGER),
+    ExceptionalOrbitEntry("E", 7, "dim0", 0, provenance="zero orbit"),
+    ExceptionalOrbitEntry("E", 7, "dim34", 34, "minimal orbit", _minimal(34)),
+    ExceptionalOrbitEntry("E", 7, "dim126", 126, _REGULAR, _SPRINGER),
+    ExceptionalOrbitEntry("E", 8, "dim0", 0, provenance="zero orbit"),
+    ExceptionalOrbitEntry("E", 8, "dim58", 58, "minimal orbit", _minimal(58)),
+    ExceptionalOrbitEntry("E", 8, "dim240", 240, _REGULAR, _SPRINGER),
+)
+_TABLE = {(e.family, e.rank, e.key): e for e in _EXCEPTIONAL_ORBITS}
 
 
 def exceptional_table() -> dict:
-    return _load_table()[1]
+    """The shipped rows keyed by (family, rank, key), in row order."""
+    return _TABLE
 
 
 def table_version() -> str:
-    return _load_table()[0]
+    return "1"
 
 
 def exceptional_entry(o: OrbitLabel) -> ExceptionalOrbitEntry:

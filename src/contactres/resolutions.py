@@ -327,7 +327,10 @@ def polarizations_of(record) -> list[Polarization]:
         return []
     if dim == 2 * t.num_positive_roots:
         # the regular orbit, whose closure is the nilpotent cone, always
-        # has its Springer resolution T*(G/B)
+        # has its Springer resolution T*(G/B); the rank is refused before
+        # a marking as long as the rank is built
+        if t.rank > MAX_ROOT_SYSTEM_RANK:
+            build_root_system(t)
         return _checked(dim, [(parabolic(t, range(1, t.rank + 1)), None)])
     raise UnknownClassification(
         f"symplectic-resolution data for {o} is not curated")

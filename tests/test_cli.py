@@ -91,9 +91,13 @@ class TestClassify:
             code, env = run_json(capsys, validator, *argv, "--json")
             assert code == 1
             assert env["error"]["type"] == "SizeCapExceeded"
-        code, env = run_json(capsys, validator, "dim", "A300:301", "--json")
-        assert code == 0
-        assert env["result"]["orbit"]["dimension"] == 301 * 300
+        # a closed form meets no cap while str() writes its answer: a
+        # 2,000-digit rank's regular orbit has a 4,001-digit dimension
+        for rank in (300, 10**2000):
+            code, env = run_json(capsys, validator, "dim",
+                                 f"A{rank}:{rank + 1}", "--json")
+            assert code == 0
+            assert env["result"]["orbit"]["dimension"] == (rank + 1) * rank
 
     @pytest.mark.parametrize("orbit, module, name", [
         ("A299999:300000", resolutions, "parabolic"),
@@ -114,6 +118,20 @@ class TestClassify:
             "type": "SizeCapExceeded",
             "message": f"{orbit[:7]} has rank 299999, over the root-system "
                        "cap of 40"}
+
+    @pytest.mark.parametrize("command", ["polarizations", "chambers",
+                                         "classify"])
+    def test_regular_orbit_of_a_101_digit_rank_is_refused(
+            self, capsys, validator, command):
+        # the Borel's marking would be as long as the rank
+        rank = 10**100
+        code, env = run_json(capsys, validator, command,
+                             f"C{rank}:{2 * rank}", "--json")
+        assert code == 1
+        assert env["error"] == {
+            "type": "SizeCapExceeded",
+            "message": f"C{rank} has rank {rank}, over the root-system cap "
+                       "of 40"}
 
     @pytest.mark.parametrize("command, expected", [
         (("dim",), 10**24 - 10**12),
@@ -240,14 +258,21 @@ class TestOtherCommands:
         (("dim", "A" + "9" * 5000 + ":2"), "InvalidRank",
          "the rank of type A has too many digits to read"),
         (("twistor", "A3:{" + "9" * 5000 + "}"), "DimensionMismatch",
-         "a marked root has too many digits to read")],
-        ids=["part", "rank", "mark"])
+         "a marked root has too many digits to read"),
+        (("dim", f"A{10**2200 - 1}:{10**2200}"), "SizeCapExceeded",
+         "the orbit dimension has more than 4300 digits, too many to write"),
+        (("classify", f"B{10**2200}:{2 * 10**2200 - 1},1,1"),
+         "SizeCapExceeded",
+         "the orbit dimension has more than 4300 digits, too many to write")],
+        ids=["part", "rank", "mark", "dimension", "classify-dimension"])
     def test_integer_over_the_digit_limit_is_domain_error(
             self, capsys, validator, argv, kind, message):
-        # int() refuses a string of more than 4,300 digits with a ValueError
+        # int() refuses a string of more than 4,300 digits with a
+        # ValueError, and str() an int of more
         code, env = run_json(capsys, validator, *argv, "--json")
         assert code == 1
         assert env["error"] == {"type": kind, "message": message}
+        assert run(capsys, *argv) == (1, f"error [{kind}]: {message}\n")
 
     def test_twistor_empty_marking_versus_empty_mark(self, capsys, validator):
         # "{}" is the empty marking, a domain answer; "{,}" is malformed

@@ -1,4 +1,5 @@
-import re
+import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from contactres import orbits
 from contactres.errors import (
     InvalidPartition,
-    TableFormatError,
+    SizeCapExceeded,
     UnknownClassification,
     UnknownExceptionalKey,
 )
@@ -311,6 +312,26 @@ class TestWalk:
 
 
 class TestOrbitRecord:
+    def test_dimension_refused_exactly_where_str_refuses(self, monkeypatch):
+        # 10^640 - 2 has 640 digits and 10^640 has 641; 640 is the least
+        # limit Python takes, and 0 lifts it
+        o = parse_orbit("A3:2,2")
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(orbits, "orbit_dimension", lambda o: dim)
+        try:
+            sys.set_int_max_str_digits(640)
+            dim = 10**640 - 2
+            assert len(str(orbit_record(o).dim_orbit)) == 640
+            dim = 10**640
+            with pytest.raises(ValueError):
+                str(dim)
+            with pytest.raises(SizeCapExceeded, match="more than 640 digits"):
+                orbit_record(o)
+            sys.set_int_max_str_digits(0)
+            assert orbit_record(o).dim_orbit == dim
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_contact_n(self):
         rec = orbit_record(parse_orbit("A3:2,2"))
         assert rec.dim_orbit == 8
@@ -351,7 +372,37 @@ class TestOrbitRecord:
             assert rec.proj_normalization_smooth == (key in ("dim6", "dim8"))
 
 
+# sha256 of repr(list(exceptional_table().values())) under each version
+TABLE_DIGESTS = {
+    "1": "efdf01f56f990aea4c7eff60af81b4bef9124ad5ac6b66b769f06dbee0bd3610"}
+
+
 class TestExceptionalTable:
+    def test_table_version_names_the_rows(self):
+        # a changed row needs a table_version bump and a new digest
+        rows = list(exceptional_table().values())
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert TABLE_DIGESTS[table_version()] == digest
+
+    def test_rows_are_well_formed(self):
+        # no repeated key, odd dimension or type without a table; the
+        # walk reads the rows in order, so each type's dimensions increase
+        rows = orbits._EXCEPTIONAL_ORBITS
+        keys = [(entry.family, entry.rank, entry.key) for entry in rows]
+        assert len(set(keys)) == len(rows) == 17
+        assert list(exceptional_table().items()) == list(zip(keys, rows))
+        by_type = {}
+        for entry in rows:
+            text = f"{entry.family}{entry.rank}:{entry.key}"
+            o = parse_orbit(text)
+            assert not o.simple_type.is_classical, text
+            assert str(o) == text and exceptional_entry(o) is entry
+            assert entry.dimension % 2 == 0, text
+            by_type.setdefault(o.simple_type, []).append(entry.dimension)
+        for t, dims in by_type.items():
+            assert dims == sorted(set(dims)), t
+            assert [orbit_dimension(o) for o in orbits_of(t)] == dims
+
     def test_version_and_g2_completeness(self):
         assert table_version() == "1"
         keys = [o.exceptional_key for o in orbits_of(SimpleType("G", 2))]
@@ -402,85 +453,6 @@ class TestExceptionalTable:
             full = tuple(range(1, rank + 1)) in [p.parabolic.marked
                                                  for p in found]
             assert full == (entry.dimension == 2 * t.num_positive_roots), key
-
-
-# A well-formed table; each refusal test below breaks it in one place.
-VALID_TABLE = """\
-# table_version: 1
-
-orbit: G2:dim6
-dimension: 6
-note: minimal orbit
-
-orbit: G2:dim12
-dimension: 12
-provenance: regular orbit
-"""
-
-
-@pytest.fixture
-def load_table_text(monkeypatch):
-    """Load a table from the given text instead of the shipped file."""
-    def load(text):
-        monkeypatch.setattr(orbits, "_table_text", lambda: text)
-        orbits._load_table.cache_clear()
-        return orbits._load_table()
-    yield load
-    monkeypatch.undo()
-    orbits._load_table.cache_clear()
-
-
-class TestTableLoader:
-    def test_valid_text_loads(self, load_table_text):
-        version, table = load_table_text(VALID_TABLE)
-        assert version == "1"
-        assert table == {
-            ("G", 2, "dim6"): orbits.ExceptionalOrbitEntry(
-                "G", 2, "dim6", 6, note="minimal orbit"),
-            ("G", 2, "dim12"): orbits.ExceptionalOrbitEntry(
-                "G", 2, "dim12", 12, provenance="regular orbit")}
-
-    @pytest.mark.parametrize("line", [
-        "is_richardson: true", "admits_symplectic_resolution: true",
-        "polarizations: full", "springer_degree: 1"])
-    def test_a_derived_fact_is_an_unknown_key(self, load_table_text, line):
-        # the decision derives these, so the table may not state them
-        key = line.partition(":")[0]
-        with pytest.raises(TableFormatError,
-                           match=f"G2:dim12: unknown key '{key}'"):
-            load_table_text(VALID_TABLE.replace(
-                "dimension: 12\n", f"dimension: 12\n{line}\n"))
-
-    def test_integer_over_the_digit_limit_refused(self, load_table_text):
-        # int() refuses a string of more than 4,300 digits with a ValueError
-        message = "x: an integer has too many digits to read"
-        with pytest.raises(TableFormatError, match=message):
-            orbits._parse_int("9" * 5000, "x")
-        with pytest.raises(TableFormatError, match="G2:dim12: an integer"):
-            load_table_text(VALID_TABLE.replace(
-                "dimension: 12", "dimension: " + "8" * 5000))
-
-    @pytest.mark.parametrize("old, new, message", [
-        ("orbit: G2:dim12", "orbit: G2:dim6", "duplicate table key"),
-        ("dimension: 12", "dimension: 11", "odd orbit dimension"),
-        ("# table_version: 1", "# version one", "table_version"),
-        ("dimension: 12", "dimension: seven", "expected an integer"),
-        ("dimension: 12\n", "dimension: 10\ndimension: 12\n",
-         "G2:dim12: repeated key 'dimension'"),
-        ("note: minimal orbit", "notes: minimal orbit",
-         "G2:dim6: unknown key 'notes'"),
-        ("orbit: G2:dim12", "orbit: G2", "G2: orbit must be TYPE:KEY"),
-        ("dimension: 12\n", "", "record missing orbit/dimension"),
-        ("provenance: regular orbit", "provenance regular orbit",
-         "expected 'key: value', got 'provenance regular orbit'"),
-    ], ids=["duplicate-key", "odd-dimension", "missing-version",
-            "non-integer-dimension", "repeated-key", "unknown-key",
-            "orbit-without-key", "record-without-dimension",
-            "line-without-colon"])
-    def test_malformed_text_refused(self, load_table_text, old, new, message):
-        assert old in VALID_TABLE
-        with pytest.raises(TableFormatError, match=message):
-            load_table_text(VALID_TABLE.replace(old, new, 1))
 
 
 class TestGrammar:

@@ -18,6 +18,7 @@ from contactres.errors import (
     ZeroOrbit,
 )
 from contactres.lie_core import (
+    MAX_ROOT_SYSTEM_RANK,
     SimpleType,
     flag_dimension,
     is_projective_space,
@@ -161,6 +162,18 @@ class TestPolarizations:
                        contact_resolution_exists):
             with pytest.raises(SizeCapExceeded):
                 answer(o)
+
+    def test_regular_over_rank_cap_builds_no_marking(self, monkeypatch):
+        # the Borel's marking is as long as the rank, so the rank is
+        # refused before it is built, in the words of the root system's cap
+        lengths = []
+        build = resolutions.parabolic
+        monkeypatch.setattr(resolutions, "parabolic", lambda t, marked: (
+            lengths.append(len(marked)) or build(t, marked)))
+        with pytest.raises(SizeCapExceeded, match="^C1000000 has rank "
+                           "1000000, over the root-system cap of 40$"):
+            polarizations(parse_orbit("C1000000:2000000"))
+        assert [n for n in lengths if n > MAX_ROOT_SYSTEM_RANK] == []
 
     def test_cap_boundary(self, monkeypatch):
         monkeypatch.setattr(resolutions, "MAX_CHAMBERS", 6)
