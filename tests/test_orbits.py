@@ -384,24 +384,41 @@ class TestExceptionalTable:
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert TABLE_DIGESTS[table_version()] == digest
 
+    @pytest.mark.parametrize("entry", orbits._EXCEPTIONAL_ORBITS, ids=[
+        f"{e.family}{e.rank}:{e.key}" for e in orbits._EXCEPTIONAL_ORBITS])
+    def test_row_names_its_orbit(self, entry):
+        # an exceptional type's key, parsed back to this very row, and an
+        # even dimension
+        text = f"{entry.family}{entry.rank}:{entry.key}"
+        o = parse_orbit(text)
+        assert not o.simple_type.is_classical
+        assert str(o) == text and exceptional_entry(o) is entry
+        assert entry.dimension % 2 == 0
+        assert orbit_dimension(o) == entry.dimension
+
     def test_rows_are_well_formed(self):
-        # no repeated key, odd dimension or type without a table; the
-        # walk reads the rows in order, so each type's dimensions increase
+        # no repeated key; the walk reads the rows in order, so each
+        # type's dimensions increase
         rows = orbits._EXCEPTIONAL_ORBITS
         keys = [(entry.family, entry.rank, entry.key) for entry in rows]
         assert len(set(keys)) == len(rows) == 17
         assert list(exceptional_table().items()) == list(zip(keys, rows))
         by_type = {}
         for entry in rows:
-            text = f"{entry.family}{entry.rank}:{entry.key}"
-            o = parse_orbit(text)
-            assert not o.simple_type.is_classical, text
-            assert str(o) == text and exceptional_entry(o) is entry
-            assert entry.dimension % 2 == 0, text
-            by_type.setdefault(o.simple_type, []).append(entry.dimension)
+            by_type.setdefault(SimpleType(entry.family, entry.rank),
+                               []).append(entry.dimension)
         for t, dims in by_type.items():
             assert dims == sorted(set(dims)), t
             assert [orbit_dimension(o) for o in orbits_of(t)] == dims
+
+    @pytest.mark.parametrize("name", [
+        "is_richardson", "admits_symplectic_resolution", "polarizations",
+        "springer_degree"])
+    def test_a_derived_fact_has_no_field(self, name):
+        # the decision derives these, so a row may not state them
+        assert name not in orbits.ExceptionalOrbitEntry._fields
+        with pytest.raises(TypeError, match=name):
+            orbits.ExceptionalOrbitEntry("G", 2, "dim12", 12, **{name: True})
 
     def test_version_and_g2_completeness(self):
         assert table_version() == "1"
