@@ -5,8 +5,9 @@ with the trace form tr(xy) in place of the Killing form. The two differ
 by the positive scalar 2n, which cannot change any rank, kernel, or
 radical computed here; the scaling property test in the suite guards
 that claim. ``random_conjugate`` returns g e g^-1 itself, an integer
-matrix with small entries: g is a product of unit triangular matrices
-with off-diagonal entries +-1, so det(g) = 1 and g^-1 = adj(g).
+matrix with small entries: g = L U, unit triangular factors with
+off-diagonal entries +-1, so det(g) = 1 and g^-1 is undone from the
+factors one row at a time, with no elimination.
 
 The basis of sl_n is held by its supports: each element, E_ij for
 i != j and then H_i = E_ii - E_{i+1,i+1}, is the tuple of its nonzero
@@ -85,7 +86,6 @@ from .errors import (
 )
 from .ratlinalg import (
     _int_row,
-    adjugate,
     dot,
     echelon_basis,
     mat_mul,
@@ -510,29 +510,38 @@ def conjugate_seed(seed: int) -> str:
 
 @lru_cache
 def _conjugator(seed: int, n: int) -> tuple[Matrix, Matrix]:
-    """``random_conjugate``'s n x n g and g^-1 = adj(g), by one elimination
-    of [g | I]. g = L U, L unit lower and U unit upper triangular, each
-    entry off their diagonals a nonzero draw of ``randint(-1, 1)``'s
-    stream, so +-1: L's row by row below the diagonal, then U's row by
-    row above it. So det(g) = 1, checked as g adj(g) = I."""
+    """``random_conjugate``'s n x n g and g^-1. g = L U, L unit lower and
+    U unit upper triangular, each entry off their diagonals a nonzero
+    draw of ``randint(-1, 1)``'s stream, so +-1: L's row by row below
+    the diagonal, then U's row by row above it. Row i of U or L off the
+    diagonal is a factor I + r, r^2 = 0, undone by I - r. U is the
+    product of its factors bottom row leftmost, L top row leftmost
+    (r_a r_b = 0 in those orders), so g^-1 = U^-1 L^-1 starts from I
+    and takes x times column i from column j for each entry x at (i, j)
+    of U's rows from the top, then L's from the bottom; g g^-1 = I
+    checks the order."""
     draws = filter(None, _randints(conjugate_seed(seed), 1))
     low = [[*islice(draws, i), 1, *[0] * (n - 1 - i)] for i in range(n)]
     up = [[*[0] * i, 1, *islice(draws, n - 1 - i)] for i in range(n)]
     g = mat_mul(low, up)
-    inv = adjugate(g)
-    invariant(mat_mul(g, inv) == tuple([tuple([int(i == j) for j in range(n)])
-                                        for i in range(n)]),
-              "a product of unit triangular matrices is unimodular")
+    eye = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+    inv = [[*row] for row in eye]
+    for i, factor in [*enumerate(up), *reversed([*enumerate(low)])]:
+        for j, x in enumerate(factor):
+            if x and j != i:
+                for row in inv:
+                    row[j] -= x * row[i]
+    invariant(mat_mul(g, inv) == eye, "the row factors of g = L U must undo g")
     return g, tuple(map(tuple, inv))
 
 
 def random_conjugate(m: MatrixModel, seed: int) -> MatrixModel:
     """Conjugate e by a seeded random unimodular integer matrix g.
 
-    Returns g e g^-1, an integer matrix whose entries stay small (g and
-    g^-1 = adj(g) have det 1, so no det(g) factor rides along): two
-    products, e g^-1 first (e is the sparse factor), once ``_conjugator``
-    has drawn g.
+    Returns g e g^-1, an integer matrix whose entries stay small (g has
+    det 1, and g^-1 is an integer matrix): two products, e g^-1 first
+    (e is the sparse factor), once ``_conjugator`` has drawn g and
+    undone its factors.
     """
     _vec(m.e)  # refuses a non-int entry
     g, inv = _conjugator(seed, m.n)

@@ -12,10 +12,10 @@ All elimination of general matrices runs through ``_eliminate``,
 Bareiss' fraction-free Gauss-Jordan. Each update divides exactly by the
 previous pivot, so entries stay minors of the matrix, bounded by
 Hadamard's inequality. ``rref`` and ``nullspace`` return primitive
-integer vectors and ``adjugate`` integers. A skew-symmetric matrix has
-its own elimination by 2 x 2 pivots, behind ``skew_rank`` and
-``skew_null_vector``, which take only its entries above the diagonal
-(below); ``rank`` is its reference in the tests.
+integer vectors. A skew-symmetric matrix has its own elimination by
+2 x 2 pivots, behind ``skew_rank`` and ``skew_null_vector``, which take
+only its entries above the diagonal (below); ``rank`` is its reference
+in the tests.
 
 A Bareiss step with pivot p brings the rows it acts on (those below the
 pivot row in echelon mode, all others in reduced mode) to p: a row with
@@ -111,20 +111,20 @@ def _refuse_non_ints(rows) -> None:
         raise TypeError("exact elimination needs int entries")
 
 
-def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
-    """(matrix, pivot columns, sign of the row permutation); the pivot
-    rows come first. ``reduce`` also clears above each pivot, leaving the
-    last pivot value in every pivot column and zeros elsewhere in it."""
+def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int]]:
+    """(matrix, pivot columns); the pivot rows come first. ``reduce``
+    also clears above each pivot, leaving the last pivot value in every
+    pivot column and zeros elsewhere in it."""
     m = [list(row) for row in rows]
     _refuse_non_ints(m)
     if len({*map(len, m)}) > 1:
         raise DimensionMismatch("rows of unequal length")
     if not m or not m[0]:
-        return m, [], 1
+        return m, []
     nrows, ncols = len(m), len(m[0])
     pivots = []
     level = [1] * nrows  # the pivot value each row was last brought to
-    sign, prev, r = 1, 1, 0
+    prev, r = 1, 0
     for c in range(ncols):
         # the rows to visit, and the pivot: the first of them from row r on
         hit = [i for i in range(0 if reduce else r, nrows) if m[i][c]]
@@ -135,7 +135,6 @@ def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             level[r], level[piv] = level[piv], level[r]
-            sign = -sign
         prow = m[r]
         if level[r] != prev:
             prow = m[r] = [x * prev // level[r] for x in prow]
@@ -154,13 +153,13 @@ def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int], int]:
         for i in range(r):
             if level[i] != prev:
                 m[i] = [x * prev // level[i] for x in m[i]]
-    return m, pivots, sign
+    return m, pivots
 
 
 def echelon_basis(rows) -> list[list[int]]:
     """The pivot rows of the echelon form of ``rows``: an integer basis
     of their row space, one row per unit of rank."""
-    m, pivots, _ = _eliminate(rows, reduce=False)
+    m, pivots = _eliminate(rows, reduce=False)
     return m[:len(pivots)]
 
 
@@ -267,7 +266,7 @@ def _skew_steps(rows) -> list[tuple[int, int, int, list[int], list[int]]]:
 def rref(rows) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form as (nonzero rows, pivot columns), each row
     scaled to a primitive integer vector with a positive pivot."""
-    m, pivots, _ = _eliminate(rows, reduce=True)
+    m, pivots = _eliminate(rows, reduce=True)
     red = []
     for row, c in zip(m, pivots):
         g = gcd(*row) if row[c] > 0 else -gcd(*row)
@@ -289,7 +288,7 @@ def nullspace(rows) -> list[tuple[int, ...]]:
     -row[f] at each pivot, divided by its gcd."""
     if not rows:
         return []
-    m, pivots, _ = _eliminate(rows, reduce=True)
+    m, pivots = _eliminate(rows, reduce=True)
     ncols = len(rows[0])
     d = m[0][pivots[0]] if pivots else 1
     basis = []
@@ -301,21 +300,6 @@ def nullspace(rows) -> list[tuple[int, ...]]:
         g = gcd(*v) if d > 0 else -gcd(*v)
         basis.append(tuple([x // g for x in v]))
     return basis
-
-
-def adjugate(rows) -> list[list[int]] | None:
-    """adj(A) = det(A) A^-1 for a square integer matrix A, or None when A
-    is singular: Gauss-Jordan on [A | I] ends at [D I | D A^-1], D the
-    last pivot, which the sign of the row permutation turns into det(A)."""
-    n = len(rows)
-    if {*map(len, rows)} - {n}:
-        raise DimensionMismatch("adjugate needs a square matrix")
-    aug = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)]
-           for i, row in enumerate(rows)]
-    m, pivots, sign = _eliminate(aug, reduce=True)
-    if pivots != list(range(n)):
-        return None
-    return [[sign * x for x in row[n:]] for row in m]
 
 
 def mat_mul(a, b) -> tuple[tuple, ...]:

@@ -62,7 +62,8 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
-# unused here, but perfbench/layertrace.py patches this name to count orderings
+# unused (layertrace's ordering counter reads 0): kept only so that
+# perfbench/layertrace.py finds the name it patches, until ROADMAP item 21
 from itertools import permutations  # noqa: F401
 
 from .errors import (

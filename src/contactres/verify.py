@@ -66,11 +66,12 @@ def richardson_check(comp, partition, seed: int) -> OracleCheck:
                        tuple(oracle_lab.trial_seeds(seed)))
 
 
-def fiber_check(comp, degree, seed: int) -> OracleCheck:
-    """A Springer degree against the exact count of the generic fiber."""
+def fiber_check(comp, seed: int) -> OracleCheck:
+    """The Springer degree, 1 (type A Springer maps are birational),
+    against the exact count of the generic fiber."""
     count = oracle_lab.generic_fiber_count(comp, seed=seed)
     return OracleCheck("springer-fiber-count", f"composition {comp}",
-                       degree, count, tuple(oracle_lab.trial_seeds(seed)))
+                       1, count, tuple(oracle_lab.trial_seeds(seed)))
 
 
 def _type_a_records(max_n, nonzero=False):
@@ -124,8 +125,7 @@ def _suite_richardson(seed, max_n):
 
 
 def _suite_fibers(seed, max_n):
-    # type A Springer maps are birational: every degree is 1
-    return [fiber_check(comp, 1, seed)
+    return [fiber_check(comp, seed)
             for n in range(1, max_n + 1) for comp in compositions_of(n)]
 
 
@@ -249,7 +249,7 @@ def oracle_block(report: ResolutionReport, seed: int) -> tuple[OracleCheck, ...]
         if n <= cap["richardson"]:
             checks.append(richardson_check(pol.composition, o.partition, seed))
         if n <= cap["fibers"]:
-            checks.append(fiber_check(pol.composition, 1, seed))
+            checks.append(fiber_check(pol.composition, seed))
     return tuple(checks)
 
 

@@ -1,7 +1,8 @@
 """Reference linear algebra the tests check the package against: a
-matrix-vector product, a solver of A x = b, and the conversion of a
-skew matrix to the rows above its diagonal that ``ratlinalg``'s skew
-elimination takes; no package code calls any of them.
+matrix-vector product, a solver of A x = b, the conversion of a skew
+matrix to the rows above its diagonal that ``ratlinalg``'s skew
+elimination takes, and the reduced row echelon form, inverse and
+determinant over Fractions; no package code calls any of them.
 
 ``pivot_solution`` solves A x = b on the package's echelon elimination
 without clearing above the pivots. The elimination takes ints, so each
@@ -40,7 +41,7 @@ def pivot_solution(rows, rhs) -> tuple[list[int], int, list[int]] | None:
     row, and later passes never touch it again.
     """
     aug = [_int_row([*row, b]) for row, b in zip(rows, rhs)]
-    m, pivots, _ = _eliminate(aug, reduce=False)
+    m, pivots = _eliminate(aug, reduce=False)
     if aug and len(aug[0]) - 1 in pivots:
         return None
     r = len(pivots)
@@ -91,3 +92,50 @@ def _skew_upper(rows) -> list[list[int]]:
         upper = [[x.numerator * (mult // x.denominator) for x in row]
                  for row in fr]
     return upper
+
+
+def reference_rref(rows):
+    """Reduced row echelon form over Fractions: (nonzero rows, pivots)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def reference_inverse(rows):
+    """A^-1 over Fractions, from the reduced form of [A | I], or None
+    when A is singular."""
+    n = len(rows)
+    red, pivots = reference_rref(
+        [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def reference_det(rows):
+    """det(A) by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return Fraction(rows[0][0])
+    return sum((-1) ** j * rows[0][j]
+               * reference_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))

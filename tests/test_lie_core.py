@@ -24,8 +24,9 @@ from contactres.lie_core import (
     parse_simple_type,
     poincare_polynomial,
 )
-from contactres.ratlinalg import adjugate
 from contactres.resolutions import compositions_of
+
+from linalg_reference import reference_det, reference_inverse
 
 ALL_SMALL_TYPES = [
     SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3),
@@ -106,18 +107,15 @@ class TestRootSystems:
 
     @pytest.mark.parametrize("t", ALL_SMALL_TYPES, ids=str)
     def test_fundamental_weights_dual_to_coroots(self, t):
-        # The weights are the rows of C^-1 = adj(C) / det(C), and det(C)
-        # is the index of connection, so a singular or mis-bonded Cartan
-        # matrix fails here.
+        # The weights are the rows of C^-1, and det(C) is the index of
+        # connection, so a singular or mis-bonded Cartan matrix fails here.
         cm = build_root_system(t).cartan_matrix
         n = t.rank
-        adj = adjugate(cm)
-        det = sum(adj[0][i] * cm[i][0] for i in range(n))
-        assert det == INDEX_OF_CONNECTION[t.family](n)
+        assert reference_det(cm) == INDEX_OF_CONNECTION[t.family](n)
+        weights = reference_inverse(cm)
         for b in range(n):
             for c in range(n):
-                pairing = sum(Fraction(adj[b][i], det) * cm[i][c]
-                              for i in range(n))
+                pairing = sum(weights[b][i] * cm[i][c] for i in range(n))
                 assert pairing == int(b == c)
 
     @pytest.mark.parametrize("t", [

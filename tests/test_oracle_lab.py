@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -50,7 +51,6 @@ from contactres.orbits import (
 from contactres.ratlinalg import (
     _int_row,
     _skew_steps,
-    adjugate,
     dot,
     echelon_basis,
     mat_mul,
@@ -64,7 +64,13 @@ from contactres.ratlinalg import (
 from contactres.resolutions import compositions_of
 from contactres.verify import run_suite
 
-from linalg_reference import _skew_upper, mat_vec, pivot_solution, solve
+from linalg_reference import (
+    _skew_upper,
+    mat_vec,
+    pivot_solution,
+    reference_inverse,
+    solve,
+)
 
 F = Fraction
 
@@ -345,11 +351,11 @@ def reference_vote_sample(comp, seed):
     return None
 
 
-def reference_conjugate(m, seed):
-    """``random_conjugate`` by its definition: g = L U, the entries of L
-    below its unit diagonal, row by row, then those of U above it, each
-    the next nonzero ``randint(-1, 1)``, and g e g^-1 by two products,
-    g^-1 = adj(g) as det(g) = 1."""
+@lru_cache(maxsize=None)
+def reference_conjugator(seed, n):
+    """``random_conjugate``'s g by its definition, g = L U: the entries of
+    L below its unit diagonal, row by row, then those of U above it, each
+    the next nonzero ``randint(-1, 1)``; and g^-1 over Fractions."""
     rng = random.Random(f"{seed}:conj")
 
     def draw():
@@ -357,13 +363,18 @@ def reference_conjugate(m, seed):
             pass
         return x
 
-    n = m.n
     low = [[draw() if j < i else int(j == i) for j in range(n)]
            for i in range(n)]
     up = [[draw() if j > i else int(j == i) for j in range(n)]
           for i in range(n)]
     g = mat_mul(low, up)
-    return mat_mul(mat_mul(g, m.e), adjugate(g))
+    return g, reference_inverse(g)
+
+
+def reference_conjugate(m, seed):
+    """``random_conjugate`` by its definition: g e g^-1 by two products."""
+    g, inv = reference_conjugator(seed, m.n)
+    return mat_mul(mat_mul(g, m.e), inv)
 
 
 # --- the ad-rank path, kept as the second reference for contact_check ---
@@ -771,13 +782,18 @@ class TestRandomConjugate:
         assert count == 66 * 25
 
     def test_conjugators_are_unimodular(self):
-        # g adj(g) = I, so adj(g) is g^-1 and no det(g) factor rides along
-        for n in range(1, ADDIM_SIZE_CAP + 1):
+        # g g^-1 = I with g^-1 an int matrix, so no det(g) factor rides
+        # along; the inverse undone from g's row factors is the one over
+        # Fractions, which a wrong factor order would not give (n >= 3)
+        for n in range(ADDIM_SIZE_CAP + 1):
             eye = tuple([tuple([int(i == j) for j in range(n)])
                          for i in range(n)])
             for seed in range(25):
                 g, inv = oracle_lab._conjugator(seed, n)
                 assert mat_mul(g, inv) == eye, (n, seed)
+                assert all([type(x) is int for row in inv for x in row])
+                assert (g, [[*row] for row in inv]) == \
+                    reference_conjugator(seed, n), (n, seed)
 
     def test_no_conjugate_is_upper_triangular(self):
         # every nonzero orbit of n = 2..8 at seeds 0-24: a conjugate is
@@ -833,7 +849,7 @@ class TestSeededStreams:
                 type(row) is tuple and {*map(type, row)} <= {int}
                 for row in rows)
 
-        # a value of _conjugator is the pair (g, adj(g)) of int rows,
+        # a value of _conjugator is the pair (g, g^-1) of int rows,
         # one of _entries a row of ints
         checks = {"_conjugator": lambda v: len(v) == 2
                   and all(map(int_rows, v)),
@@ -860,23 +876,19 @@ class TestSeededStreams:
             assert all([type(v) is tuple and checks[name](v)
                         for v in values]), name
 
-    def test_contact_suite_draws_each_conjugator_once(self, monkeypatch):
+    def test_contact_suite_draws_each_conjugator_once(self):
+        def misses():
+            return oracle_lab._conjugator.cache_info().misses
+
         oracle_lab._conjugator.cache_clear()
         run_suite("contact", max_n=5)
         # three seeds at each n = 2..5, however many orbits share them
-        assert oracle_lab._conjugator.cache_info().misses == 12
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return adjugate(*args)
-
-        monkeypatch.setattr(oracle_lab, "adjugate", counting)
+        assert misses() == 12
         base = jordan_nilpotent((3, 2))
         assert random_conjugate(base, 1).e == reference_conjugate(base, 1)
-        assert calls == []  # a hit
+        assert misses() == 12  # a hit
         assert random_conjugate(base, 3).e == reference_conjugate(base, 3)
-        assert calls  # a miss eliminates
+        assert misses() == 13  # a miss draws g and undoes its factors
 
     def test_streams_grow_with_seeds_and_sizes_not_compositions(
             self, monkeypatch):

@@ -13,7 +13,6 @@ from contactres.ratlinalg import (
     _eliminate,
     _int_row,
     _skew_steps,
-    adjugate,
     dot,
     echelon_basis,
     mat_mul,
@@ -26,7 +25,13 @@ from contactres.ratlinalg import (
     skew_rank,
 )
 
-from linalg_reference import _skew_upper, mat_vec, pivot_solution, solve
+from linalg_reference import (
+    _skew_upper,
+    mat_vec,
+    pivot_solution,
+    reference_rref,
+    solve,
+)
 
 F = Fraction
 
@@ -42,12 +47,6 @@ def matrices(max_rows=5, max_cols=5, entries=small_entries):
             lambda c: st.lists(
                 st.lists(entries, min_size=c, max_size=c),
                 min_size=r, max_size=r)))
-
-
-def square_matrices(max_n=4, entries=small_entries):
-    return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
-                           min_size=n, max_size=n))
 
 
 def sparse(entries):
@@ -86,17 +85,15 @@ def reference_eliminate(rows, reduce):
     by p / prev at once."""
     m = [list(row) for row in rows]
     if not m or not m[0]:
-        return m, [], 1
+        return m, []
     nrows, ncols = len(m), len(m[0])
     pivots = []
-    sign, prev, r = 1, 1, 0
+    prev, r = 1, 0
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
+        m[r], m[piv] = m[piv], m[r]
         prow = m[r]
         p = prow[c]
         for i in range(0 if reduce else r + 1, nrows):
@@ -113,7 +110,7 @@ def reference_eliminate(rows, reduce):
         r += 1
         if r == nrows:
             break
-    return m, pivots, sign
+    return m, pivots
 
 
 @st.composite
@@ -191,32 +188,6 @@ def reference_skew_pivots(rows):
 
 # --- reference: the Fraction Gauss-Jordan the integer kernel replaced --------
 
-def reference_rref(rows):
-    """Reduced row echelon form over Fractions: (nonzero rows, pivots)."""
-    m = [[F(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
 def reference_rank(rows):
     return len(reference_rref(rows)[1])
 
@@ -262,36 +233,6 @@ def rref_solve(rows, rhs):
     return tuple(x)
 
 
-def reference_inverse(rows):
-    n = len(rows)
-    red, pivots = reference_rref(
-        [list(row) + [F(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
-def reference_det(rows):
-    if len(rows) == 1:
-        return F(rows[0][0])
-    return sum((-1) ** j * rows[0][j]
-               * reference_det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j in range(len(rows)))
-
-
-def assert_adjugate(rows):
-    """adj(A) = det(A) A^-1, in integers; None for a singular A."""
-    ref = reference_inverse(rows)
-    adj = adjugate(rows)
-    if ref is None:
-        assert adj is None
-        return
-    det = reference_det(rows)
-    assert all(type(x) is int for row in adj for x in row)
-    assert adj == [[det * x for x in row] for row in ref]
-
-
 def is_primitive_int(vec):
     return all(type(x) is int for x in vec) and gcd(*vec) == 1
 
@@ -315,14 +256,9 @@ class TestDeferredScalingCases:
         # the first pivot (2) does not visit row 2, which stays at level 1;
         # column 1 has no pivot candidate in row 1, so row 2 is swapped in
         rows = [[2, 1, 3], [0, 0, 5], [0, 3, 7]]
-        m, pivots, sign = _eliminate(rows, reduce)
-        assert (m, pivots, sign) == reference_eliminate(rows, reduce)
-        assert pivots == [0, 1, 2] and sign == -1
-
-    @given(square_matrices(max_n=6, entries=SPARSE_ENTRIES["int"]))
-    @settings(max_examples=120, derandomize=True)
-    def test_adjugate_on_sparse_squares(self, rows):
-        assert_adjugate(rows)
+        m, pivots = _eliminate(rows, reduce)
+        assert (m, pivots) == reference_eliminate(rows, reduce)
+        assert pivots == [0, 1, 2]
 
 
 class TestRank:
@@ -375,9 +311,10 @@ class TestSkewRank:
         assert skew_rank(_skew_upper(rows)) == 2 * len(pivots) \
             == rank(cleared(rows))
         if kind == "int" and rows and 2 * len(pivots) == len(rows):
-            # the last pivot is a Pfaffian of the whole matrix: Pf^2 = det
-            m, _, sign = _eliminate(rows, reduce=False)
-            assert pivots[-1] ** 2 == sign * m[-1][-1]
+            # the last pivot is a Pfaffian of the whole matrix: Pf^2 = det,
+            # and the general elimination's last pivot is +-det
+            m, _ = _eliminate(rows, reduce=False)
+            assert pivots[-1] ** 2 == abs(m[-1][-1])
 
     def test_row_hit_again_after_sitting_out(self):
         # pivot pairs (0, 3), (1, 4), (2, 5), (6, 7): row 6 is hit by the
@@ -670,23 +607,6 @@ class TestSolve:
         assert pivot_solution([[0, 0]], [0]) == ([], 1, [])
 
 
-class TestInverse:
-    @given(square_matrices())
-    @settings(max_examples=80, derandomize=True)
-    def test_adjugate_is_det_times_inverse(self, rows):
-        assert_adjugate(rows)
-
-    def test_small_case(self):
-        assert adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
-
-    @pytest.mark.parametrize("rows", [
-        [[1, 2, 0], [3, 4, 1]], [[1], [0]], [[1, 2], [3]]])
-    def test_adjugate_refuses_mismatched_shapes(self, rows):
-        # A's extra columns would be read as part of the identity
-        with pytest.raises(DimensionMismatch):
-            adjugate(rows)
-
-
 class TestIntContract:
     """Both eliminations take int entries only, and refuse any other with
     one ``TypeError`` from one shared check, before any step: a Fraction,
@@ -695,7 +615,7 @@ class TestIntContract:
 
     @pytest.mark.parametrize("entry", [F(1, 2), F(2), 0.5])
     @pytest.mark.parametrize("call", [
-        rank, echelon_basis, rref, row_basis, nullspace, adjugate,
+        rank, echelon_basis, rref, row_basis, nullspace,
         skew_rank, skew_null_vector], ids=lambda f: f.__name__)
     def test_non_int_refused_before_any_step(self, call, entry,
                                              monkeypatch):

@@ -582,6 +582,47 @@ class TestDecisionCensus:
                             "Unknown": 1, "ZeroOrbit": 5}
         assert unknown == ["G2:dim10"]
 
+    # sha256 of repr(rows), one row per orbit counted above, in the same
+    # order: (label, verdict, reason, sorted polarization markings). Two
+    # swapped verdicts or a changed polarization list move no count, but
+    # they move this digest.
+    ROW_DIGESTS = {
+        "A":
+            "97c3e24ae54f0fa736225682511c7c3f0ae640538b4e5e756bfd7ffadb42a4b7",
+        "B":
+            "7f9a45d47560c96f0dd049e43b9b8d5aa907306a3c2e9a6d3bf8d0208e2839d7",
+        "C":
+            "9019b4f84e0fd701379a082759598679911e4adbc8b3fcd0686fabe6d1b86f35",
+        "D":
+            "43afe04f5ac1efdca0703aab18ee8a320732cedde26964a0476d8d2c1c1c792f",
+        "table":
+            "72525fd1d5fafc9481f74d32c9f63b43157dc5321e926fa2148a630b4315bacd",
+    }
+
+    def census_rows(self, family):
+        if family == "table":
+            orbits = [validate_orbit(SimpleType(f, rank), key)
+                      for f, rank, key in sorted(exceptional_table())]
+        else:
+            orbits = [o for rank in self.RANKS[family]
+                      for o in nonzero_orbits(SimpleType(family, rank))]
+        rows = []
+        for o in orbits:
+            try:
+                r = contact_resolution_exists(o)
+            except ZeroOrbit:
+                rows.append((str(o), "ZeroOrbit", None, []))
+                continue
+            rows.append((str(o), r.verdict, r.reason,
+                         sorted([q.parabolic.marked for q in r.polarizations])))
+        return rows
+
+    @pytest.mark.parametrize("family", [*RANKS, "table"])
+    def test_orbit_rows(self, family):
+        rows = self.census_rows(family)
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == self.ROW_DIGESTS[family]
+
 
 class TestTrichotomy:
     def test_minimal_type_a(self):
