@@ -795,6 +795,13 @@ class TestRandomConjugate:
                 assert (g, [[*row] for row in inv]) == \
                     reference_conjugator(seed, n), (n, seed)
 
+    def test_two_by_two_inverse_is_the_adjugate(self):
+        # det(g) = 1, so g^-1 of [[a, b], [c, d]] is [[d, -b], [-c, a]]
+        for seed in range(25):
+            g, inv = oracle_lab._conjugator(seed, 2)
+            (a, b), (c, d) = g
+            assert inv == ((d, -b), (-c, a)), seed
+
     def test_no_conjugate_is_upper_triangular(self):
         # every nonzero orbit of n = 2..8 at seeds 0-24: a conjugate is
         # dense enough to leave the upper triangle, so none is its own

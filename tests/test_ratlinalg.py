@@ -29,6 +29,8 @@ from linalg_reference import (
     _skew_upper,
     mat_vec,
     pivot_solution,
+    reference_det,
+    reference_inverse,
     reference_rref,
     solve,
 )
@@ -47,6 +49,12 @@ def matrices(max_rows=5, max_cols=5, entries=small_entries):
             lambda c: st.lists(
                 st.lists(entries, min_size=c, max_size=c),
                 min_size=r, max_size=r)))
+
+
+def square_matrices(max_n=4, entries=small_entries):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
 
 
 def sparse(entries):
@@ -259,6 +267,21 @@ class TestDeferredScalingCases:
         m, pivots = _eliminate(rows, reduce)
         assert (m, pivots) == reference_eliminate(rows, reduce)
         assert pivots == [0, 1, 2]
+
+    @pytest.mark.parametrize("reduce", [False, True])
+    @given(square_matrices(max_n=6, entries=SPARSE_ENTRIES["int"]))
+    @settings(max_examples=120, derandomize=True)
+    def test_last_pivot_is_det_on_sparse_squares(self, reduce, rows):
+        # fraction-free, the last pivot of a square A is det(A) up to the
+        # sign of the row swaps; reduced, it is the whole diagonal
+        m, pivots = _eliminate(rows, reduce)
+        det = reference_det(rows)
+        if len(pivots) < len(rows):
+            assert det == 0
+            return
+        assert abs(m[-1][-1]) == abs(det) != 0
+        if reduce:
+            assert [m[i][i] for i in range(len(m))] == [m[-1][-1]] * len(m)
 
 
 class TestRank:
@@ -605,6 +628,33 @@ class TestSolve:
         assert (pivots, d, y) == ([0, 1], 6, [9, 12])
         assert pivot_solution([[1, 1], [2, 2]], [1, 3]) is None
         assert pivot_solution([[0, 0]], [0]) == ([], 1, [])
+
+
+class TestFractionReferences:
+    """The Fraction inverse and determinant judge ``_conjugator`` and the
+    Cartan matrices alone, so they are checked against each other and
+    against the integer rank."""
+
+    @given(square_matrices())
+    @settings(max_examples=80, derandomize=True)
+    def test_inverse_is_two_sided_and_det_nonzero(self, rows):
+        n = len(rows)
+        inv = reference_inverse(rows)
+        det = reference_det(rows)
+        if inv is None:
+            assert det == 0 and rank(rows) < n
+            return
+        eye = tuple([tuple([int(i == j) for j in range(n)])
+                     for i in range(n)])
+        assert mat_mul(rows, inv) == mat_mul(inv, rows) == eye
+        assert rank(rows) == n and det * reference_det(inv) == 1
+
+    def test_small_case(self):
+        assert reference_inverse([[1, 2], [3, 4]]) == \
+            [[-2, 1], [F(3, 2), F(-1, 2)]]
+        assert reference_det([[1, 2], [3, 4]]) == -2
+        assert reference_inverse([[1, 2], [2, 4]]) is None
+        assert reference_det([[1, 2], [2, 4]]) == 0
 
 
 class TestIntContract:
