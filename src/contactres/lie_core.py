@@ -40,7 +40,6 @@ plain tuple in one comparison, dict, set or cache, and never calls
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from functools import lru_cache
 from operator import index
@@ -360,40 +359,42 @@ def is_projective_space(p: ParabolicType) -> bool:
 
 
 # --- text grammar ------------------------------------------------------------
+# A type is a letter A-G and a rank, ``B3``; a marking is ``{}`` or marks
+# split by commas, ``{1, 3}``. A label is stripped and split once, and each
+# piece is checked to be a run of ASCII digits before it is converted.
 
-_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
-_MARKING_RE = re.compile(r"\{\s*([0-9]+(\s*,\s*[0-9]+)*)?\s*\}")
+def _is_digits(text: str) -> bool:
+    """A nonempty run of ASCII digits; ``isdigit`` alone takes "\u00b2"."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_simple_type(text: str) -> SimpleType:
-    m = _TYPE_RE.match(text.strip())
-    if not m:
+    label = text.strip()
+    family, digits = label[:1], label[1:]
+    if not (_is_digits(digits) and family in RANK_BOUNDS):
         raise InvalidRank(f"cannot parse simple type from {text!r}")
     try:
-        rank = int(m.group(2))
+        rank = int(digits)
     except ValueError:  # more digits than int() converts (4,300 by default)
-        raise InvalidRank(f"the rank of type {m.group(1)} has too many "
+        raise InvalidRank(f"the rank of type {family} has too many "
                           "digits to read") from None
-    return SimpleType(m.group(1), rank)
-
-
-def parse_marking(text: str) -> tuple[int, ...] | None:
-    """The marks of ``{i,j,...}`` in written order, ``()`` for ``{}``, or
-    None when ``text`` is not of that form (an empty mark included)."""
-    if not _MARKING_RE.fullmatch(text.strip()):
-        return None
-    try:
-        return tuple([int(tok) for tok in re.findall(r"[0-9]+", text)])
-    except ValueError:  # more digits than int() converts (4,300 by default)
-        raise DimensionMismatch("a marked root has too many digits to "
-                                "read") from None
+    return SimpleType(family, rank)
 
 
 def parse_parabolic(text: str) -> ParabolicType:
-    """Parse the parabolic grammar, e.g. ``"A3:{1,3}"``."""
+    """Parse the parabolic grammar, e.g. ``"A3:{1,3}"``: its marks in
+    written order, ``()`` for ``{}``, are read before its type."""
     head, _, tail = text.partition(":")
-    marks = parse_marking(tail)
-    if marks is None:
+    tail = tail.strip()
+    body = tail[1:-1].strip()
+    marks = [mark.strip() for mark in body.split(",")] if body else []
+    if not (tail.startswith("{") and tail.endswith("}")
+            and all(map(_is_digits, marks))):
         raise DimensionMismatch(
             f"cannot parse parabolic from {text!r}; expected TYPE:{{i,j,...}}")
-    return parabolic(parse_simple_type(head), marks)
+    try:
+        marked = tuple([int(mark) for mark in marks])
+    except ValueError:  # more digits than int() converts (4,300 by default)
+        raise DimensionMismatch("a marked root has too many digits to "
+                                "read") from None
+    return parabolic(parse_simple_type(head), marked)

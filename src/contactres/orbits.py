@@ -27,7 +27,6 @@ key) tuples, never by a record.
 
 from __future__ import annotations
 
-import re
 import sys
 from collections import Counter, namedtuple
 from operator import index
@@ -38,7 +37,7 @@ from .errors import (
     UnknownExceptionalKey,
     invariant,
 )
-from .lie_core import SimpleType, parse_simple_type
+from .lie_core import SimpleType, _is_digits, parse_simple_type
 
 Partition = tuple[int, ...]
 
@@ -333,9 +332,8 @@ def exceptional_entry(o: OrbitLabel) -> ExceptionalOrbitEntry:
 
 
 # --- text grammar -------------------------------------------------------------
-
-_PARTITION_RE = re.compile(r"^[0-9]+(,[0-9]+)*$")
-
+# An orbit is a type, a colon and parts split by commas (ASCII digit runs,
+# no spaces) or an exceptional key; ``/I`` or ``/II`` tags a very-even one.
 
 def parse_orbit(text: str) -> OrbitLabel:
     """Parse the orbit grammar: ``"A3:2,1,1"``, ``"G2:dim8"``,
@@ -348,9 +346,10 @@ def parse_orbit(text: str) -> OrbitLabel:
     tag = None
     if "/" in tail:
         tail, tag = tail.split("/", 1)
-    if _PARTITION_RE.match(tail.strip()):
+    parts = tail.strip().split(",")
+    if all(map(_is_digits, parts)):
         try:
-            parts = tuple(int(x) for x in tail.split(","))
+            parts = tuple([int(part) for part in parts])
         except ValueError:  # more digits than int() converts (4,300 by default)
             raise InvalidPartition(f"a part of the {t} partition has too "
                                    "many digits to read") from None

@@ -19,7 +19,7 @@ import random
 from collections import Counter, namedtuple
 
 from . import oracle_lab
-from .errors import UnknownSuite
+from .errors import SizeCapExceeded, UnknownSuite
 from .lie_core import SimpleType, parabolic
 from .orbits import OrbitRecord, dual_partition, orbit_record, orbits_of
 from .resolutions import (
@@ -198,24 +198,34 @@ def _suite_cones(seed, count, max_dim):
     return rows
 
 
-# suite name -> (runner, default caps, oracle cap); a runner takes the seed
-# and its caps. The oracle cap is what a row of size n hands an oracle and
-# that oracle's cap, or None; every n >= 2 has a nonzero orbit and a
-# composition, so a max_n over the cap is refused before the first row,
-# with the error of the first over-cap row
+# The largest max_n of the chambers suite: at n = 19 the orbit A18:13,5,1
+# has 6,435 polarizations, over ``resolutions.MAX_CHAMBERS``; the suite
+# at 18 takes ~6 s
+CHAMBERS_MAX_N = 18
+# The most random cones of the cones suite: 10,000 take ~4 s and ~35 MB
+CONES_MAX_COUNT = 10_000
+
+# suite name -> (runner, default caps, size cap); a runner takes the seed
+# and its caps. A size cap (capped, cap, kind) refuses a request whose
+# caps[capped] is over cap before the first row. The oracle suites' cap is
+# what a row of size n hands an oracle, of that ``kind``, and that
+# oracle's cap; every n >= 2 has a nonzero orbit and a composition, so
+# they are refused with the error of the first over-cap row
 _SUITES = {
     "ad-rank": (_suite_ad_rank, {"max_n": 5},
-                ("partition", oracle_lab.ADDIM_SIZE_CAP)),
+                ("max_n", oracle_lab.ADDIM_SIZE_CAP, "partition")),
     "kks": (_suite_kks, {"max_n": 5},
-            ("partition", oracle_lab.ADDIM_SIZE_CAP)),
+            ("max_n", oracle_lab.ADDIM_SIZE_CAP, "partition")),
     "contact": (_suite_contact, {"max_n": 5},
-                ("partition", oracle_lab.ADDIM_SIZE_CAP)),
+                ("max_n", oracle_lab.ADDIM_SIZE_CAP, "partition")),
     "richardson": (_suite_richardson, {"max_n": 6},
-                   ("composition", oracle_lab.ADDIM_SIZE_CAP)),
+                   ("max_n", oracle_lab.ADDIM_SIZE_CAP, "composition")),
     "fibers": (_suite_fibers, {"max_n": 4},
-               ("composition", oracle_lab.FIBER_SIZE_CAP)),
-    "chambers": (_suite_chambers, {"max_n": 7}, None),
-    "cones": (_suite_cones, {"count": 100, "max_dim": 4}, None),
+               ("max_n", oracle_lab.FIBER_SIZE_CAP, "composition")),
+    "chambers": (_suite_chambers, {"max_n": 7},
+                 ("max_n", CHAMBERS_MAX_N, None)),
+    "cones": (_suite_cones, {"count": 100, "max_dim": 4},
+              ("count", CONES_MAX_COUNT, None)),
 }
 
 
@@ -280,10 +290,11 @@ def suite_caps(name: str, max_n: int | None = None,
 def run_suite(name: str, max_n: int | None = None, seed: int = 0,
               count: int | None = None) -> list[OracleCheck]:
     """Run one named suite; None caps fall back to the suite defaults."""
-    runner, defaults, oracle_cap = _suite(name)
+    runner, defaults, (capped, cap, kind) = _suite(name)
     caps = suite_caps(name, max_n, count)
-    if oracle_cap is not None:
-        kind, cap = oracle_cap
-        if caps["max_n"] > cap:  # the error of the first over-cap row
+    if caps[capped] > cap:
+        if kind is not None:  # the error of the first over-cap row
             oracle_lab.refuse_over_cap(cap + 1, kind, cap)
+        raise SizeCapExceeded(f"the {name} suite's {capped} of "
+                              f"{caps[capped]} exceeds cap {cap}")
     return runner(seed, **{key: caps[key] for key in defaults})

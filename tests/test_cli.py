@@ -673,10 +673,11 @@ class TestConverterRefusal:
 
 
 # modules a CLI process loads only when its command runs them (``json``
-# never: the report quotes strings with the C quoter of ``_json``; the
-# cone engine only for ``verify --suite cones``; ``fractions`` by none of
-# the commands below, as the oracles take integer models)
-DEFERRED = ("argparse", "fractions", "importlib.resources", "json",
+# never: the report quotes strings with the C quoter of ``_json``; ``re``
+# never: labels are read with string operations; the cone engine only for
+# ``verify --suite cones``; ``fractions`` by none of the commands below, as
+# the oracles take integer models)
+DEFERRED = ("argparse", "fractions", "importlib.resources", "json", "re",
             "contactres.verify", "contactres.oracle_lab", "contactres.cones")
 
 # sha256 of ``classify A3:2,2 --no-oracles --json``, the bytes from before
@@ -726,11 +727,12 @@ class TestStartUp:
         assert code == 0
         assert "contactres.verify" in after and "contactres.oracle_lab" in after
         assert "contactres.cones" not in after and "fractions" not in after
+        assert "re" not in after
         assert hashlib.sha256(out.encode()).hexdigest() == \
             TOUR_DIGESTS["classify A3:2,2 --json"]
         code, out, after = cones
         assert code == 0 and "contactres.cones" in after
-        assert "fractions" not in after
+        assert "fractions" not in after and "re" not in after
 
     def test_suite_names_literal_is_verifys(self):
         from contactres.verify import suite_names

@@ -40,6 +40,18 @@ def test_one_serializer():
         assert calls == [], f"{path.name}: json.dumps on lines {calls}"
 
 
+def test_package_imports_no_regular_expressions():
+    """Labels are read with string operations (``tests/grammar_reference``
+    keeps the patterns), so no process loads the regex engine for them."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Import)
+                 and any(a.name == "re" for a in n.names)
+                 or isinstance(n, ast.ImportFrom) and n.module == "re"]
+        assert lines == [], f"{path.name}: imports re on lines {lines}"
+
+
 def test_records_are_slotted():
     """Every tuple subclass a package module defines has ``__slots__ ==
     ()`` and instances without a ``__dict__`` (a zero dict offset, which

@@ -1,4 +1,5 @@
 import pytest
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,8 +25,14 @@ from contactres.lie_core import (
     parse_simple_type,
     poincare_polynomial,
 )
+from contactres.orbits import parse_orbit
 from contactres.resolutions import compositions_of
 
+from grammar_reference import (
+    reference_orbit,
+    reference_parabolic,
+    reference_simple_type,
+)
 from linalg_reference import reference_det, reference_inverse
 
 ALL_SMALL_TYPES = [
@@ -530,3 +537,61 @@ class TestGrammar:
         for text in ["A3:{4}", "A3:{0}", "A3:{1,5}"]:
             with pytest.raises(DimensionMismatch):
                 parse_parabolic(text)
+
+    def test_matches_the_regex_reference(self):
+        # seeded labels and their mutations, over the grammar's characters,
+        # Unicode whitespace, non-ASCII digits and a run over int()'s
+        # 4,300-digit limit: each parser gives the reference's value or
+        # its error type and message
+        pairs = [(parse_simple_type, reference_simple_type),
+                 (parse_parabolic, reference_parabolic),
+                 (parse_orbit, reference_orbit)]
+        seen, mismatches = [set() for _ in pairs], []
+        for text in label_corpus(random.Random("grammar"), 20_000):
+            for (parse, reference), kinds in zip(pairs, seen):
+                got = parse_outcome(parse, text)
+                if got != parse_outcome(reference, text):
+                    mismatches.append((parse.__name__, text[:60], got))
+                kinds.add("value" if not issubclass(got[0], Exception)
+                          else "digits" if "many digits" in got[1]
+                          else "refused")
+        assert mismatches[:5] == []
+        # each parser answered, refused, and met the digit limit
+        assert seen == [{"value", "refused", "digits"}] * 3
+
+
+LABEL_TOKENS = (list("ABCDEFGH0123456789:,{}/I") + ["dim"]
+                + [" ", "\t", "\n", "\xa0", "\u2003", "\u3000", "\x1c",
+                   "\x85"]
+                + ["\u00b2", "\u0663", "\uff13", "7" * 4301])
+LABEL_SEEDS = ("A3:2,1,1", "A3:{1,3}", "D4:2,2,2,2/I", "D4:2,2,2,2/II",
+               "G2:dim8", "F4:dim16", "B3:{ 1 , 3 }", "A3:{}", "C3:2,2,1,1",
+               "B2:2,2,1", "A1:2", "E6:{1,6}", "D4:3,3,1,1")
+
+
+def label_corpus(rng, size):
+    """``size`` distinct strings: a third drawn token by token from
+    ``LABEL_TOKENS``, the rest a label of ``LABEL_SEEDS`` with one to
+    three tokens inserted or characters deleted or replaced."""
+    corpus = set()
+    while len(corpus) < size:
+        text = rng.choice(LABEL_SEEDS)
+        if rng.random() < 1 / 3:
+            text = "".join(rng.choices(LABEL_TOKENS, k=rng.randint(1, 12)))
+        else:
+            for _ in range(rng.randint(1, 3)):
+                i, edit = rng.randint(0, len(text)), rng.randrange(3)
+                token = rng.choice(LABEL_TOKENS) if edit else ""
+                text = text[:i] + token + text[i + (edit != 1):]
+        corpus.add(text)
+    return sorted(corpus)
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` made of ``text``: (type, value) or (error type,
+    message)."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value

@@ -188,6 +188,13 @@ class TestValidation:
         assert str(info.value) == \
             f"{shown} is not very even; no I/II tag applies"
 
+    @pytest.mark.parametrize("space", ["\x1c", "\x1f", "\x85", "\u3000"])
+    def test_whitespace_around_the_parts_is_stripped(self, space):
+        # str.strip removes U+001C-U+001F and int() does not, so the parts
+        # are converted after the strip
+        assert parse_orbit(f"A3:{space}2,1,1{space}") == \
+            parse_orbit("A3:2,1,1")
+
 
 class TestDimension:
     def test_a3_oracle_derived_examples(self):

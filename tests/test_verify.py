@@ -9,14 +9,27 @@ from contactres import cones, oracle_lab, ratlinalg, verify
 from contactres.cones import RationalCone, cone_from_generators
 from contactres.errors import SizeCapExceeded, UnknownSuite
 from contactres.lie_core import SimpleType
-from contactres.orbits import orbit_record, orbits_of, parse_orbit
+from contactres.orbits import (
+    dual_partition,
+    orbit_record,
+    orbits_of,
+    parse_orbit,
+)
 from contactres.resolutions import (
+    MAX_CHAMBERS,
     ChamberComplex,
     compositions_of,
     contact_resolution_exists,
+    distinct_ordering_count,
     richardson_partition,
 )
-from contactres.verify import run_suite, suite_caps, suite_names
+from contactres.verify import (
+    CHAMBERS_MAX_N,
+    CONES_MAX_COUNT,
+    run_suite,
+    suite_caps,
+    suite_names,
+)
 
 ALL_ORACLES = {"ad-rank", "kks-rank", "richardson-jordan-type",
                "springer-fiber-count"}
@@ -134,6 +147,60 @@ def test_over_cap_suite_stops_at_the_first_over_cap_orbit(monkeypatch):
     with pytest.raises(SizeCapExceeded, match="partition of 9 exceeds cap 8"):
         run_suite("kks", max_n=30)
     assert len(calls) <= 95    # the orbits of sl_2, ..., sl_9
+
+
+class RowStarted(Exception):
+    """Raised by the patched first step of a suite's first row."""
+
+
+@pytest.fixture
+def first_row_raises(monkeypatch):
+    """The chambers suite's first orbit record and the cones suite's
+    first draw raise ``RowStarted``."""
+    def started(*args):
+        raise RowStarted
+
+    monkeypatch.setattr(verify, "orbit_record", started)
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=started))
+
+
+def test_chambers_cap_is_the_last_n_without_an_over_cap_orbit():
+    # the polarizations of a type-A orbit are the distinct orderings of
+    # its dual partition, counted in closed form
+    def most_chambers(n):
+        return max(distinct_ordering_count(dual_partition(o.partition))
+                   for o in orbits_of(SimpleType("A", n - 1)))
+
+    n = 2
+    while most_chambers(n) <= MAX_CHAMBERS:
+        n += 1
+    assert CHAMBERS_MAX_N == n - 1
+
+
+@pytest.mark.parametrize("suite, caps, message", [
+    ("chambers", {"max_n": 19},
+     "the chambers suite's max_n of 19 exceeds cap 18"),
+    ("chambers", {"max_n": 10**6},
+     "the chambers suite's max_n of 1000000 exceeds cap 18"),
+    ("cones", {"count": CONES_MAX_COUNT + 1},
+     f"the cones suite's count of {CONES_MAX_COUNT + 1} exceeds cap "
+     f"{CONES_MAX_COUNT}")], ids=["chambers-19", "chambers-10^6", "cones"])
+def test_over_cap_size_is_refused_before_the_first_row(
+        first_row_raises, suite, caps, message):
+    # the chambers suite used to build every row of n <= 18 (~6 s), then
+    # fail on the first over-cap orbit; the cones suite had no cap
+    with pytest.raises(SizeCapExceeded) as info:
+        run_suite(suite, **caps)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("suite, caps", [
+    ("chambers", {"max_n": CHAMBERS_MAX_N}),
+    ("cones", {"count": CONES_MAX_COUNT}), ("cones", {"count": 100})],
+    ids=["chambers", "cones", "cones-100"])
+def test_size_at_the_cap_runs(first_row_raises, suite, caps):
+    with pytest.raises(RowStarted):
+        run_suite(suite, **caps)
 
 
 def test_chambers_suite_counts_degrees_in_one_pass(monkeypatch):
